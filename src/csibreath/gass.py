@@ -6,6 +6,11 @@ of sum_i a_i H(m_i, k) / H(m_d, k). Elite preservation makes the best
 fitness non-decreasing across generations, so the returned solution is never
 worse than any genome in the initial population - in particular never worse
 than the seeded single-pair candidates.
+
+``fitness`` scores one genome and is the reference definition of the
+objective. The search scores each generation as one batch with
+``PopulationScorer``, whose scores equal ``fitness`` bit for bit, so the
+batch changes the speed of the search but not its trajectory.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, StreamGuardError
-from .ratio import CscrStream, guarded_ratio, ssnr_values
+from .ratio import CscrStream, guard_table, guarded_ratio, ssnr_values
 from .simulate import CsiFrame, frames_to_matrix
 
 
@@ -118,19 +123,61 @@ def fitness(
     return float(ssnr_values(values[None, :], sample_rate_hz)[0])
 
 
-class _Evaluator:
-    """Fitness cache keyed by exact genome bytes."""
+class PopulationScorer:
+    """Fitness of a whole population on one window, computed as one batch.
+
+    Each score equals ``fitness(genome, matrix, sample_rate_hz)`` bit for
+    bit. All numerators come from one gather-matmul, and each denominator's
+    guard status from a table built once per scorer; only rows with flagged
+    but tolerated samples take the interpolating path. Invalid genomes raise
+    the same ConfigurationError as ``fitness``.
+    """
 
     def __init__(self, matrix: np.ndarray, sample_rate_hz: float):
         self.matrix = matrix
         self.sample_rate_hz = sample_rate_hz
-        self._cache: dict[bytes, float] = {}
+        self.guards = guard_table(matrix)
 
-    def __call__(self, genome: Genome) -> float:
-        key = genome.key()
-        if key not in self._cache:
-            self._cache[key] = fitness(genome, self.matrix, self.sample_rate_hz)
-        return self._cache[key]
+    def __call__(self, population: list[Genome]) -> np.ndarray:
+        n_sub = self.matrix.shape[0]
+        if not population:
+            return np.zeros(0)
+        shapes = {g.weights.shape for g in population}
+        shapes |= {g.numerator_indices.shape for g in population}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            for genome in population:
+                _check_genome(genome, n_sub)
+            raise ConfigurationError("genomes of one population must have equal length")
+        weights = np.stack([g.weights for g in population])
+        indices = np.stack([g.numerator_indices for g in population])
+        denominators = np.array([g.denominator_index for g in population])
+        invalid = (
+            np.any(np.abs(weights) > 1.0 + 1e-12, axis=1)
+            | np.any((indices < 0) | (indices >= n_sub), axis=1)
+            | (denominators < 0)
+            | (denominators >= n_sub)
+            | np.any(indices == denominators[:, None], axis=1)
+        )
+        if invalid.any():
+            _check_genome(population[int(np.argmax(invalid))], n_sub)
+        return self._score(weights, indices, denominators)
+
+    def _score(
+        self, weights: np.ndarray, indices: np.ndarray, denominators: np.ndarray
+    ) -> np.ndarray:
+        """Scores of validated (P, N) weights and indices over (P,) denominators."""
+        scores = np.zeros(denominators.size)
+        live = np.any(weights, axis=1) & ~self.guards.rejected[denominators]
+        if not live.any():
+            return scores
+        den = denominators[live]
+        numerators = (weights[live][:, None, :] @ self.matrix[indices[live]])[:, 0, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = (numerators / self.matrix[den]).astype(complex, copy=False)
+        for j in np.flatnonzero(self.guards.flagged[den].any(axis=1)):
+            values[j], _ = self.guards.ratio(numerators[j], self.matrix[den[j]], den[j])
+        scores[live] = ssnr_values(values, self.sample_rate_hz)
+        return scores
 
 
 def rank_seed_pairs(
@@ -154,15 +201,11 @@ def rank_seed_pairs(
         if m1 != m2 and (m1, m2) not in seen:
             seen.add((m1, m2))
             pairs.append((int(m1), int(m2)))
-    rows = []
-    for m1, m2 in pairs:
-        try:
-            values, _ = guarded_ratio(matrix[m1], matrix[m2])
-        except StreamGuardError:
-            rows.append(np.zeros(matrix.shape[1], dtype=complex))
-            continue
-        rows.append(values)
-    scores = ssnr_values(np.array(rows), sample_rate_hz)
+    # each pair is the genome (weights [1], numerators [m1], denominator m2)
+    index = np.array(pairs, dtype=int).reshape(-1, 2)
+    scores = PopulationScorer(matrix, sample_rate_hz)._score(
+        np.ones((len(pairs), 1), dtype=complex), index[:, :1], index[:, 1]
+    )
     ranked = sorted(zip(pairs, scores), key=lambda t: (-t[1], t[0]))
     return [(m1, m2, float(s)) for (m1, m2), s in ranked]
 
@@ -261,7 +304,7 @@ def optimize(
     if n_numerators < 1:
         raise ConfigurationError("n_numerators must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    evaluate = _Evaluator(matrix, sample_rate_hz)
+    score = PopulationScorer(matrix, sample_rate_hz)
 
     ranked = (
         ranked_pairs
@@ -276,7 +319,7 @@ def optimize(
         population.append(_random_genome(n_numerators, n_sub, rng))
     population = population[: params.population]
 
-    fits = np.array([evaluate(g) for g in population])
+    fits = score(population)
     best_idx = int(np.argmax(fits))
     best_genome, best_fit = population[best_idx], float(fits[best_idx])
     history = [best_fit]
@@ -293,7 +336,7 @@ def optimize(
             child = _mutate(child, n_sub, params, rng)
             next_pop.append(child)
         population = next_pop
-        fits = np.array([evaluate(g) for g in population])
+        fits = score(population)
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > best_fit:
             best_genome, best_fit = population[gen_best], float(fits[gen_best])
@@ -341,15 +384,12 @@ def build_streams(
         (complex(w), int(m))
         for w, m in zip(genome.weights, genome.numerator_indices)
     )
+    guards = guard_table(matrix, guard_rel)
+    numerator = genome.weights @ matrix[genome.numerator_indices]
     for m in range(matrix.shape[0]):
-        if not include_numerators and m in used:
+        if (not include_numerators and m in used) or guards.rejected[m]:
             continue
-        try:
-            values, bad = combined_ratio(
-                matrix, genome.weights, genome.numerator_indices, m, guard_rel
-            )
-        except StreamGuardError:
-            continue
+        values, bad = guards.ratio(numerator, matrix[m], m)
         streams.append(
             CscrStream(
                 values=values,

@@ -127,9 +127,8 @@ def segment(
 
     k1 = config.block_size(sample_rate_hz)
     averaged = average_phase_blocks(frames, k1)
-    ratio_values, _ = guarded_ratio(
-        frames_to_matrix(averaged)[pair[0]], frames_to_matrix(averaged)[pair[1]]
-    )
+    averaged_matrix = frames_to_matrix(averaged)
+    ratio_values, _ = guarded_ratio(averaged_matrix[pair[0]], averaged_matrix[pair[1]])
     phase = np.unwrap(np.angle(ratio_values))
     block_frame = (np.arange(phase.size) * k1) // frame_samples
 
@@ -179,17 +178,15 @@ def _window_frames(
 
 
 def _run_stages(
-    window: list[CsiFrame],
+    averaged: np.ndarray,
     solution: GassSolution,
-    sample_rate_hz: float,
+    eff_rate: float,
     config: PipelineConfig,
     window_id: int,
 ) -> tuple[RespirationEstimate, dict[str, float]]:
-    """Stream fan-out through rate estimation for one window, given a
-    solved numerator. Shared by the live pipeline and provenance replay."""
-    k1 = config.block_size(sample_rate_hz)
-    averaged = average_phase_blocks(window, k1)
-    eff_rate = sample_rate_hz / k1
+    """Stream fan-out through rate estimation for one window, given its
+    block-averaged CSI matrix (at ``eff_rate``) and a solved numerator.
+    Shared by the live pipeline and provenance replay."""
     streams = gass_mod.build_streams(
         solution,
         averaged,
@@ -292,7 +289,7 @@ def run_pipeline(
                 )
             previous = (solution, best_pair)
             estimate, stage_ratios = _run_stages(
-                window, solution, sample_rate_hz, config, window_id
+                matrix, solution, eff_rate, config, window_id
             )
             results.append(
                 WindowResult(
@@ -349,8 +346,10 @@ def replay_window(
     plan_frame_samples = int(round(config.frame_s * sample_rate_hz))
     a = result.start_frame * plan_frame_samples
     b = a + int(round(config.window_s / config.frame_s)) * plan_frame_samples
+    k1 = config.block_size(sample_rate_hz)
+    averaged = frames_to_matrix(average_phase_blocks(frames[a:b], k1))
     estimate, _ = _run_stages(
-        frames[a:b], result.solution, sample_rate_hz, config, result.window_id
+        averaged, result.solution, sample_rate_hz / k1, config, result.window_id
     )
     return estimate
 

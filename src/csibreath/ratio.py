@@ -55,6 +55,63 @@ class CscrStream:
     interpolated: np.ndarray
 
 
+@dataclass(frozen=True)
+class GuardTable:
+    """Denominator guard status of every row of a CSI matrix.
+
+    A sample is flagged when its magnitude is at most ``guard_rel`` times the
+    median magnitude of its row. A row is rejected when it is flagged
+    throughout or when more than ``max_flagged`` of it is flagged. Built once
+    per matrix with ``guard_table``, so many ratios over the same rows share
+    one median per row. ``guarded_ratio`` applies the same rule to one row.
+    """
+
+    flagged: np.ndarray    # bool, (rows, samples)
+    rejected: np.ndarray   # bool, one per row
+    max_flagged: float
+
+    def ratio(
+        self, numerator: np.ndarray, denominator: np.ndarray, row: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``numerator / denominator`` guarded by the status of ``row``.
+
+        ``denominator`` must be the table's row ``row``. Flagged samples are
+        replaced by linear interpolation of the surrounding valid ratio
+        samples (edges clamp to the nearest valid sample). Raises
+        StreamGuardError when the row is rejected.
+        """
+        if self.rejected[row]:
+            if self.flagged[row].all():
+                raise StreamGuardError("denominator is zero throughout the stream")
+            share = np.mean(self.flagged[row])
+            raise StreamGuardError(
+                f"{share:.1%} of denominator samples failed the guard "
+                f"(limit {self.max_flagged:.0%})"
+            )
+        bad = self.flagged[row].copy()
+        values = np.empty_like(numerator, dtype=complex)
+        good = ~bad
+        values[good] = numerator[good] / denominator[good]
+        if np.any(bad):
+            idx = np.arange(values.size)
+            values[bad] = np.interp(
+                idx[bad], idx[good], values[good].real
+            ) + 1j * np.interp(idx[bad], idx[good], values[good].imag)
+        return values, bad
+
+
+def guard_table(
+    matrix: np.ndarray,
+    guard_rel: float = 1e-9,
+    max_flagged: float = MAX_GUARDED_FRACTION,
+) -> GuardTable:
+    """Guard status of each row of ``matrix`` as a ratio denominator."""
+    mag = np.abs(np.atleast_2d(matrix))
+    flagged = mag <= guard_rel * np.median(mag, axis=1, keepdims=True)
+    rejected = flagged.all(axis=1) | (flagged.mean(axis=1) > max_flagged)
+    return GuardTable(flagged, rejected, max_flagged)
+
+
 def guarded_ratio(
     numerator: np.ndarray,
     denominator: np.ndarray,
@@ -69,25 +126,8 @@ def guarded_ratio(
     sample). Raises StreamGuardError when more than ``max_flagged`` of the
     stream is flagged.
     """
-    mag = np.abs(denominator)
-    floor = guard_rel * np.median(mag)
-    bad = mag <= floor
-    if np.all(bad):
-        raise StreamGuardError("denominator is zero throughout the stream")
-    if np.mean(bad) > max_flagged:
-        raise StreamGuardError(
-            f"{np.mean(bad):.1%} of denominator samples failed the guard "
-            f"(limit {max_flagged:.0%})"
-        )
-    values = np.empty_like(numerator, dtype=complex)
-    good = ~bad
-    values[good] = numerator[good] / denominator[good]
-    if np.any(bad):
-        idx = np.arange(values.size)
-        values[bad] = np.interp(idx[bad], idx[good], values[good].real) + 1j * np.interp(
-            idx[bad], idx[good], values[good].imag
-        )
-    return values, bad
+    guards = guard_table(denominator, guard_rel, max_flagged)
+    return guards.ratio(numerator, denominator, 0)
 
 
 def cscr(
@@ -272,8 +312,11 @@ def band_energies(
     of two at least 4x the row length. Band membership is decided by |f|:
     the respiration band is [0.167, 0.5] Hz, out-of-band is everything above
     0.5 Hz up to Nyquist, and the DC bin is excluded from both.
+
+    Each row's energies are bit-identical to those of the row scored alone,
+    so a score does not depend on the batch it is computed in.
     """
-    x = np.atleast_2d(np.asarray(series))
+    x = np.ascontiguousarray(np.atleast_2d(series))
     n = x.shape[1]
     if n < 2:
         raise ConfigurationError("series too short for a spectrum")
@@ -285,7 +328,12 @@ def band_energies(
     freq = np.abs(np.fft.fftfreq(nfft, d=1.0 / sample_rate_hz))
     in_band = (freq >= BAND_LOW_HZ) & (freq <= BAND_HIGH_HZ)
     out_band = freq > BAND_HIGH_HZ
-    return power[:, in_band].sum(axis=1), power[:, out_band].sum(axis=1)
+    # a boolean column selection comes back column-major, and summing that
+    # along rows adds in a different order than the pairwise sum of one row
+    return (
+        np.ascontiguousarray(power[:, in_band]).sum(axis=1),
+        np.ascontiguousarray(power[:, out_band]).sum(axis=1),
+    )
 
 
 def ssnr(

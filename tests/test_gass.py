@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +13,7 @@ from csibreath.errors import ConfigurationError
 from csibreath.gass import (
     GaParams,
     Genome,
+    PopulationScorer,
     build_streams,
     combined_ratio,
     fitness,
@@ -14,6 +21,7 @@ from csibreath.gass import (
     rank_seed_pairs,
 )
 from csibreath.grid import custom_grid
+from csibreath.ratio import average_phase_blocks
 from csibreath.simulate import (
     ChannelScenario,
     ImpairmentConfig,
@@ -94,6 +102,91 @@ def test_single_weight_fitness_ignores_scale_and_phase(angle, scale):
 
 
 # ----------------------------------------------------------------------------
+# Batch scoring
+# ----------------------------------------------------------------------------
+
+
+def _scoring_matrix():
+    """Seven rows at 10 Hz, each exercising one branch of the fitness."""
+    rng = np.random.default_rng(3)
+    n = 600
+    breath = 1.0 + 0.1 * np.sin(2 * np.pi * 0.25 * np.arange(n) / 10.0)
+    matrix = 1.0 + 0.3 * (rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n)))
+    matrix[1] = matrix[0] * breath        # row 1 over row 0: no out-of-band energy
+    matrix[2] = 0.0                       # rejected: zero throughout
+    matrix[3, 100:200] = 1e-12            # rejected: 1/6 of the samples flagged
+    matrix[4, [0, 50, 51, 599]] = 0.0     # tolerated: 4 samples interpolated
+    return matrix
+
+
+SCORING_MATRIX = _scoring_matrix()
+
+
+def _padded(n, weight, numerator, denominator):
+    """Genome with one live numerator and n - 1 zero-weight fillers."""
+    filler = next(m for m in range(7) if m != denominator)
+    weights = np.zeros(n, dtype=complex)
+    weights[0] = weight
+    indices = np.full(n, filler)
+    indices[0] = numerator
+    return Genome(weights, indices, denominator)
+
+
+@st.composite
+def _populations(draw):
+    n = draw(st.integers(1, 3))
+    population = [
+        _padded(n, 0.0, 0, 1),            # all-zero weights
+        _padded(n, 1.0, 1, 0),            # inf band ratio
+        _padded(n, 0.5, 0, 2),            # denominator zero throughout
+        _padded(n, 1.0, 0, 3),            # denominator mostly flagged
+        _padded(n, 0.7j, 0, 4),           # a few samples interpolated
+    ]
+    for _ in range(draw(st.integers(0, 8))):
+        denominator = draw(st.integers(0, 6))
+        indices = [
+            m + (m >= denominator)
+            for m in draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        ]
+        radius = draw(st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=n, max_size=n
+        ))
+        phase = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n))
+        weights = np.array(radius) * np.exp(1j * np.array(phase))
+        population.append(Genome(weights, np.array(indices), denominator))
+    return draw(st.permutations(population))
+
+
+@settings(max_examples=40, deadline=None)
+@given(population=_populations())
+def test_population_scorer_equals_fitness_bit_for_bit(population):
+    scores = PopulationScorer(SCORING_MATRIX, 10.0)(population)
+    expected = np.array([fitness(g, SCORING_MATRIX, 10.0) for g in population])
+    assert scores.tobytes() == expected.tobytes()
+    assert np.isinf(expected).any() and (expected == 0.0).sum() >= 3
+
+
+def test_population_scorer_raises_like_fitness():
+    good = _padded(1, 1.0, 0, 5)
+    invalid = [
+        Genome(np.array([1.5 + 0j]), np.array([1]), 0),      # weight too big
+        Genome(np.array([1.0 + 0j]), np.array([2]), 2),      # collides
+        Genome(np.array([1.0 + 0j]), np.array([9]), 0),      # out of range
+        Genome(np.array([1.0 + 0j]), np.array([1, 2]), 0),   # shape mismatch
+        Genome(np.array([1.0 + 0j]), np.array([1]), 7),      # denominator range
+    ]
+    score = PopulationScorer(SCORING_MATRIX, 10.0)
+    for i, bad in enumerate(invalid):
+        with pytest.raises(ConfigurationError) as reference:
+            fitness(bad, SCORING_MATRIX, 10.0)
+        later_bad = invalid[(i + 1) % len(invalid)]
+        with pytest.raises(ConfigurationError, match=re.escape(str(reference.value))):
+            score([good, bad, later_bad, good])
+    with pytest.raises(ConfigurationError, match="equal length"):
+        score([good, _padded(2, 1.0, 0, 5)])
+
+
+# ----------------------------------------------------------------------------
 # Seeding
 # ----------------------------------------------------------------------------
 
@@ -119,6 +212,15 @@ def test_seed_ranking_pool_capped_by_pair_count():
         matrix, 10.0, GaParams(seed_pool=500), np.random.default_rng(0)
     )
     assert len(ranked) == 6  # 3 * 2 ordered pairs
+
+
+def test_seed_ranking_scores_equal_pair_fitness(impaired_frames):
+    matrix = frames_to_matrix(average_phase_blocks(impaired_frames, 5))
+    ranked = rank_seed_pairs(matrix, 10.0, GaParams(), np.random.default_rng(0))
+    assert len(ranked) == 200
+    for m1, m2, score in ranked:
+        pair = Genome(np.array([1.0 + 0j]), np.array([m1]), m2)
+        assert score == fitness(pair, matrix, 10.0)
 
 
 # ----------------------------------------------------------------------------
@@ -150,6 +252,35 @@ def test_optimize_is_deterministic(impaired_frames, small_ga):
     assert a.genome.key() != c.genome.key() or not np.array_equal(
         a.history, c.history
     )
+
+
+_SEARCH_SCRIPT = """
+import sys
+import numpy as np
+from csibreath.gass import GaParams, optimize
+
+params = GaParams(population=16, generations=8, stagnation_limit=4, seed_pool=40, seed_top=6)
+solution = optimize(np.load(sys.argv[1]), 4, 50.0, params=params, seed=3)
+print(solution.genome.key().hex())
+print(solution.history.tobytes().hex())
+"""
+
+
+def test_optimize_is_thread_invariant(impaired_frames, tmp_path):
+    matrix_path = tmp_path / "matrix.npy"
+    np.save(matrix_path, frames_to_matrix(impaired_frames))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        completed = subprocess.run(
+            [sys.executable, "-c", _SEARCH_SCRIPT, str(matrix_path)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(completed.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 2
 
 
 def test_toy_grid_search_matches_exhaustive():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from csibreath.ratio import (
     band_energies,
     cscr,
     dynamic_amplitude_low_noise,
+    guard_table,
     guarded_ratio,
     mobius_decompose,
     ratio_phase_split,
@@ -61,6 +64,26 @@ def test_guarded_ratio_rejects_gappy_streams():
         guarded_ratio(num, den)
     with pytest.raises(StreamGuardError):
         guarded_ratio(num, np.zeros(20, dtype=complex))
+
+
+def test_guard_table_matches_guarded_ratio_per_row(rng):
+    matrix = rng.normal(size=(4, 40)) + 1j * rng.normal(size=(4, 40)) + 2.0
+    matrix[1] = 0.0           # zero throughout
+    matrix[2, :8] = 1e-15     # 20% flagged
+    matrix[3, [0, 17]] = 0.0  # 5% flagged, interpolated
+    num = rng.normal(size=40) + 1j * rng.normal(size=40)
+    guards = guard_table(matrix)
+    assert guards.rejected.tolist() == [False, True, True, False]
+    for row in range(4):
+        try:
+            expected = guarded_ratio(num, matrix[row])
+        except StreamGuardError as exc:
+            with pytest.raises(StreamGuardError, match=re.escape(str(exc))):
+                guards.ratio(num, matrix[row], row)
+            continue
+        values, bad = guards.ratio(num, matrix[row], row)
+        assert values.tobytes() == expected[0].tobytes()
+        np.testing.assert_array_equal(bad, expected[1])
 
 
 def test_cscr_rejects_equal_indices(breathing_frames):
@@ -388,9 +411,12 @@ def test_ssnr_values_agrees_with_scalar(rng):
         [
             np.sin(2 * np.pi * 0.3 * t),                     # infinite
             np.zeros(t.size),                                 # zero
-            np.sin(2 * np.pi * 0.3 * t) + rng.normal(size=t.size),
+            *(np.sin(2 * np.pi * 0.3 * t) + rng.normal(size=(6, t.size))),
         ]
     )
     batch = ssnr_values(rows, fs)
     assert np.isinf(batch[0]) and batch[1] == 0.0
     assert np.isclose(batch[2], ssnr(rows[2], fs).value, rtol=1e-12)
+    # a row scores the same bits in a batch as alone
+    alone = np.array([ssnr_values(row[None, :], fs)[0] for row in rows])
+    assert batch.tobytes() == alone.tobytes()
