@@ -8,9 +8,11 @@ worse than any genome in the initial population - in particular never worse
 than the seeded single-pair candidates.
 
 ``fitness`` scores one genome and is the reference definition of the
-objective. The search scores each generation as one batch with
-``PopulationScorer``, whose scores equal ``fitness`` bit for bit, so the
-batch changes the speed of the search but not its trajectory.
+objective. The search holds its population as arrays - weights (P, N),
+numerator indices (P, N) and denominators (P,) - and runs tournament
+selection, uniform crossover and mutation as whole-population array
+operations. Each generation is scored in one batch by ``PopulationScorer``,
+whose scores equal ``fitness`` bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +42,16 @@ class GaParams:
     seed_top: int = 20     # best-ranked pairs inserted into the population
 
     def __post_init__(self) -> None:
+        if self.elites < 0:
+            raise ConfigurationError("elites must be >= 0")
         if self.population < max(2, self.elites + 1):
             raise ConfigurationError("population too small for elitism")
+        if self.tournament < 1 or self.stagnation_limit < 1:
+            raise ConfigurationError("tournament and stagnation_limit must be >= 1")
+        if min(self.generations, self.seed_pool, self.seed_top) < 0:
+            raise ConfigurationError("generations, seed_pool and seed_top must be >= 0")
+        if not self.weight_sigma >= 0:
+            raise ConfigurationError("weight_sigma must be >= 0")
         if not 0 <= self.crossover_prob <= 1 or not 0 <= self.mutation_prob <= 1:
             raise ConfigurationError("probabilities must lie in [0, 1]")
 
@@ -60,6 +70,10 @@ class Genome:
             + self.numerator_indices.astype(np.int64).tobytes()
             + int(self.denominator_index).to_bytes(8, "little", signed=True)
         )
+
+
+# a population as arrays: weights (P, N), numerator indices (P, N), denominators (P,)
+Population = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -139,18 +153,29 @@ class PopulationScorer:
         self.guards = guard_table(matrix)
 
     def __call__(self, population: list[Genome]) -> np.ndarray:
-        n_sub = self.matrix.shape[0]
         if not population:
             return np.zeros(0)
         shapes = {g.weights.shape for g in population}
         shapes |= {g.numerator_indices.shape for g in population}
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             for genome in population:
-                _check_genome(genome, n_sub)
+                _check_genome(genome, self.matrix.shape[0])
             raise ConfigurationError("genomes of one population must have equal length")
-        weights = np.stack([g.weights for g in population])
-        indices = np.stack([g.numerator_indices for g in population])
-        denominators = np.array([g.denominator_index for g in population])
+        return self.score(
+            np.stack([g.weights for g in population]),
+            np.stack([g.numerator_indices for g in population]),
+            np.array([g.denominator_index for g in population]),
+        )
+
+    def score(
+        self, weights: np.ndarray, indices: np.ndarray, denominators: np.ndarray
+    ) -> np.ndarray:
+        """Scores of a ``Population``: genome p is (weights[p], indices[p],
+        denominators[p]). Every genome is validated as ``fitness`` would."""
+        n_sub = self.matrix.shape[0]
+        if (weights.ndim != 2 or indices.shape != weights.shape
+                or denominators.shape != weights.shape[:1]):
+            raise ConfigurationError("population arrays must be (P, N), (P, N) and (P,)")
         invalid = (
             np.any(np.abs(weights) > 1.0 + 1e-12, axis=1)
             | np.any((indices < 0) | (indices >= n_sub), axis=1)
@@ -159,13 +184,8 @@ class PopulationScorer:
             | np.any(indices == denominators[:, None], axis=1)
         )
         if invalid.any():
-            _check_genome(population[int(np.argmax(invalid))], n_sub)
-        return self._score(weights, indices, denominators)
-
-    def _score(
-        self, weights: np.ndarray, indices: np.ndarray, denominators: np.ndarray
-    ) -> np.ndarray:
-        """Scores of validated (P, N) weights and indices over (P,) denominators."""
+            bad = _genome_at((weights, indices, denominators), int(np.argmax(invalid)))
+            _check_genome(bad, n_sub)
         scores = np.zeros(denominators.size)
         live = np.any(weights, axis=1) & ~self.guards.rejected[denominators]
         if not live.any():
@@ -193,91 +213,84 @@ def rank_seed_pairs(
     the pipeline uses to decide whether a previous solution is still good.
     """
     n_sub = matrix.shape[0]
-    n_pool = min(params.seed_pool, n_sub * (n_sub - 1))
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
-    while len(pairs) < n_pool:
-        m1, m2 = rng.integers(0, n_sub, size=2)
-        if m1 != m2 and (m1, m2) not in seen:
-            seen.add((m1, m2))
-            pairs.append((int(m1), int(m2)))
+    n_pairs = n_sub * (n_sub - 1)
+    # code c is the ordered pair (c // (n_sub - 1), its remainder skipping m1)
+    codes = rng.choice(n_pairs, size=min(params.seed_pool, n_pairs), replace=False)
+    m1 = codes // (n_sub - 1)
+    m2 = _draw_index(codes % (n_sub - 1), m1)
     # each pair is the genome (weights [1], numerators [m1], denominator m2)
-    index = np.array(pairs, dtype=int).reshape(-1, 2)
-    scores = PopulationScorer(matrix, sample_rate_hz)._score(
-        np.ones((len(pairs), 1), dtype=complex), index[:, :1], index[:, 1]
+    scores = PopulationScorer(matrix, sample_rate_hz).score(
+        np.ones((codes.size, 1), dtype=complex), m1[:, None], m2
     )
-    ranked = sorted(zip(pairs, scores), key=lambda t: (-t[1], t[0]))
-    return [(m1, m2, float(s)) for (m1, m2), s in ranked]
+    order = np.lexsort((m2, m1, -scores))
+    return [(int(m1[i]), int(m2[i]), float(scores[i])) for i in order]
 
 
-def _pair_genome(m1: int, m2: int, n_numerators: int, n_sub: int,
-                 rng: np.random.Generator) -> Genome:
-    """Single-pair seed: unit weight on m1, zero weights on random fillers."""
-    weights = np.zeros(n_numerators, dtype=complex)
-    weights[0] = 1.0 + 0.0j
-    indices = np.empty(n_numerators, dtype=int)
-    indices[0] = m1
-    for i in range(1, n_numerators):
-        indices[i] = _draw_index(rng, n_sub, forbidden=m2)
-    return Genome(weights, indices, m2)
+def _draw_index(draw: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
+    """Map draws from [0, n_sub - 1) onto [0, n_sub) minus ``forbidden``."""
+    return draw + (draw >= forbidden)
 
 
-def _draw_index(rng: np.random.Generator, n_sub: int, forbidden: int) -> int:
-    idx = int(rng.integers(0, n_sub - 1))
-    return idx + 1 if idx >= forbidden else idx
+def _genome_at(population: Population, p: int) -> Genome:
+    weights, indices, denominators = population
+    return Genome(weights[p], indices[p], int(denominators[p]))
 
 
-def _random_genome(n_numerators: int, n_sub: int, rng: np.random.Generator) -> Genome:
-    denominator = int(rng.integers(0, n_sub))
-    indices = np.array(
-        [_draw_index(rng, n_sub, denominator) for _ in range(n_numerators)]
+def _initial_population(
+    seeds: list[tuple[int, int, float]], n_numerators: int, n_sub: int,
+    params: GaParams, rng: np.random.Generator,
+) -> Population:
+    """Single-pair seeds (unit weight on m1, zero-weight fillers), then random genomes."""
+    shape = (params.population, n_numerators)
+    pairs = np.array([(m1, m2) for m1, m2, _ in seeds], dtype=int).reshape(-1, 2)
+    pairs = pairs[: params.population]
+    denominators = rng.integers(0, n_sub, params.population)
+    denominators[: len(pairs)] = pairs[:, 1]
+    indices = _draw_index(rng.integers(0, n_sub - 1, shape), denominators[:, None])
+    indices[: len(pairs), 0] = pairs[:, 0]
+    radius = np.sqrt(rng.random(shape))
+    weights = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))
+    weights[: len(pairs)] = 0.0
+    weights[: len(pairs), 0] = 1.0
+    return weights, indices, denominators
+
+
+def _next_generation(
+    population: Population, fits: np.ndarray, n_sub: int, params: GaParams,
+    rng: np.random.Generator,
+) -> Population:
+    """The elites, then children bred by tournament, crossover and mutation."""
+    weights, indices, denominators = population
+    size, n = weights.shape
+    n_child = size - params.elites
+    elites = np.argsort(-fits, kind="stable")[: params.elites]
+    # two tournaments per child: row 0 picks parent a, row 1 parent b
+    contenders = rng.integers(0, size, (2, n_child, params.tournament))
+    winner = np.argmax(fits[contenders], axis=2)[..., None]
+    a, b = np.take_along_axis(contenders, winner, axis=2)[..., 0]
+    # uniform crossover; a child that skips it is a copy of parent a
+    cross = rng.random(n_child) < params.crossover_prob
+    take_b = cross[:, None] & (rng.random((n_child, n)) < 0.5)
+    w = np.where(take_b, weights[b], weights[a])
+    m = np.where(take_b, indices[b], indices[a])
+    d = np.where(cross & (rng.random(n_child) < 0.5), denominators[b], denominators[a])
+    mutate = rng.random(n_child) < params.mutation_prob
+    d[mutate] = rng.integers(0, n_sub, mutate.sum())
+    forbidden = np.repeat(d[:, None], n, axis=1)
+    mutate = rng.random((n_child, n)) < params.mutation_prob
+    m[mutate] = _draw_index(rng.integers(0, n_sub - 1, mutate.sum()), forbidden[mutate])
+    mutate = rng.random((n_child, n)) < params.mutation_prob
+    step = rng.normal(0.0, params.weight_sigma, (2, mutate.sum()))
+    moved = w[mutate] + step[0] + 1j * step[1]
+    w[mutate] = moved / np.maximum(np.abs(moved), 1.0)
+    # a denominator from parent b or a mutation may collide with numerator genes
+    clash = m == forbidden
+    m[clash] = _draw_index(rng.integers(0, n_sub - 1, clash.sum()), forbidden[clash])
+    return (
+        np.concatenate([weights[elites], w]),
+        np.concatenate([indices[elites], m]),
+        np.concatenate([denominators[elites], d]),
     )
-    radius = np.sqrt(rng.random(n_numerators))
-    phase = rng.uniform(0.0, 2.0 * np.pi, n_numerators)
-    return Genome(radius * np.exp(1j * phase), indices, denominator)
-
-
-def _mutate(genome: Genome, n_sub: int, params: GaParams,
-            rng: np.random.Generator) -> Genome:
-    weights = genome.weights.copy()
-    indices = genome.numerator_indices.copy()
-    denominator = genome.denominator_index
-    if rng.random() < params.mutation_prob:
-        denominator = int(rng.integers(0, n_sub))
-    for i in range(indices.size):
-        if rng.random() < params.mutation_prob:
-            indices[i] = _draw_index(rng, n_sub, denominator)
-        if rng.random() < params.mutation_prob:
-            step = rng.normal(0.0, params.weight_sigma, 2)
-            w = weights[i] + step[0] + 1j * step[1]
-            if abs(w) > 1.0:
-                w /= abs(w)
-            weights[i] = w
-    # a denominator mutation may collide with surviving numerator genes
-    for i in range(indices.size):
-        if indices[i] == denominator:
-            indices[i] = _draw_index(rng, n_sub, denominator)
-    return Genome(weights, indices, denominator)
-
-
-def _crossover(a: Genome, b: Genome, n_sub: int, params: GaParams,
-               rng: np.random.Generator) -> Genome:
-    if rng.random() >= params.crossover_prob:
-        return a
-    take_b = rng.random(a.weights.size) < 0.5
-    weights = np.where(take_b, b.weights, a.weights)
-    indices = np.where(take_b, b.numerator_indices, a.numerator_indices)
-    denominator = b.denominator_index if rng.random() < 0.5 else a.denominator_index
-    for i in range(indices.size):
-        if indices[i] == denominator:
-            indices[i] = _draw_index(rng, n_sub, denominator)
-    return Genome(weights, indices.copy(), denominator)
-
-
-def _tournament(fits: np.ndarray, params: GaParams,
-                rng: np.random.Generator) -> int:
-    contenders = rng.integers(0, fits.size, params.tournament)
-    return int(contenders[np.argmax(fits[contenders])])
 
 
 def optimize(
@@ -304,7 +317,7 @@ def optimize(
     if n_numerators < 1:
         raise ConfigurationError("n_numerators must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    score = PopulationScorer(matrix, sample_rate_hz)
+    scorer = PopulationScorer(matrix, sample_rate_hz)
 
     ranked = (
         ranked_pairs
@@ -312,34 +325,21 @@ def optimize(
         else rank_seed_pairs(matrix, sample_rate_hz, params, rng)
     )
     seeds = ranked[: params.seed_top]
-    population = [
-        _pair_genome(m1, m2, n_numerators, n_sub, rng) for m1, m2, _ in seeds
-    ]
-    while len(population) < params.population:
-        population.append(_random_genome(n_numerators, n_sub, rng))
-    population = population[: params.population]
-
-    fits = score(population)
+    population = _initial_population(seeds, n_numerators, n_sub, params, rng)
+    fits = scorer.score(*population)
     best_idx = int(np.argmax(fits))
-    best_genome, best_fit = population[best_idx], float(fits[best_idx])
+    best_genome, best_fit = _genome_at(population, best_idx), float(fits[best_idx])
     history = [best_fit]
     generation_found = 0
     stagnant = 0
 
     for generation in range(1, params.generations + 1):
-        order = np.argsort(-fits, kind="stable")
-        next_pop = [population[i] for i in order[: params.elites]]
-        while len(next_pop) < params.population:
-            pa = population[_tournament(fits, params, rng)]
-            pb = population[_tournament(fits, params, rng)]
-            child = _crossover(pa, pb, n_sub, params, rng)
-            child = _mutate(child, n_sub, params, rng)
-            next_pop.append(child)
-        population = next_pop
-        fits = score(population)
+        population = _next_generation(population, fits, n_sub, params, rng)
+        fits = scorer.score(*population)
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > best_fit:
-            best_genome, best_fit = population[gen_best], float(fits[gen_best])
+            best_genome = _genome_at(population, gen_best)
+            best_fit = float(fits[gen_best])
             generation_found = generation
             stagnant = 0
         else:

@@ -121,6 +121,15 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_bad_ga_params_exit_2(tmp_path, capsys):
+    for bad in ("tournament: 0", "elites: -1", "weight_sigma: -0.5"):
+        config = tmp_path / "ga.yaml"
+        config.write_text(_BASE.replace("seed_top: 4}", f"seed_top: 4, {bad}}}"))
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG, bad
+        assert "configuration error" in capsys.readouterr().err
+
+
 def test_malformed_trace_exits_3(tmp_path):
     trace = tmp_path / "trace.csv"
     trace.write_text("this is not a trace\n")

@@ -1,3 +1,4 @@
+import copy
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ from csibreath.gass import (
     GaParams,
     Genome,
     PopulationScorer,
+    _next_generation,
     build_streams,
     combined_ratio,
     fitness,
@@ -325,6 +327,85 @@ def test_optimize_input_validation(impaired_frames):
         GaParams(population=2, elites=2)
     with pytest.raises(ConfigurationError):
         GaParams(crossover_prob=1.5)
+
+
+@pytest.mark.parametrize("bad", [
+    {"tournament": 0},
+    {"elites": -1},
+    {"weight_sigma": -0.1},
+    {"weight_sigma": float("nan")},
+    {"stagnation_limit": 0},
+    {"generations": -1},
+    {"seed_pool": -1},
+    {"seed_top": -1},
+])
+def test_ga_params_reject_bad_values(bad):
+    with pytest.raises(ConfigurationError):
+        GaParams(**bad)
+
+
+@st.composite
+def _variation_cases(draw, still=False):
+    """A valid random population, its fitness, and search parameters."""
+    n_sub, n = draw(st.integers(2, 9)), draw(st.integers(1, 4))
+    size = draw(st.integers(2, 12))
+    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    params = GaParams(
+        population=size,
+        elites=draw(st.integers(0, size - 1)),
+        tournament=draw(st.integers(1, 5)),
+        crossover_prob=0.0 if still else draw(probability),
+        mutation_prob=0.0 if still else draw(probability),
+        weight_sigma=draw(st.floats(0.0, 3.0)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    denominators = rng.integers(0, n_sub, size)
+    indices = rng.integers(0, n_sub - 1, (size, n))
+    indices += indices >= denominators[:, None]
+    radius = np.where(rng.random((size, n)) < 0.3, 1.0, rng.random((size, n)))
+    weights = radius * np.exp(2j * np.pi * rng.random((size, n)))
+    fits = rng.choice([0.0, 1.0, 2.5, np.inf], size) + (rng.random(size) < 0.5)
+    return (weights, indices, denominators), fits, n_sub, params, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_variation_cases())
+def test_next_generation_keeps_genomes_valid_and_elites(case):
+    population, fits, n_sub, params, rng = case
+    before = [part.copy() for part in population]
+    children = _next_generation(population, fits, n_sub, params, rng)
+    weights, indices, denominators = children
+    size, n = before[0].shape
+    assert weights.shape == indices.shape == (size, n)
+    assert denominators.shape == (size,)
+    assert np.all(np.abs(weights) <= 1.0 + 1e-12)
+    assert np.all((indices >= 0) & (indices < n_sub))
+    assert np.all((denominators >= 0) & (denominators < n_sub))
+    assert not np.any(indices == denominators[:, None])
+    elites = np.argsort(-fits, kind="stable")[: params.elites]
+    for part, old in zip(children, before):
+        assert part[: params.elites].tobytes() == old[elites].tobytes()
+    for part, old in zip(population, before):
+        assert part.tobytes() == old.tobytes()  # the parents are not modified
+
+
+def _row(w, m, d):
+    return w.tobytes(), m.tobytes(), int(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_variation_cases(still=True))
+def test_next_generation_without_variation_copies_winners(case):
+    population, fits, n_sub, params, rng = case
+    size, n_child = fits.size, fits.size - params.elites
+    # the step draws both tournaments first; row 0 picks the parent a child copies
+    contenders = copy.deepcopy(rng).integers(0, size, (2, n_child, params.tournament))[0]
+    children = _next_generation(population, fits, n_sub, params, rng)
+    rows = [_row(*genome) for genome in zip(*population)]
+    bred = zip(*(part[params.elites:] for part in children))
+    for drawn, child in zip(contenders, bred):
+        winners = drawn[fits[drawn] == fits[drawn].max()]
+        assert _row(*child) in {rows[p] for p in winners}
 
 
 # ----------------------------------------------------------------------------
