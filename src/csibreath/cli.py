@@ -45,8 +45,7 @@ from .pipeline import (
     segment,
     snr_sweep,
 )
-from .ratio import average_phase_blocks
-from .simulate import apply_impairments, frames_to_matrix, generate_ideal_csi
+from .simulate import CsiTrace, apply_impairments, generate_ideal_csi
 from .traceio import read_trace, write_trace
 
 EXIT_CONFIG = 2
@@ -127,38 +126,37 @@ def _result_record(result: WindowResult) -> dict:
     }
 
 
-def _load_frames(config: dict, seed: int):
+def _load_trace(config: dict, seed: int) -> CsiTrace:
     """Input resolution shared by run/gass-audit: trace file or scenario."""
     input_section = config.get("input") or {}
     if input_section:
         unknown = set(input_section) - {"trace"}
         if unknown:
             raise ConfigurationError(f"unknown input keys: {sorted(unknown)}")
-        frames, sample_rate, grid = read_trace(input_section["trace"])
-        return frames, sample_rate, grid
-    scenario = scenario_from_config(config)
-    grid = grid_from_config(config)
-    frames = generate_ideal_csi(scenario, grid)
+        path = input_section.get("trace")
+        if not isinstance(path, str):
+            raise ConfigurationError(f"input.trace must be a file path, got {path!r}")
+        return read_trace(path)
+    return _simulate(config, seed)
+
+
+def _simulate(config: dict, seed: int) -> CsiTrace:
+    trace = generate_ideal_csi(scenario_from_config(config), grid_from_config(config))
     if "impairments" in config:
-        frames = apply_impairments(frames, impairments_from_config(config, seed))
-    return frames, scenario.sample_rate_hz, grid
+        trace = apply_impairments(trace, impairments_from_config(config, seed))
+    return trace
 
 
 def _cmd_simulate(config: dict, seed: int, out: Path) -> int:
-    scenario = scenario_from_config(config)
-    grid = grid_from_config(config)
-    frames = generate_ideal_csi(scenario, grid)
-    if "impairments" in config:
-        frames = apply_impairments(frames, impairments_from_config(config, seed))
-    write_trace(out / "trace.csv", frames, scenario.sample_rate_hz, grid)
-    print(f"wrote {out / 'trace.csv'} ({len(frames)} frames, {grid.count} subcarriers)")
+    trace = _simulate(config, seed)
+    write_trace(out / "trace.csv", trace)
+    print(f"wrote {out / 'trace.csv'} ({len(trace)} packets, {trace.grid.count} subcarriers)")
     return 0
 
 
 def _cmd_run(config: dict, seed: int, out: Path) -> int:
-    frames, sample_rate, _ = _load_frames(config, seed)
-    pipeline_config = pipeline_from_config(config)
-    results = run_pipeline(frames, sample_rate, pipeline_config, seed=seed)
+    trace = _load_trace(config, seed)
+    results = run_pipeline(trace, pipeline_from_config(config), seed=seed)
     with open(out / "estimates.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for result in results:
             fh.write(json.dumps(_result_record(result), sort_keys=True) + "\n")
@@ -242,16 +240,13 @@ def _cmd_sweep_snr(config: dict, seed: int, out: Path) -> int:
 
 
 def _cmd_gass_audit(config: dict, seed: int, out: Path) -> int:
-    frames, sample_rate, _ = _load_frames(config, seed)
+    trace = _load_trace(config, seed)
     pipeline_config = pipeline_from_config(config)
-    plan = segment(frames, sample_rate, pipeline_config)
+    plan = segment(trace, pipeline_config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window to audit")
-    start = int(plan.window_starts[0]) * plan.frame_samples
-    window = frames[start : start + plan.window_frames * plan.frame_samples]
-    k1 = pipeline_config.block_size(sample_rate)
-    matrix = frames_to_matrix(average_phase_blocks(window, k1))
-    eff_rate = sample_rate / k1
+    window = plan.window(int(plan.window_starts[0]))
+    matrix, eff_rate = window.values, window.sample_rate_hz
     rng = np.random.default_rng([seed, 0])
     ranked = rank_seed_pairs(matrix, eff_rate, pipeline_config.ga, rng)
     solution = optimize(

@@ -23,7 +23,12 @@ import numpy as np
 
 from .errors import ConfigurationError, StreamGuardError
 from .ratio import CscrStream, guard_table, guarded_ratio, ssnr_values
-from .simulate import CsiFrame, frames_to_matrix
+
+
+_COUNTS = (
+    "population", "generations", "tournament", "elites",
+    "stagnation_limit", "seed_pool", "seed_top",
+)
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,10 @@ class GaParams:
     seed_top: int = 20     # best-ranked pairs inserted into the population
 
     def __post_init__(self) -> None:
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.elites < 0:
             raise ConfigurationError("elites must be >= 0")
         if self.population < max(2, self.elites + 1):
@@ -113,18 +122,13 @@ def combined_ratio(
     return guarded_ratio(numerator, matrix[denominator_index], guard_rel)
 
 
-def fitness(
-    genome: Genome,
-    frames: list[CsiFrame] | np.ndarray,
-    sample_rate_hz: float,
-) -> float:
+def fitness(genome: Genome, matrix: np.ndarray, sample_rate_hz: float) -> float:
     """Band ratio of the genome's combined ratio stream; 0 when infeasible.
 
     All-zero weights produce no signal and score 0. A denominator that fails
     the stream guard also scores 0 rather than raising, so the search can
     move through infeasible corners.
     """
-    matrix = frames if isinstance(frames, np.ndarray) else frames_to_matrix(frames)
     _check_genome(genome, matrix.shape[0])
     if not np.any(genome.weights):
         return 0.0
@@ -294,7 +298,7 @@ def _next_generation(
 
 
 def optimize(
-    frames: list[CsiFrame] | np.ndarray,
+    matrix: np.ndarray,
     n_numerators: int,
     sample_rate_hz: float,
     params: GaParams | None = None,
@@ -310,7 +314,6 @@ def optimize(
     pass it in through ``ranked_pairs``.
     """
     params = params or GaParams()
-    matrix = frames if isinstance(frames, np.ndarray) else frames_to_matrix(frames)
     n_sub = matrix.shape[0]
     if n_sub < 2:
         raise ConfigurationError("need at least two subcarriers")
@@ -360,7 +363,7 @@ def optimize(
 
 def build_streams(
     solution: GassSolution,
-    frames: list[CsiFrame] | np.ndarray,
+    matrix: np.ndarray,
     sample_rate_hz: float,
     include_numerators: bool = False,
     guard_rel: float = 1e-9,
@@ -372,7 +375,6 @@ def build_streams(
     slots do not count as used). Streams whose denominator fails the guard
     are skipped.
     """
-    matrix = frames if isinstance(frames, np.ndarray) else frames_to_matrix(frames)
     genome = solution.genome
     used = {
         int(m)

@@ -1,12 +1,16 @@
 """End-to-end respiration sensing: segmentation, per-window search, stream
 combination, projection, filtering, and rate estimation.
 
-Frames are screened in one-second chunks by a motion gate on the phase of a
-reference ratio pair (ratios are offset-free, so a gross-motion artifact
-shows up as a large in-frame phase excursion). Ten-second analysis windows
-are assembled only from consecutive accepted frames, sliding by one frame.
-Each window runs the full stack and yields an estimate with provenance; a
-stage failure yields a reason-coded empty result instead of aborting.
+A ``CsiTrace`` is block-averaged once, in ``segment``. The packets are
+screened in one-second frames by a motion gate on the phase of a reference
+ratio pair (ratios are offset-free, so a gross-motion artifact shows up as a
+large in-frame phase excursion). Ten-second analysis windows are assembled
+only from consecutive accepted frames, sliding by one frame, and every
+window is a slice of the averaged trace (``WindowPlan.window``), for the
+live run, its replay, the single-component baselines and the search audit
+alike. Each window runs the full stack and yields an estimate with
+provenance; a stage failure yields a reason-coded empty result instead of
+aborting.
 """
 
 from __future__ import annotations
@@ -34,11 +38,10 @@ from .rate import RespirationEstimate, estimate_rate
 from .ratio import average_phase_blocks, guarded_ratio, ssnr_values
 from .simulate import (
     ChannelScenario,
-    CsiFrame,
+    CsiTrace,
     ImpairmentConfig,
     SinusoidMotion,
     apply_impairments,
-    frames_to_matrix,
     generate_ideal_csi,
 )
 from .waveform import clean, project
@@ -63,7 +66,7 @@ class PipelineConfig:
 
     n_numerators: int = 8
     ga: GaParams = field(default_factory=GaParams)
-    phase_block: int = 0              # K1 frames averaged; 0 = F_s / 10
+    phase_block: int = 0              # K1 packets averaged; 0 = F_s / 10
     mu: float = 0.5                   # stream survival threshold fraction
     gain_window_s: float = 0.5
     smoothing_s: float = 0.33
@@ -95,22 +98,33 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class WindowPlan:
-    """Per-frame motion screening plus the complete-window start indices."""
+    """Per-frame motion screening, the complete-window start indices, and
+    the block-averaged trace every window is sliced from."""
 
     frame_samples: int
     window_frames: int
+    block_size: int            # packets per averaged block (K1)
     motion_threshold_rad: float
     reference_pair: tuple[int, int]
     accepted: np.ndarray       # bool, one per complete frame
     motion_metric: np.ndarray  # peak-to-peak ratio phase per frame, rad
     window_starts: np.ndarray  # frame index of each complete window
+    averaged: CsiTrace         # the whole trace, block-averaged once
+
+    def window(self, start_frame: int) -> CsiTrace:
+        """Block-averaged CSI of the window that starts at ``start_frame``.
+
+        It starts at averaged block ``start_frame * frame_samples //
+        block_size`` and holds ``window_samples // block_size`` blocks; when
+        ``block_size`` divides ``frame_samples`` these are exactly the blocks
+        of the window's own packets.
+        """
+        first = start_frame * self.frame_samples // self.block_size
+        count = self.window_frames * self.frame_samples // self.block_size
+        return self.averaged[first : first + count]
 
 
-def segment(
-    frames: list[CsiFrame],
-    sample_rate_hz: float,
-    config: PipelineConfig | None = None,
-) -> WindowPlan:
+def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan:
     """Screen one-second frames via the reference ratio pair's phase.
 
     The metric is the in-frame peak-to-peak of the unwrapped, block-averaged
@@ -119,16 +133,14 @@ def segment(
     ``window_s`` consecutive accepted frames and slide by one frame.
     """
     config = config or PipelineConfig()
-    matrix = frames_to_matrix(frames)
-    frame_samples = int(round(config.frame_s * sample_rate_hz))
+    frame_samples = int(round(config.frame_s * trace.sample_rate_hz))
     window_frames = int(round(config.window_s / config.frame_s))
-    n_frames = matrix.shape[1] // frame_samples
-    pair = config.resolve_reference_pair(matrix.shape[0])
+    n_frames = len(trace) // frame_samples
+    pair = config.resolve_reference_pair(trace.values.shape[0])
 
-    k1 = config.block_size(sample_rate_hz)
-    averaged = average_phase_blocks(frames, k1)
-    averaged_matrix = frames_to_matrix(averaged)
-    ratio_values, _ = guarded_ratio(averaged_matrix[pair[0]], averaged_matrix[pair[1]])
+    k1 = config.block_size(trace.sample_rate_hz)
+    averaged = average_phase_blocks(trace, k1)
+    ratio_values, _ = guarded_ratio(averaged.values[pair[0]], averaged.values[pair[1]])
     phase = np.unwrap(np.angle(ratio_values))
     block_frame = (np.arange(phase.size) * k1) // frame_samples
 
@@ -147,11 +159,13 @@ def segment(
     return WindowPlan(
         frame_samples=frame_samples,
         window_frames=window_frames,
+        block_size=k1,
         motion_threshold_rad=config.motion_threshold_rad,
         reference_pair=pair,
         accepted=accepted,
         motion_metric=metric,
         window_starts=np.array(starts, dtype=int),
+        averaged=averaged,
     )
 
 
@@ -167,14 +181,6 @@ class WindowResult:
     gass_reused: bool
     stage_band_ratios: dict[str, float]
     reason: str | None = None
-
-
-def _window_frames(
-    frames: list[CsiFrame], plan: WindowPlan, start_frame: int
-) -> list[CsiFrame]:
-    a = start_frame * plan.frame_samples
-    b = a + plan.window_frames * plan.frame_samples
-    return frames[a:b]
 
 
 def _run_stages(
@@ -238,32 +244,28 @@ def _odd_at_least(value: float) -> int:
 
 
 def run_pipeline(
-    frames: list[CsiFrame],
-    sample_rate_hz: float,
+    trace: CsiTrace,
     config: PipelineConfig | None = None,
     seed: int = 0,
 ) -> list[WindowResult]:
     """Estimate the respiration rate on every complete window.
 
-    Deterministic for fixed (frames, config, seed): each window derives its
+    Deterministic for fixed (trace, config, seed): each window derives its
     own generator from (seed, window_id). With ``reuse_tolerance`` > 0 the
     previous window's numerator is kept while the best single-pair band
     ratio moves by less than that fraction, skipping the search.
     """
     config = config or PipelineConfig()
-    plan = segment(frames, sample_rate_hz, config)
+    plan = segment(trace, config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
 
     results: list[WindowResult] = []
     previous: tuple[GassSolution, float] | None = None  # (solution, pair ssnr)
     for window_id, start_frame in enumerate(plan.window_starts):
-        window = _window_frames(frames, plan, int(start_frame))
-        start_time = window[0].time_s
-        k1 = config.block_size(sample_rate_hz)
-        averaged = average_phase_blocks(window, k1)
-        eff_rate = sample_rate_hz / k1
-        matrix = frames_to_matrix(averaged)
+        start_time = float(trace.times_s[start_frame * plan.frame_samples])
+        window = plan.window(int(start_frame))
+        matrix, eff_rate = window.values, window.sample_rate_hz
 
         rng = np.random.default_rng([seed, window_id])
         try:
@@ -330,26 +332,22 @@ def _relative_change(new: float, old: float) -> float:
 
 
 def replay_window(
-    frames: list[CsiFrame],
+    trace: CsiTrace,
     result: WindowResult,
-    sample_rate_hz: float,
     config: PipelineConfig | None = None,
 ) -> RespirationEstimate:
     """Recompute a window's estimate from its stored provenance.
 
-    Uses the recorded window bounds and genome; every downstream stage is
-    deterministic, so the replay reproduces the original estimate exactly.
+    Uses the recorded start frame and genome; the window is cut from the
+    averaged trace exactly as in ``run_pipeline``, and every downstream stage
+    is deterministic, so the replay reproduces the original estimate exactly.
     """
     if result.solution is None:
         raise ConfigurationError("result carries no solution to replay")
     config = config or PipelineConfig()
-    plan_frame_samples = int(round(config.frame_s * sample_rate_hz))
-    a = result.start_frame * plan_frame_samples
-    b = a + int(round(config.window_s / config.frame_s)) * plan_frame_samples
-    k1 = config.block_size(sample_rate_hz)
-    averaged = frames_to_matrix(average_phase_blocks(frames[a:b], k1))
+    window = segment(trace, config).window(result.start_frame)
     estimate, _ = _run_stages(
-        averaged, result.solution, sample_rate_hz / k1, config, result.window_id
+        window.values, result.solution, window.sample_rate_hz, config, result.window_id
     )
     return estimate
 
@@ -360,8 +358,7 @@ def replay_window(
 
 
 def single_component_estimates(
-    frames: list[CsiFrame],
-    sample_rate_hz: float,
+    trace: CsiTrace,
     component: str,
     config: PipelineConfig | None = None,
 ) -> list[RespirationEstimate | None]:
@@ -376,18 +373,16 @@ def single_component_estimates(
     if component not in ("amplitude", "phase"):
         raise ConfigurationError("component must be 'amplitude' or 'phase'")
     config = config or PipelineConfig()
-    plan = segment(frames, sample_rate_hz, config)
+    plan = segment(trace, config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
-    k1 = config.block_size(sample_rate_hz)
-    eff_rate = sample_rate_hz / k1
+    eff_rate = plan.averaged.sample_rate_hz
     m1, m2 = plan.reference_pair
 
     estimates: list[RespirationEstimate | None] = []
     for window_id, start_frame in enumerate(plan.window_starts):
-        window = _window_frames(frames, plan, int(start_frame))
+        averaged = plan.window(int(start_frame)).values
         try:
-            averaged = frames_to_matrix(average_phase_blocks(window, k1))
             values, _ = guarded_ratio(averaged[m1], averaged[m2])
             if component == "amplitude":
                 series = np.abs(values)
@@ -465,22 +460,20 @@ def blind_spot_sweep(
         shifted = dataclasses.replace(
             scenario, base_dynamic_length_m=scenario.base_dynamic_length_m + offset
         )
-        frames = generate_ideal_csi(shifted, grid)
-        frames = apply_impairments(
-            frames, dataclasses.replace(impairments, seed=impairments.seed + i)
+        trace = apply_impairments(
+            generate_ideal_csi(shifted, grid),
+            dataclasses.replace(impairments, seed=impairments.seed + i),
         )
         estimates: dict[str, list[RespirationEstimate | None]] = {}
         try:
-            results = run_pipeline(
-                frames, scenario.sample_rate_hz, config, seed=seed + i
-            )
+            results = run_pipeline(trace, config, seed=seed + i)
             estimates["full"] = [r.estimate for r in results]
         except NoWindowError:
             estimates["full"] = []
         for component in ("amplitude", "phase"):
             try:
                 estimates[component] = single_component_estimates(
-                    frames, scenario.sample_rate_hz, component, config
+                    trace, component, config
                 )
             except NoWindowError:
                 estimates[component] = []
@@ -525,13 +518,13 @@ def snr_sweep(
     """
     config = config or PipelineConfig()
     truth = _scenario_truth_bpm(scenario)
-    frames_clean = generate_ideal_csi(scenario, grid)
+    clean = generate_ideal_csi(scenario, grid)
     rows: list[dict] = []
     for level, noise_std in enumerate(np.asarray(noise_stds, dtype=float)):
         counts = {"full": [0, 0], "amplitude": [0, 0]}  # detected, total
         for run in range(runs_per_level):
             impaired = apply_impairments(
-                frames_clean,
+                clean,
                 dataclasses.replace(
                     impairments,
                     gaussian_noise_std=float(noise_std),
@@ -539,16 +532,12 @@ def snr_sweep(
                 ),
             )
             try:
-                results = run_pipeline(
-                    impaired, scenario.sample_rate_hz, config, seed=seed + run
-                )
+                results = run_pipeline(impaired, config, seed=seed + run)
                 full = [r.estimate for r in results]
             except NoWindowError:
                 full = []
             try:
-                amplitude = single_component_estimates(
-                    impaired, scenario.sample_rate_hz, "amplitude", config
-                )
+                amplitude = single_component_estimates(impaired, "amplitude", config)
             except NoWindowError:
                 amplitude = []
             for method, estimates in (("full", full), ("amplitude", amplitude)):

@@ -6,10 +6,14 @@ sampling-clock slope reduces to a constant offset (it scales with the
 physical index difference), and perfectly correlated impulse amplitudes
 cancel sample-by-sample. What survives is a ratio of two circles in the
 complex plane that still carries the respiration motion.
+
+Ratios are formed from the rows of a ``CsiTrace`` matrix, usually after
+``average_phase_blocks`` has averaged the packets of a trace in blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +23,7 @@ from .errors import (
     SingularRatioError,
     StreamGuardError,
 )
-from .simulate import CsiFrame, frames_to_matrix
+from .simulate import CsiTrace
 
 # Respiration band: 10.02 to 30 breaths per minute.
 BAND_LOW_HZ = 0.167
@@ -131,55 +135,54 @@ def guarded_ratio(
 
 
 def cscr(
-    frames: list[CsiFrame],
+    trace: CsiTrace,
     numerator_index: int,
     denominator_index: int,
-    sample_rate_hz: float,
     guard_rel: float = 1e-9,
 ) -> CscrStream:
-    """Ratio of the CSI at two grid positions, one sample per frame."""
+    """Ratio of the CSI at two grid positions, one sample per packet."""
     if numerator_index == denominator_index:
         raise ConfigurationError("numerator and denominator subcarriers must differ")
-    h = frames_to_matrix(frames)
+    h = trace.values
     values, bad = guarded_ratio(h[numerator_index], h[denominator_index], guard_rel)
     return CscrStream(
         values=values,
-        sample_rate_hz=sample_rate_hz,
+        sample_rate_hz=trace.sample_rate_hz,
         numerator=((1 + 0j, numerator_index),),
         denominator=denominator_index,
         interpolated=bad,
     )
 
 
-def average_phase_blocks(frames: list[CsiFrame], block_size: int) -> list[CsiFrame]:
+def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
     """Average unwrapped phase (and magnitude) over blocks of ``block_size``.
 
-    Packet-boundary jitter is zero-mean per frame, so block-averaging the
+    Packet-boundary jitter is zero-mean per packet, so block-averaging the
     phase suppresses it by ~1/sqrt(block_size) before ratios are formed.
-    Output has floor(K / block_size) frames; a trailing partial block is
-    dropped. ``block_size`` = 1 returns the input unchanged.
+    The result has floor(K / block_size) packets at ``sample_rate_hz /
+    block_size``, each timed at the mean of its block; a trailing partial
+    block is dropped. ``block_size`` = 1 returns the input unchanged.
     """
     if block_size < 1:
         raise ConfigurationError("block_size must be >= 1")
     if block_size == 1:
-        return list(frames)
-    n_blocks = len(frames) // block_size
+        return trace
+    n_blocks = len(trace) // block_size
     if n_blocks == 0:
-        raise ConfigurationError("fewer frames than one block")
-    h = frames_to_matrix(frames)[:, : n_blocks * block_size]
+        raise ConfigurationError("fewer packets than one block")
+    h = trace.values[:, : n_blocks * block_size]
     phase = np.unwrap(np.angle(h), axis=1)
     mag = np.abs(h)
     shape = (h.shape[0], n_blocks, block_size)
     mean_phase = phase.reshape(shape).mean(axis=2)
     mean_mag = mag.reshape(shape).mean(axis=2)
-    averaged = mean_mag * np.exp(1j * mean_phase)
-    times = np.array([f.time_s for f in frames[: n_blocks * block_size]])
-    block_times = times.reshape(n_blocks, block_size).mean(axis=1)
-    grid = frames[0].grid
-    return [
-        CsiFrame(index=j, time_s=block_times[j], values=averaged[:, j], grid=grid)
-        for j in range(n_blocks)
-    ]
+    block_times = trace.times_s[: n_blocks * block_size].reshape(n_blocks, block_size)
+    return CsiTrace(
+        mean_mag * np.exp(1j * mean_phase),
+        block_times.mean(axis=1),
+        trace.sample_rate_hz / block_size,
+        trace.grid,
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -351,13 +354,11 @@ def ssnr(
     if series.size < 2 * sample_rate_hz:
         raise ConfigurationError("series must cover at least 2 seconds")
     band, out = band_energies(series, sample_rate_hz)
+    value = float(ssnr_values(series[None, :], sample_rate_hz, leakage_floor)[0])
     band_e, out_e = float(band[0]), float(out[0])
-    total = band_e + out_e
-    if total == 0.0:
-        return SsnrEstimate(0.0, 0.0, 0.0, zero_signal=True)
-    if out_e < leakage_floor * total:
-        return SsnrEstimate(float("inf"), band_e, out_e, infinite=True)
-    return SsnrEstimate(band_e / out_e, band_e, out_e)
+    return SsnrEstimate(
+        value, band_e, out_e, infinite=math.isinf(value), zero_signal=band_e + out_e == 0.0
+    )
 
 
 def ssnr_values(

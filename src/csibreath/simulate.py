@@ -15,14 +15,17 @@ complex Gaussian noise:
     H~(m, k) = A_n(m, k) exp(-j [n(m) (eta_b(k) + eta_o) + phi(k)]) H(m, k)
              + eps(m, k)
 
-eta_b is packet-boundary jitter (fresh Gaussian per frame), eta_o a constant
+eta_b is packet-boundary jitter (fresh Gaussian per packet), eta_o a constant
 sampling-clock slope, phi(k) a bounded random-walk carrier offset.
+
+Every CSI sequence in the package is one ``CsiTrace``: the (M, K) matrix
+H(m, k) with its packet times, sample rate and grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,39 +36,49 @@ from .grid import SubcarrierGrid
 MAX_PATH_CHANGE_M = 0.012
 
 
-@dataclass(frozen=True)
-class CsiFrame:
-    """One CSI snapshot: complex channel estimate per grid position."""
+@dataclass(frozen=True, eq=False)
+class CsiTrace:
+    """A CSI sequence: one complex channel estimate per grid position (row)
+    and packet (column), with the packet times and the nominal sample rate.
 
-    index: int
-    time_s: float
+    ``values`` is stored as a C-contiguous (M, K) complex matrix. Slicing
+    with ``trace[a:b]`` selects packets ``a`` to ``b - 1``.
+    """
+
     values: np.ndarray
+    times_s: np.ndarray
+    sample_rate_hz: float
     grid: SubcarrierGrid | None = None
 
+    def __post_init__(self) -> None:
+        values = np.ascontiguousarray(self.values, dtype=complex)
+        times = np.ascontiguousarray(self.times_s, dtype=float)
+        if values.ndim != 2 or values.shape[1] == 0:
+            raise ConfigurationError("CSI values must be a non-empty (M, K) matrix")
+        if times.shape != values.shape[1:]:
+            raise ConfigurationError("need one timestamp per packet")
+        if not self.sample_rate_hz > 0:
+            raise ConfigurationError("sample rate must be positive")
+        if self.grid is not None and self.grid.count != values.shape[0]:
+            raise ConfigurationError("CSI rows do not match the grid")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times_s", times)
 
-def frames_to_matrix(frames: list[CsiFrame]) -> np.ndarray:
-    """Stack a frame sequence into an (M, K) complex matrix."""
-    if not frames:
-        raise ConfigurationError("empty frame sequence")
-    return np.column_stack([f.values for f in frames])
+    @classmethod
+    def uniform(
+        cls, values: np.ndarray, sample_rate_hz: float, grid: SubcarrierGrid | None = None
+    ) -> CsiTrace:
+        """A trace whose packet k was taken at k / sample_rate_hz."""
+        n_samples = np.shape(values)[-1]
+        return cls(values, np.arange(n_samples) / sample_rate_hz, sample_rate_hz, grid)
 
+    def __len__(self) -> int:
+        return self.values.shape[1]
 
-def matrix_to_frames(
-    matrix: np.ndarray,
-    sample_rate_hz: float,
-    grid: SubcarrierGrid | None = None,
-    start_index: int = 0,
-) -> list[CsiFrame]:
-    matrix = np.atleast_2d(matrix)
-    return [
-        CsiFrame(
-            index=start_index + k,
-            time_s=(start_index + k) / sample_rate_hz,
-            values=matrix[:, k],
-            grid=grid,
+    def __getitem__(self, packets: slice) -> CsiTrace:
+        return CsiTrace(
+            self.values[:, packets], self.times_s[packets], self.sample_rate_hz, self.grid
         )
-        for k in range(matrix.shape[1])
-    ]
 
 
 # ----------------------------------------------------------------------------
@@ -227,21 +240,21 @@ class ChannelScenario:
         )
 
 
-def generate_ideal_csi(scenario: ChannelScenario, grid: SubcarrierGrid) -> list[CsiFrame]:
-    """Noise-free CSI sequence for a scenario on a grid."""
+def generate_ideal_csi(scenario: ChannelScenario, grid: SubcarrierGrid) -> CsiTrace:
+    """Noise-free CSI trace for a scenario on a grid."""
     matrix = scenario.static_field(grid) + scenario.dynamic_field(grid)
-    return matrix_to_frames(matrix, scenario.sample_rate_hz, grid=grid)
+    return CsiTrace.uniform(matrix, scenario.sample_rate_hz, grid)
 
 
 def fresnel_phase(
-    frames: list[CsiFrame], scenario: ChannelScenario, grid: SubcarrierGrid
+    trace: CsiTrace, scenario: ChannelScenario, grid: SubcarrierGrid
 ) -> np.ndarray:
     """Phase split between static and dynamic components, shape (M, K).
 
-    Simulator-side diagnostic: decomposes ideal frames using the known
+    Simulator-side diagnostic: decomposes an ideal trace using the known
     scenario and returns angle(static) - angle(dynamic) per sample.
     """
-    h = frames_to_matrix(frames)
+    h = trace.values
     h_static = scenario.static_field(grid)
     h_dynamic = h - h_static
     if np.any(h_dynamic == 0):
@@ -341,18 +354,17 @@ def impulse_level_series(
     return np.exp(log_level[:, segment])
 
 
-def apply_impairments(frames: list[CsiFrame], config: ImpairmentConfig) -> list[CsiFrame]:
-    """Corrupt an ideal CSI sequence per the impairment model.
+def apply_impairments(trace: CsiTrace, config: ImpairmentConfig) -> CsiTrace:
+    """Corrupt an ideal CSI trace per the impairment model.
 
     Draw order is fixed (jitter, carrier walk, impulse levels, additive noise)
     so a given (config, seed) always produces the same corruption.
     """
-    grid = frames[0].grid
+    grid = trace.grid
     if grid is None:
-        raise ConfigurationError("frames must carry a grid to be impaired")
-    h = frames_to_matrix(frames)
+        raise ConfigurationError("a trace must carry a grid to be impaired")
+    h = trace.values
     n_sub, n_samples = h.shape
-    sample_rate = _infer_sample_rate(frames)
     rng = np.random.default_rng(config.seed)
 
     eta_b = (
@@ -361,7 +373,7 @@ def apply_impairments(frames: list[CsiFrame], config: ImpairmentConfig) -> list[
         else np.zeros(n_samples)
     )
     phi = cfo_phase_series(config, n_samples, rng)
-    levels = impulse_level_series(config, n_sub, n_samples, sample_rate, rng)
+    levels = impulse_level_series(config, n_sub, n_samples, trace.sample_rate_hz, rng)
 
     theta = grid.physical_index[:, None] * (eta_b + config.sfo_slope)[None, :] + phi[None, :]
     corrupted = levels * np.exp(-1j * theta) * h
@@ -370,14 +382,4 @@ def apply_impairments(frames: list[CsiFrame], config: ImpairmentConfig) -> list[
         corrupted = corrupted + (
             rng.normal(0.0, sigma, h.shape) + 1j * rng.normal(0.0, sigma, h.shape)
         )
-    return [
-        CsiFrame(index=f.index, time_s=f.time_s, values=corrupted[:, k], grid=grid)
-        for k, f in enumerate(frames)
-    ]
-
-
-def _infer_sample_rate(frames: list[CsiFrame]) -> float:
-    if len(frames) < 2:
-        return 1.0
-    dt = frames[1].time_s - frames[0].time_s
-    return 1.0 / dt if dt > 0 else 1.0
+    return CsiTrace(corrupted, trace.times_s, trace.sample_rate_hz, grid)

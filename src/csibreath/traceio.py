@@ -5,11 +5,12 @@ Layout:
     k,t_s,re000,im000,re001,im001,...
     0,0.0,1.0,-0.25,...
 
-One record per frame: integer frame index, timestamp in seconds, then one
+One record per packet: its row number, its timestamp in seconds, then one
 (real, imaginary) pair per grid position in grid order. The header carries
 the grid definition (preamble field tag, physical subcarrier index, center
 frequency for every column pair). Floats are written with repr so traces
-round-trip bit-exactly and identical runs produce identical bytes.
+round-trip bit-exactly and identical runs produce identical bytes. A file
+is read into one ``CsiTrace``; the ``k`` column is not kept.
 """
 
 from __future__ import annotations
@@ -22,28 +23,20 @@ import numpy as np
 
 from .errors import ConfigurationError, TraceFormatError
 from .grid import SubcarrierGrid
-from .simulate import CsiFrame, frames_to_matrix
+from .simulate import CsiTrace
 
 FORMAT_NAME = "csi-trace"
 FORMAT_VERSION = 1
 
 
-def write_trace(
-    path: str | Path,
-    frames: list[CsiFrame],
-    sample_rate_hz: float,
-    grid: SubcarrierGrid | None = None,
-) -> None:
-    grid = grid or frames[0].grid
+def write_trace(path: str | Path, trace: CsiTrace) -> None:
+    grid = trace.grid
     if grid is None:
         raise ConfigurationError("a grid is required to write a trace")
-    matrix = frames_to_matrix(frames)
-    if matrix.shape[0] != grid.count:
-        raise ConfigurationError("frame length does not match the grid")
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "sample_rate_hz": sample_rate_hz,
+        "sample_rate_hz": trace.sample_rate_hz,
         "subcarriers": [
             {
                 "field": grid.field_tag[m],
@@ -56,19 +49,17 @@ def write_trace(
     columns = ["k", "t_s"]
     for m in range(grid.count):
         columns += [f"re{m:03d}", f"im{m:03d}"]
+    # row k holds re, im of every grid position, in grid order
+    cells = np.ascontiguousarray(trace.values.T).view(float).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         fh.write(",".join(columns) + "\n")
-        for k, frame in enumerate(frames):
-            cells = [str(frame.index), repr(float(frame.time_s))]
-            for v in matrix[:, k]:
-                cells.append(repr(float(v.real)))
-                cells.append(repr(float(v.imag)))
-            fh.write(",".join(cells) + "\n")
+        for k, (time_s, row) in enumerate(zip(trace.times_s.tolist(), cells)):
+            fh.write(",".join([str(k), repr(time_s), *map(repr, row)]) + "\n")
 
 
-def read_trace(path: str | Path) -> tuple[list[CsiFrame], float, SubcarrierGrid]:
-    """Parse a trace file; returns (frames, sample_rate_hz, grid)."""
+def read_trace(path: str | Path) -> CsiTrace:
+    """Parse a trace file into a ``CsiTrace`` on the grid of its header."""
     comment_lines: list[str] = []
     body_lines: list[str] = []
     try:
@@ -125,16 +116,7 @@ def read_trace(path: str | Path) -> tuple[list[CsiFrame], float, SubcarrierGrid]
     if not np.all(np.isfinite(data)):
         raise TraceFormatError("trace contains non-finite values")
     values = data[:, 2::2] + 1j * data[:, 3::2]
-    return (
-        [
-            CsiFrame(
-                index=int(data[k, 0]),
-                time_s=float(data[k, 1]),
-                values=values[k],
-                grid=grid,
-            )
-            for k in range(data.shape[0])
-        ],
-        sample_rate,
-        grid,
-    )
+    try:
+        return CsiTrace(values.T, data[:, 1], sample_rate, grid)
+    except ConfigurationError as exc:
+        raise TraceFormatError(f"bad trace: {exc}") from exc

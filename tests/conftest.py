@@ -32,12 +32,12 @@ def breathing_scenario():
 
 
 @pytest.fixture(scope="session")
-def breathing_frames(breathing_scenario, grid):
+def breathing_trace(breathing_scenario, grid):
     return generate_ideal_csi(breathing_scenario, grid)
 
 
 @pytest.fixture(scope="session")
-def impaired_frames(breathing_frames):
+def impaired_trace(breathing_trace):
     config = ImpairmentConfig(
         pbd_noise_std=0.002,
         sfo_slope=1e-4,
@@ -45,7 +45,7 @@ def impaired_frames(breathing_frames):
         gaussian_noise_std=0.02,
         seed=7,
     )
-    return apply_impairments(breathing_frames, config)
+    return apply_impairments(breathing_trace, config)
 
 
 @pytest.fixture(scope="session")

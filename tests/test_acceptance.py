@@ -33,7 +33,6 @@ from csibreath.simulate import (
     SinusoidMotion,
     StaticPath,
     apply_impairments,
-    frames_to_matrix,
     generate_ideal_csi,
 )
 from csibreath.waveform import project
@@ -101,14 +100,14 @@ def test_03_phase_corruption_cancels_in_ratio():
     t0 = time.perf_counter()
     scenario = _breathing_scenario(12.0)
     scenario = dataclasses.replace(scenario, sample_rate_hz=20.0)
-    frames = generate_ideal_csi(scenario, default_grid())
-    clean = cscr(frames, 5, 100, 20.0).values
+    trace = generate_ideal_csi(scenario, default_grid())
+    clean = cscr(trace, 5, 100).values
     worst = 0.0
     for seed in range(100):
         corrupted = apply_impairments(
-            frames, ImpairmentConfig(sfo_slope=1e-3, cfo_walk_std=0.3, seed=seed)
+            trace, ImpairmentConfig(sfo_slope=1e-3, cfo_walk_std=0.3, seed=seed)
         )
-        values = cscr(corrupted, 5, 100, 20.0).values
+        values = cscr(corrupted, 5, 100).values
         diff = np.unwrap(np.angle(values / clean))
         worst = max(worst, float(np.std(diff)))
     _report(
@@ -123,15 +122,15 @@ def test_04_correlated_impulses_cancel_in_magnitude():
     t0 = time.perf_counter()
     scenario = _breathing_scenario(12.0)
     scenario = dataclasses.replace(scenario, sample_rate_hz=20.0)
-    frames = generate_ideal_csi(scenario, default_grid())
-    clean = np.abs(cscr(frames, 5, 100, 20.0).values)
+    trace = generate_ideal_csi(scenario, default_grid())
+    clean = np.abs(cscr(trace, 5, 100).values)
     worst = 0.0
     for seed in range(100):
         corrupted = apply_impairments(
-            frames,
+            trace,
             ImpairmentConfig(impulse_rate_hz=1.0, impulse_log_std=0.8, seed=seed),
         )
-        ratio = np.abs(cscr(corrupted, 5, 100, 20.0).values) / clean
+        ratio = np.abs(cscr(corrupted, 5, 100).values) / clean
         worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
     _report(
         4, worst < 1e-12,
@@ -221,7 +220,7 @@ def test_07_search_guarantees():
         generate_ideal_csi(scenario, toy_grid),
         ImpairmentConfig(gaussian_noise_std=0.05, seed=2),
     )
-    toy_matrix = frames_to_matrix(toy)
+    toy_matrix = toy.values
     exhaustive = max(
         fitness(Genome(np.array([1.0 + 0j]), np.array([m1]), m2), toy_matrix, 10.0)
         for m1, m2 in ((0, 1), (1, 0))
@@ -233,13 +232,13 @@ def test_07_search_guarantees():
     )
 
     # full-size run: monotone history, never below the seeded single pair
-    frames = apply_impairments(
+    trace = apply_impairments(
         generate_ideal_csi(_breathing_scenario(15.0), default_grid()),
         ImpairmentConfig(pbd_noise_std=0.002, sfo_slope=1e-4, cfo_walk_std=0.05,
                          gaussian_noise_std=0.02, seed=7),
     )
     solution = optimize(
-        frames, 4, 50.0,
+        trace.values, 4, 50.0,
         params=GaParams(population=24, generations=12, stagnation_limit=6,
                         seed_pool=60, seed_top=8),
         seed=1,
@@ -302,14 +301,14 @@ def test_08_combination_gain():
 def test_09_end_to_end_accuracy():
     t0 = time.perf_counter()
     scenario = _breathing_scenario(60.0)
-    frames = generate_ideal_csi(scenario, default_grid())
+    trace = generate_ideal_csi(scenario, default_grid())
     config = PipelineConfig(
         n_numerators=4,
         ga=GaParams(population=24, generations=12, stagnation_limit=6,
                     seed_pool=60, seed_top=8),
         reuse_tolerance=0.1,
     )
-    clean_results = run_pipeline(frames, 50.0, config, seed=0)
+    clean_results = run_pipeline(trace, config, seed=0)
     clean_errors = [
         abs(r.estimate.f_bpm - 15.0)
         for r in clean_results
@@ -321,14 +320,14 @@ def test_09_end_to_end_accuracy():
     )
 
     impaired = apply_impairments(
-        frames,
+        trace,
         ImpairmentConfig(
             pbd_noise_std=0.002, sfo_slope=1e-4, cfo_walk_std=0.05,
             impulse_rate_hz=0.2, impulse_log_std=0.4,
             gaussian_noise_std=0.03, seed=11,
         ),
     )
-    impaired_results = run_pipeline(impaired, 50.0, config, seed=1)
+    impaired_results = run_pipeline(impaired, config, seed=1)
     detected = sum(
         1
         for r in impaired_results

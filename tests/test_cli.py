@@ -36,10 +36,10 @@ def base_config(tmp_path):
 def test_simulate_writes_readable_trace(base_config, tmp_path):
     out = tmp_path / "sim"
     assert cli.main(["simulate", "--config", str(base_config), "--out", str(out)]) == 0
-    frames, sample_rate, grid = read_trace(out / "trace.csv")
-    assert sample_rate == 20.0
-    assert grid.count == 6
-    assert len(frames) == 240
+    trace = read_trace(out / "trace.csv")
+    assert trace.sample_rate_hz == 20.0
+    assert trace.grid.count == 6
+    assert len(trace) == 240
 
 
 def test_run_produces_estimates(base_config, tmp_path):
@@ -122,7 +122,7 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 
 def test_bad_ga_params_exit_2(tmp_path, capsys):
-    for bad in ("tournament: 0", "elites: -1", "weight_sigma: -0.5"):
+    for bad in ("tournament: 0", "elites: -1", "weight_sigma: -0.5", "tournament: 2.5"):
         config = tmp_path / "ga.yaml"
         config.write_text(_BASE.replace("seed_top: 4}", f"seed_top: 4, {bad}}}"))
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
@@ -137,6 +137,14 @@ def test_malformed_trace_exits_3(tmp_path):
     config.write_text(f"input: {{trace: {trace}}}\n")
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_TRACE
+
+
+def test_null_trace_path_exits_2(tmp_path, capsys):
+    config = tmp_path / "c.yaml"
+    config.write_text("input: {trace: null}\n")
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "input.trace" in capsys.readouterr().err
 
 
 def test_impossible_gate_exits_4(base_config, tmp_path):

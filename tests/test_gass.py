@@ -30,12 +30,11 @@ from csibreath.simulate import (
     SinusoidMotion,
     StaticPath,
     apply_impairments,
-    frames_to_matrix,
     generate_ideal_csi,
 )
 
 
-def _toy_frames(n_tones=6, seed=2, noise=0.05, duration_s=20.0):
+def _toy_matrix(n_tones=6, seed=2, noise=0.05, duration_s=20.0):
     grid = custom_grid(2.452e9 + 10e6 * np.arange(n_tones))
     scenario = ChannelScenario(
         sample_rate_hz=10.0,
@@ -45,10 +44,10 @@ def _toy_frames(n_tones=6, seed=2, noise=0.05, duration_s=20.0):
         base_dynamic_length_m=10.0,
         motion=SinusoidMotion(rate_hz=0.25, amplitude_m=0.003),
     )
-    frames = generate_ideal_csi(scenario, grid)
+    trace = generate_ideal_csi(scenario, grid)
     return apply_impairments(
-        frames, ImpairmentConfig(gaussian_noise_std=noise, seed=seed)
-    )
+        trace, ImpairmentConfig(gaussian_noise_std=noise, seed=seed)
+    ).values
 
 
 # ----------------------------------------------------------------------------
@@ -92,8 +91,7 @@ def test_genome_validation():
 @settings(max_examples=25, deadline=None)
 @given(angle=st.floats(0.0, 2 * np.pi), scale=st.floats(0.05, 1.0))
 def test_single_weight_fitness_ignores_scale_and_phase(angle, scale):
-    frames = _toy_frames(n_tones=3)
-    matrix = frames_to_matrix(frames)
+    matrix = _toy_matrix(n_tones=3)
     unit = Genome(np.array([1.0 + 0j]), np.array([0]), 2)
     scaled = Genome(
         np.array([scale * np.exp(1j * angle)]), np.array([0]), 2
@@ -194,8 +192,7 @@ def test_population_scorer_raises_like_fitness():
 
 
 def test_seed_ranking_is_sorted_and_deterministic():
-    frames = _toy_frames()
-    matrix = frames_to_matrix(frames)
+    matrix = _toy_matrix()
     params = GaParams(seed_pool=25, seed_top=5)
     a = rank_seed_pairs(matrix, 10.0, params, np.random.default_rng(5))
     b = rank_seed_pairs(matrix, 10.0, params, np.random.default_rng(5))
@@ -208,16 +205,15 @@ def test_seed_ranking_is_sorted_and_deterministic():
 
 
 def test_seed_ranking_pool_capped_by_pair_count():
-    frames = _toy_frames(n_tones=3)
-    matrix = frames_to_matrix(frames)
+    matrix = _toy_matrix(n_tones=3)
     ranked = rank_seed_pairs(
         matrix, 10.0, GaParams(seed_pool=500), np.random.default_rng(0)
     )
     assert len(ranked) == 6  # 3 * 2 ordered pairs
 
 
-def test_seed_ranking_scores_equal_pair_fitness(impaired_frames):
-    matrix = frames_to_matrix(average_phase_blocks(impaired_frames, 5))
+def test_seed_ranking_scores_equal_pair_fitness(impaired_trace):
+    matrix = average_phase_blocks(impaired_trace, 5).values
     ranked = rank_seed_pairs(matrix, 10.0, GaParams(), np.random.default_rng(0))
     assert len(ranked) == 200
     for m1, m2, score in ranked:
@@ -230,9 +226,9 @@ def test_seed_ranking_scores_equal_pair_fitness(impaired_frames):
 # ----------------------------------------------------------------------------
 
 
-def test_history_monotone_and_beats_seeds(impaired_frames, small_ga):
+def test_history_monotone_and_beats_seeds(impaired_trace, small_ga):
     solution = optimize(
-        impaired_frames, n_numerators=2, sample_rate_hz=50.0,
+        impaired_trace.values, n_numerators=2, sample_rate_hz=50.0,
         params=small_ga, seed=3,
     )
     assert np.all(np.diff(solution.history) >= 0)
@@ -240,17 +236,17 @@ def test_history_monotone_and_beats_seeds(impaired_frames, small_ga):
     assert solution.fitness >= solution.seeded_best_fitness
     assert solution.history[solution.generation_found] == solution.fitness
     # the reported fitness must be reproducible from the genome alone
-    recomputed = fitness(solution.genome, impaired_frames, 50.0)
+    recomputed = fitness(solution.genome, impaired_trace.values, 50.0)
     assert np.isclose(recomputed, solution.fitness, rtol=1e-12)
     assert len(solution.seeded_pairs) == small_ga.seed_top
 
 
-def test_optimize_is_deterministic(impaired_frames, small_ga):
-    a = optimize(impaired_frames, 2, 50.0, params=small_ga, seed=9)
-    b = optimize(impaired_frames, 2, 50.0, params=small_ga, seed=9)
+def test_optimize_is_deterministic(impaired_trace, small_ga):
+    a = optimize(impaired_trace.values, 2, 50.0, params=small_ga, seed=9)
+    b = optimize(impaired_trace.values, 2, 50.0, params=small_ga, seed=9)
     assert a.genome.key() == b.genome.key()
     np.testing.assert_array_equal(a.history, b.history)
-    c = optimize(impaired_frames, 2, 50.0, params=small_ga, seed=10)
+    c = optimize(impaired_trace.values, 2, 50.0, params=small_ga, seed=10)
     assert a.genome.key() != c.genome.key() or not np.array_equal(
         a.history, c.history
     )
@@ -268,9 +264,9 @@ print(solution.history.tobytes().hex())
 """
 
 
-def test_optimize_is_thread_invariant(impaired_frames, tmp_path):
+def test_optimize_is_thread_invariant(impaired_trace, tmp_path):
     matrix_path = tmp_path / "matrix.npy"
-    np.save(matrix_path, frames_to_matrix(impaired_frames))
+    np.save(matrix_path, impaired_trace.values)
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):
@@ -288,8 +284,7 @@ def test_optimize_is_thread_invariant(impaired_frames, tmp_path):
 def test_toy_grid_search_matches_exhaustive():
     # with one numerator the objective ignores weight scale and phase, so
     # brute force over ordered pairs is the true optimum
-    frames = _toy_frames(n_tones=4)
-    matrix = frames_to_matrix(frames)
+    matrix = _toy_matrix(n_tones=4)
     best = max(
         fitness(Genome(np.array([1.0 + 0j]), np.array([m1]), m2), matrix, 10.0)
         for m1 in range(4)
@@ -304,8 +299,8 @@ def test_toy_grid_search_matches_exhaustive():
     assert np.isclose(solution.fitness, best, rtol=1e-12)
 
 
-def test_optimize_accepts_prefilled_ranking(impaired_frames, small_ga):
-    matrix = frames_to_matrix(impaired_frames)
+def test_optimize_accepts_prefilled_ranking(impaired_trace, small_ga):
+    matrix = impaired_trace.values
     ranked = rank_seed_pairs(
         matrix, 50.0, small_ga, np.random.default_rng(11)
     )
@@ -318,11 +313,11 @@ def test_optimize_accepts_prefilled_ranking(impaired_frames, small_ga):
     assert solution.fitness >= ranked[0][2]
 
 
-def test_optimize_input_validation(impaired_frames):
+def test_optimize_input_validation(impaired_trace):
     with pytest.raises(ConfigurationError):
         optimize(np.ones((1, 100), dtype=complex), 1, 10.0)
     with pytest.raises(ConfigurationError):
-        optimize(impaired_frames, 0, 50.0)
+        optimize(impaired_trace.values, 0, 50.0)
     with pytest.raises(ConfigurationError):
         GaParams(population=2, elites=2)
     with pytest.raises(ConfigurationError):
@@ -338,6 +333,14 @@ def test_optimize_input_validation(impaired_frames):
     {"generations": -1},
     {"seed_pool": -1},
     {"seed_top": -1},
+    {"tournament": 2.5},
+    {"population": 8.5},
+    {"generations": 2.0},
+    {"elites": 1.0},
+    {"stagnation_limit": 3.5},
+    {"seed_pool": 10.5},
+    {"seed_top": 2.5},
+    {"generations": True},
 ])
 def test_ga_params_reject_bad_values(bad):
     with pytest.raises(ConfigurationError):
@@ -414,9 +417,9 @@ def test_next_generation_without_variation_copies_winners(case):
 
 
 def test_build_streams_covers_unused_denominators():
-    frames = _toy_frames(n_tones=6)
+    matrix = _toy_matrix(n_tones=6)
     solution = optimize(
-        frames, n_numerators=2, sample_rate_hz=10.0,
+        matrix, n_numerators=2, sample_rate_hz=10.0,
         params=GaParams(population=12, generations=6, seed_pool=20, seed_top=4),
         seed=1,
     )
@@ -424,10 +427,10 @@ def test_build_streams_covers_unused_denominators():
     used = {
         int(m) for m, w in zip(genome.numerator_indices, genome.weights) if w != 0
     }
-    streams = build_streams(solution, frames, 10.0)
+    streams = build_streams(solution, matrix, 10.0)
     assert len(streams) == 6 - len(used)
     assert {s.denominator for s in streams} == set(range(6)) - used
-    everything = build_streams(solution, frames, 10.0, include_numerators=True)
+    everything = build_streams(solution, matrix, 10.0, include_numerators=True)
     assert len(everything) == 6
     for stream in streams:
         assert stream.sample_rate_hz == 10.0
@@ -438,8 +441,7 @@ def test_build_streams_covers_unused_denominators():
 
 
 def test_build_streams_values_match_direct_ratio():
-    frames = _toy_frames(n_tones=4)
-    matrix = frames_to_matrix(frames)
+    matrix = _toy_matrix(n_tones=4)
     solution = optimize(
         matrix, n_numerators=1, sample_rate_hz=10.0,
         params=GaParams(population=8, generations=4, seed_pool=10, seed_top=3),

@@ -16,6 +16,7 @@ from csibreath.pipeline import (
     single_component_estimates,
     snr_sweep,
 )
+from csibreath.ratio import average_phase_blocks
 from csibreath.simulate import (
     ChannelScenario,
     ImpairmentConfig,
@@ -50,8 +51,8 @@ def _quick_scenario(duration_s=12.0, events=(), fs=20.0):
 # ----------------------------------------------------------------------------
 
 
-def test_segment_accepts_quiet_breathing(breathing_frames):
-    plan = segment(breathing_frames, 50.0)
+def test_segment_accepts_quiet_breathing(breathing_trace):
+    plan = segment(breathing_trace)
     assert plan.accepted.all()
     assert plan.accepted.size == 15          # 15 s of 1 s frames
     np.testing.assert_array_equal(plan.window_starts, np.arange(6))
@@ -68,8 +69,7 @@ def test_segment_rejects_event_frame(grid):
     scenario = _quick_scenario(
         duration_s=25.0, events=[MotionEvent(time_s=15.2, static_shift_m=shift)]
     )
-    frames = generate_ideal_csi(scenario, grid)
-    plan = segment(frames, 20.0)
+    plan = segment(generate_ideal_csi(scenario, grid))
     assert not plan.accepted[15]
     assert plan.accepted.sum() == plan.accepted.size - 1
     # windows must not straddle the rejected frame
@@ -77,14 +77,35 @@ def test_segment_rejects_event_frame(grid):
         assert not (start <= 15 < start + plan.window_frames)
 
 
-def test_segment_threshold_can_reject_everything(breathing_frames):
+@pytest.mark.parametrize("k1", [5, 7])
+def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
+    plan = segment(impaired_trace, dataclasses.replace(_FAST, phase_block=k1))
+    assert plan.block_size == k1
+    window_samples = plan.window_frames * plan.frame_samples
+    shifts = []
+    for start_frame in plan.window_starts:
+        window = plan.window(int(start_frame))
+        assert len(window) == window_samples // k1
+        assert window.sample_rate_hz == 50.0 / k1
+        # the first block holds the window's first packet a, and starts up
+        # to k1 - 1 packets before it when k1 does not divide the frame
+        a = start_frame * plan.frame_samples
+        shifts.append(a % k1)
+        first = a - shifts[-1]
+        alone = average_phase_blocks(impaired_trace[first : first + window_samples], k1)
+        np.testing.assert_allclose(window.values, alone.values, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(window.times_s, alone.times_s)
+    assert any(shifts) == (50 % k1 != 0)
+
+
+def test_segment_threshold_can_reject_everything(breathing_trace):
     config = dataclasses.replace(_FAST, motion_threshold_rad=-1.0)
-    plan = segment(breathing_frames, 50.0, config)
+    plan = segment(breathing_trace, config)
     assert not plan.accepted.any()
     with pytest.raises(NoWindowError):
-        run_pipeline(breathing_frames, 50.0, config)
+        run_pipeline(breathing_trace, config)
     with pytest.raises(NoWindowError):
-        single_component_estimates(breathing_frames, 50.0, "phase", config)
+        single_component_estimates(breathing_trace, "phase", config)
 
 
 # ----------------------------------------------------------------------------
@@ -92,8 +113,8 @@ def test_segment_threshold_can_reject_everything(breathing_frames):
 # ----------------------------------------------------------------------------
 
 
-def test_run_pipeline_estimates_breathing(impaired_frames):
-    results = run_pipeline(impaired_frames, 50.0, _FAST, seed=0)
+def test_run_pipeline_estimates_breathing(impaired_trace):
+    results = run_pipeline(impaired_trace, _FAST, seed=0)
     assert len(results) == 6
     for i, r in enumerate(results):
         assert r.window_id == i
@@ -107,37 +128,37 @@ def test_run_pipeline_estimates_breathing(impaired_frames):
         assert r.solution is not None
 
 
-def test_run_pipeline_deterministic(impaired_frames):
-    a = run_pipeline(impaired_frames, 50.0, _FAST, seed=5)
-    b = run_pipeline(impaired_frames, 50.0, _FAST, seed=5)
+def test_run_pipeline_deterministic(impaired_trace):
+    a = run_pipeline(impaired_trace, _FAST, seed=5)
+    b = run_pipeline(impaired_trace, _FAST, seed=5)
     for ra, rb in zip(a, b):
         assert ra.estimate.f_bpm == rb.estimate.f_bpm
         assert ra.solution.genome.key() == rb.solution.genome.key()
         assert ra.stage_band_ratios == rb.stage_band_ratios
 
 
-def test_replay_window_reproduces_estimates(impaired_frames):
-    results = run_pipeline(impaired_frames, 50.0, _FAST, seed=2)
+def test_replay_window_reproduces_estimates(impaired_trace):
+    results = run_pipeline(impaired_trace, _FAST, seed=2)
     for r in results:
-        replayed = replay_window(impaired_frames, r, 50.0, _FAST)
+        replayed = replay_window(impaired_trace, r, _FAST)
         assert replayed.f_bpm == r.estimate.f_bpm
         assert replayed.flags == r.estimate.flags
         np.testing.assert_array_equal(replayed.acf, r.estimate.acf)
 
 
-def test_replay_requires_solution(impaired_frames):
-    results = run_pipeline(impaired_frames, 50.0, _FAST, seed=2)
+def test_replay_requires_solution(impaired_trace):
+    results = run_pipeline(impaired_trace, _FAST, seed=2)
     broken = dataclasses.replace(results[0], solution=None)
     with pytest.raises(ConfigurationError):
-        replay_window(impaired_frames, broken, 50.0, _FAST)
+        replay_window(impaired_trace, broken, _FAST)
 
 
-def test_reuse_skips_search_when_quality_stable(impaired_frames):
+def test_reuse_skips_search_when_quality_stable(impaired_trace):
     eager = dataclasses.replace(_FAST, reuse_tolerance=10.0)
-    results = run_pipeline(impaired_frames, 50.0, eager, seed=0)
+    results = run_pipeline(impaired_trace, eager, seed=0)
     assert not results[0].gass_reused          # nothing to reuse yet
     assert all(r.gass_reused for r in results[1:])
-    fresh = run_pipeline(impaired_frames, 50.0, _FAST, seed=0)  # tolerance 0
+    fresh = run_pipeline(impaired_trace, _FAST, seed=0)  # tolerance 0
     assert not any(r.gass_reused for r in fresh)
     # reused windows keep the genome but re-score it on their own data
     reused = results[1]
@@ -149,10 +170,10 @@ def test_reuse_skips_search_when_quality_stable(impaired_frames):
 # ----------------------------------------------------------------------------
 
 
-def test_single_component_estimates_track_breathing(breathing_frames):
+def test_single_component_estimates_track_breathing(breathing_trace):
     for component in ("amplitude", "phase"):
         estimates = single_component_estimates(
-            breathing_frames, 50.0, component, _FAST
+            breathing_trace, component, _FAST
         )
         assert len(estimates) == 6
         values = [e.f_bpm for e in estimates if e is not None and e.f_bpm]
@@ -160,9 +181,9 @@ def test_single_component_estimates_track_breathing(breathing_frames):
         assert abs(np.median(values) - 15.0) < DETECTION_TOLERANCE_BPM
 
 
-def test_single_component_rejects_unknown_name(breathing_frames):
+def test_single_component_rejects_unknown_name(breathing_trace):
     with pytest.raises(ConfigurationError):
-        single_component_estimates(breathing_frames, 50.0, "quadrature", _FAST)
+        single_component_estimates(breathing_trace, "quadrature", _FAST)
 
 
 # ----------------------------------------------------------------------------

@@ -25,12 +25,12 @@ from csibreath.ratio import (
 )
 from csibreath.simulate import (
     ChannelScenario,
+    CsiTrace,
     ImpairmentConfig,
     SinusoidMotion,
     StaticPath,
     apply_impairments,
     generate_ideal_csi,
-    matrix_to_frames,
 )
 
 # ----------------------------------------------------------------------------
@@ -86,16 +86,16 @@ def test_guard_table_matches_guarded_ratio_per_row(rng):
         np.testing.assert_array_equal(bad, expected[1])
 
 
-def test_cscr_rejects_equal_indices(breathing_frames):
+def test_cscr_rejects_equal_indices(breathing_trace):
     with pytest.raises(ConfigurationError):
-        cscr(breathing_frames, 3, 3, 50.0)
+        cscr(breathing_trace, 3, 3)
 
 
-def test_cscr_carries_stream_metadata(breathing_frames):
-    stream = cscr(breathing_frames, 5, 100, 50.0)
+def test_cscr_carries_stream_metadata(breathing_trace):
+    stream = cscr(breathing_trace, 5, 100)
     assert stream.numerator == ((1 + 0j, 5),)
     assert stream.denominator == 100
-    assert stream.values.shape == (len(breathing_frames),)
+    assert stream.values.shape == (len(breathing_trace),)
     assert not stream.interpolated.any()
 
 
@@ -104,47 +104,47 @@ def test_cscr_carries_stream_metadata(breathing_frames):
 # ----------------------------------------------------------------------------
 
 
-def test_carrier_walk_cancels_exactly(breathing_frames):
-    clean = cscr(breathing_frames, 5, 100, 50.0).values
+def test_carrier_walk_cancels_exactly(breathing_trace):
+    clean = cscr(breathing_trace, 5, 100).values
     corrupted = apply_impairments(
-        breathing_frames, ImpairmentConfig(cfo_walk_std=0.5, seed=3)
+        breathing_trace, ImpairmentConfig(cfo_walk_std=0.5, seed=3)
     )
-    values = cscr(corrupted, 5, 100, 50.0).values
+    values = cscr(corrupted, 5, 100).values
     assert np.max(np.abs(values - clean)) < 1e-12
 
 
-def test_clock_slope_becomes_constant_offset(breathing_frames, grid):
+def test_clock_slope_becomes_constant_offset(breathing_trace, grid):
     slope = 1e-3
-    clean = cscr(breathing_frames, 5, 100, 50.0).values
+    clean = cscr(breathing_trace, 5, 100).values
     corrupted = apply_impairments(
-        breathing_frames, ImpairmentConfig(sfo_slope=slope, seed=0)
+        breathing_trace, ImpairmentConfig(sfo_slope=slope, seed=0)
     )
-    values = cscr(corrupted, 5, 100, 50.0).values
+    values = cscr(corrupted, 5, 100).values
     diff = np.angle(values / clean)
     delta_n = grid.physical_index[5] - grid.physical_index[100]
     assert np.std(diff) < 1e-12
     assert np.isclose(diff[0], -delta_n * slope, atol=1e-12)
 
 
-def test_correlated_impulses_cancel_in_magnitude(breathing_frames):
-    clean = cscr(breathing_frames, 5, 100, 50.0).values
+def test_correlated_impulses_cancel_in_magnitude(breathing_trace):
+    clean = cscr(breathing_trace, 5, 100).values
     corrupted = apply_impairments(
-        breathing_frames,
+        breathing_trace,
         ImpairmentConfig(impulse_rate_hz=2.0, impulse_log_std=0.8, seed=4),
     )
-    values = cscr(corrupted, 5, 100, 50.0).values
+    values = cscr(corrupted, 5, 100).values
     np.testing.assert_allclose(np.abs(values), np.abs(clean), rtol=1e-12)
 
 
-def test_uncorrelated_impulses_do_not_cancel(breathing_frames):
-    clean = cscr(breathing_frames, 5, 100, 50.0).values
+def test_uncorrelated_impulses_do_not_cancel(breathing_trace):
+    clean = cscr(breathing_trace, 5, 100).values
     corrupted = apply_impairments(
-        breathing_frames,
+        breathing_trace,
         ImpairmentConfig(
             impulse_rate_hz=2.0, impulse_log_std=0.8, impulse_correlation=0.0, seed=4
         ),
     )
-    values = cscr(corrupted, 5, 100, 50.0).values
+    values = cscr(corrupted, 5, 100).values
     assert np.max(np.abs(np.abs(values) - np.abs(clean))) > 0.01
 
 
@@ -165,39 +165,42 @@ def test_block_averaging_suppresses_frame_jitter(grid):
         base_dynamic_length_m=10.0,
         motion=SinusoidMotion(rate_hz=0.25, amplitude_m=0.0),
     )
-    frames = generate_ideal_csi(scenario, grid)
+    trace = generate_ideal_csi(scenario, grid)
     sigma = 0.005
     corrupted = apply_impairments(
-        frames, ImpairmentConfig(pbd_noise_std=sigma, seed=8)
+        trace, ImpairmentConfig(pbd_noise_std=sigma, seed=8)
     )
     delta_n = abs(grid.physical_index[5] - grid.physical_index[20])
-    clean = cscr(frames, 5, 20, 50.0).values
+    clean = cscr(trace, 5, 20).values
 
-    raw_jitter = np.angle(cscr(corrupted, 5, 20, 50.0).values / clean)
+    raw_jitter = np.angle(cscr(corrupted, 5, 20).values / clean)
     assert np.isclose(np.std(raw_jitter), delta_n * sigma, rtol=0.2)
 
     k1 = 10
     averaged = average_phase_blocks(corrupted, k1)
-    avg_jitter = np.angle(cscr(averaged, 5, 20, 50.0).values / clean[0])
+    avg_jitter = np.angle(cscr(averaged, 5, 20).values / clean[0])
     assert np.isclose(np.std(avg_jitter), delta_n * sigma / np.sqrt(k1), rtol=0.2)
 
 
-def test_block_averaging_identity_and_shapes(breathing_frames):
-    assert average_phase_blocks(breathing_frames, 1) == list(breathing_frames)
-    averaged = average_phase_blocks(breathing_frames, 7)
-    assert len(averaged) == len(breathing_frames) // 7
+def test_block_averaging_identity_and_shapes(breathing_trace):
+    assert average_phase_blocks(breathing_trace, 1) is breathing_trace
+    averaged = average_phase_blocks(breathing_trace, 7)
+    assert len(averaged) == len(breathing_trace) // 7
+    assert averaged.sample_rate_hz == 50.0 / 7
+    np.testing.assert_allclose(
+        averaged.times_s, breathing_trace.times_s[3 : 7 * len(averaged) : 7], rtol=1e-12
+    )
     with pytest.raises(ConfigurationError):
-        average_phase_blocks(breathing_frames, 0)
+        average_phase_blocks(breathing_trace, 0)
     with pytest.raises(ConfigurationError):
-        average_phase_blocks(breathing_frames[:3], 5)
+        average_phase_blocks(breathing_trace[:3], 5)
 
 
 def test_block_averaging_preserves_constant_streams():
     values = np.full((2, 12), 2.0 * np.exp(1j * 0.3), dtype=complex)
-    frames = matrix_to_frames(values, 10.0)
-    averaged = average_phase_blocks(frames, 4)
-    for f in averaged:
-        np.testing.assert_allclose(f.values, values[:, 0], rtol=1e-12)
+    averaged = average_phase_blocks(CsiTrace.uniform(values, 10.0), 4)
+    assert averaged.values.shape == (2, 3)
+    np.testing.assert_allclose(averaged.values, values[:, :3], rtol=1e-12)
 
 
 # ----------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from csibreath.simulate import (
     MAX_PATH_CHANGE_M,
     ChannelScenario,
     ChirpMotion,
-    CsiFrame,
+    CsiTrace,
     ImpairmentConfig,
     MotionEvent,
     RateStepMotion,
@@ -21,11 +21,9 @@ from csibreath.simulate import (
     StaticPath,
     apply_impairments,
     cfo_phase_series,
-    frames_to_matrix,
     fresnel_phase,
     generate_ideal_csi,
     impulse_level_series,
-    matrix_to_frames,
     smooth_amplitude_ripple,
 )
 
@@ -43,14 +41,24 @@ def _scenario(**overrides):
     return ChannelScenario(**base)
 
 
-def test_matrix_frame_round_trip():
+def test_trace_construction_and_slicing():
     rng = np.random.default_rng(0)
     matrix = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
-    frames = matrix_to_frames(matrix, 10.0)
-    np.testing.assert_array_equal(frames_to_matrix(frames), matrix)
-    assert frames[3].time_s == 0.3
+    trace = CsiTrace.uniform(matrix, 10.0)
+    np.testing.assert_array_equal(trace.values, matrix)
+    assert len(trace) == 9
+    assert trace.times_s[3] == 0.3
+    window = trace[2:5]
+    np.testing.assert_array_equal(window.values, matrix[:, 2:5])
+    np.testing.assert_array_equal(window.times_s, trace.times_s[2:5])
+    assert window.values.flags.c_contiguous
+    assert window.sample_rate_hz == 10.0
     with pytest.raises(ConfigurationError):
-        frames_to_matrix([])
+        CsiTrace.uniform(np.zeros((4, 0), dtype=complex), 10.0)
+    with pytest.raises(ConfigurationError):
+        CsiTrace(matrix, np.arange(8) / 10.0, 10.0)
+    with pytest.raises(ConfigurationError):
+        CsiTrace.uniform(matrix, 10.0, grid=default_grid())
 
 
 def test_sinusoid_motion_is_exact():
@@ -93,8 +101,7 @@ def test_ideal_csi_matches_direct_formula():
         ),
         duration_s=2.0,
     )
-    frames = generate_ideal_csi(scenario, grid)
-    h = frames_to_matrix(frames)
+    h = generate_ideal_csi(scenario, grid).values
     chest = scenario.chest_displacement()
     for m in range(grid.count):
         lam = grid.wavelength_m[m]
@@ -175,8 +182,8 @@ def test_phase_split_excursion_matches_path_sweep():
     # peak-to-peak equals 2 pi * (path travel) / lambda per tone
     grid = default_grid()
     scenario = _scenario(duration_s=8.0)
-    frames = generate_ideal_csi(scenario, grid)
-    split = fresnel_phase(frames, scenario, grid)
+    trace = generate_ideal_csi(scenario, grid)
+    split = fresnel_phase(trace, scenario, grid)
     chest = scenario.chest_displacement()
     travel = 2.0 * (chest.max() - chest.min())
     for m in (0, 109, 217):
@@ -188,9 +195,9 @@ def test_phase_split_excursion_matches_path_sweep():
 def test_phase_split_undefined_without_dynamic_path():
     grid = custom_grid(np.array([2.45e9]))
     scenario = _scenario(dynamic_amplitude=0.0, duration_s=1.0)
-    frames = generate_ideal_csi(scenario, grid)
+    trace = generate_ideal_csi(scenario, grid)
     with pytest.raises(UndefinedPhaseError):
-        fresnel_phase(frames, scenario, grid)
+        fresnel_phase(trace, scenario, grid)
 
 
 def test_amplitude_and_phase_responses_are_complementary():
@@ -206,7 +213,7 @@ def test_amplitude_and_phase_responses_are_complementary():
             duration_s=8.0, base_dynamic_length_m=d_s + delta_d,
             motion=SinusoidMotion(rate_hz=0.25, amplitude_m=0.001),
         )
-        h = frames_to_matrix(generate_ideal_csi(scenario, grid))[0]
+        h = generate_ideal_csi(scenario, grid).values[0]
         return np.ptp(np.abs(h)), np.ptp(np.unwrap(np.angle(h)))
 
     amp_at_null, phase_at_null = responses(40 * lam)          # split angle 0
@@ -220,40 +227,33 @@ def test_amplitude_and_phase_responses_are_complementary():
 # ----------------------------------------------------------------------------
 
 
-def test_zero_impairments_is_identity(breathing_frames):
-    out = apply_impairments(breathing_frames, ImpairmentConfig())
-    np.testing.assert_array_equal(
-        frames_to_matrix(out), frames_to_matrix(breathing_frames)
-    )
+def test_zero_impairments_is_identity(breathing_trace):
+    out = apply_impairments(breathing_trace, ImpairmentConfig())
+    np.testing.assert_array_equal(out.values, breathing_trace.values)
+    np.testing.assert_array_equal(out.times_s, breathing_trace.times_s)
+    assert out.sample_rate_hz == breathing_trace.sample_rate_hz
 
 
-def test_impairments_reproducible_per_seed(breathing_frames):
+def test_impairments_reproducible_per_seed(breathing_trace):
     config = ImpairmentConfig(
         pbd_noise_std=0.01, cfo_walk_std=0.1, gaussian_noise_std=0.05,
         impulse_rate_hz=0.5, impulse_log_std=0.3, seed=3,
     )
-    a = frames_to_matrix(apply_impairments(breathing_frames, config))
-    b = frames_to_matrix(apply_impairments(breathing_frames, config))
+    a = apply_impairments(breathing_trace, config).values
+    b = apply_impairments(breathing_trace, config).values
     np.testing.assert_array_equal(a, b)
-    c = frames_to_matrix(
-        apply_impairments(breathing_frames, ImpairmentConfig(
-            pbd_noise_std=0.01, cfo_walk_std=0.1, gaussian_noise_std=0.05,
-            impulse_rate_hz=0.5, impulse_log_std=0.3, seed=4,
-        ))
-    )
+    c = apply_impairments(breathing_trace, ImpairmentConfig(
+        pbd_noise_std=0.01, cfo_walk_std=0.1, gaussian_noise_std=0.05,
+        impulse_rate_hz=0.5, impulse_log_std=0.3, seed=4,
+    )).values
     assert not np.array_equal(a, c)
 
 
 def test_pbd_phase_is_linear_in_physical_index():
     grid = default_grid()
-    ones = [
-        CsiFrame(index=k, time_s=k / 20.0, values=np.ones(grid.count, complex), grid=grid)
-        for k in range(40)
-    ]
+    ones = CsiTrace.uniform(np.ones((grid.count, 40), complex), 20.0, grid)
     # std kept small enough that n * eta stays within one phase branch
-    out = frames_to_matrix(
-        apply_impairments(ones, ImpairmentConfig(pbd_noise_std=0.004, seed=1))
-    )
+    out = apply_impairments(ones, ImpairmentConfig(pbd_noise_std=0.004, seed=1)).values
     theta = -np.angle(out)
     n = grid.physical_index
     # per sample, theta(m) = n(m) * eta_b: slope identical across tone pairs
@@ -303,10 +303,10 @@ def test_impulse_config_validation():
         ImpairmentConfig(cfo_bound_rad=0.0)
 
 
-def test_gaussian_noise_level(breathing_frames):
+def test_gaussian_noise_level(breathing_trace):
     config = ImpairmentConfig(gaussian_noise_std=0.05, seed=2)
-    noisy = frames_to_matrix(apply_impairments(breathing_frames, config))
-    clean = frames_to_matrix(breathing_frames)
+    noisy = apply_impairments(breathing_trace, config).values
+    clean = breathing_trace.values
     residual = noisy - clean
     assert np.isclose(np.std(residual), 0.05, rtol=0.05)
     # real and imaginary parts share the load
@@ -314,9 +314,9 @@ def test_gaussian_noise_level(breathing_frames):
 
 
 def test_impairments_require_a_grid():
-    frames = matrix_to_frames(np.ones((2, 5), dtype=complex), 10.0)
+    trace = CsiTrace.uniform(np.ones((2, 5), dtype=complex), 10.0)
     with pytest.raises(ConfigurationError):
-        apply_impairments(frames, ImpairmentConfig(pbd_noise_std=0.1))
+        apply_impairments(trace, ImpairmentConfig(pbd_noise_std=0.1))
 
 
 def test_smooth_amplitude_ripple_profile():

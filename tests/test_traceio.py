@@ -3,7 +3,7 @@ import pytest
 
 from csibreath.errors import TraceFormatError
 from csibreath.grid import custom_grid
-from csibreath.simulate import frames_to_matrix, matrix_to_frames
+from csibreath.simulate import CsiTrace
 from csibreath.traceio import read_trace, write_trace
 
 
@@ -11,32 +11,35 @@ from csibreath.traceio import read_trace, write_trace
 def small_trace(rng):
     grid = custom_grid(np.array([2.44e9, 2.45e9, 2.46e9]), np.array([-5, 0, 5]))
     matrix = rng.normal(size=(3, 17)) + 1j * rng.normal(size=(3, 17))
-    frames = matrix_to_frames(matrix, 25.0, grid=grid)
-    return frames, matrix, grid
+    return CsiTrace.uniform(matrix, 25.0, grid)
 
 
 def test_round_trip_is_bit_exact(tmp_path, small_trace):
-    frames, matrix, grid = small_trace
     path = tmp_path / "trace.csv"
-    write_trace(path, frames, 25.0)
-    loaded, rate, loaded_grid = read_trace(path)
-    assert rate == 25.0
-    np.testing.assert_array_equal(frames_to_matrix(loaded), matrix)
-    np.testing.assert_array_equal(loaded_grid.physical_index, grid.physical_index)
+    write_trace(path, small_trace)
+    loaded = read_trace(path)
+    assert loaded.sample_rate_hz == 25.0
+    np.testing.assert_array_equal(loaded.values, small_trace.values)
+    grid = small_trace.grid
+    np.testing.assert_array_equal(loaded.grid.physical_index, grid.physical_index)
     np.testing.assert_array_equal(
-        loaded_grid.center_frequency_hz, grid.center_frequency_hz
+        loaded.grid.center_frequency_hz, grid.center_frequency_hz
     )
-    assert loaded_grid.field_tag == grid.field_tag
-    assert [f.index for f in loaded] == [f.index for f in frames]
-    assert [f.time_s for f in loaded] == [f.time_s for f in frames]
+    assert loaded.grid.field_tag == grid.field_tag
+    assert loaded.times_s.tobytes() == small_trace.times_s.tobytes()
+    rows = path.read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == [str(k) for k in range(17)]
 
 
 def test_writes_are_byte_identical(tmp_path, small_trace):
-    frames, _, _ = small_trace
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trace(a, frames, 25.0)
-    write_trace(b, frames, 25.0)
+    write_trace(a, small_trace)
+    write_trace(b, small_trace)
     assert a.read_bytes() == b.read_bytes()
+    # a trace read back writes the same bytes again
+    c = tmp_path / "c.csv"
+    write_trace(c, read_trace(a))
+    assert c.read_bytes() == a.read_bytes()
 
 
 def test_missing_file(tmp_path):
@@ -107,6 +110,14 @@ def _valid_header():
         ' "subcarriers": [{"field": "HT-LTF", "physical_index": 0,'
         ' "center_frequency_hz": 2.4e9}]}'
     )
+
+
+def test_non_positive_sample_rate(tmp_path):
+    path = tmp_path / "t.csv"
+    header = _valid_header().replace('"sample_rate_hz": 10.0', '"sample_rate_hz": 0.0')
+    _write_lines(path, [header, "k,t_s,re000,im000", "0,0.0,1.0,0.0"])
+    with pytest.raises(TraceFormatError, match="sample rate"):
+        read_trace(path)
 
 
 def test_column_header_mismatch(tmp_path):
