@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gass import GaParams, GassSolution, optimize
 from .grid import SubcarrierGrid
-from .rate import RespirationEstimate, estimate_rate
+from .rate import MIN_WINDOW_S, RespirationEstimate, estimate_rate
 from .ratio import average_phase_blocks, guarded_ratio, ssnr_values
 from .simulate import (
     ChannelScenario,
@@ -85,6 +85,20 @@ class PipelineConfig:
     reuse_tolerance: float = 0.0      # 0 disables solution reuse
     refine_peak: bool = True
 
+    def __post_init__(self) -> None:
+        if not (0 < self.frame_s < math.inf and 0 < self.window_s < math.inf):
+            raise ConfigurationError("frame_s and window_s must be positive and finite")
+        frames = self.window_s / self.frame_s
+        if not frames < math.inf or round(frames) * self.frame_s < MIN_WINDOW_S:
+            raise ConfigurationError(
+                "window_s / frame_s must round to a whole number of frames "
+                f"spanning at least {MIN_WINDOW_S:g} s, the minimum for rate "
+                f"estimation (frame_s={self.frame_s!r}, window_s={self.window_s!r})"
+            )
+        order = self.sg_polyorder
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+            raise ConfigurationError(f"sg_polyorder must be an integer >= 0, got {order!r}")
+
     def block_size(self, sample_rate_hz: float) -> int:
         return self.phase_block if self.phase_block > 0 else max(
             1, int(sample_rate_hz // 10)
@@ -134,6 +148,8 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     """
     config = config or PipelineConfig()
     frame_samples = int(round(config.frame_s * trace.sample_rate_hz))
+    if frame_samples < 1:
+        raise ConfigurationError("frame_s is shorter than one packet")
     window_frames = int(round(config.window_s / config.frame_s))
     n_frames = len(trace) // frame_samples
     pair = config.resolve_reference_pair(trace.values.shape[0])

@@ -3,7 +3,9 @@
 The rate is read off the lag spacing between the zero-lag peak and the first
 qualifying peak after it: f_bpm = 60 * F_s / (k_p2 - k_p1). Peak indices are
 reported one-based (the zero-lag peak is index 1), lags are handled
-zero-based internally.
+zero-based internally. Peaks are found by ``_find_peaks``, plain numpy that
+gives the same peaks and prominences as ``scipy.signal.find_peaks`` with
+``distance`` and ``prominence``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import ConfigurationError, ZeroVarianceError
 from .ratio import BAND_HIGH_HZ, BAND_LOW_HZ
@@ -61,6 +62,46 @@ def acf(series: np.ndarray) -> np.ndarray:
     return correlation / energy
 
 
+def _find_peaks(
+    x: np.ndarray, distance: int, prominence: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peak indices and their prominences, in increasing index order.
+
+    A peak is a run of equal samples with a lower sample on each side (so
+    never the first or last sample), located at the run's midpoint. Peaks
+    closer than ``distance`` to a higher one are dropped, visiting the
+    highest first. A peak's prominence is its height above the higher of
+    the two minima between it and the nearest higher sample on each side
+    (or the signal's end). Peaks with prominence below ``prominence`` are
+    dropped last.
+    """
+    n = x.size
+    run_starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    run_ends = np.append(run_starts[1:] - 1, n - 1)
+    inner = (run_starts > 0) & (run_ends < n - 1)
+    first, last = run_starts[inner], run_ends[inner]
+    is_peak = (x[first - 1] < x[first]) & (x[last + 1] < x[last])
+    peaks = (first[is_peak] + last[is_peak]) // 2
+
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            keep[np.abs(peaks - peaks[j]) < distance] = False
+            keep[j] = True
+    peaks = peaks[keep]
+
+    prominences = np.empty(peaks.size)
+    for i, p in enumerate(peaks):
+        # "not <=" rather than ">": a NaN ends the walk too
+        higher_left = np.flatnonzero(~(x[:p] <= x[p]))
+        higher_right = np.flatnonzero(~(x[p + 1 :] <= x[p]))
+        lo = higher_left[-1] + 1 if higher_left.size else 0
+        hi = p + 1 + higher_right[0] if higher_right.size else n
+        prominences[i] = x[p] - max(x[lo : p + 1].min(), x[p:hi].min())
+    qualifying = prominences >= prominence
+    return peaks[qualifying], prominences[qualifying]
+
+
 def _parabolic_refine(r: np.ndarray, peak: int) -> float:
     """Sub-sample peak location from a three-point parabola.
 
@@ -108,8 +149,8 @@ def estimate_rate(
             acf=r, window_id=window_id, flags=("no-peak",),
         )
     min_distance = max(1, int(round(sample_rate_hz / BAND_HIGH_HZ)))
-    peaks, props = scipy.signal.find_peaks(
-        r, distance=min_distance, prominence=min_prominence_frac * tail_max
+    peaks, prominences = _find_peaks(
+        r, min_distance, min_prominence_frac * tail_max
     )
     if peaks.size == 0:
         return RespirationEstimate(
@@ -117,7 +158,7 @@ def estimate_rate(
             acf=r, window_id=window_id, flags=("no-peak",),
         )
     lag = int(peaks[0])
-    confidence = float(min(1.0, props["prominences"][0]))
+    confidence = float(min(1.0, prominences[0]))
     refined = _parabolic_refine(r, lag) if refine else float(lag)
     f_bpm = 60.0 * sample_rate_hz / refined
     if not BAND_LOW_BPM <= f_bpm <= BAND_HIGH_BPM:

@@ -15,7 +15,6 @@ is read into one ``CsiTrace``; the ``k`` column is not kept.
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 
@@ -59,26 +58,54 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
 
 
 def read_trace(path: str | Path) -> CsiTrace:
-    """Parse a trace file into a ``CsiTrace`` on the grid of its header."""
-    comment_lines: list[str] = []
-    body_lines: list[str] = []
+    """Parse a trace file into a ``CsiTrace`` on the grid of its header.
+
+    The header and column lines are read one at a time and the data rows
+    are parsed straight from the open file, so the text body is never held
+    in memory.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    if not body_lines:
-                        comment_lines.append(line[1:].strip())
-                else:
-                    body_lines.append(line)
+            comment_lines: list[str] = []
+            line = fh.readline()
+            while line.startswith("#"):
+                comment_lines.append(line[1:].strip())
+                line = fh.readline()
+            grid, sample_rate = _parse_header(comment_lines)
+            if not line:
+                raise TraceFormatError("trace has no data rows")
+            expected_cols = 2 + 2 * grid.count
+            first_fields = line.strip().split(",")
+            if first_fields[:2] != ["k", "t_s"] or len(first_fields) != expected_cols:
+                raise TraceFormatError("column header does not match the grid")
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise TraceFormatError(f"malformed data row: {exc}") from exc
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace: {exc}") from exc
+    if data.shape[1] != expected_cols:
+        raise TraceFormatError(
+            f"rows have {data.shape[1]} columns, expected {expected_cols}"
+        )
+    if not np.all(np.isfinite(data)):
+        raise TraceFormatError("trace contains non-finite values")
+    values = data[:, 2::2] + 1j * data[:, 3::2]
+    try:
+        return CsiTrace(values.T, data[:, 1], sample_rate, grid)
+    except ConfigurationError as exc:
+        raise TraceFormatError(f"bad trace: {exc}") from exc
+
+
+def _parse_header(comment_lines: list[str]) -> tuple[SubcarrierGrid, float]:
+    """The grid and sample rate of a trace's JSON header block."""
     if not comment_lines:
         raise TraceFormatError("missing JSON header block")
     try:
         header = json.loads("\n".join(comment_lines))
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"header is not valid JSON: {exc}") from exc
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceFormatError("not a csi-trace file")
     if header.get("version") != FORMAT_VERSION:
         raise TraceFormatError(f"unsupported trace version {header.get('version')!r}")
@@ -93,30 +120,6 @@ def read_trace(path: str | Path) -> CsiTrace:
                 [s["center_frequency_hz"] for s in subcarriers]
             ),
         )
-        sample_rate = float(header["sample_rate_hz"])
+        return grid, float(header["sample_rate_hz"])
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise TraceFormatError(f"bad grid definition: {exc}") from exc
-
-    if not body_lines:
-        raise TraceFormatError("trace has no data rows")
-    expected_cols = 2 + 2 * grid.count
-    first_fields = body_lines[0].strip().split(",")
-    if first_fields[:2] != ["k", "t_s"] or len(first_fields) != expected_cols:
-        raise TraceFormatError("column header does not match the grid")
-    try:
-        data = np.loadtxt(
-            io.StringIO("".join(body_lines[1:])), delimiter=",", ndmin=2
-        )
-    except ValueError as exc:
-        raise TraceFormatError(f"malformed data row: {exc}") from exc
-    if data.shape[1] != expected_cols:
-        raise TraceFormatError(
-            f"rows have {data.shape[1]} columns, expected {expected_cols}"
-        )
-    if not np.all(np.isfinite(data)):
-        raise TraceFormatError("trace contains non-finite values")
-    values = data[:, 2::2] + 1j * data[:, 3::2]
-    try:
-        return CsiTrace(values.T, data[:, 1], sample_rate, grid)
-    except ConfigurationError as exc:
-        raise TraceFormatError(f"bad trace: {exc}") from exc

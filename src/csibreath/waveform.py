@@ -6,6 +6,12 @@ amplitude of the ratio barely moves, its phase does (and vice versa), so some
 axis cos(theta) * Re + sin(theta) * Im always carries the motion. The angle
 is chosen by maximizing the respiration-band ratio on a 360-point grid and
 then refined with a golden-section pass around the best grid point.
+
+The Hampel filter takes the medians of all its full windows in two
+vectorised ``np.median`` calls. The Savitzky-Golay smoother is plain numpy
+and equals ``scipy.signal.savgol_filter(mode="interp")`` bit for bit, except
+for near-degenerate fits (polyorder close to the window length), where the
+two agree to rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 from .ratio import band_energies, ssnr_values
@@ -105,28 +111,94 @@ def hampel(
     if threshold < 0:
         raise ConfigurationError("hampel threshold must be non-negative")
     x = np.asarray(series, dtype=float)
-    out = x.copy()
-    replaced = 0
-    for k in range(x.size):
+    n = x.size
+    width = 2 * half_width + 1
+    med = np.empty(n)
+    mad = np.empty(n)
+    if n >= width:  # samples with a full window, all at once
+        windows = sliding_window_view(x, width)
+        full = slice(half_width, n - half_width)
+        med[full] = np.median(windows, axis=1)
+        mad[full] = np.median(np.abs(windows - med[full, None]), axis=1)
+        truncated = [*range(half_width), *range(n - half_width, n)]
+    else:
+        truncated = range(n)
+    for k in truncated:
         window = x[max(0, k - half_width) : k + half_width + 1]
-        med = np.median(window)
-        mad = np.median(np.abs(window - med))
-        if np.abs(x[k] - med) > threshold * 1.4826 * mad:
-            out[k] = med
-            replaced += 1
-    return out, replaced
+        med[k] = np.median(window)
+        mad[k] = np.median(np.abs(window - med[k]))
+    outliers = np.abs(x - med) > threshold * 1.4826 * mad
+    return np.where(outliers, med, x), int(outliers.sum())
 
 
 def savitzky_golay(series: np.ndarray, window_length: int, polyorder: int) -> np.ndarray:
-    """Least-squares polynomial smoothing (edges via polynomial fit)."""
+    """Least-squares polynomial smoothing (edges via polynomial fit).
+
+    Each interior sample is the value at the window centre of the
+    degree-``polyorder`` least-squares polynomial through its
+    ``window_length`` samples, a fixed linear filter. The first and last
+    ``window_length // 2`` samples take the polynomial fitted to the first
+    or last ``window_length`` samples instead (scipy's ``mode="interp"``).
+    """
     if window_length % 2 == 0 or window_length < 3:
         raise ConfigurationError("window_length must be odd and >= 3")
+    if polyorder < 0:
+        raise ConfigurationError("polyorder must be >= 0")
     if polyorder >= window_length:
         raise ConfigurationError("polyorder must be smaller than window_length")
     x = np.asarray(series, dtype=float)
-    if x.size < window_length:
+    n = x.size
+    if n < window_length:
         raise ConfigurationError("series shorter than the smoothing window")
-    return scipy.signal.savgol_filter(x, window_length, polyorder, mode="interp")
+    half = window_length // 2
+    # filter taps: row 0 of the pseudo-inverse of the Vandermonde matrix on
+    # the offsets half, ..., -half (convolution order)
+    offsets = np.arange(half, -half - 1, -1, dtype=float)
+    vander = offsets ** np.arange(polyorder + 1, dtype=float)[:, None]
+    unit = np.zeros(polyorder + 1)
+    unit[0] = 1.0
+    taps = np.linalg.lstsq(
+        vander, unit, rcond=np.finfo(float).eps * window_length
+    )[0]
+    # the interior sums run in the order of scipy.ndimage.convolve1d, which
+    # pairs mirrored samples when the taps are symmetric to within eps
+    shifted = [x[half + j : n - half + j] for j in range(-half, half + 1)]
+    if np.all(np.abs(taps[half + 1 :] - taps[half - 1 :: -1]) <= np.finfo(float).eps):
+        acc = shifted[half] * taps[half]
+        for j in range(half, 0, -1):  # outermost pair first
+            acc = acc + (shifted[half - j] + shifted[half + j]) * taps[half + j]
+    else:
+        acc = shifted[2 * half] * taps[0]
+        for k in range(2 * half):
+            acc = acc + shifted[k] * taps[2 * half - k]
+    out = np.empty(n)
+    out[half : n - half] = acc
+    positions = np.arange(window_length, dtype=float)
+    out[:half] = _polyfit_eval(positions, x[:window_length], polyorder, positions[:half])
+    out[n - half :] = _polyfit_eval(
+        positions, x[n - window_length :], polyorder, positions[window_length - half :]
+    )
+    return out
+
+
+def _polyfit_eval(
+    t: np.ndarray, y: np.ndarray, degree: int, at: np.ndarray
+) -> np.ndarray:
+    """Least-squares polynomial through (t, y), evaluated at ``at``.
+
+    The Vandermonde columns are scaled to unit norm before the solve, as
+    ``np.polyfit`` does, and the polynomial is evaluated by Horner's rule.
+    """
+    powers = np.arange(degree, -1, -1, dtype=float)
+    lhs = t[:, None] ** powers
+    scale = np.sqrt(np.sum(lhs * lhs, axis=0))
+    coeffs = np.linalg.lstsq(
+        lhs / scale, y, rcond=t.size * np.finfo(float).eps
+    )[0] / scale
+    values = np.zeros_like(at)
+    for c in coeffs:
+        values = values * at + c
+    return values
 
 
 def clean(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +132,31 @@ def test_bad_ga_params_exit_2(tmp_path, capsys):
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG, bad
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_short_window_geometry_exits_2(tmp_path, capsys):
+    # 33 frames of 0.3 s make 9.9 s windows, under the 10 s rate minimum
+    config = tmp_path / "geometry.yaml"
+    config.write_text(_BASE.replace("  n_numerators: 2", "  n_numerators: 2\n  frame_s: 0.3"))
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "frame_s" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; a fresh process must not pay its import
+    probe = (
+        "import sys, csibreath.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_malformed_trace_exits_3(tmp_path):

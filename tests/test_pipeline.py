@@ -98,6 +98,39 @@ def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
     assert any(shifts) == (50 % k1 != 0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"frame_s": 0.0},
+        {"frame_s": -1.0},
+        {"frame_s": float("nan")},
+        {"window_s": 0.0},
+        {"window_s": float("inf")},
+        {"frame_s": 0.3},                   # round(33.3) = 33 frames = 9.9 s
+        {"window_s": 9.4},                  # 9 frames of 1 s
+        {"frame_s": 4.0, "window_s": 9.0},  # round(2.25) = 2 frames = 8 s
+        {"frame_s": 1e-320},                # window_s / frame_s overflows
+        {"sg_polyorder": -1},
+        {"sg_polyorder": 2.5},
+    ],
+)
+def test_pipeline_config_rejects_bad_geometry(fields):
+    with pytest.raises(ConfigurationError):
+        PipelineConfig(**fields)
+
+
+def test_pipeline_config_window_is_whole_frames():
+    # round(2.75) = 3 frames of 4 s = 12 s, although window_s is 11 s
+    PipelineConfig(frame_s=4.0, window_s=11.0)
+    PipelineConfig(frame_s=0.5, window_s=10.0)
+
+
+def test_segment_rejects_frames_shorter_than_a_packet(breathing_trace):
+    config = dataclasses.replace(_FAST, frame_s=0.001, window_s=10.0)
+    with pytest.raises(ConfigurationError, match="one packet"):
+        segment(breathing_trace, config)
+
+
 def test_segment_threshold_can_reject_everything(breathing_trace):
     config = dataclasses.replace(_FAST, motion_threshold_rad=-1.0)
     plan = segment(breathing_trace, config)

@@ -7,6 +7,7 @@ from csibreath.errors import ConfigurationError, ZeroVarianceError
 from csibreath.rate import (
     BAND_HIGH_BPM,
     BAND_LOW_BPM,
+    _find_peaks,
     acf,
     estimate_rate,
 )
@@ -161,3 +162,41 @@ def test_rate_accuracy_across_band(f_bpm):
     estimate = estimate_rate(np.sin(2 * np.pi * (f_bpm / 60.0) * t), fs)
     assert estimate.f_bpm is not None
     assert abs(estimate.f_bpm - f_bpm) < 0.5
+
+
+# ----------------------------------------------------------------------------
+# Peak finding (scipy as the oracle)
+# ----------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=200),
+    decimals=st.sampled_from([None, 0, 1]),
+    walk=st.booleans(),
+    distance=st.integers(1, 40),
+    prominence=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+)
+def test_find_peaks_equals_scipy(values, decimals, walk, distance, prominence):
+    signal = pytest.importorskip("scipy.signal")
+    x = np.array(values, dtype=float)
+    if walk:
+        x = np.cumsum(x)
+    if decimals is not None:  # rounding makes plateaus
+        x = np.round(x, decimals)
+    peaks, props = signal.find_peaks(x, distance=distance, prominence=prominence)
+    ours, prominences = _find_peaks(x, distance, prominence)
+    np.testing.assert_array_equal(ours, peaks)
+    assert prominences.tobytes() == props["prominences"].tobytes()
+
+
+def test_find_peaks_plateaus_and_ends():
+    x = np.array([5.0, 1.0, 3.0, 3.0, 3.0, 1.0, 2.0, 2.0, 0.0, 4.0, 4.0])
+    peaks, prominences = _find_peaks(x, distance=1, prominence=0.0)
+    # the first sample and the trailing plateau are never peaks; a plateau
+    # sits at its midpoint (2 + 4) // 2 = 3, and (6 + 7) // 2 = 6
+    np.testing.assert_array_equal(peaks, [3, 6])
+    np.testing.assert_array_equal(prominences, [2.0, 1.0])
+    # distance: the lower peak within 4 samples of the higher one goes
+    peaks, _ = _find_peaks(x, distance=4, prominence=0.0)
+    np.testing.assert_array_equal(peaks, [3])

@@ -65,6 +65,13 @@ def test_wrong_format_name(tmp_path):
         read_trace(path)
 
 
+def test_header_not_an_object(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_lines(path, ["# [1, 2]", "k,t_s"])
+    with pytest.raises(TraceFormatError, match="not a csi-trace"):
+        read_trace(path)
+
+
 def test_unsupported_version(tmp_path):
     path = tmp_path / "t.csv"
     _write_lines(

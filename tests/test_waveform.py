@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csibreath.errors import ConfigurationError
 from csibreath.waveform import clean, hampel, project, savitzky_golay
@@ -123,6 +127,38 @@ def test_hampel_edge_windows_truncate():
     assert filtered[0] == 0.0 and replaced == 1
 
 
+def _hampel_loop(series, half_width, threshold=3.0):
+    """The per-sample Hampel rule, kept here as the reference."""
+    x = np.asarray(series, dtype=float)
+    out = x.copy()
+    replaced = 0
+    for k in range(x.size):
+        window = x[max(0, k - half_width) : k + half_width + 1]
+        med = np.median(window)
+        mad = np.median(np.abs(window - med))
+        if np.abs(x[k] - med) > threshold * 1.4826 * mad:
+            out[k] = med
+            replaced += 1
+    return out, replaced
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(-10.0, 10.0), min_size=0, max_size=80),
+    decimals=st.sampled_from([None, 0]),
+    half_width=st.integers(1, 12),
+    threshold=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+)
+def test_hampel_equals_per_sample_loop(values, decimals, half_width, threshold):
+    x = np.array(values, dtype=float)
+    if decimals is not None:  # rounding makes constant windows (MAD = 0)
+        x = np.round(x, decimals)
+    filtered, replaced = hampel(x, half_width, threshold)
+    expected, expected_replaced = _hampel_loop(x, half_width, threshold)
+    assert replaced == expected_replaced
+    assert filtered.tobytes() == expected.tobytes()
+
+
 def test_hampel_validation():
     with pytest.raises(ConfigurationError):
         hampel(np.zeros(10), half_width=0)
@@ -151,6 +187,41 @@ def test_savitzky_golay_attenuates_noise(rng):
     assert np.std(out - signal) < np.std(noisy - signal)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    half=st.integers(1, 15),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_savitzky_golay_matches_scipy(data, half, scale):
+    signal = pytest.importorskip("scipy.signal")
+    window = 2 * half + 1
+    polyorder = data.draw(st.integers(0, window - 1), label="polyorder")
+    values = data.draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=window, max_size=window + 80),
+        label="values",
+    )
+    x = scale * np.array(values)
+    with warnings.catch_warnings():  # scipy warns on its ill-conditioned fits
+        warnings.filterwarnings("ignore", "Polyfit may be poorly conditioned")
+        expected = signal.savgol_filter(x, window, polyorder, mode="interp")
+    np.testing.assert_allclose(
+        savitzky_golay(x, window, polyorder), expected,
+        rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(x))),
+    )
+
+
+def test_savitzky_golay_pipeline_orders_equal_scipy_exactly():
+    # the low orders the pipeline uses give scipy's bytes, not just its values
+    signal = pytest.importorskip("scipy.signal")
+    x = np.random.default_rng(5).normal(size=200)
+    for window in range(5, 62, 2):
+        for polyorder in (2, 3):
+            expected = signal.savgol_filter(x, window, polyorder, mode="interp")
+            ours = savitzky_golay(x, window, polyorder)
+            assert ours.tobytes() == expected.tobytes(), (window, polyorder)
+
+
 def test_savitzky_golay_validation():
     x = np.zeros(30)
     with pytest.raises(ConfigurationError):
@@ -161,6 +232,8 @@ def test_savitzky_golay_validation():
         savitzky_golay(x, window_length=9, polyorder=9)
     with pytest.raises(ConfigurationError):
         savitzky_golay(np.zeros(5), window_length=7, polyorder=2)
+    with pytest.raises(ConfigurationError):
+        savitzky_golay(x, window_length=9, polyorder=-1)
 
 
 # ----------------------------------------------------------------------------
