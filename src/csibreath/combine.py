@@ -6,6 +6,11 @@ offset, normalizes by a sliding-window gain estimate, and rotates each
 stream onto the best one before a quality-weighted sum. Streams whose band
 ratio falls below a fraction mu of the best stream's are dropped; the best
 stream itself always survives (the threshold is inclusive).
+
+Alignment and summation run on the (streams, samples) stack of all streams
+at once. The primitives ``remove_offset``, ``stream_gain`` and
+``align_rotation`` work along the last axis, so one stream and a stack go
+through the same code, and each row of a stack equals its stream alone.
 """
 
 from __future__ import annotations
@@ -52,12 +57,15 @@ class CombinedSignal:
 
 
 def remove_offset(values: np.ndarray) -> np.ndarray:
-    """Subtract the mean so only the motion-driven excursion remains."""
-    return values - values.mean()
+    """Subtract the mean along the last axis, so only the motion-driven
+    excursion of each stream remains."""
+    values = np.asarray(values)
+    return values - values.mean(axis=-1, keepdims=True)
 
 
-def stream_gain(offset_removed: np.ndarray, gain_window: int) -> float:
-    """Largest magnitude of the sliding ``gain_window``-sample mean.
+def stream_gain(offset_removed: np.ndarray, gain_window: int) -> float | np.ndarray:
+    """Largest magnitude of the sliding ``gain_window``-sample mean along the
+    last axis: a float for one stream, an array for a stack of them.
 
     Windows shorter than ``gain_window`` (series shorter than the window)
     fall back to the full-series mean magnitude.
@@ -65,22 +73,32 @@ def stream_gain(offset_removed: np.ndarray, gain_window: int) -> float:
     if gain_window < 1:
         raise ConfigurationError("gain window must be >= 1")
     q = np.asarray(offset_removed)
-    if q.size < gain_window:
-        return float(np.abs(q.mean()))
-    csum = np.cumsum(np.concatenate([[0.0 + 0.0j], q]))
-    means = (csum[gain_window:] - csum[:-gain_window]) / gain_window
-    return float(np.max(np.abs(means)))
+    if q.shape[-1] < gain_window:
+        gains = np.abs(q.mean(axis=-1))
+    else:
+        zero = np.zeros(q.shape[:-1] + (1,), dtype=complex)
+        csum = np.cumsum(np.concatenate([zero, q], axis=-1), axis=-1)
+        means = (csum[..., gain_window:] - csum[..., :-gain_window]) / gain_window
+        gains = np.max(np.abs(means), axis=-1)
+    return float(gains) if gains.ndim == 0 else gains
 
 
-def align_rotation(reference: np.ndarray, values: np.ndarray) -> float:
-    """Rotation minimizing sum |reference - values * exp(j theta)|^2.
+def _inner_products(reference: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return np.sum(reference * np.conj(values), axis=-1)
 
-    Closed form: the angle of the inner product <reference, values>.
+
+def align_rotation(reference: np.ndarray, values: np.ndarray) -> float | np.ndarray:
+    """Rotation minimizing sum |reference - values * exp(j theta)|^2, for one
+    stream (a float) or each row of a stack (an array).
+
+    Closed form: the angle of the inner product <reference, values>. Raises
+    AlignmentError when an inner product is zero.
     """
-    inner = np.sum(reference * np.conj(values))
-    if inner == 0:
+    inner = _inner_products(reference, values)
+    if np.any(inner == 0):
         raise AlignmentError("zero inner product: rotation undefined")
-    return float(np.angle(inner))
+    angles = np.angle(inner)
+    return float(angles) if angles.ndim == 0 else angles
 
 
 def moving_average(values: np.ndarray, window: int, mode: str = "sliding") -> np.ndarray:
@@ -119,7 +137,8 @@ def align_streams(
     zero gain or an undefined rotation are dropped with a log record.
     ``gain_normalization`` selects V = Q / G ("divide", the default, which
     equalizes stream excursions) or V = Q * G ("multiply", which boosts
-    already-strong streams instead).
+    already-strong streams instead). Every step runs once on the (S, K)
+    stack of stream values; each row equals the stream aligned alone.
     """
     if gain_normalization not in ("divide", "multiply"):
         raise ConfigurationError("gain_normalization must be 'divide' or 'multiply'")
@@ -130,43 +149,41 @@ def align_streams(
         raise ConfigurationError("streams must share one sample rate")
     sample_rate = rates.pop()
 
-    betas = ssnr_values(np.array([s.values for s in streams]), sample_rate)
-    aligned: list[AlignedStream] = []
-    for stream, beta in zip(streams, betas):
-        q = remove_offset(stream.values)
-        g = stream_gain(q, gain_window)
-        if g == 0.0:
-            logger.warning("dropping constant stream (denominator %d)", stream.denominator)
+    stack = np.array([s.values for s in streams])
+    betas = ssnr_values(stack, sample_rate)
+    offset_removed = remove_offset(stack)
+    gains = stream_gain(offset_removed, gain_window)
+    for i in np.flatnonzero(gains == 0.0):
+        logger.warning("dropping constant stream (denominator %d)", streams[i].denominator)
+    live = np.flatnonzero(gains != 0.0)
+    if not live.size:
+        raise ConfigurationError("every stream was degenerate")
+    scale = gains[live, None]
+    q = offset_removed[live]
+    normalized = q / scale if gain_normalization == "divide" else q * scale
+
+    live_betas = [float(betas[i]) for i in live]
+    reference = max(range(live.size), key=live_betas.__getitem__)
+    inner = _inner_products(normalized[reference], normalized)
+    rotations = np.angle(inner)
+    rotations[reference] = 0.0
+    kept: list[AlignedStream] = []
+    for j, i in enumerate(live):
+        if inner[j] == 0 and j != reference:
+            logger.warning(
+                "dropping unalignable stream (denominator %d)", streams[i].denominator
+            )
             continue
-        normalized = q / g if gain_normalization == "divide" else q * g
-        aligned.append(
+        kept.append(
             AlignedStream(
-                stream=stream,
-                offset_removed=q,
-                gain=g,
-                normalized=normalized,
-                band_ratio=float(beta),
+                stream=streams[i],
+                offset_removed=q[j],
+                gain=float(gains[i]),
+                normalized=normalized[j],
+                band_ratio=live_betas[j],
+                rotation=float(rotations[j]),
             )
         )
-    if not aligned:
-        raise ConfigurationError("every stream was degenerate")
-
-    reference = max(range(len(aligned)), key=lambda i: aligned[i].band_ratio)
-    ref_values = aligned[reference].normalized
-    kept: list[AlignedStream] = []
-    for i, a in enumerate(aligned):
-        if i == reference:
-            a.rotation = 0.0
-            kept.append(a)
-            continue
-        try:
-            a.rotation = align_rotation(ref_values, a.normalized)
-        except AlignmentError:
-            logger.warning(
-                "dropping unalignable stream (denominator %d)", a.stream.denominator
-            )
-            continue
-        kept.append(a)
     return kept
 
 
@@ -190,14 +207,16 @@ def combine(
     capped = np.minimum(betas, INFINITE_WEIGHT_CAP)
     best = capped.max()
     survivors = capped >= mu * best
-    total = np.zeros_like(aligned[0].normalized)
-    contributing = 0
     reference_denominator = aligned[int(np.argmax(betas))].stream.denominator
     for a, keep, weight in zip(aligned, survivors, capped):
         a.final_weight = float(weight) if keep else 0.0
-        if keep:
-            total = total + a.final_weight * a.normalized * np.exp(1j * a.rotation)
-            contributing += 1
+    kept = np.flatnonzero(survivors)
+    normalized = np.array([aligned[i].normalized for i in kept])
+    phasors = np.exp(1j * np.array([aligned[i].rotation for i in kept]))
+    weighted = capped[kept, None] * normalized * phasors[:, None]
+    # an axis-0 sum of rows adds them one after another, as a loop would
+    total = weighted.sum(axis=0, initial=0.0)
+    contributing = int(kept.size)
     sample_rate = aligned[0].stream.sample_rate_hz
     smoothed = moving_average(total, smoothing_window, smoothing_mode)
     smoothed_rate = (

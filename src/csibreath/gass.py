@@ -373,32 +373,32 @@ def build_streams(
     One stream per grid position, excluding the numerator subcarriers
     themselves unless ``include_numerators`` is set (zero-weight numerator
     slots do not count as used). Streams whose denominator fails the guard
-    are skipped.
+    are skipped. The numerator is divided by all kept denominator rows at
+    once; only rows with flagged samples take the interpolating path.
     """
     genome = solution.genome
-    used = {
-        int(m)
-        for m, w in zip(genome.numerator_indices, genome.weights)
-        if w != 0
-    }
-    streams: list[CscrStream] = []
     numerator_spec = tuple(
         (complex(w), int(m))
         for w, m in zip(genome.weights, genome.numerator_indices)
     )
     guards = guard_table(matrix, guard_rel)
+    keep = ~guards.rejected
+    if not include_numerators:
+        keep[genome.numerator_indices[genome.weights != 0]] = False
+    rows = np.flatnonzero(keep)
     numerator = genome.weights @ matrix[genome.numerator_indices]
-    for m in range(matrix.shape[0]):
-        if (not include_numerators and m in used) or guards.rejected[m]:
-            continue
-        values, bad = guards.ratio(numerator, matrix[m], m)
-        streams.append(
-            CscrStream(
-                values=values,
-                sample_rate_hz=sample_rate_hz,
-                numerator=numerator_spec,
-                denominator=m,
-                interpolated=bad,
-            )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = (numerator / matrix[rows]).astype(complex, copy=False)
+    interpolated = guards.flagged[rows]
+    for j in np.flatnonzero(interpolated.any(axis=1)):
+        values[j], _ = guards.ratio(numerator, matrix[rows[j]], rows[j])
+    return [
+        CscrStream(
+            values=values[j],
+            sample_rate_hz=sample_rate_hz,
+            numerator=numerator_spec,
+            denominator=int(m),
+            interpolated=interpolated[j],
         )
-    return streams
+        for j, m in enumerate(rows)
+    ]

@@ -8,9 +8,10 @@ large in-frame phase excursion). Ten-second analysis windows are assembled
 only from consecutive accepted frames, sliding by one frame, and every
 window is a slice of the averaged trace (``WindowPlan.window``), for the
 live run, its replay, the single-component baselines and the search audit
-alike. Each window runs the full stack and yields an estimate with
-provenance; a stage failure yields a reason-coded empty result instead of
-aborting.
+alike; the sweeps segment each trace once and hand the plan to both the
+pipeline and the baselines. Each window runs the full stack and yields an
+estimate with provenance; a stage failure yields a reason-coded empty
+result instead of aborting.
 """
 
 from __future__ import annotations
@@ -155,6 +156,17 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     pair = config.resolve_reference_pair(trace.values.shape[0])
 
     k1 = config.block_size(trace.sample_rate_hz)
+    # frames are whole packets and windows whole blocks, so a geometry that
+    # passed PipelineConfig in seconds can still come up short here
+    window_blocks = window_frames * frame_samples // k1
+    block_rate = trace.sample_rate_hz / k1
+    if window_blocks < MIN_WINDOW_S * block_rate:
+        raise ConfigurationError(
+            f"windows of {window_blocks} blocks at {block_rate:g} Hz hold "
+            f"{window_blocks / block_rate:g} s, under the {MIN_WINDOW_S:g} s minimum "
+            f"for rate estimation (frame_s is {frame_samples} packets, "
+            f"phase_block {k1})"
+        )
     averaged = average_phase_blocks(trace, k1)
     ratio_values, _ = guarded_ratio(averaged.values[pair[0]], averaged.values[pair[1]])
     phase = np.unwrap(np.angle(ratio_values))
@@ -263,16 +275,19 @@ def run_pipeline(
     trace: CsiTrace,
     config: PipelineConfig | None = None,
     seed: int = 0,
+    *,
+    plan: WindowPlan | None = None,
 ) -> list[WindowResult]:
     """Estimate the respiration rate on every complete window.
 
     Deterministic for fixed (trace, config, seed): each window derives its
     own generator from (seed, window_id). With ``reuse_tolerance`` > 0 the
     previous window's numerator is kept while the best single-pair band
-    ratio moves by less than that fraction, skipping the search.
+    ratio moves by less than that fraction, skipping the search. ``plan``
+    is ``segment(trace, config)`` when the caller already has it.
     """
     config = config or PipelineConfig()
-    plan = segment(trace, config)
+    plan = plan if plan is not None else segment(trace, config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
 
@@ -377,6 +392,8 @@ def single_component_estimates(
     trace: CsiTrace,
     component: str,
     config: PipelineConfig | None = None,
+    *,
+    plan: WindowPlan | None = None,
 ) -> list[RespirationEstimate | None]:
     """Amplitude-only or phase-only rate estimates on the reference pair.
 
@@ -384,12 +401,13 @@ def single_component_estimates(
     and rate stages as the full pipeline, but the waveform is |ratio| or
     unwrapped angle(ratio) of the fixed reference pair, with no subcarrier
     search, combination, or projection. These are the estimators that
-    exhibit position blind spots.
+    exhibit position blind spots. ``plan`` is ``segment(trace, config)``
+    when the caller already has it.
     """
     if component not in ("amplitude", "phase"):
         raise ConfigurationError("component must be 'amplitude' or 'phase'")
     config = config or PipelineConfig()
-    plan = segment(trace, config)
+    plan = plan if plan is not None else segment(trace, config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
     eff_rate = plan.averaged.sample_rate_hz
@@ -480,16 +498,17 @@ def blind_spot_sweep(
             generate_ideal_csi(shifted, grid),
             dataclasses.replace(impairments, seed=impairments.seed + i),
         )
+        plan = segment(trace, config)
         estimates: dict[str, list[RespirationEstimate | None]] = {}
         try:
-            results = run_pipeline(trace, config, seed=seed + i)
+            results = run_pipeline(trace, config, seed=seed + i, plan=plan)
             estimates["full"] = [r.estimate for r in results]
         except NoWindowError:
             estimates["full"] = []
         for component in ("amplitude", "phase"):
             try:
                 estimates[component] = single_component_estimates(
-                    trace, component, config
+                    trace, component, config, plan=plan
                 )
             except NoWindowError:
                 estimates[component] = []
@@ -547,13 +566,16 @@ def snr_sweep(
                     seed=impairments.seed + 1009 * level + run,
                 ),
             )
+            plan = segment(impaired, config)
             try:
-                results = run_pipeline(impaired, config, seed=seed + run)
+                results = run_pipeline(impaired, config, seed=seed + run, plan=plan)
                 full = [r.estimate for r in results]
             except NoWindowError:
                 full = []
             try:
-                amplitude = single_component_estimates(impaired, "amplitude", config)
+                amplitude = single_component_estimates(
+                    impaired, "amplitude", config, plan=plan
+                )
             except NoWindowError:
                 amplitude = []
             for method, estimates in (("full", full), ("amplitude", amplitude)):

@@ -306,18 +306,16 @@ class SsnrEstimate:
     zero_signal: bool = False
 
 
-def band_energies(
+def band_spectrum(
     series: np.ndarray, sample_rate_hz: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """In-band and out-of-band spectral energy for each row of ``series``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum of each row of ``series`` and its respiration-band bins.
 
     Rows are mean-removed, Hann-windowed, and zero-padded to the next power
     of two at least 4x the row length. Band membership is decided by |f|:
     the respiration band is [0.167, 0.5] Hz, out-of-band is everything above
-    0.5 Hz up to Nyquist, and the DC bin is excluded from both.
-
-    Each row's energies are bit-identical to those of the row scored alone,
-    so a score does not depend on the batch it is computed in.
+    0.5 Hz up to Nyquist, and the DC bin is excluded from both. Returns the
+    (rows, nfft) spectrum and the in-band and out-of-band bin masks.
     """
     x = np.ascontiguousarray(np.atleast_2d(series))
     n = x.shape[1]
@@ -327,10 +325,22 @@ def band_energies(
     window = np.hanning(n)
     nfft = 1 << int(np.ceil(np.log2(4 * n)))
     spectrum = np.fft.fft(x * window, n=nfft, axis=1)
-    power = np.abs(spectrum) ** 2
     freq = np.abs(np.fft.fftfreq(nfft, d=1.0 / sample_rate_hz))
     in_band = (freq >= BAND_LOW_HZ) & (freq <= BAND_HIGH_HZ)
-    out_band = freq > BAND_HIGH_HZ
+    return spectrum, in_band, freq > BAND_HIGH_HZ
+
+
+def band_energies(
+    series: np.ndarray, sample_rate_hz: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """In-band and out-of-band spectral energy for each row of ``series``,
+    over the bins of ``band_spectrum``.
+
+    Each row's energies are bit-identical to those of the row scored alone,
+    so a score does not depend on the batch it is computed in.
+    """
+    spectrum, in_band, out_band = band_spectrum(series, sample_rate_hz)
+    power = np.abs(spectrum) ** 2
     # a boolean column selection comes back column-major, and summing that
     # along rows adds in a different order than the pairwise sum of one row
     return (

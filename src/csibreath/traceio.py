@@ -16,6 +16,7 @@ is read into one ``CsiTrace``; the ``k`` column is not kept.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +80,16 @@ def read_trace(path: str | Path) -> CsiTrace:
             if first_fields[:2] != ["k", "t_s"] or len(first_fields) != expected_cols:
                 raise TraceFormatError("column header does not match the grid")
             try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                with warnings.catch_warnings():
+                    # an empty body is reported below as a format error
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise TraceFormatError(f"malformed data row: {exc}") from exc
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace: {exc}") from exc
+    if data.shape[0] == 0:
+        raise TraceFormatError("trace has no data rows")
     if data.shape[1] != expected_cols:
         raise TraceFormatError(
             f"rows have {data.shape[1]} columns, expected {expected_cols}"

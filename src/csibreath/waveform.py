@@ -3,9 +3,12 @@ outlier rejection and polynomial smoothing of the resulting waveform.
 
 The projection angle is what removes the classic blind spots: wherever the
 amplitude of the ratio barely moves, its phase does (and vice versa), so some
-axis cos(theta) * Re + sin(theta) * Im always carries the motion. The angle
-is chosen by maximizing the respiration-band ratio on a 360-point grid and
-then refined with a golden-section pass around the best grid point.
+axis cos(theta) * Re + sin(theta) * Im always carries the motion. The band
+energies of that projection are quadratic forms in (cos theta, sin theta)
+over the 2x2 in-band and out-of-band Gram matrices of the spectra of Re and
+Im, so the angle with the best respiration-band ratio has a closed form: the
+2-D case of the max-SNR generalized-eigenvector beamformer (Warsitz &
+Haeb-Umbach, IEEE TASLP 2007). One 2-row FFT gives both Gram matrices.
 
 The Hampel filter takes the medians of all its full windows in two
 vectorised ``np.median`` calls. The Savitzky-Golay smoother is plain numpy
@@ -23,9 +26,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
-from .ratio import band_energies, ssnr_values
+from .ratio import LEAKAGE_FLOOR_FRACTION, band_spectrum, ssnr_values
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# how far inside the end of an open arc of leakage-floor angles a projection
+# is taken, as a fraction of the arc's half-width
+_FLOOR_ARC_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -36,63 +41,98 @@ class ProjectedWaveform:
     infinite: bool = False
 
 
-def _projections(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Real projections of a complex series at each angle, shape (A, K)."""
-    return np.outer(np.cos(angles), values.real) + np.outer(
-        np.sin(angles), values.imag
+def _harmonics(bins: np.ndarray) -> tuple[float, float, float]:
+    """(g0, g1, g2) with u' G u = g0 + g1 cos(phi) + g2 sin(phi), where G is
+    the Gram matrix of the two rows of ``bins``, u = (cos theta, sin theta)
+    and phi = 2 theta."""
+    gram = np.sum(bins[:, None, :] * bins[None, :, :].conj(), axis=2).real
+    return (
+        (gram[0, 0] + gram[1, 1]) / 2.0,
+        (gram[0, 0] - gram[1, 1]) / 2.0,
+        gram[0, 1],
     )
 
 
-def project(values: np.ndarray, sample_rate_hz: float) -> ProjectedWaveform:
-    """Pick the projection angle with the best respiration-band ratio.
+def _form(g: tuple[float, float, float], phi: float) -> float:
+    return g[0] + g[1] * math.cos(phi) + g[2] * math.sin(phi)
 
-    Ties on the coarse grid go to the smaller angle. When projections sit at
-    the leakage floor (no real out-of-band energy at any angle), the angle
-    maximizing in-band energy is returned with the infinite flag set.
+
+def _best_ratio(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
+    """phi maximizing a(phi) / b(phi), for b > 0 wherever a > 0.
+
+    The derivative's numerator a' b - a b' reduces to p sin(phi) +
+    q cos(phi) + r, so the stationary points are its two roots on the
+    circle; the one with the larger ratio is the maximum. With p = q = 0 the
+    ratio does not depend on the angle and phi = 0 is returned.
+    """
+    p = a[0] * b[1] - a[1] * b[0]
+    q = a[2] * b[0] - a[0] * b[2]
+    r = a[2] * b[1] - a[1] * b[2]
+    size = math.hypot(p, q)
+    if size == 0.0:
+        return 0.0
+    centre = math.atan2(p, q)
+    spread = math.acos(min(1.0, max(-1.0, -r / size)))
+
+    def ratio(phi: float) -> float:
+        den = _form(b, phi)
+        return _form(a, phi) / den if den > 0 else 0.0
+
+    return max((centre - spread, centre + spread), key=ratio)
+
+
+def _best_at_floor(a: tuple[float, float, float], c: tuple[float, float, float]) -> float:
+    """phi with the largest a(phi) among the angles where c(phi) < 0.
+
+    Those angles form one open arc around the minimum of c. The maximum of
+    a is returned when it lies inside the arc; otherwise the arc's end
+    nearest it, moved inside by a small fraction of the half-width.
+    """
+    size = math.hypot(c[1], c[2])
+    centre = math.atan2(-c[2], -c[1])
+    half = math.acos(max(-1.0, c[0] / size)) if size > 0 else math.pi
+    peak = math.atan2(a[2], a[1])
+    offset = math.remainder(peak - centre, 2.0 * math.pi)
+    if abs(offset) < half:
+        return peak
+    return centre + math.copysign(half * (1.0 - _FLOOR_ARC_MARGIN), offset)
+
+
+def project(values: np.ndarray, sample_rate_hz: float) -> ProjectedWaveform:
+    """Project onto the real axis with the best respiration-band ratio.
+
+    The angle lies in [0, pi): the ratio has period pi. When some
+    projections sit at the leakage floor (out-of-band energy below
+    ``LEAKAGE_FLOOR_FRACTION`` of the total, a band ratio of inf), the one
+    of them with the most in-band energy is returned. ``band_ratio`` is
+    ``ssnr_values`` of the returned series, and ``infinite`` says whether it
+    is inf.
     """
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or values.size < 4:
         raise ConfigurationError("projection expects a 1-D series of length >= 4")
-    grid = np.arange(360) * (2.0 * np.pi / 360.0)
-    projected = _projections(values, grid)
-    ratios = ssnr_values(projected, sample_rate_hz)
-
-    if np.isinf(ratios).any():
-        band, _ = band_energies(projected, sample_rate_hz)
-        band = np.where(np.isinf(ratios), band, -np.inf)
-        best = int(np.argmax(band))
-        series = projected[best]
-        return ProjectedWaveform(
-            series=series, angle_rad=float(grid[best]),
-            band_ratio=float("inf"), infinite=True,
-        )
-
-    best = int(np.argmax(ratios))  # argmax takes the first (smallest) angle on ties
-
-    def ratio_at(theta: float) -> float:
-        series = np.cos(theta) * values.real + np.sin(theta) * values.imag
-        return float(ssnr_values(series[None, :], sample_rate_hz)[0])
-
-    step = 2.0 * np.pi / 360.0
-    lo, hi = grid[best] - step, grid[best] + step
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = ratio_at(x1), ratio_at(x2)
-    for _ in range(40):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = ratio_at(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = ratio_at(x1)
-    theta = (x1 if f1 >= f2 else x2) % (2.0 * np.pi)
-    final = float(max(f1, f2))
-    if final < ratios[best]:  # refinement never beats the grid point: keep it
-        theta, final = float(grid[best]), float(ratios[best])
+    spectrum, in_band, out_band = band_spectrum(
+        np.stack([values.real, values.imag]), sample_rate_hz
+    )
+    band = _harmonics(spectrum[:, in_band])
+    out = _harmonics(spectrum[:, out_band])
+    # out-of-band energy above the floor's share of the total: negative
+    # exactly for the projections at the leakage floor
+    headroom = tuple(
+        o - LEAKAGE_FLOOR_FRACTION * (i + o) for i, o in zip(band, out)
+    )
+    if headroom[0] < math.hypot(headroom[1], headroom[2]):
+        phi = _best_at_floor(band, headroom)
+    else:
+        phi = _best_ratio(band, out)
+    theta = (phi / 2.0) % math.pi
+    if theta == math.pi:  # phi / 2 was a hair below a multiple of pi
+        theta = 0.0
     series = np.cos(theta) * values.real + np.sin(theta) * values.imag
-    return ProjectedWaveform(series=series, angle_rad=theta, band_ratio=final)
+    ratio = float(ssnr_values(series[None, :], sample_rate_hz)[0])
+    return ProjectedWaveform(
+        series=series, angle_rad=theta, band_ratio=ratio, infinite=math.isinf(ratio)
+    )
 
 
 def hampel(

@@ -143,6 +143,15 @@ def test_short_window_geometry_exits_2(tmp_path, capsys):
     assert "frame_s" in capsys.readouterr().err
 
 
+def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
+    # 7-packet blocks at 20 Hz: a 10 s window holds 28 blocks = 9.8 s
+    config = tmp_path / "blocks.yaml"
+    config.write_text(_BASE.replace("  n_numerators: 2", "  n_numerators: 2\n  phase_block: 7"))
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "under the 10 s minimum" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only oracle; a fresh process must not pay its import
     probe = (
@@ -193,3 +202,20 @@ def test_runs_are_reproducible(base_config, tmp_path):
         ) == 0
     assert (out1 / "estimates.jsonl").read_bytes() == (out2 / "estimates.jsonl").read_bytes()
     assert (out1 / "windows.csv").read_bytes() == (out2 / "windows.csv").read_bytes()
+
+
+def test_run_is_byte_identical_across_runs_and_blas_threads(base_config, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for run, threads in enumerate(("1", "1", "2")):
+        out = tmp_path / f"run{run}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-m", "csibreath.cli", "run", "--config", str(base_config),
+             "--seed", "2", "--out", str(out)],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        outputs.append([(out / name).read_bytes() for name in ("estimates.jsonl", "windows.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][0].count(b"\n") == 3

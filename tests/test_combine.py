@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csibreath.combine import (
     INFINITE_WEIGHT_CAP,
@@ -11,7 +13,8 @@ from csibreath.combine import (
     stream_gain,
 )
 from csibreath.errors import AlignmentError, ConfigurationError
-from csibreath.ratio import CscrStream, ssnr
+from csibreath.gass import Genome, GassSolution, build_streams
+from csibreath.ratio import CscrStream, guard_table, ssnr, ssnr_values
 
 
 def _stream(values, fs=10.0, denominator=0):
@@ -246,3 +249,181 @@ def test_combining_beats_single_streams(rng):
         combined = combine(aligned, smoothing_window=3, mu=0.3)
         gains.append(ssnr(combined.smoothed, 10.0).value / np.mean(singles))
     assert np.mean(gains) > 2.0
+
+
+# ----------------------------------------------------------------------------
+# The stream stack equals the per-stream loop
+# ----------------------------------------------------------------------------
+# A copy of the per-stream fan-out, alignment and summation that the stack
+# replaced, kept as the oracle: the stack must give the same bits.
+
+
+def _loop_gain(q, gain_window):
+    if q.size < gain_window:
+        return float(np.abs(q.mean()))
+    csum = np.cumsum(np.concatenate([[0.0 + 0.0j], q]))
+    means = (csum[gain_window:] - csum[:-gain_window]) / gain_window
+    return float(np.max(np.abs(means)))
+
+
+def _loop_build(genome, matrix, include_numerators=False):
+    used = {int(m) for m, w in zip(genome.numerator_indices, genome.weights) if w != 0}
+    guards = guard_table(matrix)
+    numerator = genome.weights @ matrix[genome.numerator_indices]
+    streams = []
+    for m in range(matrix.shape[0]):
+        if (not include_numerators and m in used) or guards.rejected[m]:
+            continue
+        values, bad = guards.ratio(numerator, matrix[m], m)
+        streams.append((m, values, bad))
+    return streams
+
+
+def _loop_align(streams, fs, gain_window, normalization):
+    """(denominator, offset_removed, gain, normalized, beta, rotation) per kept stream."""
+    betas = ssnr_values(np.array([values for _, values in streams]), fs)
+    aligned = []
+    for (m, values), beta in zip(streams, betas):
+        q = values - values.mean()
+        g = _loop_gain(q, gain_window)
+        if g == 0.0:
+            continue
+        normalized = q / g if normalization == "divide" else q * g
+        aligned.append([m, q, g, normalized, float(beta), 0.0])
+    reference = max(range(len(aligned)), key=lambda i: aligned[i][4])
+    kept = []
+    for i, a in enumerate(aligned):
+        if i != reference:
+            inner = np.sum(aligned[reference][3] * np.conj(a[3]))
+            if inner == 0:
+                continue
+            a[5] = float(np.angle(inner))
+        kept.append(a)
+    return kept
+
+
+def _loop_combine(kept, mu):
+    capped = np.minimum(np.array([a[4] for a in kept]), INFINITE_WEIGHT_CAP)
+    survivors = capped >= mu * capped.max()
+    total = np.zeros_like(kept[0][3])
+    weights = []
+    for a, keep, weight in zip(kept, survivors, capped):
+        weights.append(float(weight) if keep else 0.0)
+        if keep:
+            total = total + weights[-1] * a[3] * np.exp(1j * a[5])
+    return total, weights, int(survivors.sum())
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _check_stack_equals_loop(streams, expected, gain_window, normalization, mu):
+    aligned = align_streams(streams, gain_window, normalization)
+    loop = _loop_align(expected, streams[0].sample_rate_hz, gain_window, normalization)
+    assert [a.stream.denominator for a in aligned] == [a[0] for a in loop]
+    for a, (_, q, g, normalized, beta, rotation) in zip(aligned, loop):
+        assert _same_bits(a.offset_removed, q)
+        assert _same_bits(a.gain, g) and isinstance(a.gain, float)
+        assert _same_bits(a.normalized, normalized)
+        assert _same_bits(a.band_ratio, beta)
+        assert _same_bits(a.rotation, rotation) and isinstance(a.rotation, float)
+    combined = combine(aligned, smoothing_window=3, mu=mu)
+    total, weights, contributing = _loop_combine(loop, mu)
+    assert _same_bits(combined.values, total)
+    assert [a.final_weight for a in aligned] == weights
+    assert combined.contributing == contributing
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sub=st.integers(4, 12),
+    n_samples=st.integers(40, 160),
+    n_numerators=st.integers(1, 3),
+    flagged_rows=st.integers(0, 3),
+    constant_stream=st.booleans(),
+    gain_window=st.integers(1, 200),
+    normalization=st.sampled_from(["divide", "multiply"]),
+    mu=st.floats(0.0, 1.0),
+)
+def test_stream_stack_equals_per_stream_loop(
+    seed, n_sub, n_samples, n_numerators, flagged_rows, constant_stream,
+    gain_window, normalization, mu,
+):
+    local = np.random.default_rng(seed)
+    matrix = local.normal(size=(n_sub, n_samples)) + 1j * local.normal(size=(n_sub, n_samples))
+    matrix += 3.0 * _breath(n_samples)
+    numerators = local.choice(n_sub - 1, size=n_numerators, replace=False)
+    denominator = n_sub - 1
+    weights = local.uniform(0.2, 1.0, n_numerators) * np.exp(1j * local.uniform(0, 6, n_numerators))
+    weights[local.random(n_numerators) < 0.2] = 0.0   # unused numerator slots
+    if constant_stream:
+        # numerator exactly 0.5 + 0.25j over a denominator of exactly 1:
+        # a constant ratio whose stream has zero gain
+        weights[:] = 0.0
+        weights[0] = 1.0
+        matrix[numerators[0]] = 0.5 + 0.25j
+        matrix[denominator] = 1.0
+    for row in local.choice(n_sub, size=min(flagged_rows, n_sub), replace=False):
+        # a few samples under the guard (interpolated) or most of them (rejected)
+        share = local.choice([0.05, 0.5])
+        matrix[row, local.random(n_samples) < share] = 0.0
+    genome = Genome(weights, numerators, denominator)
+    solution = GassSolution(genome, 1.0, 0, np.ones(1))
+    streams = build_streams(solution, matrix, 10.0)
+    expected = _loop_build(genome, matrix)
+    assert [s.denominator for s in streams] == [m for m, _, _ in expected]
+    for s, (_, values, bad) in zip(streams, expected):
+        assert _same_bits(s.values, values)
+        assert _same_bits(s.interpolated, bad)
+    if not streams:
+        return
+    if not np.any(weights):  # a zero numerator makes every stream constant
+        with pytest.raises(ConfigurationError, match="degenerate"):
+            align_streams(streams, gain_window, normalization)
+        return
+    _check_stack_equals_loop(
+        streams, [(s.denominator, s.values) for s in streams], gain_window, normalization, mu
+    )
+
+
+def test_stream_stack_drops_constant_and_unalignable_like_the_loop(rng, caplog):
+    # integer-valued, zero-mean streams on disjoint halves: the normalized
+    # reference and the second stream have an inner product of exactly zero
+    n = 256
+    reference = np.zeros(n)
+    reference[: n // 2] = np.round(1000 * np.sin(2 * np.pi * 0.25 * np.arange(n // 2) / 10.0))
+    reference[n // 2 - 1] -= reference.sum()
+    orthogonal = np.zeros(n)
+    orthogonal[n // 2 :] = rng.integers(-50, 50, n // 2)
+    orthogonal[-1] -= orthogonal.sum()
+    values = [
+        reference + 0j,
+        np.full(n, 2.0 + 1.0j),                 # constant: zero gain
+        orthogonal + 0j,                        # unalignable
+        _breath(n) + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+    ]
+    streams = [_stream(v, denominator=d) for d, v in enumerate(values)]
+    with caplog.at_level("WARNING", logger="csibreath.combine"):
+        _check_stack_equals_loop(streams, list(enumerate(values)), 5, "divide", 0.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropping constant stream (denominator 1)",
+        "dropping unalignable stream (denominator 2)",
+    ]
+
+
+def test_primitives_take_stream_stacks(rng):
+    stack = rng.normal(size=(5, 40)) + 1j * rng.normal(size=(5, 40))
+    q = remove_offset(stack)
+    gains = stream_gain(q, 7)
+    short = stream_gain(q, 50)
+    rotations = align_rotation(q[0], q)
+    for i in range(5):
+        assert _same_bits(q[i], remove_offset(stack[i]))
+        assert gains[i] == stream_gain(q[i], 7)
+        assert short[i] == stream_gain(q[i], 50)
+        assert rotations[i] == align_rotation(q[0], q[i])
+    with pytest.raises(AlignmentError):
+        align_rotation(q[0], np.vstack([q[1], np.zeros(40)]))

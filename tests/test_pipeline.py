@@ -79,7 +79,9 @@ def test_segment_rejects_event_frame(grid):
 
 @pytest.mark.parametrize("k1", [5, 7])
 def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
-    plan = segment(impaired_trace, dataclasses.replace(_FAST, phase_block=k1))
+    # 11 s windows: 10 s of packets hold only 9.94 s of whole 7-packet blocks
+    config = dataclasses.replace(_FAST, phase_block=k1, window_s=11.0)
+    plan = segment(impaired_trace, config)
     assert plan.block_size == k1
     window_samples = plan.window_frames * plan.frame_samples
     shifts = []
@@ -129,6 +131,22 @@ def test_segment_rejects_frames_shorter_than_a_packet(breathing_trace):
     config = dataclasses.replace(_FAST, frame_s=0.001, window_s=10.0)
     with pytest.raises(ConfigurationError, match="one packet"):
         segment(breathing_trace, config)
+
+
+@pytest.mark.parametrize(
+    "fs, fields",
+    [
+        (50.0, {"phase_block": 7}),                     # 71 blocks of 7 = 9.94 s
+        (10.0, {"frame_s": 0.65, "window_s": 10.4}),    # 16 frames of 6 = 9.6 s
+    ],
+)
+def test_segment_rejects_windows_short_of_whole_blocks(grid, fs, fields):
+    trace = generate_ideal_csi(_quick_scenario(duration_s=15.0, fs=fs), grid)
+    config = dataclasses.replace(_FAST, **fields)  # passes the check in seconds
+    with pytest.raises(ConfigurationError, match="under the 10 s minimum"):
+        segment(trace, config)
+    with pytest.raises(ConfigurationError, match="under the 10 s minimum"):
+        run_pipeline(trace, config)
 
 
 def test_segment_threshold_can_reject_everything(breathing_trace):
@@ -266,6 +284,40 @@ def test_snr_sweep_structure(grid):
     assert set(report.summary) == {"full", "amplitude"}
     assert len(report.summary["full"]) == 1
     assert report.meta == {"truth_bpm": 15.0, "levels": 1, "runs_per_level": 1}
+
+
+def test_sweeps_segment_each_trace_once(grid, monkeypatch):
+    import csibreath.pipeline as pipeline
+
+    calls = []
+
+    def counted(trace, block_size):
+        calls.append(block_size)
+        return average_phase_blocks(trace, block_size)
+
+    monkeypatch.setattr(pipeline, "average_phase_blocks", counted)
+    blind_spot_sweep(
+        _quick_scenario(), ImpairmentConfig(gaussian_noise_std=0.01, seed=3), grid,
+        offsets_m=np.array([0.0, 0.03]), config=_FAST,
+    )
+    assert len(calls) == 2
+    snr_sweep(
+        _quick_scenario(), ImpairmentConfig(seed=1), grid,
+        noise_stds=np.array([0.02]), config=_FAST, runs_per_level=2,
+    )
+    assert len(calls) == 4
+
+
+def test_shared_plan_gives_the_same_results(impaired_trace):
+    plan = segment(impaired_trace, _FAST)
+    shared = run_pipeline(impaired_trace, _FAST, 3, plan=plan)
+    alone = run_pipeline(impaired_trace, _FAST, 3)
+    assert [r.estimate.f_bpm for r in shared] == [r.estimate.f_bpm for r in alone]
+    assert [r.stage_band_ratios for r in shared] == [r.stage_band_ratios for r in alone]
+    for component in ("amplitude", "phase"):
+        a = single_component_estimates(impaired_trace, component, _FAST, plan=plan)
+        b = single_component_estimates(impaired_trace, component, _FAST)
+        assert [e and e.f_bpm for e in a] == [e and e.f_bpm for e in b]
 
 
 def test_sweep_requires_sinusoid_truth(grid):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,13 @@ def test_no_data_rows(tmp_path):
     _write_lines(path, [_valid_header()])
     with pytest.raises(TraceFormatError, match="no data"):
         read_trace(path)
+
+
+@pytest.mark.parametrize("body", [[], [""]])
+def test_column_line_without_data_rows(tmp_path, body):
+    path = tmp_path / "t.csv"
+    _write_lines(path, [_valid_header(), "k,t_s,re000,im000", *body])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceFormatError, match="trace has no data rows"):
+            read_trace(path)

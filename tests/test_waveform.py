@@ -79,6 +79,67 @@ def test_project_orthogonal_axis_scores_worse():
     assert ssnr(orthogonal, FS).value < result.band_ratio
 
 
+def _projections(values, angles):
+    return np.outer(np.cos(angles), values.real) + np.outer(np.sin(angles), values.imag)
+
+
+_FINE = np.arange(3600) * (np.pi / 3600)   # one axis every 0.05 degrees
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=st.floats(0.0, 2 * np.pi),
+    noise=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**16),
+    n=st.integers(100, 256),
+)
+def test_project_matches_fine_angle_grid(alpha, noise, seed, n):
+    from csibreath.ratio import ssnr_values
+
+    values = _modulated(alpha, n=n, noise=noise, seed=seed)
+    result = project(values, FS)
+    ratios = ssnr_values(_projections(values, _FINE), FS)
+    best = ratios.max()
+    assert 0.0 <= result.angle_rad < np.pi
+    assert _angle_gap(result.angle_rad, _FINE[np.argmax(ratios)]) <= np.pi / 3600
+    assert result.band_ratio >= best - 1e-12 * best
+    assert result.band_ratio == ssnr_values(result.series[None, :], FS)[0]
+    assert not result.infinite
+    expected = np.cos(result.angle_rad) * values.real + np.sin(result.angle_rad) * values.imag
+    np.testing.assert_array_equal(result.series, expected)
+
+
+def test_project_real_input_keeps_the_real_axis():
+    from csibreath.ratio import ssnr_values
+
+    values = _modulated(0.0, noise=0.1, seed=4).real + 0j
+    result = project(values, FS)
+    assert result.angle_rad == 0.0
+    np.testing.assert_array_equal(result.series, values.real)
+    best = ssnr_values(_projections(values, _FINE), FS).max()
+    assert result.band_ratio >= best - 1e-12 * best
+
+
+def test_project_leakage_floor_arc_takes_most_in_band_energy():
+    from csibreath.ratio import band_energies, ssnr_values
+
+    # a clean tone on Re sits at the leakage floor; loud broadband noise on
+    # Im has more in-band energy, so only a narrow arc of axes near Re is at
+    # the floor and its best axis is the arc's end towards Im
+    noise = 3.0 * np.random.default_rng(5).normal(size=300)
+    values = _modulated(0.0).real + 1j * noise
+    result = project(values, FS)
+    assert result.infinite and np.isinf(result.band_ratio)
+    assert 0.0 < _angle_gap(result.angle_rad, 0.0) < np.radians(0.1)
+    grid = np.concatenate([_FINE, [result.angle_rad]])
+    projections = _projections(values, grid)
+    at_floor = np.isinf(ssnr_values(projections, FS))
+    band, _ = band_energies(projections, FS)
+    assert at_floor[-1] and at_floor[:-1].any()
+    assert band[-1] >= band[:-1][at_floor[:-1]].max()
+    np.testing.assert_array_equal(result.series, projections[-1])
+
+
 def test_project_input_validation():
     with pytest.raises(ConfigurationError):
         project(np.ones((2, 10), dtype=complex), FS)
