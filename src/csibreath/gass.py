@@ -11,8 +11,9 @@ than the seeded single-pair candidates.
 objective. The search holds its population as arrays - weights (P, N),
 numerator indices (P, N) and denominators (P,) - and runs tournament
 selection, uniform crossover and mutation as whole-population array
-operations. Each generation is scored in one batch by ``PopulationScorer``,
-whose scores equal ``fitness`` bit for bit.
+operations. Each generation's children are scored in one batch by
+``PopulationScorer``, whose scores equal ``fitness`` bit for bit and do not
+depend on the batch, so the elites carry their scores over.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, StreamGuardError
-from .ratio import CscrStream, guard_table, guarded_ratio, ssnr_values
+from .ratio import CscrStream, GuardTable, guard_table, guarded_ratio, ssnr_values
 
 
 _COUNTS = (
@@ -146,15 +147,19 @@ class PopulationScorer:
 
     Each score equals ``fitness(genome, matrix, sample_rate_hz)`` bit for
     bit. All numerators come from one gather-matmul, and each denominator's
-    guard status from a table built once per scorer; only rows with flagged
-    but tolerated samples take the interpolating path. Invalid genomes raise
-    the same ConfigurationError as ``fitness``.
+    guard status from one table, ``guard_table(matrix)`` unless the caller
+    passes it as ``guards``; only rows with flagged but tolerated samples
+    take the interpolating path. Invalid genomes raise the same
+    ConfigurationError as ``fitness``.
     """
 
-    def __init__(self, matrix: np.ndarray, sample_rate_hz: float):
+    def __init__(
+        self, matrix: np.ndarray, sample_rate_hz: float, guards: GuardTable | None = None
+    ):
         self.matrix = matrix
         self.sample_rate_hz = sample_rate_hz
-        self.guards = guard_table(matrix)
+        self.guards = guards if guards is not None else guard_table(matrix)
+        self.any_flagged = self.guards.flagged.any(axis=1)
 
     def __call__(self, population: list[Genome]) -> np.ndarray:
         if not population:
@@ -190,18 +195,25 @@ class PopulationScorer:
         if invalid.any():
             bad = _genome_at((weights, indices, denominators), int(np.argmax(invalid)))
             _check_genome(bad, n_sub)
-        scores = np.zeros(denominators.size)
         live = np.any(weights, axis=1) & ~self.guards.rejected[denominators]
-        if not live.any():
-            return scores
-        den = denominators[live]
-        numerators = (weights[live][:, None, :] @ self.matrix[indices[live]])[:, 0, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = (numerators / self.matrix[den]).astype(complex, copy=False)
-        for j in np.flatnonzero(self.guards.flagged[den].any(axis=1)):
-            values[j], _ = self.guards.ratio(numerators[j], self.matrix[den[j]], den[j])
-        scores[live] = ssnr_values(values, self.sample_rate_hz)
+        if live.size and live.all():  # no gathers needed
+            return self._score_live(weights, indices, denominators)
+        scores = np.zeros(denominators.size)
+        if live.any():
+            scores[live] = self._score_live(weights[live], indices[live], denominators[live])
         return scores
+
+    def _score_live(
+        self, weights: np.ndarray, indices: np.ndarray, denominators: np.ndarray
+    ) -> np.ndarray:
+        """Scores of valid genomes with some weight over kept denominators."""
+        numerators = (weights[:, None, :] @ self.matrix[indices])[:, 0, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = (numerators / self.matrix[denominators]).astype(complex, copy=False)
+        for j in np.flatnonzero(self.any_flagged[denominators]):
+            d = denominators[j]
+            values[j], _ = self.guards.ratio(numerators[j], self.matrix[d], d)
+        return ssnr_values(values, self.sample_rate_hz)
 
 
 def rank_seed_pairs(
@@ -209,12 +221,15 @@ def rank_seed_pairs(
     sample_rate_hz: float,
     params: GaParams,
     rng: np.random.Generator,
+    *,
+    guards: GuardTable | None = None,
 ) -> list[tuple[int, int, float]]:
     """Rank a random pool of (numerator, denominator) pairs by band ratio.
 
     Returns (numerator, denominator, band ratio) triples, best first. The
     best entry doubles as the window's single-pair quality estimate, which
     the pipeline uses to decide whether a previous solution is still good.
+    ``guards`` is ``guard_table(matrix)`` when the caller already has it.
     """
     n_sub = matrix.shape[0]
     n_pairs = n_sub * (n_sub - 1)
@@ -223,7 +238,7 @@ def rank_seed_pairs(
     m1 = codes // (n_sub - 1)
     m2 = _draw_index(codes % (n_sub - 1), m1)
     # each pair is the genome (weights [1], numerators [m1], denominator m2)
-    scores = PopulationScorer(matrix, sample_rate_hz).score(
+    scores = PopulationScorer(matrix, sample_rate_hz, guards).score(
         np.ones((codes.size, 1), dtype=complex), m1[:, None], m2
     )
     order = np.lexsort((m2, m1, -scores))
@@ -259,6 +274,11 @@ def _initial_population(
     return weights, indices, denominators
 
 
+def _elites(fits: np.ndarray, params: GaParams) -> np.ndarray:
+    """Rows of the ``params.elites`` best genomes, best first, ties by row."""
+    return np.argsort(-fits, kind="stable")[: params.elites]
+
+
 def _next_generation(
     population: Population, fits: np.ndarray, n_sub: int, params: GaParams,
     rng: np.random.Generator,
@@ -267,7 +287,7 @@ def _next_generation(
     weights, indices, denominators = population
     size, n = weights.shape
     n_child = size - params.elites
-    elites = np.argsort(-fits, kind="stable")[: params.elites]
+    elites = _elites(fits, params)
     # two tournaments per child: row 0 picks parent a, row 1 parent b
     contenders = rng.integers(0, size, (2, n_child, params.tournament))
     winner = np.argmax(fits[contenders], axis=2)[..., None]
@@ -304,6 +324,8 @@ def optimize(
     params: GaParams | None = None,
     seed: int | np.random.Generator = 0,
     ranked_pairs: list[tuple[int, int, float]] | None = None,
+    *,
+    guards: GuardTable | None = None,
 ) -> GassSolution:
     """Search for the best weighted ratio on one analysis window.
 
@@ -311,7 +333,10 @@ def optimize(
     top-ranked single-pair genomes from a random candidate pool, so the
     result can only improve on the best plain two-subcarrier ratio found
     there. A caller that already ranked the pool (``rank_seed_pairs``) can
-    pass it in through ``ranked_pairs``.
+    pass it in through ``ranked_pairs``, and one that already built
+    ``guard_table(matrix)`` through ``guards``. The elites of a generation
+    keep the scores they were bred with: a genome scores the same bits in
+    any batch.
     """
     params = params or GaParams()
     n_sub = matrix.shape[0]
@@ -320,12 +345,12 @@ def optimize(
     if n_numerators < 1:
         raise ConfigurationError("n_numerators must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    scorer = PopulationScorer(matrix, sample_rate_hz)
+    scorer = PopulationScorer(matrix, sample_rate_hz, guards)
 
     ranked = (
         ranked_pairs
         if ranked_pairs is not None
-        else rank_seed_pairs(matrix, sample_rate_hz, params, rng)
+        else rank_seed_pairs(matrix, sample_rate_hz, params, rng, guards=scorer.guards)
     )
     seeds = ranked[: params.seed_top]
     population = _initial_population(seeds, n_numerators, n_sub, params, rng)
@@ -337,8 +362,10 @@ def optimize(
     stagnant = 0
 
     for generation in range(1, params.generations + 1):
+        carried = fits[_elites(fits, params)]
         population = _next_generation(population, fits, n_sub, params, rng)
-        fits = scorer.score(*population)
+        children = scorer.score(*(part[params.elites :] for part in population))
+        fits = np.concatenate([carried, children])
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > best_fit:
             best_genome = _genome_at(population, gen_best)
@@ -367,6 +394,8 @@ def build_streams(
     sample_rate_hz: float,
     include_numerators: bool = False,
     guard_rel: float = 1e-9,
+    *,
+    guards: GuardTable | None = None,
 ) -> list[CscrStream]:
     """Fan the solved numerator out over every remaining denominator.
 
@@ -375,13 +404,15 @@ def build_streams(
     slots do not count as used). Streams whose denominator fails the guard
     are skipped. The numerator is divided by all kept denominator rows at
     once; only rows with flagged samples take the interpolating path.
+    ``guards`` is ``guard_table(matrix, guard_rel)`` when the caller already
+    has it.
     """
     genome = solution.genome
     numerator_spec = tuple(
         (complex(w), int(m))
         for w, m in zip(genome.weights, genome.numerator_indices)
     )
-    guards = guard_table(matrix, guard_rel)
+    guards = guards if guards is not None else guard_table(matrix, guard_rel)
     keep = ~guards.rejected
     if not include_numerators:
         keep[genome.numerator_indices[genome.weights != 0]] = False

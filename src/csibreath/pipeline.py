@@ -36,7 +36,7 @@ from .errors import (
 from .gass import GaParams, GassSolution, optimize
 from .grid import SubcarrierGrid
 from .rate import MIN_WINDOW_S, RespirationEstimate, estimate_rate
-from .ratio import average_phase_blocks, guarded_ratio, ssnr_values
+from .ratio import GuardTable, average_phase_blocks, guard_table, guarded_ratio, ssnr_values
 from .simulate import (
     ChannelScenario,
     CsiTrace,
@@ -145,7 +145,9 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     The metric is the in-frame peak-to-peak of the unwrapped, block-averaged
     ratio phase (block averaging keeps packet-boundary jitter from tripping
     the gate). Frames above the threshold are rejected; windows require
-    ``window_s`` consecutive accepted frames and slide by one frame.
+    ``window_s`` consecutive accepted frames and slide by one frame. Raises
+    ConfigurationError when a window's whole blocks, or what block smoothing
+    leaves of them, hold less than the rate readout's 10 s minimum.
     """
     config = config or PipelineConfig()
     frame_samples = int(round(config.frame_s * trace.sample_rate_hz))
@@ -160,12 +162,16 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     # passed PipelineConfig in seconds can still come up short here
     window_blocks = window_frames * frame_samples // k1
     block_rate = trace.sample_rate_hz / k1
-    if window_blocks < MIN_WINDOW_S * block_rate:
-        raise ConfigurationError(
-            f"windows of {window_blocks} blocks at {block_rate:g} Hz hold "
-            f"{window_blocks / block_rate:g} s, under the {MIN_WINDOW_S:g} s minimum "
-            f"for rate estimation (frame_s is {frame_samples} packets, "
-            f"phase_block {k1})"
+    _check_window_length(
+        window_blocks, block_rate, "blocks",
+        f"frame_s is {frame_samples} packets, phase_block {k1}",
+    )
+    if config.smoothing_mode == "block":
+        # block smoothing decimates the window before the rate readout
+        smoothing = _smoothing_window(config, block_rate)
+        _check_window_length(
+            window_blocks // smoothing, block_rate / smoothing, "smoothed samples",
+            f"smoothing_mode block averages {smoothing} blocks",
         )
     averaged = average_phase_blocks(trace, k1)
     ratio_values, _ = guarded_ratio(averaged.values[pair[0]], averaged.values[pair[1]])
@@ -197,6 +203,20 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     )
 
 
+def _check_window_length(samples: int, rate: float, unit: str, detail: str) -> None:
+    """Raise unless ``samples`` at ``rate`` pass ``estimate_rate``'s minimum,
+    with the comparison it makes."""
+    if samples < MIN_WINDOW_S * rate:
+        raise ConfigurationError(
+            f"windows of {samples} {unit} at {rate:g} Hz hold {samples / rate:g} s, "
+            f"under the {MIN_WINDOW_S:g} s minimum for rate estimation ({detail})"
+        )
+
+
+def _smoothing_window(config: PipelineConfig, rate: float) -> int:
+    return max(1, int(config.smoothing_s * rate))
+
+
 @dataclass
 class WindowResult:
     """Estimate plus everything needed to reproduce it."""
@@ -217,15 +237,18 @@ def _run_stages(
     eff_rate: float,
     config: PipelineConfig,
     window_id: int,
+    guards: GuardTable | None = None,
 ) -> tuple[RespirationEstimate, dict[str, float]]:
     """Stream fan-out through rate estimation for one window, given its
-    block-averaged CSI matrix (at ``eff_rate``) and a solved numerator.
-    Shared by the live pipeline and provenance replay."""
+    block-averaged CSI matrix (at ``eff_rate``), a solved numerator and, if
+    the caller has it, the matrix's ``guard_table``. Shared by the live
+    pipeline and provenance replay."""
     streams = gass_mod.build_streams(
         solution,
         averaged,
         eff_rate,
         include_numerators=config.include_numerators,
+        guards=guards,
     )
     aligned = align_streams(
         streams,
@@ -234,7 +257,7 @@ def _run_stages(
     )
     combined = combine(
         aligned,
-        smoothing_window=max(1, int(config.smoothing_s * eff_rate)),
+        smoothing_window=_smoothing_window(config, eff_rate),
         mu=config.mu,
         smoothing_mode=config.smoothing_mode,
     )
@@ -284,7 +307,9 @@ def run_pipeline(
     own generator from (seed, window_id). With ``reuse_tolerance`` > 0 the
     previous window's numerator is kept while the best single-pair band
     ratio moves by less than that fraction, skipping the search. ``plan``
-    is ``segment(trace, config)`` when the caller already has it.
+    is ``segment(trace, config)`` when the caller already has it. Each
+    window builds one ``guard_table`` for its pair ranking, search and
+    stream fan-out.
     """
     config = config or PipelineConfig()
     plan = plan if plan is not None else segment(trace, config)
@@ -300,7 +325,8 @@ def run_pipeline(
 
         rng = np.random.default_rng([seed, window_id])
         try:
-            ranked = gass_mod.rank_seed_pairs(matrix, eff_rate, config.ga, rng)
+            guards = guard_table(matrix)
+            ranked = gass_mod.rank_seed_pairs(matrix, eff_rate, config.ga, rng, guards=guards)
             best_pair = ranked[0][2] if ranked else 0.0
             reused = False
             if previous is not None and config.reuse_tolerance > 0:
@@ -319,10 +345,11 @@ def run_pipeline(
                     params=config.ga,
                     seed=rng,
                     ranked_pairs=ranked,
+                    guards=guards,
                 )
             previous = (solution, best_pair)
             estimate, stage_ratios = _run_stages(
-                matrix, solution, eff_rate, config, window_id
+                matrix, solution, eff_rate, config, window_id, guards
             )
             results.append(
                 WindowResult(

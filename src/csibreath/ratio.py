@@ -9,10 +9,17 @@ complex plane that still carries the respiration motion.
 
 Ratios are formed from the rows of a ``CsiTrace`` matrix, usually after
 ``average_phase_blocks`` has averaged the packets of a trace in blocks.
+
+The quality metric is the band ratio: spectral energy in the respiration
+band over the energy above it. One zero-padded FFT per row gives the bins up
+to the band's top edge (51 of 512 for 100 samples at 10 Hz), and Parseval's
+theorem gives the energy above them from the time-domain energy of the
+windowed row, so the bins above the band are never summed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -306,28 +313,44 @@ class SsnrEstimate:
     zero_signal: bool = False
 
 
+@functools.lru_cache(maxsize=32)
+def _band_bins(n: int, sample_rate_hz: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """nfft, the Hann window, the bins with |f| <= ``BAND_HIGH_HZ`` in
+    ascending order, and which of those bins lie in the respiration band."""
+    nfft = 1 << int(np.ceil(np.log2(4 * n)))
+    freq = np.abs(np.fft.fftfreq(nfft, d=1.0 / sample_rate_hz))
+    low = np.flatnonzero(freq <= BAND_HIGH_HZ)
+    in_band = freq[low] >= BAND_LOW_HZ
+    window = np.hanning(n)
+    for array in (window, low, in_band):
+        array.setflags(write=False)
+    return nfft, window, low, in_band
+
+
 def band_spectrum(
     series: np.ndarray, sample_rate_hz: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectrum of each row of ``series`` and its respiration-band bins.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Windowed rows of ``series`` and their spectrum up to the band's top.
 
-    Rows are mean-removed, Hann-windowed, and zero-padded to the next power
-    of two at least 4x the row length. Band membership is decided by |f|:
-    the respiration band is [0.167, 0.5] Hz, out-of-band is everything above
-    0.5 Hz up to Nyquist, and the DC bin is excluded from both. Returns the
-    (rows, nfft) spectrum and the in-band and out-of-band bin masks.
+    Rows are mean-removed, Hann-windowed, and zero-padded to ``nfft``, the
+    next power of two at least 4x the row length. Band membership is decided
+    by |f|: the respiration band is [0.167, 0.5] Hz, out-of-band is
+    everything above 0.5 Hz up to Nyquist, and the DC bin is excluded from
+    both. Only the low bins (|f| <= 0.5 Hz) of the FFT are kept; by Parseval
+    the energy above them is ``nfft`` times the windowed rows' energy minus
+    the low bins' energy. Returns the (rows, n) windowed rows, their
+    (rows, low bins) spectrum, the in-band mask over the low bins, and nfft.
     """
     x = np.ascontiguousarray(np.atleast_2d(series))
     n = x.shape[1]
     if n < 2:
         raise ConfigurationError("series too short for a spectrum")
-    x = x - x.mean(axis=1, keepdims=True)
-    window = np.hanning(n)
-    nfft = 1 << int(np.ceil(np.log2(4 * n)))
-    spectrum = np.fft.fft(x * window, n=nfft, axis=1)
-    freq = np.abs(np.fft.fftfreq(nfft, d=1.0 / sample_rate_hz))
-    in_band = (freq >= BAND_LOW_HZ) & (freq <= BAND_HIGH_HZ)
-    return spectrum, in_band, freq > BAND_HIGH_HZ
+    nfft, window, low, in_band = _band_bins(n, float(sample_rate_hz))
+    windowed = (x - x.mean(axis=1, keepdims=True)) * window
+    spectrum = np.fft.fft(windowed, n=nfft, axis=1)
+    # a column gather comes back column-major, and summing that along rows
+    # adds in a different order than the pairwise sum of one row
+    return windowed, np.ascontiguousarray(spectrum[:, low]), in_band, nfft
 
 
 def band_energies(
@@ -336,16 +359,17 @@ def band_energies(
     """In-band and out-of-band spectral energy for each row of ``series``,
     over the bins of ``band_spectrum``.
 
-    Each row's energies are bit-identical to those of the row scored alone,
-    so a score does not depend on the batch it is computed in.
+    The out-of-band energy is the total (Parseval, in the time domain) minus
+    the low bins, floored at 0 against rounding. Each row's energies are
+    bit-identical to those of the row scored alone, so a score does not
+    depend on the batch it is computed in.
     """
-    spectrum, in_band, out_band = band_spectrum(series, sample_rate_hz)
-    power = np.abs(spectrum) ** 2
-    # a boolean column selection comes back column-major, and summing that
-    # along rows adds in a different order than the pairwise sum of one row
+    windowed, low, in_band, nfft = band_spectrum(series, sample_rate_hz)
+    power = np.abs(low) ** 2
+    total = nfft * (np.abs(windowed) ** 2).sum(axis=1)
     return (
-        np.ascontiguousarray(power[:, in_band]).sum(axis=1),
-        np.ascontiguousarray(power[:, out_band]).sum(axis=1),
+        np.ascontiguousarray(power[:, in_band]).sum(axis=1),  # as in band_spectrum
+        np.maximum(total - power.sum(axis=1), 0.0),
     )
 
 
@@ -364,7 +388,7 @@ def ssnr(
     if series.size < 2 * sample_rate_hz:
         raise ConfigurationError("series must cover at least 2 seconds")
     band, out = band_energies(series, sample_rate_hz)
-    value = float(ssnr_values(series[None, :], sample_rate_hz, leakage_floor)[0])
+    value = float(_band_ratios(band, out, leakage_floor)[0])
     band_e, out_e = float(band[0]), float(out[0])
     return SsnrEstimate(
         value, band_e, out_e, infinite=math.isinf(value), zero_signal=band_e + out_e == 0.0
@@ -378,9 +402,12 @@ def ssnr_values(
 ) -> np.ndarray:
     """Vectorized band ratios for each row; inf at the leakage floor, 0 for
     all-zero rows."""
-    band, out = band_energies(series, sample_rate_hz)
+    return _band_ratios(*band_energies(series, sample_rate_hz), leakage_floor)
+
+
+def _band_ratios(band: np.ndarray, out: np.ndarray, leakage_floor: float) -> np.ndarray:
     total = band + out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(out > 0, band / np.where(out > 0, out, 1.0), np.inf)
-    values = np.where(out < leakage_floor * total, np.inf, values)
-    return np.where(total == 0.0, 0.0, values)
+    values = np.divide(band, out, out=np.full_like(band, np.inf), where=out > 0)
+    values[out < leakage_floor * total] = np.inf
+    values[total == 0.0] = 0.0
+    return values

@@ -8,7 +8,10 @@ energies of that projection are quadratic forms in (cos theta, sin theta)
 over the 2x2 in-band and out-of-band Gram matrices of the spectra of Re and
 Im, so the angle with the best respiration-band ratio has a closed form: the
 2-D case of the max-SNR generalized-eigenvector beamformer (Warsitz &
-Haeb-Umbach, IEEE TASLP 2007). One 2-row FFT gives both Gram matrices.
+Haeb-Umbach, IEEE TASLP 2007). One 2-row FFT gives both Gram matrices: the
+in-band one from its band bins, the out-of-band one by Parseval as the
+time-domain Gram minus that of the bins up to the band's top, the same band
+split ``ratio.band_energies`` makes.
 
 The Hampel filter takes the medians of all its full windows in two
 vectorised ``np.median`` calls. The Savitzky-Golay smoother is plain numpy
@@ -41,11 +44,14 @@ class ProjectedWaveform:
     infinite: bool = False
 
 
-def _harmonics(bins: np.ndarray) -> tuple[float, float, float]:
-    """(g0, g1, g2) with u' G u = g0 + g1 cos(phi) + g2 sin(phi), where G is
-    the Gram matrix of the two rows of ``bins``, u = (cos theta, sin theta)
-    and phi = 2 theta."""
-    gram = np.sum(bins[:, None, :] * bins[None, :, :].conj(), axis=2).real
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """Real part of the Gram matrix of the two rows of ``rows``."""
+    return np.sum(rows[:, None, :] * rows[None, :, :].conj(), axis=2).real
+
+
+def _harmonics(gram: np.ndarray) -> tuple[float, float, float]:
+    """(g0, g1, g2) with u' G u = g0 + g1 cos(phi) + g2 sin(phi), for the
+    2x2 Gram matrix G, u = (cos theta, sin theta) and phi = 2 theta."""
     return (
         (gram[0, 0] + gram[1, 1]) / 2.0,
         (gram[0, 0] - gram[1, 1]) / 2.0,
@@ -111,11 +117,12 @@ def project(values: np.ndarray, sample_rate_hz: float) -> ProjectedWaveform:
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or values.size < 4:
         raise ConfigurationError("projection expects a 1-D series of length >= 4")
-    spectrum, in_band, out_band = band_spectrum(
+    windowed, low, in_band, nfft = band_spectrum(
         np.stack([values.real, values.imag]), sample_rate_hz
     )
-    band = _harmonics(spectrum[:, in_band])
-    out = _harmonics(spectrum[:, out_band])
+    band = _harmonics(_gram(low[:, in_band]))
+    # above the band: the whole spectrum's Gram (Parseval) minus the low bins'
+    out = _harmonics(nfft * _gram(windowed) - _gram(low))
     # out-of-band energy above the floor's share of the total: negative
     # exactly for the projections at the leakage floor
     headroom = tuple(

@@ -152,6 +152,18 @@ def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
     assert "under the 10 s minimum" in capsys.readouterr().err
 
 
+def test_block_smoothing_short_of_the_minimum_exits_2(tmp_path, capsys):
+    # 20 Hz in blocks of 2 is 10 Hz; block smoothing over 3 blocks leaves a
+    # 10 s window 33 samples at 3.33 Hz = 9.9 s
+    config = tmp_path / "smoothing.yaml"
+    config.write_text(
+        _BASE.replace("  n_numerators: 2", "  n_numerators: 2\n  smoothing_mode: block")
+    )
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "smoothing_mode block" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only oracle; a fresh process must not pay its import
     probe = (

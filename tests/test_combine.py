@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csibreath.combine import (
@@ -337,6 +337,10 @@ def _check_stack_equals_loop(streams, expected, gain_window, normalization, mu):
 
 
 @settings(max_examples=40, deadline=None)
+@example(  # the guard rejects every denominator but the constant stream's
+    seed=353, n_sub=4, n_samples=141, n_numerators=3, flagged_rows=2,
+    constant_stream=True, gain_window=1, normalization="divide", mu=0.0,
+)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_sub=st.integers(4, 12),
@@ -380,7 +384,9 @@ def test_stream_stack_equals_per_stream_loop(
         assert _same_bits(s.interpolated, bad)
     if not streams:
         return
-    if not np.any(weights):  # a zero numerator makes every stream constant
+    # a zero numerator makes every stream constant, and so does a constant
+    # stream that is the only one the guard lets through
+    if all(np.ptp(s.values) == 0 for s in streams):
         with pytest.raises(ConfigurationError, match="degenerate"):
             align_streams(streams, gain_window, normalization)
         return

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from csibreath.errors import ConfigurationError
 from csibreath.gass import (
     GaParams,
+    GassSolution,
     Genome,
     PopulationScorer,
+    _initial_population,
     _next_generation,
     build_streams,
     combined_ratio,
@@ -23,7 +25,7 @@ from csibreath.gass import (
     rank_seed_pairs,
 )
 from csibreath.grid import custom_grid
-from csibreath.ratio import average_phase_blocks
+from csibreath.ratio import average_phase_blocks, guard_table
 from csibreath.simulate import (
     ChannelScenario,
     ImpairmentConfig,
@@ -281,6 +283,45 @@ def test_optimize_is_thread_invariant(impaired_trace, tmp_path):
     assert len(outputs[0].split()) == 2
 
 
+def _rescoring_search(matrix, n_numerators, fs, params, seed):
+    """The search loop with every genome of every generation scored afresh."""
+    rng = np.random.default_rng(seed)
+    scorer = PopulationScorer(matrix, fs)
+    seeds = rank_seed_pairs(matrix, fs, params, rng)[: params.seed_top]
+    n_sub = matrix.shape[0]
+    population = _initial_population(seeds, n_numerators, n_sub, params, rng)
+    fits = scorer.score(*population)
+    best = int(np.argmax(fits))
+    genome = Genome(population[0][best], population[1][best], int(population[2][best]))
+    history, stagnant = [fits[best]], 0
+    for _ in range(params.generations):
+        population = _next_generation(population, fits, n_sub, params, rng)
+        fits = scorer.score(*population)
+        best = int(np.argmax(fits))
+        if fits[best] > history[-1]:
+            genome = Genome(population[0][best], population[1][best], int(population[2][best]))
+            stagnant = 0
+        else:
+            stagnant += 1
+        history.append(max(history[-1], fits[best]))
+        if stagnant >= params.stagnation_limit:
+            break
+    return genome, np.array(history)
+
+
+@pytest.mark.parametrize("elites", [0, 1, 3])
+def test_carried_elite_scores_match_rescoring_every_genome(impaired_trace, elites):
+    matrix = average_phase_blocks(impaired_trace, 5).values
+    params = GaParams(population=12, generations=12, stagnation_limit=5,
+                      seed_pool=30, seed_top=4, elites=elites)
+    for seed in range(3):
+        solution = optimize(matrix, 3, 10.0, params=params, seed=seed)
+        genome, history = _rescoring_search(matrix, 3, 10.0, params, seed)
+        assert solution.genome.key() == genome.key()
+        assert solution.history.tobytes() == history.tobytes()
+        assert fitness(solution.genome, matrix, 10.0) == solution.fitness
+
+
 def test_toy_grid_search_matches_exhaustive():
     # with one numerator the objective ignores weight scale and phase, so
     # brute force over ordered pairs is the true optimum
@@ -455,3 +496,26 @@ def test_build_streams_values_match_direct_ratio():
             stream.denominator,
         )
         np.testing.assert_allclose(stream.values, expected, rtol=1e-14)
+
+
+def test_shared_guard_table_gives_the_same_outputs(impaired_trace, small_ga):
+    matrix = average_phase_blocks(impaired_trace, 5).values.copy()
+    matrix[3, ::25] = 0.0   # a few flagged samples: interpolated
+    matrix[7, ::2] = 0.0    # half of them flagged: rejected
+    guards = guard_table(matrix)
+    assert guards.rejected[7] and not guards.rejected[3] and guards.flagged[3].any()
+    shared = rank_seed_pairs(matrix, 10.0, small_ga, np.random.default_rng(4), guards=guards)
+    assert shared == rank_seed_pairs(matrix, 10.0, small_ga, np.random.default_rng(4))
+    a = optimize(matrix, 3, 10.0, params=small_ga, seed=4, guards=guards)
+    b = optimize(matrix, 3, 10.0, params=small_ga, seed=4)
+    assert a.genome.key() == b.genome.key()
+    assert a.history.tobytes() == b.history.tobytes()
+    genome = Genome(np.array([1.0 + 0j, 0.5j, 0.0]), np.array([3, 1, 2]), 0)
+    solution = GassSolution(genome, 1.0, 0, np.ones(1))
+    with_table = build_streams(solution, matrix, 10.0, guards=guards)
+    without = build_streams(solution, matrix, 10.0)
+    assert [s.denominator for s in with_table] == [s.denominator for s in without]
+    assert 7 not in [s.denominator for s in with_table]
+    for x, y in zip(with_table, without):
+        assert x.values.tobytes() == y.values.tobytes()
+        assert x.interpolated.tobytes() == y.interpolated.tobytes()

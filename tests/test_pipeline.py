@@ -16,7 +16,7 @@ from csibreath.pipeline import (
     single_component_estimates,
     snr_sweep,
 )
-from csibreath.ratio import average_phase_blocks
+from csibreath.ratio import average_phase_blocks, guard_table
 from csibreath.simulate import (
     ChannelScenario,
     ImpairmentConfig,
@@ -147,6 +147,19 @@ def test_segment_rejects_windows_short_of_whole_blocks(grid, fs, fields):
         segment(trace, config)
     with pytest.raises(ConfigurationError, match="under the 10 s minimum"):
         run_pipeline(trace, config)
+
+
+def test_segment_rejects_block_smoothing_short_of_the_minimum(grid):
+    # 20 Hz in blocks of 2: a 10 s window is 100 blocks at 10 Hz, and block
+    # smoothing over int(0.33 * 10) = 3 blocks leaves 33 samples at 3.33 Hz
+    trace = generate_ideal_csi(_quick_scenario(), grid)
+    config = dataclasses.replace(_FAST, smoothing_mode="block")
+    for call in (segment, run_pipeline):
+        with pytest.raises(ConfigurationError, match="33 smoothed samples.*under the 10 s"):
+            call(trace, config)
+    # blocks of 5 leave 20 samples at 2 Hz, exactly 10 s
+    results = run_pipeline(trace, dataclasses.replace(config, smoothing_s=0.5))
+    assert results and all(r.reason is None for r in results)
 
 
 def test_segment_threshold_can_reject_everything(breathing_trace):
@@ -318,6 +331,25 @@ def test_shared_plan_gives_the_same_results(impaired_trace):
         a = single_component_estimates(impaired_trace, component, _FAST, plan=plan)
         b = single_component_estimates(impaired_trace, component, _FAST)
         assert [e and e.f_bpm for e in a] == [e and e.f_bpm for e in b]
+
+
+def test_each_window_builds_one_guard_table(impaired_trace, monkeypatch):
+    import csibreath.gass as gass
+    import csibreath.pipeline as pipeline
+
+    built = []
+
+    def counted(matrix, *args):
+        built.append(matrix.shape)
+        return guard_table(matrix, *args)
+
+    monkeypatch.setattr(pipeline, "guard_table", counted)
+    monkeypatch.setattr(gass, "guard_table", counted)
+    results = run_pipeline(impaired_trace, _FAST, 3)
+    assert len(built) == len(results) > 0
+    monkeypatch.undo()
+    alone = run_pipeline(impaired_trace, _FAST, 3)
+    assert [r.estimate.f_bpm for r in results] == [r.estimate.f_bpm for r in alone]
 
 
 def test_sweep_requires_sinusoid_truth(grid):

@@ -423,3 +423,73 @@ def test_ssnr_values_agrees_with_scalar(rng):
     # a row scores the same bits in a batch as alone
     alone = np.array([ssnr_values(row[None, :], fs)[0] for row in rows])
     assert batch.tobytes() == alone.tobytes()
+
+
+def _full_spectrum_band_energies(rows, fs):
+    """The band split over every bin of the FFT, selected by boolean masks,
+    and the energy over all bins."""
+    x = np.atleast_2d(rows)
+    x = x - x.mean(axis=1, keepdims=True)
+    n = x.shape[1]
+    nfft = 1 << int(np.ceil(np.log2(4 * n)))
+    power = np.abs(np.fft.fft(x * np.hanning(n), n=nfft, axis=1)) ** 2
+    freq = np.abs(np.fft.fftfreq(nfft, d=1.0 / fs))
+    return (
+        power[:, (freq >= 0.167) & (freq <= 0.5)].sum(axis=1),
+        power[:, freq > 0.5].sum(axis=1),
+        power.sum(axis=1),
+    )
+
+
+@st.composite
+def _band_rows(draw):
+    """Rows of one batch: noise, in-band tones at or near the leakage floor,
+    out-of-band tones, zeros and constants; real or complex."""
+    n = draw(st.integers(20, 300))
+    fs = draw(st.sampled_from([2.5, 5.0, 7.3, 10.0, 20.0, 50.0]))
+    is_complex = draw(st.booleans())
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n) / fs
+    kinds = draw(st.lists(
+        st.sampled_from(["noise", "tone", "near-floor", "high-tone", "zero", "constant"]),
+        min_size=1, max_size=6,
+    ))
+    rows = []
+    for kind in kinds:
+        noise = local.normal(size=n) + (1j * local.normal(size=n) if is_complex else 0)
+        f = local.uniform(0.2, 0.45) if kind != "high-tone" else local.uniform(0.6, fs / 2)
+        tone = np.exp(2j * np.pi * f * t) if is_complex else np.cos(2 * np.pi * f * t)
+        tone = tone * local.uniform(0.1, 1e3)
+        rows.append({
+            "noise": noise,
+            "tone": tone,
+            "near-floor": tone + 10.0 ** local.uniform(-6, -2) * np.abs(tone).max() * noise,
+            "high-tone": tone,
+            "zero": 0 * noise,
+            "constant": np.full(n, local.normal() + (1j * local.normal() if is_complex else 0)),
+        }[kind])
+    return np.array(rows), fs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_band_rows())
+def test_band_energies_match_full_spectrum_reference(case):
+    rows, fs = case
+    band, out = band_energies(rows, fs)
+    ref_band, ref_out, energy = _full_spectrum_band_energies(rows, fs)
+    assert np.all(band >= 0) and np.all(out >= 0)
+    # rounding scales with the energy over all bins, DC and below the band too
+    assert np.all(np.abs(band - ref_band) <= 1e-12 * energy)
+    assert np.all(np.abs(out - ref_out) <= 1e-12 * energy)
+    # inf and 0 classification of the ratio, away from a rounding-thin band
+    # around the leakage floor itself
+    values = ssnr_values(rows, fs)
+    total = ref_band + ref_out
+    floor = 1e-6 * total
+    clear = np.abs(ref_out - floor) > 1e-9 * energy
+    ref_inf = (ref_out < floor) & (total > 0)
+    assert np.array_equal(np.isinf(values)[clear], ref_inf[clear])
+    assert np.array_equal(values == 0, ref_band == 0)
+    # each row scores the same bits alone as in the batch
+    alone = np.concatenate([ssnr_values(row[None, :], fs) for row in rows])
+    assert values.tobytes() == alone.tobytes()
