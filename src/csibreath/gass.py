@@ -196,8 +196,6 @@ class PopulationScorer:
             bad = _genome_at((weights, indices, denominators), int(np.argmax(invalid)))
             _check_genome(bad, n_sub)
         live = np.any(weights, axis=1) & ~self.guards.rejected[denominators]
-        if live.size and live.all():  # no gathers needed
-            return self._score_live(weights, indices, denominators)
         scores = np.zeros(denominators.size)
         if live.any():
             scores[live] = self._score_live(weights[live], indices[live], denominators[live])
@@ -405,14 +403,20 @@ def build_streams(
     are skipped. The numerator is divided by all kept denominator rows at
     once; only rows with flagged samples take the interpolating path.
     ``guards`` is ``guard_table(matrix, guard_rel)`` when the caller already
-    has it.
+    has it; a table built with another ``guard_rel`` raises
+    ConfigurationError.
     """
     genome = solution.genome
     numerator_spec = tuple(
         (complex(w), int(m))
         for w, m in zip(genome.weights, genome.numerator_indices)
     )
-    guards = guards if guards is not None else guard_table(matrix, guard_rel)
+    if guards is None:
+        guards = guard_table(matrix, guard_rel)
+    elif guards.guard_rel != guard_rel:
+        raise ConfigurationError(
+            f"guards were built with guard_rel {guards.guard_rel:g}, not {guard_rel:g}"
+        )
     keep = ~guards.rejected
     if not include_numerators:
         keep[genome.numerator_indices[genome.weights != 0]] = False

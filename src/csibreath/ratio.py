@@ -79,6 +79,7 @@ class GuardTable:
 
     flagged: np.ndarray    # bool, (rows, samples)
     rejected: np.ndarray   # bool, one per row
+    guard_rel: float
     max_flagged: float
 
     def ratio(
@@ -120,7 +121,7 @@ def guard_table(
     mag = np.abs(np.atleast_2d(matrix))
     flagged = mag <= guard_rel * np.median(mag, axis=1, keepdims=True)
     rejected = flagged.all(axis=1) | (flagged.mean(axis=1) > max_flagged)
-    return GuardTable(flagged, rejected, max_flagged)
+    return GuardTable(flagged, rejected, guard_rel, max_flagged)
 
 
 def guarded_ratio(
@@ -360,9 +361,12 @@ def band_energies(
     over the bins of ``band_spectrum``.
 
     The out-of-band energy is the total (Parseval, in the time domain) minus
-    the low bins, floored at 0 against rounding. Each row's energies are
-    bit-identical to those of the row scored alone, so a score does not
-    depend on the batch it is computed in.
+    the low bins, floored at 0 against rounding. Its rounding error
+    therefore scales with the row's total windowed energy, not with the
+    out-of-band energy itself: a few ulps of the total, which is a large
+    share of a tiny out-of-band energy on a row the low bins dominate. Each
+    row's energies are bit-identical to those of the row scored alone, so a
+    score does not depend on the batch it is computed in.
     """
     windowed, low, in_band, nfft = band_spectrum(series, sample_rate_hz)
     power = np.abs(low) ** 2
@@ -371,6 +375,26 @@ def band_energies(
         np.ascontiguousarray(power[:, in_band]).sum(axis=1),  # as in band_spectrum
         np.maximum(total - power.sum(axis=1), 0.0),
     )
+
+
+def band_grams(
+    series: np.ndarray, sample_rate_hz: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """In-band and out-of-band Gram matrices of the spectra of the rows of
+    ``series``, over the bins of ``band_spectrum``.
+
+    Entry (i, j) is the real part of sum X_i conj(X_j) over the band's bins;
+    the diagonal holds the energies ``band_energies`` reports, up to
+    rounding and its floor at 0. The out-of-band Gram is the whole spectrum's (Parseval: nfft
+    times the windowed rows' Gram) minus that of the low bins.
+    """
+    windowed, low, in_band, nfft = band_spectrum(series, sample_rate_hz)
+    return _gram(low[:, in_band]), nfft * _gram(windowed) - _gram(low)
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """Real part of the Gram matrix of the rows of ``rows``."""
+    return np.sum(rows[:, None, :] * rows[None, :, :].conj(), axis=2).real
 
 
 def ssnr(

@@ -8,10 +8,9 @@ energies of that projection are quadratic forms in (cos theta, sin theta)
 over the 2x2 in-band and out-of-band Gram matrices of the spectra of Re and
 Im, so the angle with the best respiration-band ratio has a closed form: the
 2-D case of the max-SNR generalized-eigenvector beamformer (Warsitz &
-Haeb-Umbach, IEEE TASLP 2007). One 2-row FFT gives both Gram matrices: the
-in-band one from its band bins, the out-of-band one by Parseval as the
-time-domain Gram minus that of the bins up to the band's top, the same band
-split ``ratio.band_energies`` makes.
+Haeb-Umbach, IEEE TASLP 2007). ``ratio.band_grams`` gives both Gram
+matrices from one 2-row FFT, with the band split ``ratio.band_energies``
+makes.
 
 The Hampel filter takes the medians of all its full windows in two
 vectorised ``np.median`` calls. The Savitzky-Golay smoother is plain numpy
@@ -29,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
-from .ratio import LEAKAGE_FLOOR_FRACTION, band_spectrum, ssnr_values
+from .ratio import LEAKAGE_FLOOR_FRACTION, band_grams, ssnr_values
 
 # how far inside the end of an open arc of leakage-floor angles a projection
 # is taken, as a fraction of the arc's half-width
@@ -42,11 +41,6 @@ class ProjectedWaveform:
     angle_rad: float
     band_ratio: float
     infinite: bool = False
-
-
-def _gram(rows: np.ndarray) -> np.ndarray:
-    """Real part of the Gram matrix of the two rows of ``rows``."""
-    return np.sum(rows[:, None, :] * rows[None, :, :].conj(), axis=2).real
 
 
 def _harmonics(gram: np.ndarray) -> tuple[float, float, float]:
@@ -117,12 +111,8 @@ def project(values: np.ndarray, sample_rate_hz: float) -> ProjectedWaveform:
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or values.size < 4:
         raise ConfigurationError("projection expects a 1-D series of length >= 4")
-    windowed, low, in_band, nfft = band_spectrum(
-        np.stack([values.real, values.imag]), sample_rate_hz
-    )
-    band = _harmonics(_gram(low[:, in_band]))
-    # above the band: the whole spectrum's Gram (Parseval) minus the low bins'
-    out = _harmonics(nfft * _gram(windowed) - _gram(low))
+    band_gram, out_gram = band_grams(np.stack([values.real, values.imag]), sample_rate_hz)
+    band, out = _harmonics(band_gram), _harmonics(out_gram)
     # out-of-band energy above the floor's share of the total: negative
     # exactly for the projections at the leakage floor
     headroom = tuple(

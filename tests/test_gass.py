@@ -519,3 +519,7 @@ def test_shared_guard_table_gives_the_same_outputs(impaired_trace, small_ga):
     for x, y in zip(with_table, without):
         assert x.values.tobytes() == y.values.tobytes()
         assert x.interpolated.tobytes() == y.interpolated.tobytes()
+    # a table built with another guard threshold is refused, not ignored
+    with pytest.raises(ConfigurationError, match="guard_rel"):
+        build_streams(solution, matrix, 10.0, guard_rel=1e-6, guards=guards)
+    assert build_streams(solution, matrix, 10.0, guard_rel=1e-6, guards=guard_table(matrix, 1e-6))
