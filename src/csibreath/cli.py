@@ -203,9 +203,13 @@ def _cmd_sweep_blindspot(config: dict, seed: int, out: Path) -> int:
     if unknown:
         raise ConfigurationError(f"unknown sweep keys: {sorted(unknown)}")
     if "offsets_m" in sweep:
-        offsets = np.asarray(sweep["offsets_m"], dtype=float)
+        offsets = sweep["offsets_m"]
     else:
-        positions = int(sweep.get("positions", 32))
+        positions = sweep.get("positions", 32)
+        if isinstance(positions, bool) or not isinstance(positions, int) or positions < 1:
+            raise ConfigurationError(
+                f"sweep.positions must be an integer >= 1, got {positions!r}"
+            )
         span = float(sweep.get("span_wavelengths", 1.0))
         wavelength = float(np.mean(grid.wavelength_m))
         offsets = np.arange(positions) * (span * wavelength / positions)
@@ -229,10 +233,10 @@ def _cmd_sweep_snr(config: dict, seed: int, out: Path) -> int:
         scenario,
         impairments,
         grid,
-        np.asarray(sweep["noise_stds"], dtype=float),
+        sweep["noise_stds"],
         pipeline_from_config(config),
         seed=seed,
-        runs_per_level=int(sweep.get("runs_per_level", 1)),
+        runs_per_level=sweep.get("runs_per_level", 1),
     )
     _write_report(report, out, "snr")
     print("full-pipeline detection rates:", report.summary["full"])

@@ -12,13 +12,23 @@ alike; the sweeps segment each trace once and hand the plan to both the
 pipeline and the baselines. Each window runs the full stack and yields an
 estimate with provenance; a stage failure yields a reason-coded empty
 result instead of aborting.
+
+The evaluation sweeps run their conditions (positions, or noise level and
+run) in a process pool of one worker per CPU in the process's affinity
+mask, and put the results back in condition order, so their reports do not
+depend on the CPU count; with one usable CPU (``taskset -c 0``) they run
+in-process, one condition after another. Windows within a run share the
+solution-reuse chain and always run in order, in one process.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -499,6 +509,43 @@ def _scenario_truth_bpm(scenario: ChannelScenario) -> float:
     return 60.0 * scenario.motion.rate_hz
 
 
+def _map_conditions(fn, *iterables) -> list:
+    """``list(map(fn, *iterables))``, over a process pool of one worker per
+    CPU in this process's affinity mask (at most one per condition) when
+    that is more than one.
+
+    Results come back in condition order, and the first failing condition
+    raises its own exception, as in the serial loop. ``fn`` and its
+    arguments are pickled, so they must be importable by name.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(len(iterables[0]), cpus)
+    if workers <= 1:
+        return list(map(fn, *iterables))
+    # futures loads its process module (and multiprocessing) on first use
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *iterables))
+
+
+def _conditions(values, name: str, minimum: float = -math.inf) -> np.ndarray:
+    """A sweep's condition values as a non-empty 1-D float array of finite
+    numbers, none below ``minimum``."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be a list of numbers: {exc}") from exc
+    if array.ndim != 1 or array.size == 0:
+        raise ConfigurationError(f"{name} must be a non-empty list of numbers, got {values!r}")
+    if not (np.isfinite(array) & (array >= minimum)).all():
+        raise ConfigurationError(
+            f"{name} must be finite and >= {minimum:g}, got {array.tolist()!r}"
+        )
+    return array
+
+
 def blind_spot_sweep(
     scenario: ChannelScenario,
     impairments: ImpairmentConfig,
@@ -512,56 +559,81 @@ def blind_spot_sweep(
     For each offset the base dynamic path length is shifted, fresh
     impairments are drawn, and the full pipeline plus both single-component
     baselines are scored: detected means the median window estimate is
-    within 1 bpm of the scenario's rate.
+    within 1 bpm of the scenario's rate. Positions are independent and run
+    on every CPU in the process's affinity mask (``_map_conditions``); the
+    rows come back in offset order, so the report does not depend on the
+    CPU count. ``offsets_m`` must be a non-empty list of finite numbers.
     """
     config = config or PipelineConfig()
     truth = _scenario_truth_bpm(scenario)
-    rows: list[dict] = []
-    for i, offset in enumerate(np.asarray(offsets_m, dtype=float)):
-        shifted = dataclasses.replace(
-            scenario, base_dynamic_length_m=scenario.base_dynamic_length_m + offset
-        )
-        trace = apply_impairments(
-            generate_ideal_csi(shifted, grid),
-            dataclasses.replace(impairments, seed=impairments.seed + i),
-        )
-        plan = segment(trace, config)
-        estimates: dict[str, list[RespirationEstimate | None]] = {}
-        try:
-            results = run_pipeline(trace, config, seed=seed + i, plan=plan)
-            estimates["full"] = [r.estimate for r in results]
-        except NoWindowError:
-            estimates["full"] = []
-        for component in ("amplitude", "phase"):
-            try:
-                estimates[component] = single_component_estimates(
-                    trace, component, config, plan=plan
-                )
-            except NoWindowError:
-                estimates[component] = []
-        for method in ("full", "amplitude", "phase"):
-            median, detected = _median_detection(estimates[method], truth)
-            rows.append(
-                {
-                    "offset_m": float(offset),
-                    "method": method,
-                    "windows": len(estimates[method]),
-                    "median_bpm": median,
-                    "truth_bpm": truth,
-                    "detected": detected,
-                }
-            )
+    offsets = _conditions(offsets_m, "offsets_m")
+    n = offsets.size
+    position = functools.partial(
+        _blind_spot_position, scenario=scenario, impairments=impairments, grid=grid,
+        config=config, seed=seed, truth=truth,
+    )
+    per_position = _map_conditions(position, range(n), offsets)
+    rows = [row for rows in per_position for row in rows]
     summary = {
         f"{method}_detectability_pct": 100.0
         * np.mean([r["detected"] for r in rows if r["method"] == method])
         for method in ("full", "amplitude", "phase")
     }
     meta = {
-        "positions": len(offsets_m),
+        "positions": n,
         "truth_bpm": truth,
         "base_dynamic_length_m": scenario.base_dynamic_length_m,
     }
     return EvaluationReport(rows=tuple(rows), summary=summary, meta=meta)
+
+
+def _blind_spot_position(
+    i: int,
+    offset: float,
+    scenario: ChannelScenario,
+    impairments: ImpairmentConfig,
+    grid: SubcarrierGrid,
+    config: PipelineConfig,
+    seed: int,
+    truth: float,
+) -> list[dict]:
+    """The three rows (full, amplitude, phase) of ``blind_spot_sweep``'s
+    ``i``-th position, ``offset`` metres along the dynamic path."""
+    shifted = dataclasses.replace(
+        scenario, base_dynamic_length_m=scenario.base_dynamic_length_m + offset
+    )
+    trace = apply_impairments(
+        generate_ideal_csi(shifted, grid),
+        dataclasses.replace(impairments, seed=impairments.seed + i),
+    )
+    plan = segment(trace, config)
+    estimates: dict[str, list[RespirationEstimate | None]] = {}
+    try:
+        results = run_pipeline(trace, config, seed=seed + i, plan=plan)
+        estimates["full"] = [r.estimate for r in results]
+    except NoWindowError:
+        estimates["full"] = []
+    for component in ("amplitude", "phase"):
+        try:
+            estimates[component] = single_component_estimates(
+                trace, component, config, plan=plan
+            )
+        except NoWindowError:
+            estimates[component] = []
+    rows = []
+    for method in ("full", "amplitude", "phase"):
+        median, detected = _median_detection(estimates[method], truth)
+        rows.append(
+            {
+                "offset_m": float(offset),
+                "method": method,
+                "windows": len(estimates[method]),
+                "median_bpm": median,
+                "truth_bpm": truth,
+                "detected": detected,
+            }
+        )
+    return rows
 
 
 def snr_sweep(
@@ -577,44 +649,36 @@ def snr_sweep(
 
     Compares the full pipeline against the amplitude-only baseline at each
     noise standard deviation; detection is a per-window |error| < 1 bpm.
+    Each (level, run) pair is one condition, run like ``blind_spot_sweep``'s
+    positions, and a level's counts are summed in run order. ``noise_stds``
+    must be a non-empty list of finite numbers >= 0, and ``runs_per_level``
+    an integer >= 1.
     """
     config = config or PipelineConfig()
     truth = _scenario_truth_bpm(scenario)
+    levels = _conditions(noise_stds, "noise_stds", 0.0)
+    if (
+        isinstance(runs_per_level, bool)
+        or not isinstance(runs_per_level, (int, np.integer))
+        or runs_per_level < 1
+    ):
+        raise ConfigurationError(
+            f"runs_per_level must be an integer >= 1, got {runs_per_level!r}"
+        )
     clean = generate_ideal_csi(scenario, grid)
+    snr_run = functools.partial(
+        _snr_run, clean=clean, impairments=impairments, config=config, seed=seed,
+        truth=truth,
+    )
+    level_of = [level for level in range(levels.size) for _ in range(runs_per_level)]
+    run_of = list(range(runs_per_level)) * levels.size
+    per_run = _map_conditions(snr_run, levels[level_of], level_of, run_of)
     rows: list[dict] = []
-    for level, noise_std in enumerate(np.asarray(noise_stds, dtype=float)):
-        counts = {"full": [0, 0], "amplitude": [0, 0]}  # detected, total
-        for run in range(runs_per_level):
-            impaired = apply_impairments(
-                clean,
-                dataclasses.replace(
-                    impairments,
-                    gaussian_noise_std=float(noise_std),
-                    seed=impairments.seed + 1009 * level + run,
-                ),
-            )
-            plan = segment(impaired, config)
-            try:
-                results = run_pipeline(impaired, config, seed=seed + run, plan=plan)
-                full = [r.estimate for r in results]
-            except NoWindowError:
-                full = []
-            try:
-                amplitude = single_component_estimates(
-                    impaired, "amplitude", config, plan=plan
-                )
-            except NoWindowError:
-                amplitude = []
-            for method, estimates in (("full", full), ("amplitude", amplitude)):
-                for e in estimates:
-                    counts[method][1] += 1
-                    if (
-                        e is not None
-                        and e.f_bpm is not None
-                        and abs(e.f_bpm - truth) < DETECTION_TOLERANCE_BPM
-                    ):
-                        counts[method][0] += 1
-        for method, (detected, total) in counts.items():
+    for level, noise_std in enumerate(levels):
+        runs = per_run[level * runs_per_level : (level + 1) * runs_per_level]
+        for method in ("full", "amplitude"):
+            detected = sum(counts[method][0] for counts in runs)
+            total = sum(counts[method][1] for counts in runs)
             rows.append(
                 {
                     "noise_std": float(noise_std),
@@ -630,5 +694,47 @@ def snr_sweep(
         )
         for method in ("full", "amplitude")
     }
-    meta = {"truth_bpm": truth, "levels": len(noise_stds), "runs_per_level": runs_per_level}
+    meta = {"truth_bpm": truth, "levels": levels.size, "runs_per_level": runs_per_level}
     return EvaluationReport(rows=tuple(rows), summary=summary, meta=meta)
+
+
+def _snr_run(
+    noise_std: float,
+    level: int,
+    run: int,
+    clean: CsiTrace,
+    impairments: ImpairmentConfig,
+    config: PipelineConfig,
+    seed: int,
+    truth: float,
+) -> dict[str, tuple[int, int]]:
+    """(detected, total) windows per method for run ``run`` of
+    ``snr_sweep``'s noise level ``level``."""
+    impaired = apply_impairments(
+        clean,
+        dataclasses.replace(
+            impairments,
+            gaussian_noise_std=float(noise_std),
+            seed=impairments.seed + 1009 * level + run,
+        ),
+    )
+    plan = segment(impaired, config)
+    try:
+        results = run_pipeline(impaired, config, seed=seed + run, plan=plan)
+        full = [r.estimate for r in results]
+    except NoWindowError:
+        full = []
+    try:
+        amplitude = single_component_estimates(impaired, "amplitude", config, plan=plan)
+    except NoWindowError:
+        amplitude = []
+    counts = {}
+    for method, estimates in (("full", full), ("amplitude", amplitude)):
+        detected = sum(
+            e is not None
+            and e.f_bpm is not None
+            and abs(e.f_bpm - truth) < DETECTION_TOLERANCE_BPM
+            for e in estimates
+        )
+        counts[method] = (detected, len(estimates))
+    return counts

@@ -162,6 +162,9 @@ def cscr(
     )
 
 
+_AVERAGE_ROWS = 32  # rows block-averaged at a time
+
+
 def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
     """Average unwrapped phase (and magnitude) over blocks of ``block_size``.
 
@@ -179,14 +182,18 @@ def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
     if n_blocks == 0:
         raise ConfigurationError("fewer packets than one block")
     h = trace.values[:, : n_blocks * block_size]
-    phase = np.unwrap(np.angle(h), axis=1)
-    mag = np.abs(h)
-    shape = (h.shape[0], n_blocks, block_size)
-    mean_phase = phase.reshape(shape).mean(axis=2)
-    mean_mag = mag.reshape(shape).mean(axis=2)
+    averaged = np.empty((h.shape[0], n_blocks), dtype=complex)
+    # rows unwrap and average independently, so a few at a time give the
+    # same bits with temporaries of a few rows instead of the whole matrix
+    for first in range(0, h.shape[0], _AVERAGE_ROWS):
+        rows = h[first : first + _AVERAGE_ROWS]
+        shape = (rows.shape[0], n_blocks, block_size)
+        mean_phase = np.unwrap(np.angle(rows), axis=1).reshape(shape).mean(axis=2)
+        mean_mag = np.abs(rows).reshape(shape).mean(axis=2)
+        averaged[first : first + _AVERAGE_ROWS] = mean_mag * np.exp(1j * mean_phase)
     block_times = trace.times_s[: n_blocks * block_size].reshape(n_blocks, block_size)
     return CsiTrace(
-        mean_mag * np.exp(1j * mean_phase),
+        averaged,
         block_times.mean(axis=1),
         trace.sample_rate_hz / block_size,
         trace.grid,

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,21 @@ def small_ga():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def set_cpus():
+    """Set the CPUs this process may use, ``set_cpus(n)`` for its first
+    ``n``, restored after the test. Skips where the platform has no
+    affinity call or fewer CPUs than the test needs."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no sched_setaffinity on this platform")
+    before = os.sched_getaffinity(0)
+
+    def set_first(n: int) -> None:
+        if len(before) < n:
+            pytest.skip(f"needs {n} CPUs, this process may use {len(before)}")
+        os.sched_setaffinity(0, sorted(before)[:n])
+
+    yield set_first
+    os.sched_setaffinity(0, before)

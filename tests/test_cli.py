@@ -102,6 +102,53 @@ def test_sweep_snr_requires_noise_levels(base_config, tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, sweep",
+    [
+        ("sweep-blindspot", "{positions: 0}"),
+        ("sweep-blindspot", "{positions: -3}"),
+        ("sweep-blindspot", "{positions: 2.7}"),
+        ("sweep-blindspot", "{positions: true}"),
+        ("sweep-blindspot", "{offsets_m: []}"),
+        ("sweep-blindspot", "{offsets_m: [0.0, .nan]}"),
+        ("sweep-blindspot", "{offsets_m: [near]}"),
+        ("sweep-snr", "{noise_stds: []}"),
+        ("sweep-snr", "{noise_stds: [0.02, .inf]}"),
+        ("sweep-snr", "{noise_stds: [-0.1]}"),
+        ("sweep-snr", "{noise_stds: [0.02], runs_per_level: 0}"),
+        ("sweep-snr", "{noise_stds: [0.02], runs_per_level: 1.5}"),
+    ],
+)
+def test_empty_or_invalid_sweep_sizes_exit_2(tmp_path, capsys, command, sweep):
+    config = tmp_path / "sweep.yaml"
+    config.write_text(_BASE + f"sweep: {sweep}\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):
+    jobs = [
+        ("sweep-blindspot", "sweep: {offsets_m: [0.0, 0.03, 0.06]}\n"),
+        ("sweep-snr", "sweep: {noise_stds: [0.02, 0.2], runs_per_level: 2}\n"),
+    ]
+    all_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    set_cpus(max(2, all_cpus))  # skips unless the pool can have two workers
+    for command, sweep in jobs:
+        config = tmp_path / f"{command}.yaml"
+        config.write_text(_BASE + sweep)
+        outputs = []
+        for cpus in (1, all_cpus):
+            set_cpus(cpus)
+            out = tmp_path / f"{command}-{cpus}"
+            assert cli.main([command, "--config", str(config), "--seed", "4",
+                             "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1], command
+
+
 def test_gass_audit_solution_dump(base_config, tmp_path):
     out = tmp_path / "audit"
     assert cli.main(["gass-audit", "--config", str(base_config), "--out", str(out)]) == 0
@@ -165,10 +212,11 @@ def test_block_smoothing_short_of_the_minimum_exits_2(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is a test-only oracle; a fresh process must not pay its import
+    # scipy is a test-only oracle; a fresh process must not pay its import,
+    # nor that of multiprocessing, which only a sweep's process pool needs
     probe = (
-        "import sys, csibreath.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, csibreath.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

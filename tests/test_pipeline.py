@@ -1,4 +1,7 @@
 import dataclasses
+import os
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -299,9 +302,30 @@ def test_snr_sweep_structure(grid):
     assert report.meta == {"truth_bpm": 15.0, "levels": 1, "runs_per_level": 1}
 
 
-def test_sweeps_segment_each_trace_once(grid, monkeypatch):
+def test_snr_sweep_sums_each_level_over_its_runs(grid):
     import csibreath.pipeline as pipeline
 
+    scenario, impairments, levels = _quick_scenario(), ImpairmentConfig(seed=1), [0.02, 0.5, 1.0]
+    report = snr_sweep(scenario, impairments, grid, levels, _FAST, seed=2, runs_per_level=2)
+    clean = generate_ideal_csi(scenario, grid)
+    rows = iter(report.rows)
+    for level, noise_std in enumerate(levels):
+        runs = [
+            pipeline._snr_run(noise_std, level, run, clean, impairments, _FAST, 2, 15.0)
+            for run in range(2)
+        ]
+        for method in ("full", "amplitude"):
+            row = next(rows)
+            assert (row["noise_std"], row["method"]) == (noise_std, method)
+            assert row["detected"] == sum(counts[method][0] for counts in runs)
+            assert row["windows"] == sum(counts[method][1] for counts in runs)
+    assert len({r["detected"] for r in report.rows}) > 1
+
+
+def test_sweeps_segment_each_trace_once(grid, monkeypatch, set_cpus):
+    import csibreath.pipeline as pipeline
+
+    set_cpus(1)  # the counter below sees only calls made in this process
     calls = []
 
     def counted(trace, block_size):
@@ -365,3 +389,86 @@ def test_sweep_requires_sinusoid_truth(grid):
             scenario, ImpairmentConfig(seed=0), grid,
             offsets_m=np.array([0.0]), config=_FAST,
         )
+
+
+def _square(x):
+    return x * x
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _fail_at_two_and_four(i):
+    if i in (2, 4):
+        raise ConfigurationError(f"condition {i} failed")
+    return i
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_conditions_map_in_order_on_one_worker_per_cpu(set_cpus, cpus):
+    import csibreath.pipeline as pipeline
+
+    set_cpus(cpus)
+    assert pipeline._map_conditions(_square, range(7)) == [x * x for x in range(7)]
+    assert pipeline._map_conditions(pow, [2, 3, 5], [3, 2, 1]) == [8, 9, 5]
+    pids = set(pipeline._map_conditions(_pid, range(4)))
+    if cpus == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids and 1 <= len(pids) <= cpus
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_failing_condition_raises(set_cpus, cpus):
+    import csibreath.pipeline as pipeline
+
+    set_cpus(cpus)
+    with pytest.raises(ConfigurationError, match="^condition 2 failed$"):
+        pipeline._map_conditions(_fail_at_two_and_four, range(6))
+
+
+def test_failing_sweep_position_raises_the_serial_exception(grid, set_cpus):
+    def failure():
+        with pytest.raises(ConfigurationError) as info:
+            blind_spot_sweep(
+                _quick_scenario(), ImpairmentConfig(seed=3), grid,
+                offsets_m=np.array([0.0, -20.0]), config=_FAST,
+            )
+        return str(info.value)
+
+    set_cpus(1)
+    serial = failure()
+    assert "dynamic path length must be positive" in serial
+    set_cpus(2)
+    assert failure() == serial
+
+
+def test_sweep_conditions_run_in_a_spawned_worker(grid):
+    import csibreath.pipeline as pipeline
+
+    args = (1, 0.03, _quick_scenario(), ImpairmentConfig(gaussian_noise_std=0.01, seed=3),
+            grid, _FAST, 0, 15.0)
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        spawned = pool.submit(pipeline._blind_spot_position, *args).result(timeout=120)
+    assert spawned == pipeline._blind_spot_position(*args)
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs",
+    [
+        (blind_spot_sweep, {"offsets_m": []}),
+        (blind_spot_sweep, {"offsets_m": [0.0, np.nan]}),
+        (blind_spot_sweep, {"offsets_m": 0.03}),
+        (blind_spot_sweep, {"offsets_m": ["near", "far"]}),
+        (snr_sweep, {"noise_stds": []}),
+        (snr_sweep, {"noise_stds": [0.02, np.inf]}),
+        (snr_sweep, {"noise_stds": [-0.1]}),
+        (snr_sweep, {"noise_stds": [0.02], "runs_per_level": 0}),
+        (snr_sweep, {"noise_stds": [0.02], "runs_per_level": 1.5}),
+        (snr_sweep, {"noise_stds": [0.02], "runs_per_level": True}),
+    ],
+)
+def test_sweeps_reject_empty_or_invalid_conditions(grid, sweep, kwargs):
+    with pytest.raises(ConfigurationError):
+        sweep(_quick_scenario(), ImpairmentConfig(seed=1), grid, config=_FAST, **kwargs)

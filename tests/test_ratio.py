@@ -196,6 +196,35 @@ def test_block_averaging_identity_and_shapes(breathing_trace):
         average_phase_blocks(breathing_trace[:3], 5)
 
 
+def _whole_matrix_average(trace, block_size):
+    """``average_phase_blocks`` as it was before it worked in row blocks:
+    the whole (M, K) matrix unwrapped and averaged at once."""
+    n_blocks = len(trace) // block_size
+    h = trace.values[:, : n_blocks * block_size]
+    phase = np.unwrap(np.angle(h), axis=1)
+    mag = np.abs(h)
+    shape = (h.shape[0], n_blocks, block_size)
+    mean_phase = phase.reshape(shape).mean(axis=2)
+    mean_mag = mag.reshape(shape).mean(axis=2)
+    block_times = trace.times_s[: n_blocks * block_size].reshape(n_blocks, block_size)
+    return mean_mag * np.exp(1j * mean_phase), block_times.mean(axis=1)
+
+
+@pytest.mark.parametrize("rows", [1, 6, 32, 33, 70, 218])
+@pytest.mark.parametrize("block_size", [2, 5, 7])
+def test_row_blocked_averaging_equals_whole_matrix(rows, block_size):
+    rng = np.random.default_rng([rows, block_size])
+    packets = 203  # not a whole number of blocks: a trailing partial block
+    # phase walks far enough to wrap many times, so unwrap has work to do
+    phase = np.cumsum(rng.normal(scale=1.5, size=(rows, packets)), axis=1)
+    values = rng.uniform(0.1, 2.0, size=(rows, packets)) * np.exp(1j * phase)
+    trace = CsiTrace.uniform(values, 50.0)
+    expected_values, expected_times = _whole_matrix_average(trace, block_size)
+    averaged = average_phase_blocks(trace, block_size)
+    assert averaged.values.tobytes() == expected_values.tobytes()
+    assert averaged.times_s.tobytes() == expected_times.tobytes()
+
+
 def test_block_averaging_preserves_constant_streams():
     values = np.full((2, 12), 2.0 * np.exp(1j * 0.3), dtype=complex)
     averaged = average_phase_blocks(CsiTrace.uniform(values, 10.0), 4)
