@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -34,11 +33,11 @@ from .errors import (
     DegenerateScenarioError,
     NoWindowError,
     TraceFormatError,
+    check_integer,
 )
-from .gass import GassSolution, optimize, rank_seed_pairs
+from .gass import GassSolution, optimize
 from .pipeline import (
     EvaluationReport,
-    PipelineConfig,
     WindowResult,
     blind_spot_sweep,
     run_pipeline,
@@ -51,6 +50,8 @@ from .traceio import read_trace, write_trace
 EXIT_CONFIG = 2
 EXIT_TRACE = 3
 EXIT_NO_WINDOW = 4
+
+SWEEP_KEYS = {"offsets_m", "positions", "span_wavelengths", "noise_stds", "runs_per_level"}
 
 
 def _jsonable(value):
@@ -198,19 +199,18 @@ def _cmd_sweep_blindspot(config: dict, seed: int, out: Path) -> int:
     grid = grid_from_config(config)
     impairments = impairments_from_config(config, seed)
     sweep = dict(config.get("sweep", {}))
-    known = {"offsets_m", "positions", "span_wavelengths", "noise_stds", "runs_per_level"}
-    unknown = set(sweep) - known
+    unknown = set(sweep) - SWEEP_KEYS
     if unknown:
         raise ConfigurationError(f"unknown sweep keys: {sorted(unknown)}")
     if "offsets_m" in sweep:
         offsets = sweep["offsets_m"]
     else:
         positions = sweep.get("positions", 32)
-        if isinstance(positions, bool) or not isinstance(positions, int) or positions < 1:
-            raise ConfigurationError(
-                f"sweep.positions must be an integer >= 1, got {positions!r}"
-            )
-        span = float(sweep.get("span_wavelengths", 1.0))
+        check_integer("sweep.positions", positions, 1)
+        try:
+            span = float(sweep.get("span_wavelengths", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"sweep.span_wavelengths must be a number: {exc}") from exc
         wavelength = float(np.mean(grid.wavelength_m))
         offsets = np.arange(positions) * (span * wavelength / positions)
     report = blind_spot_sweep(
@@ -251,15 +251,12 @@ def _cmd_gass_audit(config: dict, seed: int, out: Path) -> int:
         raise NoWindowError("no complete window to audit")
     window = plan.window(int(plan.window_starts[0]))
     matrix, eff_rate = window.values, window.sample_rate_hz
-    rng = np.random.default_rng([seed, 0])
-    ranked = rank_seed_pairs(matrix, eff_rate, pipeline_config.ga, rng)
     solution = optimize(
         matrix,
         pipeline_config.n_numerators,
         eff_rate,
         params=pipeline_config.ga,
-        seed=rng,
-        ranked_pairs=ranked,
+        seed=np.random.default_rng([seed, 0]),
     )
     with open(out / "gass_solution.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_solution_record(solution), fh, sort_keys=True, indent=1)
@@ -303,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_integer("--seed", args.seed, 0)
         config = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

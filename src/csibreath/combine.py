@@ -2,10 +2,12 @@
 
 Every stream carries the same chest motion but with its own static offset,
 amplitude scale, and rotation in the complex plane. Alignment removes the
-offset, normalizes by a sliding-window gain estimate, and rotates each
-stream onto the best one before a quality-weighted sum. Streams whose band
-ratio falls below a fraction mu of the best stream's are dropped; the best
-stream itself always survives (the threshold is inclusive).
+offset (Q), divides by a sliding-window gain estimate (V = Q / G), and
+rotates each stream onto the best one before a quality-weighted sum, which
+a centered moving average then smooths at the streams' own rate. Streams
+whose band ratio falls below a fraction mu of the best stream's are
+dropped; the best stream itself always survives (the threshold is
+inclusive).
 
 Alignment and summation run on the (streams, samples) stack of all streams
 at once. The primitives ``remove_offset``, ``stream_gain`` and
@@ -16,7 +18,7 @@ through the same code, and each row of a stack equals its stream alone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +40,7 @@ class AlignedStream:
     stream: CscrStream
     offset_removed: np.ndarray       # Q: values minus their mean
     gain: float                      # G: max sliding-window mean magnitude
-    normalized: np.ndarray           # V: Q scaled by the gain
+    normalized: np.ndarray           # V: Q divided by the gain
     band_ratio: float                # beta
     rotation: float = 0.0            # Theta, radians onto the reference
     final_weight: float = 0.0        # gamma, set by combine()
@@ -49,9 +51,7 @@ class CombinedSignal:
     values: np.ndarray               # weighted aligned sum
     smoothed: np.ndarray             # after the moving average
     sample_rate_hz: float
-    smoothed_rate_hz: float
     smoothing_window: int
-    smoothing_mode: str
     reference_denominator: int
     contributing: int
 
@@ -101,47 +101,28 @@ def align_rotation(reference: np.ndarray, values: np.ndarray) -> float | np.ndar
     return float(angles) if angles.ndim == 0 else angles
 
 
-def moving_average(values: np.ndarray, window: int, mode: str = "sliding") -> np.ndarray:
-    """Smooth a series over ``window`` samples.
-
-    sliding: centered, length-preserving, edges averaged over the samples
-    actually available. block: non-overlapping block means, length
-    floor(K / window), which decimates the series.
-    """
+def moving_average(values: np.ndarray, window: int) -> np.ndarray:
+    """Smooth a series over ``window`` samples: centered, length-preserving,
+    edges averaged over the samples actually available."""
     if window < 1:
         raise ConfigurationError("smoothing window must be >= 1")
     v = np.asarray(values)
     if window == 1:
         return v.copy()
-    if mode == "sliding":
-        kernel = np.ones(window)
-        summed = np.convolve(v, kernel, mode="same")
-        counts = np.convolve(np.ones(v.size), kernel, mode="same")
-        return summed / counts
-    if mode == "block":
-        n_blocks = v.size // window
-        if n_blocks == 0:
-            raise ConfigurationError("series shorter than one smoothing block")
-        return v[: n_blocks * window].reshape(n_blocks, window).mean(axis=1)
-    raise ConfigurationError(f"unknown smoothing mode {mode!r}")
+    kernel = np.ones(window)
+    summed = np.convolve(v, kernel, mode="same")
+    counts = np.convolve(np.ones(v.size), kernel, mode="same")
+    return summed / counts
 
 
-def align_streams(
-    streams: list[CscrStream],
-    gain_window: int,
-    gain_normalization: str = "divide",
-) -> list[AlignedStream]:
+def align_streams(streams: list[CscrStream], gain_window: int) -> list[AlignedStream]:
     """Offset-remove, gain-normalize, and rotate streams onto the best one.
 
-    The reference is the stream with the highest band ratio. Streams with
-    zero gain or an undefined rotation are dropped with a log record.
-    ``gain_normalization`` selects V = Q / G ("divide", the default, which
-    equalizes stream excursions) or V = Q * G ("multiply", which boosts
-    already-strong streams instead). Every step runs once on the (S, K)
-    stack of stream values; each row equals the stream aligned alone.
+    The reference is the stream with the highest band ratio. V = Q / G
+    equalizes the stream excursions. Streams with zero gain or an undefined
+    rotation are dropped with a log record. Every step runs once on the
+    (S, K) stack of stream values; each row equals the stream aligned alone.
     """
-    if gain_normalization not in ("divide", "multiply"):
-        raise ConfigurationError("gain_normalization must be 'divide' or 'multiply'")
     if not streams:
         raise ConfigurationError("no streams to align")
     rates = {s.sample_rate_hz for s in streams}
@@ -158,9 +139,8 @@ def align_streams(
     live = np.flatnonzero(gains != 0.0)
     if not live.size:
         raise ConfigurationError("every stream was degenerate")
-    scale = gains[live, None]
     q = offset_removed[live]
-    normalized = q / scale if gain_normalization == "divide" else q * scale
+    normalized = q / gains[live, None]
 
     live_betas = [float(betas[i]) for i in live]
     reference = max(range(live.size), key=live_betas.__getitem__)
@@ -188,10 +168,7 @@ def align_streams(
 
 
 def combine(
-    aligned: list[AlignedStream],
-    smoothing_window: int,
-    mu: float = 0.5,
-    smoothing_mode: str = "sliding",
+    aligned: list[AlignedStream], smoothing_window: int, mu: float = 0.5
 ) -> CombinedSignal:
     """Quality-weighted sum of aligned streams plus a moving average.
 
@@ -216,19 +193,11 @@ def combine(
     weighted = capped[kept, None] * normalized * phasors[:, None]
     # an axis-0 sum of rows adds them one after another, as a loop would
     total = weighted.sum(axis=0, initial=0.0)
-    contributing = int(kept.size)
-    sample_rate = aligned[0].stream.sample_rate_hz
-    smoothed = moving_average(total, smoothing_window, smoothing_mode)
-    smoothed_rate = (
-        sample_rate if smoothing_mode == "sliding" else sample_rate / smoothing_window
-    )
     return CombinedSignal(
         values=total,
-        smoothed=smoothed,
-        sample_rate_hz=sample_rate,
-        smoothed_rate_hz=smoothed_rate,
+        smoothed=moving_average(total, smoothing_window),
+        sample_rate_hz=aligned[0].stream.sample_rate_hz,
         smoothing_window=smoothing_window,
-        smoothing_mode=smoothing_mode,
         reference_denominator=reference_denominator,
-        contributing=contributing,
+        contributing=int(kept.size),
     )

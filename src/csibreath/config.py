@@ -130,14 +130,14 @@ def scenario_from_config(config: dict) -> ChannelScenario:
 
 
 def impairments_from_config(config: dict, seed_offset: int = 0) -> ImpairmentConfig:
-    section = dict(config.get("impairments", {}))
-    base_seed = int(section.pop("seed", 0))
-    return _build(ImpairmentConfig, section, "impairments", seed=base_seed + seed_offset)
+    """The impairments section, its seed (an integer >= 0) offset by ``seed_offset``."""
+    base = _build(ImpairmentConfig, dict(config.get("impairments", {})), "impairments")
+    return dataclasses.replace(base, seed=base.seed + seed_offset)
 
 
 def pipeline_from_config(config: dict) -> PipelineConfig:
     section = dict(config.get("pipeline", {}))
     ga = _build(GaParams, dict(section.pop("ga", {})), "pipeline.ga")
-    if "reference_pair" in section and section["reference_pair"] is not None:
+    if isinstance(section.get("reference_pair"), list):
         section["reference_pair"] = tuple(section["reference_pair"])
     return _build(PipelineConfig, section, "pipeline", ga=ga)

@@ -1,8 +1,11 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the integer check that
+configuration values share.
 
 The CLI maps these onto process exit codes, so new error conditions should
 subclass one of the existing categories rather than raising bare ValueError.
 """
+
+from numbers import Integral
 
 
 class CsiBreathError(Exception):
@@ -43,3 +46,10 @@ class AlignmentError(CsiBreathError):
 
 class ZeroVarianceError(CsiBreathError):
     """Autocorrelation of a constant (zero-variance) series is undefined."""
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer (not a bool)
+    of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -116,11 +116,10 @@ def combined_ratio(
     weights: np.ndarray,
     numerator_indices: np.ndarray,
     denominator_index: int,
-    guard_rel: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted numerator over a single denominator row of a CSI matrix."""
     numerator = weights @ matrix[numerator_indices]
-    return guarded_ratio(numerator, matrix[denominator_index], guard_rel)
+    return guarded_ratio(numerator, matrix[denominator_index])
 
 
 def fitness(genome: Genome, matrix: np.ndarray, sample_rate_hz: float) -> float:
@@ -160,21 +159,6 @@ class PopulationScorer:
         self.sample_rate_hz = sample_rate_hz
         self.guards = guards if guards is not None else guard_table(matrix)
         self.any_flagged = self.guards.flagged.any(axis=1)
-
-    def __call__(self, population: list[Genome]) -> np.ndarray:
-        if not population:
-            return np.zeros(0)
-        shapes = {g.weights.shape for g in population}
-        shapes |= {g.numerator_indices.shape for g in population}
-        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
-            for genome in population:
-                _check_genome(genome, self.matrix.shape[0])
-            raise ConfigurationError("genomes of one population must have equal length")
-        return self.score(
-            np.stack([g.weights for g in population]),
-            np.stack([g.numerator_indices for g in population]),
-            np.array([g.denominator_index for g in population]),
-        )
 
     def score(
         self, weights: np.ndarray, indices: np.ndarray, denominators: np.ndarray
@@ -391,7 +375,6 @@ def build_streams(
     matrix: np.ndarray,
     sample_rate_hz: float,
     include_numerators: bool = False,
-    guard_rel: float = 1e-9,
     *,
     guards: GuardTable | None = None,
 ) -> list[CscrStream]:
@@ -402,9 +385,7 @@ def build_streams(
     slots do not count as used). Streams whose denominator fails the guard
     are skipped. The numerator is divided by all kept denominator rows at
     once; only rows with flagged samples take the interpolating path.
-    ``guards`` is ``guard_table(matrix, guard_rel)`` when the caller already
-    has it; a table built with another ``guard_rel`` raises
-    ConfigurationError.
+    ``guards`` is ``guard_table(matrix)`` when the caller already has it.
     """
     genome = solution.genome
     numerator_spec = tuple(
@@ -412,11 +393,7 @@ def build_streams(
         for w, m in zip(genome.weights, genome.numerator_indices)
     )
     if guards is None:
-        guards = guard_table(matrix, guard_rel)
-    elif guards.guard_rel != guard_rel:
-        raise ConfigurationError(
-            f"guards were built with guard_rel {guards.guard_rel:g}, not {guard_rel:g}"
-        )
+        guards = guard_table(matrix)
     keep = ~guards.rejected
     if not include_numerators:
         keep[genome.numerator_indices[genome.weights != 0]] = False

@@ -42,6 +42,7 @@ from .errors import (
     SingularRatioError,
     StreamGuardError,
     ZeroVarianceError,
+    check_integer,
 )
 from .gass import GaParams, GassSolution, optimize
 from .grid import SubcarrierGrid
@@ -81,8 +82,6 @@ class PipelineConfig:
     mu: float = 0.5                   # stream survival threshold fraction
     gain_window_s: float = 0.5
     smoothing_s: float = 0.33
-    smoothing_mode: str = "sliding"   # or "block" (decimating)
-    gain_normalization: str = "divide"
     hampel_half_width_s: float = 0.5
     hampel_threshold: float = 3.0
     sg_window_s: float = 1.0
@@ -94,7 +93,6 @@ class PipelineConfig:
     min_prominence: float = 0.2
     include_numerators: bool = False
     reuse_tolerance: float = 0.0      # 0 disables solution reuse
-    refine_peak: bool = True
 
     def __post_init__(self) -> None:
         if not (0 < self.frame_s < math.inf and 0 < self.window_s < math.inf):
@@ -106,9 +104,23 @@ class PipelineConfig:
                 f"spanning at least {MIN_WINDOW_S:g} s, the minimum for rate "
                 f"estimation (frame_s={self.frame_s!r}, window_s={self.window_s!r})"
             )
-        order = self.sg_polyorder
-        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
-            raise ConfigurationError(f"sg_polyorder must be an integer >= 0, got {order!r}")
+        check_integer("n_numerators", self.n_numerators, 1)
+        check_integer("phase_block", self.phase_block, 0)
+        check_integer("sg_polyorder", self.sg_polyorder, 0)
+        if not 0.0 <= self.mu <= 1.0:
+            raise ConfigurationError(f"mu must lie in [0, 1], got {self.mu!r}")
+        if not self.hampel_threshold >= 0.0:
+            raise ConfigurationError(
+                f"hampel_threshold must be >= 0, got {self.hampel_threshold!r}"
+            )
+        pair = self.reference_pair
+        if pair is not None:
+            if not isinstance(pair, tuple) or len(pair) != 2 or pair[0] == pair[1]:
+                raise ConfigurationError(
+                    f"reference_pair must be two distinct subcarrier indices, got {pair!r}"
+                )
+            for index in pair:
+                check_integer("reference_pair index", index, 0)
 
     def block_size(self, sample_rate_hz: float) -> int:
         return self.phase_block if self.phase_block > 0 else max(
@@ -116,9 +128,16 @@ class PipelineConfig:
         )
 
     def resolve_reference_pair(self, n_subcarriers: int) -> tuple[int, int]:
-        if self.reference_pair is not None:
-            return self.reference_pair
-        return (0, n_subcarriers - 1)
+        """The motion gate's and the baselines' ratio pair on a grid of
+        ``n_subcarriers``; by default its first and last subcarrier."""
+        if self.reference_pair is None:
+            return (0, n_subcarriers - 1)
+        if max(self.reference_pair) >= n_subcarriers:
+            raise ConfigurationError(
+                f"reference_pair {list(self.reference_pair)} needs indices below "
+                f"{n_subcarriers}, the grid's subcarrier count"
+            )
+        return self.reference_pair
 
 
 @dataclass(frozen=True)
@@ -156,8 +175,8 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     ratio phase (block averaging keeps packet-boundary jitter from tripping
     the gate). Frames above the threshold are rejected; windows require
     ``window_s`` consecutive accepted frames and slide by one frame. Raises
-    ConfigurationError when a window's whole blocks, or what block smoothing
-    leaves of them, hold less than the rate readout's 10 s minimum.
+    ConfigurationError when a window's whole blocks hold less than the rate
+    readout's 10 s minimum, or when the reference pair is not on the grid.
     """
     config = config or PipelineConfig()
     frame_samples = int(round(config.frame_s * trace.sample_rate_hz))
@@ -172,16 +191,11 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     # passed PipelineConfig in seconds can still come up short here
     window_blocks = window_frames * frame_samples // k1
     block_rate = trace.sample_rate_hz / k1
-    _check_window_length(
-        window_blocks, block_rate, "blocks",
-        f"frame_s is {frame_samples} packets, phase_block {k1}",
-    )
-    if config.smoothing_mode == "block":
-        # block smoothing decimates the window before the rate readout
-        smoothing = _smoothing_window(config, block_rate)
-        _check_window_length(
-            window_blocks // smoothing, block_rate / smoothing, "smoothed samples",
-            f"smoothing_mode block averages {smoothing} blocks",
+    if window_blocks < MIN_WINDOW_S * block_rate:
+        raise ConfigurationError(
+            f"windows of {window_blocks} blocks at {block_rate:g} Hz hold "
+            f"{window_blocks / block_rate:g} s, under the {MIN_WINDOW_S:g} s minimum "
+            f"for rate estimation (frame_s is {frame_samples} packets, phase_block {k1})"
         )
     averaged = average_phase_blocks(trace, k1)
     ratio_values, _ = guarded_ratio(averaged.values[pair[0]], averaged.values[pair[1]])
@@ -211,20 +225,6 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
         window_starts=np.array(starts, dtype=int),
         averaged=averaged,
     )
-
-
-def _check_window_length(samples: int, rate: float, unit: str, detail: str) -> None:
-    """Raise unless ``samples`` at ``rate`` pass ``estimate_rate``'s minimum,
-    with the comparison it makes."""
-    if samples < MIN_WINDOW_S * rate:
-        raise ConfigurationError(
-            f"windows of {samples} {unit} at {rate:g} Hz hold {samples / rate:g} s, "
-            f"under the {MIN_WINDOW_S:g} s minimum for rate estimation ({detail})"
-        )
-
-
-def _smoothing_window(config: PipelineConfig, rate: float) -> int:
-    return max(1, int(config.smoothing_s * rate))
 
 
 @dataclass
@@ -260,43 +260,40 @@ def _run_stages(
         include_numerators=config.include_numerators,
         guards=guards,
     )
-    aligned = align_streams(
-        streams,
-        gain_window=max(1, int(config.gain_window_s * eff_rate)),
-        gain_normalization=config.gain_normalization,
-    )
+    aligned = align_streams(streams, gain_window=max(1, int(config.gain_window_s * eff_rate)))
     combined = combine(
-        aligned,
-        smoothing_window=_smoothing_window(config, eff_rate),
-        mu=config.mu,
-        smoothing_mode=config.smoothing_mode,
+        aligned, smoothing_window=max(1, int(config.smoothing_s * eff_rate)), mu=config.mu
     )
-    projected = project(combined.smoothed, combined.smoothed_rate_hz)
+    projected = project(combined.smoothed, eff_rate)
+    estimate, filtered = _readout(projected.series, eff_rate, config, window_id)
+    stage_ratios = {
+        "gass": solution.fitness,
+        "combined": float(ssnr_values(combined.values[None, :], eff_rate)[0]),
+        "smoothed": float(ssnr_values(combined.smoothed[None, :], eff_rate)[0]),
+        "projected": projected.band_ratio,
+        "filtered": float(ssnr_values(filtered[None, :], eff_rate)[0]),
+    }
+    return estimate, stage_ratios
+
+
+def _readout(
+    series: np.ndarray, rate: float, config: PipelineConfig, window_id: int
+) -> tuple[RespirationEstimate, np.ndarray]:
+    """Hampel and Savitzky-Golay cleanup, then the rate readout, of one
+    window's real waveform sampled at ``rate``; returns the estimate and the
+    cleaned series. Shared by the full pipeline and the baselines."""
     filtered, _ = clean(
-        projected.series,
-        combined.smoothed_rate_hz,
-        hampel_half_width=max(1, int(config.hampel_half_width_s * combined.smoothed_rate_hz)),
+        series,
+        rate,
+        hampel_half_width=max(1, int(config.hampel_half_width_s * rate)),
         hampel_threshold=config.hampel_threshold,
-        sg_window=_odd_at_least(config.sg_window_s * combined.smoothed_rate_hz),
+        sg_window=_odd_at_least(config.sg_window_s * rate),
         sg_polyorder=config.sg_polyorder,
     )
     estimate = estimate_rate(
-        filtered,
-        combined.smoothed_rate_hz,
-        min_prominence_frac=config.min_prominence,
-        window_id=window_id,
-        refine=config.refine_peak,
+        filtered, rate, min_prominence_frac=config.min_prominence, window_id=window_id
     )
-    stage_ratios = {
-        "gass": solution.fitness,
-        "combined": float(ssnr_values(combined.values[None, :], combined.sample_rate_hz)[0]),
-        "smoothed": float(
-            ssnr_values(combined.smoothed[None, :], combined.smoothed_rate_hz)[0]
-        ),
-        "projected": projected.band_ratio,
-        "filtered": float(ssnr_values(filtered[None, :], combined.smoothed_rate_hz)[0]),
-    }
-    return estimate, stage_ratios
+    return estimate, filtered
 
 
 def _odd_at_least(value: float) -> int:
@@ -459,23 +456,7 @@ def single_component_estimates(
                 series = np.abs(values)
             else:
                 series = np.unwrap(np.angle(values))
-            filtered, _ = clean(
-                series,
-                eff_rate,
-                hampel_half_width=max(1, int(config.hampel_half_width_s * eff_rate)),
-                hampel_threshold=config.hampel_threshold,
-                sg_window=_odd_at_least(config.sg_window_s * eff_rate),
-                sg_polyorder=config.sg_polyorder,
-            )
-            estimates.append(
-                estimate_rate(
-                    filtered,
-                    eff_rate,
-                    min_prominence_frac=config.min_prominence,
-                    window_id=window_id,
-                    refine=config.refine_peak,
-                )
-            )
+            estimates.append(_readout(series, eff_rate, config, window_id)[0])
         except _STAGE_ERRORS as exc:
             logger.warning("%s-only window %d failed: %s", component, window_id, exc)
             estimates.append(None)
@@ -657,14 +638,7 @@ def snr_sweep(
     config = config or PipelineConfig()
     truth = _scenario_truth_bpm(scenario)
     levels = _conditions(noise_stds, "noise_stds", 0.0)
-    if (
-        isinstance(runs_per_level, bool)
-        or not isinstance(runs_per_level, (int, np.integer))
-        or runs_per_level < 1
-    ):
-        raise ConfigurationError(
-            f"runs_per_level must be an integer >= 1, got {runs_per_level!r}"
-        )
+    check_integer("runs_per_level", runs_per_level, 1)
     clean = generate_ideal_csi(scenario, grid)
     snr_run = functools.partial(
         _snr_run, clean=clean, impairments=impairments, config=config, seed=seed,

@@ -127,7 +127,6 @@ def estimate_rate(
     sample_rate_hz: float,
     min_prominence_frac: float = 0.2,
     window_id: int = -1,
-    refine: bool = True,
 ) -> RespirationEstimate:
     """Rate from the first qualifying autocorrelation peak after lag zero.
 
@@ -135,6 +134,7 @@ def estimate_rate(
     times the autocorrelation maximum after lag zero and are spaced at least
     F_s / 0.5 samples apart (one minimum respiration period). The estimate
     is withheld when the rate falls outside [10.02, 30] breaths per minute.
+    The peak's lag is refined to a sub-sample one (``_parabolic_refine``).
     """
     x = np.asarray(series, dtype=float)
     if x.size < MIN_WINDOW_S * sample_rate_hz:
@@ -159,7 +159,7 @@ def estimate_rate(
         )
     lag = int(peaks[0])
     confidence = float(min(1.0, prominences[0]))
-    refined = _parabolic_refine(r, lag) if refine else float(lag)
+    refined = _parabolic_refine(r, lag)
     f_bpm = 60.0 * sample_rate_hz / refined
     if not BAND_LOW_BPM <= f_bpm <= BAND_HIGH_BPM:
         return RespirationEstimate(

@@ -79,7 +79,6 @@ class GuardTable:
 
     flagged: np.ndarray    # bool, (rows, samples)
     rejected: np.ndarray   # bool, one per row
-    guard_rel: float
     max_flagged: float
 
     def ratio(
@@ -121,7 +120,7 @@ def guard_table(
     mag = np.abs(np.atleast_2d(matrix))
     flagged = mag <= guard_rel * np.median(mag, axis=1, keepdims=True)
     rejected = flagged.all(axis=1) | (flagged.mean(axis=1) > max_flagged)
-    return GuardTable(flagged, rejected, guard_rel, max_flagged)
+    return GuardTable(flagged, rejected, max_flagged)
 
 
 def guarded_ratio(

@@ -29,7 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateScenarioError, UndefinedPhaseError
+from .errors import (
+    ConfigurationError,
+    DegenerateScenarioError,
+    UndefinedPhaseError,
+    check_integer,
+)
 from .grid import SubcarrierGrid
 
 # Physiological bound on respiration-induced path-length change (meters).
@@ -262,27 +267,6 @@ def fresnel_phase(
     return np.angle(h_static) - np.angle(h_dynamic)
 
 
-def smooth_amplitude_ripple(
-    n_subcarriers: int, ripple_std: float, seed: int, correlation_tones: int = 20
-) -> np.ndarray:
-    """Mild frequency-selective amplitude profile: 1 + smooth random ripple.
-
-    The ripple is white Gaussian smoothed over ``correlation_tones`` tones and
-    rescaled to ``ripple_std``; values are floored at 0.05 so amplitudes stay
-    positive.
-    """
-    rng = np.random.default_rng(seed)
-    white = rng.normal(size=n_subcarriers + 6 * correlation_tones)
-    taps = np.exp(-0.5 * (np.arange(-3 * correlation_tones, 3 * correlation_tones + 1)
-                          / correlation_tones) ** 2)
-    smooth = np.convolve(white, taps / taps.sum(), mode="same")
-    smooth = smooth[3 * correlation_tones : 3 * correlation_tones + n_subcarriers]
-    sd = np.std(smooth)
-    if sd > 0:
-        smooth = smooth * (ripple_std / sd)
-    return np.maximum(1.0 + smooth - np.mean(smooth), 0.05)
-
-
 # ----------------------------------------------------------------------------
 # Impairments
 # ----------------------------------------------------------------------------
@@ -311,6 +295,7 @@ class ImpairmentConfig:
             raise ConfigurationError("impulse_correlation must lie in [0, 1]")
         if self.cfo_bound_rad <= 0:
             raise ConfigurationError("cfo_bound_rad must be positive")
+        check_integer("seed", self.seed, 0)
 
 
 def cfo_phase_series(

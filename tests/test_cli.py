@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from csibreath import cli
+from csibreath import cli, config
 from csibreath.traceio import read_trace
 
 _BASE = """\
@@ -112,6 +113,7 @@ def test_sweep_snr_requires_noise_levels(base_config, tmp_path):
         ("sweep-blindspot", "{offsets_m: []}"),
         ("sweep-blindspot", "{offsets_m: [0.0, .nan]}"),
         ("sweep-blindspot", "{offsets_m: [near]}"),
+        ("sweep-blindspot", "{span_wavelengths: abc}"),
         ("sweep-snr", "{noise_stds: []}"),
         ("sweep-snr", "{noise_stds: [0.02, .inf]}"),
         ("sweep-snr", "{noise_stds: [-0.1]}"),
@@ -199,16 +201,55 @@ def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
     assert "under the 10 s minimum" in capsys.readouterr().err
 
 
-def test_block_smoothing_short_of_the_minimum_exits_2(tmp_path, capsys):
-    # 20 Hz in blocks of 2 is 10 Hz; block smoothing over 3 blocks leaves a
-    # 10 s window 33 samples at 3.33 Hz = 9.9 s
-    config = tmp_path / "smoothing.yaml"
-    config.write_text(
-        _BASE.replace("  n_numerators: 2", "  n_numerators: 2\n  smoothing_mode: block")
-    )
-    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_CONFIG
-    assert "smoothing_mode block" in capsys.readouterr().err
+def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
+    for line in ("smoothing_mode: block", "gain_normalization: multiply", "refine_peak: false"):
+        config = tmp_path / "removed.yaml"
+        config.write_text(_BASE.replace("  n_numerators: 2", f"  n_numerators: 2\n  {line}"))
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG, line
+        assert "unknown pipeline keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, seed, section, key, value",
+    [
+        ("run", 0, "pipeline", "reference_pair", [0, 99]),   # index off the 6-tone grid
+        ("run", 0, "pipeline", "reference_pair", [2, 2]),
+        ("run", 0, "pipeline", "n_numerators", 2.5),
+        ("run", 0, "pipeline", "n_numerators", 0),
+        ("run", 0, "pipeline", "mu", 1.5),
+        ("run", 0, "pipeline", "hampel_threshold", -1),
+        ("run", 0, "pipeline", "phase_block", -3),
+        ("run", 0, "impairments", "seed", -5),
+        ("run", -1, None, None, None),
+        ("sweep-blindspot", -1, None, None, None),
+        ("sweep-snr", -1, None, None, None),
+    ],
+)
+def test_bad_values_and_seeds_exit_2(tmp_path, capsys, command, seed, section, key, value):
+    settings = yaml.safe_load(_BASE)
+    if section is not None:
+        settings[section][key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(settings))
+    out = tmp_path / "out"
+    args = [command, "--config", str(path), "--seed", str(seed), "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_readme_config_schema_is_accepted(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    schema = readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "schema.yaml"
+    path.write_text(schema)
+    settings = config.load_config(path)
+    config.grid_from_config(settings)
+    config.scenario_from_config(settings)
+    config.impairments_from_config(settings)
+    config.pipeline_from_config(settings)
+    assert set(settings["sweep"]) <= cli.SWEEP_KEYS
 
 
 def test_cli_import_loads_no_scipy():

@@ -74,16 +74,9 @@ def test_moving_average_sliding_oracle(rng):
 
 def test_moving_average_block_and_window_one(rng):
     v = rng.normal(size=23)
-    blocks = moving_average(v, 5, mode="block")
-    assert blocks.size == 4  # trailing partial block dropped
-    np.testing.assert_allclose(blocks, v[:20].reshape(4, 5).mean(axis=1))
     np.testing.assert_array_equal(moving_average(v, 1), v)
     with pytest.raises(ConfigurationError):
-        moving_average(v[:3], 5, mode="block")
-    with pytest.raises(ConfigurationError):
         moving_average(v, 0)
-    with pytest.raises(ConfigurationError):
-        moving_average(v, 3, mode="diagonal")
 
 
 def test_align_rotation_recovers_known_angle(rng):
@@ -110,12 +103,6 @@ def test_align_single_stream_identity(rng):
     assert np.isclose(a.gain, stream_gain(q, 5))
     np.testing.assert_allclose(a.normalized, q / a.gain, rtol=1e-14)
     assert a.rotation == 0.0
-
-
-def test_align_multiply_mode(rng):
-    v = _breath() + 0.05 * (rng.normal(size=300) + 1j * rng.normal(size=300))
-    a = align_streams([_stream(v)], gain_window=5, gain_normalization="multiply")[0]
-    np.testing.assert_allclose(a.normalized, a.offset_removed * a.gain, rtol=1e-14)
 
 
 def test_align_drops_constant_stream(rng):
@@ -151,8 +138,6 @@ def test_align_validation(rng):
         align_streams([], 5)
     with pytest.raises(ConfigurationError):
         align_streams([_stream(v, fs=10.0), _stream(v, fs=20.0)], 5)
-    with pytest.raises(ConfigurationError):
-        align_streams([_stream(v)], 5, gain_normalization="clip")
     with pytest.raises(ConfigurationError):
         align_streams([_stream(np.ones(10))], 5)  # every stream degenerate
 
@@ -205,15 +190,6 @@ def test_combine_identical_streams_all_survive(rng):
     aligned = align_streams([_stream(v, denominator=i) for i in range(3)], 5)
     combined = combine(aligned, smoothing_window=1, mu=1.0)
     assert combined.contributing == 3
-
-
-def test_combine_block_mode_decimates(rng):
-    aligned = align_streams(_noisy_streams(rng), gain_window=5)
-    combined = combine(aligned, smoothing_window=4, mu=0.5, smoothing_mode="block")
-    assert combined.smoothed.size == 300 // 4
-    assert combined.smoothed_rate_hz == 10.0 / 4
-    sliding = combine(aligned, smoothing_window=4, mu=0.5)
-    assert sliding.smoothed_rate_hz == 10.0
 
 
 def test_combine_validation(rng):
@@ -279,7 +255,7 @@ def _loop_build(genome, matrix, include_numerators=False):
     return streams
 
 
-def _loop_align(streams, fs, gain_window, normalization):
+def _loop_align(streams, fs, gain_window):
     """(denominator, offset_removed, gain, normalized, beta, rotation) per kept stream."""
     betas = ssnr_values(np.array([values for _, values in streams]), fs)
     aligned = []
@@ -288,7 +264,7 @@ def _loop_align(streams, fs, gain_window, normalization):
         g = _loop_gain(q, gain_window)
         if g == 0.0:
             continue
-        normalized = q / g if normalization == "divide" else q * g
+        normalized = q / g
         aligned.append([m, q, g, normalized, float(beta), 0.0])
     reference = max(range(len(aligned)), key=lambda i: aligned[i][4])
     kept = []
@@ -319,9 +295,9 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _check_stack_equals_loop(streams, expected, gain_window, normalization, mu):
-    aligned = align_streams(streams, gain_window, normalization)
-    loop = _loop_align(expected, streams[0].sample_rate_hz, gain_window, normalization)
+def _check_stack_equals_loop(streams, expected, gain_window, mu):
+    aligned = align_streams(streams, gain_window)
+    loop = _loop_align(expected, streams[0].sample_rate_hz, gain_window)
     assert [a.stream.denominator for a in aligned] == [a[0] for a in loop]
     for a, (_, q, g, normalized, beta, rotation) in zip(aligned, loop):
         assert _same_bits(a.offset_removed, q)
@@ -339,7 +315,7 @@ def _check_stack_equals_loop(streams, expected, gain_window, normalization, mu):
 @settings(max_examples=40, deadline=None)
 @example(  # the guard rejects every denominator but the constant stream's
     seed=353, n_sub=4, n_samples=141, n_numerators=3, flagged_rows=2,
-    constant_stream=True, gain_window=1, normalization="divide", mu=0.0,
+    constant_stream=True, gain_window=1, mu=0.0,
 )
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -349,12 +325,10 @@ def _check_stack_equals_loop(streams, expected, gain_window, normalization, mu):
     flagged_rows=st.integers(0, 3),
     constant_stream=st.booleans(),
     gain_window=st.integers(1, 200),
-    normalization=st.sampled_from(["divide", "multiply"]),
     mu=st.floats(0.0, 1.0),
 )
 def test_stream_stack_equals_per_stream_loop(
-    seed, n_sub, n_samples, n_numerators, flagged_rows, constant_stream,
-    gain_window, normalization, mu,
+    seed, n_sub, n_samples, n_numerators, flagged_rows, constant_stream, gain_window, mu,
 ):
     local = np.random.default_rng(seed)
     matrix = local.normal(size=(n_sub, n_samples)) + 1j * local.normal(size=(n_sub, n_samples))
@@ -388,10 +362,10 @@ def test_stream_stack_equals_per_stream_loop(
     # stream that is the only one the guard lets through
     if all(np.ptp(s.values) == 0 for s in streams):
         with pytest.raises(ConfigurationError, match="degenerate"):
-            align_streams(streams, gain_window, normalization)
+            align_streams(streams, gain_window)
         return
     _check_stack_equals_loop(
-        streams, [(s.denominator, s.values) for s in streams], gain_window, normalization, mu
+        streams, [(s.denominator, s.values) for s in streams], gain_window, mu
     )
 
 
@@ -413,7 +387,7 @@ def test_stream_stack_drops_constant_and_unalignable_like_the_loop(rng, caplog):
     ]
     streams = [_stream(v, denominator=d) for d, v in enumerate(values)]
     with caplog.at_level("WARNING", logger="csibreath.combine"):
-        _check_stack_equals_loop(streams, list(enumerate(values)), 5, "divide", 0.0)
+        _check_stack_equals_loop(streams, list(enumerate(values)), 5, 0.0)
     assert [r.getMessage() for r in caplog.records] == [
         "dropping constant stream (denominator 1)",
         "dropping unalignable stream (denominator 2)",

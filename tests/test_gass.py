@@ -159,10 +159,20 @@ def _populations(draw):
     return draw(st.permutations(population))
 
 
+def _stacked(population):
+    """Equal-length genomes as the (weights, indices, denominators) arrays
+    ``PopulationScorer.score`` takes."""
+    return (
+        np.stack([g.weights for g in population]),
+        np.stack([g.numerator_indices for g in population]),
+        np.array([g.denominator_index for g in population]),
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(population=_populations())
 def test_population_scorer_equals_fitness_bit_for_bit(population):
-    scores = PopulationScorer(SCORING_MATRIX, 10.0)(population)
+    scores = PopulationScorer(SCORING_MATRIX, 10.0).score(*_stacked(population))
     expected = np.array([fitness(g, SCORING_MATRIX, 10.0) for g in population])
     assert scores.tobytes() == expected.tobytes()
     assert np.isinf(expected).any() and (expected == 0.0).sum() >= 3
@@ -174,18 +184,19 @@ def test_population_scorer_raises_like_fitness():
         Genome(np.array([1.5 + 0j]), np.array([1]), 0),      # weight too big
         Genome(np.array([1.0 + 0j]), np.array([2]), 2),      # collides
         Genome(np.array([1.0 + 0j]), np.array([9]), 0),      # out of range
-        Genome(np.array([1.0 + 0j]), np.array([1, 2]), 0),   # shape mismatch
         Genome(np.array([1.0 + 0j]), np.array([1]), 7),      # denominator range
     ]
-    score = PopulationScorer(SCORING_MATRIX, 10.0)
+    scorer = PopulationScorer(SCORING_MATRIX, 10.0)
     for i, bad in enumerate(invalid):
         with pytest.raises(ConfigurationError) as reference:
             fitness(bad, SCORING_MATRIX, 10.0)
         later_bad = invalid[(i + 1) % len(invalid)]
         with pytest.raises(ConfigurationError, match=re.escape(str(reference.value))):
-            score([good, bad, later_bad, good])
-    with pytest.raises(ConfigurationError, match="equal length"):
-        score([good, _padded(2, 1.0, 0, 5)])
+            scorer.score(*_stacked([good, bad, later_bad, good]))
+    # weights and numerator indices of unequal length
+    weights, indices, denominators = _stacked([good, good])
+    with pytest.raises(ConfigurationError, match="population arrays"):
+        scorer.score(weights, np.hstack([indices, indices]), denominators)
 
 
 # ----------------------------------------------------------------------------
@@ -519,7 +530,3 @@ def test_shared_guard_table_gives_the_same_outputs(impaired_trace, small_ga):
     for x, y in zip(with_table, without):
         assert x.values.tobytes() == y.values.tobytes()
         assert x.interpolated.tobytes() == y.interpolated.tobytes()
-    # a table built with another guard threshold is refused, not ignored
-    with pytest.raises(ConfigurationError, match="guard_rel"):
-        build_streams(solution, matrix, 10.0, guard_rel=1e-6, guards=guards)
-    assert build_streams(solution, matrix, 10.0, guard_rel=1e-6, guards=guard_table(matrix, 1e-6))

@@ -64,6 +64,13 @@ def test_segment_accepts_quiet_breathing(breathing_trace):
     assert np.all(plan.motion_metric < 2.0)
 
 
+def test_reference_pair_must_be_on_the_grid(breathing_trace):
+    plan = segment(breathing_trace, dataclasses.replace(_FAST, reference_pair=(3, 217)))
+    assert plan.reference_pair == (3, 217)
+    with pytest.raises(ConfigurationError, match="below 218"):
+        segment(breathing_trace, dataclasses.replace(_FAST, reference_pair=(0, 218)))
+
+
 def test_segment_rejects_event_frame(grid):
     # step sized for a ~2.5 rad ratio-phase jump on the reference pair:
     # large enough to trip the 2 rad gate, small enough to survive unwrap
@@ -117,6 +124,16 @@ def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
         {"frame_s": 1e-320},                # window_s / frame_s overflows
         {"sg_polyorder": -1},
         {"sg_polyorder": 2.5},
+        {"n_numerators": 0},
+        {"n_numerators": 2.5},
+        {"mu": 1.5},
+        {"mu": float("nan")},
+        {"hampel_threshold": -1.0},
+        {"phase_block": -3},
+        {"reference_pair": (2, 2)},
+        {"reference_pair": (0, -1)},
+        {"reference_pair": (0, 1, 2)},
+        {"reference_pair": [0, 1]},
     ],
 )
 def test_pipeline_config_rejects_bad_geometry(fields):
@@ -150,19 +167,6 @@ def test_segment_rejects_windows_short_of_whole_blocks(grid, fs, fields):
         segment(trace, config)
     with pytest.raises(ConfigurationError, match="under the 10 s minimum"):
         run_pipeline(trace, config)
-
-
-def test_segment_rejects_block_smoothing_short_of_the_minimum(grid):
-    # 20 Hz in blocks of 2: a 10 s window is 100 blocks at 10 Hz, and block
-    # smoothing over int(0.33 * 10) = 3 blocks leaves 33 samples at 3.33 Hz
-    trace = generate_ideal_csi(_quick_scenario(), grid)
-    config = dataclasses.replace(_FAST, smoothing_mode="block")
-    for call in (segment, run_pipeline):
-        with pytest.raises(ConfigurationError, match="33 smoothed samples.*under the 10 s"):
-            call(trace, config)
-    # blocks of 5 leave 20 samples at 2 Hz, exactly 10 s
-    results = run_pipeline(trace, dataclasses.replace(config, smoothing_s=0.5))
-    assert results and all(r.reason is None for r in results)
 
 
 def test_segment_threshold_can_reject_everything(breathing_trace):

@@ -24,7 +24,6 @@ from csibreath.simulate import (
     fresnel_phase,
     generate_ideal_csi,
     impulse_level_series,
-    smooth_amplitude_ripple,
 )
 
 
@@ -301,6 +300,9 @@ def test_impulse_config_validation():
         ImpairmentConfig(impulse_correlation=1.5)
     with pytest.raises(ConfigurationError):
         ImpairmentConfig(cfo_bound_rad=0.0)
+    for seed in (-5, 2.5, True):
+        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+            ImpairmentConfig(seed=seed)
 
 
 def test_gaussian_noise_level(breathing_trace):
@@ -317,16 +319,6 @@ def test_impairments_require_a_grid():
     trace = CsiTrace.uniform(np.ones((2, 5), dtype=complex), 10.0)
     with pytest.raises(ConfigurationError):
         apply_impairments(trace, ImpairmentConfig(pbd_noise_std=0.1))
-
-
-def test_smooth_amplitude_ripple_profile():
-    profile = smooth_amplitude_ripple(218, ripple_std=0.2, seed=5)
-    assert profile.shape == (218,)
-    assert np.all(profile >= 0.05)
-    assert np.isclose(np.mean(profile), 1.0, atol=0.02)
-    assert np.isclose(np.std(profile), 0.2, rtol=0.15)
-    # smoothness: neighboring tones stay close relative to the full spread
-    assert np.max(np.abs(np.diff(profile))) < 0.5 * np.ptp(profile)
 
 
 def test_max_path_change_constant_matches_physiology():
