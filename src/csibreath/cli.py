@@ -26,6 +26,7 @@ from .config import (
     load_config,
     pipeline_from_config,
     scenario_from_config,
+    sweep_from_config,
 )
 from .errors import (
     ConfigurationError,
@@ -35,7 +36,7 @@ from .errors import (
     TraceFormatError,
     check_integer,
 )
-from .gass import GassSolution, optimize
+from .gass import GassSolution, optimize, rank_seed_pairs, solve_delay_basis
 from .pipeline import (
     EvaluationReport,
     WindowResult,
@@ -44,6 +45,7 @@ from .pipeline import (
     segment,
     snr_sweep,
 )
+from .ratio import guard_table
 from .simulate import CsiTrace, apply_impairments, generate_ideal_csi
 from .traceio import read_trace, write_trace
 
@@ -95,9 +97,9 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 def _solution_record(solution: GassSolution) -> dict:
     genome = solution.genome
     return {
-        "weights_re": [float(w.real) for w in genome.weights],
-        "weights_im": [float(w.imag) for w in genome.weights],
-        "numerator_indices": [int(m) for m in genome.numerator_indices],
+        "weights_re": genome.weights.real.tolist(),
+        "weights_im": genome.weights.imag.tolist(),
+        "numerator_indices": genome.numerator_indices.tolist(),
         "denominator_index": int(genome.denominator_index),
         "fitness": _jsonable(solution.fitness),
         "generation_found": solution.generation_found,
@@ -198,7 +200,7 @@ def _cmd_sweep_blindspot(config: dict, seed: int, out: Path) -> int:
     scenario = scenario_from_config(config)
     grid = grid_from_config(config)
     impairments = impairments_from_config(config, seed)
-    sweep = dict(config.get("sweep", {}))
+    sweep = sweep_from_config(config)
     unknown = set(sweep) - SWEEP_KEYS
     if unknown:
         raise ConfigurationError(f"unknown sweep keys: {sorted(unknown)}")
@@ -226,7 +228,7 @@ def _cmd_sweep_snr(config: dict, seed: int, out: Path) -> int:
     scenario = scenario_from_config(config)
     grid = grid_from_config(config)
     impairments = impairments_from_config(config, seed)
-    sweep = dict(config.get("sweep", {}))
+    sweep = sweep_from_config(config)
     if "noise_stds" not in sweep:
         raise ConfigurationError("sweep.noise_stds is required for sweep-snr")
     report = snr_sweep(
@@ -244,6 +246,9 @@ def _cmd_sweep_snr(config: dict, seed: int, out: Path) -> int:
 
 
 def _cmd_gass_audit(config: dict, seed: int, out: Path) -> int:
+    """The pipeline's search on window 0, as ``run_pipeline`` runs it, and
+    the fitness the reference genetic algorithm reaches from the same
+    ranking."""
     trace = _load_trace(config, seed)
     pipeline_config = pipeline_from_config(config)
     plan = segment(trace, pipeline_config)
@@ -251,19 +256,26 @@ def _cmd_gass_audit(config: dict, seed: int, out: Path) -> int:
         raise NoWindowError("no complete window to audit")
     window = plan.window(int(plan.window_starts[0]))
     matrix, eff_rate = window.values, window.sample_rate_hz
-    solution = optimize(
-        matrix,
-        pipeline_config.n_numerators,
-        eff_rate,
-        params=pipeline_config.ga,
-        seed=np.random.default_rng([seed, 0]),
+    params = pipeline_config.ga
+    rng = np.random.default_rng([seed, 0])
+    guards = guard_table(matrix)
+    ranked = rank_seed_pairs(matrix, eff_rate, params, rng, guards=guards)
+    solution = solve_delay_basis(
+        matrix, window.grid.center_frequency_hz, eff_rate, ranked[: params.seed_top], guards
     )
+    reference = optimize(
+        matrix, pipeline_config.n_numerators, eff_rate, params=params, seed=rng,
+        ranked_pairs=ranked, guards=guards,
+    )
+    record = _solution_record(solution)
+    record["reference_ga_fitness"] = _jsonable(reference.fitness)
     with open(out / "gass_solution.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_solution_record(solution), fh, sort_keys=True, indent=1)
+        json.dump(record, fh, sort_keys=True, indent=1)
         fh.write("\n")
     print(
         f"window 0: fitness {solution.fitness:.4g} "
-        f"(seeded single-pair best {solution.seeded_best_fitness:.4g})"
+        f"(reference GA {reference.fitness:.4g}, "
+        f"seeded single-pair best {solution.seeded_best_fitness:.4g})"
     )
     return 0
 

@@ -55,6 +55,26 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _section(mapping: dict, key: str, where: str) -> dict:
+    """A copy of the mapping under ``key``; absent or empty (YAML null) means
+    the section's defaults."""
+    value = mapping.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be a mapping, got {value!r}")
+    return dict(value)
+
+
+def _mappings(items: Any, where: str) -> list[dict]:
+    """A list of mappings; absent or empty (YAML null) means none."""
+    if items is None:
+        return []
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ConfigurationError(f"{where} must be a list of mappings, got {items!r}")
+    return items
+
+
 def _build(cls: type, mapping: dict, where: str, **overrides: Any):
     fields = {f.name for f in dataclasses.fields(cls)}
     _reject_unknown(mapping, fields, where)
@@ -65,7 +85,9 @@ def _build(cls: type, mapping: dict, where: str, **overrides: Any):
 
 
 def grid_from_config(config: dict) -> SubcarrierGrid:
-    spec = config.get("grid", "default")
+    spec = config.get("grid")
+    if spec is None:
+        spec = "default"
     if isinstance(spec, str):
         builders = {"default": default_grid, "ht-ltf": ht_ltf_grid, "l-ltf": l_ltf_grid}
         if spec not in builders:
@@ -77,14 +99,19 @@ def grid_from_config(config: dict) -> SubcarrierGrid:
         _reject_unknown(spec, {"center_frequencies_hz", "physical_indices", "field"}, "grid")
         if "center_frequencies_hz" not in spec:
             raise ConfigurationError("custom grid needs center_frequencies_hz")
-        return custom_grid(
-            np.asarray(spec["center_frequencies_hz"], dtype=float),
-            physical_index=(
+        try:
+            frequencies = np.asarray(spec["center_frequencies_hz"], dtype=float)
+            physical = (
                 np.asarray(spec["physical_indices"], dtype=int)
                 if "physical_indices" in spec
                 else None
-            ),
-            field_tag=spec.get("field", "HT-LTF"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"custom grid frequencies and indices must be numbers: {exc}"
+            ) from exc
+        return custom_grid(
+            frequencies, physical_index=physical, field_tag=spec.get("field", "HT-LTF")
         )
     raise ConfigurationError("grid must be a name or a mapping")
 
@@ -108,16 +135,17 @@ def _motion_from_config(spec: dict) -> Motion:
 def scenario_from_config(config: dict) -> ChannelScenario:
     if "scenario" not in config:
         raise ConfigurationError("config has no scenario section")
-    section = dict(config["scenario"])
+    section = _section(config, "scenario", "scenario")
     if "static_paths" not in section or "motion" not in section:
         raise ConfigurationError("scenario needs static_paths and motion")
     paths = tuple(
-        _build(StaticPath, dict(p), "scenario.static_paths") for p in section.pop("static_paths")
+        _build(StaticPath, p, "scenario.static_paths")
+        for p in _mappings(section.pop("static_paths"), "scenario.static_paths")
     )
     motion = _motion_from_config(section.pop("motion"))
     events = tuple(
-        _build(MotionEvent, dict(e), "scenario.motion_events")
-        for e in section.pop("motion_events", [])
+        _build(MotionEvent, e, "scenario.motion_events")
+        for e in _mappings(section.pop("motion_events", None), "scenario.motion_events")
     )
     return _build(
         ChannelScenario,
@@ -129,15 +157,21 @@ def scenario_from_config(config: dict) -> ChannelScenario:
     )
 
 
+def sweep_from_config(config: dict) -> dict:
+    """The sweep section as a mapping; absent or empty means no settings."""
+    return _section(config, "sweep", "sweep")
+
+
 def impairments_from_config(config: dict, seed_offset: int = 0) -> ImpairmentConfig:
     """The impairments section, its seed (an integer >= 0) offset by ``seed_offset``."""
-    base = _build(ImpairmentConfig, dict(config.get("impairments", {})), "impairments")
+    base = _build(ImpairmentConfig, _section(config, "impairments", "impairments"), "impairments")
     return dataclasses.replace(base, seed=base.seed + seed_offset)
 
 
 def pipeline_from_config(config: dict) -> PipelineConfig:
-    section = dict(config.get("pipeline", {}))
-    ga = _build(GaParams, dict(section.pop("ga", {})), "pipeline.ga")
+    section = _section(config, "pipeline", "pipeline")
+    ga = _build(GaParams, _section(section, "ga", "pipeline.ga"), "pipeline.ga")
+    section.pop("ga", None)
     if isinstance(section.get("reference_pair"), list):
         section["reference_pair"] = tuple(section["reference_pair"])
     return _build(PipelineConfig, section, "pipeline", ga=ga)

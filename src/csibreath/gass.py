@@ -1,19 +1,33 @@
-"""Genetic-algorithm search for a high-quality weighted subcarrier ratio.
+"""Subcarrier search for a high-quality weighted subcarrier ratio.
 
-The search space: N numerator subcarriers with complex weights (|a_i| <= 1)
-and one denominator subcarrier; the objective is the respiration-band ratio
-of sum_i a_i H(m_i, k) / H(m_d, k). Elite preservation makes the best
-fitness non-decreasing across generations, so the returned solution is never
-worse than any genome in the initial population - in particular never worse
-than the seeded single-pair candidates.
+The objective is the respiration-band ratio of sum_i a_i H(m_i, k) /
+H(m_d, k): N numerator subcarriers with complex weights (|a_i| <= 1) over
+one denominator subcarrier. ``fitness`` scores one genome and is the
+reference definition of the objective.
 
-``fitness`` scores one genome and is the reference definition of the
-objective. The search holds its population as arrays - weights (P, N),
-numerator indices (P, N) and denominators (P,) - and runs tournament
+The pipeline's search is ``solve_delay_basis``, a closed form. For a fixed
+denominator every step of the band ratio before the squared magnitude is
+linear in the numerator weights, so the objective is a ratio of two
+Hermitian forms. Over every other row as a numerator, with weights drawn
+from a basis of a few propagation delays, its optimum is the top
+generalized eigenvector of an 8x8 pair of in-band and out-of-band Gram
+matrices (the max-SNR beamformer of Warsitz and Haeb-Umbach, IEEE TASLP
+2007). The best ranked single pair is an explicit fallback, so the result is
+never worse than it.
+
+``optimize`` is the paper's genetic algorithm, kept as the reference solver
+that ``gass-audit`` compares against. Elite preservation makes its best
+fitness non-decreasing across generations, so it too is never worse than the
+seeded single-pair candidates. It holds its population as arrays - weights
+(P, N), numerator indices (P, N) and denominators (P,) - and runs tournament
 selection, uniform crossover and mutation as whole-population array
 operations. Each generation's children are scored in one batch by
 ``PopulationScorer``, whose scores equal ``fitness`` bit for bit and do not
 depend on the batch, so the elites carry their scores over.
+
+Products over the full band are ``np.einsum`` sums rather than ``@``: a BLAS
+matrix-vector product over ~200 rows changes its last bits with the BLAS
+thread count, and outputs must not.
 """
 
 from __future__ import annotations
@@ -23,13 +37,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, StreamGuardError
-from .ratio import CscrStream, GuardTable, guard_table, guarded_ratio, ssnr_values
+from .ratio import (
+    CscrStream,
+    GuardTable,
+    band_spectrum,
+    guard_table,
+    guarded_ratio,
+    ssnr_values,
+)
 
 
 _COUNTS = (
     "population", "generations", "tournament", "elites",
     "stagnation_limit", "seed_pool", "seed_top",
 )
+
+# Delays of the closed-form search's weight basis. A propagation path of
+# length L adds a term exp(-j 2 pi f L / c) to the channel, a complex
+# exponential across the grid, so weights built from a few delays follow the
+# channel's own structure. 8 delays over +-100 ns (+-30 m of path) lie 29 ns
+# apart, about the delay resolution of the default grid's 36 MHz span.
+DELAY_COUNT = 8
+DELAY_SPAN_S = 100e-9
 
 
 @dataclass(frozen=True)
@@ -118,8 +147,13 @@ def combined_ratio(
     denominator_index: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted numerator over a single denominator row of a CSI matrix."""
-    numerator = weights @ matrix[numerator_indices]
-    return guarded_ratio(numerator, matrix[denominator_index])
+    return guarded_ratio(_numerator(matrix, weights, numerator_indices), matrix[denominator_index])
+
+
+def _numerator(matrix: np.ndarray, weights: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * matrix[indices[i]], in the same bits at any BLAS
+    thread count."""
+    return np.einsum("n,nk->k", weights, matrix[indices])
 
 
 def fitness(genome: Genome, matrix: np.ndarray, sample_rate_hz: float) -> float:
@@ -145,10 +179,10 @@ class PopulationScorer:
     """Fitness of a whole population on one window, computed as one batch.
 
     Each score equals ``fitness(genome, matrix, sample_rate_hz)`` bit for
-    bit. All numerators come from one gather-matmul, and each denominator's
-    guard status from one table, ``guard_table(matrix)`` unless the caller
-    passes it as ``guards``; only rows with flagged but tolerated samples
-    take the interpolating path. Invalid genomes raise the same
+    bit. All numerators come from one gather and one einsum, and each
+    denominator's guard status from one table, ``guard_table(matrix)`` unless
+    the caller passes it as ``guards``; only rows with flagged but tolerated
+    samples take the interpolating path. Invalid genomes raise the same
     ConfigurationError as ``fitness``.
     """
 
@@ -189,7 +223,8 @@ class PopulationScorer:
         self, weights: np.ndarray, indices: np.ndarray, denominators: np.ndarray
     ) -> np.ndarray:
         """Scores of valid genomes with some weight over kept denominators."""
-        numerators = (weights[:, None, :] @ self.matrix[indices])[:, 0, :]
+        # each row in the bits ``_numerator`` gives the genome alone
+        numerators = np.einsum("pn,pnk->pk", weights, self.matrix[indices])
         with np.errstate(divide="ignore", invalid="ignore"):
             values = (numerators / self.matrix[denominators]).astype(complex, copy=False)
         for j in np.flatnonzero(self.any_flagged[denominators]):
@@ -209,8 +244,9 @@ def rank_seed_pairs(
     """Rank a random pool of (numerator, denominator) pairs by band ratio.
 
     Returns (numerator, denominator, band ratio) triples, best first. The
-    best entry doubles as the window's single-pair quality estimate, which
-    the pipeline uses to decide whether a previous solution is still good.
+    best entry gives ``solve_delay_basis`` its denominator and its fallback,
+    and doubles as the window's single-pair quality estimate, which the
+    pipeline uses to decide whether a previous solution is still good.
     ``guards`` is ``guard_table(matrix)`` when the caller already has it.
     """
     n_sub = matrix.shape[0]
@@ -370,35 +406,122 @@ def optimize(
     )
 
 
+def solve_delay_basis(
+    matrix: np.ndarray,
+    frequencies_hz: np.ndarray,
+    sample_rate_hz: float,
+    ranked_pairs: list[tuple[int, int, float]],
+    guards: GuardTable | None = None,
+) -> GassSolution:
+    """Closed-form search on one analysis window.
+
+    The denominator d is the best ranked pair's, and every other row is a
+    numerator. Its weights are w = F c over the delay basis F[m, t] =
+    exp(j 2 pi (f_m - mean f) tau_t), with at most as many delays as
+    numerator rows. The rows are projected onto the basis first, S_t =
+    sum_m F[m, t] H_m / H_d (guarded like any ratio by ``guards``), and the
+    band ratio of sum_t c_t S_t is c^H A c / c^H B c, with A and B the
+    in-band and out-of-band Gram matrices of the spectra of S. Its maximum is
+    the top eigenvalue of A whitened by the Cholesky factor of B. The weights
+    are scaled so that max |w| = 1, with that entry real and positive, and
+    the genome's ``fitness`` equals the eigenvalue up to rounding.
+
+    ``ranked_pairs`` is a non-empty ``rank_seed_pairs`` ranking, reported as
+    the solution's seeded pairs; ``frequencies_hz`` holds the center
+    frequency of every row. When B is not positive definite, or the solved
+    genome scores below the best pair, the best pair's own genome is the
+    result, so the search is never worse than the ranking. B is singular on
+    noise-free CSI, and on grids whose tone spacing aliases two delays (10
+    MHz spacing repeats every 100 ns).
+    """
+    n_sub = matrix.shape[0]
+    if n_sub < 2:
+        raise ConfigurationError("need at least two subcarriers")
+    if not ranked_pairs:
+        raise ConfigurationError("the search needs at least one ranked pair")
+    frequencies = np.asarray(frequencies_hz, dtype=float)
+    if frequencies.shape != (n_sub,):
+        raise ConfigurationError("need one center frequency per subcarrier row")
+    guards = guards if guards is not None else guard_table(matrix)
+    m1, d, pair_fitness = ranked_pairs[0]
+    genome, score = Genome(np.ones(1, dtype=complex), np.array([m1]), d), pair_fitness
+    solved = None if guards.rejected[d] else _solve(matrix, frequencies, sample_rate_hz, d, guards)
+    if solved is not None:
+        solved_score = fitness(solved, matrix, sample_rate_hz)
+        if solved_score >= pair_fitness:
+            genome, score = solved, solved_score
+    return GassSolution(
+        genome=genome,
+        fitness=score,
+        generation_found=0,
+        history=np.array([score]),
+        seeded_pairs=tuple((m1, m2) for m1, m2, _ in ranked_pairs),
+        seeded_best_fitness=pair_fitness,
+    )
+
+
+def _solve(
+    matrix: np.ndarray, frequencies: np.ndarray, sample_rate_hz: float, d: int,
+    guards: GuardTable,
+) -> Genome | None:
+    """The delay-basis genome over denominator ``d`` (a row the guard keeps),
+    or None when its Gram matrices admit no solution."""
+    rows = np.flatnonzero(np.arange(matrix.shape[0]) != d)
+    delays = np.linspace(-DELAY_SPAN_S, DELAY_SPAN_S, min(DELAY_COUNT, rows.size))
+    basis = np.exp(2j * np.pi * np.outer(frequencies[rows] - frequencies.mean(), delays))
+    # sum_m F[m, t] (H_m / H_d) = (sum_m F[m, t] H_m) / H_d, guard interpolation included
+    projected = np.einsum("mt,mk->tk", basis, matrix[rows])
+    if guards.flagged[d].any():
+        projected = np.array([guards.ratio(row, matrix[d], d)[0] for row in projected])
+    else:
+        projected = projected / matrix[d]
+    windowed, low, in_band, nfft = band_spectrum(projected, sample_rate_hz)
+    band = _hermitian_gram(low[:, in_band])
+    out_of_band = nfft * _hermitian_gram(windowed) - _hermitian_gram(low)
+    try:
+        factor = np.linalg.cholesky(out_of_band)
+        inverse = np.linalg.inv(factor)
+        _, vectors = np.linalg.eigh(inverse @ band @ inverse.conj().T)
+    except np.linalg.LinAlgError:
+        return None
+    weights = np.einsum("mt,t->m", basis, inverse.conj().T @ vectors[:, -1])
+    top = int(np.argmax(np.abs(weights)))
+    weights = weights / weights[top]
+    weights[top] = 1.0
+    return Genome(weights, rows, d)
+
+
+def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
+    """G[t, s] = sum_k conj(rows[t, k]) rows[s, k], so that the energy of
+    sum_t c_t rows[t] is c^H G c."""
+    return np.einsum("tk,sk->ts", rows.conj(), rows)
+
+
 def build_streams(
     solution: GassSolution,
     matrix: np.ndarray,
     sample_rate_hz: float,
-    include_numerators: bool = False,
     *,
     guards: GuardTable | None = None,
 ) -> list[CscrStream]:
-    """Fan the solved numerator out over every remaining denominator.
+    """Fan the solved numerator out over every row the guard keeps.
 
-    One stream per grid position, excluding the numerator subcarriers
-    themselves unless ``include_numerators`` is set (zero-weight numerator
-    slots do not count as used). Streams whose denominator fails the guard
-    are skipped. The numerator is divided by all kept denominator rows at
-    once; only rows with flagged samples take the interpolating path.
-    ``guards`` is ``guard_table(matrix)`` when the caller already has it.
+    One stream per kept grid position, the numerator rows included: the
+    closed-form numerator spans every row but its denominator, so excluding
+    numerator rows would leave at most one stream. A single-pair numerator
+    over its own row gives 1 up to rounding, a stream of rounding noise with
+    a low band ratio. The numerator is divided by all kept rows at once; only
+    rows with flagged samples take the interpolating path. ``guards`` is ``guard_table(matrix)``
+    when the caller already has it.
     """
     genome = solution.genome
     numerator_spec = tuple(
-        (complex(w), int(m))
-        for w, m in zip(genome.weights, genome.numerator_indices)
+        zip(genome.weights.astype(complex).tolist(), genome.numerator_indices.tolist())
     )
     if guards is None:
         guards = guard_table(matrix)
-    keep = ~guards.rejected
-    if not include_numerators:
-        keep[genome.numerator_indices[genome.weights != 0]] = False
-    rows = np.flatnonzero(keep)
-    numerator = genome.weights @ matrix[genome.numerator_indices]
+    rows = np.flatnonzero(~guards.rejected)
+    numerator = _numerator(matrix, genome.weights, genome.numerator_indices)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = (numerator / matrix[rows]).astype(complex, copy=False)
     interpolated = guards.flagged[rows]

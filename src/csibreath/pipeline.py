@@ -1,6 +1,12 @@
 """End-to-end respiration sensing: segmentation, per-window search, stream
 combination, projection, filtering, and rate estimation.
 
+The per-window search is ``gass.solve_delay_basis``, the closed-form
+delay-basis solve over the top-ranked pair's denominator, and the stream
+fan-out divides its numerator by every row the guard keeps. The genetic
+algorithm (``gass.optimize``) is not part of the pipeline; ``gass-audit``
+runs it as a reference.
+
 A ``CsiTrace`` is block-averaged once, in ``segment``. The packets are
 screened in one-second frames by a motion gate on the phase of a reference
 ratio pair (ratios are offset-free, so a gross-motion artifact shows up as a
@@ -44,7 +50,7 @@ from .errors import (
     ZeroVarianceError,
     check_integer,
 )
-from .gass import GaParams, GassSolution, optimize
+from .gass import GaParams, GassSolution
 from .grid import SubcarrierGrid
 from .rate import MIN_WINDOW_S, RespirationEstimate, estimate_rate
 from .ratio import GuardTable, average_phase_blocks, guard_table, guarded_ratio, ssnr_values
@@ -76,8 +82,8 @@ class PipelineConfig:
     """Knobs for the full pipeline. Time-valued fields are converted to
     sample counts against the effective (block-averaged) rate at run time."""
 
-    n_numerators: int = 8
-    ga: GaParams = field(default_factory=GaParams)
+    n_numerators: int = 8             # numerator slots of gass-audit's reference GA
+    ga: GaParams = field(default_factory=GaParams)  # ranking; the rest is the audit's GA
     phase_block: int = 0              # K1 packets averaged; 0 = F_s / 10
     mu: float = 0.5                   # stream survival threshold fraction
     gain_window_s: float = 0.5
@@ -91,7 +97,6 @@ class PipelineConfig:
     motion_threshold_rad: float = 2.0
     reference_pair: tuple[int, int] | None = None
     min_prominence: float = 0.2
-    include_numerators: bool = False
     reuse_tolerance: float = 0.0      # 0 disables solution reuse
 
     def __post_init__(self) -> None:
@@ -121,6 +126,11 @@ class PipelineConfig:
                 )
             for index in pair:
                 check_integer("reference_pair index", index, 0)
+        if min(self.ga.seed_pool, self.ga.seed_top) < 1:
+            raise ConfigurationError(
+                "ga.seed_pool and ga.seed_top must be >= 1: the search starts "
+                "from the best ranked pair"
+            )
 
     def block_size(self, sample_rate_hz: float) -> int:
         return self.phase_block if self.phase_block > 0 else max(
@@ -253,13 +263,7 @@ def _run_stages(
     block-averaged CSI matrix (at ``eff_rate``), a solved numerator and, if
     the caller has it, the matrix's ``guard_table``. Shared by the live
     pipeline and provenance replay."""
-    streams = gass_mod.build_streams(
-        solution,
-        averaged,
-        eff_rate,
-        include_numerators=config.include_numerators,
-        guards=guards,
-    )
+    streams = gass_mod.build_streams(solution, averaged, eff_rate, guards=guards)
     aligned = align_streams(streams, gain_window=max(1, int(config.gain_window_s * eff_rate)))
     combined = combine(
         aligned, smoothing_window=max(1, int(config.smoothing_s * eff_rate)), mu=config.mu
@@ -311,14 +315,18 @@ def run_pipeline(
     """Estimate the respiration rate on every complete window.
 
     Deterministic for fixed (trace, config, seed): each window derives its
-    own generator from (seed, window_id). With ``reuse_tolerance`` > 0 the
-    previous window's numerator is kept while the best single-pair band
-    ratio moves by less than that fraction, skipping the search. ``plan``
-    is ``segment(trace, config)`` when the caller already has it. Each
-    window builds one ``guard_table`` for its pair ranking, search and
-    stream fan-out.
+    own generator from (seed, window_id) for its pair ranking. The search
+    (``gass.solve_delay_basis``) needs the trace's grid for its subcarrier
+    frequencies. With ``reuse_tolerance`` > 0 the previous window's numerator
+    is kept while the best single-pair band ratio moves by less than that
+    fraction, skipping the search. ``plan`` is ``segment(trace, config)``
+    when the caller already has it. Each window builds one ``guard_table``
+    for its pair ranking, search and stream fan-out.
     """
     config = config or PipelineConfig()
+    if trace.grid is None:
+        raise ConfigurationError("the subcarrier search needs the trace's grid frequencies")
+    frequencies = trace.grid.center_frequency_hz
     plan = plan if plan is not None else segment(trace, config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
@@ -345,14 +353,8 @@ def run_pipeline(
                     )
                     reused = True
             if not reused:
-                solution = optimize(
-                    matrix,
-                    config.n_numerators,
-                    eff_rate,
-                    params=config.ga,
-                    seed=rng,
-                    ranked_pairs=ranked,
-                    guards=guards,
+                solution = gass_mod.solve_delay_basis(
+                    matrix, frequencies, eff_rate, ranked[: config.ga.seed_top], guards
                 )
             previous = (solution, best_pair)
             estimate, stage_ratios = _run_stages(

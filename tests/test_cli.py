@@ -75,6 +75,28 @@ def test_run_from_trace_round_trip(base_config, tmp_path):
     assert (out / "estimates.jsonl").exists()
 
 
+def test_empty_sections_mean_the_defaults(tmp_path):
+    settings = yaml.safe_load(_BASE)
+    del settings["impairments"]
+    settings["pipeline"] = {"n_numerators": 2}
+    text = yaml.safe_dump(settings)
+    empty = text.replace("  n_numerators: 2\n", "  n_numerators: 2\n  ga: null\n")
+    assert empty != text
+    outputs = []
+    for name, config_text in (
+        ("omitted", text),
+        ("empty", empty + "impairments:\nsweep:\n"),
+        ("bare", text.replace("pipeline:\n  n_numerators: 2\n", "pipeline:\n")),
+    ):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(config_text)
+        out = tmp_path / name
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        outputs.append((out / "estimates.jsonl").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[2].count(b"\n") == 3
+
+
 def test_sweep_blindspot_outputs(base_config, tmp_path):
     config = tmp_path / "sweep.yaml"
     config.write_text(_BASE + "sweep: {offsets_m: [0.0, 0.03]}\n")
@@ -151,13 +173,26 @@ def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):
         assert outputs[0] == outputs[1], command
 
 
-def test_gass_audit_solution_dump(base_config, tmp_path):
+def test_gass_audit_solution_dump(base_config, tmp_path, capsys):
     out = tmp_path / "audit"
     assert cli.main(["gass-audit", "--config", str(base_config), "--out", str(out)]) == 0
     record = json.loads((out / "gass_solution.json").read_text())
-    assert {"weights_re", "weights_im", "numerator_indices",
-            "denominator_index", "fitness", "history"} <= set(record)
-    assert len(record["weights_re"]) == 2
+    assert {"weights_re", "weights_im", "numerator_indices", "denominator_index",
+            "fitness", "history", "reference_ga_fitness"} <= set(record)
+    # the closed form's numerator is every row but the denominator
+    assert len(record["weights_re"]) == 5
+    assert sorted(record["numerator_indices"] + [record["denominator_index"]]) == list(range(6))
+    assert record["history"] == [record["fitness"]]
+    assert record["fitness"] >= record["seeded_best_fitness"]
+    printed = capsys.readouterr().out
+    assert f"{record['fitness']:.4g}" in printed
+    assert f"reference GA {record['reference_ga_fitness']:.4g}" in printed
+    # it is the search run_pipeline ran on window 0
+    run = tmp_path / "run"
+    assert cli.main(["run", "--config", str(base_config), "--out", str(run)]) == 0
+    first = json.loads((run / "estimates.jsonl").read_text().splitlines()[0])
+    del record["reference_ga_fitness"]
+    assert first["solution"] == record
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -202,7 +237,8 @@ def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
 
 
 def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
-    for line in ("smoothing_mode: block", "gain_normalization: multiply", "refine_peak: false"):
+    for line in ("smoothing_mode: block", "gain_normalization: multiply", "refine_peak: false",
+                 "include_numerators: true"):
         config = tmp_path / "removed.yaml"
         config.write_text(_BASE.replace("  n_numerators: 2", f"  n_numerators: 2\n  {line}"))
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
@@ -221,6 +257,19 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         ("run", 0, "pipeline", "hampel_threshold", -1),
         ("run", 0, "pipeline", "phase_block", -3),
         ("run", 0, "impairments", "seed", -5),
+        ("run", 0, "pipeline", "ga", {"seed_top": 0}),
+        ("run", 0, "pipeline", "ga", {"seed_pool": 0}),
+        ("run", 0, "pipeline", "ga", [8, 3]),
+        ("run", 0, None, "impairments", 0.02),
+        ("run", 0, None, "pipeline", ["n_numerators"]),
+        ("run", 0, None, "scenario", "breathing"),
+        ("run", 0, "scenario", "static_paths", None),
+        ("run", 0, "scenario", "static_paths", [6.0]),
+        ("run", 0, "scenario", "motion_events", {"time_s": 5.0}),
+        ("run", 0, "grid", "center_frequencies_hz", ["abc", 2.4545e9, 2.457e9,
+                                                     2.4595e9, 2.462e9, 2.4645e9]),
+        ("run", 0, "grid", "physical_indices", ["a", "b", "c", "d", "e", "f"]),
+        ("sweep-blindspot", 0, None, "sweep", [0.0, 0.03]),
         ("run", -1, None, None, None),
         ("sweep-blindspot", -1, None, None, None),
         ("sweep-snr", -1, None, None, None),
@@ -230,6 +279,8 @@ def test_bad_values_and_seeds_exit_2(tmp_path, capsys, command, seed, section, k
     settings = yaml.safe_load(_BASE)
     if section is not None:
         settings[section][key] = value
+    elif key is not None:
+        settings[key] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(settings))
     out = tmp_path / "out"
@@ -305,7 +356,8 @@ def test_runs_are_reproducible(base_config, tmp_path):
     assert (out1 / "windows.csv").read_bytes() == (out2 / "windows.csv").read_bytes()
 
 
-def test_run_is_byte_identical_across_runs_and_blas_threads(base_config, tmp_path):
+def _outputs_across_blas_threads(config, tmp_path):
+    """The run's outputs for 1, 1 and 2 BLAS threads, each in a fresh process."""
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = []
     for run, threads in enumerate(("1", "1", "2")):
@@ -313,10 +365,28 @@ def test_run_is_byte_identical_across_runs_and_blas_threads(base_config, tmp_pat
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         subprocess.run(
-            [sys.executable, "-m", "csibreath.cli", "run", "--config", str(base_config),
+            [sys.executable, "-m", "csibreath.cli", "run", "--config", str(config),
              "--seed", "2", "--out", str(out)],
             env=env, capture_output=True, timeout=120, check=True,
         )
         outputs.append([(out / name).read_bytes() for name in ("estimates.jsonl", "windows.csv")])
+    return outputs
+
+
+def test_run_is_byte_identical_across_runs_and_blas_threads(base_config, tmp_path):
+    outputs = _outputs_across_blas_threads(base_config, tmp_path)
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][0].count(b"\n") == 3
+
+
+def test_default_grid_run_is_byte_identical_across_blas_threads(tmp_path):
+    # 218 tones: products over the full band are large enough for BLAS to
+    # split across threads, which a 6-tone grid never shows
+    settings = yaml.safe_load(_BASE)
+    settings["grid"] = "default"
+    config = tmp_path / "default-grid.yaml"
+    config.write_text(yaml.safe_dump(settings))
+    outputs = _outputs_across_blas_threads(config, tmp_path)
+    assert outputs[0] == outputs[1] == outputs[2]
+    record = json.loads(outputs[0][0].splitlines()[0])
+    assert len(record["solution"]["weights_re"]) == 217

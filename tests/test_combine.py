@@ -13,7 +13,7 @@ from csibreath.combine import (
     stream_gain,
 )
 from csibreath.errors import AlignmentError, ConfigurationError
-from csibreath.gass import Genome, GassSolution, build_streams
+from csibreath.gass import Genome, GassSolution, build_streams, combined_ratio
 from csibreath.ratio import CscrStream, guard_table, ssnr, ssnr_values
 
 
@@ -242,15 +242,15 @@ def _loop_gain(q, gain_window):
     return float(np.max(np.abs(means)))
 
 
-def _loop_build(genome, matrix, include_numerators=False):
-    used = {int(m) for m, w in zip(genome.numerator_indices, genome.weights) if w != 0}
+def _loop_build(genome, matrix):
+    """One stream per row the guard keeps, numerator rows included, each
+    the genome's ``combined_ratio`` over that row."""
     guards = guard_table(matrix)
-    numerator = genome.weights @ matrix[genome.numerator_indices]
     streams = []
     for m in range(matrix.shape[0]):
-        if (not include_numerators and m in used) or guards.rejected[m]:
+        if guards.rejected[m]:
             continue
-        values, bad = guards.ratio(numerator, matrix[m], m)
+        values, bad = combined_ratio(matrix, genome.weights, genome.numerator_indices, m)
         streams.append((m, values, bad))
     return streams
 
@@ -313,7 +313,7 @@ def _check_stack_equals_loop(streams, expected, gain_window, mu):
 
 
 @settings(max_examples=40, deadline=None)
-@example(  # the guard rejects every denominator but the constant stream's
+@example(  # the guard keeps only the two rows that give constant streams
     seed=353, n_sub=4, n_samples=141, n_numerators=3, flagged_rows=2,
     constant_stream=True, gain_window=1, mu=0.0,
 )

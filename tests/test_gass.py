@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,9 +24,16 @@ from csibreath.gass import (
     fitness,
     optimize,
     rank_seed_pairs,
+    solve_delay_basis,
 )
 from csibreath.grid import custom_grid
-from csibreath.ratio import average_phase_blocks, guard_table
+from csibreath.ratio import (
+    GuardTable,
+    average_phase_blocks,
+    band_spectrum,
+    guard_table,
+    guarded_ratio,
+)
 from csibreath.simulate import (
     ChannelScenario,
     ImpairmentConfig,
@@ -36,8 +44,12 @@ from csibreath.simulate import (
 )
 
 
-def _toy_matrix(n_tones=6, seed=2, noise=0.05, duration_s=20.0):
-    grid = custom_grid(2.452e9 + 10e6 * np.arange(n_tones))
+def _toy_frequencies(n_tones, spacing_hz=10e6):
+    return 2.452e9 + spacing_hz * np.arange(n_tones)
+
+
+def _toy_matrix(n_tones=6, seed=2, noise=0.05, duration_s=20.0, spacing_hz=10e6):
+    grid = custom_grid(_toy_frequencies(n_tones, spacing_hz))
     scenario = ChannelScenario(
         sample_rate_hz=10.0,
         duration_s=duration_s,
@@ -468,28 +480,30 @@ def test_next_generation_without_variation_copies_winners(case):
 # ----------------------------------------------------------------------------
 
 
-def test_build_streams_covers_unused_denominators():
-    matrix = _toy_matrix(n_tones=6)
-    solution = optimize(
-        matrix, n_numerators=2, sample_rate_hz=10.0,
-        params=GaParams(population=12, generations=6, seed_pool=20, seed_top=4),
-        seed=1,
-    )
+def test_build_streams_covers_every_kept_row():
+    # the closed-form numerator spans every row but its denominator, so the
+    # fan-out divides it by every row the guard keeps, numerator rows included
+    matrix = _toy_matrix(n_tones=12, spacing_hz=2.5e6)
+    matrix[4] = 0.0  # rejected by the guard
+    guards = guard_table(matrix)
+    ranked = rank_seed_pairs(matrix, 10.0, GaParams(seed_pool=20), np.random.default_rng(1))
+    solution = solve_delay_basis(matrix, _toy_frequencies(12, 2.5e6), 10.0, ranked, guards)
     genome = solution.genome
-    used = {
-        int(m) for m, w in zip(genome.numerator_indices, genome.weights) if w != 0
-    }
+    assert genome.weights.size == 11
     streams = build_streams(solution, matrix, 10.0)
-    assert len(streams) == 6 - len(used)
-    assert {s.denominator for s in streams} == set(range(6)) - used
-    everything = build_streams(solution, matrix, 10.0, include_numerators=True)
-    assert len(everything) == 6
+    assert [s.denominator for s in streams] == [m for m in range(12) if m != 4]
     for stream in streams:
         assert stream.sample_rate_hz == 10.0
         assert stream.numerator == tuple(
             (complex(w), int(m))
             for w, m in zip(genome.weights, genome.numerator_indices)
         )
+    # a single-pair numerator over its own row is constant up to the
+    # rounding of x / x
+    m1, d, score = ranked[0]
+    pair = GassSolution(Genome(np.array([1.0 + 0j]), np.array([m1]), d), score, 0, np.ones(1))
+    own = next(s for s in build_streams(pair, matrix, 10.0) if s.denominator == m1)
+    np.testing.assert_allclose(own.values, 1.0, rtol=1e-15)
 
 
 def test_build_streams_values_match_direct_ratio():
@@ -530,3 +544,134 @@ def test_shared_guard_table_gives_the_same_outputs(impaired_trace, small_ga):
     for x, y in zip(with_table, without):
         assert x.values.tobytes() == y.values.tobytes()
         assert x.interpolated.tobytes() == y.interpolated.tobytes()
+
+
+# ----------------------------------------------------------------------------
+# Closed-form search
+# ----------------------------------------------------------------------------
+
+
+def _eigenvalue(matrix, frequencies, fs, denominator):
+    """Top generalized eigenvalue of the delay-basis problem, built the long
+    way: every ratio row guarded on its own, then projected, and solved by
+    scipy."""
+    rows = [m for m in range(matrix.shape[0]) if m != denominator]
+    delays = np.linspace(-100e-9, 100e-9, min(8, len(rows)))
+    basis = np.exp(2j * np.pi * np.outer(frequencies[rows] - frequencies.mean(), delays))
+    ratios = np.array([guarded_ratio(matrix[m], matrix[denominator])[0] for m in rows])
+    windowed, low, in_band, nfft = band_spectrum(basis.T @ ratios, fs)
+    band = low[:, in_band].conj() @ low[:, in_band].T
+    out_of_band = nfft * windowed.conj() @ windowed.T - low.conj() @ low.T
+    return scipy.linalg.eigh(band, out_of_band, eigvals_only=True)[-1]
+
+
+def _window(trace, k1=5, seed=None):
+    """A 10 s block-averaged window of ``trace`` with fresh noise from ``seed``."""
+    if seed is not None:
+        trace = apply_impairments(trace, ImpairmentConfig(
+            pbd_noise_std=0.002, sfo_slope=1e-4, cfo_walk_std=0.05,
+            gaussian_noise_std=0.03, seed=seed,
+        ))
+    return average_phase_blocks(trace, k1).values[:, :100]
+
+
+def _solve(matrix, frequencies, fs=10.0, seed=0):
+    ranked = rank_seed_pairs(matrix, fs, GaParams(), np.random.default_rng(seed))
+    return solve_delay_basis(matrix, frequencies, fs, ranked[:20]), ranked
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_delay_basis_fitness_equals_eigenvalue(breathing_trace, seed):
+    frequencies = breathing_trace.grid.center_frequency_hz
+    matrix = _window(breathing_trace, seed=seed)
+    solution, ranked = _solve(matrix, frequencies, seed=seed)
+    genome = solution.genome
+    assert genome.weights.size == matrix.shape[0] - 1  # not the fallback
+    assert solution.fitness == fitness(genome, matrix, 10.0)
+    expected = _eigenvalue(matrix, frequencies, 10.0, genome.denominator_index)
+    np.testing.assert_allclose(solution.fitness, expected, rtol=1e-9)
+    assert genome.denominator_index == ranked[0][1]
+    assert solution.fitness > solution.seeded_best_fitness == ranked[0][2]
+    assert solution.seeded_pairs == tuple((m1, m2) for m1, m2, _ in ranked[:20])
+    assert solution.generation_found == 0
+    assert solution.history.tolist() == [solution.fitness]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_delay_basis_weights_are_canonical(breathing_trace, seed):
+    matrix = _window(breathing_trace, seed=seed)
+    weights = _solve(matrix, breathing_trace.grid.center_frequency_hz)[0].genome.weights
+    top = int(np.argmax(np.abs(weights)))
+    assert weights[top] == 1.0 and np.abs(weights).max() == 1.0
+    # the same window rotated and rescaled has the same ratios up to
+    # rounding, and solves to the same weights: the eigenvector's arbitrary
+    # phase does not leak out
+    scaled = matrix * (0.5 * np.exp(0.7j))
+    again = _solve(scaled, breathing_trace.grid.center_frequency_hz)[0].genome.weights
+    np.testing.assert_allclose(again, weights, rtol=1e-7, atol=1e-9)
+
+
+def test_delay_basis_is_never_below_the_best_pair(breathing_trace):
+    frequencies = breathing_trace.grid.center_frequency_hz
+    # noise-free CSI spans too few dimensions: B is singular, Cholesky fails
+    clean = _window(breathing_trace)
+    solution, ranked = _solve(clean, frequencies)
+    m1, d, score = ranked[0]
+    assert solution.genome.weights.tolist() == [1.0]
+    assert solution.genome.numerator_indices.tolist() == [m1]
+    assert solution.genome.denominator_index == d
+    assert solution.fitness == score == fitness(solution.genome, clean, 10.0)
+    # grids with fewer numerator rows than delays, and a noisy full grid
+    for n_tones in (2, 3, 6):
+        for seed in range(3):
+            matrix = _toy_matrix(n_tones=n_tones, seed=seed)
+            solution, ranked = _solve(matrix, _toy_frequencies(n_tones), seed=seed)
+            assert solution.fitness >= ranked[0][2]
+            assert solution.fitness == fitness(solution.genome, matrix, 10.0)
+    for seed in range(5):
+        solution, ranked = _solve(_window(breathing_trace, seed=seed), frequencies, seed=seed)
+        assert solution.fitness >= ranked[0][2]
+
+
+def test_delay_basis_falls_back_when_the_solve_scores_lower(breathing_trace):
+    matrix = _window(breathing_trace, seed=1)
+    frequencies = breathing_trace.grid.center_frequency_hz
+    ranked = rank_seed_pairs(matrix, 10.0, GaParams(), np.random.default_rng(0))
+    better = [(ranked[0][0], ranked[0][1], np.inf)]  # a pair no solve can beat
+    solution = solve_delay_basis(matrix, frequencies, 10.0, better)
+    assert solution.genome.weights.size == 1 and solution.fitness == np.inf
+
+
+def test_delay_basis_interpolates_a_flagged_denominator(breathing_trace, monkeypatch):
+    frequencies = breathing_trace.grid.center_frequency_hz
+    matrix = _window(breathing_trace, seed=2).copy()
+    ranked = rank_seed_pairs(matrix, 10.0, GaParams(), np.random.default_rng(0))
+    m1, d, _ = ranked[0]
+    matrix[d, [0, 40, 41, 99]] = 0.0  # flagged, not rejected
+    guards = guard_table(matrix)
+    assert guards.flagged[d].any() and not guards.rejected[d]
+    pair = fitness(Genome(np.array([1.0 + 0j]), np.array([m1]), d), matrix, 10.0)
+    calls = []
+    original = GuardTable.ratio
+
+    def spy(self, numerator, denominator, row):
+        calls.append(row)
+        return original(self, numerator, denominator, row)
+
+    monkeypatch.setattr(GuardTable, "ratio", spy)
+    solution = solve_delay_basis(matrix, frequencies, 10.0, [(m1, d, pair)], guards)
+    assert calls.count(d) == 8  # one per projected row; ``fitness`` adds its own
+    assert solution.genome.weights.size == matrix.shape[0] - 1
+    np.testing.assert_allclose(
+        solution.fitness, _eigenvalue(matrix, frequencies, 10.0, d), rtol=1e-9
+    )
+
+
+def test_delay_basis_input_validation():
+    matrix = _toy_matrix(n_tones=4)
+    with pytest.raises(ConfigurationError, match="ranked pair"):
+        solve_delay_basis(matrix, _toy_frequencies(4), 10.0, [])
+    with pytest.raises(ConfigurationError, match="center frequency"):
+        solve_delay_basis(matrix, _toy_frequencies(3), 10.0, [(0, 1, 1.0)])
+    with pytest.raises(ConfigurationError, match="two subcarriers"):
+        solve_delay_basis(matrix[:1], _toy_frequencies(1), 10.0, [(0, 1, 1.0)])

@@ -134,6 +134,8 @@ def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
         {"reference_pair": (0, -1)},
         {"reference_pair": (0, 1, 2)},
         {"reference_pair": [0, 1]},
+        {"ga": GaParams(seed_pool=0)},      # the search needs a ranked pair
+        {"ga": GaParams(seed_top=0)},
     ],
 )
 def test_pipeline_config_rejects_bad_geometry(fields):
@@ -197,6 +199,17 @@ def test_run_pipeline_estimates_breathing(impaired_trace):
             "gass", "combined", "smoothed", "projected", "filtered",
         }
         assert r.solution is not None
+
+
+def test_run_pipeline_searches_in_closed_form(impaired_trace):
+    results = run_pipeline(impaired_trace, _FAST, seed=0)
+    for r in results:
+        genome = r.solution.genome
+        assert genome.weights.size == 217       # every row but the denominator
+        assert r.solution.fitness >= r.solution.seeded_best_fitness
+        assert r.stage_band_ratios["gass"] == r.solution.fitness
+    with pytest.raises(ConfigurationError, match="grid"):
+        run_pipeline(dataclasses.replace(impaired_trace, grid=None), _FAST)
 
 
 def test_run_pipeline_deterministic(impaired_trace):
