@@ -19,12 +19,16 @@ pipeline and the baselines. Each window runs the full stack and yields an
 estimate with provenance; a stage failure yields a reason-coded empty
 result instead of aborting.
 
-The evaluation sweeps run their conditions (positions, or noise level and
-run) in a process pool of one worker per CPU in the process's affinity
-mask, and put the results back in condition order, so their reports do not
-depend on the CPU count; with one usable CPU (``taskset -c 0``) they run
-in-process, one condition after another. Windows within a run share the
-solution-reuse chain and always run in order, in one process.
+Work that splits into independent pieces runs in a process pool of one
+worker per CPU in the process's affinity mask (``parallel.pool_map``), and
+its results are put back in order, so no output depends on the CPU count.
+The evaluation sweeps map their conditions (positions, or noise level and
+run). A run maps its windows, in contiguous chunks, twice: once for the
+guard tables and pair rankings, and once for the stages from fan-out to
+readout. In between, the searches run in the calling process in window
+order, because the solution-reuse chain links each window to the one
+before. Inside a pool worker, such as a sweep condition, everything runs
+in-process, and so does everything with one usable CPU (``taskset -c 0``).
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ import dataclasses
 import functools
 import logging
 import math
-import os
-from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +54,16 @@ from .errors import (
 )
 from .gass import GaParams, GassSolution
 from .grid import SubcarrierGrid
+from .parallel import pool_map, workers
 from .rate import MIN_WINDOW_S, RespirationEstimate, estimate_rate
-from .ratio import GuardTable, average_phase_blocks, guard_table, guarded_ratio, ssnr_values
+from .ratio import (
+    GuardTable,
+    average_phase_blocks,
+    guard_table,
+    guarded_ratio,
+    ssnr_values,
+    unwrap_finite,
+)
 from .simulate import (
     ChannelScenario,
     CsiTrace,
@@ -208,16 +218,20 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
             f"for rate estimation (frame_s is {frame_samples} packets, phase_block {k1})"
         )
     averaged = average_phase_blocks(trace, k1)
-    ratio_values, _ = guarded_ratio(averaged.values[pair[0]], averaged.values[pair[1]])
-    phase = np.unwrap(np.angle(ratio_values))
+    with np.errstate(invalid="ignore"):  # a non-finite block fails its frame below
+        ratio_values, _ = guarded_ratio(averaged.values[pair[0]], averaged.values[pair[1]])
+    phase = unwrap_finite(np.angle(ratio_values))
+    # the blocks of frame f are those from first[f] up to the next frame's
     block_frame = (np.arange(phase.size) * k1) // frame_samples
-
+    phase = phase[block_frame < n_frames]
+    first = np.searchsorted(block_frame, np.arange(n_frames))
+    filled = np.flatnonzero(np.diff(first, append=phase.size) > 0)
     metric = np.zeros(n_frames)
-    for f in range(n_frames):
-        in_frame = phase[block_frame == f]
-        if in_frame.size:
-            metric[f] = float(in_frame.max() - in_frame.min())
-    accepted = metric <= config.motion_threshold_rad
+    if filled.size:
+        metric[filled] = np.maximum.reduceat(phase, first[filled]) - np.minimum.reduceat(
+            phase, first[filled]
+        )
+    accepted = metric <= config.motion_threshold_rad  # NaN (a non-finite block) fails
 
     starts = [
         s
@@ -322,6 +336,14 @@ def run_pipeline(
     fraction, skipping the search. ``plan`` is ``segment(trace, config)``
     when the caller already has it. Each window builds one ``guard_table``
     for its pair ranking, search and stream fan-out.
+
+    The windows run in three passes. The guard tables and rankings, and
+    later the stages from fan-out to readout, are mapped over contiguous
+    chunks of windows with ``parallel.pool_map``; between them the searches
+    run here in window order, since a window may keep the previous window's
+    solution. A stage error is carried as a value, so a failed window is
+    logged and reported in window order, and the results do not depend on
+    the CPU count.
     """
     config = config or PipelineConfig()
     if trace.grid is None:
@@ -330,49 +352,49 @@ def run_pipeline(
     plan = plan if plan is not None else segment(trace, config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
+    chunks = _window_chunks(plan, workers())
 
-    results: list[WindowResult] = []
+    rank = functools.partial(_rank_windows, params=config.ga, seed=seed)
+    ranked = _flatten(pool_map(rank, chunks))
+    searched: list[tuple[GassSolution, GuardTable, bool] | Exception] = []
     previous: tuple[GassSolution, float] | None = None  # (solution, pair ssnr)
-    for window_id, start_frame in enumerate(plan.window_starts):
-        start_time = float(trace.times_s[start_frame * plan.frame_samples])
-        window = plan.window(int(start_frame))
+    for window_id, outcome in enumerate(ranked):
+        if isinstance(outcome, Exception):
+            searched.append(outcome)
+            continue
+        guards, pairs = outcome
+        window = plan.window(int(plan.window_starts[window_id]))
         matrix, eff_rate = window.values, window.sample_rate_hz
-
-        rng = np.random.default_rng([seed, window_id])
+        best_pair = pairs[0][2] if pairs else 0.0
         try:
-            guards = guard_table(matrix)
-            ranked = gass_mod.rank_seed_pairs(matrix, eff_rate, config.ga, rng, guards=guards)
-            best_pair = ranked[0][2] if ranked else 0.0
             reused = False
             if previous is not None and config.reuse_tolerance > 0:
                 prev_solution, prev_pair = previous
                 if _relative_change(best_pair, prev_pair) < config.reuse_tolerance:
                     refreshed = gass_mod.fitness(prev_solution.genome, matrix, eff_rate)
-                    solution = dataclasses.replace(
-                        prev_solution, fitness=float(refreshed)
-                    )
+                    solution = dataclasses.replace(prev_solution, fitness=float(refreshed))
                     reused = True
             if not reused:
                 solution = gass_mod.solve_delay_basis(
-                    matrix, frequencies, eff_rate, ranked[: config.ga.seed_top], guards
+                    matrix, frequencies, eff_rate, pairs[: config.ga.seed_top], guards
                 )
-            previous = (solution, best_pair)
-            estimate, stage_ratios = _run_stages(
-                matrix, solution, eff_rate, config, window_id, guards
-            )
-            results.append(
-                WindowResult(
-                    window_id=window_id,
-                    start_frame=int(start_frame),
-                    start_time_s=start_time,
-                    estimate=estimate,
-                    solution=solution,
-                    gass_reused=reused,
-                    stage_band_ratios=stage_ratios,
-                )
-            )
         except _STAGE_ERRORS as exc:
-            logger.warning("window %d failed: %s", window_id, exc)
+            searched.append(exc)
+            continue
+        previous = (solution, best_pair)
+        searched.append((solution, guards, reused))
+
+    per_chunk = [searched[c.window_ids[0] : c.window_ids[-1] + 1] for c in chunks]
+    stages = functools.partial(_stage_windows, config=config)
+    staged = _flatten(pool_map(stages, chunks, per_chunk))
+    results: list[WindowResult] = []
+    for window_id, (start_frame, found, outcome) in enumerate(
+        zip(plan.window_starts, searched, staged)
+    ):
+        start_time = float(trace.times_s[start_frame * plan.frame_samples])
+        failure = found if isinstance(found, Exception) else outcome
+        if isinstance(failure, Exception):
+            logger.warning("window %d failed: %s", window_id, failure)
             results.append(
                 WindowResult(
                     window_id=window_id,
@@ -382,10 +404,107 @@ def run_pipeline(
                     solution=None,
                     gass_reused=False,
                     stage_band_ratios={},
-                    reason=f"{type(exc).__name__}: {exc}",
+                    reason=f"{type(failure).__name__}: {failure}",
                 )
             )
+            continue
+        solution, _, reused = found
+        estimate, stage_ratios = outcome
+        results.append(
+            WindowResult(
+                window_id=window_id,
+                start_frame=int(start_frame),
+                start_time_s=start_time,
+                estimate=estimate,
+                solution=solution,
+                gass_reused=reused,
+                stage_band_ratios=stage_ratios,
+            )
+        )
     return results
+
+
+@dataclass(frozen=True)
+class _WindowChunk:
+    """Consecutive windows of a plan with the block-averaged trace they
+    span, so that a pool worker receives each block once."""
+
+    averaged: CsiTrace
+    window_ids: tuple[int, ...]
+    offsets: tuple[int, ...]   # first block of each window in ``averaged``
+    blocks: int                # blocks per window
+
+    def windows(self):
+        """(window_id, window) of each window, cut as ``WindowPlan.window``
+        cuts it."""
+        for window_id, offset in zip(self.window_ids, self.offsets):
+            yield window_id, self.averaged[offset : offset + self.blocks]
+
+
+def _window_chunks(plan: WindowPlan, count: int) -> list[_WindowChunk]:
+    """The plan's windows in at most ``count`` contiguous chunks of nearly
+    equal size."""
+    firsts = plan.window_starts * plan.frame_samples // plan.block_size
+    blocks = plan.window_frames * plan.frame_samples // plan.block_size
+    chunks = []
+    for ids in np.array_split(np.arange(firsts.size), min(count, firsts.size)):
+        lo, hi = int(firsts[ids[0]]), int(firsts[ids[-1]]) + blocks
+        chunks.append(
+            _WindowChunk(
+                plan.averaged[lo:hi],
+                tuple(ids.tolist()),
+                tuple((firsts[ids] - lo).tolist()),
+                blocks,
+            )
+        )
+    return chunks
+
+
+def _flatten(per_chunk: list[list]) -> list:
+    return [item for items in per_chunk for item in items]
+
+
+def _rank_windows(
+    chunk: _WindowChunk, params: GaParams, seed: int
+) -> list[tuple[GuardTable, list[tuple[int, int, float]]] | Exception]:
+    """The guard table and pair ranking of each window of ``chunk``, or the
+    stage error that stopped it."""
+    outcomes: list = []
+    for window_id, window in chunk.windows():
+        rng = np.random.default_rng([seed, window_id])
+        try:
+            guards = guard_table(window.values)
+            pairs = gass_mod.rank_seed_pairs(
+                window.values, window.sample_rate_hz, params, rng, guards=guards
+            )
+        except _STAGE_ERRORS as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append((guards, pairs))
+    return outcomes
+
+
+def _stage_windows(
+    chunk: _WindowChunk, searched: list, config: PipelineConfig
+) -> list[tuple[RespirationEstimate, dict[str, float]] | Exception | None]:
+    """``_run_stages`` on each window of ``chunk`` that has a solution in
+    ``searched`` (its (solution, guards, reused) entry); the stage error
+    that stopped a window, and None for a window without a solution."""
+    outcomes: list = []
+    for (window_id, window), found in zip(chunk.windows(), searched):
+        if isinstance(found, Exception):
+            outcomes.append(None)
+            continue
+        solution, guards, _ = found
+        try:
+            outcomes.append(
+                _run_stages(
+                    window.values, solution, window.sample_rate_hz, config, window_id, guards
+                )
+            )
+        except _STAGE_ERRORS as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def _relative_change(new: float, old: float) -> float:
@@ -492,27 +611,6 @@ def _scenario_truth_bpm(scenario: ChannelScenario) -> float:
     return 60.0 * scenario.motion.rate_hz
 
 
-def _map_conditions(fn, *iterables) -> list:
-    """``list(map(fn, *iterables))``, over a process pool of one worker per
-    CPU in this process's affinity mask (at most one per condition) when
-    that is more than one.
-
-    Results come back in condition order, and the first failing condition
-    raises its own exception, as in the serial loop. ``fn`` and its
-    arguments are pickled, so they must be importable by name.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(len(iterables[0]), cpus)
-    if workers <= 1:
-        return list(map(fn, *iterables))
-    # futures loads its process module (and multiprocessing) on first use
-    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *iterables))
-
-
 def _conditions(values, name: str, minimum: float = -math.inf) -> np.ndarray:
     """A sweep's condition values as a non-empty 1-D float array of finite
     numbers, none below ``minimum``."""
@@ -543,7 +641,7 @@ def blind_spot_sweep(
     impairments are drawn, and the full pipeline plus both single-component
     baselines are scored: detected means the median window estimate is
     within 1 bpm of the scenario's rate. Positions are independent and run
-    on every CPU in the process's affinity mask (``_map_conditions``); the
+    on every CPU in the process's affinity mask (``parallel.pool_map``); the
     rows come back in offset order, so the report does not depend on the
     CPU count. ``offsets_m`` must be a non-empty list of finite numbers.
     """
@@ -555,7 +653,7 @@ def blind_spot_sweep(
         _blind_spot_position, scenario=scenario, impairments=impairments, grid=grid,
         config=config, seed=seed, truth=truth,
     )
-    per_position = _map_conditions(position, range(n), offsets)
+    per_position = pool_map(position, range(n), offsets)
     rows = [row for rows in per_position for row in rows]
     summary = {
         f"{method}_detectability_pct": 100.0
@@ -648,7 +746,7 @@ def snr_sweep(
     )
     level_of = [level for level in range(levels.size) for _ in range(runs_per_level)]
     run_of = list(range(runs_per_level)) * levels.size
-    per_run = _map_conditions(snr_run, levels[level_of], level_of, run_of)
+    per_run = pool_map(snr_run, levels[level_of], level_of, run_of)
     rows: list[dict] = []
     for level, noise_std in enumerate(levels):
         runs = per_run[level * runs_per_level : (level + 1) * runs_per_level]

@@ -164,6 +164,21 @@ def cscr(
 _AVERAGE_ROWS = 32  # rows block-averaged at a time
 
 
+def unwrap_finite(phase: np.ndarray) -> np.ndarray:
+    """``np.unwrap`` along the last axis, stepping over non-finite samples:
+    they stay NaN, and the unwrap goes on from the previous finite sample,
+    so one bad packet does not spoil the phase after it. Where every sample
+    is finite this is ``np.unwrap``, bit for bit."""
+    finite = np.isfinite(phase)
+    if finite.all():
+        return np.unwrap(phase, axis=-1)
+    out = np.full(phase.shape, np.nan)
+    for index in np.ndindex(phase.shape[:-1]):
+        keep = finite[index]
+        out[index][keep] = np.unwrap(phase[index][keep])
+    return out
+
+
 def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
     """Average unwrapped phase (and magnitude) over blocks of ``block_size``.
 
@@ -187,7 +202,7 @@ def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
     for first in range(0, h.shape[0], _AVERAGE_ROWS):
         rows = h[first : first + _AVERAGE_ROWS]
         shape = (rows.shape[0], n_blocks, block_size)
-        mean_phase = np.unwrap(np.angle(rows), axis=1).reshape(shape).mean(axis=2)
+        mean_phase = unwrap_finite(np.angle(rows)).reshape(shape).mean(axis=2)
         mean_mag = np.abs(rows).reshape(shape).mean(axis=2)
         averaged[first : first + _AVERAGE_ROWS] = mean_mag * np.exp(1j * mean_phase)
     block_times = trace.times_s[: n_blocks * block_size].reshape(n_blocks, block_size)

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from csibreath import cli, config
-from csibreath.traceio import read_trace
+from csibreath.traceio import read_trace, write_trace
 
 _BASE = """\
 grid:
@@ -171,6 +171,46 @@ def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(outputs[0]) == 2
         assert outputs[0] == outputs[1], command
+
+
+def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog):
+    from csibreath.pipeline import _window_chunks, segment
+    from csibreath.simulate import CsiTrace, apply_impairments, generate_ideal_csi
+
+    settings = yaml.safe_load(_BASE)
+    settings["scenario"]["duration_s"] = 40.0
+    settings["impairments"]["seed"] = 4
+    trace = apply_impairments(
+        generate_ideal_csi(config.scenario_from_config(settings),
+                           config.grid_from_config(settings)),
+        config.impairments_from_config(settings),
+    )
+    values = trace.values.copy()
+    values[:, 100:125] = 0  # a dropout: windows 0-5 keep no stream
+    trace = CsiTrace(values, trace.times_s, trace.sample_rate_hz, trace.grid)
+    write_trace(tmp_path / "trace.csv", trace)
+    run = {
+        "input": {"trace": str(tmp_path / "trace.csv")},
+        "pipeline": {**settings["pipeline"], "reuse_tolerance": 0.1},
+    }
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(run))
+    outputs, logged = [], []
+    for cpus in (1, 2):
+        set_cpus(cpus)
+        caplog.clear()
+        out = tmp_path / f"run-{cpus}"
+        assert cli.main(["run", "--config", str(tmp_path / "run.yaml"), "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        logged.append([r.getMessage() for r in caplog.records])
+    assert sorted(outputs[0]) == ["estimates.jsonl", "windows.csv"]
+    assert outputs[0] == outputs[1]
+    assert logged[0] == logged[1]
+    assert logged[0] == [f"window {i} failed: no streams to align" for i in range(6)]
+    # the reuse chain runs across the boundary of the two workers' chunks
+    records = [json.loads(line) for line in outputs[0]["estimates.jsonl"].splitlines()]
+    plan = segment(trace, config.pipeline_from_config(run))
+    boundary = _window_chunks(plan, 2)[1].window_ids[0]
+    assert [r["gass_reused"] for r in records[boundary - 1 : boundary + 2]] == [True] * 3
 
 
 def test_gass_audit_solution_dump(base_config, tmp_path, capsys):

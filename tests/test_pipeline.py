@@ -6,6 +6,7 @@ from multiprocessing import get_context
 import numpy as np
 import pytest
 
+from csibreath import parallel
 from csibreath.errors import ConfigurationError, NoWindowError
 from csibreath.gass import GaParams
 from csibreath.grid import default_grid
@@ -22,6 +23,7 @@ from csibreath.pipeline import (
 from csibreath.ratio import average_phase_blocks, guard_table
 from csibreath.simulate import (
     ChannelScenario,
+    CsiTrace,
     ImpairmentConfig,
     MotionEvent,
     SinusoidMotion,
@@ -147,6 +149,62 @@ def test_pipeline_config_window_is_whole_frames():
     # round(2.75) = 3 frames of 4 s = 12 s, although window_s is 11 s
     PipelineConfig(frame_s=4.0, window_s=11.0)
     PipelineConfig(frame_s=0.5, window_s=10.0)
+
+
+def _loop_metric(trace, config):
+    """The motion metric as a frame-by-frame loop: the peak-to-peak of the
+    unwrapped reference-pair phase over each frame's blocks."""
+    plan = segment(trace, config)
+    m1, m2 = plan.reference_pair
+    averaged = average_phase_blocks(trace, plan.block_size).values
+    phase = np.unwrap(np.angle(averaged[m1] / averaged[m2]))
+    block_frame = np.arange(phase.size) * plan.block_size // plan.frame_samples
+    metric = np.zeros(plan.accepted.size)
+    for f in range(metric.size):
+        in_frame = phase[block_frame == f]
+        if in_frame.size:
+            metric[f] = in_frame.max() - in_frame.min()
+    return plan, metric
+
+
+@pytest.mark.parametrize(
+    "fs, fields",
+    [
+        (20.0, {}),                                      # the event trips the gate
+        (50.0, {"phase_block": 7, "window_s": 11.0}),    # blocks straddle frames
+        (10.0, {"phase_block": 40, "frame_s": 2.0, "window_s": 40.0}),  # 1 block / 2 frames
+    ],
+)
+def test_segment_metric_equals_the_frame_loop(grid, fs, fields):
+    span_hz = 2.470125e9 - 2.433875e9
+    shift = 2.5 * 299792458.0 / (2 * np.pi * span_hz)
+    scenario = _quick_scenario(
+        duration_s=41.5, fs=fs, events=[MotionEvent(time_s=22.2, static_shift_m=shift)]
+    )
+    trace = apply_impairments(
+        generate_ideal_csi(scenario, grid), ImpairmentConfig(gaussian_noise_std=0.02, seed=5)
+    )
+    plan, metric = _loop_metric(trace, dataclasses.replace(_FAST, **fields))
+    assert plan.motion_metric.tobytes() == metric.tobytes()
+
+
+def test_a_non_finite_packet_rejects_only_its_frame(grid, recwarn):
+    scenario = _quick_scenario(duration_s=30.0, fs=50.0)
+    trace = apply_impairments(
+        generate_ideal_csi(scenario, grid), ImpairmentConfig(gaussian_noise_std=0.02, seed=3)
+    )
+    values = trace.values.copy()
+    values[:, 14 * 50 + 7] = np.nan
+    plan = segment(CsiTrace(values, trace.times_s, trace.sample_rate_hz, grid), _FAST)
+    assert np.flatnonzero(~plan.accepted).tolist() == [14]
+    assert plan.window_starts.tolist() == [0, 1, 2, 3, 4, *range(15, 21)]
+    # the NaN stays in its own block of the averaged trace
+    assert np.isnan(plan.averaged.values).any(axis=0).sum() == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    results = run_pipeline(
+        CsiTrace(values, trace.times_s, trace.sample_rate_hz, grid), _FAST, plan=plan
+    )
+    assert all(abs(r.estimate.f_bpm - 15.0) < 1.0 for r in results)
 
 
 def test_segment_rejects_frames_shorter_than_a_packet(breathing_trace):
@@ -374,10 +432,11 @@ def test_shared_plan_gives_the_same_results(impaired_trace):
         assert [e and e.f_bpm for e in a] == [e and e.f_bpm for e in b]
 
 
-def test_each_window_builds_one_guard_table(impaired_trace, monkeypatch):
+def test_each_window_builds_one_guard_table(impaired_trace, monkeypatch, set_cpus):
     import csibreath.gass as gass
     import csibreath.pipeline as pipeline
 
+    set_cpus(1)  # the counter below sees only calls made in this process
     built = []
 
     def counted(matrix, *args):
@@ -424,25 +483,32 @@ def _fail_at_two_and_four(i):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_conditions_map_in_order_on_one_worker_per_cpu(set_cpus, cpus):
-    import csibreath.pipeline as pipeline
-
     set_cpus(cpus)
-    assert pipeline._map_conditions(_square, range(7)) == [x * x for x in range(7)]
-    assert pipeline._map_conditions(pow, [2, 3, 5], [3, 2, 1]) == [8, 9, 5]
-    pids = set(pipeline._map_conditions(_pid, range(4)))
+    assert parallel.pool_map(_square, range(7)) == [x * x for x in range(7)]
+    assert parallel.pool_map(pow, [2, 3, 5], [3, 2, 1]) == [8, 9, 5]
+    pids = set(parallel.pool_map(_pid, range(4)))
     if cpus == 1:
         assert pids == {os.getpid()}
     else:
         assert os.getpid() not in pids and 1 <= len(pids) <= cpus
 
 
+def _pids_inside(_):
+    return os.getpid(), parallel.pool_map(_pid, range(4))
+
+
+def test_a_map_inside_a_pool_worker_runs_in_the_worker(set_cpus):
+    set_cpus(2)
+    assert parallel.workers() == 2
+    for outer, inner in parallel.pool_map(_pids_inside, range(2)):
+        assert outer != os.getpid() and inner == [outer] * 4
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_first_failing_condition_raises(set_cpus, cpus):
-    import csibreath.pipeline as pipeline
-
     set_cpus(cpus)
     with pytest.raises(ConfigurationError, match="^condition 2 failed$"):
-        pipeline._map_conditions(_fail_at_two_and_four, range(6))
+        parallel.pool_map(_fail_at_two_and_four, range(6))
 
 
 def test_failing_sweep_position_raises_the_serial_exception(grid, set_cpus):

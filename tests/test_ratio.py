@@ -22,6 +22,7 @@ from csibreath.ratio import (
     ratio_phase_split,
     ssnr,
     ssnr_values,
+    unwrap_finite,
 )
 from csibreath.simulate import (
     ChannelScenario,
@@ -527,3 +528,22 @@ def test_band_energies_match_full_spectrum_reference(case):
     # each row scores the same bits alone as in the batch
     alone = np.concatenate([ssnr_values(row[None, :], fs) for row in rows])
     assert values.tobytes() == alone.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    steps=st.lists(st.floats(-7.0, 7.0), min_size=2, max_size=40),
+    holes=st.sets(st.integers(0, 39), max_size=5),
+)
+def test_unwrap_finite_steps_over_non_finite_samples(steps, holes):
+    phase = np.cumsum(steps)
+    assert unwrap_finite(phase).tobytes() == np.unwrap(phase).tobytes()
+    stack = np.stack([phase, -phase])
+    assert unwrap_finite(stack).tobytes() == np.unwrap(stack, axis=1).tobytes()
+    holed = phase.copy()
+    holed[[h for h in holes if h < phase.size]] = np.nan
+    finite = np.isfinite(holed)
+    unwrapped = unwrap_finite(np.stack([phase, holed]))
+    assert unwrapped[0].tobytes() == np.unwrap(phase).tobytes()
+    assert np.isnan(unwrapped[1][~finite]).all()
+    assert unwrapped[1][finite].tobytes() == np.unwrap(holed[finite]).tobytes()
