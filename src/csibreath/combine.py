@@ -32,6 +32,12 @@ logger = logging.getLogger(__name__)
 # where every surviving stream saturates anyway).
 INFINITE_WEIGHT_CAP = 1e12
 
+# Window lengths in seconds, converted to samples at the streams' own rate:
+# the sliding mean behind each stream's gain G, and the moving average of
+# the combined sum.
+GAIN_WINDOW_S = 0.5
+SMOOTHING_S = 0.33
+
 
 @dataclass
 class AlignedStream:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gass as gass_mod
-from .combine import align_streams, combine
+from .combine import GAIN_WINDOW_S, SMOOTHING_S, align_streams, combine
 from .errors import (
     AlignmentError,
     ConfigurationError,
@@ -77,6 +77,7 @@ from .waveform import clean, project
 logger = logging.getLogger(__name__)
 
 DETECTION_TOLERANCE_BPM = 1.0
+FRAME_S = 1.0  # motion-gate frame; windows are whole frames and slide by one
 
 _STAGE_ERRORS = (
     ConfigurationError,
@@ -89,45 +90,33 @@ _STAGE_ERRORS = (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for the full pipeline. Time-valued fields are converted to
-    sample counts against the effective (block-averaged) rate at run time."""
+    """Knobs for the full pipeline. The stage settings the method fixes are
+    constants of the modules that use them: ``FRAME_S`` here, the gain and
+    smoothing windows in ``combine``, the cleanup filters in ``waveform``
+    and the readout's peak prominence in ``rate.estimate_rate``."""
 
     n_numerators: int = 8             # numerator slots of gass-audit's reference GA
     ga: GaParams = field(default_factory=GaParams)  # ranking; the rest is the audit's GA
     phase_block: int = 0              # K1 packets averaged; 0 = F_s / 10
     mu: float = 0.5                   # stream survival threshold fraction
-    gain_window_s: float = 0.5
-    smoothing_s: float = 0.33
-    hampel_half_width_s: float = 0.5
-    hampel_threshold: float = 3.0
-    sg_window_s: float = 1.0
-    sg_polyorder: int = 3
-    frame_s: float = 1.0
-    window_s: float = 10.0
+    window_s: float = 10.0            # rounded to whole frames of FRAME_S
     motion_threshold_rad: float = 2.0
     reference_pair: tuple[int, int] | None = None
-    min_prominence: float = 0.2
     reuse_tolerance: float = 0.0      # 0 disables solution reuse
 
     def __post_init__(self) -> None:
-        if not (0 < self.frame_s < math.inf and 0 < self.window_s < math.inf):
-            raise ConfigurationError("frame_s and window_s must be positive and finite")
-        frames = self.window_s / self.frame_s
-        if not frames < math.inf or round(frames) * self.frame_s < MIN_WINDOW_S:
+        if not (0 < self.window_s < math.inf) or (
+            round(self.window_s / FRAME_S) * FRAME_S < MIN_WINDOW_S
+        ):
             raise ConfigurationError(
-                "window_s / frame_s must round to a whole number of frames "
+                f"window_s must be finite and round to whole {FRAME_S:g} s frames "
                 f"spanning at least {MIN_WINDOW_S:g} s, the minimum for rate "
-                f"estimation (frame_s={self.frame_s!r}, window_s={self.window_s!r})"
+                f"estimation (window_s={self.window_s!r})"
             )
         check_integer("n_numerators", self.n_numerators, 1)
         check_integer("phase_block", self.phase_block, 0)
-        check_integer("sg_polyorder", self.sg_polyorder, 0)
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigurationError(f"mu must lie in [0, 1], got {self.mu!r}")
-        if not self.hampel_threshold >= 0.0:
-            raise ConfigurationError(
-                f"hampel_threshold must be >= 0, got {self.hampel_threshold!r}"
-            )
         pair = self.reference_pair
         if pair is not None:
             if not isinstance(pair, tuple) or len(pair) != 2 or pair[0] == pair[1]:
@@ -199,10 +188,10 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     readout's 10 s minimum, or when the reference pair is not on the grid.
     """
     config = config or PipelineConfig()
-    frame_samples = int(round(config.frame_s * trace.sample_rate_hz))
+    frame_samples = int(round(FRAME_S * trace.sample_rate_hz))
     if frame_samples < 1:
-        raise ConfigurationError("frame_s is shorter than one packet")
-    window_frames = int(round(config.window_s / config.frame_s))
+        raise ConfigurationError(f"a {FRAME_S:g} s frame is shorter than one packet")
+    window_frames = int(round(config.window_s / FRAME_S))
     n_frames = len(trace) // frame_samples
     pair = config.resolve_reference_pair(trace.values.shape[0])
 
@@ -215,12 +204,13 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
         raise ConfigurationError(
             f"windows of {window_blocks} blocks at {block_rate:g} Hz hold "
             f"{window_blocks / block_rate:g} s, under the {MIN_WINDOW_S:g} s minimum "
-            f"for rate estimation (frame_s is {frame_samples} packets, phase_block {k1})"
+            f"for rate estimation (a frame is {frame_samples} packets, phase_block {k1})"
         )
     averaged = average_phase_blocks(trace, k1)
     with np.errstate(invalid="ignore"):  # a non-finite block fails its frame below
         ratio_values, _ = guarded_ratio(averaged.values[pair[0]], averaged.values[pair[1]])
     phase = unwrap_finite(np.angle(ratio_values))
+    phase[~np.isfinite(averaged.values).all(axis=0)] = np.nan  # fails the block's frame
     # the blocks of frame f are those from first[f] up to the next frame's
     block_frame = (np.arange(phase.size) * k1) // frame_samples
     phase = phase[block_frame < n_frames]
@@ -278,12 +268,13 @@ def _run_stages(
     the caller has it, the matrix's ``guard_table``. Shared by the live
     pipeline and provenance replay."""
     streams = gass_mod.build_streams(solution, averaged, eff_rate, guards=guards)
-    aligned = align_streams(streams, gain_window=max(1, int(config.gain_window_s * eff_rate)))
+    aligned = align_streams(streams, gain_window=max(1, int(GAIN_WINDOW_S * eff_rate)))
     combined = combine(
-        aligned, smoothing_window=max(1, int(config.smoothing_s * eff_rate)), mu=config.mu
+        aligned, smoothing_window=max(1, int(SMOOTHING_S * eff_rate)), mu=config.mu
     )
     projected = project(combined.smoothed, eff_rate)
-    estimate, filtered = _readout(projected.series, eff_rate, config, window_id)
+    filtered, _ = clean(projected.series, eff_rate)
+    estimate = estimate_rate(filtered, eff_rate, window_id=window_id)
     stage_ratios = {
         "gass": solution.fitness,
         "combined": float(ssnr_values(combined.values[None, :], eff_rate)[0]),
@@ -292,31 +283,6 @@ def _run_stages(
         "filtered": float(ssnr_values(filtered[None, :], eff_rate)[0]),
     }
     return estimate, stage_ratios
-
-
-def _readout(
-    series: np.ndarray, rate: float, config: PipelineConfig, window_id: int
-) -> tuple[RespirationEstimate, np.ndarray]:
-    """Hampel and Savitzky-Golay cleanup, then the rate readout, of one
-    window's real waveform sampled at ``rate``; returns the estimate and the
-    cleaned series. Shared by the full pipeline and the baselines."""
-    filtered, _ = clean(
-        series,
-        rate,
-        hampel_half_width=max(1, int(config.hampel_half_width_s * rate)),
-        hampel_threshold=config.hampel_threshold,
-        sg_window=_odd_at_least(config.sg_window_s * rate),
-        sg_polyorder=config.sg_polyorder,
-    )
-    estimate = estimate_rate(
-        filtered, rate, min_prominence_frac=config.min_prominence, window_id=window_id
-    )
-    return estimate, filtered
-
-
-def _odd_at_least(value: float) -> int:
-    n = int(math.ceil(value))
-    return n + 1 if n % 2 == 0 else n
 
 
 def run_pipeline(
@@ -577,7 +543,9 @@ def single_component_estimates(
                 series = np.abs(values)
             else:
                 series = np.unwrap(np.angle(values))
-            estimates.append(_readout(series, eff_rate, config, window_id)[0])
+            estimates.append(
+                estimate_rate(clean(series, eff_rate)[0], eff_rate, window_id=window_id)
+            )
         except _STAGE_ERRORS as exc:
             logger.warning("%s-only window %d failed: %s", component, window_id, exc)
             estimates.append(None)
@@ -668,6 +636,29 @@ def blind_spot_sweep(
     return EvaluationReport(rows=tuple(rows), summary=summary, meta=meta)
 
 
+def _method_estimates(
+    trace: CsiTrace, methods: tuple[str, ...], config: PipelineConfig, seed: int
+) -> dict[str, list[RespirationEstimate | None]]:
+    """The window estimates of each method on ``trace``, segmented once:
+    "full" is ``run_pipeline`` at ``seed``, and "amplitude" and "phase" are
+    the single-component baselines. A method without a complete window gets
+    no estimates."""
+    plan = segment(trace, config)
+    estimates: dict[str, list[RespirationEstimate | None]] = {}
+    for method in methods:
+        try:
+            if method == "full":
+                results = run_pipeline(trace, config, seed=seed, plan=plan)
+                estimates[method] = [r.estimate for r in results]
+            else:
+                estimates[method] = single_component_estimates(
+                    trace, method, config, plan=plan
+                )
+        except NoWindowError:
+            estimates[method] = []
+    return estimates
+
+
 def _blind_spot_position(
     i: int,
     offset: float,
@@ -687,28 +678,15 @@ def _blind_spot_position(
         generate_ideal_csi(shifted, grid),
         dataclasses.replace(impairments, seed=impairments.seed + i),
     )
-    plan = segment(trace, config)
-    estimates: dict[str, list[RespirationEstimate | None]] = {}
-    try:
-        results = run_pipeline(trace, config, seed=seed + i, plan=plan)
-        estimates["full"] = [r.estimate for r in results]
-    except NoWindowError:
-        estimates["full"] = []
-    for component in ("amplitude", "phase"):
-        try:
-            estimates[component] = single_component_estimates(
-                trace, component, config, plan=plan
-            )
-        except NoWindowError:
-            estimates[component] = []
+    methods = ("full", "amplitude", "phase")
     rows = []
-    for method in ("full", "amplitude", "phase"):
-        median, detected = _median_detection(estimates[method], truth)
+    for method, estimates in _method_estimates(trace, methods, config, seed + i).items():
+        median, detected = _median_detection(estimates, truth)
         rows.append(
             {
                 "offset_m": float(offset),
                 "method": method,
-                "windows": len(estimates[method]),
+                "windows": len(estimates),
                 "median_bpm": median,
                 "truth_bpm": truth,
                 "detected": detected,
@@ -739,9 +717,9 @@ def snr_sweep(
     truth = _scenario_truth_bpm(scenario)
     levels = _conditions(noise_stds, "noise_stds", 0.0)
     check_integer("runs_per_level", runs_per_level, 1)
-    clean = generate_ideal_csi(scenario, grid)
+    ideal = generate_ideal_csi(scenario, grid)
     snr_run = functools.partial(
-        _snr_run, clean=clean, impairments=impairments, config=config, seed=seed,
+        _snr_run, ideal=ideal, impairments=impairments, config=config, seed=seed,
         truth=truth,
     )
     level_of = [level for level in range(levels.size) for _ in range(runs_per_level)]
@@ -776,7 +754,7 @@ def _snr_run(
     noise_std: float,
     level: int,
     run: int,
-    clean: CsiTrace,
+    ideal: CsiTrace,
     impairments: ImpairmentConfig,
     config: PipelineConfig,
     seed: int,
@@ -785,25 +763,17 @@ def _snr_run(
     """(detected, total) windows per method for run ``run`` of
     ``snr_sweep``'s noise level ``level``."""
     impaired = apply_impairments(
-        clean,
+        ideal,
         dataclasses.replace(
             impairments,
             gaussian_noise_std=float(noise_std),
             seed=impairments.seed + 1009 * level + run,
         ),
     )
-    plan = segment(impaired, config)
-    try:
-        results = run_pipeline(impaired, config, seed=seed + run, plan=plan)
-        full = [r.estimate for r in results]
-    except NoWindowError:
-        full = []
-    try:
-        amplitude = single_component_estimates(impaired, "amplitude", config, plan=plan)
-    except NoWindowError:
-        amplitude = []
     counts = {}
-    for method, estimates in (("full", full), ("amplitude", amplitude)):
+    for method, estimates in _method_estimates(
+        impaired, ("full", "amplitude"), config, seed + run
+    ).items():
         detected = sum(
             e is not None
             and e.f_bpm is not None

@@ -34,6 +34,13 @@ from .ratio import LEAKAGE_FLOOR_FRACTION, band_grams, ssnr_values
 # is taken, as a fraction of the arc's half-width
 _FLOOR_ARC_MARGIN = 1e-3
 
+# ``clean``'s filters: a Hampel filter of half-width 0.5 s and threshold 3,
+# then a cubic Savitzky-Golay smoother over about one second
+HAMPEL_HALF_WIDTH_S = 0.5
+HAMPEL_THRESHOLD = 3.0
+SG_WINDOW_S = 1.0
+SG_POLYORDER = 3
+
 
 @dataclass(frozen=True)
 class ProjectedWaveform:
@@ -238,27 +245,16 @@ def _polyfit_eval(
     return values
 
 
-def clean(
-    series: np.ndarray,
-    sample_rate_hz: float,
-    hampel_half_width: int | None = None,
-    hampel_threshold: float = 3.0,
-    sg_window: int | None = None,
-    sg_polyorder: int = 3,
-) -> tuple[np.ndarray, int]:
-    """Hampel then Savitzky-Golay with rate-derived default window sizes.
+def clean(series: np.ndarray, sample_rate_hz: float) -> tuple[np.ndarray, int]:
+    """Hampel then Savitzky-Golay, with windows set by the sample rate.
 
-    Defaults: hampel half-width floor(0.5 * F_s) and a smoothing window of
-    the next odd integer >= F_s (about one second).
+    The Hampel half-width is floor(HAMPEL_HALF_WIDTH_S * F_s) samples (at
+    least 1), and the smoothing window the next odd integer >= SG_WINDOW_S *
+    F_s, widened to fit a polynomial of order SG_POLYORDER. Returns the
+    cleaned series and the Hampel replacement count.
     """
-    if hampel_half_width is None:
-        hampel_half_width = max(1, int(0.5 * sample_rate_hz))
-    if sg_window is None:
-        sg_window = int(math.ceil(sample_rate_hz))
-        if sg_window % 2 == 0:
-            sg_window += 1
-    sg_window = max(sg_window, sg_polyorder + 1 + (sg_polyorder % 2))
-    if sg_window % 2 == 0:
-        sg_window += 1
-    despiked, replaced = hampel(series, hampel_half_width, hampel_threshold)
-    return savitzky_golay(despiked, sg_window, sg_polyorder), replaced
+    half_width = max(1, int(HAMPEL_HALF_WIDTH_S * sample_rate_hz))
+    sg_window = max(int(math.ceil(SG_WINDOW_S * sample_rate_hz)), SG_POLYORDER + 2)
+    sg_window += 1 - sg_window % 2
+    despiked, replaced = hampel(series, half_width, HAMPEL_THRESHOLD)
+    return savitzky_golay(despiked, sg_window, SG_POLYORDER), replaced

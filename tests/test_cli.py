@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,8 @@ import pytest
 import yaml
 
 from csibreath import cli, config
+from csibreath.gass import GaParams
+from csibreath.pipeline import PipelineConfig
 from csibreath.traceio import read_trace, write_trace
 
 _BASE = """\
@@ -259,12 +263,12 @@ def test_bad_ga_params_exit_2(tmp_path, capsys):
 
 
 def test_short_window_geometry_exits_2(tmp_path, capsys):
-    # 33 frames of 0.3 s make 9.9 s windows, under the 10 s rate minimum
+    # 9.4 s rounds to 9 frames of 1 s, under the 10 s rate minimum
     config = tmp_path / "geometry.yaml"
-    config.write_text(_BASE.replace("  n_numerators: 2", "  n_numerators: 2\n  frame_s: 0.3"))
+    config.write_text(_BASE.replace("  n_numerators: 2", "  n_numerators: 2\n  window_s: 9.4"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
-    assert "frame_s" in capsys.readouterr().err
+    assert "window_s" in capsys.readouterr().err
 
 
 def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
@@ -278,7 +282,9 @@ def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
 
 def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
     for line in ("smoothing_mode: block", "gain_normalization: multiply", "refine_peak: false",
-                 "include_numerators: true"):
+                 "include_numerators: true", "gain_window_s: 0.5", "smoothing_s: 0.33",
+                 "hampel_half_width_s: 0.5", "hampel_threshold: 3.0", "sg_window_s: 1.0",
+                 "sg_polyorder: 3", "min_prominence: 0.2", "frame_s: 1.0"):
         config = tmp_path / "removed.yaml"
         config.write_text(_BASE.replace("  n_numerators: 2", f"  n_numerators: 2\n  {line}"))
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
@@ -294,7 +300,7 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         ("run", 0, "pipeline", "n_numerators", 2.5),
         ("run", 0, "pipeline", "n_numerators", 0),
         ("run", 0, "pipeline", "mu", 1.5),
-        ("run", 0, "pipeline", "hampel_threshold", -1),
+        ("run", 0, "pipeline", "window_s", -10),
         ("run", 0, "pipeline", "phase_block", -3),
         ("run", 0, "impairments", "seed", -5),
         ("run", 0, "pipeline", "ga", {"seed_top": 0}),
@@ -341,6 +347,11 @@ def test_readme_config_schema_is_accepted(tmp_path):
     config.impairments_from_config(settings)
     config.pipeline_from_config(settings)
     assert set(settings["sweep"]) <= cli.SWEEP_KEYS
+    # every pipeline and ga key is documented in the section
+    section = readme.split("### Config schema", 1)[1].split("\n### ", 1)[0]
+    for cls in (PipelineConfig, GaParams):
+        for name in (f.name for f in dataclasses.fields(cls)):
+            assert re.search(rf"\b{name}\b", section), name
 
 
 def test_cli_import_loads_no_scipy():

@@ -115,22 +115,22 @@ def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
 @pytest.mark.parametrize(
     "fields",
     [
-        {"frame_s": 0.0},
-        {"frame_s": -1.0},
-        {"frame_s": float("nan")},
+        {"window_s": -1.0},
+        {"window_s": float("-inf")},
+        {"window_s": float("nan")},
         {"window_s": 0.0},
         {"window_s": float("inf")},
-        {"frame_s": 0.3},                   # round(33.3) = 33 frames = 9.9 s
+        {"window_s": 9.49},                 # round(9.49) = 9 frames of 1 s
         {"window_s": 9.4},                  # 9 frames of 1 s
-        {"frame_s": 4.0, "window_s": 9.0},  # round(2.25) = 2 frames = 8 s
-        {"frame_s": 1e-320},                # window_s / frame_s overflows
-        {"sg_polyorder": -1},
-        {"sg_polyorder": 2.5},
+        {"window_s": 5.0},
+        {"window_s": 1e-320},               # positive, but no whole frame
+        {"phase_block": 2.5},
+        {"phase_block": True},
         {"n_numerators": 0},
         {"n_numerators": 2.5},
         {"mu": 1.5},
         {"mu": float("nan")},
-        {"hampel_threshold": -1.0},
+        {"mu": -0.1},
         {"phase_block": -3},
         {"reference_pair": (2, 2)},
         {"reference_pair": (0, -1)},
@@ -145,10 +145,12 @@ def test_pipeline_config_rejects_bad_geometry(fields):
         PipelineConfig(**fields)
 
 
-def test_pipeline_config_window_is_whole_frames():
-    # round(2.75) = 3 frames of 4 s = 12 s, although window_s is 11 s
-    PipelineConfig(frame_s=4.0, window_s=11.0)
-    PipelineConfig(frame_s=0.5, window_s=10.0)
+def test_pipeline_config_window_is_whole_frames(breathing_trace):
+    # round(10.4) = 10 frames of 1 s: accepted, although window_s is under
+    # 10.5 s, and segmented as 10 whole frames
+    config = dataclasses.replace(_FAST, window_s=10.4)
+    assert segment(breathing_trace, config).window_frames == 10
+    assert segment(breathing_trace, dataclasses.replace(_FAST, window_s=10.6)).window_frames == 11
 
 
 def _loop_metric(trace, config):
@@ -172,7 +174,7 @@ def _loop_metric(trace, config):
     [
         (20.0, {}),                                      # the event trips the gate
         (50.0, {"phase_block": 7, "window_s": 11.0}),    # blocks straddle frames
-        (10.0, {"phase_block": 40, "frame_s": 2.0, "window_s": 40.0}),  # 1 block / 2 frames
+        (10.0, {"phase_block": 20, "window_s": 40.0}),   # 1 block / 2 frames
     ],
 )
 def test_segment_metric_equals_the_frame_loop(grid, fs, fields):
@@ -188,36 +190,53 @@ def test_segment_metric_equals_the_frame_loop(grid, fs, fields):
     assert plan.motion_metric.tobytes() == metric.tobytes()
 
 
-def test_a_non_finite_packet_rejects_only_its_frame(grid, recwarn):
+def _check_nan_in_frame_14(grid, rows):
+    """Set packet 707 (frame 14) of a 30 s, 50 Hz trace to NaN in ``rows``;
+    check that only frame 14 fails the gate, and that every window left
+    reads the rate with finite stage band ratios. Returns the plan."""
     scenario = _quick_scenario(duration_s=30.0, fs=50.0)
     trace = apply_impairments(
         generate_ideal_csi(scenario, grid), ImpairmentConfig(gaussian_noise_std=0.02, seed=3)
     )
     values = trace.values.copy()
-    values[:, 14 * 50 + 7] = np.nan
-    plan = segment(CsiTrace(values, trace.times_s, trace.sample_rate_hz, grid), _FAST)
+    values[rows, 14 * 50 + 7] = np.nan
+    bad = CsiTrace(values, trace.times_s, trace.sample_rate_hz, grid)
+    plan = segment(bad, _FAST)
     assert np.flatnonzero(~plan.accepted).tolist() == [14]
     assert plan.window_starts.tolist() == [0, 1, 2, 3, 4, *range(15, 21)]
+    results = run_pipeline(bad, _FAST, plan=plan)
+    assert all(abs(r.estimate.f_bpm - 15.0) < 1.0 for r in results)
+    assert all(np.isfinite(list(r.stage_band_ratios.values())).all() for r in results)
+    return plan
+
+
+def test_a_non_finite_packet_rejects_only_its_frame(grid, recwarn):
+    plan = _check_nan_in_frame_14(grid, slice(None))
     # the NaN stays in its own block of the averaged trace
     assert np.isnan(plan.averaged.values).any(axis=0).sum() == 1
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-    results = run_pipeline(
-        CsiTrace(values, trace.times_s, trace.sample_rate_hz, grid), _FAST, plan=plan
-    )
-    assert all(abs(r.estimate.f_bpm - 15.0) < 1.0 for r in results)
 
 
-def test_segment_rejects_frames_shorter_than_a_packet(breathing_trace):
-    config = dataclasses.replace(_FAST, frame_s=0.001, window_s=10.0)
+def test_a_non_finite_cell_in_any_row_rejects_its_frame(grid, recwarn):
+    # one NaN off the reference pair: the gate's own ratio stays finite
+    _check_nan_in_frame_14(grid, 5)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_segment_rejects_frames_shorter_than_a_packet(grid):
+    # 1 s frames need a packet rate of at least 0.5 Hz
+    trace = generate_ideal_csi(_quick_scenario(duration_s=15.0), grid)
+    slow = CsiTrace(trace.values, trace.times_s, 0.4, grid)
     with pytest.raises(ConfigurationError, match="one packet"):
-        segment(breathing_trace, config)
+        segment(slow, _FAST)
 
 
 @pytest.mark.parametrize(
     "fs, fields",
     [
         (50.0, {"phase_block": 7}),                     # 71 blocks of 7 = 9.94 s
-        (10.0, {"frame_s": 0.65, "window_s": 10.4}),    # 16 frames of 6 = 9.6 s
+        (10.0, {"phase_block": 3}),                     # 33 blocks of 3 = 9.9 s
+        (10.4, {}),                                     # 10 frames of 10 = 9.6 s
     ],
 )
 def test_segment_rejects_windows_short_of_whole_blocks(grid, fs, fields):
