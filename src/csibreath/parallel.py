@@ -1,13 +1,20 @@
-"""The one process-pool map the package uses: the sweeps' conditions, the
-windows of a run and the byte ranges of a trace file all go through
-``pool_map``.
+"""The one process-pool map the package uses. Each of these is one
+``pool_map``, with a pool of its own:
+
+- ``traceio.write_trace``: the row ranges of a trace being written (the
+  pool of ``simulate``);
+- ``traceio.read_trace``: the byte ranges of a trace file being read;
+- ``pipeline.run_pipeline``: the window chunks of a run, once to rank their
+  subcarrier pairs and once to run their stages;
+- ``pipeline.blind_spot_sweep`` and ``pipeline.snr_sweep``: a sweep's
+  conditions.
 
 A pool has one worker per CPU in the process's affinity mask, so ``taskset
 -c 0`` runs everything in-process. In a ``multiprocessing`` child process,
 such as a pool worker, the map runs in-process too, so pools never nest.
 Workers start by the platform's default method, fork on Linux. The pool
 does not ask for spawn: a spawned worker imports numpy and the package
-again, in each of the three pools of a ``run``.
+again, in each of the up to three pools of a ``run``.
 """
 
 from __future__ import annotations

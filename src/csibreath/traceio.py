@@ -10,7 +10,15 @@ One record per packet: its row number, its timestamp in seconds, then one
 the grid definition (preamble field tag, physical subcarrier index, center
 frequency for every column pair). Floats are written with repr so traces
 round-trip bit-exactly and identical runs produce identical bytes. A file
-is read into one ``CsiTrace``; the ``k`` column is not kept.
+is read into one ``CsiTrace``; the ``k`` column is not kept. A non-finite
+row number or timestamp rejects the file; a non-finite CSI cell is read as
+it is, and the pipeline's motion gate fails the frame that holds it.
+
+Both directions use every CPU of ``parallel.pool_map`` on a large trace:
+``write_trace`` formats contiguous row ranges and ``read_trace`` parses
+line-aligned byte ranges, each in its own worker, and the parts are joined
+in file order, so the bytes written and the values read are those of one
+serial pass at any CPU count.
 """
 
 from __future__ import annotations
@@ -33,10 +41,22 @@ from .simulate import CsiTrace
 FORMAT_NAME = "csi-trace"
 FORMAT_VERSION = 1
 _MIN_RANGE_BYTES = 4 << 20  # a body range parsed in a worker holds at least this
+_MIN_RANGE_CELLS = 1 << 18  # a row range formatted in a worker holds at least this
 _CONVERT_ROWS = 256  # parsed rows turned into complex values at a time
 
 
 def write_trace(path: str | Path, trace: CsiTrace) -> None:
+    """Write ``trace`` to ``path`` in the layout above.
+
+    The data rows are formatted in contiguous row ranges, one per worker of
+    ``parallel.pool_map`` and none under ``_MIN_RANGE_CELLS`` floats (a
+    smaller trace is one range, formatted in-process). Each range numbers
+    its rows from its first global row and returns its lines, and the parts
+    are written in row order, so the bytes are those of one serial loop at
+    any CPU count. The file is written under a temporary name in the same
+    directory and renamed onto ``path``, so a failed write leaves ``path``
+    as it was.
+    """
     grid = trace.grid
     if grid is None:
         raise ConfigurationError("a grid is required to write a trace")
@@ -57,12 +77,36 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
     for m in range(grid.count):
         columns += [f"re{m:03d}", f"im{m:03d}"]
     # row k holds re, im of every grid position, in grid order
-    cells = np.ascontiguousarray(trace.values.T).view(float).tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        fh.write(",".join(columns) + "\n")
-        for k, (time_s, row) in enumerate(zip(trace.times_s.tolist(), cells)):
-            fh.write(",".join([str(k), repr(time_s), *map(repr, row)]) + "\n")
+    cells = np.ascontiguousarray(trace.values.T).view(float)
+    count = max(1, min(workers(), cells.size // _MIN_RANGE_CELLS))
+    bounds = [len(cells) * i // count for i in range(count + 1)]
+    parts = pool_map(
+        _format_rows,
+        bounds[:-1],
+        [trace.times_s[a:b] for a, b in zip(bounds, bounds[1:])],
+        [cells[a:b] for a, b in zip(bounds, bounds[1:])],
+    )
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+            fh.write(",".join(columns) + "\n")
+            for part in parts:
+                fh.writelines(part)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _format_rows(first: int, times_s: np.ndarray, cells: np.ndarray) -> list[str]:
+    """The data lines of packets ``first``, ``first + 1``, ...: row number,
+    ``repr`` of the timestamp, then ``repr`` of every cell of the row."""
+    return [
+        ",".join([str(k), repr(time_s), *map(repr, row.tolist())]) + "\n"
+        for k, (time_s, row) in enumerate(zip(times_s.tolist(), cells), first)
+    ]
 
 
 def read_trace(path: str | Path) -> CsiTrace:
@@ -115,8 +159,10 @@ def read_trace(path: str | Path) -> CsiTrace:
         raise TraceFormatError(
             f"rows have {parts[0].shape[1]} columns, expected {expected_cols}"
         )
-    if not all(np.all(np.isfinite(part)) for part in parts):
-        raise TraceFormatError("trace contains non-finite values")
+    # a non-finite CSI cell is the pipeline's to handle: it fails only the
+    # motion-gate frame that holds it
+    if not all(np.all(np.isfinite(part[:, :2])) for part in parts):
+        raise TraceFormatError("trace contains a non-finite row number or timestamp")
     # the packets go into their columns a few rows at a time, so the parts
     # are never joined into one table and the temporaries stay small
     values = np.empty((grid.count, rows), dtype=complex)
@@ -125,7 +171,9 @@ def read_trace(path: str | Path) -> CsiTrace:
     for part in parts:
         for lo in range(0, len(part), _CONVERT_ROWS):
             block = part[lo : lo + _CONVERT_ROWS]
-            values[:, first : first + len(block)] = (block[:, 2::2] + 1j * block[:, 3::2]).T
+            # set apart: re + 1j * im would turn -0.0 into 0.0 and inf into nan
+            values.real[:, first : first + len(block)] = block[:, 2::2].T
+            values.imag[:, first : first + len(block)] = block[:, 3::2].T
             times[first : first + len(block)] = block[:, 1]
             first += len(block)
     try:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from csibreath import cli, config
+from csibreath import cli, config, traceio
 from csibreath.gass import GaParams
 from csibreath.pipeline import PipelineConfig
 from csibreath.traceio import read_trace, write_trace
@@ -215,6 +215,44 @@ def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog)
     plan = segment(trace, config.pipeline_from_config(run))
     boundary = _window_chunks(plan, 2)[1].window_ids[0]
     assert [r["gass_reused"] for r in records[boundary - 1 : boundary + 2]] == [True] * 3
+
+
+def test_simulate_is_byte_identical_on_one_worker_and_on_two(base_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(traceio, "_MIN_RANGE_CELLS", 1)  # split even this small trace
+    outputs = []
+    for count in (1, 2):
+        monkeypatch.setattr(traceio, "workers", lambda: count)
+        out = tmp_path / f"sim-{count}"
+        assert cli.main(["simulate", "--config", str(base_config), "--seed", "3",
+                         "--out", str(out)]) == 0
+        outputs.append((out / "trace.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    rows = outputs[0].decode().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == [str(k) for k in range(240)]
+
+
+def test_one_non_finite_cell_fails_only_its_windows(tmp_path):
+    settings = yaml.safe_load(_BASE)
+    settings["scenario"]["duration_s"] = 30.0
+    (tmp_path / "sim.yaml").write_text(yaml.safe_dump(settings))
+    assert cli.main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                     "--out", str(tmp_path / "sim")]) == 0
+    clean, corrupt = tmp_path / "sim" / "trace.csv", tmp_path / "corrupt.csv"
+    lines = clean.read_text().splitlines()
+    row = lines[2 + 280].split(",")  # packet 280: 14 s, in frame 14
+    lines[2 + 280] = ",".join([*row[:5], "nan", *row[6:]])  # im001
+    corrupt.write_text("\n".join(lines) + "\n")
+    starts = []
+    for trace in (clean, corrupt):
+        run = {"input": {"trace": str(trace)}, "pipeline": settings["pipeline"]}
+        (tmp_path / "run.yaml").write_text(yaml.safe_dump(run))
+        out = tmp_path / f"run-{trace.stem}"
+        assert cli.main(["run", "--config", str(tmp_path / "run.yaml"), "--out", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "estimates.jsonl").read_text().splitlines()]
+        starts.append([r["start_frame"] for r in records])
+    assert starts[0] == list(range(21))
+    # the 10 windows over frame 14 are never formed; the other 11 are kept
+    assert starts[1] == [*range(5), *range(15, 21)]
 
 
 def test_gass_audit_solution_dump(base_config, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csibreath.parallel as parallel
 import csibreath.traceio as traceio
 from csibreath.errors import TraceFormatError
 from csibreath.grid import custom_grid
@@ -46,6 +47,57 @@ def test_writes_are_byte_identical(tmp_path, small_trace):
     c = tmp_path / "c.csv"
     write_trace(c, read_trace(a))
     assert c.read_bytes() == a.read_bytes()
+
+
+# 2 tones, 3 rows: -0.0, subnormals, +-1e300 and a repr that needs 17 digits
+_FIXED_ROWS = [
+    [0.0, 1.0, -0.0, 0.1 + 0.2, -2.5e-310],
+    [0.1, -1e300, 5e-324, 1.5, 1e16],
+    [0.2, 123456789.0, -0.5, 3.0, 2.0**-30],
+]
+_FIXED_TEXT = (
+    '# {"format": "csi-trace", "sample_rate_hz": 10.0, "subcarriers": ['
+    '{"center_frequency_hz": 2440000000.0, "field": "HT-LTF", "physical_index": -1}, '
+    '{"center_frequency_hz": 2450000000.0, "field": "HT-LTF", "physical_index": 1}], '
+    '"version": 1}\n'
+    "k,t_s,re000,im000,re001,im001\n"
+    "0,0.0,1.0,-0.0,0.30000000000000004,-2.5e-310\n"
+    "1,0.1,-1e+300,5e-324,1.5,1e+16\n"
+    "2,0.2,123456789.0,-0.5,3.0,9.313225746154785e-10\n"
+)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_writes_the_fixed_format(tmp_path, count):
+    path = tmp_path / "trace.csv"
+    with _ranges(count, serial=True):
+        write_trace(path, _two_tone_trace(_FIXED_ROWS))
+    assert path.read_bytes() == _FIXED_TEXT.encode("ascii")
+
+
+@pytest.mark.parametrize("failure", ["while formatting", "while writing"])
+def test_failed_write_leaves_the_old_file(tmp_path, small_trace, monkeypatch, failure):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"old trace\n")
+    mode = path.stat().st_mode
+    path.unlink()
+    write_trace(path, small_trace)  # created as a plain open would create it
+    assert path.stat().st_mode == mode
+    path.write_bytes(b"old trace\n")
+
+    def fail(first, times_s, cells):
+        if failure == "while formatting":
+            raise RuntimeError("formatter failed")
+        return [None]  # the header is written, then the rows fail
+
+    monkeypatch.setattr(traceio, "_format_rows", fail)
+    with pytest.raises((RuntimeError, TypeError)):
+        write_trace(path, small_trace)
+    assert path.read_bytes() == b"old trace\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+    with pytest.raises((RuntimeError, TypeError)):
+        write_trace(tmp_path / "new.csv", small_trace)
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
 
 def test_missing_file(tmp_path):
@@ -156,9 +208,21 @@ def test_short_data_row(tmp_path):
 
 def test_non_finite_value(tmp_path):
     path = tmp_path / "t.csv"
-    _write_lines(path, [_valid_header(), "k,t_s,re000,im000", "0,0.0,nan,0.0"])
-    with pytest.raises(TraceFormatError, match="non-finite"):
-        read_trace(path)
+    for row in ("0,nan,1.0,0.0", "0,inf,1.0,0.0", "nan,0.0,1.0,0.0"):
+        _write_lines(path, [_valid_header(), "k,t_s,re000,im000", "0,0.0,1.0,0.0", row])
+        with pytest.raises(TraceFormatError, match="non-finite row number or timestamp"):
+            read_trace(path)
+
+
+def test_non_finite_cell_is_read_as_it_is(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_lines(
+        path, [_valid_header(), "k,t_s,re000,im000", "0,0.0,nan,0.0", "1,0.1,1.0,-inf"]
+    )
+    trace = read_trace(path)
+    assert np.isnan(trace.values[0, 0].real) and trace.values[0, 0].imag == 0.0
+    assert trace.values[0, 1].real == 1.0 and trace.values[0, 1].imag == -np.inf
+    assert trace.times_s.tolist() == [0.0, 0.1]
 
 
 def test_no_data_rows(tmp_path):
@@ -188,33 +252,101 @@ def _one_pass(path):
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             return f"malformed data row: {exc}"
-    return np.ascontiguousarray((data[:, 2::2] + 1j * data[:, 3::2]).T), data[:, 1]
+    return np.ascontiguousarray(data[:, 2:]).view(complex).T, data[:, 1]
 
 
 @contextlib.contextmanager
 def _ranges(count, serial=False):
-    """``read_trace`` splits any body into up to ``count`` ranges, mapped
-    in-process when ``serial``."""
+    """``read_trace`` splits any body into up to ``count`` ranges, and
+    ``write_trace`` any trace into ``count`` row ranges, mapped in-process
+    when ``serial``; yields the item count of each serial map."""
+    maps = []
+
+    def serial_map(fn, *items):
+        maps.append(len(items[0]))
+        return list(map(fn, *items))
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(traceio, "_MIN_RANGE_BYTES", 1)
+        patch.setattr(traceio, "_MIN_RANGE_CELLS", 1)
         patch.setattr(traceio, "workers", lambda: count)
         if serial:
-            patch.setattr(traceio, "pool_map", lambda fn, *items: list(map(fn, *items)))
-        yield
+            patch.setattr(traceio, "pool_map", serial_map)
+        yield maps
 
 
 def _two_tone_trace(rows):
+    """Rows of (t_s, re0, im0, re1, im1), every float kept bit for bit."""
     grid = custom_grid(np.array([2.44e9, 2.45e9]), np.array([-1, 1]))
     cells = np.array(rows, dtype=float)
-    return CsiTrace(cells[:, 1::2].T + 1j * cells[:, 2::2].T, cells[:, 0], 10.0, grid)
+    values = np.ascontiguousarray(cells[:, 1:]).view(complex).T
+    return CsiTrace(values, cells[:, 0], 10.0, grid)
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    rows=st.lists(st.lists(_FINITE, min_size=5, max_size=5), min_size=1, max_size=30),
+    rows=st.lists(st.lists(_EDGE_FLOATS, min_size=5, max_size=5), min_size=1, max_size=30),
+    count=st.integers(1, 4),
+)
+def test_ranged_write_equals_one_range(tmp_path_factory, rows, count):
+    directory = tmp_path_factory.mktemp("ranged-write")
+    trace = _two_tone_trace(rows)
+    write_trace(directory / "one.csv", trace)  # a fixture-sized trace: one range
+    with _ranges(count, serial=True) as maps:
+        write_trace(directory / "ranged.csv", trace)
+    assert maps == [count]
+    data = (directory / "ranged.csv").read_bytes()
+    assert data == (directory / "one.csv").read_bytes()
+    assert [line.split(b",")[0] for line in data.splitlines()[2:]] == [
+        str(k).encode() for k in range(len(rows))
+    ]
+    loaded = read_trace(directory / "ranged.csv")
+    assert loaded.values.tobytes() == trace.values.tobytes()
+    assert loaded.times_s.tobytes() == trace.times_s.tobytes()
+
+
+def test_ranged_write_in_a_process_pool(tmp_path, rng, monkeypatch):
+    trace = _two_tone_trace(rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-9, 9, (300, 5)))
+    write_trace(tmp_path / "one.csv", trace)
+    maps = []
+
+    def recording_map(fn, *items):
+        maps.append(len(items[0]))
+        return parallel.pool_map(fn, *items)
+
+    monkeypatch.setattr(traceio, "_MIN_RANGE_CELLS", 500)  # 1200 cells: two ranges
+    monkeypatch.setattr(traceio, "workers", lambda: 2)
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    monkeypatch.setattr(traceio, "pool_map", recording_map)
+    write_trace(tmp_path / "pooled.csv", trace)
+    assert maps == [2]
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_fixture_sized_traces_start_no_pool(tmp_path, small_trace, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(parallel.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(traceio, "workers", lambda: 4)
+    monkeypatch.setattr(parallel, "workers", lambda: 4)
+    # the largest trace a CLI test writes: 6 tones, 40 s at 20 Hz
+    grid = custom_grid(np.linspace(2.452e9, 2.4645e9, 6), np.arange(6))
+    larger = CsiTrace.uniform(np.ones((6, 800), dtype=complex), 20.0, grid)
+    for trace in (small_trace, larger):
+        write_trace(tmp_path / "trace.csv", trace)
+        assert len(read_trace(tmp_path / "trace.csv")) == len(trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(st.lists(_EDGE_FLOATS, min_size=5, max_size=5), min_size=1, max_size=30),
     count=st.integers(1, 4),
 )
 def test_ranged_parse_equals_one_loadtxt(tmp_path_factory, rows, count):
@@ -256,7 +388,7 @@ def _fault(fields, fault):
     elif fault == "short":
         fields = fields[:-1]
     else:
-        fields = fields[:2] + ["nan"] + fields[3:]
+        fields = fields[:1] + ["nan"] + fields[2:]  # the timestamp
     fields[0] = fields[0].rjust(length - len(",".join(fields[1:])) - 1, "0")
     return fields
 
@@ -285,5 +417,5 @@ def test_row_faults_read_as_in_one_pass(tmp_path, rng, fault, where):
     expected = one_pass = _one_pass(path)
     if fault == "non-finite":
         assert not isinstance(one_pass, str)
-        expected = "trace contains non-finite values"
+        expected = "trace contains a non-finite row number or timestamp"
     assert str(info.value) == expected
