@@ -9,10 +9,11 @@ whose band ratio falls below a fraction mu of the best stream's are
 dropped; the best stream itself always survives (the threshold is
 inclusive).
 
-Alignment and summation run on the (streams, samples) stack of all streams
-at once. The primitives ``remove_offset``, ``stream_gain`` and
-``align_rotation`` work along the last axis, so one stream and a stack go
-through the same code, and each row of a stack equals its stream alone.
+A window's streams travel as arrays, one row per stream: ``StreamStack``
+from the fan-out, ``AlignedStack`` from alignment. Alignment and summation
+run on all rows at once. The primitives ``remove_offset``, ``stream_gain``
+and ``align_rotation`` work along the last axis, so one stream and a stack
+go through the same code, and each row of a stack equals its stream alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError
-from .ratio import CscrStream, ssnr_values
+from .ratio import StreamStack, ssnr_values
 
 logger = logging.getLogger(__name__)
 
@@ -39,17 +40,21 @@ GAIN_WINDOW_S = 0.5
 SMOOTHING_S = 0.33
 
 
-@dataclass
-class AlignedStream:
-    """One ratio stream with its alignment byproducts."""
+@dataclass(frozen=True)
+class AlignedStack:
+    """The streams ``align_streams`` keeps, one row each, with their
+    alignment byproducts."""
 
-    stream: CscrStream
+    denominators: np.ndarray         # int, one per stream
     offset_removed: np.ndarray       # Q: values minus their mean
-    gain: float                      # G: max sliding-window mean magnitude
+    gains: np.ndarray                # G: max sliding-window mean magnitude
     normalized: np.ndarray           # V: Q divided by the gain
-    band_ratio: float                # beta
-    rotation: float = 0.0            # Theta, radians onto the reference
-    final_weight: float = 0.0        # gamma, set by combine()
+    band_ratios: np.ndarray          # beta
+    rotations: np.ndarray            # Theta, radians onto the reference
+    sample_rate_hz: float
+
+    def __len__(self) -> int:
+        return len(self.denominators)
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,7 @@ class CombinedSignal:
     smoothing_window: int
     reference_denominator: int
     contributing: int
+    weights: np.ndarray              # gamma of each aligned stream, 0 if dropped
 
 
 def remove_offset(values: np.ndarray) -> np.ndarray:
@@ -121,60 +127,48 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return summed / counts
 
 
-def align_streams(streams: list[CscrStream], gain_window: int) -> list[AlignedStream]:
+def align_streams(streams: StreamStack, gain_window: int) -> AlignedStack:
     """Offset-remove, gain-normalize, and rotate streams onto the best one.
 
     The reference is the stream with the highest band ratio. V = Q / G
     equalizes the stream excursions. Streams with zero gain or an undefined
     rotation are dropped with a log record. Every step runs once on the
-    (S, K) stack of stream values; each row equals the stream aligned alone.
+    whole stack; each row equals the stream aligned alone.
     """
-    if not streams:
+    if not len(streams):
         raise ConfigurationError("no streams to align")
-    rates = {s.sample_rate_hz for s in streams}
-    if len(rates) != 1:
-        raise ConfigurationError("streams must share one sample rate")
-    sample_rate = rates.pop()
-
-    stack = np.array([s.values for s in streams])
-    betas = ssnr_values(stack, sample_rate)
-    offset_removed = remove_offset(stack)
+    betas = ssnr_values(streams.values, streams.sample_rate_hz)
+    offset_removed = remove_offset(streams.values)
     gains = stream_gain(offset_removed, gain_window)
     for i in np.flatnonzero(gains == 0.0):
-        logger.warning("dropping constant stream (denominator %d)", streams[i].denominator)
+        logger.warning("dropping constant stream (denominator %d)", streams.denominators[i])
     live = np.flatnonzero(gains != 0.0)
     if not live.size:
         raise ConfigurationError("every stream was degenerate")
-    q = offset_removed[live]
-    normalized = q / gains[live, None]
+    normalized = offset_removed[live] / gains[live, None]
 
-    live_betas = [float(betas[i]) for i in live]
-    reference = max(range(live.size), key=live_betas.__getitem__)
+    reference = int(np.argmax(betas[live]))  # band ratios are never NaN
     inner = _inner_products(normalized[reference], normalized)
     rotations = np.angle(inner)
     rotations[reference] = 0.0
-    kept: list[AlignedStream] = []
-    for j, i in enumerate(live):
-        if inner[j] == 0 and j != reference:
-            logger.warning(
-                "dropping unalignable stream (denominator %d)", streams[i].denominator
-            )
-            continue
-        kept.append(
-            AlignedStream(
-                stream=streams[i],
-                offset_removed=q[j],
-                gain=float(gains[i]),
-                normalized=normalized[j],
-                band_ratio=live_betas[j],
-                rotation=float(rotations[j]),
-            )
-        )
-    return kept
+    alignable = inner != 0
+    alignable[reference] = True
+    for i in live[~alignable]:
+        logger.warning("dropping unalignable stream (denominator %d)", streams.denominators[i])
+    kept = live[alignable]
+    return AlignedStack(
+        denominators=streams.denominators[kept],
+        offset_removed=offset_removed[kept],
+        gains=gains[kept],
+        normalized=normalized[alignable],
+        band_ratios=betas[kept],
+        rotations=rotations[alignable],
+        sample_rate_hz=streams.sample_rate_hz,
+    )
 
 
 def combine(
-    aligned: list[AlignedStream], smoothing_window: int, mu: float = 0.5
+    aligned: AlignedStack, smoothing_window: int, mu: float = 0.5
 ) -> CombinedSignal:
     """Quality-weighted sum of aligned streams plus a moving average.
 
@@ -182,28 +176,23 @@ def combine(
     stream's (inclusive, so the best stream always contributes). Surviving
     streams are weighted by their band ratio.
     """
-    if not aligned:
+    if not len(aligned):
         raise ConfigurationError("no aligned streams to combine")
     if not 0.0 <= mu <= 1.0:
         raise ConfigurationError("mu must lie in [0, 1]")
-    betas = np.array([a.band_ratio for a in aligned])
-    capped = np.minimum(betas, INFINITE_WEIGHT_CAP)
-    best = capped.max()
-    survivors = capped >= mu * best
-    reference_denominator = aligned[int(np.argmax(betas))].stream.denominator
-    for a, keep, weight in zip(aligned, survivors, capped):
-        a.final_weight = float(weight) if keep else 0.0
+    capped = np.minimum(aligned.band_ratios, INFINITE_WEIGHT_CAP)
+    survivors = capped >= mu * capped.max()
     kept = np.flatnonzero(survivors)
-    normalized = np.array([aligned[i].normalized for i in kept])
-    phasors = np.exp(1j * np.array([aligned[i].rotation for i in kept]))
-    weighted = capped[kept, None] * normalized * phasors[:, None]
+    phasors = np.exp(1j * aligned.rotations[kept])
+    weighted = capped[kept, None] * aligned.normalized[kept] * phasors[:, None]
     # an axis-0 sum of rows adds them one after another, as a loop would
     total = weighted.sum(axis=0, initial=0.0)
     return CombinedSignal(
         values=total,
         smoothed=moving_average(total, smoothing_window),
-        sample_rate_hz=aligned[0].stream.sample_rate_hz,
+        sample_rate_hz=aligned.sample_rate_hz,
         smoothing_window=smoothing_window,
-        reference_denominator=reference_denominator,
+        reference_denominator=int(aligned.denominators[np.argmax(aligned.band_ratios)]),
         contributing=int(kept.size),
+        weights=np.where(survivors, capped, 0.0),
     )

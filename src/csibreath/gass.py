@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import ConfigurationError, StreamGuardError
 from .ratio import (
-    CscrStream,
     GuardTable,
+    StreamStack,
     band_spectrum,
     guard_table,
     guarded_ratio,
@@ -503,37 +503,29 @@ def build_streams(
     sample_rate_hz: float,
     *,
     guards: GuardTable | None = None,
-) -> list[CscrStream]:
+) -> StreamStack:
     """Fan the solved numerator out over every row the guard keeps.
 
     One stream per kept grid position, the numerator rows included: the
     closed-form numerator spans every row but its denominator, so excluding
-    numerator rows would leave at most one stream. A single-pair numerator
-    over its own row gives 1 up to rounding, a stream of rounding noise with
-    a low band ratio. The numerator is divided by all kept rows at once; only
-    rows with flagged samples take the interpolating path. ``guards`` is ``guard_table(matrix)``
-    when the caller already has it.
+    numerator rows would leave at most one stream. A numerator with weight
+    on a single row leaves that row out, since over itself it is constant
+    up to the rounding of x / x. The numerator is divided by all kept rows
+    at once; only rows with flagged samples take the interpolating path.
+    ``guards`` is ``guard_table(matrix)`` when the caller already has it.
     """
     genome = solution.genome
-    numerator_spec = tuple(
-        zip(genome.weights.astype(complex).tolist(), genome.numerator_indices.tolist())
-    )
     if guards is None:
         guards = guard_table(matrix)
-    rows = np.flatnonzero(~guards.rejected)
+    kept = ~guards.rejected
+    own = np.unique(genome.numerator_indices[genome.weights != 0])
+    if own.size == 1:
+        kept[own] = False
+    rows = np.flatnonzero(kept)
     numerator = _numerator(matrix, genome.weights, genome.numerator_indices)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = (numerator / matrix[rows]).astype(complex, copy=False)
     interpolated = guards.flagged[rows]
     for j in np.flatnonzero(interpolated.any(axis=1)):
         values[j], _ = guards.ratio(numerator, matrix[rows[j]], rows[j])
-    return [
-        CscrStream(
-            values=values[j],
-            sample_rate_hz=sample_rate_hz,
-            numerator=numerator_spec,
-            denominator=int(m),
-            interpolated=interpolated[j],
-        )
-        for j, m in enumerate(rows)
-    ]
+    return StreamStack(values, sample_rate_hz, rows, interpolated)

@@ -4,8 +4,8 @@
 - ``traceio.write_trace``: the row ranges of a trace being written (the
   pool of ``simulate``);
 - ``traceio.read_trace``: the byte ranges of a trace file being read;
-- ``pipeline.run_pipeline``: the window chunks of a run, once to rank their
-  subcarrier pairs and once to run their stages;
+- ``pipeline.run_pipeline``: the window chunks of a run, each from pair
+  ranking through the search to the readout;
 - ``pipeline.blind_spot_sweep`` and ``pipeline.snr_sweep``: a sweep's
   conditions.
 
@@ -14,7 +14,7 @@ A pool has one worker per CPU in the process's affinity mask, so ``taskset
 such as a pool worker, the map runs in-process too, so pools never nest.
 Workers start by the platform's default method, fork on Linux. The pool
 does not ask for spawn: a spawned worker imports numpy and the package
-again, in each of the up to three pools of a ``run``.
+again, in each of the up to two pools of a ``run``.
 """
 
 from __future__ import annotations

@@ -23,12 +23,13 @@ Work that splits into independent pieces runs in a process pool of one
 worker per CPU in the process's affinity mask (``parallel.pool_map``), and
 its results are put back in order, so no output depends on the CPU count.
 The evaluation sweeps map their conditions (positions, or noise level and
-run). A run maps its windows, in contiguous chunks, twice: once for the
-guard tables and pair rankings, and once for the stages from fan-out to
-readout. In between, the searches run in the calling process in window
-order, because the solution-reuse chain links each window to the one
-before. Inside a pool worker, such as a sweep condition, everything runs
-in-process, and so does everything with one usable CPU (``taskset -c 0``).
+run). A run maps its windows once, in contiguous chunks, and each chunk
+takes its windows in order from guard table and pair ranking through the
+search to the readout. The solution-reuse chain links each window to the
+one before, so a chunk that starts inside a chain retraces it from the
+chain's root. Inside a pool worker, such as a sweep condition, everything
+runs in-process, and so does everything with one usable CPU (``taskset -c
+0``).
 """
 
 from __future__ import annotations
@@ -139,6 +140,10 @@ class PipelineConfig:
     def resolve_reference_pair(self, n_subcarriers: int) -> tuple[int, int]:
         """The motion gate's and the baselines' ratio pair on a grid of
         ``n_subcarriers``; by default its first and last subcarrier."""
+        if n_subcarriers < 2:
+            raise ConfigurationError(
+                f"a ratio needs at least two subcarriers; the grid has {n_subcarriers}"
+            )
         if self.reference_pair is None:
             return (0, n_subcarriers - 1)
         if max(self.reference_pair) >= n_subcarriers:
@@ -185,7 +190,9 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     the gate). Frames above the threshold are rejected; windows require
     ``window_s`` consecutive accepted frames and slide by one frame. Raises
     ConfigurationError when a window's whole blocks hold less than the rate
-    readout's 10 s minimum, or when the reference pair is not on the grid.
+    readout's 10 s minimum or fewer than two blocks, or when the grid has
+    fewer than two subcarriers or lacks the reference pair; after these
+    checks no window's pair ranking or search can fail.
     """
     config = config or PipelineConfig()
     frame_samples = int(round(FRAME_S * trace.sample_rate_hz))
@@ -199,6 +206,11 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     # frames are whole packets and windows whole blocks, so a geometry that
     # passed PipelineConfig in seconds can still come up short here
     window_blocks = window_frames * frame_samples // k1
+    if window_blocks < 2:
+        raise ConfigurationError(
+            f"a window holds {window_blocks} block of {k1} packets; its spectrum "
+            f"needs at least 2 (lower phase_block)"
+        )
     block_rate = trace.sample_rate_hz / k1
     if window_blocks < MIN_WINDOW_S * block_rate:
         raise ConfigurationError(
@@ -303,64 +315,29 @@ def run_pipeline(
     when the caller already has it. Each window builds one ``guard_table``
     for its pair ranking, search and stream fan-out.
 
-    The windows run in three passes. The guard tables and rankings, and
-    later the stages from fan-out to readout, are mapped over contiguous
-    chunks of windows with ``parallel.pool_map``; between them the searches
-    run here in window order, since a window may keep the previous window's
-    solution. A stage error is carried as a value, so a failed window is
-    logged and reported in window order, and the results do not depend on
-    the CPU count.
+    The windows run in one ``parallel.pool_map`` over contiguous chunks of
+    them, each chunk in window order from guard table to readout
+    (``_run_windows``). A stage error is carried as a value, so a failed
+    window is logged and reported in window order, and the results do not
+    depend on the CPU count.
     """
     config = config or PipelineConfig()
     if trace.grid is None:
         raise ConfigurationError("the subcarrier search needs the trace's grid frequencies")
-    frequencies = trace.grid.center_frequency_hz
     plan = plan if plan is not None else segment(trace, config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
-    chunks = _window_chunks(plan, workers())
-
-    rank = functools.partial(_rank_windows, params=config.ga, seed=seed)
-    ranked = _flatten(pool_map(rank, chunks))
-    searched: list[tuple[GassSolution, GuardTable, bool] | Exception] = []
-    previous: tuple[GassSolution, float] | None = None  # (solution, pair ssnr)
-    for window_id, outcome in enumerate(ranked):
-        if isinstance(outcome, Exception):
-            searched.append(outcome)
-            continue
-        guards, pairs = outcome
-        window = plan.window(int(plan.window_starts[window_id]))
-        matrix, eff_rate = window.values, window.sample_rate_hz
-        best_pair = pairs[0][2] if pairs else 0.0
-        try:
-            reused = False
-            if previous is not None and config.reuse_tolerance > 0:
-                prev_solution, prev_pair = previous
-                if _relative_change(best_pair, prev_pair) < config.reuse_tolerance:
-                    refreshed = gass_mod.fitness(prev_solution.genome, matrix, eff_rate)
-                    solution = dataclasses.replace(prev_solution, fitness=float(refreshed))
-                    reused = True
-            if not reused:
-                solution = gass_mod.solve_delay_basis(
-                    matrix, frequencies, eff_rate, pairs[: config.ga.seed_top], guards
-                )
-        except _STAGE_ERRORS as exc:
-            searched.append(exc)
-            continue
-        previous = (solution, best_pair)
-        searched.append((solution, guards, reused))
-
-    per_chunk = [searched[c.window_ids[0] : c.window_ids[-1] + 1] for c in chunks]
-    stages = functools.partial(_stage_windows, config=config)
-    staged = _flatten(pool_map(stages, chunks, per_chunk))
+    chunks = _window_chunks(plan, workers(), walk_back=config.reuse_tolerance > 0)
+    run = functools.partial(
+        _run_windows, frequencies=trace.grid.center_frequency_hz, config=config, seed=seed
+    )
     results: list[WindowResult] = []
-    for window_id, (start_frame, found, outcome) in enumerate(
-        zip(plan.window_starts, searched, staged)
+    for window_id, (start_frame, (solution, reused, outcome)) in enumerate(
+        zip(plan.window_starts, _flatten(pool_map(run, chunks)))
     ):
         start_time = float(trace.times_s[start_frame * plan.frame_samples])
-        failure = found if isinstance(found, Exception) else outcome
-        if isinstance(failure, Exception):
-            logger.warning("window %d failed: %s", window_id, failure)
+        if isinstance(outcome, Exception):
+            logger.warning("window %d failed: %s", window_id, outcome)
             results.append(
                 WindowResult(
                     window_id=window_id,
@@ -370,11 +347,10 @@ def run_pipeline(
                     solution=None,
                     gass_reused=False,
                     stage_band_ratios={},
-                    reason=f"{type(failure).__name__}: {failure}",
+                    reason=f"{type(outcome).__name__}: {outcome}",
                 )
             )
             continue
-        solution, _, reused = found
         estimate, stage_ratios = outcome
         results.append(
             WindowResult(
@@ -392,37 +368,36 @@ def run_pipeline(
 
 @dataclass(frozen=True)
 class _WindowChunk:
-    """Consecutive windows of a plan with the block-averaged trace they
-    span, so that a pool worker receives each block once."""
+    """Windows ``first`` to ``stop - 1`` of a plan, and the block-averaged
+    trace from window ``base`` on, the earliest window the chunk may cut, so
+    that a pool worker receives each block once."""
 
     averaged: CsiTrace
-    window_ids: tuple[int, ...]
-    offsets: tuple[int, ...]   # first block of each window in ``averaged``
+    base: int
+    first: int
+    stop: int
+    offsets: tuple[int, ...]   # first block in ``averaged`` of each window from ``base``
     blocks: int                # blocks per window
 
-    def windows(self):
-        """(window_id, window) of each window, cut as ``WindowPlan.window``
-        cuts it."""
-        for window_id, offset in zip(self.window_ids, self.offsets):
-            yield window_id, self.averaged[offset : offset + self.blocks]
+    def window(self, window_id: int) -> CsiTrace:
+        """Window ``window_id``, cut as ``WindowPlan.window`` cuts it."""
+        offset = self.offsets[window_id - self.base]
+        return self.averaged[offset : offset + self.blocks]
 
 
-def _window_chunks(plan: WindowPlan, count: int) -> list[_WindowChunk]:
+def _window_chunks(plan: WindowPlan, count: int, walk_back: bool) -> list[_WindowChunk]:
     """The plan's windows in at most ``count`` contiguous chunks of nearly
-    equal size."""
+    equal size. With ``walk_back`` every chunk may cut any window before its
+    own, to retrace the reuse chain into it."""
     firsts = plan.window_starts * plan.frame_samples // plan.block_size
     blocks = plan.window_frames * plan.frame_samples // plan.block_size
     chunks = []
     for ids in np.array_split(np.arange(firsts.size), min(count, firsts.size)):
-        lo, hi = int(firsts[ids[0]]), int(firsts[ids[-1]]) + blocks
-        chunks.append(
-            _WindowChunk(
-                plan.averaged[lo:hi],
-                tuple(ids.tolist()),
-                tuple((firsts[ids] - lo).tolist()),
-                blocks,
-            )
-        )
+        first, stop = int(ids[0]), int(ids[-1]) + 1
+        base = 0 if walk_back else first
+        lo, hi = int(firsts[base]), int(firsts[stop - 1]) + blocks
+        offsets = tuple((firsts[base:stop] - lo).tolist())
+        chunks.append(_WindowChunk(plan.averaged[lo:hi], base, first, stop, offsets, blocks))
     return chunks
 
 
@@ -430,57 +405,84 @@ def _flatten(per_chunk: list[list]) -> list:
     return [item for items in per_chunk for item in items]
 
 
-def _rank_windows(
-    chunk: _WindowChunk, params: GaParams, seed: int
-) -> list[tuple[GuardTable, list[tuple[int, int, float]]] | Exception]:
-    """The guard table and pair ranking of each window of ``chunk``, or the
-    stage error that stopped it."""
-    outcomes: list = []
-    for window_id, window in chunk.windows():
+def _run_windows(
+    chunk: _WindowChunk, frequencies: np.ndarray, config: PipelineConfig, seed: int
+) -> list[tuple[GassSolution, bool, tuple[RespirationEstimate, dict[str, float]] | Exception]]:
+    """(solution, reused, stage outcome) of each window of ``chunk``, in
+    window order: its guard table and pair ranking, its solution (solved, or
+    the window before's kept and re-scored), then ``_run_stages``, whose
+    outcome is the estimate and stage band ratios or the stage error that
+    stopped them.
+
+    A chunk that starts inside a run of reused solutions retraces it: it
+    ranks back from the window before its first to that window's root, the
+    nearest window that did not keep its predecessor's solution, and solves
+    the root. Whether a window keeps it depends only on the best-pair band
+    ratios, so the chain is the one a single chunk would build.
+    """
+    tolerance = config.reuse_tolerance
+
+    def ranked(window_id: int) -> tuple[CsiTrace, GuardTable, list[tuple[int, int, float]]]:
+        window = chunk.window(window_id)
+        guards = guard_table(window.values)
         rng = np.random.default_rng([seed, window_id])
-        try:
-            guards = guard_table(window.values)
-            pairs = gass_mod.rank_seed_pairs(
-                window.values, window.sample_rate_hz, params, rng, guards=guards
-            )
-        except _STAGE_ERRORS as exc:
-            outcomes.append(exc)
-            continue
-        outcomes.append((guards, pairs))
-    return outcomes
+        pairs = gass_mod.rank_seed_pairs(
+            window.values, window.sample_rate_hz, config.ga, rng, guards=guards
+        )
+        return window, guards, pairs
 
+    def solved(window: CsiTrace, guards: GuardTable, pairs: list) -> GassSolution:
+        return gass_mod.solve_delay_basis(
+            window.values, frequencies, window.sample_rate_hz, pairs[: config.ga.seed_top], guards
+        )
 
-def _stage_windows(
-    chunk: _WindowChunk, searched: list, config: PipelineConfig
-) -> list[tuple[RespirationEstimate, dict[str, float]] | Exception | None]:
-    """``_run_stages`` on each window of ``chunk`` that has a solution in
-    ``searched`` (its (solution, guards, reused) entry); the stage error
-    that stopped a window, and None for a window without a solution."""
+    def best(ranking: tuple) -> float:
+        return ranking[2][0][2]  # the band ratio of the best ranked pair
+
+    previous: tuple[GassSolution, float] | None = None  # (solution, best pair ratio)
+    if tolerance > 0 and chunk.first > 0:
+        root = last = ranked(chunk.first - 1)
+        for window_id in range(chunk.first - 1, 0, -1):
+            before = ranked(window_id - 1)
+            if not _keeps_solution(best(root), best(before), tolerance):
+                break
+            root = before
+        previous = (solved(*root), best(last))
     outcomes: list = []
-    for (window_id, window), found in zip(chunk.windows(), searched):
-        if isinstance(found, Exception):
-            outcomes.append(None)
-            continue
-        solution, guards, _ = found
+    for window_id in range(chunk.first, chunk.stop):
+        window, guards, pairs = ranking = ranked(window_id)
+        reused = previous is not None and _keeps_solution(best(ranking), previous[1], tolerance)
+        if reused:
+            refreshed = gass_mod.fitness(previous[0].genome, window.values, window.sample_rate_hz)
+            solution = dataclasses.replace(previous[0], fitness=float(refreshed))
+        else:
+            solution = solved(window, guards, pairs)
+        previous = (solution, best(ranking))
         try:
-            outcomes.append(
-                _run_stages(
-                    window.values, solution, window.sample_rate_hz, config, window_id, guards
-                )
+            outcome = _run_stages(
+                window.values, solution, window.sample_rate_hz, config, window_id, guards
             )
         except _STAGE_ERRORS as exc:
-            outcomes.append(exc)
+            outcome = exc
+        outcomes.append((solution, reused, outcome))
     return outcomes
 
 
-def _relative_change(new: float, old: float) -> float:
+def _keeps_solution(new: float, old: float, tolerance: float) -> bool:
+    """Whether a window whose best pair scores ``new`` keeps the solution of
+    the window before, whose best pair scored ``old``: the relative change
+    is under ``tolerance``, and 0 turns reuse off."""
+    if tolerance <= 0:
+        return False
     if math.isinf(new) and math.isinf(old):
-        return 0.0
-    if old == 0.0:
-        return math.inf if new != 0.0 else 0.0
-    if math.isinf(new) or math.isinf(old):
-        return math.inf
-    return abs(new - old) / abs(old)
+        change = 0.0
+    elif old == 0.0:
+        change = math.inf if new != 0.0 else 0.0
+    elif math.isinf(new) or math.isinf(old):
+        change = math.inf
+    else:
+        change = abs(new - old) / abs(old)
+    return change < tolerance
 
 
 def replay_window(

@@ -67,6 +67,20 @@ class CscrStream:
 
 
 @dataclass(frozen=True)
+class StreamStack:
+    """Ratio streams of one numerator over several denominator rows, one
+    row per stream; ``interpolated`` is as in ``CscrStream``."""
+
+    values: np.ndarray         # complex, (streams, samples)
+    sample_rate_hz: float
+    denominators: np.ndarray   # int, one per stream
+    interpolated: np.ndarray   # bool, (streams, samples)
+
+    def __len__(self) -> int:
+        return len(self.denominators)
+
+
+@dataclass(frozen=True)
 class GuardTable:
     """Denominator guard status of every row of a CSI matrix.
 

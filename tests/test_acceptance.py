@@ -21,7 +21,7 @@ from csibreath.grid import custom_grid, default_grid, ht_ltf_grid
 from csibreath.pipeline import PipelineConfig, blind_spot_sweep, run_pipeline
 from csibreath.rate import estimate_rate
 from csibreath.ratio import (
-    CscrStream,
+    StreamStack,
     cscr,
     dynamic_amplitude_low_noise,
     mobius_decompose,
@@ -267,24 +267,20 @@ def test_08_combination_gain():
     gains_db = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        streams = []
+        rows = []
         for i in range(n_streams):
             g = rng.uniform(0.5, 2.0)
             theta = rng.uniform(0.0, 2.0 * np.pi)
             noise = 0.25 * (
                 rng.normal(size=n) + 1j * rng.normal(size=n)
             ) / np.sqrt(2.0)
-            values = g * np.exp(1j * theta) * breath + noise
-            streams.append(
-                CscrStream(
-                    values=values, sample_rate_hz=fs,
-                    numerator=((1 + 0j, 1),), denominator=i,
-                    interpolated=np.zeros(n, dtype=bool),
-                )
-            )
-        singles = [
-            project(s.values - s.values.mean(), fs).band_ratio for s in streams
-        ]
+            rows.append(g * np.exp(1j * theta) * breath + noise)
+        streams = StreamStack(
+            values=np.array(rows), sample_rate_hz=fs,
+            denominators=np.arange(n_streams),
+            interpolated=np.zeros((n_streams, n), dtype=bool),
+        )
+        singles = [project(v - v.mean(), fs).band_ratio for v in streams.values]
         aligned = align_streams(streams, gain_window=5)
         combined = combine(aligned, smoothing_window=3, mu=0.5)
         total = project(combined.smoothed, fs).band_ratio

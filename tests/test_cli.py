@@ -177,7 +177,8 @@ def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):
         assert outputs[0] == outputs[1], command
 
 
-def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog):
+def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog, monkeypatch):
+    from csibreath import pipeline
     from csibreath.pipeline import _window_chunks, segment
     from csibreath.simulate import CsiTrace, apply_impairments, generate_ideal_csi
 
@@ -199,22 +200,26 @@ def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog)
     }
     (tmp_path / "run.yaml").write_text(yaml.safe_dump(run))
     outputs, logged = [], []
-    for cpus in (1, 2):
+    for cpus, chunks in ((1, 1), (2, 2), (2, 3)):
         set_cpus(cpus)
+        # the run's windows in this many chunks; three share a pool of two
+        monkeypatch.setattr(pipeline, "workers", lambda: chunks)
         caplog.clear()
-        out = tmp_path / f"run-{cpus}"
+        out = tmp_path / f"run-{chunks}"
         assert cli.main(["run", "--config", str(tmp_path / "run.yaml"), "--out", str(out)]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         logged.append([r.getMessage() for r in caplog.records])
     assert sorted(outputs[0]) == ["estimates.jsonl", "windows.csv"]
-    assert outputs[0] == outputs[1]
-    assert logged[0] == logged[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert logged[0] == logged[1] == logged[2]
     assert logged[0] == [f"window {i} failed: no streams to align" for i in range(6)]
-    # the reuse chain runs across the boundary of the two workers' chunks
+    # a chunk starts inside a run of reused solutions, and so retraces it
     records = [json.loads(line) for line in outputs[0]["estimates.jsonl"].splitlines()]
+    reused = [r["gass_reused"] for r in records]
     plan = segment(trace, config.pipeline_from_config(run))
-    boundary = _window_chunks(plan, 2)[1].window_ids[0]
-    assert [r["gass_reused"] for r in records[boundary - 1 : boundary + 2]] == [True] * 3
+    for count in (2, 3):
+        edges = [chunk.first for chunk in _window_chunks(plan, count, walk_back=True)[1:]]
+        assert any(reused[edge - 1 : edge + 2] == [True] * 3 for edge in edges), count
 
 
 def test_simulate_is_byte_identical_on_one_worker_and_on_two(base_config, tmp_path, monkeypatch):
@@ -316,6 +321,25 @@ def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "under the 10 s minimum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # one tone: no window can form a ratio
+        ("  center_frequencies_hz: [2.452e9, 2.4545e9, 2.457e9, 2.4595e9, 2.462e9, 2.4645e9]",
+         "  center_frequencies_hz: [2.452e9]", "at least two subcarriers"),
+        # 200-packet blocks at 20 Hz: one block per 10 s window, no spectrum
+        ("  n_numerators: 2", "  n_numerators: 2\n  phase_block: 200", "at least 2"),
+    ],
+)
+def test_a_config_no_window_can_search_exits_2(tmp_path, capsys, old, new, message):
+    config = tmp_path / "unsearchable.yaml"
+    config.write_text(_BASE.replace(old, new))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_removed_pipeline_keys_exit_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,17 +16,20 @@ from csibreath.combine import (
 )
 from csibreath.errors import AlignmentError, ConfigurationError
 from csibreath.gass import Genome, GassSolution, build_streams, combined_ratio
-from csibreath.ratio import CscrStream, guard_table, ssnr, ssnr_values
+from csibreath.ratio import StreamStack, guard_table, ssnr, ssnr_values
 
 
-def _stream(values, fs=10.0, denominator=0):
-    values = np.asarray(values, dtype=complex)
-    return CscrStream(
+def _stack(rows, denominators=None, fs=10.0):
+    """A stack of the streams ``rows``, over denominators 0, 1, ... unless
+    given."""
+    values = np.array(rows, dtype=complex, ndmin=2)
+    if denominators is None:
+        denominators = range(values.shape[0])
+    return StreamStack(
         values=values,
         sample_rate_hz=fs,
-        numerator=((1 + 0j, 1),),
-        denominator=denominator,
-        interpolated=np.zeros(values.size, dtype=bool),
+        denominators=np.array(denominators, dtype=int),
+        interpolated=np.zeros(values.shape, dtype=bool),
     )
 
 
@@ -95,22 +100,21 @@ def test_align_rotation_recovers_known_angle(rng):
 
 def test_align_single_stream_identity(rng):
     v = _breath() + 0.05 * (rng.normal(size=300) + 1j * rng.normal(size=300))
-    aligned = align_streams([_stream(v)], gain_window=5)
+    aligned = align_streams(_stack([v]), gain_window=5)
     assert len(aligned) == 1
-    a = aligned[0]
     q = v - v.mean()
-    np.testing.assert_allclose(a.offset_removed, q, rtol=1e-14)
-    assert np.isclose(a.gain, stream_gain(q, 5))
-    np.testing.assert_allclose(a.normalized, q / a.gain, rtol=1e-14)
-    assert a.rotation == 0.0
+    np.testing.assert_allclose(aligned.offset_removed[0], q, rtol=1e-14)
+    assert np.isclose(aligned.gains[0], stream_gain(q, 5))
+    np.testing.assert_allclose(aligned.normalized[0], q / aligned.gains[0], rtol=1e-14)
+    assert aligned.rotations[0] == 0.0
 
 
 def test_align_drops_constant_stream(rng):
     good = _breath() + 0.02 * rng.normal(size=300)
     flat = np.full(300, 2.0 + 1.0j)
-    aligned = align_streams([_stream(good, denominator=3), _stream(flat)], 5)
+    aligned = align_streams(_stack([good, flat], [3, 0]), 5)
     assert len(aligned) == 1
-    assert aligned[0].stream.denominator == 3
+    assert aligned.denominators.tolist() == [3]
 
 
 def test_align_rotates_onto_best_stream(rng):
@@ -118,28 +122,24 @@ def test_align_rotates_onto_best_stream(rng):
     noise = 0.02 * (rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300)))
     best = b + noise[0] * 0.1
     worse = 1.7 * b * np.exp(1j * 1.1) + noise[1]
-    aligned = align_streams(
-        [_stream(worse, denominator=1), _stream(best, denominator=2)], 5
-    )
-    ref = [a for a in aligned if a.stream.denominator == 2][0]
-    other = [a for a in aligned if a.stream.denominator == 1][0]
-    assert ref.band_ratio > other.band_ratio
-    assert ref.rotation == 0.0
+    aligned = align_streams(_stack([worse, best], [1, 2]), 5)
+    assert aligned.denominators.tolist() == [1, 2]
+    other, ref = 0, 1
+    assert aligned.band_ratios[ref] > aligned.band_ratios[other]
+    assert aligned.rotations[ref] == 0.0
     # rotating the worse stream by its reported angle re-aligns it
-    realigned = other.normalized * np.exp(1j * other.rotation)
-    misfit = np.sum(np.abs(ref.normalized - realigned) ** 2)
-    raw = np.sum(np.abs(ref.normalized - other.normalized) ** 2)
+    normalized = aligned.normalized
+    realigned = normalized[other] * np.exp(1j * aligned.rotations[other])
+    misfit = np.sum(np.abs(normalized[ref] - realigned) ** 2)
+    raw = np.sum(np.abs(normalized[ref] - normalized[other]) ** 2)
     assert misfit < raw
 
 
 def test_align_validation(rng):
-    v = _breath()
-    with pytest.raises(ConfigurationError):
-        align_streams([], 5)
-    with pytest.raises(ConfigurationError):
-        align_streams([_stream(v, fs=10.0), _stream(v, fs=20.0)], 5)
-    with pytest.raises(ConfigurationError):
-        align_streams([_stream(np.ones(10))], 5)  # every stream degenerate
+    with pytest.raises(ConfigurationError, match="no streams"):
+        align_streams(_stack(np.empty((0, 10))), 5)
+    with pytest.raises(ConfigurationError, match="degenerate"):
+        align_streams(_stack([np.ones(10)]), 5)  # every stream degenerate
 
 
 # ----------------------------------------------------------------------------
@@ -149,13 +149,13 @@ def test_align_validation(rng):
 
 def _noisy_streams(rng, count=4, noise=0.3):
     b = _breath()
-    streams = []
-    for i in range(count):
+    rows = []
+    for _ in range(count):
         gain = rng.uniform(0.5, 2.0)
         theta = rng.uniform(0, 2 * np.pi)
         n = noise * (rng.normal(size=b.size) + 1j * rng.normal(size=b.size)) / np.sqrt(2)
-        streams.append(_stream(gain * np.exp(1j * theta) * b + n, denominator=i))
-    return streams
+        rows.append(gain * np.exp(1j * theta) * b + n)
+    return _stack(rows)
 
 
 def test_combine_matches_hand_recomputation(rng):
@@ -163,18 +163,19 @@ def test_combine_matches_hand_recomputation(rng):
     combined = combine(aligned, smoothing_window=3, mu=0.4)
     total = np.zeros(300, dtype=complex)
     contributing = 0
-    for a in aligned:
-        if a.final_weight > 0:
-            total += a.final_weight * a.normalized * np.exp(1j * a.rotation)
+    for weight, normalized, rotation in zip(
+        combined.weights, aligned.normalized, aligned.rotations
+    ):
+        if weight > 0:
+            total += weight * normalized * np.exp(1j * rotation)
             contributing += 1
     np.testing.assert_allclose(combined.values, total, rtol=1e-12)
     assert combined.contributing == contributing >= 1
     np.testing.assert_allclose(
         combined.smoothed, moving_average(total, 3), rtol=1e-12
     )
-    best = max(a.band_ratio for a in aligned)
-    ref = [a for a in aligned if a.band_ratio == best][0]
-    assert combined.reference_denominator == ref.stream.denominator
+    ref = int(np.argmax(aligned.band_ratios))
+    assert combined.reference_denominator == aligned.denominators[ref]
 
 
 def test_combine_mu_threshold_inclusive(rng):
@@ -187,7 +188,7 @@ def test_combine_mu_threshold_inclusive(rng):
 
 def test_combine_identical_streams_all_survive(rng):
     v = _breath() + 0.05 * rng.normal(size=300)
-    aligned = align_streams([_stream(v, denominator=i) for i in range(3)], 5)
+    aligned = align_streams(_stack([v, v, v]), 5)
     combined = combine(aligned, smoothing_window=1, mu=1.0)
     assert combined.contributing == 3
 
@@ -195,7 +196,7 @@ def test_combine_identical_streams_all_survive(rng):
 def test_combine_validation(rng):
     aligned = align_streams(_noisy_streams(rng), gain_window=5)
     with pytest.raises(ConfigurationError):
-        combine([], 3)
+        combine(dataclasses.replace(aligned, denominators=np.empty(0, dtype=int)), 3)
     with pytest.raises(ConfigurationError):
         combine(aligned, 3, mu=1.5)
 
@@ -203,14 +204,12 @@ def test_combine_validation(rng):
 def test_infinite_band_ratios_capped(rng):
     # a clean in-band complex tone saturates the band-ratio metric
     b = np.exp(2j * np.pi * 0.25 * np.arange(300) / 10.0)
-    streams = [_stream(b * np.exp(1j * i), denominator=i) for i in range(3)]
-    aligned = align_streams(streams, gain_window=5)
-    assert all(np.isinf(a.band_ratio) for a in aligned)
+    aligned = align_streams(_stack([b * np.exp(1j * i) for i in range(3)]), gain_window=5)
+    assert np.isinf(aligned.band_ratios).all()
     combined = combine(aligned, smoothing_window=1, mu=0.9)
     assert np.all(np.isfinite(combined.values))
     assert combined.contributing == 3
-    for a in aligned:
-        assert a.final_weight == INFINITE_WEIGHT_CAP
+    assert combined.weights.tolist() == [INFINITE_WEIGHT_CAP] * 3
 
 
 def test_combining_beats_single_streams(rng):
@@ -220,7 +219,7 @@ def test_combining_beats_single_streams(rng):
     for seed in range(5):
         local = np.random.default_rng(seed)
         streams = _noisy_streams(local, count=8, noise=0.4)
-        singles = [ssnr(s.values, 10.0).value for s in streams]
+        singles = [ssnr(values, 10.0).value for values in streams.values]
         aligned = align_streams(streams, gain_window=5)
         combined = combine(aligned, smoothing_window=3, mu=0.3)
         gains.append(ssnr(combined.smoothed, 10.0).value / np.mean(singles))
@@ -244,11 +243,13 @@ def _loop_gain(q, gain_window):
 
 def _loop_build(genome, matrix):
     """One stream per row the guard keeps, numerator rows included, each
-    the genome's ``combined_ratio`` over that row."""
+    the genome's ``combined_ratio`` over that row; a numerator with weight
+    on one row only leaves that row out."""
     guards = guard_table(matrix)
+    own = set(genome.numerator_indices[genome.weights != 0].tolist())
     streams = []
     for m in range(matrix.shape[0]):
-        if guards.rejected[m]:
+        if guards.rejected[m] or own == {m}:
             continue
         values, bad = combined_ratio(matrix, genome.weights, genome.numerator_indices, m)
         streams.append((m, values, bad))
@@ -297,18 +298,18 @@ def _same_bits(a, b):
 
 def _check_stack_equals_loop(streams, expected, gain_window, mu):
     aligned = align_streams(streams, gain_window)
-    loop = _loop_align(expected, streams[0].sample_rate_hz, gain_window)
-    assert [a.stream.denominator for a in aligned] == [a[0] for a in loop]
-    for a, (_, q, g, normalized, beta, rotation) in zip(aligned, loop):
-        assert _same_bits(a.offset_removed, q)
-        assert _same_bits(a.gain, g) and isinstance(a.gain, float)
-        assert _same_bits(a.normalized, normalized)
-        assert _same_bits(a.band_ratio, beta)
-        assert _same_bits(a.rotation, rotation) and isinstance(a.rotation, float)
+    loop = _loop_align(expected, streams.sample_rate_hz, gain_window)
+    assert aligned.denominators.tolist() == [a[0] for a in loop]
+    for j, (_, q, g, normalized, beta, rotation) in enumerate(loop):
+        assert _same_bits(aligned.offset_removed[j], q)
+        assert _same_bits(aligned.gains[j], np.float64(g))
+        assert _same_bits(aligned.normalized[j], normalized)
+        assert _same_bits(aligned.band_ratios[j], np.float64(beta))
+        assert _same_bits(aligned.rotations[j], np.float64(rotation))
     combined = combine(aligned, smoothing_window=3, mu=mu)
     total, weights, contributing = _loop_combine(loop, mu)
     assert _same_bits(combined.values, total)
-    assert [a.final_weight for a in aligned] == weights
+    assert combined.weights.tolist() == weights
     assert combined.contributing == contributing
 
 
@@ -352,20 +353,22 @@ def test_stream_stack_equals_per_stream_loop(
     solution = GassSolution(genome, 1.0, 0, np.ones(1))
     streams = build_streams(solution, matrix, 10.0)
     expected = _loop_build(genome, matrix)
-    assert [s.denominator for s in streams] == [m for m, _, _ in expected]
-    for s, (_, values, bad) in zip(streams, expected):
-        assert _same_bits(s.values, values)
-        assert _same_bits(s.interpolated, bad)
-    if not streams:
+    assert streams.denominators.tolist() == [m for m, _, _ in expected]
+    for values, bad, (_, loop_values, loop_bad) in zip(
+        streams.values, streams.interpolated, expected
+    ):
+        assert _same_bits(values, loop_values)
+        assert _same_bits(bad, loop_bad)
+    if not len(streams):
         return
     # a zero numerator makes every stream constant, and so does a constant
     # stream that is the only one the guard lets through
-    if all(np.ptp(s.values) == 0 for s in streams):
+    if (np.ptp(streams.values, axis=1) == 0).all():
         with pytest.raises(ConfigurationError, match="degenerate"):
             align_streams(streams, gain_window)
         return
     _check_stack_equals_loop(
-        streams, [(s.denominator, s.values) for s in streams], gain_window, mu
+        streams, list(zip(streams.denominators.tolist(), streams.values)), gain_window, mu
     )
 
 
@@ -385,7 +388,7 @@ def test_stream_stack_drops_constant_and_unalignable_like_the_loop(rng, caplog):
         orthogonal + 0j,                        # unalignable
         _breath(n) + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
     ]
-    streams = [_stream(v, denominator=d) for d, v in enumerate(values)]
+    streams = _stack(values)
     with caplog.at_level("WARNING", logger="csibreath.combine"):
         _check_stack_equals_loop(streams, list(enumerate(values)), 5, 0.0)
     assert [r.getMessage() for r in caplog.records] == [

@@ -491,19 +491,15 @@ def test_build_streams_covers_every_kept_row():
     genome = solution.genome
     assert genome.weights.size == 11
     streams = build_streams(solution, matrix, 10.0)
-    assert [s.denominator for s in streams] == [m for m in range(12) if m != 4]
-    for stream in streams:
-        assert stream.sample_rate_hz == 10.0
-        assert stream.numerator == tuple(
-            (complex(w), int(m))
-            for w, m in zip(genome.weights, genome.numerator_indices)
-        )
-    # a single-pair numerator over its own row is constant up to the
-    # rounding of x / x
+    assert streams.denominators.tolist() == [m for m in range(12) if m != 4]
+    assert streams.values.shape == (11, matrix.shape[1]) and len(streams) == 11
+    assert streams.sample_rate_hz == 10.0
+    # a single-pair numerator over its own row would be constant up to the
+    # rounding of x / x, so that row is left out
     m1, d, score = ranked[0]
     pair = GassSolution(Genome(np.array([1.0 + 0j]), np.array([m1]), d), score, 0, np.ones(1))
-    own = next(s for s in build_streams(pair, matrix, 10.0) if s.denominator == m1)
-    np.testing.assert_allclose(own.values, 1.0, rtol=1e-15)
+    fallback = build_streams(pair, matrix, 10.0)
+    assert fallback.denominators.tolist() == [m for m in range(12) if m not in (4, m1)]
 
 
 def test_build_streams_values_match_direct_ratio():
@@ -513,14 +509,16 @@ def test_build_streams_values_match_direct_ratio():
         params=GaParams(population=8, generations=4, seed_pool=10, seed_top=3),
         seed=5,
     )
-    for stream in build_streams(solution, matrix, 10.0):
+    streams = build_streams(solution, matrix, 10.0)
+    assert len(streams) >= 2
+    for values, denominator in zip(streams.values, streams.denominators):
         expected, _ = combined_ratio(
             matrix,
             solution.genome.weights,
             solution.genome.numerator_indices,
-            stream.denominator,
+            denominator,
         )
-        np.testing.assert_allclose(stream.values, expected, rtol=1e-14)
+        np.testing.assert_allclose(values, expected, rtol=1e-14)
 
 
 def test_shared_guard_table_gives_the_same_outputs(impaired_trace, small_ga):
@@ -539,11 +537,10 @@ def test_shared_guard_table_gives_the_same_outputs(impaired_trace, small_ga):
     solution = GassSolution(genome, 1.0, 0, np.ones(1))
     with_table = build_streams(solution, matrix, 10.0, guards=guards)
     without = build_streams(solution, matrix, 10.0)
-    assert [s.denominator for s in with_table] == [s.denominator for s in without]
-    assert 7 not in [s.denominator for s in with_table]
-    for x, y in zip(with_table, without):
-        assert x.values.tobytes() == y.values.tobytes()
-        assert x.interpolated.tobytes() == y.interpolated.tobytes()
+    assert with_table.denominators.tolist() == without.denominators.tolist()
+    assert 7 not in with_table.denominators
+    assert with_table.values.tobytes() == without.values.tobytes()
+    assert with_table.interpolated.tobytes() == without.interpolated.tobytes()
 
 
 # ----------------------------------------------------------------------------

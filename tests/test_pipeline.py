@@ -1,14 +1,19 @@
 import dataclasses
+import itertools
+import math
 import os
+import types
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csibreath import parallel
 from csibreath.errors import ConfigurationError, NoWindowError
-from csibreath.gass import GaParams
+from csibreath.gass import GaParams, GassSolution
 from csibreath.grid import default_grid
 from csibreath.pipeline import (
     DETECTION_TOLERANCE_BPM,
@@ -324,6 +329,77 @@ def test_reuse_skips_search_when_quality_stable(impaired_trace):
     # reused windows keep the genome but re-score it on their own data
     reused = results[1]
     assert reused.solution.genome.key() == results[0].solution.genome.key()
+
+
+def _serial_chain(bests, tolerance):
+    """(reused, root) of each window from the serial search loop: a window
+    keeps the previous window's solution while its best pair's band ratio
+    moves by less than ``tolerance``; its root is the window that solved."""
+    def relative_change(new, old):
+        if math.isinf(new) and math.isinf(old):
+            return 0.0
+        if old == 0.0:
+            return math.inf if new != 0.0 else 0.0
+        if math.isinf(new) or math.isinf(old):
+            return math.inf
+        return abs(new - old) / abs(old)
+
+    chain = []
+    for window_id, best in enumerate(bests):
+        reused = (
+            window_id > 0 and tolerance > 0
+            and relative_change(best, bests[window_id - 1]) < tolerance
+        )
+        chain.append((reused, chain[-1][1] if reused else window_id))
+    return chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bests=st.lists(st.sampled_from([0.0, math.inf, 1.0, 1.5, 2.0, 3.0, 4.0]), min_size=1, max_size=8),
+    tolerance=st.sampled_from([0.0, 0.5]),  # 1 -> 1.5, 2 -> 3 and 2 -> 1 move by exactly 0.5
+)
+def test_chunked_reuse_chain_is_the_serial_chain(bests, tolerance):
+    import csibreath.pipeline as pipeline
+
+    n = len(bests)
+    # one-block windows whose single value is their window id
+    averaged = CsiTrace.uniform(np.arange(n, dtype=complex)[None, :], 1.0)
+    solves = []
+
+    def solve(matrix, frequencies, rate, pairs, guards):
+        solves.append(int(matrix[0, 0].real))
+        return GassSolution(None, 0.0, int(matrix[0, 0].real), np.zeros(1))
+
+    fake_search = types.SimpleNamespace(
+        rank_seed_pairs=lambda matrix, *a, **k: [(0, 1, bests[int(matrix[0, 0].real)])],
+        solve_delay_basis=solve,
+        fitness=lambda genome, matrix, rate: 1.0,
+    )
+    expected = _serial_chain(bests, tolerance)
+    config = dataclasses.replace(_FAST, reuse_tolerance=tolerance)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "gass_mod", fake_search)
+        patch.setattr(pipeline, "guard_table", lambda matrix: None)
+        patch.setattr(pipeline, "_run_stages", lambda *args: None)
+        # every split of the windows into 1 to 5 contiguous chunks
+        for cuts in range(min(5, n)):
+            for inner in itertools.combinations(range(1, n), cuts):
+                edges = (0, *inner, n)
+                chain = []
+                for first, stop in zip(edges, edges[1:]):
+                    base = 0 if tolerance > 0 else first
+                    chunk = pipeline._WindowChunk(
+                        averaged[base:stop], base, first, stop, tuple(range(stop - base)), 1
+                    )
+                    chain += [
+                        (reused, solution.generation_found)
+                        for solution, reused, _ in pipeline._run_windows(chunk, None, config, 0)
+                    ]
+                assert chain == expected, edges
+                if tolerance == 0:
+                    assert solves[-n:] == list(range(n))  # no walk-back
+                solves.clear()
 
 
 # ----------------------------------------------------------------------------
