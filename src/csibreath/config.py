@@ -2,13 +2,15 @@
 
 One file describes a whole run: the grid, a scenario (or an input trace),
 impairments, pipeline knobs, and sweep settings. Unknown keys are rejected
-so typos fail loudly instead of silently running defaults. The full schema
-is documented in the README.
+so typos fail loudly instead of silently running defaults; only the retired
+genetic-algorithm keys are dropped, with a warning. The full schema is
+documented in the README.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 from pathlib import Path
 from typing import Any
 
@@ -30,7 +32,19 @@ from .simulate import (
     StaticPath,
 )
 
+logger = logging.getLogger(__name__)
+
 TOP_LEVEL_KEYS = {"grid", "scenario", "impairments", "input", "pipeline", "sweep", "outputs"}
+
+# Settings of the genetic algorithm that the closed-form search replaced.
+# Configs written for it still load: these keys are dropped with one warning.
+RETIRED_KEYS = {
+    "pipeline": ("n_numerators",),
+    "pipeline.ga": (
+        "population", "generations", "tournament", "crossover_prob", "mutation_prob",
+        "weight_sigma", "elites", "stagnation_limit",
+    ),
+}
 
 
 def load_config(path: str | Path) -> dict:
@@ -170,8 +184,19 @@ def impairments_from_config(config: dict, seed_offset: int = 0) -> ImpairmentCon
 
 def pipeline_from_config(config: dict) -> PipelineConfig:
     section = _section(config, "pipeline", "pipeline")
-    ga = _build(GaParams, _section(section, "ga", "pipeline.ga"), "pipeline.ga")
+    ga = _section(section, "ga", "pipeline.ga")
     section.pop("ga", None)
+    retired = []
+    for where, mapping in (("pipeline", section), ("pipeline.ga", ga)):
+        for key in RETIRED_KEYS[where]:
+            if key in mapping:
+                del mapping[key]
+                retired.append(f"{where}.{key}")
+    if retired:
+        logger.warning(
+            "ignoring retired genetic-algorithm keys: %s (the search is closed-form)",
+            ", ".join(retired),
+        )
     if isinstance(section.get("reference_pair"), list):
         section["reference_pair"] = tuple(section["reference_pair"])
-    return _build(PipelineConfig, section, "pipeline", ga=ga)
+    return _build(PipelineConfig, section, "pipeline", ga=_build(GaParams, ga, "pipeline.ga"))

@@ -15,15 +15,10 @@ matrices (the max-SNR beamformer of Warsitz and Haeb-Umbach, IEEE TASLP
 2007). The best ranked single pair is an explicit fallback, so the result is
 never worse than it.
 
-``optimize`` is the paper's genetic algorithm, kept as the reference solver
-that ``gass-audit`` compares against. Elite preservation makes its best
-fitness non-decreasing across generations, so it too is never worse than the
-seeded single-pair candidates. It holds its population as arrays - weights
-(P, N), numerator indices (P, N) and denominators (P,) - and runs tournament
-selection, uniform crossover and mutation as whole-population array
-operations. Each generation's children are scored in one batch by
-``PopulationScorer``, whose scores equal ``fitness`` bit for bit and do not
-depend on the batch, so the elites carry their scores over.
+``best_single_pair`` scores all n(n-1) ordered single pairs, the exact
+reference that ``gass-audit`` compares the solve against. The paper's own
+search is a genetic algorithm; the closed form replaced it after beating it
+on every held-out evaluation row (README).
 
 Products over the full band are ``np.einsum`` sums rather than ``@``: a BLAS
 matrix-vector product over ~200 rows changes its last bits with the BLAS
@@ -32,11 +27,11 @@ thread count, and outputs must not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, StreamGuardError
+from .errors import ConfigurationError, StreamGuardError, check_integer
 from .ratio import (
     GuardTable,
     StreamStack,
@@ -46,11 +41,6 @@ from .ratio import (
     ssnr_values,
 )
 
-
-_COUNTS = (
-    "population", "generations", "tournament", "elites",
-    "stagnation_limit", "seed_pool", "seed_top",
-)
 
 # Delays of the closed-form search's weight basis. A propagation path of
 # length L adds a term exp(-j 2 pi f L / c) to the channel, a complex
@@ -63,36 +53,15 @@ DELAY_SPAN_S = 100e-9
 
 @dataclass(frozen=True)
 class GaParams:
-    """Search hyperparameters. Defaults favor robustness over speed."""
+    """The pair ranking that gives the search its denominator and fallback."""
 
-    population: int = 64
-    generations: int = 100
-    tournament: int = 3
-    crossover_prob: float = 0.8
-    mutation_prob: float = 0.05
-    weight_sigma: float = 0.1
-    elites: int = 2
-    stagnation_limit: int = 20
-    seed_pool: int = 200   # random single pairs ranked for seeding
-    seed_top: int = 20     # best-ranked pairs inserted into the population
+    seed_pool: int = 200   # random single pairs ranked
+    seed_top: int = 20     # best-ranked pairs reported with the solution
 
     def __post_init__(self) -> None:
-        for name in _COUNTS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.elites < 0:
-            raise ConfigurationError("elites must be >= 0")
-        if self.population < max(2, self.elites + 1):
-            raise ConfigurationError("population too small for elitism")
-        if self.tournament < 1 or self.stagnation_limit < 1:
-            raise ConfigurationError("tournament and stagnation_limit must be >= 1")
-        if min(self.generations, self.seed_pool, self.seed_top) < 0:
-            raise ConfigurationError("generations, seed_pool and seed_top must be >= 0")
-        if not self.weight_sigma >= 0:
-            raise ConfigurationError("weight_sigma must be >= 0")
-        if not 0 <= self.crossover_prob <= 1 or not 0 <= self.mutation_prob <= 1:
-            raise ConfigurationError("probabilities must lie in [0, 1]")
+        # the search starts from the best ranked pair
+        check_integer("ga.seed_pool", self.seed_pool, 1)
+        check_integer("ga.seed_top", self.seed_top, 1)
 
 
 @dataclass(frozen=True)
@@ -103,24 +72,11 @@ class Genome:
     numerator_indices: np.ndarray
     denominator_index: int
 
-    def key(self) -> bytes:
-        return (
-            self.weights.tobytes()
-            + self.numerator_indices.astype(np.int64).tobytes()
-            + int(self.denominator_index).to_bytes(8, "little", signed=True)
-        )
-
-
-# a population as arrays: weights (P, N), numerator indices (P, N), denominators (P,)
-Population = tuple[np.ndarray, np.ndarray, np.ndarray]
-
 
 @dataclass(frozen=True)
 class GassSolution:
     genome: Genome
     fitness: float
-    generation_found: int
-    history: np.ndarray = field(repr=False)  # best fitness per generation
     seeded_pairs: tuple[tuple[int, int], ...] = ()
     seeded_best_fitness: float = float("nan")
 
@@ -176,7 +132,7 @@ def fitness(genome: Genome, matrix: np.ndarray, sample_rate_hz: float) -> float:
 
 
 class PopulationScorer:
-    """Fitness of a whole population on one window, computed as one batch.
+    """Fitness of a batch of genomes on one window, computed at once.
 
     Each score equals ``fitness(genome, matrix, sample_rate_hz)`` bit for
     bit. All numerators come from one gather and one einsum, and each
@@ -197,8 +153,10 @@ class PopulationScorer:
     def score(
         self, weights: np.ndarray, indices: np.ndarray, denominators: np.ndarray
     ) -> np.ndarray:
-        """Scores of a ``Population``: genome p is (weights[p], indices[p],
-        denominators[p]). Every genome is validated as ``fitness`` would."""
+        """Scores of genomes given as arrays, weights (P, N), numerator
+        indices (P, N) and denominators (P,): genome p is (weights[p],
+        indices[p], denominators[p]). Every genome is validated as
+        ``fitness`` would."""
         n_sub = self.matrix.shape[0]
         if (weights.ndim != 2 or indices.shape != weights.shape
                 or denominators.shape != weights.shape[:1]):
@@ -211,8 +169,8 @@ class PopulationScorer:
             | np.any(indices == denominators[:, None], axis=1)
         )
         if invalid.any():
-            bad = _genome_at((weights, indices, denominators), int(np.argmax(invalid)))
-            _check_genome(bad, n_sub)
+            p = int(np.argmax(invalid))
+            _check_genome(Genome(weights[p], indices[p], int(denominators[p])), n_sub)
         live = np.any(weights, axis=1) & ~self.guards.rejected[denominators]
         scores = np.zeros(denominators.size)
         if live.any():
@@ -254,7 +212,8 @@ def rank_seed_pairs(
     # code c is the ordered pair (c // (n_sub - 1), its remainder skipping m1)
     codes = rng.choice(n_pairs, size=min(params.seed_pool, n_pairs), replace=False)
     m1 = codes // (n_sub - 1)
-    m2 = _draw_index(codes % (n_sub - 1), m1)
+    m2 = codes % (n_sub - 1)
+    m2 += m2 >= m1
     # each pair is the genome (weights [1], numerators [m1], denominator m2)
     scores = PopulationScorer(matrix, sample_rate_hz, guards).score(
         np.ones((codes.size, 1), dtype=complex), m1[:, None], m2
@@ -263,147 +222,32 @@ def rank_seed_pairs(
     return [(int(m1[i]), int(m2[i]), float(scores[i])) for i in order]
 
 
-def _draw_index(draw: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
-    """Map draws from [0, n_sub - 1) onto [0, n_sub) minus ``forbidden``."""
-    return draw + (draw >= forbidden)
+def best_single_pair(
+    matrix: np.ndarray, sample_rate_hz: float, guards: GuardTable | None = None
+) -> tuple[int, int, float]:
+    """The best of all n(n-1) ordered (numerator, denominator) pairs and its
+    band ratio, ties to the lowest denominator, then numerator.
 
-
-def _genome_at(population: Population, p: int) -> Genome:
-    weights, indices, denominators = population
-    return Genome(weights[p], indices[p], int(denominators[p]))
-
-
-def _initial_population(
-    seeds: list[tuple[int, int, float]], n_numerators: int, n_sub: int,
-    params: GaParams, rng: np.random.Generator,
-) -> Population:
-    """Single-pair seeds (unit weight on m1, zero-weight fillers), then random genomes."""
-    shape = (params.population, n_numerators)
-    pairs = np.array([(m1, m2) for m1, m2, _ in seeds], dtype=int).reshape(-1, 2)
-    pairs = pairs[: params.population]
-    denominators = rng.integers(0, n_sub, params.population)
-    denominators[: len(pairs)] = pairs[:, 1]
-    indices = _draw_index(rng.integers(0, n_sub - 1, shape), denominators[:, None])
-    indices[: len(pairs), 0] = pairs[:, 0]
-    radius = np.sqrt(rng.random(shape))
-    weights = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))
-    weights[: len(pairs)] = 0.0
-    weights[: len(pairs), 0] = 1.0
-    return weights, indices, denominators
-
-
-def _elites(fits: np.ndarray, params: GaParams) -> np.ndarray:
-    """Rows of the ``params.elites`` best genomes, best first, ties by row."""
-    return np.argsort(-fits, kind="stable")[: params.elites]
-
-
-def _next_generation(
-    population: Population, fits: np.ndarray, n_sub: int, params: GaParams,
-    rng: np.random.Generator,
-) -> Population:
-    """The elites, then children bred by tournament, crossover and mutation."""
-    weights, indices, denominators = population
-    size, n = weights.shape
-    n_child = size - params.elites
-    elites = _elites(fits, params)
-    # two tournaments per child: row 0 picks parent a, row 1 parent b
-    contenders = rng.integers(0, size, (2, n_child, params.tournament))
-    winner = np.argmax(fits[contenders], axis=2)[..., None]
-    a, b = np.take_along_axis(contenders, winner, axis=2)[..., 0]
-    # uniform crossover; a child that skips it is a copy of parent a
-    cross = rng.random(n_child) < params.crossover_prob
-    take_b = cross[:, None] & (rng.random((n_child, n)) < 0.5)
-    w = np.where(take_b, weights[b], weights[a])
-    m = np.where(take_b, indices[b], indices[a])
-    d = np.where(cross & (rng.random(n_child) < 0.5), denominators[b], denominators[a])
-    mutate = rng.random(n_child) < params.mutation_prob
-    d[mutate] = rng.integers(0, n_sub, mutate.sum())
-    forbidden = np.repeat(d[:, None], n, axis=1)
-    mutate = rng.random((n_child, n)) < params.mutation_prob
-    m[mutate] = _draw_index(rng.integers(0, n_sub - 1, mutate.sum()), forbidden[mutate])
-    mutate = rng.random((n_child, n)) < params.mutation_prob
-    step = rng.normal(0.0, params.weight_sigma, (2, mutate.sum()))
-    moved = w[mutate] + step[0] + 1j * step[1]
-    w[mutate] = moved / np.maximum(np.abs(moved), 1.0)
-    # a denominator from parent b or a mutation may collide with numerator genes
-    clash = m == forbidden
-    m[clash] = _draw_index(rng.integers(0, n_sub - 1, clash.sum()), forbidden[clash])
-    return (
-        np.concatenate([weights[elites], w]),
-        np.concatenate([indices[elites], m]),
-        np.concatenate([denominators[elites], d]),
-    )
-
-
-def optimize(
-    matrix: np.ndarray,
-    n_numerators: int,
-    sample_rate_hz: float,
-    params: GaParams | None = None,
-    seed: int | np.random.Generator = 0,
-    ranked_pairs: list[tuple[int, int, float]] | None = None,
-    *,
-    guards: GuardTable | None = None,
-) -> GassSolution:
-    """Search for the best weighted ratio on one analysis window.
-
-    Deterministic for a fixed seed. The initial population contains the
-    top-ranked single-pair genomes from a random candidate pool, so the
-    result can only improve on the best plain two-subcarrier ratio found
-    there. A caller that already ranked the pool (``rank_seed_pairs``) can
-    pass it in through ``ranked_pairs``, and one that already built
-    ``guard_table(matrix)`` through ``guards``. The elites of a generation
-    keep the scores they were bred with: a genome scores the same bits in
-    any batch.
+    An exact reference for the search, with no random draw: each
+    denominator's n - 1 pairs are scored in one ``PopulationScorer`` batch,
+    so memory stays at one matrix-sized batch. ``guards`` is
+    ``guard_table(matrix)`` when the caller already has it.
     """
-    params = params or GaParams()
     n_sub = matrix.shape[0]
     if n_sub < 2:
         raise ConfigurationError("need at least two subcarriers")
-    if n_numerators < 1:
-        raise ConfigurationError("n_numerators must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     scorer = PopulationScorer(matrix, sample_rate_hz, guards)
-
-    ranked = (
-        ranked_pairs
-        if ranked_pairs is not None
-        else rank_seed_pairs(matrix, sample_rate_hz, params, rng, guards=scorer.guards)
-    )
-    seeds = ranked[: params.seed_top]
-    population = _initial_population(seeds, n_numerators, n_sub, params, rng)
-    fits = scorer.score(*population)
-    best_idx = int(np.argmax(fits))
-    best_genome, best_fit = _genome_at(population, best_idx), float(fits[best_idx])
-    history = [best_fit]
-    generation_found = 0
-    stagnant = 0
-
-    for generation in range(1, params.generations + 1):
-        carried = fits[_elites(fits, params)]
-        population = _next_generation(population, fits, n_sub, params, rng)
-        children = scorer.score(*(part[params.elites :] for part in population))
-        fits = np.concatenate([carried, children])
-        gen_best = int(np.argmax(fits))
-        if fits[gen_best] > best_fit:
-            best_genome = _genome_at(population, gen_best)
-            best_fit = float(fits[gen_best])
-            generation_found = generation
-            stagnant = 0
-        else:
-            stagnant += 1
-        history.append(best_fit)
-        if stagnant >= params.stagnation_limit:
-            break
-
-    return GassSolution(
-        genome=best_genome,
-        fitness=best_fit,
-        generation_found=generation_found,
-        history=np.array(history),
-        seeded_pairs=tuple((m1, m2) for m1, m2, _ in seeds),
-        seeded_best_fitness=seeds[0][2] if seeds else float("nan"),
-    )
+    rows = np.arange(n_sub)
+    best = (-1, -1, -np.inf)
+    for d in range(n_sub):
+        m1 = rows[rows != d]
+        scores = scorer.score(
+            np.ones((m1.size, 1), dtype=complex), m1[:, None], np.full(m1.size, d)
+        )
+        i = int(np.argmax(scores))
+        if scores[i] > best[2]:
+            best = (int(m1[i]), d, float(scores[i]))
+    return best
 
 
 def solve_delay_basis(
@@ -453,8 +297,6 @@ def solve_delay_basis(
     return GassSolution(
         genome=genome,
         fitness=score,
-        generation_found=0,
-        history=np.array([score]),
         seeded_pairs=tuple((m1, m2) for m1, m2, _ in ranked_pairs),
         seeded_best_fitness=pair_fitness,
     )

@@ -3,9 +3,9 @@ combination, projection, filtering, and rate estimation.
 
 The per-window search is ``gass.solve_delay_basis``, the closed-form
 delay-basis solve over the top-ranked pair's denominator, and the stream
-fan-out divides its numerator by every row the guard keeps. The genetic
-algorithm (``gass.optimize``) is not part of the pipeline; ``gass-audit``
-runs it as a reference.
+fan-out divides its numerator by every row the guard keeps. A window's
+guard table, pair ranking and solve (``WindowSearch``) are the same for the
+run and for ``gass-audit``.
 
 A ``CsiTrace`` is block-averaged once, in ``segment``. The packets are
 screened in one-second frames by a motion gate on the phase of a reference
@@ -96,8 +96,7 @@ class PipelineConfig:
     smoothing windows in ``combine``, the cleanup filters in ``waveform``
     and the readout's peak prominence in ``rate.estimate_rate``."""
 
-    n_numerators: int = 8             # numerator slots of gass-audit's reference GA
-    ga: GaParams = field(default_factory=GaParams)  # ranking; the rest is the audit's GA
+    ga: GaParams = field(default_factory=GaParams)  # the pair ranking
     phase_block: int = 0              # K1 packets averaged; 0 = F_s / 10
     mu: float = 0.5                   # stream survival threshold fraction
     window_s: float = 10.0            # rounded to whole frames of FRAME_S
@@ -114,7 +113,6 @@ class PipelineConfig:
                 f"spanning at least {MIN_WINDOW_S:g} s, the minimum for rate "
                 f"estimation (window_s={self.window_s!r})"
             )
-        check_integer("n_numerators", self.n_numerators, 1)
         check_integer("phase_block", self.phase_block, 0)
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigurationError(f"mu must lie in [0, 1], got {self.mu!r}")
@@ -126,11 +124,6 @@ class PipelineConfig:
                 )
             for index in pair:
                 check_integer("reference_pair index", index, 0)
-        if min(self.ga.seed_pool, self.ga.seed_top) < 1:
-            raise ConfigurationError(
-                "ga.seed_pool and ga.seed_top must be >= 1: the search starts "
-                "from the best ranked pair"
-            )
 
     def block_size(self, sample_rate_hz: float) -> int:
         return self.phase_block if self.phase_block > 0 else max(
@@ -328,9 +321,7 @@ def run_pipeline(
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
     chunks = _window_chunks(plan, workers(), walk_back=config.reuse_tolerance > 0)
-    run = functools.partial(
-        _run_windows, frequencies=trace.grid.center_frequency_hz, config=config, seed=seed
-    )
+    run = functools.partial(_run_windows, config=config, seed=seed)
     results: list[WindowResult] = []
     for window_id, (start_frame, (solution, reused, outcome)) in enumerate(
         zip(plan.window_starts, _flatten(pool_map(run, chunks)))
@@ -405,14 +396,42 @@ def _flatten(per_chunk: list[list]) -> list:
     return [item for items in per_chunk for item in items]
 
 
+@dataclass(frozen=True)
+class WindowSearch:
+    """A window's guard table and pair ranking, the inputs of its search.
+    ``run_pipeline`` and ``gass-audit`` both build it with ``rank``."""
+
+    window: CsiTrace
+    guards: GuardTable
+    ranked: list[tuple[int, int, float]]  # (numerator, denominator, band ratio), best first
+
+    @classmethod
+    def rank(cls, window: CsiTrace, params: GaParams, seed: int, window_id: int) -> WindowSearch:
+        """Window ``window_id``'s guard table and ``params``' pair ranking,
+        drawn from the generator of ``[seed, window_id]``."""
+        guards = guard_table(window.values)
+        rng = np.random.default_rng([seed, window_id])
+        ranked = gass_mod.rank_seed_pairs(
+            window.values, window.sample_rate_hz, params, rng, guards=guards
+        )
+        return cls(window, guards, ranked)
+
+    def solve(self, params: GaParams) -> GassSolution:
+        """``gass.solve_delay_basis`` from the ``params.seed_top`` best pairs."""
+        window = self.window
+        return gass_mod.solve_delay_basis(
+            window.values, window.grid.center_frequency_hz, window.sample_rate_hz,
+            self.ranked[: params.seed_top], self.guards,
+        )
+
+
 def _run_windows(
-    chunk: _WindowChunk, frequencies: np.ndarray, config: PipelineConfig, seed: int
+    chunk: _WindowChunk, config: PipelineConfig, seed: int
 ) -> list[tuple[GassSolution, bool, tuple[RespirationEstimate, dict[str, float]] | Exception]]:
     """(solution, reused, stage outcome) of each window of ``chunk``, in
-    window order: its guard table and pair ranking, its solution (solved, or
-    the window before's kept and re-scored), then ``_run_stages``, whose
-    outcome is the estimate and stage band ratios or the stage error that
-    stopped them.
+    window order: its ``WindowSearch``, its solution (solved, or the window
+    before's kept and re-scored), then ``_run_stages``, whose outcome is the
+    estimate and stage band ratios or the stage error that stopped them.
 
     A chunk that starts inside a run of reused solutions retraces it: it
     ranks back from the window before its first to that window's root, the
@@ -422,22 +441,11 @@ def _run_windows(
     """
     tolerance = config.reuse_tolerance
 
-    def ranked(window_id: int) -> tuple[CsiTrace, GuardTable, list[tuple[int, int, float]]]:
-        window = chunk.window(window_id)
-        guards = guard_table(window.values)
-        rng = np.random.default_rng([seed, window_id])
-        pairs = gass_mod.rank_seed_pairs(
-            window.values, window.sample_rate_hz, config.ga, rng, guards=guards
-        )
-        return window, guards, pairs
+    def ranked(window_id: int) -> WindowSearch:
+        return WindowSearch.rank(chunk.window(window_id), config.ga, seed, window_id)
 
-    def solved(window: CsiTrace, guards: GuardTable, pairs: list) -> GassSolution:
-        return gass_mod.solve_delay_basis(
-            window.values, frequencies, window.sample_rate_hz, pairs[: config.ga.seed_top], guards
-        )
-
-    def best(ranking: tuple) -> float:
-        return ranking[2][0][2]  # the band ratio of the best ranked pair
+    def best(search: WindowSearch) -> float:
+        return search.ranked[0][2]  # the band ratio of the best ranked pair
 
     previous: tuple[GassSolution, float] | None = None  # (solution, best pair ratio)
     if tolerance > 0 and chunk.first > 0:
@@ -447,20 +455,21 @@ def _run_windows(
             if not _keeps_solution(best(root), best(before), tolerance):
                 break
             root = before
-        previous = (solved(*root), best(last))
+        previous = (root.solve(config.ga), best(last))
     outcomes: list = []
     for window_id in range(chunk.first, chunk.stop):
-        window, guards, pairs = ranking = ranked(window_id)
-        reused = previous is not None and _keeps_solution(best(ranking), previous[1], tolerance)
+        search = ranked(window_id)
+        window = search.window
+        reused = previous is not None and _keeps_solution(best(search), previous[1], tolerance)
         if reused:
             refreshed = gass_mod.fitness(previous[0].genome, window.values, window.sample_rate_hz)
             solution = dataclasses.replace(previous[0], fitness=float(refreshed))
         else:
-            solution = solved(window, guards, pairs)
-        previous = (solution, best(ranking))
+            solution = search.solve(config.ga)
+        previous = (solution, best(search))
         try:
             outcome = _run_stages(
-                window.values, solution, window.sample_rate_hz, config, window_id, guards
+                window.values, solution, window.sample_rate_hz, config, window_id, search.guards
             )
         except _STAGE_ERRORS as exc:
             outcome = exc

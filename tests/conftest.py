@@ -52,10 +52,8 @@ def impaired_trace(breathing_trace):
 
 @pytest.fixture(scope="session")
 def small_ga():
-    """Search budget sized for test scenarios, not production runs."""
-    return GaParams(
-        population=16, generations=8, stagnation_limit=4, seed_pool=40, seed_top=6
-    )
+    """Pair ranking sized for test scenarios, not production runs."""
+    return GaParams(seed_pool=40, seed_top=6)
 
 
 @pytest.fixture()

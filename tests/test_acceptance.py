@@ -16,7 +16,13 @@ import pytest
 
 from csibreath import cli
 from csibreath.combine import align_streams, combine
-from csibreath.gass import GaParams, Genome, fitness, optimize
+from csibreath.gass import (
+    GaParams,
+    Genome,
+    fitness,
+    rank_seed_pairs,
+    solve_delay_basis,
+)
 from csibreath.grid import custom_grid, default_grid, ht_ltf_grid
 from csibreath.pipeline import PipelineConfig, blind_spot_sweep, run_pipeline
 from csibreath.rate import estimate_rate
@@ -179,12 +185,7 @@ def test_06_projection_removes_position_blind_spots():
         gaussian_noise_std=0.03, seed=7,
     )
     offsets = np.arange(32) * (center_wavelength / 32.0)
-    config = PipelineConfig(
-        n_numerators=4,
-        ga=GaParams(population=16, generations=8, stagnation_limit=4,
-                    seed_pool=40, seed_top=6),
-        reuse_tolerance=0.1,
-    )
+    config = PipelineConfig(ga=GaParams(seed_pool=40, seed_top=6), reuse_tolerance=0.1)
     report = blind_spot_sweep(scenario, impairments, grid, offsets, config, seed=0)
 
     def failures(method):
@@ -212,12 +213,12 @@ def test_06_projection_removes_position_blind_spots():
 def test_07_search_guarantees():
     t0 = time.perf_counter()
     # toy two-subcarrier grid: exhaustive search is the global optimum
-    toy_grid = custom_grid(np.array([2.452e9, 2.462e9]))
+    toy_frequencies = np.array([2.452e9, 2.462e9])
     scenario = dataclasses.replace(
         _breathing_scenario(20.0), sample_rate_hz=10.0
     )
     toy = apply_impairments(
-        generate_ideal_csi(scenario, toy_grid),
+        generate_ideal_csi(scenario, custom_grid(toy_frequencies)),
         ImpairmentConfig(gaussian_noise_std=0.05, seed=2),
     )
     toy_matrix = toy.values
@@ -225,36 +226,29 @@ def test_07_search_guarantees():
         fitness(Genome(np.array([1.0 + 0j]), np.array([m1]), m2), toy_matrix, 10.0)
         for m1, m2 in ((0, 1), (1, 0))
     )
-    toy_solution = optimize(
-        toy_matrix, 1, 10.0,
-        params=GaParams(population=16, generations=10, seed_pool=2, seed_top=2),
-        seed=0,
-    )
+    toy_ranked = rank_seed_pairs(toy_matrix, 10.0, GaParams(seed_pool=2), np.random.default_rng(0))
+    toy_solution = solve_delay_basis(toy_matrix, toy_frequencies, 10.0, toy_ranked)
 
-    # full-size run: monotone history, never below the seeded single pair
+    # full grid: never below the best ranked single pair
     trace = apply_impairments(
         generate_ideal_csi(_breathing_scenario(15.0), default_grid()),
         ImpairmentConfig(pbd_noise_std=0.002, sfo_slope=1e-4, cfo_walk_std=0.05,
                          gaussian_noise_std=0.02, seed=7),
     )
-    solution = optimize(
-        trace.values, 4, 50.0,
-        params=GaParams(population=24, generations=12, stagnation_limit=6,
-                        seed_pool=60, seed_top=8),
-        seed=1,
-    )
+    matrix, frequencies = trace.values, trace.grid.center_frequency_hz
+    ranked = rank_seed_pairs(matrix, 50.0, GaParams(seed_pool=60), np.random.default_rng(1))
+    solution = solve_delay_basis(matrix, frequencies, 50.0, ranked[:8])
     ok = (
         np.isclose(toy_solution.fitness, exhaustive, rtol=1e-12)
-        and np.all(np.diff(solution.history) >= 0)
+        and solution.seeded_best_fitness == ranked[0][2]
         and solution.fitness >= solution.seeded_best_fitness
-        and np.all(np.diff(toy_solution.history) >= 0)
-        and toy_solution.fitness >= toy_solution.seeded_best_fitness
+        and solution.fitness == fitness(solution.genome, matrix, 50.0)
     )
     _report(
         7, ok,
-        f"search matches exhaustive on the toy grid ({toy_solution.fitness:.4g}) "
-        f"with monotone history; full-grid fitness {solution.fitness:.3g} >= "
-        f"seeded {solution.seeded_best_fitness:.3g}",
+        f"search matches exhaustive on the toy grid ({toy_solution.fitness:.4g}); "
+        f"full-grid fitness {solution.fitness:.3g} >= best ranked pair "
+        f"{solution.seeded_best_fitness:.3g}",
         time.perf_counter() - t0, 120.0,
     )
 
@@ -298,12 +292,7 @@ def test_09_end_to_end_accuracy():
     t0 = time.perf_counter()
     scenario = _breathing_scenario(60.0)
     trace = generate_ideal_csi(scenario, default_grid())
-    config = PipelineConfig(
-        n_numerators=4,
-        ga=GaParams(population=24, generations=12, stagnation_limit=6,
-                    seed_pool=60, seed_top=8),
-        reuse_tolerance=0.1,
-    )
+    config = PipelineConfig(ga=GaParams(seed_pool=60, seed_top=8), reuse_tolerance=0.1)
     clean_results = run_pipeline(trace, config, seed=0)
     clean_errors = [
         abs(r.estimate.f_bpm - 15.0)
@@ -357,8 +346,7 @@ impairments:
   gaussian_noise_std: 0.02
   seed: 3
 pipeline:
-  n_numerators: 2
-  ga: {population: 8, generations: 3, stagnation_limit: 3, seed_pool: 16, seed_top: 4}
+  ga: {seed_pool: 16, seed_top: 4}
 """
 
 

@@ -30,9 +30,9 @@ impairments:
   gaussian_noise_std: 0.02
   seed: 3
 pipeline:
-  n_numerators: 2
-  ga: {population: 8, generations: 3, stagnation_limit: 3, seed_pool: 16, seed_top: 4}
+  ga: {seed_pool: 16, seed_top: 4}
 """
+_GA = "  ga: {seed_pool: 16, seed_top: 4}"  # the last line of _BASE, inside pipeline
 
 
 @pytest.fixture
@@ -69,10 +69,7 @@ def test_run_from_trace_round_trip(base_config, tmp_path):
     config = tmp_path / "fromtrace.yaml"
     config.write_text(
         f"input: {{trace: {sim_out / 'trace.csv'}}}\n"
-        "pipeline:\n"
-        "  n_numerators: 2\n"
-        "  ga: {population: 8, generations: 3, stagnation_limit: 3, "
-        "seed_pool: 16, seed_top: 4}\n"
+        f"pipeline:\n{_GA}\n"
     )
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
@@ -82,15 +79,15 @@ def test_run_from_trace_round_trip(base_config, tmp_path):
 def test_empty_sections_mean_the_defaults(tmp_path):
     settings = yaml.safe_load(_BASE)
     del settings["impairments"]
-    settings["pipeline"] = {"n_numerators": 2}
+    settings["pipeline"] = {"mu": 0.5}
     text = yaml.safe_dump(settings)
-    empty = text.replace("  n_numerators: 2\n", "  n_numerators: 2\n  ga: null\n")
+    empty = text.replace("  mu: 0.5\n", "  mu: 0.5\n  ga: null\n")
     assert empty != text
     outputs = []
     for name, config_text in (
         ("omitted", text),
         ("empty", empty + "impairments:\nsweep:\n"),
-        ("bare", text.replace("pipeline:\n  n_numerators: 2\n", "pipeline:\n")),
+        ("bare", text.replace("pipeline:\n  mu: 0.5\n", "pipeline:\n")),
     ):
         config = tmp_path / f"{name}.yaml"
         config.write_text(config_text)
@@ -264,22 +261,67 @@ def test_gass_audit_solution_dump(base_config, tmp_path, capsys):
     out = tmp_path / "audit"
     assert cli.main(["gass-audit", "--config", str(base_config), "--out", str(out)]) == 0
     record = json.loads((out / "gass_solution.json").read_text())
-    assert {"weights_re", "weights_im", "numerator_indices", "denominator_index",
-            "fitness", "history", "reference_ga_fitness"} <= set(record)
+    assert set(record) == {"weights_re", "weights_im", "numerator_indices", "denominator_index",
+                           "fitness", "seeded_best_fitness", "seeded_pairs", "best_pair",
+                           "best_pair_fitness"}
     # the closed form's numerator is every row but the denominator
     assert len(record["weights_re"]) == 5
     assert sorted(record["numerator_indices"] + [record["denominator_index"]]) == list(range(6))
-    assert record["history"] == [record["fitness"]]
     assert record["fitness"] >= record["seeded_best_fitness"]
+    # the ranked pairs are some of the 30 ordered pairs the reference scores
+    assert record["best_pair_fitness"] >= record["seeded_best_fitness"]
+    assert record["best_pair"][0] != record["best_pair"][1]
     printed = capsys.readouterr().out
-    assert f"{record['fitness']:.4g}" in printed
-    assert f"reference GA {record['reference_ga_fitness']:.4g}" in printed
+    assert f"fitness {record['fitness']:.4g}" in printed
+    assert f"best single pair {record['best_pair_fitness']:.4g}" in printed
+    assert f"seeded single-pair best {record['seeded_best_fitness']:.4g}" in printed
     # it is the search run_pipeline ran on window 0
     run = tmp_path / "run"
     assert cli.main(["run", "--config", str(base_config), "--out", str(run)]) == 0
     first = json.loads((run / "estimates.jsonl").read_text().splitlines()[0])
-    del record["reference_ga_fitness"]
+    del record["best_pair"], record["best_pair_fitness"]
     assert first["solution"] == record
+
+
+# bench/run.py's capture-replay pipeline section, written for the retired GA
+_RETIRED_PIPELINE = """\
+pipeline:
+  n_numerators: 8
+  mu: 0.5
+  reuse_tolerance: 0.1
+  motion_threshold_rad: 2.0
+  window_s: 10.0
+  ga: {population: 64, generations: 1, seed_pool: 200, seed_top: 20}
+"""
+
+
+def test_retired_ga_keys_are_dropped_with_one_warning(base_config, tmp_path):
+    assert cli.main(["simulate", "--config", str(base_config), "--out", str(tmp_path)]) == 0
+    source = f"input: {{trace: {tmp_path / 'trace.csv'}}}\n"
+    retired = tmp_path / "retired.yaml"
+    retired.write_text(source + _RETIRED_PIPELINE)
+    plain = tmp_path / "plain.yaml"
+    plain.write_text(source + _RETIRED_PIPELINE.replace("  n_numerators: 8\n", "").replace(
+        "population: 64, generations: 1, ", ""))
+    assert "population" not in plain.read_text()
+    assert cli.main(["run", "--config", str(plain), "--out", str(tmp_path / "plain")]) == 0
+    # a fresh process, so the warning reaches stderr as a user sees it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    completed = subprocess.run(
+        [sys.executable, "-m", "csibreath.cli", "run", "--config", str(retired),
+         "--out", str(tmp_path / "retired")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr.splitlines() == [
+        "ignoring retired genetic-algorithm keys: pipeline.n_numerators, "
+        "pipeline.ga.population, pipeline.ga.generations (the search is closed-form)"
+    ]
+    for name in ("estimates.jsonl", "windows.csv"):
+        assert (tmp_path / "retired" / name).read_bytes() == (
+            tmp_path / "plain" / name).read_bytes()
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -297,18 +339,23 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 
 def test_bad_ga_params_exit_2(tmp_path, capsys):
-    for bad in ("tournament: 0", "elites: -1", "weight_sigma: -0.5", "tournament: 2.5"):
+    for old, new, message in (
+        ("seed_pool: 16", "seed_pool: 0", "ga.seed_pool must be an integer >= 1"),
+        ("seed_top: 4", "seed_top: -1", "ga.seed_top must be an integer >= 1"),
+        ("seed_top: 4", "seed_top: 2.5", "ga.seed_top must be an integer >= 1"),
+        ("seed_top: 4", "seed_top: 4, populaton: 64", "unknown pipeline.ga keys"),
+    ):
         config = tmp_path / "ga.yaml"
-        config.write_text(_BASE.replace("seed_top: 4}", f"seed_top: 4, {bad}}}"))
+        config.write_text(_BASE.replace(old, new))
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_CONFIG, bad
-        assert "configuration error" in capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, new
+        assert message in capsys.readouterr().err
 
 
 def test_short_window_geometry_exits_2(tmp_path, capsys):
     # 9.4 s rounds to 9 frames of 1 s, under the 10 s rate minimum
     config = tmp_path / "geometry.yaml"
-    config.write_text(_BASE.replace("  n_numerators: 2", "  n_numerators: 2\n  window_s: 9.4"))
+    config.write_text(_BASE.replace(_GA, f"{_GA}\n  window_s: 9.4"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "window_s" in capsys.readouterr().err
@@ -317,7 +364,7 @@ def test_short_window_geometry_exits_2(tmp_path, capsys):
 def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
     # 7-packet blocks at 20 Hz: a 10 s window holds 28 blocks = 9.8 s
     config = tmp_path / "blocks.yaml"
-    config.write_text(_BASE.replace("  n_numerators: 2", "  n_numerators: 2\n  phase_block: 7"))
+    config.write_text(_BASE.replace(_GA, f"{_GA}\n  phase_block: 7"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "under the 10 s minimum" in capsys.readouterr().err
@@ -330,7 +377,7 @@ def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
         ("  center_frequencies_hz: [2.452e9, 2.4545e9, 2.457e9, 2.4595e9, 2.462e9, 2.4645e9]",
          "  center_frequencies_hz: [2.452e9]", "at least two subcarriers"),
         # 200-packet blocks at 20 Hz: one block per 10 s window, no spectrum
-        ("  n_numerators: 2", "  n_numerators: 2\n  phase_block: 200", "at least 2"),
+        (_GA, f"{_GA}\n  phase_block: 200", "at least 2"),
     ],
 )
 def test_a_config_no_window_can_search_exits_2(tmp_path, capsys, old, new, message):
@@ -348,7 +395,7 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
                  "hampel_half_width_s: 0.5", "hampel_threshold: 3.0", "sg_window_s: 1.0",
                  "sg_polyorder: 3", "min_prominence: 0.2", "frame_s: 1.0"):
         config = tmp_path / "removed.yaml"
-        config.write_text(_BASE.replace("  n_numerators: 2", f"  n_numerators: 2\n  {line}"))
+        config.write_text(_BASE.replace(_GA, f"{_GA}\n  {line}"))
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG, line
         assert "unknown pipeline keys" in capsys.readouterr().err
@@ -359,8 +406,8 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
     [
         ("run", 0, "pipeline", "reference_pair", [0, 99]),   # index off the 6-tone grid
         ("run", 0, "pipeline", "reference_pair", [2, 2]),
-        ("run", 0, "pipeline", "n_numerators", 2.5),
-        ("run", 0, "pipeline", "n_numerators", 0),
+        ("run", 0, "pipeline", "ga", {"populaton": 64}),     # a misspelt retired key
+        ("run", 0, "pipeline", "ga", {"seed_pool": 2.5}),
         ("run", 0, "pipeline", "mu", 1.5),
         ("run", 0, "pipeline", "window_s", -10),
         ("run", 0, "pipeline", "phase_block", -3),
@@ -452,9 +499,7 @@ def test_null_trace_path_exits_2(tmp_path, capsys):
 
 def test_impossible_gate_exits_4(base_config, tmp_path):
     config = tmp_path / "gate.yaml"
-    config.write_text(_BASE.replace(
-        "  n_numerators: 2", "  n_numerators: 2\n  motion_threshold_rad: -1.0"
-    ))
+    config.write_text(_BASE.replace(_GA, f"{_GA}\n  motion_threshold_rad: -1.0"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NO_WINDOW
 

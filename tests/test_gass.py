@@ -1,9 +1,4 @@
-import copy
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +12,10 @@ from csibreath.gass import (
     GassSolution,
     Genome,
     PopulationScorer,
-    _initial_population,
-    _next_generation,
+    best_single_pair,
     build_streams,
     combined_ratio,
     fitness,
-    optimize,
     rank_seed_pairs,
     solve_delay_basis,
 )
@@ -247,232 +240,56 @@ def test_seed_ranking_scores_equal_pair_fitness(impaired_trace):
 
 
 # ----------------------------------------------------------------------------
-# Search behavior
+# Exhaustive pair reference
 # ----------------------------------------------------------------------------
-
-
-def test_history_monotone_and_beats_seeds(impaired_trace, small_ga):
-    solution = optimize(
-        impaired_trace.values, n_numerators=2, sample_rate_hz=50.0,
-        params=small_ga, seed=3,
-    )
-    assert np.all(np.diff(solution.history) >= 0)
-    assert solution.fitness == solution.history[-1]
-    assert solution.fitness >= solution.seeded_best_fitness
-    assert solution.history[solution.generation_found] == solution.fitness
-    # the reported fitness must be reproducible from the genome alone
-    recomputed = fitness(solution.genome, impaired_trace.values, 50.0)
-    assert np.isclose(recomputed, solution.fitness, rtol=1e-12)
-    assert len(solution.seeded_pairs) == small_ga.seed_top
-
-
-def test_optimize_is_deterministic(impaired_trace, small_ga):
-    a = optimize(impaired_trace.values, 2, 50.0, params=small_ga, seed=9)
-    b = optimize(impaired_trace.values, 2, 50.0, params=small_ga, seed=9)
-    assert a.genome.key() == b.genome.key()
-    np.testing.assert_array_equal(a.history, b.history)
-    c = optimize(impaired_trace.values, 2, 50.0, params=small_ga, seed=10)
-    assert a.genome.key() != c.genome.key() or not np.array_equal(
-        a.history, c.history
-    )
-
-
-_SEARCH_SCRIPT = """
-import sys
-import numpy as np
-from csibreath.gass import GaParams, optimize
-
-params = GaParams(population=16, generations=8, stagnation_limit=4, seed_pool=40, seed_top=6)
-solution = optimize(np.load(sys.argv[1]), 4, 50.0, params=params, seed=3)
-print(solution.genome.key().hex())
-print(solution.history.tobytes().hex())
-"""
-
-
-def test_optimize_is_thread_invariant(impaired_trace, tmp_path):
-    matrix_path = tmp_path / "matrix.npy"
-    np.save(matrix_path, impaired_trace.values)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        completed = subprocess.run(
-            [sys.executable, "-c", _SEARCH_SCRIPT, str(matrix_path)],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        outputs.append(completed.stdout)
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0].split()) == 2
-
-
-def _rescoring_search(matrix, n_numerators, fs, params, seed):
-    """The search loop with every genome of every generation scored afresh."""
-    rng = np.random.default_rng(seed)
-    scorer = PopulationScorer(matrix, fs)
-    seeds = rank_seed_pairs(matrix, fs, params, rng)[: params.seed_top]
-    n_sub = matrix.shape[0]
-    population = _initial_population(seeds, n_numerators, n_sub, params, rng)
-    fits = scorer.score(*population)
-    best = int(np.argmax(fits))
-    genome = Genome(population[0][best], population[1][best], int(population[2][best]))
-    history, stagnant = [fits[best]], 0
-    for _ in range(params.generations):
-        population = _next_generation(population, fits, n_sub, params, rng)
-        fits = scorer.score(*population)
-        best = int(np.argmax(fits))
-        if fits[best] > history[-1]:
-            genome = Genome(population[0][best], population[1][best], int(population[2][best]))
-            stagnant = 0
-        else:
-            stagnant += 1
-        history.append(max(history[-1], fits[best]))
-        if stagnant >= params.stagnation_limit:
-            break
-    return genome, np.array(history)
-
-
-@pytest.mark.parametrize("elites", [0, 1, 3])
-def test_carried_elite_scores_match_rescoring_every_genome(impaired_trace, elites):
-    matrix = average_phase_blocks(impaired_trace, 5).values
-    params = GaParams(population=12, generations=12, stagnation_limit=5,
-                      seed_pool=30, seed_top=4, elites=elites)
-    for seed in range(3):
-        solution = optimize(matrix, 3, 10.0, params=params, seed=seed)
-        genome, history = _rescoring_search(matrix, 3, 10.0, params, seed)
-        assert solution.genome.key() == genome.key()
-        assert solution.history.tobytes() == history.tobytes()
-        assert fitness(solution.genome, matrix, 10.0) == solution.fitness
 
 
 def test_toy_grid_search_matches_exhaustive():
     # with one numerator the objective ignores weight scale and phase, so
-    # brute force over ordered pairs is the true optimum
-    matrix = _toy_matrix(n_tones=4)
-    best = max(
-        fitness(Genome(np.array([1.0 + 0j]), np.array([m1]), m2), matrix, 10.0)
-        for m1 in range(4)
-        for m2 in range(4)
+    # the best ordered pair is the true single-pair optimum
+    matrix = _toy_matrix(n_tones=6).copy()
+    matrix[2, ::2] = 0.0  # half the samples flagged: the guard rejects row 2
+    guards = guard_table(matrix)
+    assert guards.rejected.tolist() == [False, False, True, False, False, False]
+    scores = {
+        (m1, m2): fitness(Genome(np.array([1.0 + 0j]), np.array([m1]), m2), matrix, 10.0)
+        for m2 in range(6)
+        for m1 in range(6)
         if m1 != m2
-    )
-    solution = optimize(
-        matrix, n_numerators=1, sample_rate_hz=10.0,
-        params=GaParams(population=16, generations=10, seed_pool=12, seed_top=12),
-        seed=0,
-    )
-    assert np.isclose(solution.fitness, best, rtol=1e-12)
-
-
-def test_optimize_accepts_prefilled_ranking(impaired_trace, small_ga):
-    matrix = impaired_trace.values
-    ranked = rank_seed_pairs(
-        matrix, 50.0, small_ga, np.random.default_rng(11)
-    )
-    solution = optimize(
-        matrix, 2, 50.0, params=small_ga, seed=11, ranked_pairs=ranked
-    )
-    assert solution.seeded_pairs == tuple(
-        (m1, m2) for m1, m2, _ in ranked[: small_ga.seed_top]
-    )
-    assert solution.fitness >= ranked[0][2]
-
-
-def test_optimize_input_validation(impaired_trace):
-    with pytest.raises(ConfigurationError):
-        optimize(np.ones((1, 100), dtype=complex), 1, 10.0)
-    with pytest.raises(ConfigurationError):
-        optimize(impaired_trace.values, 0, 50.0)
-    with pytest.raises(ConfigurationError):
-        GaParams(population=2, elites=2)
-    with pytest.raises(ConfigurationError):
-        GaParams(crossover_prob=1.5)
+    }
+    assert all(scores[(m1, 2)] == 0.0 for m1 in range(6) if m1 != 2)
+    best = max(scores, key=scores.get)  # the first maximum: lowest denominator, then numerator
+    assert best_single_pair(matrix, 10.0) == (*best, scores[best])
+    assert best_single_pair(matrix, 10.0, guards) == (*best, scores[best])
+    # every pair in a random ranking scores at most the exhaustive best
+    ranked = rank_seed_pairs(matrix, 10.0, GaParams(seed_pool=12), np.random.default_rng(0))
+    assert ranked[0][2] <= scores[best]
+    with pytest.raises(ConfigurationError, match="two subcarriers"):
+        best_single_pair(matrix[:1], 10.0)
 
 
 @pytest.mark.parametrize("bad", [
-    {"tournament": 0},
-    {"elites": -1},
-    {"weight_sigma": -0.1},
-    {"weight_sigma": float("nan")},
-    {"stagnation_limit": 0},
-    {"generations": -1},
+    {"seed_pool": 0},
     {"seed_pool": -1},
-    {"seed_top": -1},
-    {"tournament": 2.5},
-    {"population": 8.5},
-    {"generations": 2.0},
-    {"elites": 1.0},
-    {"stagnation_limit": 3.5},
     {"seed_pool": 10.5},
+    {"seed_pool": 2.0},
+    {"seed_pool": True},
+    {"seed_pool": "200"},
+    {"seed_pool": None},
+    {"seed_pool": float("nan")},
+    {"seed_top": 0},
+    {"seed_top": -1},
     {"seed_top": 2.5},
-    {"generations": True},
+    {"seed_top": 1.0},
+    {"seed_top": False},
+    {"seed_top": "20"},
+    {"seed_top": None},
+    {"seed_top": float("inf")},
 ])
 def test_ga_params_reject_bad_values(bad):
-    with pytest.raises(ConfigurationError):
+    # the search starts from the best ranked pair, so both need at least one
+    with pytest.raises(ConfigurationError, match=rf"ga\.{next(iter(bad))} must be an integer >= 1"):
         GaParams(**bad)
-
-
-@st.composite
-def _variation_cases(draw, still=False):
-    """A valid random population, its fitness, and search parameters."""
-    n_sub, n = draw(st.integers(2, 9)), draw(st.integers(1, 4))
-    size = draw(st.integers(2, 12))
-    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
-    params = GaParams(
-        population=size,
-        elites=draw(st.integers(0, size - 1)),
-        tournament=draw(st.integers(1, 5)),
-        crossover_prob=0.0 if still else draw(probability),
-        mutation_prob=0.0 if still else draw(probability),
-        weight_sigma=draw(st.floats(0.0, 3.0)),
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    denominators = rng.integers(0, n_sub, size)
-    indices = rng.integers(0, n_sub - 1, (size, n))
-    indices += indices >= denominators[:, None]
-    radius = np.where(rng.random((size, n)) < 0.3, 1.0, rng.random((size, n)))
-    weights = radius * np.exp(2j * np.pi * rng.random((size, n)))
-    fits = rng.choice([0.0, 1.0, 2.5, np.inf], size) + (rng.random(size) < 0.5)
-    return (weights, indices, denominators), fits, n_sub, params, rng
-
-
-@settings(max_examples=80, deadline=None)
-@given(case=_variation_cases())
-def test_next_generation_keeps_genomes_valid_and_elites(case):
-    population, fits, n_sub, params, rng = case
-    before = [part.copy() for part in population]
-    children = _next_generation(population, fits, n_sub, params, rng)
-    weights, indices, denominators = children
-    size, n = before[0].shape
-    assert weights.shape == indices.shape == (size, n)
-    assert denominators.shape == (size,)
-    assert np.all(np.abs(weights) <= 1.0 + 1e-12)
-    assert np.all((indices >= 0) & (indices < n_sub))
-    assert np.all((denominators >= 0) & (denominators < n_sub))
-    assert not np.any(indices == denominators[:, None])
-    elites = np.argsort(-fits, kind="stable")[: params.elites]
-    for part, old in zip(children, before):
-        assert part[: params.elites].tobytes() == old[elites].tobytes()
-    for part, old in zip(population, before):
-        assert part.tobytes() == old.tobytes()  # the parents are not modified
-
-
-def _row(w, m, d):
-    return w.tobytes(), m.tobytes(), int(d)
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=_variation_cases(still=True))
-def test_next_generation_without_variation_copies_winners(case):
-    population, fits, n_sub, params, rng = case
-    size, n_child = fits.size, fits.size - params.elites
-    # the step draws both tournaments first; row 0 picks the parent a child copies
-    contenders = copy.deepcopy(rng).integers(0, size, (2, n_child, params.tournament))[0]
-    children = _next_generation(population, fits, n_sub, params, rng)
-    rows = [_row(*genome) for genome in zip(*population)]
-    bred = zip(*(part[params.elites:] for part in children))
-    for drawn, child in zip(contenders, bred):
-        winners = drawn[fits[drawn] == fits[drawn].max()]
-        assert _row(*child) in {rows[p] for p in winners}
 
 
 # ----------------------------------------------------------------------------
@@ -497,20 +314,17 @@ def test_build_streams_covers_every_kept_row():
     # a single-pair numerator over its own row would be constant up to the
     # rounding of x / x, so that row is left out
     m1, d, score = ranked[0]
-    pair = GassSolution(Genome(np.array([1.0 + 0j]), np.array([m1]), d), score, 0, np.ones(1))
+    pair = GassSolution(Genome(np.array([1.0 + 0j]), np.array([m1]), d), score)
     fallback = build_streams(pair, matrix, 10.0)
     assert fallback.denominators.tolist() == [m for m in range(12) if m not in (4, m1)]
 
 
 def test_build_streams_values_match_direct_ratio():
-    matrix = _toy_matrix(n_tones=4)
-    solution = optimize(
-        matrix, n_numerators=1, sample_rate_hz=10.0,
-        params=GaParams(population=8, generations=4, seed_pool=10, seed_top=3),
-        seed=5,
-    )
+    matrix = _toy_matrix(n_tones=4, spacing_hz=2.5e6)
+    ranked = rank_seed_pairs(matrix, 10.0, GaParams(seed_pool=10), np.random.default_rng(5))
+    solution = solve_delay_basis(matrix, _toy_frequencies(4, 2.5e6), 10.0, ranked)
     streams = build_streams(solution, matrix, 10.0)
-    assert len(streams) >= 2
+    assert len(streams) == 4
     for values, denominator in zip(streams.values, streams.denominators):
         expected, _ = combined_ratio(
             matrix,
@@ -529,12 +343,15 @@ def test_shared_guard_table_gives_the_same_outputs(impaired_trace, small_ga):
     assert guards.rejected[7] and not guards.rejected[3] and guards.flagged[3].any()
     shared = rank_seed_pairs(matrix, 10.0, small_ga, np.random.default_rng(4), guards=guards)
     assert shared == rank_seed_pairs(matrix, 10.0, small_ga, np.random.default_rng(4))
-    a = optimize(matrix, 3, 10.0, params=small_ga, seed=4, guards=guards)
-    b = optimize(matrix, 3, 10.0, params=small_ga, seed=4)
-    assert a.genome.key() == b.genome.key()
-    assert a.history.tobytes() == b.history.tobytes()
+    frequencies = impaired_trace.grid.center_frequency_hz
+    a = solve_delay_basis(matrix, frequencies, 10.0, shared, guards)
+    b = solve_delay_basis(matrix, frequencies, 10.0, shared)
+    assert a.fitness == b.fitness
+    for part in ("weights", "numerator_indices"):
+        assert getattr(a.genome, part).tobytes() == getattr(b.genome, part).tobytes()
+    assert best_single_pair(matrix, 10.0, guards) == best_single_pair(matrix, 10.0)
     genome = Genome(np.array([1.0 + 0j, 0.5j, 0.0]), np.array([3, 1, 2]), 0)
-    solution = GassSolution(genome, 1.0, 0, np.ones(1))
+    solution = GassSolution(genome, 1.0)
     with_table = build_streams(solution, matrix, 10.0, guards=guards)
     without = build_streams(solution, matrix, 10.0)
     assert with_table.denominators.tolist() == without.denominators.tolist()
@@ -590,8 +407,6 @@ def test_delay_basis_fitness_equals_eigenvalue(breathing_trace, seed):
     assert genome.denominator_index == ranked[0][1]
     assert solution.fitness > solution.seeded_best_fitness == ranked[0][2]
     assert solution.seeded_pairs == tuple((m1, m2) for m1, m2, _ in ranked[:20])
-    assert solution.generation_found == 0
-    assert solution.history.tolist() == [solution.fitness]
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from csibreath import parallel
 from csibreath.errors import ConfigurationError, NoWindowError
 from csibreath.gass import GaParams, GassSolution
-from csibreath.grid import default_grid
+from csibreath.grid import custom_grid, default_grid
 from csibreath.pipeline import (
     DETECTION_TOLERANCE_BPM,
     PipelineConfig,
@@ -37,11 +37,7 @@ from csibreath.simulate import (
     generate_ideal_csi,
 )
 
-_FAST = PipelineConfig(
-    n_numerators=2,
-    ga=GaParams(population=8, generations=3, stagnation_limit=3,
-                seed_pool=16, seed_top=4),
-)
+_FAST = PipelineConfig(ga=GaParams(seed_pool=16, seed_top=4))
 
 
 def _quick_scenario(duration_s=12.0, events=(), fs=20.0):
@@ -131,8 +127,6 @@ def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
         {"window_s": 1e-320},               # positive, but no whole frame
         {"phase_block": 2.5},
         {"phase_block": True},
-        {"n_numerators": 0},
-        {"n_numerators": 2.5},
         {"mu": 1.5},
         {"mu": float("nan")},
         {"mu": -0.1},
@@ -141,8 +135,10 @@ def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
         {"reference_pair": (0, -1)},
         {"reference_pair": (0, 1, 2)},
         {"reference_pair": [0, 1]},
-        {"ga": GaParams(seed_pool=0)},      # the search needs a ranked pair
-        {"ga": GaParams(seed_top=0)},
+        {"reference_pair": (0, 1.5)},
+        {"reference_pair": (True, 2)},
+        {"phase_block": "3"},               # quoted in YAML
+        {"mu": float("inf")},
     ],
 )
 def test_pipeline_config_rejects_bad_geometry(fields):
@@ -294,12 +290,20 @@ def test_run_pipeline_searches_in_closed_form(impaired_trace):
         run_pipeline(dataclasses.replace(impaired_trace, grid=None), _FAST)
 
 
+def _same_genome(a, b):
+    return (
+        a.weights.tobytes() == b.weights.tobytes()
+        and a.numerator_indices.tolist() == b.numerator_indices.tolist()
+        and a.denominator_index == b.denominator_index
+    )
+
+
 def test_run_pipeline_deterministic(impaired_trace):
     a = run_pipeline(impaired_trace, _FAST, seed=5)
     b = run_pipeline(impaired_trace, _FAST, seed=5)
     for ra, rb in zip(a, b):
         assert ra.estimate.f_bpm == rb.estimate.f_bpm
-        assert ra.solution.genome.key() == rb.solution.genome.key()
+        assert _same_genome(ra.solution.genome, rb.solution.genome)
         assert ra.stage_band_ratios == rb.stage_band_ratios
 
 
@@ -328,7 +332,7 @@ def test_reuse_skips_search_when_quality_stable(impaired_trace):
     assert not any(r.gass_reused for r in fresh)
     # reused windows keep the genome but re-score it on their own data
     reused = results[1]
-    assert reused.solution.genome.key() == results[0].solution.genome.key()
+    assert _same_genome(reused.solution.genome, results[0].solution.genome)
 
 
 def _serial_chain(bests, tolerance):
@@ -364,12 +368,14 @@ def test_chunked_reuse_chain_is_the_serial_chain(bests, tolerance):
 
     n = len(bests)
     # one-block windows whose single value is their window id
-    averaged = CsiTrace.uniform(np.arange(n, dtype=complex)[None, :], 1.0)
+    averaged = CsiTrace.uniform(
+        np.arange(n, dtype=complex)[None, :], 1.0, custom_grid(np.array([2.452e9]))
+    )
     solves = []
 
     def solve(matrix, frequencies, rate, pairs, guards):
         solves.append(int(matrix[0, 0].real))
-        return GassSolution(None, 0.0, int(matrix[0, 0].real), np.zeros(1))
+        return GassSolution(None, 0.0, seeded_best_fitness=matrix[0, 0].real)
 
     fake_search = types.SimpleNamespace(
         rank_seed_pairs=lambda matrix, *a, **k: [(0, 1, bests[int(matrix[0, 0].real)])],
@@ -393,8 +399,8 @@ def test_chunked_reuse_chain_is_the_serial_chain(bests, tolerance):
                         averaged[base:stop], base, first, stop, tuple(range(stop - base)), 1
                     )
                     chain += [
-                        (reused, solution.generation_found)
-                        for solution, reused, _ in pipeline._run_windows(chunk, None, config, 0)
+                        (reused, solution.seeded_best_fitness)
+                        for solution, reused, _ in pipeline._run_windows(chunk, config, 0)
                     ]
                 assert chain == expected, edges
                 if tolerance == 0:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 _TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-_GONE = {"simulate.frames_to_matrix"}  # removed from the package on purpose
+_GONE = {"simulate.frames_to_matrix", "gass.optimize"}  # removed from the package on purpose
 
 
 @pytest.fixture(scope="module")
