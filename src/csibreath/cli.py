@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate, run, sweep-blindspot, sweep-snr, gass-audit. Every
-subcommand takes --config, --seed, and --out. Outputs are deterministic for
-a fixed seed: floats are serialized with repr, JSON keys are sorted, and no
+subcommand takes --config, --seed, and --out. --seed offsets the seed of the
+simulator's impairments, so it changes only a simulated trace; the search
+draws nothing at random. Outputs are deterministic for a fixed config and
+seed: floats are serialized with repr, JSON keys are sorted, and no
 wall-clock values are written.
 
 Exit codes: 0 success, 2 configuration error, 3 input-format error,
@@ -36,16 +38,16 @@ from .errors import (
     TraceFormatError,
     check_integer,
 )
-from .gass import GassSolution, best_single_pair
+from .gass import GassSolution, best_single_pair, solve_delay_basis
 from .pipeline import (
     EvaluationReport,
     WindowResult,
-    WindowSearch,
     blind_spot_sweep,
     run_pipeline,
     segment,
     snr_sweep,
 )
+from .ratio import guard_table
 from .simulate import CsiTrace, apply_impairments, generate_ideal_csi
 from .traceio import read_trace, write_trace
 
@@ -102,8 +104,7 @@ def _solution_record(solution: GassSolution) -> dict:
         "numerator_indices": genome.numerator_indices.tolist(),
         "denominator_index": int(genome.denominator_index),
         "fitness": _jsonable(solution.fitness),
-        "seeded_best_fitness": _jsonable(solution.seeded_best_fitness),
-        "seeded_pairs": [list(p) for p in solution.seeded_pairs],
+        "pair_fitness": _jsonable(solution.pair_fitness),
     }
 
 
@@ -120,7 +121,6 @@ def _result_record(result: WindowResult) -> dict:
         "lag_samples": _jsonable(e.lag_samples) if e else None,
         "flags": list(e.flags) if e else [],
         "rejected_bpm": _jsonable(e.rejected_bpm) if e else None,
-        "gass_reused": result.gass_reused,
         "stage_band_ratios": _jsonable(result.stage_band_ratios),
         "solution": _solution_record(result.solution) if result.solution else None,
         "reason": result.reason,
@@ -157,7 +157,7 @@ def _cmd_simulate(config: dict, seed: int, out: Path) -> int:
 
 def _cmd_run(config: dict, seed: int, out: Path) -> int:
     trace = _load_trace(config, seed)
-    results = run_pipeline(trace, pipeline_from_config(config), seed=seed)
+    results = run_pipeline(trace, pipeline_from_config(config))
     with open(out / "estimates.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for result in results:
             fh.write(json.dumps(_result_record(result), sort_keys=True) + "\n")
@@ -213,9 +213,7 @@ def _cmd_sweep_blindspot(config: dict, seed: int, out: Path) -> int:
             raise ConfigurationError(f"sweep.span_wavelengths must be a number: {exc}") from exc
         wavelength = float(np.mean(grid.wavelength_m))
         offsets = np.arange(positions) * (span * wavelength / positions)
-    report = blind_spot_sweep(
-        scenario, impairments, grid, offsets, pipeline_from_config(config), seed=seed
-    )
+    report = blind_spot_sweep(scenario, impairments, grid, offsets, pipeline_from_config(config))
     _write_report(report, out, "blindspot")
     for method in ("full", "amplitude", "phase"):
         print(f"{method}: {report.summary[f'{method}_detectability_pct']:.1f}% detectable")
@@ -235,7 +233,6 @@ def _cmd_sweep_snr(config: dict, seed: int, out: Path) -> int:
         grid,
         sweep["noise_stds"],
         pipeline_from_config(config),
-        seed=seed,
         runs_per_level=sweep.get("runs_per_level", 1),
     )
     _write_report(report, out, "snr")
@@ -246,26 +243,28 @@ def _cmd_sweep_snr(config: dict, seed: int, out: Path) -> int:
 def _cmd_gass_audit(config: dict, seed: int, out: Path) -> int:
     """The pipeline's search on window 0, as ``run_pipeline`` runs it, and
     the best of every ordered single pair on the same window, an exact
-    reference with no random draw."""
+    reference."""
     trace = _load_trace(config, seed)
     pipeline_config = pipeline_from_config(config)
     plan = segment(trace, pipeline_config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window to audit")
     window = plan.window(int(plan.window_starts[0]))
-    search = WindowSearch.rank(window, pipeline_config.ga, seed, 0)
-    solution = search.solve(pipeline_config.ga)
-    m1, d, pair_fitness = best_single_pair(window.values, window.sample_rate_hz, search.guards)
+    guards = guard_table(window.values)
+    solution = solve_delay_basis(
+        window.values, window.grid.center_frequency_hz, window.sample_rate_hz, guards
+    )
+    m1, d, best_fitness = best_single_pair(window.values, window.sample_rate_hz, guards)
     record = _solution_record(solution)
     record["best_pair"] = [m1, d]
-    record["best_pair_fitness"] = _jsonable(pair_fitness)
+    record["best_pair_fitness"] = _jsonable(best_fitness)
     with open(out / "gass_solution.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(record, fh, sort_keys=True, indent=1)
         fh.write("\n")
     print(
         f"window 0: fitness {solution.fitness:.4g} "
-        f"(best single pair {pair_fitness:.4g}, "
-        f"seeded single-pair best {solution.seeded_best_fitness:.4g})"
+        f"(best single pair {best_fitness:.4g}, "
+        f"fallback pair {solution.pair_fitness:.4g})"
     )
     return 0
 
@@ -294,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--seed", type=int, default=0, help="added to impairments.seed (default 0)"
+        )
         p.add_argument("--out", required=True, help="output directory")
     return parser
 

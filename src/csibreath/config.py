@@ -3,7 +3,7 @@
 One file describes a whole run: the grid, a scenario (or an input trace),
 impairments, pipeline knobs, and sweep settings. Unknown keys are rejected
 so typos fail loudly instead of silently running defaults; only the retired
-genetic-algorithm keys are dropped, with a warning. The full schema is
+search keys are dropped, with a warning. The full schema is
 documented in the README.
 """
 
@@ -18,7 +18,6 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError
-from .gass import GaParams
 from .grid import SubcarrierGrid, custom_grid, default_grid, ht_ltf_grid, l_ltf_grid
 from .pipeline import PipelineConfig
 from .simulate import (
@@ -36,13 +35,14 @@ logger = logging.getLogger(__name__)
 
 TOP_LEVEL_KEYS = {"grid", "scenario", "impairments", "input", "pipeline", "sweep", "outputs"}
 
-# Settings of the genetic algorithm that the closed-form search replaced.
-# Configs written for it still load: these keys are dropped with one warning.
+# Settings of searches the closed-form, deterministic one replaced: the
+# genetic algorithm, its solution reuse and its random pair ranking. Configs
+# written for them still load: these keys are dropped with one warning.
 RETIRED_KEYS = {
-    "pipeline": ("n_numerators",),
+    "pipeline": ("n_numerators", "reuse_tolerance"),
     "pipeline.ga": (
         "population", "generations", "tournament", "crossover_prob", "mutation_prob",
-        "weight_sigma", "elites", "stagnation_limit",
+        "weight_sigma", "elites", "stagnation_limit", "seed_pool", "seed_top",
     ),
 }
 
@@ -185,18 +185,16 @@ def impairments_from_config(config: dict, seed_offset: int = 0) -> ImpairmentCon
 def pipeline_from_config(config: dict) -> PipelineConfig:
     section = _section(config, "pipeline", "pipeline")
     ga = _section(section, "ga", "pipeline.ga")
-    section.pop("ga", None)
-    retired = []
-    for where, mapping in (("pipeline", section), ("pipeline.ga", ga)):
-        for key in RETIRED_KEYS[where]:
-            if key in mapping:
-                del mapping[key]
-                retired.append(f"{where}.{key}")
+    _reject_unknown(ga, set(RETIRED_KEYS["pipeline.ga"]), "pipeline.ga")
+    retired = [f"pipeline.{key}" for key in RETIRED_KEYS["pipeline"] if key in section]
+    retired += [f"pipeline.ga.{key}" for key in RETIRED_KEYS["pipeline.ga"] if key in ga]
+    for key in (*RETIRED_KEYS["pipeline"], "ga"):
+        section.pop(key, None)
     if retired:
         logger.warning(
-            "ignoring retired genetic-algorithm keys: %s (the search is closed-form)",
+            "ignoring retired search keys: %s (the search is closed-form and deterministic)",
             ", ".join(retired),
         )
     if isinstance(section.get("reference_pair"), list):
         section["reference_pair"] = tuple(section["reference_pair"])
-    return _build(PipelineConfig, section, "pipeline", ga=_build(GaParams, ga, "pipeline.ga"))
+    return _build(PipelineConfig, section, "pipeline")

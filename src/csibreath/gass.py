@@ -5,15 +5,16 @@ H(m_d, k): N numerator subcarriers with complex weights (|a_i| <= 1) over
 one denominator subcarrier. ``fitness`` scores one genome and is the
 reference definition of the objective.
 
-The pipeline's search is ``solve_delay_basis``, a closed form. For a fixed
-denominator every step of the band ratio before the squared magnitude is
-linear in the numerator weights, so the objective is a ratio of two
-Hermitian forms. Over every other row as a numerator, with weights drawn
-from a basis of a few propagation delays, its optimum is the top
-generalized eigenvector of an 8x8 pair of in-band and out-of-band Gram
-matrices (the max-SNR beamformer of Warsitz and Haeb-Umbach, IEEE TASLP
-2007). The best ranked single pair is an explicit fallback, so the result is
-never worse than it.
+The pipeline's search is ``solve_delay_basis``, a closed form. Its
+denominator is the kept row whose magnitude is steadiest (highest mean/std
+of |H|), a deterministic rule. For a fixed denominator every step of the
+band ratio before the squared magnitude is linear in the numerator weights,
+so the objective is a ratio of two Hermitian forms. Over every other row as
+a numerator, with weights drawn from a basis of a few propagation delays,
+its optimum is the top generalized eigenvector of an 8x8 pair of in-band
+and out-of-band Gram matrices (the max-SNR beamformer of Warsitz and
+Haeb-Umbach, IEEE TASLP 2007). The best single pair over the denominator
+is an explicit fallback, so the result is never worse than any of them.
 
 ``best_single_pair`` scores all n(n-1) ordered single pairs, the exact
 reference that ``gass-audit`` compares the solve against. The paper's own
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, StreamGuardError, check_integer
+from .errors import ConfigurationError, StreamGuardError
 from .ratio import (
     GuardTable,
     StreamStack,
@@ -52,19 +53,6 @@ DELAY_SPAN_S = 100e-9
 
 
 @dataclass(frozen=True)
-class GaParams:
-    """The pair ranking that gives the search its denominator and fallback."""
-
-    seed_pool: int = 200   # random single pairs ranked
-    seed_top: int = 20     # best-ranked pairs reported with the solution
-
-    def __post_init__(self) -> None:
-        # the search starts from the best ranked pair
-        check_integer("ga.seed_pool", self.seed_pool, 1)
-        check_integer("ga.seed_top", self.seed_top, 1)
-
-
-@dataclass(frozen=True)
 class Genome:
     """One candidate: complex weights, numerator indices, denominator index."""
 
@@ -77,8 +65,7 @@ class Genome:
 class GassSolution:
     genome: Genome
     fitness: float
-    seeded_pairs: tuple[tuple[int, int], ...] = ()
-    seeded_best_fitness: float = float("nan")
+    pair_fitness: float = float("nan")  # the fallback pair's band ratio
 
 
 def _check_genome(genome: Genome, n_subcarriers: int) -> None:
@@ -131,97 +118,6 @@ def fitness(genome: Genome, matrix: np.ndarray, sample_rate_hz: float) -> float:
     return float(ssnr_values(values[None, :], sample_rate_hz)[0])
 
 
-class PopulationScorer:
-    """Fitness of a batch of genomes on one window, computed at once.
-
-    Each score equals ``fitness(genome, matrix, sample_rate_hz)`` bit for
-    bit. All numerators come from one gather and one einsum, and each
-    denominator's guard status from one table, ``guard_table(matrix)`` unless
-    the caller passes it as ``guards``; only rows with flagged but tolerated
-    samples take the interpolating path. Invalid genomes raise the same
-    ConfigurationError as ``fitness``.
-    """
-
-    def __init__(
-        self, matrix: np.ndarray, sample_rate_hz: float, guards: GuardTable | None = None
-    ):
-        self.matrix = matrix
-        self.sample_rate_hz = sample_rate_hz
-        self.guards = guards if guards is not None else guard_table(matrix)
-        self.any_flagged = self.guards.flagged.any(axis=1)
-
-    def score(
-        self, weights: np.ndarray, indices: np.ndarray, denominators: np.ndarray
-    ) -> np.ndarray:
-        """Scores of genomes given as arrays, weights (P, N), numerator
-        indices (P, N) and denominators (P,): genome p is (weights[p],
-        indices[p], denominators[p]). Every genome is validated as
-        ``fitness`` would."""
-        n_sub = self.matrix.shape[0]
-        if (weights.ndim != 2 or indices.shape != weights.shape
-                or denominators.shape != weights.shape[:1]):
-            raise ConfigurationError("population arrays must be (P, N), (P, N) and (P,)")
-        invalid = (
-            np.any(np.abs(weights) > 1.0 + 1e-12, axis=1)
-            | np.any((indices < 0) | (indices >= n_sub), axis=1)
-            | (denominators < 0)
-            | (denominators >= n_sub)
-            | np.any(indices == denominators[:, None], axis=1)
-        )
-        if invalid.any():
-            p = int(np.argmax(invalid))
-            _check_genome(Genome(weights[p], indices[p], int(denominators[p])), n_sub)
-        live = np.any(weights, axis=1) & ~self.guards.rejected[denominators]
-        scores = np.zeros(denominators.size)
-        if live.any():
-            scores[live] = self._score_live(weights[live], indices[live], denominators[live])
-        return scores
-
-    def _score_live(
-        self, weights: np.ndarray, indices: np.ndarray, denominators: np.ndarray
-    ) -> np.ndarray:
-        """Scores of valid genomes with some weight over kept denominators."""
-        # each row in the bits ``_numerator`` gives the genome alone
-        numerators = np.einsum("pn,pnk->pk", weights, self.matrix[indices])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = (numerators / self.matrix[denominators]).astype(complex, copy=False)
-        for j in np.flatnonzero(self.any_flagged[denominators]):
-            d = denominators[j]
-            values[j], _ = self.guards.ratio(numerators[j], self.matrix[d], d)
-        return ssnr_values(values, self.sample_rate_hz)
-
-
-def rank_seed_pairs(
-    matrix: np.ndarray,
-    sample_rate_hz: float,
-    params: GaParams,
-    rng: np.random.Generator,
-    *,
-    guards: GuardTable | None = None,
-) -> list[tuple[int, int, float]]:
-    """Rank a random pool of (numerator, denominator) pairs by band ratio.
-
-    Returns (numerator, denominator, band ratio) triples, best first. The
-    best entry gives ``solve_delay_basis`` its denominator and its fallback,
-    and doubles as the window's single-pair quality estimate, which the
-    pipeline uses to decide whether a previous solution is still good.
-    ``guards`` is ``guard_table(matrix)`` when the caller already has it.
-    """
-    n_sub = matrix.shape[0]
-    n_pairs = n_sub * (n_sub - 1)
-    # code c is the ordered pair (c // (n_sub - 1), its remainder skipping m1)
-    codes = rng.choice(n_pairs, size=min(params.seed_pool, n_pairs), replace=False)
-    m1 = codes // (n_sub - 1)
-    m2 = codes % (n_sub - 1)
-    m2 += m2 >= m1
-    # each pair is the genome (weights [1], numerators [m1], denominator m2)
-    scores = PopulationScorer(matrix, sample_rate_hz, guards).score(
-        np.ones((codes.size, 1), dtype=complex), m1[:, None], m2
-    )
-    order = np.lexsort((m2, m1, -scores))
-    return [(int(m1[i]), int(m2[i]), float(scores[i])) for i in order]
-
-
 def best_single_pair(
     matrix: np.ndarray, sample_rate_hz: float, guards: GuardTable | None = None
 ) -> tuple[int, int, float]:
@@ -229,39 +125,73 @@ def best_single_pair(
     band ratio, ties to the lowest denominator, then numerator.
 
     An exact reference for the search, with no random draw: each
-    denominator's n - 1 pairs are scored in one ``PopulationScorer`` batch,
-    so memory stays at one matrix-sized batch. ``guards`` is
-    ``guard_table(matrix)`` when the caller already has it.
+    denominator's n - 1 pairs are scored in one batch, so memory stays at
+    one matrix-sized batch, and each score equals the pair's ``fitness``
+    bit for bit. ``guards`` is ``guard_table(matrix)`` when the caller
+    already has it.
     """
     n_sub = matrix.shape[0]
     if n_sub < 2:
         raise ConfigurationError("need at least two subcarriers")
-    scorer = PopulationScorer(matrix, sample_rate_hz, guards)
+    guards = guards if guards is not None else guard_table(matrix)
     rows = np.arange(n_sub)
     best = (-1, -1, -np.inf)
     for d in range(n_sub):
-        m1 = rows[rows != d]
-        scores = scorer.score(
-            np.ones((m1.size, 1), dtype=complex), m1[:, None], np.full(m1.size, d)
-        )
+        numerators = rows[rows != d]
+        scores = _pair_scores(matrix, sample_rate_hz, guards, numerators, d)
         i = int(np.argmax(scores))
         if scores[i] > best[2]:
-            best = (int(m1[i]), d, float(scores[i]))
+            best = (int(numerators[i]), d, float(scores[i]))
     return best
+
+
+def _pair_scores(
+    matrix: np.ndarray, sample_rate_hz: float, guards: GuardTable, numerators: np.ndarray,
+    d: int,
+) -> np.ndarray:
+    """``fitness`` of each single pair (numerators[j], d), as one batch."""
+    if guards.rejected[d]:
+        return np.zeros(numerators.size)
+    # the unit-weight numerators in the bits ``_numerator`` gives each pair
+    # alone, signed zeros included
+    rows = np.einsum(
+        "pn,pnk->pk", np.ones((numerators.size, 1), dtype=complex), matrix[numerators, None]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = (rows / matrix[d]).astype(complex, copy=False)
+    if guards.flagged[d].any():
+        for j, row in enumerate(rows):
+            values[j], _ = guards.ratio(row, matrix[d], d)
+    return ssnr_values(values, sample_rate_hz)
+
+
+def pick_denominator(matrix: np.ndarray, guards: GuardTable) -> int:
+    """The search's denominator: the row the guard keeps whose magnitude is
+    steadiest, the highest mean/std of |H| over its finite samples, ties to
+    the lowest index. A row of constant magnitude scores infinity; with no
+    kept row it is row 0."""
+    magnitude = np.abs(matrix)
+    finite = np.isfinite(magnitude)
+    count = finite.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.where(finite, magnitude, 0.0).sum(axis=1) / count
+        deviation = np.where(finite, magnitude - mean[:, None], 0.0)
+        steadiness = mean / np.sqrt((deviation * deviation).sum(axis=1) / count)
+    steadiness[guards.rejected | np.isnan(steadiness)] = -np.inf
+    return int(np.argmax(steadiness))
 
 
 def solve_delay_basis(
     matrix: np.ndarray,
     frequencies_hz: np.ndarray,
     sample_rate_hz: float,
-    ranked_pairs: list[tuple[int, int, float]],
     guards: GuardTable | None = None,
 ) -> GassSolution:
     """Closed-form search on one analysis window.
 
-    The denominator d is the best ranked pair's, and every other row is a
-    numerator. Its weights are w = F c over the delay basis F[m, t] =
-    exp(j 2 pi (f_m - mean f) tau_t), with at most as many delays as
+    The denominator d is ``pick_denominator(matrix, guards)``, and every other
+    row is a numerator. Its weights are w = F c over the delay basis F[m, t]
+    = exp(j 2 pi (f_m - mean f) tau_t), with at most as many delays as
     numerator rows. The rows are projected onto the basis first, S_t =
     sum_m F[m, t] H_m / H_d (guarded like any ratio by ``guards``), and the
     band ratio of sum_t c_t S_t is c^H A c / c^H B c, with A and B the
@@ -270,36 +200,34 @@ def solve_delay_basis(
     are scaled so that max |w| = 1, with that entry real and positive, and
     the genome's ``fitness`` equals the eigenvalue up to rounding.
 
-    ``ranked_pairs`` is a non-empty ``rank_seed_pairs`` ranking, reported as
-    the solution's seeded pairs; ``frequencies_hz`` holds the center
-    frequency of every row. When B is not positive definite, or the solved
-    genome scores below the best pair, the best pair's own genome is the
-    result, so the search is never worse than the ranking. B is singular on
-    noise-free CSI, and on grids whose tone spacing aliases two delays (10
-    MHz spacing repeats every 100 ns).
+    ``frequencies_hz`` holds the center frequency of every row. The fallback
+    is the best of the n - 1 single pairs over d (ties to the lowest
+    numerator), scored in one batch; its band ratio is the solution's
+    ``pair_fitness``. When B is not positive definite, or the solved genome
+    scores below the pair, the pair's genome is the result, so the search is
+    never worse than any single pair over d. B is singular on noise-free
+    CSI, and on grids whose tone spacing aliases two delays (10 MHz spacing
+    repeats every 100 ns).
     """
     n_sub = matrix.shape[0]
     if n_sub < 2:
         raise ConfigurationError("need at least two subcarriers")
-    if not ranked_pairs:
-        raise ConfigurationError("the search needs at least one ranked pair")
     frequencies = np.asarray(frequencies_hz, dtype=float)
     if frequencies.shape != (n_sub,):
         raise ConfigurationError("need one center frequency per subcarrier row")
     guards = guards if guards is not None else guard_table(matrix)
-    m1, d, pair_fitness = ranked_pairs[0]
-    genome, score = Genome(np.ones(1, dtype=complex), np.array([m1]), d), pair_fitness
+    d = pick_denominator(matrix, guards)
+    numerators = np.flatnonzero(np.arange(n_sub) != d)
+    scores = _pair_scores(matrix, sample_rate_hz, guards, numerators, d)
+    best = int(np.argmax(scores))
+    genome = Genome(np.ones(1, dtype=complex), numerators[best : best + 1], d)
+    score = pair_fitness = float(scores[best])
     solved = None if guards.rejected[d] else _solve(matrix, frequencies, sample_rate_hz, d, guards)
     if solved is not None:
         solved_score = fitness(solved, matrix, sample_rate_hz)
         if solved_score >= pair_fitness:
             genome, score = solved, solved_score
-    return GassSolution(
-        genome=genome,
-        fitness=score,
-        seeded_pairs=tuple((m1, m2) for m1, m2, _ in ranked_pairs),
-        seeded_best_fitness=pair_fitness,
-    )
+    return GassSolution(genome=genome, fitness=score, pair_fitness=pair_fitness)
 
 
 def _solve(

@@ -4,8 +4,8 @@
 - ``traceio.write_trace``: the row ranges of a trace being written (the
   pool of ``simulate``);
 - ``traceio.read_trace``: the byte ranges of a trace file being read;
-- ``pipeline.run_pipeline``: the window chunks of a run, each from pair
-  ranking through the search to the readout;
+- ``pipeline.run_pipeline``: the window chunks of a run, each from guard
+  table through the search to the readout;
 - ``pipeline.blind_spot_sweep`` and ``pipeline.snr_sweep``: a sweep's
   conditions.
 

@@ -2,10 +2,10 @@
 combination, projection, filtering, and rate estimation.
 
 The per-window search is ``gass.solve_delay_basis``, the closed-form
-delay-basis solve over the top-ranked pair's denominator, and the stream
-fan-out divides its numerator by every row the guard keeps. A window's
-guard table, pair ranking and solve (``WindowSearch``) are the same for the
-run and for ``gass-audit``.
+delay-basis solve over a denominator the window's own CSI picks (its
+steadiest kept row), and the stream fan-out divides its numerator by every
+row the guard keeps. The search draws nothing at random, so a window's
+solution depends only on its CSI, in ``run`` and ``gass-audit`` alike.
 
 A ``CsiTrace`` is block-averaged once, in ``segment``. The packets are
 screened in one-second frames by a motion gate on the phase of a reference
@@ -24,12 +24,11 @@ worker per CPU in the process's affinity mask (``parallel.pool_map``), and
 its results are put back in order, so no output depends on the CPU count.
 The evaluation sweeps map their conditions (positions, or noise level and
 run). A run maps its windows once, in contiguous chunks, and each chunk
-takes its windows in order from guard table and pair ranking through the
-search to the readout. The solution-reuse chain links each window to the
-one before, so a chunk that starts inside a chain retraces it from the
-chain's root. Inside a pool worker, such as a sweep condition, everything
-runs in-process, and so does everything with one usable CPU (``taskset -c
-0``).
+takes its windows in order from guard table through the search to the
+readout; a window depends on no other, so a chunk receives only its own
+windows' blocks. Inside a pool worker, such as a sweep condition,
+everything runs in-process, and so does everything with one usable CPU
+(``taskset -c 0``).
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ import dataclasses
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .errors import (
     ZeroVarianceError,
     check_integer,
 )
-from .gass import GaParams, GassSolution
+from .gass import GassSolution
 from .grid import SubcarrierGrid
 from .parallel import pool_map, workers
 from .rate import MIN_WINDOW_S, RespirationEstimate, estimate_rate
@@ -96,13 +96,11 @@ class PipelineConfig:
     smoothing windows in ``combine``, the cleanup filters in ``waveform``
     and the readout's peak prominence in ``rate.estimate_rate``."""
 
-    ga: GaParams = field(default_factory=GaParams)  # the pair ranking
     phase_block: int = 0              # K1 packets averaged; 0 = F_s / 10
     mu: float = 0.5                   # stream survival threshold fraction
     window_s: float = 10.0            # rounded to whole frames of FRAME_S
     motion_threshold_rad: float = 2.0
     reference_pair: tuple[int, int] | None = None
-    reuse_tolerance: float = 0.0      # 0 disables solution reuse
 
     def __post_init__(self) -> None:
         if not (0 < self.window_s < math.inf) or (
@@ -116,6 +114,12 @@ class PipelineConfig:
         check_integer("phase_block", self.phase_block, 0)
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigurationError(f"mu must lie in [0, 1], got {self.mu!r}")
+        # a negative threshold is allowed: it rejects every frame
+        threshold = self.motion_threshold_rad
+        if isinstance(threshold, bool) or not isinstance(threshold, Real) or math.isnan(threshold):
+            raise ConfigurationError(
+                f"motion_threshold_rad must be a number in rad, got {threshold!r}"
+            )
         pair = self.reference_pair
         if pair is not None:
             if not isinstance(pair, tuple) or len(pair) != 2 or pair[0] == pair[1]:
@@ -185,7 +189,7 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     ConfigurationError when a window's whole blocks hold less than the rate
     readout's 10 s minimum or fewer than two blocks, or when the grid has
     fewer than two subcarriers or lacks the reference pair; after these
-    checks no window's pair ranking or search can fail.
+    checks no window's search can fail.
     """
     config = config or PipelineConfig()
     frame_samples = int(round(FRAME_S * trace.sample_rate_hz))
@@ -255,9 +259,9 @@ class WindowResult:
     start_time_s: float
     estimate: RespirationEstimate | None
     solution: GassSolution | None
-    gass_reused: bool
     stage_band_ratios: dict[str, float]
     reason: str | None = None
+    gass_reused = False  # not a field: bench/tracer.py reads it; delete with ROADMAP item 2
 
 
 def _run_stages(
@@ -293,20 +297,16 @@ def _run_stages(
 def run_pipeline(
     trace: CsiTrace,
     config: PipelineConfig | None = None,
-    seed: int = 0,
     *,
     plan: WindowPlan | None = None,
 ) -> list[WindowResult]:
     """Estimate the respiration rate on every complete window.
 
-    Deterministic for fixed (trace, config, seed): each window derives its
-    own generator from (seed, window_id) for its pair ranking. The search
-    (``gass.solve_delay_basis``) needs the trace's grid for its subcarrier
-    frequencies. With ``reuse_tolerance`` > 0 the previous window's numerator
-    is kept while the best single-pair band ratio moves by less than that
-    fraction, skipping the search. ``plan`` is ``segment(trace, config)``
-    when the caller already has it. Each window builds one ``guard_table``
-    for its pair ranking, search and stream fan-out.
+    Deterministic for a fixed (trace, config), with no random draw. The
+    search (``gass.solve_delay_basis``) needs the trace's grid for its
+    subcarrier frequencies. ``plan`` is ``segment(trace, config)`` when the
+    caller already has it. Each window builds one ``guard_table`` for its
+    search and stream fan-out.
 
     The windows run in one ``parallel.pool_map`` over contiguous chunks of
     them, each chunk in window order from guard table to readout
@@ -320,10 +320,10 @@ def run_pipeline(
     plan = plan if plan is not None else segment(trace, config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
-    chunks = _window_chunks(plan, workers(), walk_back=config.reuse_tolerance > 0)
-    run = functools.partial(_run_windows, config=config, seed=seed)
+    chunks = _window_chunks(plan, workers())
+    run = functools.partial(_run_windows, config=config)
     results: list[WindowResult] = []
-    for window_id, (start_frame, (solution, reused, outcome)) in enumerate(
+    for window_id, (start_frame, (solution, outcome)) in enumerate(
         zip(plan.window_starts, _flatten(pool_map(run, chunks)))
     ):
         start_time = float(trace.times_s[start_frame * plan.frame_samples])
@@ -336,7 +336,6 @@ def run_pipeline(
                     start_time_s=start_time,
                     estimate=None,
                     solution=None,
-                    gass_reused=False,
                     stage_band_ratios={},
                     reason=f"{type(outcome).__name__}: {outcome}",
                 )
@@ -350,7 +349,6 @@ def run_pipeline(
                 start_time_s=start_time,
                 estimate=estimate,
                 solution=solution,
-                gass_reused=reused,
                 stage_band_ratios=stage_ratios,
             )
         )
@@ -359,36 +357,33 @@ def run_pipeline(
 
 @dataclass(frozen=True)
 class _WindowChunk:
-    """Windows ``first`` to ``stop - 1`` of a plan, and the block-averaged
-    trace from window ``base`` on, the earliest window the chunk may cut, so
-    that a pool worker receives each block once."""
+    """Windows ``first`` to ``stop - 1`` of a plan and the block-averaged
+    trace they span, so that a pool worker receives each of their blocks
+    once."""
 
     averaged: CsiTrace
-    base: int
     first: int
     stop: int
-    offsets: tuple[int, ...]   # first block in ``averaged`` of each window from ``base``
+    offsets: tuple[int, ...]   # first block in ``averaged`` of each window
     blocks: int                # blocks per window
 
     def window(self, window_id: int) -> CsiTrace:
         """Window ``window_id``, cut as ``WindowPlan.window`` cuts it."""
-        offset = self.offsets[window_id - self.base]
+        offset = self.offsets[window_id - self.first]
         return self.averaged[offset : offset + self.blocks]
 
 
-def _window_chunks(plan: WindowPlan, count: int, walk_back: bool) -> list[_WindowChunk]:
+def _window_chunks(plan: WindowPlan, count: int) -> list[_WindowChunk]:
     """The plan's windows in at most ``count`` contiguous chunks of nearly
-    equal size. With ``walk_back`` every chunk may cut any window before its
-    own, to retrace the reuse chain into it."""
+    equal size."""
     firsts = plan.window_starts * plan.frame_samples // plan.block_size
     blocks = plan.window_frames * plan.frame_samples // plan.block_size
     chunks = []
     for ids in np.array_split(np.arange(firsts.size), min(count, firsts.size)):
         first, stop = int(ids[0]), int(ids[-1]) + 1
-        base = 0 if walk_back else first
-        lo, hi = int(firsts[base]), int(firsts[stop - 1]) + blocks
-        offsets = tuple((firsts[base:stop] - lo).tolist())
-        chunks.append(_WindowChunk(plan.averaged[lo:hi], base, first, stop, offsets, blocks))
+        lo, hi = int(firsts[first]), int(firsts[stop - 1]) + blocks
+        offsets = tuple((firsts[first:stop] - lo).tolist())
+        chunks.append(_WindowChunk(plan.averaged[lo:hi], first, stop, offsets, blocks))
     return chunks
 
 
@@ -396,102 +391,28 @@ def _flatten(per_chunk: list[list]) -> list:
     return [item for items in per_chunk for item in items]
 
 
-@dataclass(frozen=True)
-class WindowSearch:
-    """A window's guard table and pair ranking, the inputs of its search.
-    ``run_pipeline`` and ``gass-audit`` both build it with ``rank``."""
-
-    window: CsiTrace
-    guards: GuardTable
-    ranked: list[tuple[int, int, float]]  # (numerator, denominator, band ratio), best first
-
-    @classmethod
-    def rank(cls, window: CsiTrace, params: GaParams, seed: int, window_id: int) -> WindowSearch:
-        """Window ``window_id``'s guard table and ``params``' pair ranking,
-        drawn from the generator of ``[seed, window_id]``."""
-        guards = guard_table(window.values)
-        rng = np.random.default_rng([seed, window_id])
-        ranked = gass_mod.rank_seed_pairs(
-            window.values, window.sample_rate_hz, params, rng, guards=guards
-        )
-        return cls(window, guards, ranked)
-
-    def solve(self, params: GaParams) -> GassSolution:
-        """``gass.solve_delay_basis`` from the ``params.seed_top`` best pairs."""
-        window = self.window
-        return gass_mod.solve_delay_basis(
-            window.values, window.grid.center_frequency_hz, window.sample_rate_hz,
-            self.ranked[: params.seed_top], self.guards,
-        )
-
-
 def _run_windows(
-    chunk: _WindowChunk, config: PipelineConfig, seed: int
-) -> list[tuple[GassSolution, bool, tuple[RespirationEstimate, dict[str, float]] | Exception]]:
-    """(solution, reused, stage outcome) of each window of ``chunk``, in
-    window order: its ``WindowSearch``, its solution (solved, or the window
-    before's kept and re-scored), then ``_run_stages``, whose outcome is the
-    estimate and stage band ratios or the stage error that stopped them.
-
-    A chunk that starts inside a run of reused solutions retraces it: it
-    ranks back from the window before its first to that window's root, the
-    nearest window that did not keep its predecessor's solution, and solves
-    the root. Whether a window keeps it depends only on the best-pair band
-    ratios, so the chain is the one a single chunk would build.
-    """
-    tolerance = config.reuse_tolerance
-
-    def ranked(window_id: int) -> WindowSearch:
-        return WindowSearch.rank(chunk.window(window_id), config.ga, seed, window_id)
-
-    def best(search: WindowSearch) -> float:
-        return search.ranked[0][2]  # the band ratio of the best ranked pair
-
-    previous: tuple[GassSolution, float] | None = None  # (solution, best pair ratio)
-    if tolerance > 0 and chunk.first > 0:
-        root = last = ranked(chunk.first - 1)
-        for window_id in range(chunk.first - 1, 0, -1):
-            before = ranked(window_id - 1)
-            if not _keeps_solution(best(root), best(before), tolerance):
-                break
-            root = before
-        previous = (root.solve(config.ga), best(last))
+    chunk: _WindowChunk, config: PipelineConfig
+) -> list[tuple[GassSolution, tuple[RespirationEstimate, dict[str, float]] | Exception]]:
+    """(solution, stage outcome) of each window of ``chunk``, in window
+    order: its guard table, its ``gass.solve_delay_basis`` solution, then
+    ``_run_stages``, whose outcome is the estimate and stage band ratios or
+    the stage error that stopped them."""
     outcomes: list = []
     for window_id in range(chunk.first, chunk.stop):
-        search = ranked(window_id)
-        window = search.window
-        reused = previous is not None and _keeps_solution(best(search), previous[1], tolerance)
-        if reused:
-            refreshed = gass_mod.fitness(previous[0].genome, window.values, window.sample_rate_hz)
-            solution = dataclasses.replace(previous[0], fitness=float(refreshed))
-        else:
-            solution = search.solve(config.ga)
-        previous = (solution, best(search))
+        window = chunk.window(window_id)
+        guards = guard_table(window.values)
+        solution = gass_mod.solve_delay_basis(
+            window.values, window.grid.center_frequency_hz, window.sample_rate_hz, guards
+        )
         try:
             outcome = _run_stages(
-                window.values, solution, window.sample_rate_hz, config, window_id, search.guards
+                window.values, solution, window.sample_rate_hz, config, window_id, guards
             )
         except _STAGE_ERRORS as exc:
             outcome = exc
-        outcomes.append((solution, reused, outcome))
+        outcomes.append((solution, outcome))
     return outcomes
-
-
-def _keeps_solution(new: float, old: float, tolerance: float) -> bool:
-    """Whether a window whose best pair scores ``new`` keeps the solution of
-    the window before, whose best pair scored ``old``: the relative change
-    is under ``tolerance``, and 0 turns reuse off."""
-    if tolerance <= 0:
-        return False
-    if math.isinf(new) and math.isinf(old):
-        change = 0.0
-    elif old == 0.0:
-        change = math.inf if new != 0.0 else 0.0
-    elif math.isinf(new) or math.isinf(old):
-        change = math.inf
-    else:
-        change = abs(new - old) / abs(old)
-    return change < tolerance
 
 
 def replay_window(
@@ -612,7 +533,6 @@ def blind_spot_sweep(
     grid: SubcarrierGrid,
     offsets_m: np.ndarray,
     config: PipelineConfig | None = None,
-    seed: int = 0,
 ) -> EvaluationReport:
     """Detectability of three estimators across dynamic-path positions.
 
@@ -630,7 +550,7 @@ def blind_spot_sweep(
     n = offsets.size
     position = functools.partial(
         _blind_spot_position, scenario=scenario, impairments=impairments, grid=grid,
-        config=config, seed=seed, truth=truth,
+        config=config, truth=truth,
     )
     per_position = pool_map(position, range(n), offsets)
     rows = [row for rows in per_position for row in rows]
@@ -648,10 +568,10 @@ def blind_spot_sweep(
 
 
 def _method_estimates(
-    trace: CsiTrace, methods: tuple[str, ...], config: PipelineConfig, seed: int
+    trace: CsiTrace, methods: tuple[str, ...], config: PipelineConfig
 ) -> dict[str, list[RespirationEstimate | None]]:
     """The window estimates of each method on ``trace``, segmented once:
-    "full" is ``run_pipeline`` at ``seed``, and "amplitude" and "phase" are
+    "full" is ``run_pipeline``, and "amplitude" and "phase" are
     the single-component baselines. A method without a complete window gets
     no estimates."""
     plan = segment(trace, config)
@@ -659,7 +579,7 @@ def _method_estimates(
     for method in methods:
         try:
             if method == "full":
-                results = run_pipeline(trace, config, seed=seed, plan=plan)
+                results = run_pipeline(trace, config, plan=plan)
                 estimates[method] = [r.estimate for r in results]
             else:
                 estimates[method] = single_component_estimates(
@@ -677,7 +597,6 @@ def _blind_spot_position(
     impairments: ImpairmentConfig,
     grid: SubcarrierGrid,
     config: PipelineConfig,
-    seed: int,
     truth: float,
 ) -> list[dict]:
     """The three rows (full, amplitude, phase) of ``blind_spot_sweep``'s
@@ -691,7 +610,7 @@ def _blind_spot_position(
     )
     methods = ("full", "amplitude", "phase")
     rows = []
-    for method, estimates in _method_estimates(trace, methods, config, seed + i).items():
+    for method, estimates in _method_estimates(trace, methods, config).items():
         median, detected = _median_detection(estimates, truth)
         rows.append(
             {
@@ -712,7 +631,6 @@ def snr_sweep(
     grid: SubcarrierGrid,
     noise_stds: np.ndarray,
     config: PipelineConfig | None = None,
-    seed: int = 0,
     runs_per_level: int = 1,
 ) -> EvaluationReport:
     """Per-window detection rate versus additive noise level.
@@ -730,8 +648,7 @@ def snr_sweep(
     check_integer("runs_per_level", runs_per_level, 1)
     ideal = generate_ideal_csi(scenario, grid)
     snr_run = functools.partial(
-        _snr_run, ideal=ideal, impairments=impairments, config=config, seed=seed,
-        truth=truth,
+        _snr_run, ideal=ideal, impairments=impairments, config=config, truth=truth,
     )
     level_of = [level for level in range(levels.size) for _ in range(runs_per_level)]
     run_of = list(range(runs_per_level)) * levels.size
@@ -768,7 +685,6 @@ def _snr_run(
     ideal: CsiTrace,
     impairments: ImpairmentConfig,
     config: PipelineConfig,
-    seed: int,
     truth: float,
 ) -> dict[str, tuple[int, int]]:
     """(detected, total) windows per method for run ``run`` of
@@ -782,9 +698,7 @@ def _snr_run(
         ),
     )
     counts = {}
-    for method, estimates in _method_estimates(
-        impaired, ("full", "amplitude"), config, seed + run
-    ).items():
+    for method, estimates in _method_estimates(impaired, ("full", "amplitude"), config).items():
         detected = sum(
             e is not None
             and e.f_bpm is not None

@@ -3,7 +3,6 @@ import os
 import numpy as np
 import pytest
 
-from csibreath.gass import GaParams
 from csibreath.grid import default_grid
 from csibreath.simulate import (
     ChannelScenario,
@@ -48,12 +47,6 @@ def impaired_trace(breathing_trace):
         seed=7,
     )
     return apply_impairments(breathing_trace, config)
-
-
-@pytest.fixture(scope="session")
-def small_ga():
-    """Pair ranking sized for test scenarios, not production runs."""
-    return GaParams(seed_pool=40, seed_top=6)
 
 
 @pytest.fixture()

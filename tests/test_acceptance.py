@@ -16,13 +16,7 @@ import pytest
 
 from csibreath import cli
 from csibreath.combine import align_streams, combine
-from csibreath.gass import (
-    GaParams,
-    Genome,
-    fitness,
-    rank_seed_pairs,
-    solve_delay_basis,
-)
+from csibreath.gass import Genome, fitness, solve_delay_basis
 from csibreath.grid import custom_grid, default_grid, ht_ltf_grid
 from csibreath.pipeline import PipelineConfig, blind_spot_sweep, run_pipeline
 from csibreath.rate import estimate_rate
@@ -185,8 +179,7 @@ def test_06_projection_removes_position_blind_spots():
         gaussian_noise_std=0.03, seed=7,
     )
     offsets = np.arange(32) * (center_wavelength / 32.0)
-    config = PipelineConfig(ga=GaParams(seed_pool=40, seed_top=6), reuse_tolerance=0.1)
-    report = blind_spot_sweep(scenario, impairments, grid, offsets, config, seed=0)
+    report = blind_spot_sweep(scenario, impairments, grid, offsets, PipelineConfig())
 
     def failures(method):
         return {
@@ -226,29 +219,33 @@ def test_07_search_guarantees():
         fitness(Genome(np.array([1.0 + 0j]), np.array([m1]), m2), toy_matrix, 10.0)
         for m1, m2 in ((0, 1), (1, 0))
     )
-    toy_ranked = rank_seed_pairs(toy_matrix, 10.0, GaParams(seed_pool=2), np.random.default_rng(0))
-    toy_solution = solve_delay_basis(toy_matrix, toy_frequencies, 10.0, toy_ranked)
+    toy_solution = solve_delay_basis(toy_matrix, toy_frequencies, 10.0)
 
-    # full grid: never below the best ranked single pair
+    # full grid: never below the fallback, the best single pair over d
     trace = apply_impairments(
         generate_ideal_csi(_breathing_scenario(15.0), default_grid()),
         ImpairmentConfig(pbd_noise_std=0.002, sfo_slope=1e-4, cfo_walk_std=0.05,
                          gaussian_noise_std=0.02, seed=7),
     )
     matrix, frequencies = trace.values, trace.grid.center_frequency_hz
-    ranked = rank_seed_pairs(matrix, 50.0, GaParams(seed_pool=60), np.random.default_rng(1))
-    solution = solve_delay_basis(matrix, frequencies, 50.0, ranked[:8])
+    solution = solve_delay_basis(matrix, frequencies, 50.0)
+    d = solution.genome.denominator_index
+    fallback = max(
+        fitness(Genome(np.array([1.0 + 0j]), np.array([m]), d), matrix, 50.0)
+        for m in range(matrix.shape[0])
+        if m != d
+    )
     ok = (
         np.isclose(toy_solution.fitness, exhaustive, rtol=1e-12)
-        and solution.seeded_best_fitness == ranked[0][2]
-        and solution.fitness >= solution.seeded_best_fitness
+        and solution.pair_fitness == fallback
+        and solution.fitness >= solution.pair_fitness
         and solution.fitness == fitness(solution.genome, matrix, 50.0)
     )
     _report(
         7, ok,
         f"search matches exhaustive on the toy grid ({toy_solution.fitness:.4g}); "
-        f"full-grid fitness {solution.fitness:.3g} >= best ranked pair "
-        f"{solution.seeded_best_fitness:.3g}",
+        f"full-grid fitness {solution.fitness:.3g} >= fallback pair "
+        f"{solution.pair_fitness:.3g}",
         time.perf_counter() - t0, 120.0,
     )
 
@@ -292,8 +289,8 @@ def test_09_end_to_end_accuracy():
     t0 = time.perf_counter()
     scenario = _breathing_scenario(60.0)
     trace = generate_ideal_csi(scenario, default_grid())
-    config = PipelineConfig(ga=GaParams(seed_pool=60, seed_top=8), reuse_tolerance=0.1)
-    clean_results = run_pipeline(trace, config, seed=0)
+    config = PipelineConfig()
+    clean_results = run_pipeline(trace, config)
     clean_errors = [
         abs(r.estimate.f_bpm - 15.0)
         for r in clean_results
@@ -312,7 +309,7 @@ def test_09_end_to_end_accuracy():
             gaussian_noise_std=0.03, seed=11,
         ),
     )
-    impaired_results = run_pipeline(impaired, config, seed=1)
+    impaired_results = run_pipeline(impaired, config)
     detected = sum(
         1
         for r in impaired_results
@@ -346,7 +343,7 @@ impairments:
   gaussian_noise_std: 0.02
   seed: 3
 pipeline:
-  ga: {seed_pool: 16, seed_top: 4}
+  mu: 0.5
 """
 
 

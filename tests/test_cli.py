@@ -11,7 +11,6 @@ import pytest
 import yaml
 
 from csibreath import cli, config, traceio
-from csibreath.gass import GaParams
 from csibreath.pipeline import PipelineConfig
 from csibreath.traceio import read_trace, write_trace
 
@@ -30,9 +29,9 @@ impairments:
   gaussian_noise_std: 0.02
   seed: 3
 pipeline:
-  ga: {seed_pool: 16, seed_top: 4}
+  mu: 0.5
 """
-_GA = "  ga: {seed_pool: 16, seed_top: 4}"  # the last line of _BASE, inside pipeline
+_MU = "  mu: 0.5"  # the last line of _BASE, inside pipeline
 
 
 @pytest.fixture
@@ -69,7 +68,7 @@ def test_run_from_trace_round_trip(base_config, tmp_path):
     config = tmp_path / "fromtrace.yaml"
     config.write_text(
         f"input: {{trace: {sim_out / 'trace.csv'}}}\n"
-        f"pipeline:\n{_GA}\n"
+        f"pipeline:\n{_MU}\n"
     )
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
@@ -81,7 +80,7 @@ def test_empty_sections_mean_the_defaults(tmp_path):
     del settings["impairments"]
     settings["pipeline"] = {"mu": 0.5}
     text = yaml.safe_dump(settings)
-    empty = text.replace("  mu: 0.5\n", "  mu: 0.5\n  ga: null\n")
+    empty = text.replace("  mu: 0.5\n", "  mu: 0.5\n  reference_pair: null\n")
     assert empty != text
     outputs = []
     for name, config_text in (
@@ -176,7 +175,6 @@ def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):
 
 def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog, monkeypatch):
     from csibreath import pipeline
-    from csibreath.pipeline import _window_chunks, segment
     from csibreath.simulate import CsiTrace, apply_impairments, generate_ideal_csi
 
     settings = yaml.safe_load(_BASE)
@@ -191,10 +189,7 @@ def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog,
     values[:, 100:125] = 0  # a dropout: windows 0-5 keep no stream
     trace = CsiTrace(values, trace.times_s, trace.sample_rate_hz, trace.grid)
     write_trace(tmp_path / "trace.csv", trace)
-    run = {
-        "input": {"trace": str(tmp_path / "trace.csv")},
-        "pipeline": {**settings["pipeline"], "reuse_tolerance": 0.1},
-    }
+    run = {"input": {"trace": str(tmp_path / "trace.csv")}, "pipeline": settings["pipeline"]}
     (tmp_path / "run.yaml").write_text(yaml.safe_dump(run))
     outputs, logged = [], []
     for cpus, chunks in ((1, 1), (2, 2), (2, 3)):
@@ -210,13 +205,6 @@ def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog,
     assert outputs[0] == outputs[1] == outputs[2]
     assert logged[0] == logged[1] == logged[2]
     assert logged[0] == [f"window {i} failed: no streams to align" for i in range(6)]
-    # a chunk starts inside a run of reused solutions, and so retraces it
-    records = [json.loads(line) for line in outputs[0]["estimates.jsonl"].splitlines()]
-    reused = [r["gass_reused"] for r in records]
-    plan = segment(trace, config.pipeline_from_config(run))
-    for count in (2, 3):
-        edges = [chunk.first for chunk in _window_chunks(plan, count, walk_back=True)[1:]]
-        assert any(reused[edge - 1 : edge + 2] == [True] * 3 for edge in edges), count
 
 
 def test_simulate_is_byte_identical_on_one_worker_and_on_two(base_config, tmp_path, monkeypatch):
@@ -262,19 +250,18 @@ def test_gass_audit_solution_dump(base_config, tmp_path, capsys):
     assert cli.main(["gass-audit", "--config", str(base_config), "--out", str(out)]) == 0
     record = json.loads((out / "gass_solution.json").read_text())
     assert set(record) == {"weights_re", "weights_im", "numerator_indices", "denominator_index",
-                           "fitness", "seeded_best_fitness", "seeded_pairs", "best_pair",
-                           "best_pair_fitness"}
+                           "fitness", "pair_fitness", "best_pair", "best_pair_fitness"}
     # the closed form's numerator is every row but the denominator
     assert len(record["weights_re"]) == 5
     assert sorted(record["numerator_indices"] + [record["denominator_index"]]) == list(range(6))
-    assert record["fitness"] >= record["seeded_best_fitness"]
-    # the ranked pairs are some of the 30 ordered pairs the reference scores
-    assert record["best_pair_fitness"] >= record["seeded_best_fitness"]
+    assert record["fitness"] >= record["pair_fitness"]
+    # the fallback pair is one of the 30 ordered pairs the reference scores
+    assert record["best_pair_fitness"] >= record["pair_fitness"]
     assert record["best_pair"][0] != record["best_pair"][1]
     printed = capsys.readouterr().out
     assert f"fitness {record['fitness']:.4g}" in printed
     assert f"best single pair {record['best_pair_fitness']:.4g}" in printed
-    assert f"seeded single-pair best {record['seeded_best_fitness']:.4g}" in printed
+    assert f"fallback pair {record['pair_fitness']:.4g}" in printed
     # it is the search run_pipeline ran on window 0
     run = tmp_path / "run"
     assert cli.main(["run", "--config", str(base_config), "--out", str(run)]) == 0
@@ -283,7 +270,7 @@ def test_gass_audit_solution_dump(base_config, tmp_path, capsys):
     assert first["solution"] == record
 
 
-# bench/run.py's capture-replay pipeline section, written for the retired GA
+# bench/run.py's capture-replay pipeline section, written for retired searches
 _RETIRED_PIPELINE = """\
 pipeline:
   n_numerators: 8
@@ -301,9 +288,8 @@ def test_retired_ga_keys_are_dropped_with_one_warning(base_config, tmp_path):
     retired = tmp_path / "retired.yaml"
     retired.write_text(source + _RETIRED_PIPELINE)
     plain = tmp_path / "plain.yaml"
-    plain.write_text(source + _RETIRED_PIPELINE.replace("  n_numerators: 8\n", "").replace(
-        "population: 64, generations: 1, ", ""))
-    assert "population" not in plain.read_text()
+    plain.write_text(source + "pipeline:\n  mu: 0.5\n  motion_threshold_rad: 2.0\n"
+                     "  window_s: 10.0\n")
     assert cli.main(["run", "--config", str(plain), "--out", str(tmp_path / "plain")]) == 0
     # a fresh process, so the warning reaches stderr as a user sees it
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -316,8 +302,9 @@ def test_retired_ga_keys_are_dropped_with_one_warning(base_config, tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stderr.splitlines() == [
-        "ignoring retired genetic-algorithm keys: pipeline.n_numerators, "
-        "pipeline.ga.population, pipeline.ga.generations (the search is closed-form)"
+        "ignoring retired search keys: pipeline.n_numerators, pipeline.reuse_tolerance, "
+        "pipeline.ga.population, pipeline.ga.generations, pipeline.ga.seed_pool, "
+        "pipeline.ga.seed_top (the search is closed-form and deterministic)"
     ]
     for name in ("estimates.jsonl", "windows.csv"):
         assert (tmp_path / "retired" / name).read_bytes() == (
@@ -339,23 +326,24 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 
 def test_bad_ga_params_exit_2(tmp_path, capsys):
-    for old, new, message in (
-        ("seed_pool: 16", "seed_pool: 0", "ga.seed_pool must be an integer >= 1"),
-        ("seed_top: 4", "seed_top: -1", "ga.seed_top must be an integer >= 1"),
-        ("seed_top: 4", "seed_top: 2.5", "ga.seed_top must be an integer >= 1"),
-        ("seed_top: 4", "seed_top: 4, populaton: 64", "unknown pipeline.ga keys"),
+    # every key of the retired ga section is dropped; anything else in it exits 2
+    for ga, message in (
+        ("{seed_pool: 200, populaton: 64}", "unknown pipeline.ga keys: ['populaton']"),
+        ("{mu: 0.5}", "unknown pipeline.ga keys: ['mu']"),
+        ("{reuse_tolerance: 0.1}", "unknown pipeline.ga keys: ['reuse_tolerance']"),
+        ("64", "pipeline.ga must be a mapping"),
     ):
         config = tmp_path / "ga.yaml"
-        config.write_text(_BASE.replace(old, new))
+        config.write_text(f"{_BASE}  ga: {ga}\n")
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_CONFIG, new
+        assert code == cli.EXIT_CONFIG, ga
         assert message in capsys.readouterr().err
 
 
 def test_short_window_geometry_exits_2(tmp_path, capsys):
     # 9.4 s rounds to 9 frames of 1 s, under the 10 s rate minimum
     config = tmp_path / "geometry.yaml"
-    config.write_text(_BASE.replace(_GA, f"{_GA}\n  window_s: 9.4"))
+    config.write_text(_BASE.replace(_MU, f"{_MU}\n  window_s: 9.4"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "window_s" in capsys.readouterr().err
@@ -364,7 +352,7 @@ def test_short_window_geometry_exits_2(tmp_path, capsys):
 def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
     # 7-packet blocks at 20 Hz: a 10 s window holds 28 blocks = 9.8 s
     config = tmp_path / "blocks.yaml"
-    config.write_text(_BASE.replace(_GA, f"{_GA}\n  phase_block: 7"))
+    config.write_text(_BASE.replace(_MU, f"{_MU}\n  phase_block: 7"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "under the 10 s minimum" in capsys.readouterr().err
@@ -377,7 +365,7 @@ def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
         ("  center_frequencies_hz: [2.452e9, 2.4545e9, 2.457e9, 2.4595e9, 2.462e9, 2.4645e9]",
          "  center_frequencies_hz: [2.452e9]", "at least two subcarriers"),
         # 200-packet blocks at 20 Hz: one block per 10 s window, no spectrum
-        (_GA, f"{_GA}\n  phase_block: 200", "at least 2"),
+        (_MU, f"{_MU}\n  phase_block: 200", "at least 2"),
     ],
 )
 def test_a_config_no_window_can_search_exits_2(tmp_path, capsys, old, new, message):
@@ -395,7 +383,7 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
                  "hampel_half_width_s: 0.5", "hampel_threshold: 3.0", "sg_window_s: 1.0",
                  "sg_polyorder: 3", "min_prominence: 0.2", "frame_s: 1.0"):
         config = tmp_path / "removed.yaml"
-        config.write_text(_BASE.replace(_GA, f"{_GA}\n  {line}"))
+        config.write_text(_BASE.replace(_MU, f"{_MU}\n  {line}"))
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG, line
         assert "unknown pipeline keys" in capsys.readouterr().err
@@ -407,13 +395,13 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         ("run", 0, "pipeline", "reference_pair", [0, 99]),   # index off the 6-tone grid
         ("run", 0, "pipeline", "reference_pair", [2, 2]),
         ("run", 0, "pipeline", "ga", {"populaton": 64}),     # a misspelt retired key
-        ("run", 0, "pipeline", "ga", {"seed_pool": 2.5}),
+        ("run", 0, "pipeline", "ga", {"seed_pol": 200}),
         ("run", 0, "pipeline", "mu", 1.5),
         ("run", 0, "pipeline", "window_s", -10),
         ("run", 0, "pipeline", "phase_block", -3),
         ("run", 0, "impairments", "seed", -5),
-        ("run", 0, "pipeline", "ga", {"seed_top": 0}),
-        ("run", 0, "pipeline", "ga", {"seed_pool": 0}),
+        ("run", 0, "pipeline", "ga", {"mu": 0.5}),           # not a key of the section
+        ("run", 0, "pipeline", "ga", {"reuse_tolerance": 0.1}),
         ("run", 0, "pipeline", "ga", [8, 3]),
         ("run", 0, None, "impairments", 0.02),
         ("run", 0, None, "pipeline", ["n_numerators"]),
@@ -428,6 +416,9 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         ("run", -1, None, None, None),
         ("sweep-blindspot", -1, None, None, None),
         ("sweep-snr", -1, None, None, None),
+        ("run", 0, "pipeline", "motion_threshold_rad", "abc"),
+        ("run", 0, "pipeline", "motion_threshold_rad", float("nan")),
+        ("run", 0, "pipeline", "motion_threshold_rad", True),
     ],
 )
 def test_bad_values_and_seeds_exit_2(tmp_path, capsys, command, seed, section, key, value):
@@ -456,11 +447,10 @@ def test_readme_config_schema_is_accepted(tmp_path):
     config.impairments_from_config(settings)
     config.pipeline_from_config(settings)
     assert set(settings["sweep"]) <= cli.SWEEP_KEYS
-    # every pipeline and ga key is documented in the section
+    # every pipeline key is documented in the section
     section = readme.split("### Config schema", 1)[1].split("\n### ", 1)[0]
-    for cls in (PipelineConfig, GaParams):
-        for name in (f.name for f in dataclasses.fields(cls)):
-            assert re.search(rf"\b{name}\b", section), name
+    for name in (f.name for f in dataclasses.fields(PipelineConfig)):
+        assert re.search(rf"\b{name}\b", section), name
 
 
 def test_cli_import_loads_no_scipy():
@@ -499,9 +489,24 @@ def test_null_trace_path_exits_2(tmp_path, capsys):
 
 def test_impossible_gate_exits_4(base_config, tmp_path):
     config = tmp_path / "gate.yaml"
-    config.write_text(_BASE.replace(_GA, f"{_GA}\n  motion_threshold_rad: -1.0"))
+    config.write_text(_BASE.replace(_MU, f"{_MU}\n  motion_threshold_rad: -1.0"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NO_WINDOW
+
+
+def test_run_on_a_trace_file_does_not_depend_on_the_seed(base_config, tmp_path):
+    # --seed only offsets the simulator's impairments; the search draws nothing
+    assert cli.main(["simulate", "--config", str(base_config), "--out", str(tmp_path)]) == 0
+    config = tmp_path / "replay.yaml"
+    config.write_text(f"input: {{trace: {tmp_path / 'trace.csv'}}}\npipeline:\n{_MU}\n")
+    outputs = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"seed{seed}"
+        assert cli.main(["run", "--config", str(config), "--seed", seed, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["estimates.jsonl", "windows.csv"]
+    assert outputs[0] == outputs[1]
+    assert b"gass_reused" not in outputs[0]["estimates.jsonl"]
 
 
 def test_runs_are_reproducible(base_config, tmp_path):

@@ -350,7 +350,7 @@ def test_stream_stack_equals_per_stream_loop(
         share = local.choice([0.05, 0.5])
         matrix[row, local.random(n_samples) < share] = 0.0
     genome = Genome(weights, numerators, denominator)
-    solution = GassSolution(genome, 1.0, 0, np.ones(1))
+    solution = GassSolution(genome, 1.0)
     streams = build_streams(solution, matrix, 10.0)
     expected = _loop_build(genome, matrix)
     assert streams.denominators.tolist() == [m for m, _, _ in expected]

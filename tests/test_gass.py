@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,16 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csibreath.errors import ConfigurationError
+from csibreath import gass
 from csibreath.gass import (
-    GaParams,
     GassSolution,
     Genome,
-    PopulationScorer,
+    _pair_scores,
     best_single_pair,
     build_streams,
     combined_ratio,
     fitness,
-    rank_seed_pairs,
+    pick_denominator,
     solve_delay_basis,
 )
 from csibreath.grid import custom_grid
@@ -129,114 +127,82 @@ def _scoring_matrix():
 SCORING_MATRIX = _scoring_matrix()
 
 
-def _padded(n, weight, numerator, denominator):
-    """Genome with one live numerator and n - 1 zero-weight fillers."""
-    filler = next(m for m in range(7) if m != denominator)
-    weights = np.zeros(n, dtype=complex)
-    weights[0] = weight
-    indices = np.full(n, filler)
-    indices[0] = numerator
-    return Genome(weights, indices, denominator)
-
-
-@st.composite
-def _populations(draw):
-    n = draw(st.integers(1, 3))
-    population = [
-        _padded(n, 0.0, 0, 1),            # all-zero weights
-        _padded(n, 1.0, 1, 0),            # inf band ratio
-        _padded(n, 0.5, 0, 2),            # denominator zero throughout
-        _padded(n, 1.0, 0, 3),            # denominator mostly flagged
-        _padded(n, 0.7j, 0, 4),           # a few samples interpolated
-    ]
-    for _ in range(draw(st.integers(0, 8))):
-        denominator = draw(st.integers(0, 6))
-        indices = [
-            m + (m >= denominator)
-            for m in draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-        ]
-        radius = draw(st.lists(
-            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=n, max_size=n
-        ))
-        phase = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n))
-        weights = np.array(radius) * np.exp(1j * np.array(phase))
-        population.append(Genome(weights, np.array(indices), denominator))
-    return draw(st.permutations(population))
-
-
-def _stacked(population):
-    """Equal-length genomes as the (weights, indices, denominators) arrays
-    ``PopulationScorer.score`` takes."""
-    return (
-        np.stack([g.weights for g in population]),
-        np.stack([g.numerator_indices for g in population]),
-        np.array([g.denominator_index for g in population]),
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(population=_populations())
-def test_population_scorer_equals_fitness_bit_for_bit(population):
-    scores = PopulationScorer(SCORING_MATRIX, 10.0).score(*_stacked(population))
-    expected = np.array([fitness(g, SCORING_MATRIX, 10.0) for g in population])
-    assert scores.tobytes() == expected.tobytes()
-    assert np.isinf(expected).any() and (expected == 0.0).sum() >= 3
-
-
-def test_population_scorer_raises_like_fitness():
-    good = _padded(1, 1.0, 0, 5)
-    invalid = [
-        Genome(np.array([1.5 + 0j]), np.array([1]), 0),      # weight too big
-        Genome(np.array([1.0 + 0j]), np.array([2]), 2),      # collides
-        Genome(np.array([1.0 + 0j]), np.array([9]), 0),      # out of range
-        Genome(np.array([1.0 + 0j]), np.array([1]), 7),      # denominator range
-    ]
-    scorer = PopulationScorer(SCORING_MATRIX, 10.0)
-    for i, bad in enumerate(invalid):
-        with pytest.raises(ConfigurationError) as reference:
-            fitness(bad, SCORING_MATRIX, 10.0)
-        later_bad = invalid[(i + 1) % len(invalid)]
-        with pytest.raises(ConfigurationError, match=re.escape(str(reference.value))):
-            scorer.score(*_stacked([good, bad, later_bad, good]))
-    # weights and numerator indices of unequal length
-    weights, indices, denominators = _stacked([good, good])
-    with pytest.raises(ConfigurationError, match="population arrays"):
-        scorer.score(weights, np.hstack([indices, indices]), denominators)
+def test_single_pair_scores_equal_fitness_bit_for_bit():
+    guards = guard_table(SCORING_MATRIX)
+    assert guards.rejected.tolist() == [False, False, True, True, False, False, False]
+    assert guards.flagged[4].any()
+    rows = np.arange(7)
+    expected = {}
+    for d in range(7):
+        numerators = rows[rows != d][::-1]  # any order
+        scores = _pair_scores(SCORING_MATRIX, 10.0, guards, numerators, d)
+        loop = np.array([
+            fitness(Genome(np.array([1.0 + 0j]), np.array([m]), d), SCORING_MATRIX, 10.0)
+            for m in numerators
+        ])
+        assert scores.tobytes() == loop.tobytes(), d
+        expected.update({(int(m), d): score for m, score in zip(numerators, loop)})
+    values = np.array(list(expected.values()))
+    assert np.isinf(values).any() and (values == 0.0).sum() >= 12
+    best = max(sorted(expected, key=lambda pair: (pair[1], pair[0])), key=expected.get)
+    assert best_single_pair(SCORING_MATRIX, 10.0) == (*best, expected[best])
 
 
 # ----------------------------------------------------------------------------
-# Seeding
+# Denominator and fallback pair
 # ----------------------------------------------------------------------------
 
 
-def test_seed_ranking_is_sorted_and_deterministic():
-    matrix = _toy_matrix()
-    params = GaParams(seed_pool=25, seed_top=5)
-    a = rank_seed_pairs(matrix, 10.0, params, np.random.default_rng(5))
-    b = rank_seed_pairs(matrix, 10.0, params, np.random.default_rng(5))
-    assert a == b
-    scores = [s for _, _, s in a]
-    assert scores == sorted(scores, reverse=True)
-    assert all(m1 != m2 for m1, m2, _ in a)
-    assert len({(m1, m2) for m1, m2, _ in a}) == len(a)
-    assert len(a) == 25
+def _steadiness(row):
+    magnitude = np.abs(row[np.isfinite(row)])
+    return magnitude.mean() / magnitude.std()
 
 
-def test_seed_ranking_pool_capped_by_pair_count():
-    matrix = _toy_matrix(n_tones=3)
-    ranked = rank_seed_pairs(
-        matrix, 10.0, GaParams(seed_pool=500), np.random.default_rng(0)
-    )
-    assert len(ranked) == 6  # 3 * 2 ordered pairs
+def _best_pair_over(matrix, d):
+    """The best single pair over denominator d by a ``fitness`` loop, ties to
+    the lowest numerator, and its band ratio."""
+    pairs = [
+        Genome(np.array([1.0 + 0j]), np.array([m]), d) for m in range(matrix.shape[0]) if m != d
+    ]
+    scores = [fitness(pair, matrix, 10.0) for pair in pairs]
+    best = int(np.argmax(scores))
+    return pairs[best], scores[best]
 
 
-def test_seed_ranking_scores_equal_pair_fitness(impaired_trace):
-    matrix = average_phase_blocks(impaired_trace, 5).values
-    ranked = rank_seed_pairs(matrix, 10.0, GaParams(), np.random.default_rng(0))
-    assert len(ranked) == 200
-    for m1, m2, score in ranked:
-        pair = Genome(np.array([1.0 + 0j]), np.array([m1]), m2)
-        assert score == fitness(pair, matrix, 10.0)
+def test_denominator_is_the_steadiest_kept_row(rng):
+    matrix = 1.0 + rng.normal(size=(5, 100)) + 1j * rng.normal(size=(5, 100))
+    matrix[1] = 1.0
+    matrix[1, :12] = 0.0  # 12% of the samples flagged: rejected, though steady
+    matrix[3] = 1.0 + 0.1 * (rng.normal(size=100) + 1j * rng.normal(size=100))
+    matrix[3, 7] = np.nan  # a non-finite sample is left out
+    guards = guard_table(matrix)
+    assert guards.rejected.tolist() == [False, True, False, False, False]
+    steadiness = [_steadiness(row) for row in matrix]
+    assert steadiness[1] > max(steadiness[m] for m in (0, 2, 4))
+    assert int(np.argmax(steadiness)) == 3
+    assert pick_denominator(matrix, guards) == 3
+    matrix[2] = matrix[3]  # a tie goes to the lowest index
+    assert pick_denominator(matrix, guard_table(matrix)) == 2
+    flat = np.ones((3, 10), dtype=complex)  # constant magnitude: infinitely steady
+    flat[1] *= 2.0
+    assert pick_denominator(flat, guard_table(flat)) == 0
+    silent = np.zeros((3, 10), dtype=complex)  # no kept row
+    assert pick_denominator(silent, guard_table(silent)) == 0
+
+
+def test_fallback_pair_is_the_best_pair_over_the_denominator(impaired_trace):
+    matrix = average_phase_blocks(impaired_trace, 5).values[:, :100]
+    solution = solve_delay_basis(matrix, impaired_trace.grid.center_frequency_hz, 10.0)
+    d = pick_denominator(matrix, guard_table(matrix))
+    assert solution.genome.denominator_index == d
+    pair, score = _best_pair_over(matrix, d)
+    assert solution.pair_fitness == score == fitness(pair, matrix, 10.0)
+    assert solution.fitness >= solution.pair_fitness
+    # every pair over d ties (a rejected denominator scores 0): the lowest numerator
+    silent = np.zeros((3, 100), dtype=complex)
+    solution = solve_delay_basis(silent, _toy_frequencies(3), 10.0)
+    assert solution.genome.numerator_indices.tolist() == [1]
+    assert solution.fitness == solution.pair_fitness == 0.0
 
 
 # ----------------------------------------------------------------------------
@@ -261,35 +227,12 @@ def test_toy_grid_search_matches_exhaustive():
     best = max(scores, key=scores.get)  # the first maximum: lowest denominator, then numerator
     assert best_single_pair(matrix, 10.0) == (*best, scores[best])
     assert best_single_pair(matrix, 10.0, guards) == (*best, scores[best])
-    # every pair in a random ranking scores at most the exhaustive best
-    ranked = rank_seed_pairs(matrix, 10.0, GaParams(seed_pool=12), np.random.default_rng(0))
-    assert ranked[0][2] <= scores[best]
+    # the search's fallback is the best of them over its denominator
+    solution = solve_delay_basis(matrix, _toy_frequencies(6), 10.0)
+    d = solution.genome.denominator_index
+    assert solution.pair_fitness == max(scores[(m1, d)] for m1 in range(6) if m1 != d)
     with pytest.raises(ConfigurationError, match="two subcarriers"):
         best_single_pair(matrix[:1], 10.0)
-
-
-@pytest.mark.parametrize("bad", [
-    {"seed_pool": 0},
-    {"seed_pool": -1},
-    {"seed_pool": 10.5},
-    {"seed_pool": 2.0},
-    {"seed_pool": True},
-    {"seed_pool": "200"},
-    {"seed_pool": None},
-    {"seed_pool": float("nan")},
-    {"seed_top": 0},
-    {"seed_top": -1},
-    {"seed_top": 2.5},
-    {"seed_top": 1.0},
-    {"seed_top": False},
-    {"seed_top": "20"},
-    {"seed_top": None},
-    {"seed_top": float("inf")},
-])
-def test_ga_params_reject_bad_values(bad):
-    # the search starts from the best ranked pair, so both need at least one
-    with pytest.raises(ConfigurationError, match=rf"ga\.{next(iter(bad))} must be an integer >= 1"):
-        GaParams(**bad)
 
 
 # ----------------------------------------------------------------------------
@@ -303,8 +246,7 @@ def test_build_streams_covers_every_kept_row():
     matrix = _toy_matrix(n_tones=12, spacing_hz=2.5e6)
     matrix[4] = 0.0  # rejected by the guard
     guards = guard_table(matrix)
-    ranked = rank_seed_pairs(matrix, 10.0, GaParams(seed_pool=20), np.random.default_rng(1))
-    solution = solve_delay_basis(matrix, _toy_frequencies(12, 2.5e6), 10.0, ranked, guards)
+    solution = solve_delay_basis(matrix, _toy_frequencies(12, 2.5e6), 10.0, guards)
     genome = solution.genome
     assert genome.weights.size == 11
     streams = build_streams(solution, matrix, 10.0)
@@ -313,16 +255,15 @@ def test_build_streams_covers_every_kept_row():
     assert streams.sample_rate_hz == 10.0
     # a single-pair numerator over its own row would be constant up to the
     # rounding of x / x, so that row is left out
-    m1, d, score = ranked[0]
-    pair = GassSolution(Genome(np.array([1.0 + 0j]), np.array([m1]), d), score)
+    m1, d = 11, genome.denominator_index
+    pair = GassSolution(Genome(np.array([1.0 + 0j]), np.array([m1]), d), 1.0)
     fallback = build_streams(pair, matrix, 10.0)
     assert fallback.denominators.tolist() == [m for m in range(12) if m not in (4, m1)]
 
 
 def test_build_streams_values_match_direct_ratio():
     matrix = _toy_matrix(n_tones=4, spacing_hz=2.5e6)
-    ranked = rank_seed_pairs(matrix, 10.0, GaParams(seed_pool=10), np.random.default_rng(5))
-    solution = solve_delay_basis(matrix, _toy_frequencies(4, 2.5e6), 10.0, ranked)
+    solution = solve_delay_basis(matrix, _toy_frequencies(4, 2.5e6), 10.0)
     streams = build_streams(solution, matrix, 10.0)
     assert len(streams) == 4
     for values, denominator in zip(streams.values, streams.denominators):
@@ -335,18 +276,16 @@ def test_build_streams_values_match_direct_ratio():
         np.testing.assert_allclose(values, expected, rtol=1e-14)
 
 
-def test_shared_guard_table_gives_the_same_outputs(impaired_trace, small_ga):
+def test_shared_guard_table_gives_the_same_outputs(impaired_trace):
     matrix = average_phase_blocks(impaired_trace, 5).values.copy()
     matrix[3, ::25] = 0.0   # a few flagged samples: interpolated
     matrix[7, ::2] = 0.0    # half of them flagged: rejected
     guards = guard_table(matrix)
     assert guards.rejected[7] and not guards.rejected[3] and guards.flagged[3].any()
-    shared = rank_seed_pairs(matrix, 10.0, small_ga, np.random.default_rng(4), guards=guards)
-    assert shared == rank_seed_pairs(matrix, 10.0, small_ga, np.random.default_rng(4))
     frequencies = impaired_trace.grid.center_frequency_hz
-    a = solve_delay_basis(matrix, frequencies, 10.0, shared, guards)
-    b = solve_delay_basis(matrix, frequencies, 10.0, shared)
-    assert a.fitness == b.fitness
+    a = solve_delay_basis(matrix, frequencies, 10.0, guards)
+    b = solve_delay_basis(matrix, frequencies, 10.0)
+    assert a.fitness == b.fitness and a.pair_fitness == b.pair_fitness
     for part in ("weights", "numerator_indices"):
         assert getattr(a.genome, part).tobytes() == getattr(b.genome, part).tobytes()
     assert best_single_pair(matrix, 10.0, guards) == best_single_pair(matrix, 10.0)
@@ -389,80 +328,85 @@ def _window(trace, k1=5, seed=None):
     return average_phase_blocks(trace, k1).values[:, :100]
 
 
-def _solve(matrix, frequencies, fs=10.0, seed=0):
-    ranked = rank_seed_pairs(matrix, fs, GaParams(), np.random.default_rng(seed))
-    return solve_delay_basis(matrix, frequencies, fs, ranked[:20]), ranked
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_delay_basis_fitness_equals_eigenvalue(breathing_trace, seed):
     frequencies = breathing_trace.grid.center_frequency_hz
     matrix = _window(breathing_trace, seed=seed)
-    solution, ranked = _solve(matrix, frequencies, seed=seed)
+    solution = solve_delay_basis(matrix, frequencies, 10.0)
     genome = solution.genome
     assert genome.weights.size == matrix.shape[0] - 1  # not the fallback
     assert solution.fitness == fitness(genome, matrix, 10.0)
     expected = _eigenvalue(matrix, frequencies, 10.0, genome.denominator_index)
     np.testing.assert_allclose(solution.fitness, expected, rtol=1e-9)
-    assert genome.denominator_index == ranked[0][1]
-    assert solution.fitness > solution.seeded_best_fitness == ranked[0][2]
-    assert solution.seeded_pairs == tuple((m1, m2) for m1, m2, _ in ranked[:20])
+    assert genome.denominator_index == pick_denominator(matrix, guard_table(matrix))
+    assert solution.fitness > solution.pair_fitness
+    assert solution.pair_fitness == _best_pair_over(matrix, genome.denominator_index)[1]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_delay_basis_weights_are_canonical(breathing_trace, seed):
     matrix = _window(breathing_trace, seed=seed)
-    weights = _solve(matrix, breathing_trace.grid.center_frequency_hz)[0].genome.weights
+    frequencies = breathing_trace.grid.center_frequency_hz
+    weights = solve_delay_basis(matrix, frequencies, 10.0).genome.weights
     top = int(np.argmax(np.abs(weights)))
     assert weights[top] == 1.0 and np.abs(weights).max() == 1.0
     # the same window rotated and rescaled has the same ratios up to
     # rounding, and solves to the same weights: the eigenvector's arbitrary
     # phase does not leak out
     scaled = matrix * (0.5 * np.exp(0.7j))
-    again = _solve(scaled, breathing_trace.grid.center_frequency_hz)[0].genome.weights
+    again = solve_delay_basis(scaled, frequencies, 10.0).genome.weights
     np.testing.assert_allclose(again, weights, rtol=1e-7, atol=1e-9)
 
 
 def test_delay_basis_is_never_below_the_best_pair(breathing_trace):
+    # the best pair the search has: its fallback, the best single pair over d
     frequencies = breathing_trace.grid.center_frequency_hz
     # noise-free CSI spans too few dimensions: B is singular, Cholesky fails
     clean = _window(breathing_trace)
-    solution, ranked = _solve(clean, frequencies)
-    m1, d, score = ranked[0]
+    solution = solve_delay_basis(clean, frequencies, 10.0)
+    fallback, score = _best_pair_over(clean, solution.genome.denominator_index)
     assert solution.genome.weights.tolist() == [1.0]
-    assert solution.genome.numerator_indices.tolist() == [m1]
-    assert solution.genome.denominator_index == d
-    assert solution.fitness == score == fitness(solution.genome, clean, 10.0)
+    assert solution.genome.numerator_indices.tolist() == fallback.numerator_indices.tolist()
+    assert solution.fitness == solution.pair_fitness == score
     # grids with fewer numerator rows than delays, and a noisy full grid
     for n_tones in (2, 3, 6):
         for seed in range(3):
             matrix = _toy_matrix(n_tones=n_tones, seed=seed)
-            solution, ranked = _solve(matrix, _toy_frequencies(n_tones), seed=seed)
-            assert solution.fitness >= ranked[0][2]
+            solution = solve_delay_basis(matrix, _toy_frequencies(n_tones), 10.0)
+            assert solution.fitness >= solution.pair_fitness
+            d = solution.genome.denominator_index
+            assert solution.pair_fitness == _best_pair_over(matrix, d)[1]
             assert solution.fitness == fitness(solution.genome, matrix, 10.0)
     for seed in range(5):
-        solution, ranked = _solve(_window(breathing_trace, seed=seed), frequencies, seed=seed)
-        assert solution.fitness >= ranked[0][2]
+        matrix = _window(breathing_trace, seed=seed)
+        solution = solve_delay_basis(matrix, frequencies, 10.0)
+        assert solution.fitness >= solution.pair_fitness
 
 
-def test_delay_basis_falls_back_when_the_solve_scores_lower(breathing_trace):
+def test_delay_basis_falls_back_when_the_solve_scores_lower(breathing_trace, monkeypatch):
     matrix = _window(breathing_trace, seed=1)
     frequencies = breathing_trace.grid.center_frequency_hz
-    ranked = rank_seed_pairs(matrix, 10.0, GaParams(), np.random.default_rng(0))
-    better = [(ranked[0][0], ranked[0][1], np.inf)]  # a pair no solve can beat
-    solution = solve_delay_basis(matrix, frequencies, 10.0, better)
-    assert solution.genome.weights.size == 1 and solution.fitness == np.inf
+    solved = solve_delay_basis(matrix, frequencies, 10.0)
+    assert solved.fitness > solved.pair_fitness > 0.0
+    # a solve whose genome scores 0, below any pair with a breathing band
+    silent = Genome(np.zeros(1, dtype=complex), np.array([0]), solved.genome.denominator_index)
+    monkeypatch.setattr(gass, "_solve", lambda *args: silent)
+    solution = solve_delay_basis(matrix, frequencies, 10.0)
+    assert solution.genome.weights.tolist() == [1.0]
+    assert solution.fitness == solution.pair_fitness == solved.pair_fitness
 
 
 def test_delay_basis_interpolates_a_flagged_denominator(breathing_trace, monkeypatch):
     frequencies = breathing_trace.grid.center_frequency_hz
     matrix = _window(breathing_trace, seed=2).copy()
-    ranked = rank_seed_pairs(matrix, 10.0, GaParams(), np.random.default_rng(0))
-    m1, d, _ = ranked[0]
+    d = 7
     matrix[d, [0, 40, 41, 99]] = 0.0  # flagged, not rejected
+    # the flagged samples make row d unsteady; make it the denominator anyway
+    monkeypatch.setattr(gass, "pick_denominator", lambda matrix, guards: d)
     guards = guard_table(matrix)
     assert guards.flagged[d].any() and not guards.rejected[d]
-    pair = fitness(Genome(np.array([1.0 + 0j]), np.array([m1]), d), matrix, 10.0)
     calls = []
     original = GuardTable.ratio
 
@@ -471,8 +415,9 @@ def test_delay_basis_interpolates_a_flagged_denominator(breathing_trace, monkeyp
         return original(self, numerator, denominator, row)
 
     monkeypatch.setattr(GuardTable, "ratio", spy)
-    solution = solve_delay_basis(matrix, frequencies, 10.0, [(m1, d, pair)], guards)
-    assert calls.count(d) == 8  # one per projected row; ``fitness`` adds its own
+    solution = solve_delay_basis(matrix, frequencies, 10.0, guards)
+    # one per fallback pair over d and one per projected row
+    assert calls.count(d) == matrix.shape[0] - 1 + 8
     assert solution.genome.weights.size == matrix.shape[0] - 1
     np.testing.assert_allclose(
         solution.fitness, _eigenvalue(matrix, frequencies, 10.0, d), rtol=1e-9
@@ -481,9 +426,7 @@ def test_delay_basis_interpolates_a_flagged_denominator(breathing_trace, monkeyp
 
 def test_delay_basis_input_validation():
     matrix = _toy_matrix(n_tones=4)
-    with pytest.raises(ConfigurationError, match="ranked pair"):
-        solve_delay_basis(matrix, _toy_frequencies(4), 10.0, [])
     with pytest.raises(ConfigurationError, match="center frequency"):
-        solve_delay_basis(matrix, _toy_frequencies(3), 10.0, [(0, 1, 1.0)])
+        solve_delay_basis(matrix, _toy_frequencies(3), 10.0)
     with pytest.raises(ConfigurationError, match="two subcarriers"):
-        solve_delay_basis(matrix[:1], _toy_frequencies(1), 10.0, [(0, 1, 1.0)])
+        solve_delay_basis(matrix[:1], _toy_frequencies(1), 10.0)

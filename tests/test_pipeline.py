@@ -1,8 +1,5 @@
 import dataclasses
-import itertools
-import math
 import os
-import types
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
@@ -13,7 +10,6 @@ from hypothesis import strategies as st
 
 from csibreath import parallel
 from csibreath.errors import ConfigurationError, NoWindowError
-from csibreath.gass import GaParams, GassSolution
 from csibreath.grid import custom_grid, default_grid
 from csibreath.pipeline import (
     DETECTION_TOLERANCE_BPM,
@@ -37,7 +33,7 @@ from csibreath.simulate import (
     generate_ideal_csi,
 )
 
-_FAST = PipelineConfig(ga=GaParams(seed_pool=16, seed_top=4))
+_CONFIG = PipelineConfig()
 
 
 def _quick_scenario(duration_s=12.0, events=(), fs=20.0):
@@ -68,10 +64,10 @@ def test_segment_accepts_quiet_breathing(breathing_trace):
 
 
 def test_reference_pair_must_be_on_the_grid(breathing_trace):
-    plan = segment(breathing_trace, dataclasses.replace(_FAST, reference_pair=(3, 217)))
+    plan = segment(breathing_trace, dataclasses.replace(_CONFIG, reference_pair=(3, 217)))
     assert plan.reference_pair == (3, 217)
     with pytest.raises(ConfigurationError, match="below 218"):
-        segment(breathing_trace, dataclasses.replace(_FAST, reference_pair=(0, 218)))
+        segment(breathing_trace, dataclasses.replace(_CONFIG, reference_pair=(0, 218)))
 
 
 def test_segment_rejects_event_frame(grid):
@@ -93,7 +89,7 @@ def test_segment_rejects_event_frame(grid):
 @pytest.mark.parametrize("k1", [5, 7])
 def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
     # 11 s windows: 10 s of packets hold only 9.94 s of whole 7-packet blocks
-    config = dataclasses.replace(_FAST, phase_block=k1, window_s=11.0)
+    config = dataclasses.replace(_CONFIG, phase_block=k1, window_s=11.0)
     plan = segment(impaired_trace, config)
     assert plan.block_size == k1
     window_samples = plan.window_frames * plan.frame_samples
@@ -139,6 +135,10 @@ def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
         {"reference_pair": (True, 2)},
         {"phase_block": "3"},               # quoted in YAML
         {"mu": float("inf")},
+        {"motion_threshold_rad": "abc"},
+        {"motion_threshold_rad": float("nan")},
+        {"motion_threshold_rad": True},
+        {"motion_threshold_rad": None},
     ],
 )
 def test_pipeline_config_rejects_bad_geometry(fields):
@@ -149,9 +149,10 @@ def test_pipeline_config_rejects_bad_geometry(fields):
 def test_pipeline_config_window_is_whole_frames(breathing_trace):
     # round(10.4) = 10 frames of 1 s: accepted, although window_s is under
     # 10.5 s, and segmented as 10 whole frames
-    config = dataclasses.replace(_FAST, window_s=10.4)
+    config = dataclasses.replace(_CONFIG, window_s=10.4)
     assert segment(breathing_trace, config).window_frames == 10
-    assert segment(breathing_trace, dataclasses.replace(_FAST, window_s=10.6)).window_frames == 11
+    longer = dataclasses.replace(_CONFIG, window_s=10.6)
+    assert segment(breathing_trace, longer).window_frames == 11
 
 
 def _loop_metric(trace, config):
@@ -187,7 +188,7 @@ def test_segment_metric_equals_the_frame_loop(grid, fs, fields):
     trace = apply_impairments(
         generate_ideal_csi(scenario, grid), ImpairmentConfig(gaussian_noise_std=0.02, seed=5)
     )
-    plan, metric = _loop_metric(trace, dataclasses.replace(_FAST, **fields))
+    plan, metric = _loop_metric(trace, dataclasses.replace(_CONFIG, **fields))
     assert plan.motion_metric.tobytes() == metric.tobytes()
 
 
@@ -202,10 +203,10 @@ def _check_nan_in_frame_14(grid, rows):
     values = trace.values.copy()
     values[rows, 14 * 50 + 7] = np.nan
     bad = CsiTrace(values, trace.times_s, trace.sample_rate_hz, grid)
-    plan = segment(bad, _FAST)
+    plan = segment(bad, _CONFIG)
     assert np.flatnonzero(~plan.accepted).tolist() == [14]
     assert plan.window_starts.tolist() == [0, 1, 2, 3, 4, *range(15, 21)]
-    results = run_pipeline(bad, _FAST, plan=plan)
+    results = run_pipeline(bad, _CONFIG, plan=plan)
     assert all(abs(r.estimate.f_bpm - 15.0) < 1.0 for r in results)
     assert all(np.isfinite(list(r.stage_band_ratios.values())).all() for r in results)
     return plan
@@ -229,7 +230,7 @@ def test_segment_rejects_frames_shorter_than_a_packet(grid):
     trace = generate_ideal_csi(_quick_scenario(duration_s=15.0), grid)
     slow = CsiTrace(trace.values, trace.times_s, 0.4, grid)
     with pytest.raises(ConfigurationError, match="one packet"):
-        segment(slow, _FAST)
+        segment(slow, _CONFIG)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +243,7 @@ def test_segment_rejects_frames_shorter_than_a_packet(grid):
 )
 def test_segment_rejects_windows_short_of_whole_blocks(grid, fs, fields):
     trace = generate_ideal_csi(_quick_scenario(duration_s=15.0, fs=fs), grid)
-    config = dataclasses.replace(_FAST, **fields)  # passes the check in seconds
+    config = dataclasses.replace(_CONFIG, **fields)  # passes the check in seconds
     with pytest.raises(ConfigurationError, match="under the 10 s minimum"):
         segment(trace, config)
     with pytest.raises(ConfigurationError, match="under the 10 s minimum"):
@@ -250,7 +251,7 @@ def test_segment_rejects_windows_short_of_whole_blocks(grid, fs, fields):
 
 
 def test_segment_threshold_can_reject_everything(breathing_trace):
-    config = dataclasses.replace(_FAST, motion_threshold_rad=-1.0)
+    config = dataclasses.replace(_CONFIG, motion_threshold_rad=-1.0)
     plan = segment(breathing_trace, config)
     assert not plan.accepted.any()
     with pytest.raises(NoWindowError):
@@ -265,7 +266,7 @@ def test_segment_threshold_can_reject_everything(breathing_trace):
 
 
 def test_run_pipeline_estimates_breathing(impaired_trace):
-    results = run_pipeline(impaired_trace, _FAST, seed=0)
+    results = run_pipeline(impaired_trace, _CONFIG)
     assert len(results) == 6
     for i, r in enumerate(results):
         assert r.window_id == i
@@ -280,14 +281,14 @@ def test_run_pipeline_estimates_breathing(impaired_trace):
 
 
 def test_run_pipeline_searches_in_closed_form(impaired_trace):
-    results = run_pipeline(impaired_trace, _FAST, seed=0)
+    results = run_pipeline(impaired_trace, _CONFIG)
     for r in results:
         genome = r.solution.genome
         assert genome.weights.size == 217       # every row but the denominator
-        assert r.solution.fitness >= r.solution.seeded_best_fitness
+        assert r.solution.fitness >= r.solution.pair_fitness
         assert r.stage_band_ratios["gass"] == r.solution.fitness
     with pytest.raises(ConfigurationError, match="grid"):
-        run_pipeline(dataclasses.replace(impaired_trace, grid=None), _FAST)
+        run_pipeline(dataclasses.replace(impaired_trace, grid=None), _CONFIG)
 
 
 def _same_genome(a, b):
@@ -299,8 +300,8 @@ def _same_genome(a, b):
 
 
 def test_run_pipeline_deterministic(impaired_trace):
-    a = run_pipeline(impaired_trace, _FAST, seed=5)
-    b = run_pipeline(impaired_trace, _FAST, seed=5)
+    a = run_pipeline(impaired_trace, _CONFIG)
+    b = run_pipeline(impaired_trace, _CONFIG)
     for ra, rb in zip(a, b):
         assert ra.estimate.f_bpm == rb.estimate.f_bpm
         assert _same_genome(ra.solution.genome, rb.solution.genome)
@@ -308,104 +309,55 @@ def test_run_pipeline_deterministic(impaired_trace):
 
 
 def test_replay_window_reproduces_estimates(impaired_trace):
-    results = run_pipeline(impaired_trace, _FAST, seed=2)
+    results = run_pipeline(impaired_trace, _CONFIG)
     for r in results:
-        replayed = replay_window(impaired_trace, r, _FAST)
+        replayed = replay_window(impaired_trace, r, _CONFIG)
         assert replayed.f_bpm == r.estimate.f_bpm
         assert replayed.flags == r.estimate.flags
         np.testing.assert_array_equal(replayed.acf, r.estimate.acf)
 
 
 def test_replay_requires_solution(impaired_trace):
-    results = run_pipeline(impaired_trace, _FAST, seed=2)
+    results = run_pipeline(impaired_trace, _CONFIG)
     broken = dataclasses.replace(results[0], solution=None)
     with pytest.raises(ConfigurationError):
-        replay_window(impaired_trace, broken, _FAST)
+        replay_window(impaired_trace, broken, _CONFIG)
 
 
-def test_reuse_skips_search_when_quality_stable(impaired_trace):
-    eager = dataclasses.replace(_FAST, reuse_tolerance=10.0)
-    results = run_pipeline(impaired_trace, eager, seed=0)
-    assert not results[0].gass_reused          # nothing to reuse yet
-    assert all(r.gass_reused for r in results[1:])
-    fresh = run_pipeline(impaired_trace, _FAST, seed=0)  # tolerance 0
-    assert not any(r.gass_reused for r in fresh)
-    # reused windows keep the genome but re-score it on their own data
-    reused = results[1]
-    assert _same_genome(reused.solution.genome, results[0].solution.genome)
-
-
-def _serial_chain(bests, tolerance):
-    """(reused, root) of each window from the serial search loop: a window
-    keeps the previous window's solution while its best pair's band ratio
-    moves by less than ``tolerance``; its root is the window that solved."""
-    def relative_change(new, old):
-        if math.isinf(new) and math.isinf(old):
-            return 0.0
-        if old == 0.0:
-            return math.inf if new != 0.0 else 0.0
-        if math.isinf(new) or math.isinf(old):
-            return math.inf
-        return abs(new - old) / abs(old)
-
-    chain = []
-    for window_id, best in enumerate(bests):
-        reused = (
-            window_id > 0 and tolerance > 0
-            and relative_change(best, bests[window_id - 1]) < tolerance
-        )
-        chain.append((reused, chain[-1][1] if reused else window_id))
-    return chain
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    bests=st.lists(st.sampled_from([0.0, math.inf, 1.0, 1.5, 2.0, 3.0, 4.0]), min_size=1, max_size=8),
-    tolerance=st.sampled_from([0.0, 0.5]),  # 1 -> 1.5, 2 -> 3 and 2 -> 1 move by exactly 0.5
-)
-def test_chunked_reuse_chain_is_the_serial_chain(bests, tolerance):
+@settings(max_examples=20, deadline=None)
+@given(count=st.integers(1, 7), config=st.sampled_from([
+    _CONFIG, PipelineConfig(window_s=12.0, phase_block=3),  # 3 does not divide a frame
+]))
+def test_window_chunks_carry_only_their_own_windows(count, config):
     import csibreath.pipeline as pipeline
 
-    n = len(bests)
-    # one-block windows whose single value is their window id
-    averaged = CsiTrace.uniform(
-        np.arange(n, dtype=complex)[None, :], 1.0, custom_grid(np.array([2.452e9]))
-    )
-    solves = []
+    plan = segment(_CHUNKED_TRACE, config)
+    n = plan.window_starts.size
+    assert n > 7 and np.diff(plan.window_starts).max() > 1  # the event leaves a gap
+    chunks = pipeline._window_chunks(plan, count)
+    assert len(chunks) == min(count, n)
+    assert [c.first for c in chunks] == [0, *(c.stop for c in chunks[:-1])]
+    assert chunks[-1].stop == n
+    blocks = plan.window_frames * plan.frame_samples // plan.block_size
+    for chunk in chunks:
+        for window_id in range(chunk.first, chunk.stop):
+            window = chunk.window(window_id)
+            expected = plan.window(int(plan.window_starts[window_id]))
+            assert window.values.tobytes() == expected.values.tobytes()
+            assert window.times_s.tobytes() == expected.times_s.tobytes()
+        # no block before the chunk's first window or after its last
+        first, last = plan.window_starts[[chunk.first, chunk.stop - 1]]
+        span = (last - first) * plan.frame_samples // plan.block_size + blocks
+        assert abs(len(chunk.averaged) - span) <= 1
 
-    def solve(matrix, frequencies, rate, pairs, guards):
-        solves.append(int(matrix[0, 0].real))
-        return GassSolution(None, 0.0, seeded_best_fitness=matrix[0, 0].real)
 
-    fake_search = types.SimpleNamespace(
-        rank_seed_pairs=lambda matrix, *a, **k: [(0, 1, bests[int(matrix[0, 0].real)])],
-        solve_delay_basis=solve,
-        fitness=lambda genome, matrix, rate: 1.0,
-    )
-    expected = _serial_chain(bests, tolerance)
-    config = dataclasses.replace(_FAST, reuse_tolerance=tolerance)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline, "gass_mod", fake_search)
-        patch.setattr(pipeline, "guard_table", lambda matrix: None)
-        patch.setattr(pipeline, "_run_stages", lambda *args: None)
-        # every split of the windows into 1 to 5 contiguous chunks
-        for cuts in range(min(5, n)):
-            for inner in itertools.combinations(range(1, n), cuts):
-                edges = (0, *inner, n)
-                chain = []
-                for first, stop in zip(edges, edges[1:]):
-                    base = 0 if tolerance > 0 else first
-                    chunk = pipeline._WindowChunk(
-                        averaged[base:stop], base, first, stop, tuple(range(stop - base)), 1
-                    )
-                    chain += [
-                        (reused, solution.seeded_best_fitness)
-                        for solution, reused, _ in pipeline._run_windows(chunk, config, 0)
-                    ]
-                assert chain == expected, edges
-                if tolerance == 0:
-                    assert solves[-n:] == list(range(n))  # no walk-back
-                solves.clear()
+_CHUNKED_TRACE = apply_impairments(
+    generate_ideal_csi(
+        _quick_scenario(40.0, events=(MotionEvent(time_s=15.5, static_shift_m=3.3),)),
+        custom_grid(2.452e9 + 12e6 * np.arange(4)),  # the default grid's span
+    ),
+    ImpairmentConfig(gaussian_noise_std=0.02, seed=5),
+)
 
 
 # ----------------------------------------------------------------------------
@@ -416,7 +368,7 @@ def test_chunked_reuse_chain_is_the_serial_chain(bests, tolerance):
 def test_single_component_estimates_track_breathing(breathing_trace):
     for component in ("amplitude", "phase"):
         estimates = single_component_estimates(
-            breathing_trace, component, _FAST
+            breathing_trace, component, _CONFIG
         )
         assert len(estimates) == 6
         values = [e.f_bpm for e in estimates if e is not None and e.f_bpm]
@@ -426,7 +378,7 @@ def test_single_component_estimates_track_breathing(breathing_trace):
 
 def test_single_component_rejects_unknown_name(breathing_trace):
     with pytest.raises(ConfigurationError):
-        single_component_estimates(breathing_trace, "quadrature", _FAST)
+        single_component_estimates(breathing_trace, "quadrature", _CONFIG)
 
 
 # ----------------------------------------------------------------------------
@@ -439,7 +391,7 @@ def test_blind_spot_sweep_structure(grid):
     impairments = ImpairmentConfig(gaussian_noise_std=0.01, seed=3)
     report = blind_spot_sweep(
         scenario, impairments, grid, offsets_m=np.array([0.0, 0.03]),
-        config=_FAST, seed=0,
+        config=_CONFIG,
     )
     assert len(report.rows) == 2 * 3
     methods = {r["method"] for r in report.rows}
@@ -465,7 +417,7 @@ def test_snr_sweep_structure(grid):
     impairments = ImpairmentConfig(seed=1)
     report = snr_sweep(
         scenario, impairments, grid, noise_stds=np.array([0.02]),
-        config=_FAST, seed=0, runs_per_level=1,
+        config=_CONFIG, runs_per_level=1,
     )
     assert len(report.rows) == 2
     for row in report.rows:
@@ -482,12 +434,12 @@ def test_snr_sweep_sums_each_level_over_its_runs(grid):
     import csibreath.pipeline as pipeline
 
     scenario, impairments, levels = _quick_scenario(), ImpairmentConfig(seed=1), [0.02, 0.5, 1.0]
-    report = snr_sweep(scenario, impairments, grid, levels, _FAST, seed=2, runs_per_level=2)
+    report = snr_sweep(scenario, impairments, grid, levels, _CONFIG, runs_per_level=2)
     clean = generate_ideal_csi(scenario, grid)
     rows = iter(report.rows)
     for level, noise_std in enumerate(levels):
         runs = [
-            pipeline._snr_run(noise_std, level, run, clean, impairments, _FAST, 2, 15.0)
+            pipeline._snr_run(noise_std, level, run, clean, impairments, _CONFIG, 15.0)
             for run in range(2)
         ]
         for method in ("full", "amplitude"):
@@ -511,25 +463,25 @@ def test_sweeps_segment_each_trace_once(grid, monkeypatch, set_cpus):
     monkeypatch.setattr(pipeline, "average_phase_blocks", counted)
     blind_spot_sweep(
         _quick_scenario(), ImpairmentConfig(gaussian_noise_std=0.01, seed=3), grid,
-        offsets_m=np.array([0.0, 0.03]), config=_FAST,
+        offsets_m=np.array([0.0, 0.03]), config=_CONFIG,
     )
     assert len(calls) == 2
     snr_sweep(
         _quick_scenario(), ImpairmentConfig(seed=1), grid,
-        noise_stds=np.array([0.02]), config=_FAST, runs_per_level=2,
+        noise_stds=np.array([0.02]), config=_CONFIG, runs_per_level=2,
     )
     assert len(calls) == 4
 
 
 def test_shared_plan_gives_the_same_results(impaired_trace):
-    plan = segment(impaired_trace, _FAST)
-    shared = run_pipeline(impaired_trace, _FAST, 3, plan=plan)
-    alone = run_pipeline(impaired_trace, _FAST, 3)
+    plan = segment(impaired_trace, _CONFIG)
+    shared = run_pipeline(impaired_trace, _CONFIG, plan=plan)
+    alone = run_pipeline(impaired_trace, _CONFIG)
     assert [r.estimate.f_bpm for r in shared] == [r.estimate.f_bpm for r in alone]
     assert [r.stage_band_ratios for r in shared] == [r.stage_band_ratios for r in alone]
     for component in ("amplitude", "phase"):
-        a = single_component_estimates(impaired_trace, component, _FAST, plan=plan)
-        b = single_component_estimates(impaired_trace, component, _FAST)
+        a = single_component_estimates(impaired_trace, component, _CONFIG, plan=plan)
+        b = single_component_estimates(impaired_trace, component, _CONFIG)
         assert [e and e.f_bpm for e in a] == [e and e.f_bpm for e in b]
 
 
@@ -546,10 +498,10 @@ def test_each_window_builds_one_guard_table(impaired_trace, monkeypatch, set_cpu
 
     monkeypatch.setattr(pipeline, "guard_table", counted)
     monkeypatch.setattr(gass, "guard_table", counted)
-    results = run_pipeline(impaired_trace, _FAST, 3)
+    results = run_pipeline(impaired_trace, _CONFIG)
     assert len(built) == len(results) > 0
     monkeypatch.undo()
-    alone = run_pipeline(impaired_trace, _FAST, 3)
+    alone = run_pipeline(impaired_trace, _CONFIG)
     assert [r.estimate.f_bpm for r in results] == [r.estimate.f_bpm for r in alone]
 
 
@@ -564,7 +516,7 @@ def test_sweep_requires_sinusoid_truth(grid):
     with pytest.raises(ConfigurationError):
         blind_spot_sweep(
             scenario, ImpairmentConfig(seed=0), grid,
-            offsets_m=np.array([0.0]), config=_FAST,
+            offsets_m=np.array([0.0]), config=_CONFIG,
         )
 
 
@@ -617,7 +569,7 @@ def test_failing_sweep_position_raises_the_serial_exception(grid, set_cpus):
         with pytest.raises(ConfigurationError) as info:
             blind_spot_sweep(
                 _quick_scenario(), ImpairmentConfig(seed=3), grid,
-                offsets_m=np.array([0.0, -20.0]), config=_FAST,
+                offsets_m=np.array([0.0, -20.0]), config=_CONFIG,
             )
         return str(info.value)
 
@@ -632,7 +584,7 @@ def test_sweep_conditions_run_in_a_spawned_worker(grid):
     import csibreath.pipeline as pipeline
 
     args = (1, 0.03, _quick_scenario(), ImpairmentConfig(gaussian_noise_std=0.01, seed=3),
-            grid, _FAST, 0, 15.0)
+            grid, _CONFIG, 15.0)
     with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
         spawned = pool.submit(pipeline._blind_spot_position, *args).result(timeout=120)
     assert spawned == pipeline._blind_spot_position(*args)
@@ -655,4 +607,4 @@ def test_sweep_conditions_run_in_a_spawned_worker(grid):
 )
 def test_sweeps_reject_empty_or_invalid_conditions(grid, sweep, kwargs):
     with pytest.raises(ConfigurationError):
-        sweep(_quick_scenario(), ImpairmentConfig(seed=1), grid, config=_FAST, **kwargs)
+        sweep(_quick_scenario(), ImpairmentConfig(seed=1), grid, config=_CONFIG, **kwargs)

@@ -1,6 +1,7 @@
 """The bench tracer wraps package functions by name and reads some of their
 arguments by name; a rename in the package would silently zero its spans."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 _TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-_GONE = {"simulate.frames_to_matrix", "gass.optimize"}  # removed from the package on purpose
+# removed from the package on purpose
+_GONE = {"simulate.frames_to_matrix", "gass.optimize", "gass.rank_seed_pairs"}
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +47,19 @@ def test_every_traced_function_exists(tracer):
 def test_observed_arguments_are_parameters(tracer, name, argument):
     assert name in tracer.NAMES
     assert argument in inspect.signature(_function(name)).parameters
+
+
+@pytest.mark.parametrize(
+    "cls, attribute",
+    [
+        ("pipeline.WindowResult", "gass_reused"),  # run_pipeline's results
+        ("pipeline.WindowPlan", "accepted"),       # segment's plan
+        ("combine.CombinedSignal", "contributing"),
+    ],
+)
+def test_observed_results_have_their_attributes(cls, attribute):
+    # the observers read these off return values, where a missing one raises
+    module, name = cls.split(".")
+    owner = getattr(importlib.import_module(f"csibreath.{module}"), name)
+    fields = {f.name for f in dataclasses.fields(owner)}
+    assert attribute in fields or hasattr(owner, attribute)
