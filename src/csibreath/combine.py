@@ -11,9 +11,9 @@ inclusive).
 
 A window's streams travel as arrays, one row per stream: ``StreamStack``
 from the fan-out, ``AlignedStack`` from alignment. Alignment and summation
-run on all rows at once. The primitives ``remove_offset``, ``stream_gain``
-and ``align_rotation`` work along the last axis, so one stream and a stack
-go through the same code, and each row of a stack equals its stream alone.
+run on all rows at once. The primitives ``remove_offset`` and
+``stream_gain`` work along the last axis, so one stream and a stack go
+through the same code, and each row of a stack equals its stream alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError
+from .errors import ConfigurationError
 from .ratio import StreamStack, ssnr_values
 
 logger = logging.getLogger(__name__)
@@ -95,24 +95,6 @@ def stream_gain(offset_removed: np.ndarray, gain_window: int) -> float | np.ndar
     return float(gains) if gains.ndim == 0 else gains
 
 
-def _inner_products(reference: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.sum(reference * np.conj(values), axis=-1)
-
-
-def align_rotation(reference: np.ndarray, values: np.ndarray) -> float | np.ndarray:
-    """Rotation minimizing sum |reference - values * exp(j theta)|^2, for one
-    stream (a float) or each row of a stack (an array).
-
-    Closed form: the angle of the inner product <reference, values>. Raises
-    AlignmentError when an inner product is zero.
-    """
-    inner = _inner_products(reference, values)
-    if np.any(inner == 0):
-        raise AlignmentError("zero inner product: rotation undefined")
-    angles = np.angle(inner)
-    return float(angles) if angles.ndim == 0 else angles
-
-
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Smooth a series over ``window`` samples: centered, length-preserving,
     edges averaged over the samples actually available."""
@@ -148,7 +130,9 @@ def align_streams(streams: StreamStack, gain_window: int) -> AlignedStack:
     normalized = offset_removed[live] / gains[live, None]
 
     reference = int(np.argmax(betas[live]))  # band ratios are never NaN
-    inner = _inner_products(normalized[reference], normalized)
+    # the rotation minimizing sum |reference - row * exp(j theta)|^2 is the
+    # angle of <reference, row>, undefined when that is zero
+    inner = np.sum(normalized[reference] * np.conj(normalized), axis=-1)
     rotations = np.angle(inner)
     rotations[reference] = 0.0
     alignable = inner != 0

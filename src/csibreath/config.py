@@ -34,6 +34,7 @@ from .simulate import (
 logger = logging.getLogger(__name__)
 
 TOP_LEVEL_KEYS = {"grid", "scenario", "impairments", "input", "pipeline", "sweep", "outputs"}
+SWEEP_KEYS = {"offsets_m", "positions", "span_wavelengths", "noise_stds", "runs_per_level"}
 
 # Settings of searches the closed-form, deterministic one replaced: the
 # genetic algorithm, its solution reuse and its random pair ranking. Configs
@@ -173,7 +174,9 @@ def scenario_from_config(config: dict) -> ChannelScenario:
 
 def sweep_from_config(config: dict) -> dict:
     """The sweep section as a mapping; absent or empty means no settings."""
-    return _section(config, "sweep", "sweep")
+    sweep = _section(config, "sweep", "sweep")
+    _reject_unknown(sweep, SWEEP_KEYS, "sweep")
+    return sweep
 
 
 def impairments_from_config(config: dict, seed_offset: int = 0) -> ImpairmentConfig:

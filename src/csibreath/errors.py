@@ -1,11 +1,12 @@
-"""Exception taxonomy shared across the package, and the integer check that
-configuration values share.
+"""Exception taxonomy shared across the package, and the integer and real
+number checks that configuration values share.
 
 The CLI maps these onto process exit codes, so new error conditions should
 subclass one of the existing categories rather than raising bare ValueError.
 """
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class CsiBreathError(Exception):
@@ -40,10 +41,6 @@ class DegenerateScenarioError(CsiBreathError):
     """A simulation scenario violates its physical preconditions."""
 
 
-class AlignmentError(CsiBreathError):
-    """Stream rotation alignment is undefined (zero inner product)."""
-
-
 class ZeroVarianceError(CsiBreathError):
     """Autocorrelation of a constant (zero-variance) series is undefined."""
 
@@ -53,3 +50,18 @@ def check_integer(name: str, value, minimum: int) -> None:
     of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, minimum: float = -math.inf, finite: bool = True) -> None:
+    """Raise ConfigurationError unless ``value`` is a real number (not a bool,
+    not NaN) of at least ``minimum``, and finite unless ``finite`` is false."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or math.isnan(value)
+        or (finite and math.isinf(value))
+        or value < minimum
+    ):
+        bound = f" >= {minimum:g}" if minimum > -math.inf else ""
+        kind = "a finite number" if finite else "a number"
+        raise ConfigurationError(f"{name} must be {kind}{bound}, got {value!r}")

@@ -17,9 +17,12 @@ Haeb-Umbach, IEEE TASLP 2007). The best single pair over the denominator
 is an explicit fallback, so the result is never worse than any of them.
 
 ``best_single_pair`` scores all n(n-1) ordered single pairs, the exact
-reference that ``gass-audit`` compares the solve against. The paper's own
-search is a genetic algorithm; the closed form replaced it after beating it
-on every held-out evaluation row (README).
+reference that ``gass-audit`` compares the solve against. Every ratio here,
+of a pair batch, of the projected basis and of the stream fan-out, is one
+``GuardTable.divide`` call, so each is guarded exactly as ``fitness``
+guards a genome. The paper's own search is a genetic algorithm; the closed
+form replaced it after beating it on every held-out evaluation row
+(README).
 
 Products over the full band are ``np.einsum`` sums rather than ``@``: a BLAS
 matrix-vector product over ~200 rows changes its last bits with the BLAS
@@ -157,12 +160,7 @@ def _pair_scores(
     rows = np.einsum(
         "pn,pnk->pk", np.ones((numerators.size, 1), dtype=complex), matrix[numerators, None]
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = (rows / matrix[d]).astype(complex, copy=False)
-    if guards.flagged[d].any():
-        for j, row in enumerate(rows):
-            values[j], _ = guards.ratio(row, matrix[d], d)
-    return ssnr_values(values, sample_rate_hz)
+    return ssnr_values(guards.divide(rows, matrix[d], d), sample_rate_hz)
 
 
 def pick_denominator(matrix: np.ndarray, guards: GuardTable) -> int:
@@ -172,11 +170,14 @@ def pick_denominator(matrix: np.ndarray, guards: GuardTable) -> int:
     kept row it is row 0."""
     magnitude = np.abs(matrix)
     finite = np.isfinite(magnitude)
-    count = finite.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(finite, magnitude, 0.0).sum(axis=1) / count
-        deviation = np.where(finite, magnitude - mean[:, None], 0.0)
-        steadiness = mean / np.sqrt((deviation * deviation).sum(axis=1) / count)
+    count = np.maximum(finite.sum(axis=1), 1)  # a row with no finite sample reads as zero
+    mean = np.where(finite, magnitude, 0.0).sum(axis=1) / count
+    deviation = np.where(finite, magnitude - mean[:, None], 0.0)
+    spread = np.sqrt((deviation * deviation).sum(axis=1) / count)
+    # a constant row is infinitely steady, unless it is zero (0 / 0)
+    steadiness = np.divide(
+        mean, spread, out=np.where(mean > 0, np.inf, np.nan), where=spread > 0
+    )
     steadiness[guards.rejected | np.isnan(steadiness)] = -np.inf
     return int(np.argmax(steadiness))
 
@@ -240,11 +241,7 @@ def _solve(
     delays = np.linspace(-DELAY_SPAN_S, DELAY_SPAN_S, min(DELAY_COUNT, rows.size))
     basis = np.exp(2j * np.pi * np.outer(frequencies[rows] - frequencies.mean(), delays))
     # sum_m F[m, t] (H_m / H_d) = (sum_m F[m, t] H_m) / H_d, guard interpolation included
-    projected = np.einsum("mt,mk->tk", basis, matrix[rows])
-    if guards.flagged[d].any():
-        projected = np.array([guards.ratio(row, matrix[d], d)[0] for row in projected])
-    else:
-        projected = projected / matrix[d]
+    projected = guards.divide(np.einsum("mt,mk->tk", basis, matrix[rows]), matrix[d], d)
     windowed, low, in_band, nfft = band_spectrum(projected, sample_rate_hz)
     band = _hermitian_gram(low[:, in_band])
     out_of_band = nfft * _hermitian_gram(windowed) - _hermitian_gram(low)
@@ -281,8 +278,8 @@ def build_streams(
     numerator rows would leave at most one stream. A numerator with weight
     on a single row leaves that row out, since over itself it is constant
     up to the rounding of x / x. The numerator is divided by all kept rows
-    at once; only rows with flagged samples take the interpolating path.
-    ``guards`` is ``guard_table(matrix)`` when the caller already has it.
+    at once (``GuardTable.divide``). ``guards`` is ``guard_table(matrix)``
+    when the caller already has it.
     """
     genome = solution.genome
     if guards is None:
@@ -293,9 +290,5 @@ def build_streams(
         kept[own] = False
     rows = np.flatnonzero(kept)
     numerator = _numerator(matrix, genome.weights, genome.numerator_indices)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = (numerator / matrix[rows]).astype(complex, copy=False)
-    interpolated = guards.flagged[rows]
-    for j in np.flatnonzero(interpolated.any(axis=1)):
-        values[j], _ = guards.ratio(numerator, matrix[rows[j]], rows[j])
-    return StreamStack(values, sample_rate_hz, rows, interpolated)
+    values = guards.divide(numerator, matrix[rows], rows)
+    return StreamStack(values, sample_rate_hz, rows, guards.flagged[rows])

@@ -25,10 +25,11 @@ its results are put back in order, so no output depends on the CPU count.
 The evaluation sweeps map their conditions (positions, or noise level and
 run). A run maps its windows once, in contiguous chunks, and each chunk
 takes its windows in order from guard table through the search to the
-readout; a window depends on no other, so a chunk receives only its own
-windows' blocks. Inside a pool worker, such as a sweep condition,
-everything runs in-process, and so does everything with one usable CPU
-(``taskset -c 0``).
+readout. A window depends on no other, so a chunk is the plan cut down to
+its own windows and their blocks (``WindowPlan.chunk``), and its windows
+are cut by the same ``WindowPlan.window`` as the whole plan's. Inside a
+pool worker, such as a sweep condition, everything runs in-process, and so
+does everything with one usable CPU (``taskset -c 0``).
 """
 
 from __future__ import annotations
@@ -38,20 +39,18 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from . import gass as gass_mod
 from .combine import GAIN_WINDOW_S, SMOOTHING_S, align_streams, combine
 from .errors import (
-    AlignmentError,
     ConfigurationError,
     NoWindowError,
-    SingularRatioError,
     StreamGuardError,
     ZeroVarianceError,
     check_integer,
+    check_real,
 )
 from .gass import GassSolution
 from .grid import SubcarrierGrid
@@ -80,13 +79,7 @@ logger = logging.getLogger(__name__)
 DETECTION_TOLERANCE_BPM = 1.0
 FRAME_S = 1.0  # motion-gate frame; windows are whole frames and slide by one
 
-_STAGE_ERRORS = (
-    ConfigurationError,
-    StreamGuardError,
-    AlignmentError,
-    SingularRatioError,
-    ZeroVarianceError,
-)
+_STAGE_ERRORS = (ConfigurationError, StreamGuardError, ZeroVarianceError)
 
 
 @dataclass(frozen=True)
@@ -115,11 +108,7 @@ class PipelineConfig:
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigurationError(f"mu must lie in [0, 1], got {self.mu!r}")
         # a negative threshold is allowed: it rejects every frame
-        threshold = self.motion_threshold_rad
-        if isinstance(threshold, bool) or not isinstance(threshold, Real) or math.isnan(threshold):
-            raise ConfigurationError(
-                f"motion_threshold_rad must be a number in rad, got {threshold!r}"
-            )
+        check_real("motion_threshold_rad", self.motion_threshold_rad, finite=False)
         pair = self.reference_pair
         if pair is not None:
             if not isinstance(pair, tuple) or len(pair) != 2 or pair[0] == pair[1]:
@@ -164,7 +153,13 @@ class WindowPlan:
     accepted: np.ndarray       # bool, one per complete frame
     motion_metric: np.ndarray  # peak-to-peak ratio phase per frame, rad
     window_starts: np.ndarray  # frame index of each complete window
-    averaged: CsiTrace         # the whole trace, block-averaged once
+    averaged: CsiTrace         # the trace's blocks from ``first_block`` on
+    first_block: int = 0       # the trace's block that ``averaged`` starts with
+
+    def _blocks(self, start_frame: int) -> tuple[int, int]:
+        """The trace's blocks [first, stop) of the window at ``start_frame``."""
+        first = start_frame * self.frame_samples // self.block_size
+        return first, first + self.window_frames * self.frame_samples // self.block_size
 
     def window(self, start_frame: int) -> CsiTrace:
         """Block-averaged CSI of the window that starts at ``start_frame``.
@@ -174,9 +169,23 @@ class WindowPlan:
         ``block_size`` divides ``frame_samples`` these are exactly the blocks
         of the window's own packets.
         """
-        first = start_frame * self.frame_samples // self.block_size
-        count = self.window_frames * self.frame_samples // self.block_size
-        return self.averaged[first : first + count]
+        first, stop = self._blocks(start_frame)
+        return self.averaged[first - self.first_block : stop - self.first_block]
+
+    def chunk(self, first: int, stop: int) -> WindowPlan:
+        """The plan cut down to windows ``first`` to ``stop - 1``: their
+        starts, and only the averaged blocks they span, so that a pool
+        worker receives each of those blocks once. Its ``window`` cuts them
+        as this plan's does."""
+        starts = self.window_starts[first:stop]
+        lo = self._blocks(int(starts[0]))[0]
+        hi = self._blocks(int(starts[-1]))[1]
+        return dataclasses.replace(
+            self,
+            window_starts=starts,
+            averaged=self.averaged[lo - self.first_block : hi - self.first_block],
+            first_block=lo,
+        )
 
 
 def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan:
@@ -216,8 +225,7 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
             f"for rate estimation (a frame is {frame_samples} packets, phase_block {k1})"
         )
     averaged = average_phase_blocks(trace, k1)
-    with np.errstate(invalid="ignore"):  # a non-finite block fails its frame below
-        ratio_values, _ = guarded_ratio(averaged.values[pair[0]], averaged.values[pair[1]])
+    ratio_values, _ = guarded_ratio(averaged.values[pair[0]], averaged.values[pair[1]])
     phase = unwrap_finite(np.angle(ratio_values))
     phase[~np.isfinite(averaged.values).all(axis=0)] = np.nan  # fails the block's frame
     # the blocks of frame f are those from first[f] up to the next frame's
@@ -320,11 +328,15 @@ def run_pipeline(
     plan = plan if plan is not None else segment(trace, config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
-    chunks = _window_chunks(plan, workers())
+    count = plan.window_starts.size
+    splits = np.array_split(np.arange(count), min(workers(), count))
+    firsts = [int(ids[0]) for ids in splits]
+    chunks = [plan.chunk(int(ids[0]), int(ids[-1]) + 1) for ids in splits]
     run = functools.partial(_run_windows, config=config)
+    outcomes = [item for items in pool_map(run, chunks, firsts) for item in items]
     results: list[WindowResult] = []
     for window_id, (start_frame, (solution, outcome)) in enumerate(
-        zip(plan.window_starts, _flatten(pool_map(run, chunks)))
+        zip(plan.window_starts, outcomes)
     ):
         start_time = float(trace.times_s[start_frame * plan.frame_samples])
         if isinstance(outcome, Exception):
@@ -355,52 +367,18 @@ def run_pipeline(
     return results
 
 
-@dataclass(frozen=True)
-class _WindowChunk:
-    """Windows ``first`` to ``stop - 1`` of a plan and the block-averaged
-    trace they span, so that a pool worker receives each of their blocks
-    once."""
-
-    averaged: CsiTrace
-    first: int
-    stop: int
-    offsets: tuple[int, ...]   # first block in ``averaged`` of each window
-    blocks: int                # blocks per window
-
-    def window(self, window_id: int) -> CsiTrace:
-        """Window ``window_id``, cut as ``WindowPlan.window`` cuts it."""
-        offset = self.offsets[window_id - self.first]
-        return self.averaged[offset : offset + self.blocks]
-
-
-def _window_chunks(plan: WindowPlan, count: int) -> list[_WindowChunk]:
-    """The plan's windows in at most ``count`` contiguous chunks of nearly
-    equal size."""
-    firsts = plan.window_starts * plan.frame_samples // plan.block_size
-    blocks = plan.window_frames * plan.frame_samples // plan.block_size
-    chunks = []
-    for ids in np.array_split(np.arange(firsts.size), min(count, firsts.size)):
-        first, stop = int(ids[0]), int(ids[-1]) + 1
-        lo, hi = int(firsts[first]), int(firsts[stop - 1]) + blocks
-        offsets = tuple((firsts[first:stop] - lo).tolist())
-        chunks.append(_WindowChunk(plan.averaged[lo:hi], first, stop, offsets, blocks))
-    return chunks
-
-
-def _flatten(per_chunk: list[list]) -> list:
-    return [item for items in per_chunk for item in items]
-
-
 def _run_windows(
-    chunk: _WindowChunk, config: PipelineConfig
+    chunk: WindowPlan, first: int, config: PipelineConfig
 ) -> list[tuple[GassSolution, tuple[RespirationEstimate, dict[str, float]] | Exception]]:
-    """(solution, stage outcome) of each window of ``chunk``, in window
-    order: its guard table, its ``gass.solve_delay_basis`` solution, then
-    ``_run_stages``, whose outcome is the estimate and stage band ratios or
-    the stage error that stopped them."""
+    """(solution, stage outcome) of each window of ``chunk``, a plan cut
+    down by ``WindowPlan.chunk`` whose first window is window ``first`` of
+    the run, in window order: its guard table, its
+    ``gass.solve_delay_basis`` solution, then ``_run_stages``, whose outcome
+    is the estimate and stage band ratios or the stage error that stopped
+    them."""
     outcomes: list = []
-    for window_id in range(chunk.first, chunk.stop):
-        window = chunk.window(window_id)
+    for window_id, start_frame in enumerate(chunk.window_starts, first):
+        window = chunk.window(int(start_frame))
         guards = guard_table(window.values)
         solution = gass_mod.solve_delay_basis(
             window.values, window.grid.center_frequency_hz, window.sample_rate_hz, guards

@@ -9,6 +9,11 @@ complex plane that still carries the respiration motion.
 
 Ratios are formed from the rows of a ``CsiTrace`` matrix, usually after
 ``average_phase_blocks`` has averaged the packets of a trace in blocks.
+Every ratio of the package guards its denominator the same way, through
+``GuardTable.divide``: a near-zero denominator sample is flagged and its
+quotient interpolated from its neighbours, and a row with too many flagged
+samples is rejected. It divides whole batches at once, one numerator over
+many rows or many numerators over one row.
 
 The quality metric is the band ratio: spectral energy in the respiration
 band over the energy above it. One zero-padded FFT per row gives the bins up
@@ -88,24 +93,31 @@ class GuardTable:
     median magnitude of its row. A row is rejected when it is flagged
     throughout or when more than ``max_flagged`` of it is flagged. Built once
     per matrix with ``guard_table``, so many ratios over the same rows share
-    one median per row. ``guarded_ratio`` applies the same rule to one row.
+    one median per row. ``divide`` is the one guarded division of the
+    package; ``ratio`` and ``guarded_ratio`` are its one-row case.
     """
 
     flagged: np.ndarray    # bool, (rows, samples)
     rejected: np.ndarray   # bool, one per row
     max_flagged: float
 
-    def ratio(
-        self, numerator: np.ndarray, denominator: np.ndarray, row: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``numerator / denominator`` guarded by the status of ``row``.
+    def divide(
+        self, numerators: np.ndarray, denominators: np.ndarray, rows: int | np.ndarray
+    ) -> np.ndarray:
+        """``numerators / denominators``, guarded by the status of ``rows``.
 
-        ``denominator`` must be the table's row ``row``. Flagged samples are
-        replaced by linear interpolation of the surrounding valid ratio
-        samples (edges clamp to the nearest valid sample). Raises
-        StreamGuardError when the row is rejected.
+        ``denominators`` must be the table's rows ``rows`` (one row index,
+        or an array of them); numerators broadcast against them, so one
+        numerator can go over many rows or many numerators over one row.
+        In every quotient row whose denominator row has flagged samples,
+        those samples are replaced by linear interpolation of the
+        surrounding valid ratio samples (edges clamp to the nearest valid
+        sample); the rest is the plain quotient. Raises StreamGuardError
+        when a row is rejected.
         """
-        if self.rejected[row]:
+        rejected = np.atleast_1d(rows)[np.atleast_1d(self.rejected[rows])]
+        if rejected.size:
+            row = rejected[0]
             if self.flagged[row].all():
                 raise StreamGuardError("denominator is zero throughout the stream")
             share = np.mean(self.flagged[row])
@@ -113,16 +125,26 @@ class GuardTable:
                 f"{share:.1%} of denominator samples failed the guard "
                 f"(limit {self.max_flagged:.0%})"
             )
-        bad = self.flagged[row].copy()
-        values = np.empty_like(numerator, dtype=complex)
-        good = ~bad
-        values[good] = numerator[good] / denominator[good]
-        if np.any(bad):
-            idx = np.arange(values.size)
-            values[bad] = np.interp(
-                idx[bad], idx[good], values[good].real
-            ) + 1j * np.interp(idx[bad], idx[good], values[good].imag)
-        return values, bad
+        # a flagged sample may divide by zero; it is overwritten below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = (numerators / denominators).astype(complex, copy=False)
+        quotients = values.reshape(-1, values.shape[-1])
+        flagged = np.broadcast_to(self.flagged[rows], values.shape).reshape(quotients.shape)
+        idx = np.arange(quotients.shape[1])
+        for j in np.flatnonzero(flagged.any(axis=1)):
+            quotient, bad = quotients[j], flagged[j]
+            good = ~bad
+            quotient[bad] = np.interp(
+                idx[bad], idx[good], quotient[good].real
+            ) + 1j * np.interp(idx[bad], idx[good], quotient[good].imag)
+        return values
+
+    def ratio(
+        self, numerator: np.ndarray, denominator: np.ndarray, row: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``divide`` of one numerator by the table's row ``row``, and the
+        mask of its interpolated samples."""
+        return self.divide(numerator, denominator, row), self.flagged[row].copy()
 
 
 def guard_table(

@@ -34,6 +34,7 @@ from .errors import (
     DegenerateScenarioError,
     UndefinedPhaseError,
     check_integer,
+    check_real,
 )
 from .grid import SubcarrierGrid
 
@@ -291,6 +292,13 @@ class ImpairmentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in (
+            "pbd_noise_std", "cfo_walk_std", "impulse_rate_hz", "impulse_log_std",
+            "gaussian_noise_std",
+        ):
+            check_real(name, getattr(self, name), 0.0)
+        for name in ("sfo_slope", "cfo_bound_rad", "impulse_correlation"):
+            check_real(name, getattr(self, name))
         if not 0.0 <= self.impulse_correlation <= 1.0:
             raise ConfigurationError("impulse_correlation must lie in [0, 1]")
         if self.cfo_bound_rad <= 0:

@@ -24,10 +24,8 @@ serial pass at any CPU count.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import os
-import re
 import warnings
 from pathlib import Path
 
@@ -116,11 +114,12 @@ def read_trace(path: str | Path) -> CsiTrace:
     split into line-aligned byte ranges, one per worker of
     ``parallel.pool_map`` and none under ``_MIN_RANGE_BYTES`` (a smaller body
     is one range, parsed in-process), and each range runs ``np.loadtxt``
-    over its lines, streamed from the file. Every range after the first is
-    parsed behind the body's first data row, so its column count is checked
-    against the same row as in one pass over the body, and a malformed row
-    reports the row number one pass would. The parts fill the trace in file
+    over its lines, streamed from the file. The parts fill the trace in file
     order, so its values are those of one ``np.loadtxt`` at any CPU count.
+    When a range holds a malformed row, or rows whose column count is not
+    the header's, the whole body is parsed again in one in-process pass, and
+    its fault is the one reported: the row number and column count of one
+    pass over the body, whatever the ranges.
     """
     try:
         with open(path, "rb") as fh:
@@ -137,24 +136,21 @@ def read_trace(path: str | Path) -> CsiTrace:
             if first_fields[:2] != ["k", "t_s"] or len(first_fields) != expected_cols:
                 raise TraceFormatError("column header does not match the grid")
             bounds = _body_ranges(fh)
-            head = _first_data_row(fh, bounds[0]) if len(bounds) > 2 else ""
-        heads = [""] + [head] * (len(bounds) - 2)
-        parts = pool_map(functools.partial(_parse_range, path), heads, bounds[:-1], bounds[1:])
+        parts = pool_map(functools.partial(_parse_range, path), bounds[:-1], bounds[1:])
+        if len(parts) > 1 and any(
+            isinstance(part, ValueError) or (len(part) and part.shape[1] != expected_cols)
+            for part in parts
+        ):
+            parts = [_parse_range(path, bounds[0], bounds[-1])]
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace: {exc}") from exc
-    rows = 0
-    for part, part_head in zip(parts, heads):
+    for part in parts:
         if isinstance(part, ValueError):
-            # the range's row numbers count its head; report the body's
-            shift = rows - 1 if part_head else 0
-            message = re.sub(
-                r"at row (\d+)", lambda m: f"at row {int(m[1]) + shift}", str(part), count=1
-            )
-            raise TraceFormatError(f"malformed data row: {message}") from part
-        rows += part.shape[0]
+            raise TraceFormatError(f"malformed data row: {part}") from part
     parts = [part for part in parts if len(part)]
     if not parts:
         raise TraceFormatError("trace has no data rows")
+    rows = sum(len(part) for part in parts)
     if parts[0].shape[1] != expected_cols:
         raise TraceFormatError(
             f"rows have {parts[0].shape[1]} columns, expected {expected_cols}"
@@ -200,35 +196,19 @@ def _body_ranges(fh) -> list[int]:
     return bounds
 
 
-def _first_data_row(fh, start: int) -> str:
-    """The first line from byte ``start`` that ``np.loadtxt`` reads as a
-    row (not empty once a # comment is cut off), newline-terminated; empty
-    when there is none."""
-    fh.seek(start)
-    for line in fh:
-        if line.split(b"#", 1)[0].rstrip(b"\r\n"):
-            return line.rstrip(b"\r\n").decode("utf-8") + "\n"
-    return ""
-
-
-def _parse_range(path: str | Path, head: str, start: int, end: int) -> np.ndarray | ValueError:
-    """``np.loadtxt`` of the rows in bytes [start, end) of ``path``, parsed
-    behind ``head`` (a row or empty), which the result leaves out. A
-    malformed row makes the ValueError the result, so the caller can report
-    the first one in file order."""
+def _parse_range(path: str | Path, start: int, end: int) -> np.ndarray | ValueError:
+    """``np.loadtxt`` of the rows in bytes [start, end) of ``path``. A
+    malformed row makes the ValueError the result, so the caller can decide
+    which fault to report."""
     with open(path, "rb") as fh:
         fh.seek(start)
-        lines = _lines_until(fh, end)
         try:
             with warnings.catch_warnings():
                 # an empty body is reported by the caller as a format error
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(
-                    itertools.chain([head] if head else [], lines), delimiter=",", ndmin=2
-                )
+                return np.loadtxt(_lines_until(fh, end), delimiter=",", ndmin=2)
         except ValueError as exc:
             return exc
-    return data[1:] if head else data
 
 
 def _lines_until(fh, end: int):

@@ -141,6 +141,8 @@ def test_sweep_snr_requires_noise_levels(base_config, tmp_path):
         ("sweep-snr", "{noise_stds: [-0.1]}"),
         ("sweep-snr", "{noise_stds: [0.02], runs_per_level: 0}"),
         ("sweep-snr", "{noise_stds: [0.02], runs_per_level: 1.5}"),
+        ("sweep-snr", "{noise_stds: [0.02], runs_per_levl: 3}"),
+        ("sweep-blindspot", "{positons: 4}"),
     ],
 )
 def test_empty_or_invalid_sweep_sizes_exit_2(tmp_path, capsys, command, sweep):
@@ -419,6 +421,12 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         ("run", 0, "pipeline", "motion_threshold_rad", "abc"),
         ("run", 0, "pipeline", "motion_threshold_rad", float("nan")),
         ("run", 0, "pipeline", "motion_threshold_rad", True),
+        ("simulate", 0, "impairments", "cfo_walk_std", -0.05),
+        ("simulate", 0, "impairments", "impulse_rate_hz", "abc"),
+        ("simulate", 0, "impairments", "pbd_noise_std", "abc"),
+        ("simulate", 0, "impairments", "gaussian_noise_std", -0.1),
+        ("simulate", 0, "impairments", "impulse_log_std", float("inf")),
+        ("run", 0, "impairments", "cfo_bound_rad", float("nan")),
     ],
 )
 def test_bad_values_and_seeds_exit_2(tmp_path, capsys, command, seed, section, key, value):
@@ -446,7 +454,7 @@ def test_readme_config_schema_is_accepted(tmp_path):
     config.scenario_from_config(settings)
     config.impairments_from_config(settings)
     config.pipeline_from_config(settings)
-    assert set(settings["sweep"]) <= cli.SWEEP_KEYS
+    assert set(settings["sweep"]) <= config.SWEEP_KEYS
     # every pipeline key is documented in the section
     section = readme.split("### Config schema", 1)[1].split("\n### ", 1)[0]
     for name in (f.name for f in dataclasses.fields(PipelineConfig)):

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from csibreath.combine import (
     INFINITE_WEIGHT_CAP,
-    align_rotation,
     align_streams,
     combine,
     moving_average,
     remove_offset,
     stream_gain,
 )
-from csibreath.errors import AlignmentError, ConfigurationError
+from csibreath.errors import ConfigurationError
 from csibreath.gass import Genome, GassSolution, build_streams, combined_ratio
 from csibreath.ratio import StreamStack, guard_table, ssnr, ssnr_values
 
@@ -84,15 +83,6 @@ def test_moving_average_block_and_window_one(rng):
         moving_average(v, 0)
 
 
-def test_align_rotation_recovers_known_angle(rng):
-    reference = rng.normal(size=60) + 1j * rng.normal(size=60)
-    for theta in (0.0, 0.7, -2.9, 3.1):
-        rotated = reference * np.exp(-1j * theta)
-        assert np.isclose(align_rotation(reference, rotated), theta, atol=1e-12)
-    with pytest.raises(AlignmentError):
-        align_rotation(reference, np.zeros(60, dtype=complex))
-
-
 # ----------------------------------------------------------------------------
 # Alignment
 # ----------------------------------------------------------------------------
@@ -107,6 +97,15 @@ def test_align_single_stream_identity(rng):
     assert np.isclose(aligned.gains[0], stream_gain(q, 5))
     np.testing.assert_allclose(aligned.normalized[0], q / aligned.gains[0], rtol=1e-14)
     assert aligned.rotations[0] == 0.0
+
+
+def test_align_recovers_known_rotation(rng):
+    v = _breath() + 0.05 * (rng.normal(size=300) + 1j * rng.normal(size=300))
+    for theta in (0.0, 0.7, -2.9, 3.1):
+        aligned = align_streams(_stack([v, v * np.exp(-1j * theta)]), gain_window=5)
+        # either copy may be the reference; the rotation between them is theta
+        relative = aligned.rotations[1] - aligned.rotations[0]
+        assert abs(np.angle(np.exp(1j * (relative - theta)))) < 1e-12
 
 
 def test_align_drops_constant_stream(rng):
@@ -402,11 +401,7 @@ def test_primitives_take_stream_stacks(rng):
     q = remove_offset(stack)
     gains = stream_gain(q, 7)
     short = stream_gain(q, 50)
-    rotations = align_rotation(q[0], q)
     for i in range(5):
         assert _same_bits(q[i], remove_offset(stack[i]))
         assert gains[i] == stream_gain(q[i], 7)
         assert short[i] == stream_gain(q[i], 50)
-        assert rotations[i] == align_rotation(q[0], q[i])
-    with pytest.raises(AlignmentError):
-        align_rotation(q[0], np.vstack([q[1], np.zeros(40)]))

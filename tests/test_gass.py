@@ -19,7 +19,6 @@ from csibreath.gass import (
 )
 from csibreath.grid import custom_grid
 from csibreath.ratio import (
-    GuardTable,
     average_phase_blocks,
     band_spectrum,
     guard_table,
@@ -407,17 +406,14 @@ def test_delay_basis_interpolates_a_flagged_denominator(breathing_trace, monkeyp
     monkeypatch.setattr(gass, "pick_denominator", lambda matrix, guards: d)
     guards = guard_table(matrix)
     assert guards.flagged[d].any() and not guards.rejected[d]
-    calls = []
-    original = GuardTable.ratio
-
-    def spy(self, numerator, denominator, row):
-        calls.append(row)
-        return original(self, numerator, denominator, row)
-
-    monkeypatch.setattr(GuardTable, "ratio", spy)
     solution = solve_delay_basis(matrix, frequencies, 10.0, guards)
-    # one per fallback pair over d and one per projected row
-    assert calls.count(d) == matrix.shape[0] - 1 + 8
+    # the fallback pairs over d score as ``fitness`` scores them, interpolated
+    pairs = [
+        fitness(Genome(np.ones(1, dtype=complex), np.array([m]), d), matrix, 10.0)
+        for m in range(matrix.shape[0]) if m != d
+    ]
+    assert solution.pair_fitness == max(pairs)
+    # and the projected rows are interpolated too, or the solve would fail
     assert solution.genome.weights.size == matrix.shape[0] - 1
     np.testing.assert_allclose(
         solution.fitness, _eigenvalue(matrix, frequencies, 10.0, d), rtol=1e-9

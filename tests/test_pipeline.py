@@ -329,24 +329,21 @@ def test_replay_requires_solution(impaired_trace):
     _CONFIG, PipelineConfig(window_s=12.0, phase_block=3),  # 3 does not divide a frame
 ]))
 def test_window_chunks_carry_only_their_own_windows(count, config):
-    import csibreath.pipeline as pipeline
-
     plan = segment(_CHUNKED_TRACE, config)
     n = plan.window_starts.size
     assert n > 7 and np.diff(plan.window_starts).max() > 1  # the event leaves a gap
-    chunks = pipeline._window_chunks(plan, count)
-    assert len(chunks) == min(count, n)
-    assert [c.first for c in chunks] == [0, *(c.stop for c in chunks[:-1])]
-    assert chunks[-1].stop == n
     blocks = plan.window_frames * plan.frame_samples // plan.block_size
-    for chunk in chunks:
-        for window_id in range(chunk.first, chunk.stop):
-            window = chunk.window(window_id)
-            expected = plan.window(int(plan.window_starts[window_id]))
+    # the contiguous chunks of a run on ``count`` CPUs
+    for ids in np.array_split(np.arange(n), min(count, n)):
+        chunk = plan.chunk(int(ids[0]), int(ids[-1]) + 1)
+        assert chunk.window_starts.tolist() == plan.window_starts[ids].tolist()
+        for start_frame in chunk.window_starts.tolist():
+            window = chunk.window(start_frame)
+            expected = plan.window(start_frame)
             assert window.values.tobytes() == expected.values.tobytes()
             assert window.times_s.tobytes() == expected.times_s.tobytes()
         # no block before the chunk's first window or after its last
-        first, last = plan.window_starts[[chunk.first, chunk.stop - 1]]
+        first, last = chunk.window_starts[[0, -1]]
         span = (last - first) * plan.frame_samples // plan.block_size + blocks
         assert abs(len(chunk.averaged) - span) <= 1
 

@@ -85,6 +85,51 @@ def test_guard_table_matches_guarded_ratio_per_row(rng):
         values, bad = guards.ratio(num, matrix[row], row)
         assert values.tobytes() == expected[0].tobytes()
         np.testing.assert_array_equal(bad, expected[1])
+    with pytest.raises(StreamGuardError, match="zero throughout"):
+        guards.divide(num, matrix, np.arange(4))
+
+
+def _loop_ratio(numerator, denominator, bad):
+    """The guarded ratio the long way: only the valid samples divided, the
+    flagged ones interpolated."""
+    values = np.empty(numerator.shape, dtype=complex)
+    good = ~bad
+    values[good] = numerator[good] / denominator[good]
+    idx = np.arange(values.size)
+    values[bad] = np.interp(idx[bad], idx[good], values[good].real) + 1j * np.interp(
+        idx[bad], idx[good], values[good].imag
+    )
+    return values
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_rows=st.integers(1, 5),
+    n_samples=st.integers(10, 60),
+    flags=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_divide_equals_per_row_ratio(n_rows, n_samples, flags, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n_rows, n_samples)
+    matrix = rng.normal(size=shape) + 1j * rng.normal(size=shape) + 2.0
+    for row in range(n_rows):  # at most 10% flagged, so no row is rejected
+        flagged = rng.choice(n_samples, min(flags[row], n_samples // 10), replace=False)
+        matrix[row, flagged] = 0.0
+    guards = guard_table(matrix)
+    rows = np.arange(n_rows)
+    numerators = rng.normal(size=(3, n_samples)) + 1j * rng.normal(size=(3, n_samples))
+    # one numerator over many rows
+    batch = guards.divide(numerators[0], matrix, rows)
+    for row in rows:
+        values, bad = guards.ratio(numerators[0], matrix[row], row)
+        assert batch[row].tobytes() == values.tobytes()
+        assert values.tobytes() == _loop_ratio(numerators[0], matrix[row], bad).tobytes()
+    # many numerators over one row
+    for row in rows:
+        batch = guards.divide(numerators, matrix[row], row)
+        for numerator, quotient in zip(numerators, batch):
+            assert quotient.tobytes() == guards.ratio(numerator, matrix[row], row)[0].tobytes()
 
 
 def test_cscr_rejects_equal_indices(breathing_trace):
