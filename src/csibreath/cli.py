@@ -198,6 +198,11 @@ def _cmd_sweep_blindspot(config: dict, seed: int, out: Path) -> int:
     impairments = impairments_from_config(config, seed)
     sweep = sweep_from_config(config)
     if "offsets_m" in sweep:
+        if {"positions", "span_wavelengths"} & set(sweep):
+            raise ConfigurationError(
+                "sweep.offsets_m replaces sweep.positions and sweep.span_wavelengths; "
+                "set one or the other"
+            )
         offsets = sweep["offsets_m"]
     else:
         positions = sweep.get("positions", 32)
@@ -231,7 +236,8 @@ def _cmd_sweep_snr(config: dict, seed: int, out: Path) -> int:
         runs_per_level=sweep.get("runs_per_level", 1),
     )
     _write_report(report, out, "snr")
-    print("full-pipeline detection rates:", report.summary["full"])
+    rates = ", ".join(f"{rate:.1f}%" for rate in report.summary["full"])
+    print(f"full-pipeline detection rates: {rates}")
     return 0
 
 

@@ -14,22 +14,25 @@ large in-frame phase excursion). Ten-second analysis windows are assembled
 only from consecutive accepted frames, sliding by one frame, and every
 window is a slice of the averaged trace (``WindowPlan.window``), for the
 live run, its replay, the single-component baselines and the search audit
-alike; the sweeps segment each trace once and hand the plan to both the
-pipeline and the baselines. Each window runs the full stack and yields an
-estimate with provenance; a stage failure yields a reason-coded empty
-result instead of aborting.
+alike. Both evaluation sweeps run each condition through one runner
+(``_condition_rates``): it synthesizes and impairs the condition's trace,
+segments it once, hands the plan to both the pipeline and the baselines,
+and returns each method's per-window rates; a sweep keeps only its own
+aggregation. Each window runs the full stack and yields an estimate with
+provenance; a stage failure yields a reason-coded empty result instead of
+aborting.
 
 Work that splits into independent pieces runs in a process pool of one
 worker per CPU in the process's affinity mask (``parallel.pool_map``), and
 its results are put back in order, so no output depends on the CPU count.
-The evaluation sweeps map their conditions (positions, or noise level and
-run). A run maps its windows once, in contiguous chunks, and each chunk
-takes its windows in order from guard table through the search to the
-readout. A window depends on no other, so a chunk is the plan cut down to
-its own windows and their blocks (``WindowPlan.chunk``), and its windows
-are cut by the same ``WindowPlan.window`` as the whole plan's. Inside a
-pool worker, such as a sweep condition, everything runs in-process, and so
-does everything with one usable CPU (``taskset -c 0``).
+The evaluation sweeps map the runner over their conditions (positions, or
+noise level and run). A run maps its windows once, in contiguous chunks,
+and each chunk takes its windows in order from guard table through the
+search to the readout. A window depends on no other, so a chunk is the plan
+cut down to its own windows and their blocks (``WindowPlan.chunk``), and
+its windows are cut by the same ``WindowPlan.window`` as the whole plan's.
+Inside a pool worker, such as a sweep condition, everything runs
+in-process, and so does everything with one usable CPU (``taskset -c 0``).
 """
 
 from __future__ import annotations
@@ -471,16 +474,9 @@ class EvaluationReport:
     meta: dict
 
 
-def _median_detection(
-    estimates: list[RespirationEstimate | None], truth_bpm: float
-) -> tuple[float | None, bool]:
-    values = [
-        e.f_bpm for e in estimates if e is not None and e.f_bpm is not None
-    ]
-    if not values:
-        return None, False
-    median = float(np.median(values))
-    return median, abs(median - truth_bpm) < DETECTION_TOLERANCE_BPM
+def _detected(f_bpm: float | None, truth_bpm: float) -> bool:
+    """Whether a rate counts as a detection: within 1 bpm of the truth."""
+    return f_bpm is not None and abs(f_bpm - truth_bpm) < DETECTION_TOLERANCE_BPM
 
 
 def _scenario_truth_bpm(scenario: ChannelScenario) -> float:
@@ -505,6 +501,35 @@ def _conditions(values, name: str, minimum: float = -math.inf) -> np.ndarray:
     return array
 
 
+def _condition_rates(
+    scenario: ChannelScenario,
+    impairments: ImpairmentConfig,
+    grid: SubcarrierGrid,
+    config: PipelineConfig,
+    methods: tuple[str, ...],
+) -> dict[str, list[float | None]]:
+    """One sweep condition: the per-window rates of each method on a fresh
+    synthesis of ``scenario`` under ``impairments``, segmented once.
+
+    "full" is ``run_pipeline``, and "amplitude" and "phase" are the
+    single-component baselines. A window whose estimate was withheld reads
+    None, and a method without a complete window gets no rates.
+    """
+    trace = apply_impairments(generate_ideal_csi(scenario, grid), impairments)
+    plan = segment(trace, config)
+    rates: dict[str, list[float | None]] = {}
+    for method in methods:
+        try:
+            if method == "full":
+                estimates = [r.estimate for r in run_pipeline(trace, config, plan=plan)]
+            else:
+                estimates = single_component_estimates(trace, method, config, plan=plan)
+        except NoWindowError:
+            estimates = []
+        rates[method] = [None if e is None else e.f_bpm for e in estimates]
+    return rates
+
+
 def blind_spot_sweep(
     scenario: ChannelScenario,
     impairments: ImpairmentConfig,
@@ -514,93 +539,57 @@ def blind_spot_sweep(
 ) -> EvaluationReport:
     """Detectability of three estimators across dynamic-path positions.
 
-    For each offset the base dynamic path length is shifted, fresh
-    impairments are drawn, and the full pipeline plus both single-component
-    baselines are scored: detected means the median window estimate is
-    within 1 bpm of the scenario's rate. Positions are independent and run
-    on every CPU in the process's affinity mask (``parallel.pool_map``); the
-    rows come back in offset order, so the report does not depend on the
-    CPU count. ``offsets_m`` must be a non-empty list of finite numbers.
+    Position ``i`` shifts the base dynamic path length by ``offsets_m[i]``
+    and draws fresh impairments (seed + i); the full pipeline and both
+    single-component baselines are scored on it, and detected means the
+    median window estimate is within 1 bpm of the scenario's rate. Each
+    position is one condition of ``_condition_rates``, the runner
+    ``snr_sweep`` shares, mapped on every CPU in the process's affinity mask
+    (``parallel.pool_map``); the rows come back in offset order, so the
+    report does not depend on the CPU count. ``offsets_m`` must be a
+    non-empty list of finite numbers.
     """
     config = config or PipelineConfig()
     truth = _scenario_truth_bpm(scenario)
     offsets = _conditions(offsets_m, "offsets_m")
-    n = offsets.size
-    position = functools.partial(
-        _blind_spot_position, scenario=scenario, impairments=impairments, grid=grid,
-        config=config, truth=truth,
-    )
-    per_position = pool_map(position, range(n), offsets)
-    rows = [row for rows in per_position for row in rows]
+    methods = ("full", "amplitude", "phase")
+    scenarios = [
+        dataclasses.replace(
+            scenario, base_dynamic_length_m=scenario.base_dynamic_length_m + offset
+        )
+        for offset in offsets
+    ]
+    draws = [
+        dataclasses.replace(impairments, seed=impairments.seed + i)
+        for i in range(offsets.size)
+    ]
+    run = functools.partial(_condition_rates, grid=grid, config=config, methods=methods)
+    rows = []
+    for offset, rates in zip(offsets, pool_map(run, scenarios, draws)):
+        for method in methods:
+            values = [f for f in rates[method] if f is not None]
+            median = float(np.median(values)) if values else None
+            rows.append(
+                {
+                    "offset_m": float(offset),
+                    "method": method,
+                    "windows": len(rates[method]),
+                    "median_bpm": median,
+                    "truth_bpm": truth,
+                    "detected": _detected(median, truth),
+                }
+            )
     summary = {
         f"{method}_detectability_pct": 100.0
         * np.mean([r["detected"] for r in rows if r["method"] == method])
-        for method in ("full", "amplitude", "phase")
+        for method in methods
     }
     meta = {
-        "positions": n,
+        "positions": offsets.size,
         "truth_bpm": truth,
         "base_dynamic_length_m": scenario.base_dynamic_length_m,
     }
     return EvaluationReport(rows=tuple(rows), summary=summary, meta=meta)
-
-
-def _method_estimates(
-    trace: CsiTrace, methods: tuple[str, ...], config: PipelineConfig
-) -> dict[str, list[RespirationEstimate | None]]:
-    """The window estimates of each method on ``trace``, segmented once:
-    "full" is ``run_pipeline``, and "amplitude" and "phase" are
-    the single-component baselines. A method without a complete window gets
-    no estimates."""
-    plan = segment(trace, config)
-    estimates: dict[str, list[RespirationEstimate | None]] = {}
-    for method in methods:
-        try:
-            if method == "full":
-                results = run_pipeline(trace, config, plan=plan)
-                estimates[method] = [r.estimate for r in results]
-            else:
-                estimates[method] = single_component_estimates(
-                    trace, method, config, plan=plan
-                )
-        except NoWindowError:
-            estimates[method] = []
-    return estimates
-
-
-def _blind_spot_position(
-    i: int,
-    offset: float,
-    scenario: ChannelScenario,
-    impairments: ImpairmentConfig,
-    grid: SubcarrierGrid,
-    config: PipelineConfig,
-    truth: float,
-) -> list[dict]:
-    """The three rows (full, amplitude, phase) of ``blind_spot_sweep``'s
-    ``i``-th position, ``offset`` metres along the dynamic path."""
-    shifted = dataclasses.replace(
-        scenario, base_dynamic_length_m=scenario.base_dynamic_length_m + offset
-    )
-    trace = apply_impairments(
-        generate_ideal_csi(shifted, grid),
-        dataclasses.replace(impairments, seed=impairments.seed + i),
-    )
-    methods = ("full", "amplitude", "phase")
-    rows = []
-    for method, estimates in _method_estimates(trace, methods, config).items():
-        median, detected = _median_detection(estimates, truth)
-        rows.append(
-            {
-                "offset_m": float(offset),
-                "method": method,
-                "windows": len(estimates),
-                "median_bpm": median,
-                "truth_bpm": truth,
-                "detected": detected,
-            }
-        )
-    return rows
 
 
 def snr_sweep(
@@ -615,28 +604,34 @@ def snr_sweep(
 
     Compares the full pipeline against the amplitude-only baseline at each
     noise standard deviation; detection is a per-window |error| < 1 bpm.
-    Each (level, run) pair is one condition, run like ``blind_spot_sweep``'s
-    positions, and a level's counts are summed in run order. ``noise_stds``
-    must be a non-empty list of finite numbers >= 0, and ``runs_per_level``
-    an integer >= 1.
+    Run ``run`` of level ``level`` is one condition of ``_condition_rates``,
+    the runner ``blind_spot_sweep`` shares, with that noise level and
+    impairment seed + 1009 * level + run; a level's counts are summed in run
+    order. ``noise_stds`` must be a non-empty list of finite numbers >= 0,
+    and ``runs_per_level`` an integer >= 1.
     """
     config = config or PipelineConfig()
     truth = _scenario_truth_bpm(scenario)
     levels = _conditions(noise_stds, "noise_stds", 0.0)
     check_integer("runs_per_level", runs_per_level, 1)
-    ideal = generate_ideal_csi(scenario, grid)
-    snr_run = functools.partial(
-        _snr_run, ideal=ideal, impairments=impairments, config=config, truth=truth,
-    )
-    level_of = [level for level in range(levels.size) for _ in range(runs_per_level)]
-    run_of = list(range(runs_per_level)) * levels.size
-    per_run = pool_map(snr_run, levels[level_of], level_of, run_of)
+    methods = ("full", "amplitude")
+    draws = [
+        dataclasses.replace(
+            impairments,
+            gaussian_noise_std=float(noise_std),
+            seed=impairments.seed + 1009 * level + run,
+        )
+        for level, noise_std in enumerate(levels)
+        for run in range(runs_per_level)
+    ]
+    run = functools.partial(_condition_rates, grid=grid, config=config, methods=methods)
+    per_run = pool_map(run, [scenario] * len(draws), draws)
     rows: list[dict] = []
     for level, noise_std in enumerate(levels):
         runs = per_run[level * runs_per_level : (level + 1) * runs_per_level]
-        for method in ("full", "amplitude"):
-            detected = sum(counts[method][0] for counts in runs)
-            total = sum(counts[method][1] for counts in runs)
+        for method in methods:
+            detected = sum(_detected(f, truth) for rates in runs for f in rates[method])
+            total = sum(len(rates[method]) for rates in runs)
             rows.append(
                 {
                     "noise_std": float(noise_std),
@@ -647,41 +642,8 @@ def snr_sweep(
                 }
             )
     summary = {
-        method: tuple(
-            r["detection_rate_pct"] for r in rows if r["method"] == method
-        )
-        for method in ("full", "amplitude")
+        method: tuple(r["detection_rate_pct"] for r in rows if r["method"] == method)
+        for method in methods
     }
     meta = {"truth_bpm": truth, "levels": levels.size, "runs_per_level": runs_per_level}
     return EvaluationReport(rows=tuple(rows), summary=summary, meta=meta)
-
-
-def _snr_run(
-    noise_std: float,
-    level: int,
-    run: int,
-    ideal: CsiTrace,
-    impairments: ImpairmentConfig,
-    config: PipelineConfig,
-    truth: float,
-) -> dict[str, tuple[int, int]]:
-    """(detected, total) windows per method for run ``run`` of
-    ``snr_sweep``'s noise level ``level``."""
-    impaired = apply_impairments(
-        ideal,
-        dataclasses.replace(
-            impairments,
-            gaussian_noise_std=float(noise_std),
-            seed=impairments.seed + 1009 * level + run,
-        ),
-    )
-    counts = {}
-    for method, estimates in _method_estimates(impaired, ("full", "amplitude"), config).items():
-        detected = sum(
-            e is not None
-            and e.f_bpm is not None
-            and abs(e.f_bpm - truth) < DETECTION_TOLERANCE_BPM
-            for e in estimates
-        )
-        counts[method] = (detected, len(estimates))
-    return counts

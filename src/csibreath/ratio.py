@@ -25,7 +25,6 @@ windowed row, so the bins above the band are never summed.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,21 +355,6 @@ def dynamic_amplitude_low_noise(
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SsnrEstimate:
-    """In-band to out-of-band energy ratio of a series.
-
-    ``value`` is inf when out-of-band energy sits at the windowing leakage
-    floor, and 0.0 (with ``zero_signal``) for an all-zero input.
-    """
-
-    value: float
-    band_energy: float
-    out_of_band_energy: float
-    infinite: bool = False
-    zero_signal: bool = False
-
-
 @functools.lru_cache(maxsize=32)
 def _band_bins(n: int, sample_rate_hz: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """nfft, the Hann window, the bins with |f| <= ``BAND_HIGH_HZ`` in
@@ -452,28 +436,6 @@ def band_grams(
 def _gram(rows: np.ndarray) -> np.ndarray:
     """Real part of the Gram matrix of the rows of ``rows``."""
     return np.sum(rows[:, None, :] * rows[None, :, :].conj(), axis=2).real
-
-
-def ssnr(
-    series: np.ndarray,
-    sample_rate_hz: float,
-    leakage_floor: float = LEAKAGE_FLOOR_FRACTION,
-) -> SsnrEstimate:
-    """Band ratio of a single series (complex or real).
-
-    Requires at least 2 seconds of samples so the band edges are resolvable.
-    """
-    series = np.asarray(series)
-    if series.ndim != 1:
-        raise ConfigurationError("ssnr expects a 1-D series")
-    if series.size < 2 * sample_rate_hz:
-        raise ConfigurationError("series must cover at least 2 seconds")
-    band, out = band_energies(series, sample_rate_hz)
-    value = float(_band_ratios(band, out, leakage_floor)[0])
-    band_e, out_e = float(band[0]), float(out[0])
-    return SsnrEstimate(
-        value, band_e, out_e, infinite=math.isinf(value), zero_signal=band_e + out_e == 0.0
-    )
 
 
 def ssnr_values(

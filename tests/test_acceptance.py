@@ -25,7 +25,6 @@ from csibreath.ratio import (
     cscr,
     dynamic_amplitude_low_noise,
     mobius_decompose,
-    ssnr,
 )
 from csibreath.simulate import (
     ChannelScenario,

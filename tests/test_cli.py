@@ -119,6 +119,28 @@ def test_sweep_snr_outputs(base_config, tmp_path):
     assert len(summary["summary"]["full"]) == 1
 
 
+def test_sweep_snr_prints_plain_rates(tmp_path, capsys):
+    config = tmp_path / "sweep.yaml"
+    config.write_text(_BASE + "sweep: {noise_stds: [0.02, 2.0], runs_per_level: 1}\n")
+    out = tmp_path / "snr"
+    assert cli.main(["sweep-snr", "--config", str(config), "--out", str(out)]) == 0
+    line = capsys.readouterr().out.strip()
+    assert "np." not in line
+    assert re.fullmatch(r"full-pipeline detection rates: \d+\.\d%, \d+\.\d%", line), line
+
+
+def test_sweep_snr_on_an_over_bound_scenario_exits_2(tmp_path, capsys):
+    config = tmp_path / "sweep.yaml"
+    config.write_text(
+        _BASE.replace("amplitude_m: 0.003", "amplitude_m: 0.01")
+        + "sweep: {noise_stds: [0.02, 0.2], runs_per_level: 2}\n"
+    )
+    out = tmp_path / "snr"
+    assert cli.main(["sweep-snr", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "exceeds the physiological bound" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_sweep_snr_requires_noise_levels(base_config, tmp_path):
     out = tmp_path / "snr"
     code = cli.main(["sweep-snr", "--config", str(base_config), "--out", str(out)])
@@ -136,6 +158,9 @@ def test_sweep_snr_requires_noise_levels(base_config, tmp_path):
         ("sweep-blindspot", "{offsets_m: [0.0, .nan]}"),
         ("sweep-blindspot", "{offsets_m: [near]}"),
         ("sweep-blindspot", "{span_wavelengths: abc}"),
+        ("sweep-blindspot", "{offsets_m: [0.0], positions: 5, span_wavelengths: 2.0}"),
+        ("sweep-blindspot", "{offsets_m: [0.0], positions: 1}"),
+        ("sweep-blindspot", "{offsets_m: [0.0], span_wavelengths: 1.0}"),
         ("sweep-snr", "{noise_stds: []}"),
         ("sweep-snr", "{noise_stds: [0.02, .inf]}"),
         ("sweep-snr", "{noise_stds: [-0.1]}"),

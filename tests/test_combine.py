@@ -15,7 +15,7 @@ from csibreath.combine import (
 )
 from csibreath.errors import ConfigurationError
 from csibreath.gass import Genome, GassSolution, build_streams, combined_ratio
-from csibreath.ratio import StreamStack, guard_table, ssnr, ssnr_values
+from csibreath.ratio import StreamStack, guard_table, ssnr_values
 
 
 def _stack(rows, denominators=None, fs=10.0):
@@ -218,10 +218,10 @@ def test_combining_beats_single_streams(rng):
     for seed in range(5):
         local = np.random.default_rng(seed)
         streams = _noisy_streams(local, count=8, noise=0.4)
-        singles = [ssnr(values, 10.0).value for values in streams.values]
+        singles = ssnr_values(streams.values, 10.0)
         aligned = align_streams(streams, gain_window=5)
         combined = combine(aligned, smoothing_window=3, mu=0.3)
-        gains.append(ssnr(combined.smoothed, 10.0).value / np.mean(singles))
+        gains.append(ssnr_values(combined.smoothed[None, :], 10.0)[0] / np.mean(singles))
     assert np.mean(gains) > 2.0
 
 

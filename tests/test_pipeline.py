@@ -432,19 +432,65 @@ def test_snr_sweep_sums_each_level_over_its_runs(grid):
 
     scenario, impairments, levels = _quick_scenario(), ImpairmentConfig(seed=1), [0.02, 0.5, 1.0]
     report = snr_sweep(scenario, impairments, grid, levels, _CONFIG, runs_per_level=2)
-    clean = generate_ideal_csi(scenario, grid)
     rows = iter(report.rows)
     for level, noise_std in enumerate(levels):
         runs = [
-            pipeline._snr_run(noise_std, level, run, clean, impairments, _CONFIG, 15.0)
+            pipeline._condition_rates(
+                scenario,
+                dataclasses.replace(
+                    impairments, gaussian_noise_std=noise_std, seed=1 + 1009 * level + run
+                ),
+                grid, _CONFIG, ("full", "amplitude"),
+            )
             for run in range(2)
         ]
         for method in ("full", "amplitude"):
             row = next(rows)
             assert (row["noise_std"], row["method"]) == (noise_std, method)
-            assert row["detected"] == sum(counts[method][0] for counts in runs)
-            assert row["windows"] == sum(counts[method][1] for counts in runs)
+            rates = [f for rates in runs for f in rates[method]]
+            assert row["windows"] == len(rates)
+            assert row["detected"] == sum(
+                f is not None and abs(f - 15.0) < DETECTION_TOLERANCE_BPM for f in rates
+            )
     assert len({r["detected"] for r in report.rows}) > 1
+
+
+def test_condition_rates_are_the_methods_window_rates(grid):
+    import csibreath.pipeline as pipeline
+
+    scenario = _quick_scenario(duration_s=15.0)
+    impairments = ImpairmentConfig(gaussian_noise_std=0.02, seed=6)
+    methods = ("full", "amplitude", "phase")
+    rates = pipeline._condition_rates(scenario, impairments, grid, _CONFIG, methods)
+    assert tuple(rates) == methods
+    trace = apply_impairments(generate_ideal_csi(scenario, grid), impairments)
+    full = [r.estimate for r in run_pipeline(trace, _CONFIG)]
+    assert len(full) == 6
+    assert rates["full"] == [None if e is None else e.f_bpm for e in full]
+    for component in ("amplitude", "phase"):
+        estimates = single_component_estimates(trace, component, _CONFIG)
+        assert rates[component] == [None if e is None else e.f_bpm for e in estimates]
+
+
+def test_a_condition_without_a_complete_window_has_no_rates(grid):
+    import csibreath.pipeline as pipeline
+
+    gated = dataclasses.replace(_CONFIG, motion_threshold_rad=-1.0)  # rejects every frame
+    scenario, impairments = _quick_scenario(), ImpairmentConfig(gaussian_noise_std=0.01, seed=3)
+    rates = pipeline._condition_rates(
+        scenario, impairments, grid, gated, ("full", "amplitude", "phase")
+    )
+    assert rates == {"full": [], "amplitude": [], "phase": []}
+    blind = blind_spot_sweep(scenario, impairments, grid, [0.0, 0.03], gated)
+    assert [(r["windows"], r["median_bpm"], r["detected"]) for r in blind.rows] == [
+        (0, None, False)
+    ] * 6
+    assert set(blind.summary.values()) == {0.0}
+    snr = snr_sweep(scenario, impairments, grid, [0.02], gated, runs_per_level=2)
+    assert [(r["windows"], r["detected"], r["detection_rate_pct"]) for r in snr.rows] == [
+        (0, 0, 0.0)
+    ] * 2
+    assert snr.summary == {"full": (0.0,), "amplitude": (0.0,)}
 
 
 def test_sweeps_segment_each_trace_once(grid, monkeypatch, set_cpus):
@@ -580,11 +626,12 @@ def test_failing_sweep_position_raises_the_serial_exception(grid, set_cpus):
 def test_sweep_conditions_run_in_a_spawned_worker(grid):
     import csibreath.pipeline as pipeline
 
-    args = (1, 0.03, _quick_scenario(), ImpairmentConfig(gaussian_noise_std=0.01, seed=3),
-            grid, _CONFIG, 15.0)
+    args = (_quick_scenario(), ImpairmentConfig(gaussian_noise_std=0.01, seed=4), grid,
+            _CONFIG, ("full", "amplitude", "phase"))
     with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-        spawned = pool.submit(pipeline._blind_spot_position, *args).result(timeout=120)
-    assert spawned == pipeline._blind_spot_position(*args)
+        spawned = pool.submit(pipeline._condition_rates, *args).result(timeout=120)
+    assert spawned == pipeline._condition_rates(*args)
+    assert len(spawned["full"]) == 3
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from csibreath.ratio import (
     guarded_ratio,
     mobius_decompose,
     ratio_phase_split,
-    ssnr,
     ssnr_values,
     unwrap_finite,
 )
@@ -414,49 +413,38 @@ def test_band_energies_match_direct_dft(rng):
 def test_pure_in_band_tone_reports_infinite():
     fs = 10.0
     t = np.arange(300) / fs
-    estimate = ssnr(np.sin(2 * np.pi * 0.3 * t), fs)
-    assert estimate.infinite and np.isinf(estimate.value)
+    tone = np.sin(2 * np.pi * 0.3 * t)[None, :]
+    assert np.isinf(ssnr_values(tone, fs)[0])
     # windowing leakage exists but sits far below the flagging floor
-    assert estimate.out_of_band_energy > 0
-    assert estimate.out_of_band_energy < 1e-6 * estimate.band_energy
+    band, out = band_energies(tone, fs)
+    assert 0 < out[0] < 1e-6 * band[0]
 
 
 def test_leakage_floor_is_adjustable():
     fs = 10.0
     t = np.arange(300) / fs
-    estimate = ssnr(np.sin(2 * np.pi * 0.3 * t), fs, leakage_floor=0.0)
-    assert not estimate.infinite
-    assert estimate.value > 1e6
+    value = ssnr_values(np.sin(2 * np.pi * 0.3 * t)[None, :], fs, leakage_floor=0.0)[0]
+    assert np.isfinite(value) and value > 1e6
 
 
 def test_out_of_band_tone_scores_low():
     fs = 10.0
     t = np.arange(300) / fs
-    estimate = ssnr(np.sin(2 * np.pi * 2.0 * t), fs)
-    assert estimate.value < 1e-3
+    assert ssnr_values(np.sin(2 * np.pi * 2.0 * t)[None, :], fs)[0] < 1e-3
 
 
 def test_white_noise_matches_bandwidth_ratio():
     # flat spectrum: expected ratio = band width / out-of-band width
     fs = 10.0
     expected = (0.5 - 0.167) / (fs / 2 - 0.5)
-    values = [
-        ssnr(np.random.default_rng(seed).normal(size=3000), fs).value
-        for seed in range(5)
-    ]
-    assert np.isclose(np.mean(values), expected, rtol=0.3)
+    rows = np.stack([np.random.default_rng(seed).normal(size=3000) for seed in range(5)])
+    assert np.isclose(np.mean(ssnr_values(rows, fs)), expected, rtol=0.3)
 
 
 def test_ssnr_zero_signal_flag():
-    estimate = ssnr(np.zeros(100), 10.0)
-    assert estimate.value == 0.0 and estimate.zero_signal
-
-
-def test_ssnr_input_validation():
-    with pytest.raises(ConfigurationError):
-        ssnr(np.ones((2, 50)), 10.0)
-    with pytest.raises(ConfigurationError):
-        ssnr(np.ones(10), 10.0)  # under 2 seconds
+    band, out = band_energies(np.zeros((1, 100)), 10.0)
+    assert band[0] == out[0] == 0.0
+    assert ssnr_values(np.zeros((1, 100)), 10.0)[0] == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -466,8 +454,8 @@ def test_ssnr_scale_invariance(scale, seed):
     rng = np.random.default_rng(seed)
     t = np.arange(200) / fs
     x = np.sin(2 * np.pi * 0.25 * t) + 0.3 * rng.normal(size=t.size)
-    a = ssnr(x, fs).value
-    b = ssnr(scale * x, fs).value
+    a = ssnr_values(x[None, :], fs)[0]
+    b = ssnr_values(scale * x[None, :], fs)[0]
     assert np.isclose(a, b, rtol=1e-9)
 
 
@@ -477,27 +465,9 @@ def test_ssnr_rotation_invariance_complex(rng):
     x = np.exp(1j * 0.4 * np.sin(2 * np.pi * 0.25 * t)) + 0.1 * (
         rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
     )
-    a = ssnr(x, fs).value
-    b = ssnr(x * np.exp(1j * 1.234), fs).value
+    a = ssnr_values(x[None, :], fs)[0]
+    b = ssnr_values(x[None, :] * np.exp(1j * 1.234), fs)[0]
     assert np.isclose(a, b, rtol=1e-9)
-
-
-def test_ssnr_values_agrees_with_scalar(rng):
-    fs = 10.0
-    t = np.arange(300) / fs
-    rows = np.stack(
-        [
-            np.sin(2 * np.pi * 0.3 * t),                     # infinite
-            np.zeros(t.size),                                 # zero
-            *(np.sin(2 * np.pi * 0.3 * t) + rng.normal(size=(6, t.size))),
-        ]
-    )
-    batch = ssnr_values(rows, fs)
-    assert np.isinf(batch[0]) and batch[1] == 0.0
-    assert np.isclose(batch[2], ssnr(rows[2], fs).value, rtol=1e-12)
-    # a row scores the same bits in a batch as alone
-    alone = np.array([ssnr_values(row[None, :], fs)[0] for row in rows])
-    assert batch.tobytes() == alone.tobytes()
 
 
 def _full_spectrum_band_energies(rows, fs):

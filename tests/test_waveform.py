@@ -71,12 +71,12 @@ def test_project_refinement_never_below_grid():
 def test_project_orthogonal_axis_scores_worse():
     values = _modulated(0.6, noise=0.05, seed=1)
     result = project(values, FS)
-    from csibreath.ratio import ssnr
+    from csibreath.ratio import ssnr_values
 
     orthogonal = np.cos(result.angle_rad + np.pi / 2) * values.real + np.sin(
         result.angle_rad + np.pi / 2
     ) * values.imag
-    assert ssnr(orthogonal, FS).value < result.band_ratio
+    assert ssnr_values(orthogonal[None, :], FS)[0] < result.band_ratio
 
 
 def _projections(values, angles):
