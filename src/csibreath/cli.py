@@ -38,7 +38,7 @@ from .errors import (
     TraceFormatError,
     check_integer,
 )
-from .gass import GassSolution, best_single_pair, solve_delay_basis
+from .gass import GassSolution, best_single_pair
 from .pipeline import (
     EvaluationReport,
     WindowResult,
@@ -47,7 +47,6 @@ from .pipeline import (
     segment,
     snr_sweep,
 )
-from .ratio import guard_table
 from .simulate import CsiTrace, apply_impairments, generate_ideal_csi
 from .traceio import read_trace, write_trace
 
@@ -242,20 +241,17 @@ def _cmd_sweep_snr(config: dict, seed: int, out: Path) -> int:
 
 
 def _cmd_gass_audit(config: dict, seed: int, out: Path) -> int:
-    """The pipeline's search on window 0, as ``run_pipeline`` runs it, and
-    the best of every ordered single pair on the same window, an exact
-    reference."""
+    """The pipeline's search on window 0, taken from ``run_pipeline`` on
+    the plan cut down to that window, and the best of every ordered single
+    pair on the same window, an exact reference."""
     trace = _load_trace(config, seed)
     pipeline_config = pipeline_from_config(config)
     plan = segment(trace, pipeline_config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window to audit")
+    solution = run_pipeline(trace, pipeline_config, plan=plan.chunk(0, 1))[0].solution
     window = plan.window(int(plan.window_starts[0]))
-    guards = guard_table(window.values)
-    solution = solve_delay_basis(
-        window.values, window.grid.center_frequency_hz, window.sample_rate_hz, guards
-    )
-    m1, d, best_fitness = best_single_pair(window.values, window.sample_rate_hz, guards)
+    m1, d, best_fitness = best_single_pair(window.values, window.sample_rate_hz)
     record = _solution_record(solution)
     record["best_pair"] = [m1, d]
     record["best_pair_fitness"] = _jsonable(best_fitness)

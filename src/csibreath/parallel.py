@@ -4,8 +4,9 @@
 - ``traceio.write_trace``: the row ranges of a trace being written (the
   pool of ``simulate``);
 - ``traceio.read_trace``: the byte ranges of a trace file being read;
-- ``pipeline.run_pipeline``: the window chunks of a run, each from guard
-  table through the search to the readout;
+- ``pipeline.run_pipeline`` and ``pipeline.single_component_estimates``:
+  the window chunks of a run or a baseline, each from guard table through
+  the search to the readout, or from the reference pair's ratio to it;
 - ``pipeline.blind_spot_sweep`` and ``pipeline.snr_sweep``: a sweep's
   conditions.
 

@@ -18,21 +18,24 @@ alike. Both evaluation sweeps run each condition through one runner
 (``_condition_rates``): it synthesizes and impairs the condition's trace,
 segments it once, hands the plan to both the pipeline and the baselines,
 and returns each method's per-window rates; a sweep keeps only its own
-aggregation. Each window runs the full stack and yields an estimate with
-provenance; a stage failure yields a reason-coded empty result instead of
-aborting.
+aggregation. Each window runs the full stack, or a baseline's, and yields
+an estimate with provenance; a stage failure yields a reason-coded empty
+result instead of aborting.
 
 Work that splits into independent pieces runs in a process pool of one
 worker per CPU in the process's affinity mask (``parallel.pool_map``), and
 its results are put back in order, so no output depends on the CPU count.
 The evaluation sweeps map the runner over their conditions (positions, or
-noise level and run). A run maps its windows once, in contiguous chunks,
-and each chunk takes its windows in order from guard table through the
-search to the readout. A window depends on no other, so a chunk is the plan
-cut down to its own windows and their blocks (``WindowPlan.chunk``), and
-its windows are cut by the same ``WindowPlan.window`` as the whole plan's.
-Inside a pool worker, such as a sweep condition, everything runs
-in-process, and so does everything with one usable CPU (``taskset -c 0``).
+noise level and run). The pipeline and the baselines each map their
+windows once, in contiguous chunks, through one window runner
+(``_run_windows``): a chunk takes its windows in order, from guard table
+through the search to the readout, or through a baseline's ratio to the
+readout. ``gass-audit`` takes window 0's search from the same runner. A
+window depends on no other, so a chunk is the plan cut down to its own
+windows and their blocks (``WindowPlan.chunk``), and its windows are cut by
+the same ``WindowPlan.window`` as the whole plan's. Inside a pool worker,
+such as a sweep condition, everything runs in-process, and so does
+everything with one usable CPU (``taskset -c 0``).
 """
 
 from __future__ import annotations
@@ -317,79 +320,88 @@ def run_pipeline(
     search (``gass.solve_delay_basis``) needs the trace's grid for its
     subcarrier frequencies. ``plan`` is ``segment(trace, config)`` when the
     caller already has it. Each window builds one ``guard_table`` for its
-    search and stream fan-out.
-
-    The windows run in one ``parallel.pool_map`` over contiguous chunks of
-    them, each chunk in window order from guard table to readout
-    (``_run_windows``). A stage error is carried as a value, so a failed
-    window is logged and reported in window order, and the results do not
-    depend on the CPU count.
+    search and stream fan-out. The windows run through ``_window_results``.
     """
     config = config or PipelineConfig()
     if trace.grid is None:
         raise ConfigurationError("the subcarrier search needs the trace's grid frequencies")
     plan = plan if plan is not None else segment(trace, config)
+    return _window_results(trace, config, plan, "full")
+
+
+def _window_results(
+    trace: CsiTrace, config: PipelineConfig, plan: WindowPlan, method: str
+) -> list[WindowResult]:
+    """One ``WindowResult`` per window of ``plan`` under ``method``.
+
+    The windows run in one ``parallel.pool_map`` over contiguous chunks of
+    them, each chunk in window order (``_run_windows``). A stage error is
+    carried as a value, so a failed window is logged and reported in window
+    order, keeping the solution its search found, and the results do not
+    depend on the CPU count.
+    """
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
     count = plan.window_starts.size
     splits = np.array_split(np.arange(count), min(workers(), count))
     firsts = [int(ids[0]) for ids in splits]
     chunks = [plan.chunk(int(ids[0]), int(ids[-1]) + 1) for ids in splits]
-    run = functools.partial(_run_windows, config=config)
+    run = functools.partial(_run_windows, config=config, method=method)
     outcomes = [item for items in pool_map(run, chunks, firsts) for item in items]
+    label = "window" if method == "full" else f"{method}-only window"
     results: list[WindowResult] = []
     for window_id, (start_frame, (solution, outcome)) in enumerate(
         zip(plan.window_starts, outcomes)
     ):
-        start_time = float(trace.times_s[start_frame * plan.frame_samples])
-        if isinstance(outcome, Exception):
-            logger.warning("window %d failed: %s", window_id, outcome)
-            results.append(
-                WindowResult(
-                    window_id=window_id,
-                    start_frame=int(start_frame),
-                    start_time_s=start_time,
-                    estimate=None,
-                    solution=None,
-                    stage_band_ratios={},
-                    reason=f"{type(outcome).__name__}: {outcome}",
-                )
-            )
-            continue
-        estimate, stage_ratios = outcome
+        failed = isinstance(outcome, Exception)
+        if failed:
+            logger.warning("%s %d failed: %s", label, window_id, outcome)
+        estimate, stage_ratios = (None, {}) if failed else outcome
         results.append(
             WindowResult(
                 window_id=window_id,
                 start_frame=int(start_frame),
-                start_time_s=start_time,
+                start_time_s=float(trace.times_s[start_frame * plan.frame_samples]),
                 estimate=estimate,
                 solution=solution,
                 stage_band_ratios=stage_ratios,
+                reason=f"{type(outcome).__name__}: {outcome}" if failed else None,
             )
         )
     return results
 
 
 def _run_windows(
-    chunk: WindowPlan, first: int, config: PipelineConfig
-) -> list[tuple[GassSolution, tuple[RespirationEstimate, dict[str, float]] | Exception]]:
+    chunk: WindowPlan, first: int, config: PipelineConfig, method: str
+) -> list[tuple[GassSolution | None, tuple[RespirationEstimate, dict[str, float]] | Exception]]:
     """(solution, stage outcome) of each window of ``chunk``, a plan cut
     down by ``WindowPlan.chunk`` whose first window is window ``first`` of
-    the run, in window order: its guard table, its
-    ``gass.solve_delay_basis`` solution, then ``_run_stages``, whose outcome
-    is the estimate and stage band ratios or the stage error that stopped
-    them."""
+    the run, in window order. The outcome is the estimate and stage band
+    ratios, or the stage error that stopped them.
+
+    ``method`` "full" runs the window's guard table, its
+    ``gass.solve_delay_basis`` solution, then ``_run_stages``. "amplitude"
+    and "phase" are the single-component baselines: |ratio| or the
+    unwrapped angle of the reference pair's ratio, cleaned and read out,
+    with no solution and no stage band ratios.
+    """
     outcomes: list = []
     for window_id, start_frame in enumerate(chunk.window_starts, first):
         window = chunk.window(int(start_frame))
-        guards = guard_table(window.values)
-        solution = gass_mod.solve_delay_basis(
-            window.values, window.grid.center_frequency_hz, window.sample_rate_hz, guards
-        )
+        rate = window.sample_rate_hz
+        solution = None
         try:
-            outcome = _run_stages(
-                window.values, solution, window.sample_rate_hz, config, window_id, guards
-            )
+            if method == "full":
+                guards = guard_table(window.values)
+                solution = gass_mod.solve_delay_basis(
+                    window.values, window.grid.center_frequency_hz, rate, guards
+                )
+                outcome = _run_stages(window.values, solution, rate, config, window_id, guards)
+            else:
+                m1, m2 = chunk.reference_pair
+                values, _ = guarded_ratio(window.values[m1], window.values[m2])
+                series = np.abs(values) if method == "amplitude" else np.unwrap(np.angle(values))
+                outcome = estimate_rate(clean(series, rate)[0], rate, window_id=window_id), {}
         except _STAGE_ERRORS as exc:
             outcome = exc
         outcomes.append((solution, outcome))
@@ -435,34 +447,15 @@ def single_component_estimates(
     and rate stages as the full pipeline, but the waveform is |ratio| or
     unwrapped angle(ratio) of the fixed reference pair, with no subcarrier
     search, combination, or projection. These are the estimators that
-    exhibit position blind spots. ``plan`` is ``segment(trace, config)``
-    when the caller already has it.
+    exhibit position blind spots. Their windows run through
+    ``_window_results``, as the pipeline's do. ``plan`` is
+    ``segment(trace, config)`` when the caller already has it.
     """
     if component not in ("amplitude", "phase"):
         raise ConfigurationError("component must be 'amplitude' or 'phase'")
     config = config or PipelineConfig()
     plan = plan if plan is not None else segment(trace, config)
-    if plan.window_starts.size == 0:
-        raise NoWindowError("no complete window of accepted frames")
-    eff_rate = plan.averaged.sample_rate_hz
-    m1, m2 = plan.reference_pair
-
-    estimates: list[RespirationEstimate | None] = []
-    for window_id, start_frame in enumerate(plan.window_starts):
-        averaged = plan.window(int(start_frame)).values
-        try:
-            values, _ = guarded_ratio(averaged[m1], averaged[m2])
-            if component == "amplitude":
-                series = np.abs(values)
-            else:
-                series = np.unwrap(np.angle(values))
-            estimates.append(
-                estimate_rate(clean(series, eff_rate)[0], eff_rate, window_id=window_id)
-            )
-        except _STAGE_ERRORS as exc:
-            logger.warning("%s-only window %d failed: %s", component, window_id, exc)
-            estimates.append(None)
-    return estimates
+    return [r.estimate for r in _window_results(trace, config, plan, component)]
 
 
 @dataclass(frozen=True)

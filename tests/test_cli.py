@@ -232,6 +232,16 @@ def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog,
     assert outputs[0] == outputs[1] == outputs[2]
     assert logged[0] == logged[1] == logged[2]
     assert logged[0] == [f"window {i} failed: no streams to align" for i in range(6)]
+    # a failed window keeps the search that ran on it, and the audit reads it
+    first = json.loads(outputs[0]["estimates.jsonl"].splitlines()[0])
+    assert first["f_bpm"] is None and first["reason"].endswith("no streams to align")
+    assert first["solution"] is not None
+    audit = tmp_path / "audit"
+    assert cli.main(["gass-audit", "--config", str(tmp_path / "run.yaml"),
+                     "--out", str(audit)]) == 0
+    record = json.loads((audit / "gass_solution.json").read_text())
+    del record["best_pair"], record["best_pair_fitness"]
+    assert record == first["solution"]
 
 
 def test_simulate_is_byte_identical_on_one_worker_and_on_two(base_config, tmp_path, monkeypatch):

@@ -528,6 +528,28 @@ def test_shared_plan_gives_the_same_results(impaired_trace):
         assert [e and e.f_bpm for e in a] == [e and e.f_bpm for e in b]
 
 
+def test_baselines_do_not_depend_on_the_cpu_count(impaired_trace, monkeypatch, set_cpus):
+    import csibreath.pipeline as pipeline
+
+    def fields(estimate):
+        return None if estimate is None else (
+            *dataclasses.astuple(dataclasses.replace(estimate, acf=None)),
+            estimate.acf.tobytes(),
+        )
+
+    outputs = []
+    for cpus, chunks in ((1, 1), (2, 2), (2, 3)):
+        set_cpus(cpus)
+        # the windows in this many chunks; three share a pool of two
+        monkeypatch.setattr(pipeline, "workers", lambda: chunks)
+        outputs.append([
+            [fields(e) for e in single_component_estimates(impaired_trace, component, _CONFIG)]
+            for component in ("amplitude", "phase")
+        ])
+    assert len(outputs[0][0]) == 6
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_each_window_builds_one_guard_table(impaired_trace, monkeypatch, set_cpus):
     import csibreath.gass as gass
     import csibreath.pipeline as pipeline
