@@ -39,7 +39,7 @@ from .errors import ConfigurationError, StreamGuardError
 from .ratio import (
     GuardTable,
     StreamStack,
-    band_spectrum,
+    band_grams,
     guard_table,
     guarded_ratio,
     ssnr_values,
@@ -242,9 +242,7 @@ def _solve(
     basis = np.exp(2j * np.pi * np.outer(frequencies[rows] - frequencies.mean(), delays))
     # sum_m F[m, t] (H_m / H_d) = (sum_m F[m, t] H_m) / H_d, guard interpolation included
     projected = guards.divide(np.einsum("mt,mk->tk", basis, matrix[rows]), matrix[d], d)
-    windowed, low, in_band, nfft = band_spectrum(projected, sample_rate_hz)
-    band = _hermitian_gram(low[:, in_band])
-    out_of_band = nfft * _hermitian_gram(windowed) - _hermitian_gram(low)
+    band, out_of_band = band_grams(projected, sample_rate_hz)
     try:
         factor = np.linalg.cholesky(out_of_band)
         inverse = np.linalg.inv(factor)
@@ -256,12 +254,6 @@ def _solve(
     weights = weights / weights[top]
     weights[top] = 1.0
     return Genome(weights, rows, d)
-
-
-def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
-    """G[t, s] = sum_k conj(rows[t, k]) rows[s, k], so that the energy of
-    sum_t c_t rows[t] is c^H G c."""
-    return np.einsum("tk,sk->ts", rows.conj(), rows)
 
 
 def build_streams(

@@ -424,18 +424,19 @@ def band_grams(
     """In-band and out-of-band Gram matrices of the spectra of the rows of
     ``series``, over the bins of ``band_spectrum``.
 
-    Entry (i, j) is the real part of sum X_i conj(X_j) over the band's bins;
-    the diagonal holds the energies ``band_energies`` reports, up to
-    rounding and its floor at 0. The out-of-band Gram is the whole spectrum's (Parseval: nfft
-    times the windowed rows' Gram) minus that of the low bins.
+    Entry (t, s) is sum conj(X_t) X_s over the band's bins, so the energy
+    of sum_t c_t X_t is c^H G c; the diagonal holds the energies
+    ``band_energies`` reports, up to rounding and its floor at 0. The
+    out-of-band Gram is the whole spectrum's (Parseval: nfft times the
+    windowed rows' Gram) minus that of the low bins.
     """
     windowed, low, in_band, nfft = band_spectrum(series, sample_rate_hz)
     return _gram(low[:, in_band]), nfft * _gram(windowed) - _gram(low)
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
-    """Real part of the Gram matrix of the rows of ``rows``."""
-    return np.sum(rows[:, None, :] * rows[None, :, :].conj(), axis=2).real
+    """G[t, s] = sum_k conj(rows[t, k]) rows[s, k]."""
+    return np.einsum("tk,sk->ts", rows.conj(), rows)
 
 
 def ssnr_values(

@@ -119,7 +119,7 @@ def project(values: np.ndarray, sample_rate_hz: float) -> ProjectedWaveform:
     if values.ndim != 1 or values.size < 4:
         raise ConfigurationError("projection expects a 1-D series of length >= 4")
     band_gram, out_gram = band_grams(np.stack([values.real, values.imag]), sample_rate_hz)
-    band, out = _harmonics(band_gram), _harmonics(out_gram)
+    band, out = _harmonics(band_gram.real), _harmonics(out_gram.real)
     # out-of-band energy above the floor's share of the total: negative
     # exactly for the projections at the leakage floor
     headroom = tuple(

@@ -14,6 +14,7 @@ from csibreath.grid import default_grid, ht_ltf_grid
 from csibreath.ratio import (
     average_phase_blocks,
     band_energies,
+    band_grams,
     cscr,
     dynamic_amplitude_low_noise,
     guard_table,
@@ -408,6 +409,17 @@ def test_band_energies_match_direct_dft(rng):
     oracle_band, oracle_out = _direct_band_energies(x, fs)
     assert np.isclose(band[0], oracle_band, rtol=1e-9)
     assert np.isclose(out[0], oracle_out, rtol=1e-9)
+
+
+def test_band_grams_give_the_band_energies_of_any_weighted_sum(rng):
+    fs = 10.0
+    rows = rng.normal(size=(3, 100)) + 1j * rng.normal(size=(3, 100))
+    weights = rng.normal(size=3) + 1j * rng.normal(size=3)
+    band_gram, out_gram = band_grams(rows, fs)
+    band, out = band_energies((weights @ rows)[None, :], fs)
+    for gram, energy in ((band_gram, band[0]), (out_gram, out[0])):
+        assert np.allclose(gram, gram.conj().T, rtol=1e-12, atol=0)
+        assert np.isclose(weights.conj() @ gram @ weights, energy, rtol=1e-9)
 
 
 def test_pure_in_band_tone_reports_infinite():
