@@ -63,8 +63,8 @@ class CsiTrace:
             raise ConfigurationError("CSI values must be a non-empty (M, K) matrix")
         if times.shape != values.shape[1:]:
             raise ConfigurationError("need one timestamp per packet")
-        if not self.sample_rate_hz > 0:
-            raise ConfigurationError("sample rate must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ConfigurationError(f"sample rate must be finite and > 0: {self.sample_rate_hz}")
         if self.grid is not None and self.grid.count != values.shape[0]:
             raise ConfigurationError("CSI rows do not match the grid")
         object.__setattr__(self, "values", values)
@@ -145,12 +145,24 @@ class RateStepMotion:
 Motion = SinusoidMotion | ChirpMotion | RateStepMotion
 
 
+def _check_amplitude(name: str, amplitude) -> None:
+    """``check_real`` of an amplitude, or of each of its per-subcarrier values."""
+    for value in np.ravel(np.asarray(amplitude, dtype=object)):
+        check_real(name, value)
+
+
 @dataclass(frozen=True)
 class StaticPath:
     """One static propagation path. Amplitude may be per-subcarrier."""
 
     amplitude: float | np.ndarray
     length_m: float
+
+    def __post_init__(self) -> None:
+        _check_amplitude("static path amplitude", self.amplitude)
+        check_real("static path length_m", self.length_m)
+        if self.length_m <= 0:
+            raise ConfigurationError("static path lengths must be positive")
 
 
 @dataclass(frozen=True)
@@ -183,13 +195,13 @@ class ChannelScenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "static_paths", tuple(self.static_paths))
         object.__setattr__(self, "motion_events", tuple(self.motion_events))
+        for name in ("sample_rate_hz", "duration_s", "base_dynamic_length_m", "geometric_factor"):
+            check_real(name, getattr(self, name))
+        _check_amplitude("dynamic_amplitude", self.dynamic_amplitude)
         if self.sample_rate_hz <= 0 or self.duration_s <= 0:
             raise ConfigurationError("sample rate and duration must be positive")
         if not self.static_paths:
             raise ConfigurationError("at least one static path is required")
-        for p in self.static_paths:
-            if p.length_m <= 0:
-                raise ConfigurationError("static path lengths must be positive")
         if self.base_dynamic_length_m <= 0:
             raise ConfigurationError("base dynamic path length must be positive")
 

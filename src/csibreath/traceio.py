@@ -241,6 +241,9 @@ def _parse_header(comment_lines: list[str]) -> tuple[SubcarrierGrid, float]:
                 [s["center_frequency_hz"] for s in subcarriers]
             ),
         )
-        return grid, float(header["sample_rate_hz"])
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise TraceFormatError(f"bad grid definition: {exc}") from exc
+    try:
+        return grid, float(header["sample_rate_hz"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceFormatError(f"bad sample rate in header: {exc}") from exc

@@ -8,11 +8,9 @@ combination guarantees, end-to-end accuracy, and CLI determinism.
 """
 
 import dataclasses
-import json
 import time
 
 import numpy as np
-import pytest
 
 from csibreath import cli
 from csibreath.combine import align_streams, combine

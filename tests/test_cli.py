@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -462,6 +461,17 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         ("simulate", 0, "impairments", "gaussian_noise_std", -0.1),
         ("simulate", 0, "impairments", "impulse_log_std", float("inf")),
         ("run", 0, "impairments", "cfo_bound_rad", float("nan")),
+        ("simulate", 0, "scenario", "sample_rate_hz", float("inf")),
+        ("run", 0, "scenario", "sample_rate_hz", float("nan")),
+        ("run", 0, "scenario", "duration_s", float("inf")),
+        ("simulate", 0, "scenario", "duration_s", float("nan")),
+        ("run", 0, "scenario", "base_dynamic_length_m", float("nan")),
+        ("run", 0, "scenario", "dynamic_amplitude", float("nan")),
+        ("run", 0, "scenario", "dynamic_amplitude", [0.1] * 5 + [float("nan")]),
+        ("run", 0, "scenario", "geometric_factor", float("nan")),
+        ("run", 0, "scenario", "static_paths", [{"amplitude": float("nan"), "length_m": 6.0}]),
+        ("run", 0, "scenario", "static_paths", [{"amplitude": 1.0, "length_m": float("inf")}]),
+        ("run", 0, "scenario", "static_paths", [{"amplitude": "abc", "length_m": 6.0}]),
     ],
 )
 def test_bad_values_and_seeds_exit_2(tmp_path, capsys, command, seed, section, key, value):

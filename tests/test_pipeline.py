@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from csibreath import parallel
 from csibreath.errors import ConfigurationError, NoWindowError
-from csibreath.grid import custom_grid, default_grid
+from csibreath.grid import custom_grid
 from csibreath.pipeline import (
     DETECTION_TOLERANCE_BPM,
     PipelineConfig,

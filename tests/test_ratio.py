@@ -10,7 +10,7 @@ from csibreath.errors import (
     SingularRatioError,
     StreamGuardError,
 )
-from csibreath.grid import default_grid, ht_ltf_grid
+from csibreath.grid import ht_ltf_grid
 from csibreath.ratio import (
     average_phase_blocks,
     band_energies,

@@ -185,6 +185,15 @@ def test_non_positive_sample_rate(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("rate", ["Infinity", "NaN", '"abc"', "null"])
+def test_non_finite_or_non_numeric_sample_rate(tmp_path, rate):
+    path = tmp_path / "t.csv"
+    header = _valid_header().replace('"sample_rate_hz": 10.0', f'"sample_rate_hz": {rate}')
+    _write_lines(path, [header, "k,t_s,re000,im000", "0,0.0,1.0,0.0"])
+    with pytest.raises(TraceFormatError, match="sample rate"):
+        read_trace(path)
+
+
 def test_column_header_mismatch(tmp_path):
     path = tmp_path / "t.csv"
     _write_lines(path, [_valid_header(), "k,t_s,re000,im000,re001,im001", "0,0.0,1,0,1,0"])
