@@ -12,9 +12,9 @@ band ratio before the squared magnitude is linear in the numerator weights,
 so the objective is a ratio of two Hermitian forms. Over every other row as
 a numerator, with weights drawn from a basis of a few propagation delays,
 its optimum is the top generalized eigenvector of an 8x8 pair of in-band
-and out-of-band Gram matrices (the max-SNR beamformer of Warsitz and
-Haeb-Umbach, IEEE TASLP 2007). The best single pair over the denominator
-is an explicit fallback, so the result is never worse than any of them.
+and out-of-band Gram matrices: ``ratio.max_snr``, the solver the projection
+angle uses too. The best single pair over the denominator is an explicit
+fallback, so the result is never worse than any of them.
 
 ``best_single_pair`` scores all n(n-1) ordered single pairs, the exact
 reference that ``gass-audit`` compares the solve against. Every ratio here,
@@ -42,6 +42,7 @@ from .ratio import (
     band_grams,
     guard_table,
     guarded_ratio,
+    max_snr,
     ssnr_values,
 )
 
@@ -197,7 +198,7 @@ def solve_delay_basis(
     sum_m F[m, t] H_m / H_d (guarded like any ratio by ``guards``), and the
     band ratio of sum_t c_t S_t is c^H A c / c^H B c, with A and B the
     in-band and out-of-band Gram matrices of the spectra of S. Its maximum is
-    the top eigenvalue of A whitened by the Cholesky factor of B. The weights
+    at their top generalized eigenvector (``ratio.max_snr``). The weights
     are scaled so that max |w| = 1, with that entry real and positive, and
     the genome's ``fitness`` equals the eigenvalue up to rounding.
 
@@ -242,14 +243,10 @@ def _solve(
     basis = np.exp(2j * np.pi * np.outer(frequencies[rows] - frequencies.mean(), delays))
     # sum_m F[m, t] (H_m / H_d) = (sum_m F[m, t] H_m) / H_d, guard interpolation included
     projected = guards.divide(np.einsum("mt,mk->tk", basis, matrix[rows]), matrix[d], d)
-    band, out_of_band = band_grams(projected, sample_rate_hz)
-    try:
-        factor = np.linalg.cholesky(out_of_band)
-        inverse = np.linalg.inv(factor)
-        _, vectors = np.linalg.eigh(inverse @ band @ inverse.conj().T)
-    except np.linalg.LinAlgError:
+    coefficients = max_snr(*band_grams(projected, sample_rate_hz))
+    if coefficients is None:
         return None
-    weights = np.einsum("mt,t->m", basis, inverse.conj().T @ vectors[:, -1])
+    weights = np.einsum("mt,t->m", basis, coefficients)
     top = int(np.argmax(np.abs(weights)))
     weights = weights / weights[top]
     weights[top] = 1.0

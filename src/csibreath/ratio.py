@@ -20,6 +20,10 @@ band over the energy above it. One zero-padded FFT per row gives the bins up
 to the band's top edge (51 of 512 for 100 samples at 10 Hz), and Parseval's
 theorem gives the energy above them from the time-domain energy of the
 windowed row, so the bins above the band are never summed.
+
+The weights of the sum of rows with the best band ratio are the top
+generalized eigenvector of the rows' ``band_grams``; ``max_snr`` finds it for
+both the subcarrier search (``gass``) and the projection angle (``waveform``).
 """
 
 from __future__ import annotations
@@ -437,6 +441,23 @@ def band_grams(
 def _gram(rows: np.ndarray) -> np.ndarray:
     """G[t, s] = sum_k conj(rows[t, k]) rows[s, k]."""
     return np.einsum("tk,sk->ts", rows.conj(), rows)
+
+
+def max_snr(band: np.ndarray, out_of_band: np.ndarray) -> np.ndarray | None:
+    """The c maximizing c^H A c / c^H B c for the Hermitian ``band`` A and
+    ``out_of_band`` B, or None when B is not positive definite.
+
+    This is the max-SNR beamformer (Warsitz and Haeb-Umbach, IEEE TASLP
+    2007): the top generalized eigenvector of (A, B), found as the top
+    eigenvector of A whitened by the inverse Cholesky factor of B and
+    mapped back. Its scale and phase are arbitrary.
+    """
+    try:
+        inverse = np.linalg.inv(np.linalg.cholesky(out_of_band))
+        _, vectors = np.linalg.eigh(inverse @ band @ inverse.conj().T)
+    except np.linalg.LinAlgError:
+        return None
+    return inverse.conj().T @ vectors[:, -1]
 
 
 def ssnr_values(

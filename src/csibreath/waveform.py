@@ -6,11 +6,10 @@ amplitude of the ratio barely moves, its phase does (and vice versa), so some
 axis cos(theta) * Re + sin(theta) * Im always carries the motion. The band
 energies of that projection are quadratic forms in (cos theta, sin theta)
 over the 2x2 in-band and out-of-band Gram matrices of the spectra of Re and
-Im, so the angle with the best respiration-band ratio has a closed form: the
-2-D case of the max-SNR generalized-eigenvector beamformer (Warsitz &
-Haeb-Umbach, IEEE TASLP 2007). ``ratio.band_grams`` gives both Gram
-matrices from one 2-row FFT, with the band split ``ratio.band_energies``
-makes.
+Im, so the axis with the best respiration-band ratio is their top
+generalized eigenvector: ``ratio.max_snr``, the solver the subcarrier search
+uses too. ``ratio.band_grams`` gives both Gram matrices from one 2-row FFT,
+with the band split ``ratio.band_energies`` makes.
 
 The Hampel filter takes the medians of all its full windows in two
 vectorised ``np.median`` calls. The Savitzky-Golay smoother is plain numpy
@@ -28,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
-from .ratio import LEAKAGE_FLOOR_FRACTION, band_grams, ssnr_values
+from .ratio import LEAKAGE_FLOOR_FRACTION, band_grams, max_snr, ssnr_values
 
 # how far inside the end of an open arc of leakage-floor angles a projection
 # is taken, as a fraction of the arc's half-width
@@ -58,34 +57,6 @@ def _harmonics(gram: np.ndarray) -> tuple[float, float, float]:
         (gram[0, 0] - gram[1, 1]) / 2.0,
         gram[0, 1],
     )
-
-
-def _form(g: tuple[float, float, float], phi: float) -> float:
-    return g[0] + g[1] * math.cos(phi) + g[2] * math.sin(phi)
-
-
-def _best_ratio(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
-    """phi maximizing a(phi) / b(phi), for b > 0 wherever a > 0.
-
-    The derivative's numerator a' b - a b' reduces to p sin(phi) +
-    q cos(phi) + r, so the stationary points are its two roots on the
-    circle; the one with the larger ratio is the maximum. With p = q = 0 the
-    ratio does not depend on the angle and phi = 0 is returned.
-    """
-    p = a[0] * b[1] - a[1] * b[0]
-    q = a[2] * b[0] - a[0] * b[2]
-    r = a[2] * b[1] - a[1] * b[2]
-    size = math.hypot(p, q)
-    if size == 0.0:
-        return 0.0
-    centre = math.atan2(p, q)
-    spread = math.acos(min(1.0, max(-1.0, -r / size)))
-
-    def ratio(phi: float) -> float:
-        den = _form(b, phi)
-        return _form(a, phi) / den if den > 0 else 0.0
-
-    return max((centre - spread, centre + spread), key=ratio)
 
 
 def _best_at_floor(a: tuple[float, float, float], c: tuple[float, float, float]) -> float:
@@ -126,11 +97,12 @@ def project(values: np.ndarray, sample_rate_hz: float) -> ProjectedWaveform:
         o - LEAKAGE_FLOOR_FRACTION * (i + o) for i, o in zip(band, out)
     )
     if headroom[0] < math.hypot(headroom[1], headroom[2]):
-        phi = _best_at_floor(band, headroom)
+        theta = _best_at_floor(band, headroom) / 2.0
     else:
-        phi = _best_ratio(band, out)
-    theta = (phi / 2.0) % math.pi
-    if theta == math.pi:  # phi / 2 was a hair below a multiple of pi
+        axis = max_snr(band_gram.real, out_gram.real)
+        theta = 0.0 if axis is None else math.atan2(axis[1], axis[0])
+    theta %= math.pi
+    if theta == math.pi:  # theta was a hair below a multiple of pi
         theta = 0.0
     series = np.cos(theta) * values.real + np.sin(theta) * values.imag
     ratio = float(ssnr_values(series[None, :], sample_rate_hz)[0])

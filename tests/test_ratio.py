@@ -19,6 +19,7 @@ from csibreath.ratio import (
     dynamic_amplitude_low_noise,
     guard_table,
     guarded_ratio,
+    max_snr,
     mobius_decompose,
     ratio_phase_split,
     ssnr_values,
@@ -421,6 +422,38 @@ def test_band_grams_give_the_band_energies_of_any_weighted_sum(rng):
         assert np.allclose(gram, gram.conj().T, rtol=1e-12, atol=0)
         assert np.isclose(weights.conj() @ gram @ weights, energy, rtol=1e-9)
 
+
+
+def _positive_definite(rng, n, is_complex):
+    rows = rng.normal(size=(n, n + 2))
+    if is_complex:
+        rows = rows + 1j * rng.normal(size=(n, n + 2))
+    return rows @ rows.conj().T
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+def test_max_snr_is_the_top_generalized_eigenvector(rng, n, is_complex):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    band = _positive_definite(rng, n, is_complex)
+    out_of_band = _positive_definite(rng, n, is_complex)
+    vector = max_snr(band, out_of_band)
+    assert vector.dtype == (complex if is_complex else float)
+    values, vectors = scipy_linalg.eigh(band, out_of_band)
+    top = vectors[:, -1]
+    scale = (top.conj() @ vector) / (top.conj() @ top)  # arbitrary scale and phase
+    assert np.linalg.norm(vector - scale * top) <= 1e-8 * np.linalg.norm(vector)
+    quotient = (vector.conj() @ band @ vector) / (vector.conj() @ out_of_band @ vector)
+    assert quotient.real == pytest.approx(values[-1], rel=1e-10)
+    assert abs(quotient.imag) <= 1e-10 * values[-1]
+
+
+@pytest.mark.parametrize(
+    "out_of_band", [np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -1.0, 2.0])],
+    ids=["singular", "indefinite"],
+)
+def test_max_snr_is_none_unless_the_out_of_band_gram_is_positive_definite(out_of_band):
+    assert max_snr(np.eye(3), out_of_band) is None
 
 def test_pure_in_band_tone_reports_infinite():
     fs = 10.0
