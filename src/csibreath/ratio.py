@@ -44,7 +44,10 @@ from .simulate import CsiTrace
 BAND_LOW_HZ = 0.167
 BAND_HIGH_HZ = 0.5
 
-# Fraction of flagged denominator samples above which a stream is rejected.
+# A denominator sample is flagged when its magnitude is at most GUARD_REL
+# times its row's median magnitude; a row with more than
+# MAX_GUARDED_FRACTION of its samples flagged is rejected.
+GUARD_REL = 1e-9
 MAX_GUARDED_FRACTION = 0.10
 
 # Out-of-band energy below this fraction of total is indistinguishable from
@@ -92,17 +95,16 @@ class StreamStack:
 class GuardTable:
     """Denominator guard status of every row of a CSI matrix.
 
-    A sample is flagged when its magnitude is at most ``guard_rel`` times the
-    median magnitude of its row. A row is rejected when it is flagged
-    throughout or when more than ``max_flagged`` of it is flagged. Built once
-    per matrix with ``guard_table``, so many ratios over the same rows share
-    one median per row. ``divide`` is the one guarded division of the
-    package; ``ratio`` and ``guarded_ratio`` are its one-row case.
+    A sample is flagged when its magnitude is at most ``GUARD_REL`` times
+    the median magnitude of its row. A row is rejected when it is flagged
+    throughout or when more than ``MAX_GUARDED_FRACTION`` of it is flagged.
+    Built once per matrix with ``guard_table``, so many ratios over the same
+    rows share one median per row. ``divide`` is the one guarded division of
+    the package; ``ratio`` and ``guarded_ratio`` are its one-row case.
     """
 
     flagged: np.ndarray    # bool, (rows, samples)
     rejected: np.ndarray   # bool, one per row
-    max_flagged: float
 
     def divide(
         self, numerators: np.ndarray, denominators: np.ndarray, rows: int | np.ndarray
@@ -126,7 +128,7 @@ class GuardTable:
             share = np.mean(self.flagged[row])
             raise StreamGuardError(
                 f"{share:.1%} of denominator samples failed the guard "
-                f"(limit {self.max_flagged:.0%})"
+                f"(limit {MAX_GUARDED_FRACTION:.0%})"
             )
         # a flagged sample may divide by zero; it is overwritten below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -150,47 +152,34 @@ class GuardTable:
         return self.divide(numerator, denominator, row), self.flagged[row].copy()
 
 
-def guard_table(
-    matrix: np.ndarray,
-    guard_rel: float = 1e-9,
-    max_flagged: float = MAX_GUARDED_FRACTION,
-) -> GuardTable:
+def guard_table(matrix: np.ndarray) -> GuardTable:
     """Guard status of each row of ``matrix`` as a ratio denominator."""
     mag = np.abs(np.atleast_2d(matrix))
-    flagged = mag <= guard_rel * np.median(mag, axis=1, keepdims=True)
-    rejected = flagged.all(axis=1) | (flagged.mean(axis=1) > max_flagged)
-    return GuardTable(flagged, rejected, max_flagged)
+    flagged = mag <= GUARD_REL * np.median(mag, axis=1, keepdims=True)
+    rejected = flagged.all(axis=1) | (flagged.mean(axis=1) > MAX_GUARDED_FRACTION)
+    return GuardTable(flagged, rejected)
 
 
 def guarded_ratio(
-    numerator: np.ndarray,
-    denominator: np.ndarray,
-    guard_rel: float = 1e-9,
-    max_flagged: float = MAX_GUARDED_FRACTION,
+    numerator: np.ndarray, denominator: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise ratio with near-zero denominators interpolated over.
 
-    Samples where |denominator| falls below ``guard_rel`` times the median
+    Samples where |denominator| is at most ``GUARD_REL`` times the median
     denominator magnitude are flagged and replaced by linear interpolation of
     the surrounding valid ratio samples (edges clamp to the nearest valid
-    sample). Raises StreamGuardError when more than ``max_flagged`` of the
-    stream is flagged.
+    sample). Raises StreamGuardError when more than ``MAX_GUARDED_FRACTION``
+    of the stream is flagged.
     """
-    guards = guard_table(denominator, guard_rel, max_flagged)
-    return guards.ratio(numerator, denominator, 0)
+    return guard_table(denominator).ratio(numerator, denominator, 0)
 
 
-def cscr(
-    trace: CsiTrace,
-    numerator_index: int,
-    denominator_index: int,
-    guard_rel: float = 1e-9,
-) -> CscrStream:
+def cscr(trace: CsiTrace, numerator_index: int, denominator_index: int) -> CscrStream:
     """Ratio of the CSI at two grid positions, one sample per packet."""
     if numerator_index == denominator_index:
         raise ConfigurationError("numerator and denominator subcarriers must differ")
     h = trace.values
-    values, bad = guarded_ratio(h[numerator_index], h[denominator_index], guard_rel)
+    values, bad = guarded_ratio(h[numerator_index], h[denominator_index])
     return CscrStream(
         values=values,
         sample_rate_hz=trace.sample_rate_hz,
