@@ -33,7 +33,7 @@ from .simulate import (
 
 logger = logging.getLogger(__name__)
 
-TOP_LEVEL_KEYS = {"grid", "scenario", "impairments", "input", "pipeline", "sweep", "outputs"}
+TOP_LEVEL_KEYS = {"grid", "scenario", "impairments", "input", "pipeline", "sweep"}
 SWEEP_KEYS = {"offsets_m", "positions", "span_wavelengths", "noise_stds", "runs_per_level"}
 
 # Settings of searches the closed-form, deterministic one replaced: the
@@ -135,16 +135,11 @@ def _motion_from_config(spec: dict) -> Motion:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigurationError("scenario.motion needs a 'kind'")
     kind = spec["kind"]
+    kinds = {"sinusoid": SinusoidMotion, "chirp": ChirpMotion, "steps": RateStepMotion}
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigurationError(f"unknown motion kind {kind!r}")
     body = {k: v for k, v in spec.items() if k != "kind"}
-    if kind == "sinusoid":
-        return _build(SinusoidMotion, body, "scenario.motion")
-    if kind == "chirp":
-        return _build(ChirpMotion, body, "scenario.motion")
-    if kind == "steps":
-        if "segments" in body:
-            body["segments"] = tuple(tuple(s) for s in body["segments"])
-        return _build(RateStepMotion, body, "scenario.motion")
-    raise ConfigurationError(f"unknown motion kind {kind!r}")
+    return _build(kinds[kind], body, "scenario.motion")
 
 
 def scenario_from_config(config: dict) -> ChannelScenario:

@@ -100,6 +100,10 @@ class SinusoidMotion:
     amplitude_m: float
     phase_rad: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in ("rate_hz", "amplitude_m", "phase_rad"):
+            check_real(name, getattr(self, name))
+
     def displacement(self, t: np.ndarray, duration_s: float) -> np.ndarray:
         return self.amplitude_m * np.sin(2.0 * np.pi * self.rate_hz * t + self.phase_rad)
 
@@ -112,6 +116,10 @@ class ChirpMotion:
     end_rate_hz: float
     amplitude_m: float
 
+    def __post_init__(self) -> None:
+        for name in ("start_rate_hz", "end_rate_hz", "amplitude_m"):
+            check_real(name, getattr(self, name))
+
     def displacement(self, t: np.ndarray, duration_s: float) -> np.ndarray:
         sweep = (self.end_rate_hz - self.start_rate_hz) / max(duration_s, 1e-12)
         phase = 2.0 * np.pi * (self.start_rate_hz * t + 0.5 * sweep * t * t)
@@ -122,16 +130,30 @@ class ChirpMotion:
 class RateStepMotion:
     """Piecewise-constant breathing rate with a phase-continuous waveform.
 
-    ``segments`` is a sequence of (duration_s, rate_hz) pairs; the last
-    segment is extended if the scenario outlasts the schedule.
+    ``segments`` is a non-empty sequence of (duration_s, rate_hz) pairs,
+    durations >= 0; the last segment is extended if the scenario outlasts
+    the schedule.
     """
 
     segments: tuple[tuple[float, float], ...]
     amplitude_m: float
 
-    def displacement(self, t: np.ndarray, duration_s: float) -> np.ndarray:
-        if not self.segments:
+    def __post_init__(self) -> None:
+        try:
+            segments = tuple((duration, rate) for duration, rate in self.segments)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"segments must be (duration_s, rate_hz) pairs, got {self.segments!r}"
+            ) from exc
+        if not segments:
             raise ConfigurationError("RateStepMotion requires at least one segment")
+        for duration, rate in segments:
+            check_real("segment duration_s", duration, 0.0)
+            check_real("segment rate_hz", rate)
+        check_real("amplitude_m", self.amplitude_m)
+        object.__setattr__(self, "segments", segments)
+
+    def displacement(self, t: np.ndarray, duration_s: float) -> np.ndarray:
         rate = np.full_like(t, self.segments[-1][1], dtype=float)
         start = 0.0
         for seg_duration, seg_rate in self.segments:
@@ -177,6 +199,10 @@ class MotionEvent:
     time_s: float
     static_shift_m: float = 0.0
     dynamic_shift_m: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("time_s", "static_shift_m", "dynamic_shift_m"):
+            check_real(f"motion event {name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -260,6 +286,13 @@ class ChannelScenario:
 
 def generate_ideal_csi(scenario: ChannelScenario, grid: SubcarrierGrid) -> CsiTrace:
     """Noise-free CSI trace for a scenario on a grid."""
+    amplitudes = [("dynamic_amplitude", scenario.dynamic_amplitude)]
+    amplitudes += [("static path amplitude", p.amplitude) for p in scenario.static_paths]
+    for name, amplitude in amplitudes:
+        if np.ndim(amplitude) and np.shape(amplitude) != (grid.count,):
+            raise ConfigurationError(
+                f"{name} has {np.size(amplitude)} values for {grid.count} subcarriers"
+            )
     matrix = scenario.static_field(grid) + scenario.dynamic_field(grid)
     return CsiTrace.uniform(matrix, scenario.sample_rate_hz, grid)
 

@@ -31,6 +31,8 @@ pipeline:
   mu: 0.5
 """
 _MU = "  mu: 0.5"  # the last line of _BASE, inside pipeline
+_SINUSOID = {"kind": "sinusoid", "rate_hz": 0.25, "amplitude_m": 0.003}
+_STEPS = {"kind": "steps", "segments": [[6, 0.25], [6, 0.3]], "amplitude_m": 0.003}
 
 
 @pytest.fixture
@@ -354,9 +356,10 @@ def test_missing_config_exits_2(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
-def test_unknown_config_key_exits_2(tmp_path):
+@pytest.mark.parametrize("line", ["telemetry: true", "outputs: {foo: 1}"])
+def test_unknown_config_key_exits_2(tmp_path, line):
     config = tmp_path / "bad.yaml"
-    config.write_text(_BASE + "telemetry: true\n")
+    config.write_text(f"{_BASE}{line}\n")
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
 
@@ -472,6 +475,26 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         ("run", 0, "scenario", "static_paths", [{"amplitude": float("nan"), "length_m": 6.0}]),
         ("run", 0, "scenario", "static_paths", [{"amplitude": 1.0, "length_m": float("inf")}]),
         ("run", 0, "scenario", "static_paths", [{"amplitude": "abc", "length_m": 6.0}]),
+        ("run", 0, "scenario", "motion", _SINUSOID | {"rate_hz": float("nan")}),
+        ("run", 0, "scenario", "motion", _SINUSOID | {"rate_hz": "abc"}),
+        ("run", 0, "scenario", "motion", _SINUSOID | {"amplitude_m": float("nan")}),
+        ("simulate", 0, "scenario", "motion", _SINUSOID | {"phase_rad": float("inf")}),
+        ("run", 0, "scenario", "motion", {"kind": "chirp", "start_rate_hz": "abc",
+                                          "end_rate_hz": 0.3, "amplitude_m": 0.003}),
+        ("run", 0, "scenario", "motion", {"kind": "chirp", "start_rate_hz": 0.2,
+                                          "end_rate_hz": float("nan"), "amplitude_m": 0.003}),
+        ("run", 0, "scenario", "motion", _STEPS | {"segments": [[10, 0.25, 3]]}),
+        ("run", 0, "scenario", "motion", _STEPS | {"segments": 5}),
+        ("run", 0, "scenario", "motion", _STEPS | {"segments": []}),
+        ("run", 0, "scenario", "motion", _STEPS | {"segments": [[-1.0, 0.25], [20, 0.3]]}),
+        ("run", 0, "scenario", "motion", _STEPS | {"segments": [[10, "abc"]]}),
+        ("run", 0, "scenario", "motion", _STEPS | {"amplitude_m": float("nan")}),
+        ("run", 0, "scenario", "motion_events", [{"time_s": float("nan")}]),
+        ("run", 0, "scenario", "motion_events", [{"time_s": 5.0, "static_shift_m": float("inf")}]),
+        ("run", 0, "scenario", "motion_events", [{"time_s": 5.0, "dynamic_shift_m": "abc"}]),
+        ("run", 0, "scenario", "dynamic_amplitude", [0.1] * 5),       # 6 tones
+        ("sweep-blindspot", 0, "scenario", "dynamic_amplitude", [0.1] * 7),
+        ("simulate", 0, "scenario", "static_paths", [{"amplitude": [1.0] * 5, "length_m": 6.0}]),
     ],
 )
 def test_bad_values_and_seeds_exit_2(tmp_path, capsys, command, seed, section, key, value):
