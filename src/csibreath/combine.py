@@ -62,7 +62,6 @@ class CombinedSignal:
     values: np.ndarray               # weighted aligned sum
     smoothed: np.ndarray             # after the moving average
     sample_rate_hz: float
-    smoothing_window: int
     reference_denominator: int
     contributing: int
     weights: np.ndarray              # gamma of each aligned stream, 0 if dropped
@@ -175,7 +174,6 @@ def combine(
         values=total,
         smoothed=moving_average(total, smoothing_window),
         sample_rate_hz=aligned.sample_rate_hz,
-        smoothing_window=smoothing_window,
         reference_denominator=int(aligned.denominators[np.argmax(aligned.band_ratios)]),
         contributing=int(kept.size),
         weights=np.where(survivors, capped, 0.0),

@@ -274,9 +274,10 @@ def build_streams(
     if guards is None:
         guards = guard_table(matrix)
     kept = ~guards.rejected
-    own = np.unique(genome.numerator_indices[genome.weights != 0])
-    if own.size == 1:
-        kept[own] = False
+    # a set, not np.unique, which imports numpy.ma for its masked-array check
+    own = set(genome.numerator_indices[genome.weights != 0].tolist())
+    if len(own) == 1:
+        kept[own.pop()] = False
     rows = np.flatnonzero(kept)
     numerator = _numerator(matrix, genome.weights, genome.numerator_indices)
     values = guards.divide(numerator, matrix[rows], rows)

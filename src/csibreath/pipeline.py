@@ -67,6 +67,7 @@ from .ratio import (
     average_phase_blocks,
     guard_table,
     guarded_ratio,
+    median,
     ssnr_values,
     unwrap_finite,
 )
@@ -561,15 +562,15 @@ def blind_spot_sweep(
     for offset, rates in zip(offsets, pool_map(run, scenarios, draws)):
         for method in methods:
             values = [f for f in rates[method] if f is not None]
-            median = float(np.median(values)) if values else None
+            median_bpm = float(median(values)) if values else None
             rows.append(
                 {
                     "offset_m": float(offset),
                     "method": method,
                     "windows": len(rates[method]),
-                    "median_bpm": median,
+                    "median_bpm": median_bpm,
                     "truth_bpm": truth,
-                    "detected": _detected(median, truth),
+                    "detected": _detected(median_bpm, truth),
                 }
             )
     summary = {

@@ -19,11 +19,18 @@ The quality metric is the band ratio: spectral energy in the respiration
 band over the energy above it. One zero-padded FFT per row gives the bins up
 to the band's top edge (51 of 512 for 100 samples at 10 Hz), and Parseval's
 theorem gives the energy above them from the time-domain energy of the
-windowed row, so the bins above the band are never summed.
+windowed row, so the bins above the band are never summed. The FFT runs
+over blocks of ``BLOCK_ROWS`` rows, as the phase block averaging does, so
+neither holds more than a few rows' temporaries; rows are independent, so
+the bits are those of the whole matrix at once.
 
 The weights of the sum of rows with the best band ratio are the top
 generalized eigenvector of the rows' ``band_grams``; ``max_snr`` finds it for
 both the subcarrier search (``gass``) and the projection angle (``waveform``).
+
+``median`` is the package's one median: ``np.median`` bit for bit, for the
+guard table, the Hampel filter and the sweeps, without importing
+``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .errors import (
     SingularRatioError,
     StreamGuardError,
 )
-from .simulate import CsiTrace
+from .simulate import BLOCK_ROWS, CsiTrace
 
 # Respiration band: 10.02 to 30 breaths per minute.
 BAND_LOW_HZ = 0.167
@@ -152,10 +159,36 @@ class GuardTable:
         return self.divide(numerator, denominator, row), self.flagged[row].copy()
 
 
+def median(values: np.ndarray, axis: int = -1) -> np.ndarray | np.floating:
+    """``np.median(values, axis=axis)``, bit for bit, for values with at
+    least one entry along ``axis``.
+
+    It is the same computation: one ``np.partition`` at the middle one or
+    two positions and the last, the ``np.mean`` of the middle values, and
+    NaN where the last partitioned value (the largest, or a NaN) is NaN.
+    ``np.median`` makes that NaN check through ``numpy.ma``, whose first
+    import costs each process over a megabyte and several milliseconds.
+    """
+    values = np.asarray(values)
+    size = values.shape[axis]
+    half = size // 2
+    kth = [half - 1, half] if size % 2 == 0 else [half]
+    part = np.moveaxis(np.partition(values, [*kth, -1], axis=axis), axis, -1)
+    result = np.mean(part[..., kth[0] : half + 1], axis=-1)
+    last = part[..., -1]
+    nan = np.isnan(last)
+    if not nan.any():
+        return result
+    if isinstance(result, np.generic):
+        return last[()]
+    np.copyto(result, last, where=nan)
+    return result
+
+
 def guard_table(matrix: np.ndarray) -> GuardTable:
     """Guard status of each row of ``matrix`` as a ratio denominator."""
     mag = np.abs(np.atleast_2d(matrix))
-    flagged = mag <= GUARD_REL * np.median(mag, axis=1, keepdims=True)
+    flagged = mag <= GUARD_REL * median(mag, axis=1)[:, None]
     rejected = flagged.all(axis=1) | (flagged.mean(axis=1) > MAX_GUARDED_FRACTION)
     return GuardTable(flagged, rejected)
 
@@ -187,9 +220,6 @@ def cscr(trace: CsiTrace, numerator_index: int, denominator_index: int) -> CscrS
         denominator=denominator_index,
         interpolated=bad,
     )
-
-
-_AVERAGE_ROWS = 32  # rows block-averaged at a time
 
 
 def unwrap_finite(phase: np.ndarray) -> np.ndarray:
@@ -227,12 +257,12 @@ def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
     averaged = np.empty((h.shape[0], n_blocks), dtype=complex)
     # rows unwrap and average independently, so a few at a time give the
     # same bits with temporaries of a few rows instead of the whole matrix
-    for first in range(0, h.shape[0], _AVERAGE_ROWS):
-        rows = h[first : first + _AVERAGE_ROWS]
+    for first in range(0, h.shape[0], BLOCK_ROWS):
+        rows = h[first : first + BLOCK_ROWS]
         shape = (rows.shape[0], n_blocks, block_size)
         mean_phase = unwrap_finite(np.angle(rows)).reshape(shape).mean(axis=2)
         mean_mag = np.abs(rows).reshape(shape).mean(axis=2)
-        averaged[first : first + _AVERAGE_ROWS] = mean_mag * np.exp(1j * mean_phase)
+        averaged[first : first + BLOCK_ROWS] = mean_mag * np.exp(1j * mean_phase)
     block_times = trace.times_s[: n_blocks * block_size].reshape(n_blocks, block_size)
     return CsiTrace(
         averaged,
@@ -382,10 +412,16 @@ def band_spectrum(
         raise ConfigurationError("series too short for a spectrum")
     nfft, window, low, in_band = _band_bins(n, float(sample_rate_hz))
     windowed = (x - x.mean(axis=1, keepdims=True)) * window
-    spectrum = np.fft.fft(windowed, n=nfft, axis=1)
-    # a column gather comes back column-major, and summing that along rows
-    # adds in a different order than the pairwise sum of one row
-    return windowed, np.ascontiguousarray(spectrum[:, low]), in_band, nfft
+    # rows transform independently, so a few at a time give the same bits
+    # with a few rows of the nfft-bin spectrum instead of all of them. A
+    # column gather comes back column-major, and summing that along rows
+    # adds in a different order than the pairwise sum of one row; gathered
+    # into a row-major array, each row sums as it would alone.
+    spectrum = np.empty((x.shape[0], low.size), dtype=complex)
+    for first in range(0, x.shape[0], BLOCK_ROWS):
+        rows = slice(first, first + BLOCK_ROWS)
+        spectrum[rows] = np.fft.fft(windowed[rows], n=nfft, axis=1)[:, low]
+    return windowed, spectrum, in_band, nfft
 
 
 def band_energies(

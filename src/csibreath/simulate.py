@@ -20,6 +20,11 @@ sampling-clock slope, phi(k) a bounded random-walk carrier offset.
 
 Every CSI sequence in the package is one ``CsiTrace``: the (M, K) matrix
 H(m, k) with its packet times, sample rate and grid.
+
+Synthesis holds few temporaries the size of that matrix. The static field
+is computed once per distinct event shift, the dynamic field in place, and
+the impairments in blocks of ``BLOCK_ROWS`` rows, each written straight into
+the output; a row's bits do not depend on the block it is computed in.
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ from .grid import SubcarrierGrid
 
 # Physiological bound on respiration-induced path-length change (meters).
 MAX_PATH_CHANGE_M = 0.012
+
+# CSI rows a per-row stage works on at a time: the stages that treat each
+# row of an (M, K) matrix alone run over blocks of this many rows, so their
+# temporaries span a few rows instead of the whole matrix.
+BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,26 +272,30 @@ class ChannelScenario:
         return d
 
     def static_field(self, grid: SubcarrierGrid) -> np.ndarray:
-        """Aggregate static channel, shape (M, K). Constant in k unless an
-        event shifts the static paths."""
+        """Aggregate static channel, shape (M, K). It is constant in k
+        unless an event shifts the static paths, so it is computed once per
+        distinct shift; without one it is a read-only broadcast of a single
+        column."""
+        shifts, column = np.unique(self._event_steps("static_shift_m"), return_inverse=True)
         wavelength = grid.wavelength_m[:, None]
-        shifts = self._event_steps("static_shift_m")[None, :]
-        total = np.zeros((grid.count, self.n_samples), dtype=complex)
+        total = np.zeros((grid.count, shifts.size), dtype=complex)
         for p in self.static_paths:
             amp = np.broadcast_to(np.asarray(p.amplitude, dtype=float), (grid.count,))
             total += amp[:, None] * np.exp(
-                -2j * np.pi * (p.length_m + shifts) / wavelength
+                -2j * np.pi * (p.length_m + shifts[None, :]) / wavelength
             )
-        return total
+        if shifts.size == 1:
+            return np.broadcast_to(total, (grid.count, self.n_samples))
+        return total[:, column]
 
     def dynamic_field(self, grid: SubcarrierGrid) -> np.ndarray:
         wavelength = grid.wavelength_m[:, None]
         amp = np.broadcast_to(
             np.asarray(self.dynamic_amplitude, dtype=float), (grid.count,)
         )
-        return amp[:, None] * np.exp(
-            -2j * np.pi * self.dynamic_path_length()[None, :] / wavelength
-        )
+        field = -2j * np.pi * self.dynamic_path_length()[None, :] / wavelength
+        np.exp(field, out=field)
+        return np.multiply(amp[:, None], field, out=field)
 
 
 def generate_ideal_csi(scenario: ChannelScenario, grid: SubcarrierGrid) -> CsiTrace:
@@ -293,7 +307,8 @@ def generate_ideal_csi(scenario: ChannelScenario, grid: SubcarrierGrid) -> CsiTr
             raise ConfigurationError(
                 f"{name} has {np.size(amplitude)} values for {grid.count} subcarriers"
             )
-    matrix = scenario.static_field(grid) + scenario.dynamic_field(grid)
+    matrix = scenario.dynamic_field(grid)
+    np.add(scenario.static_field(grid), matrix, out=matrix)
     return CsiTrace.uniform(matrix, scenario.sample_rate_hz, grid)
 
 
@@ -389,7 +404,7 @@ def impulse_level_series(
     log_level = config.impulse_log_std * (
         math.sqrt(rho) * common[None, :] + math.sqrt(1.0 - rho) * individual
     )
-    return np.exp(log_level[:, segment])
+    return np.exp(log_level)[:, segment]
 
 
 def apply_impairments(trace: CsiTrace, config: ImpairmentConfig) -> CsiTrace:
@@ -413,11 +428,22 @@ def apply_impairments(trace: CsiTrace, config: ImpairmentConfig) -> CsiTrace:
     phi = cfo_phase_series(config, n_samples, rng)
     levels = impulse_level_series(config, n_sub, n_samples, trace.sample_rate_hz, rng)
 
-    theta = grid.physical_index[:, None] * (eta_b + config.sfo_slope)[None, :] + phi[None, :]
-    corrupted = levels * np.exp(-1j * theta) * h
+    # rows are corrupted independently, so a few at a time give the same
+    # bits with temporaries of a few rows instead of the whole matrix
+    blocks = [slice(first, first + BLOCK_ROWS) for first in range(0, n_sub, BLOCK_ROWS)]
+    slope = (eta_b + config.sfo_slope)[None, :]
+    corrupted = np.empty_like(h)
+    for rows in blocks:
+        theta = grid.physical_index[rows, None] * slope + phi[None, :]
+        block = np.multiply(-1j, theta, out=corrupted[rows])
+        np.exp(block, out=block)
+        np.multiply(levels[rows], block, out=block)
+        np.multiply(block, h[rows], out=block)
     if config.gaussian_noise_std > 0:
         sigma = config.gaussian_noise_std / math.sqrt(2.0)
-        corrupted = corrupted + (
-            rng.normal(0.0, sigma, h.shape) + 1j * rng.normal(0.0, sigma, h.shape)
-        )
+        # every real part, then every imaginary part: the draw order of one
+        # whole-matrix draw for each
+        for part in (corrupted.real, corrupted.imag):
+            for rows in blocks:
+                part[rows] += rng.normal(0.0, sigma, part[rows].shape)
     return CsiTrace(corrupted, trace.times_s, trace.sample_rate_hz, grid)

@@ -12,7 +12,8 @@ uses too. ``ratio.band_grams`` gives both Gram matrices from one 2-row FFT,
 with the band split ``ratio.band_energies`` makes.
 
 The Hampel filter takes the medians of all its full windows in two
-vectorised ``np.median`` calls. The Savitzky-Golay smoother is plain numpy
+vectorised ``ratio.median`` calls (``np.median`` bit for bit, without
+``numpy.ma``). The Savitzky-Golay smoother is plain numpy
 and equals ``scipy.signal.savgol_filter(mode="interp")`` bit for bit, except
 for near-degenerate fits (polyorder close to the window length), where the
 two agree to rounding.
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
-from .ratio import LEAKAGE_FLOOR_FRACTION, band_grams, max_snr, ssnr_values
+from .ratio import LEAKAGE_FLOOR_FRACTION, band_grams, max_snr, median, ssnr_values
 
 # how far inside the end of an open arc of leakage-floor angles a projection
 # is taken, as a fraction of the arc's half-width
@@ -134,15 +135,15 @@ def hampel(
     if n >= width:  # samples with a full window, all at once
         windows = sliding_window_view(x, width)
         full = slice(half_width, n - half_width)
-        med[full] = np.median(windows, axis=1)
-        mad[full] = np.median(np.abs(windows - med[full, None]), axis=1)
+        med[full] = median(windows, axis=1)
+        mad[full] = median(np.abs(windows - med[full, None]), axis=1)
         truncated = [*range(half_width), *range(n - half_width, n)]
     else:
         truncated = range(n)
     for k in truncated:
         window = x[max(0, k - half_width) : k + half_width + 1]
-        med[k] = np.median(window)
-        mad[k] = np.median(np.abs(window - med[k]))
+        med[k] = median(window)
+        mad[k] = median(np.abs(window - med[k]))
     outliers = np.abs(x - med) > threshold * 1.4826 * mad
     return np.where(outliers, med, x), int(outliers.sum())
 

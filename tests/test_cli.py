@@ -529,13 +529,9 @@ def test_readme_config_schema_is_accepted(tmp_path):
         assert re.search(rf"\b{name}\b", section), name
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only oracle; a fresh process must not pay its import,
-    # nor that of multiprocessing, which only a sweep's process pool needs
-    probe = (
-        "import sys, csibreath.cli; print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'multiprocessing')))"
-    )
+def _fresh_python(probe: str) -> str:
+    """The stdout of ``probe`` run in a new interpreter that imports the
+    package from this source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -543,7 +539,46 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; a fresh process must not pay its import,
+    # nor that of multiprocessing, which only a sweep's process pool needs
+    probe = (
+        "import sys, csibreath.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+    )
+    assert _fresh_python(probe) == "[]"
+
+
+def test_pipeline_and_baselines_load_no_numpy_ma():
+    # np.median imports numpy.ma for its NaN check; ratio.median does not
+    probe = """
+import os
+import sys
+import numpy as np
+if hasattr(os, "sched_setaffinity"):  # one CPU: every window in this process
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from csibreath.grid import custom_grid
+from csibreath.pipeline import run_pipeline, single_component_estimates
+from csibreath.simulate import (
+    ChannelScenario, ImpairmentConfig, SinusoidMotion, StaticPath,
+    apply_impairments, generate_ideal_csi,
+)
+grid = custom_grid(2.452e9 + 2.5e6 * np.arange(6))
+scenario = ChannelScenario(
+    20.0, 12.0, (StaticPath(1.0, 6.0),), 0.1, 10.0, SinusoidMotion(0.25, 0.003)
+)
+trace = apply_impairments(
+    generate_ideal_csi(scenario, grid), ImpairmentConfig(gaussian_noise_std=0.02, seed=3)
+)
+estimates = [r.estimate for r in run_pipeline(trace)]
+estimates += single_component_estimates(trace, "amplitude")
+estimates += single_component_estimates(trace, "phase")
+print(sum(e is not None for e in estimates), "numpy.ma" in sys.modules)
+"""
+    assert _fresh_python(probe) == "9 False"
 
 
 def test_malformed_trace_exits_3(tmp_path):

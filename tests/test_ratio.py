@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csibreath.errors import (
     ConfigurationError,
@@ -20,6 +21,7 @@ from csibreath.ratio import (
     guard_table,
     guarded_ratio,
     max_snr,
+    median,
     mobius_decompose,
     ratio_phase_split,
     ssnr_values,
@@ -131,6 +133,25 @@ def test_divide_equals_per_row_ratio(n_rows, n_samples, flags, seed):
         batch = guards.divide(numerators, matrix[row], row)
         for numerator, quotient in zip(numerators, batch):
             assert quotient.tobytes() == guards.ratio(numerator, matrix[row], row)[0].tobytes()
+
+
+# repeated values, signed zeros, infinities and NaN, among plain numbers
+_median_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 60)),
+                   elements=_median_values))
+def test_median_equals_numpy_median(rows):
+    # the middle values of a row with both infinities average to NaN
+    with np.errstate(invalid="ignore"):
+        assert median(rows, axis=1).tobytes() == np.median(rows, axis=1).tobytes()
+        for row in rows:
+            assert median(row).tobytes() == np.median(row).tobytes()
+            assert type(median(row)) is type(np.median(row))
 
 
 def test_cscr_rejects_equal_indices(breathing_trace):
@@ -540,9 +561,10 @@ def _band_rows(draw):
     is_complex = draw(st.booleans())
     local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = np.arange(n) / fs
+    n_rows = draw(st.integers(1, 70))  # past the row blocks of band_spectrum
     kinds = draw(st.lists(
         st.sampled_from(["noise", "tone", "near-floor", "high-tone", "zero", "constant"]),
-        min_size=1, max_size=6,
+        min_size=n_rows, max_size=n_rows,
     ))
     rows = []
     for kind in kinds:

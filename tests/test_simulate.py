@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,3 +325,125 @@ def test_impairments_require_a_grid():
 
 def test_max_path_change_constant_matches_physiology():
     assert MAX_PATH_CHANGE_M == pytest.approx(0.012)
+
+
+# ----------------------------------------------------------------------------
+# Row-blocked synthesis against the whole-matrix code it replaced
+# ----------------------------------------------------------------------------
+
+
+def _whole_matrix_static_field(scenario, grid):
+    """``ChannelScenario.static_field`` as it was before it computed one
+    column per distinct shift: every sample of every path."""
+    wavelength = grid.wavelength_m[:, None]
+    shifts = scenario._event_steps("static_shift_m")[None, :]
+    total = np.zeros((grid.count, scenario.n_samples), dtype=complex)
+    for p in scenario.static_paths:
+        amp = np.broadcast_to(np.asarray(p.amplitude, dtype=float), (grid.count,))
+        total += amp[:, None] * np.exp(-2j * np.pi * (p.length_m + shifts) / wavelength)
+    return total
+
+
+def _whole_matrix_dynamic_field(scenario, grid):
+    wavelength = grid.wavelength_m[:, None]
+    amp = np.broadcast_to(np.asarray(scenario.dynamic_amplitude, dtype=float), (grid.count,))
+    return amp[:, None] * np.exp(
+        -2j * np.pi * scenario.dynamic_path_length()[None, :] / wavelength
+    )
+
+
+def _whole_matrix_levels(config, n_subcarriers, n_samples, sample_rate_hz, rng):
+    """``impulse_level_series`` as it was, with ``exp`` after the gather."""
+    if config.impulse_log_std == 0.0:
+        return np.ones((n_subcarriers, n_samples))
+    p_jump = min(config.impulse_rate_hz / sample_rate_hz, 1.0)
+    jumps = rng.random(n_samples) < p_jump
+    jumps[0] = True
+    segment = np.cumsum(jumps) - 1
+    n_segments = segment[-1] + 1
+    common = rng.normal(size=n_segments)
+    individual = rng.normal(size=(n_subcarriers, n_segments))
+    rho = config.impulse_correlation
+    log_level = config.impulse_log_std * (
+        math.sqrt(rho) * common[None, :] + math.sqrt(1.0 - rho) * individual
+    )
+    return np.exp(log_level[:, segment])
+
+
+def _whole_matrix_impairments(trace, config):
+    """``apply_impairments`` as it was before it worked in row blocks."""
+    h = trace.values
+    n_sub, n_samples = h.shape
+    rng = np.random.default_rng(config.seed)
+    eta_b = (
+        rng.normal(0.0, config.pbd_noise_std, n_samples)
+        if config.pbd_noise_std > 0
+        else np.zeros(n_samples)
+    )
+    phi = cfo_phase_series(config, n_samples, rng)
+    levels = _whole_matrix_levels(config, n_sub, n_samples, trace.sample_rate_hz, rng)
+    theta = (
+        trace.grid.physical_index[:, None] * (eta_b + config.sfo_slope)[None, :]
+        + phi[None, :]
+    )
+    corrupted = levels * np.exp(-1j * theta) * h
+    if config.gaussian_noise_std > 0:
+        sigma = config.gaussian_noise_std / math.sqrt(2.0)
+        corrupted = corrupted + (
+            rng.normal(0.0, sigma, h.shape) + 1j * rng.normal(0.0, sigma, h.shape)
+        )
+    return corrupted
+
+
+def _tone_grid(tones):
+    """``tones`` consecutive 312.5 kHz tones of a 20 MHz channel at 2.452 GHz,
+    indexed from the band's centre so the phase slope has signs of both."""
+    return custom_grid(
+        2.452e9 + 312.5e3 * np.arange(tones), np.arange(tones) - tones // 2
+    )
+
+
+_TWO_EVENTS = (
+    MotionEvent(time_s=3.0, static_shift_m=0.01, dynamic_shift_m=0.002),
+    MotionEvent(time_s=6.5, static_shift_m=-0.004),
+)
+
+
+@pytest.mark.parametrize("tones", [1, 31, 32, 33, 218])
+@pytest.mark.parametrize("events", [(), _TWO_EVENTS], ids=["no-event", "two-events"])
+def test_ideal_synthesis_equals_whole_matrix(tones, events):
+    grid = _tone_grid(tones)
+    scenario = _scenario(
+        static_paths=(
+            StaticPath(amplitude=np.linspace(0.5, 1.5, tones), length_m=6.0),
+            StaticPath(amplitude=0.4, length_m=9.5),
+        ),
+        motion_events=events,
+    )
+    static = _whole_matrix_static_field(scenario, grid)
+    dynamic = _whole_matrix_dynamic_field(scenario, grid)
+    # one column per distinct static shift: three with the events
+    assert np.unique(static, axis=1).shape[1] == (3 if events else 1)
+    assert scenario.static_field(grid).tobytes() == static.tobytes()
+    assert scenario.dynamic_field(grid).tobytes() == dynamic.tobytes()
+    ideal = generate_ideal_csi(scenario, grid).values
+    assert ideal.tobytes() == (static + dynamic).tobytes()
+
+
+@pytest.mark.parametrize("tones", [1, 31, 32, 33, 218])
+@pytest.mark.parametrize("log_std", [0.0, 0.4])
+@pytest.mark.parametrize("correlation", [0.5, 1.0])
+@pytest.mark.parametrize("noise_std", [0.0, 0.03])
+def test_row_blocked_impairments_equal_whole_matrix(tones, log_std, correlation, noise_std):
+    grid = _tone_grid(tones)
+    trace = generate_ideal_csi(_scenario(), grid)
+    config = ImpairmentConfig(
+        pbd_noise_std=0.002, sfo_slope=1e-4, cfo_walk_std=0.05, impulse_rate_hz=0.5,
+        impulse_log_std=log_std, impulse_correlation=correlation,
+        gaussian_noise_std=noise_std, seed=tones,
+    )
+    levels = impulse_level_series(config, tones, len(trace), 20.0, np.random.default_rng(4))
+    expected = _whole_matrix_levels(config, tones, len(trace), 20.0, np.random.default_rng(4))
+    assert levels.tobytes() == expected.tobytes()
+    corrupted = apply_impairments(trace, config).values
+    assert corrupted.tobytes() == _whole_matrix_impairments(trace, config).tobytes()
