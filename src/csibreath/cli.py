@@ -37,6 +37,7 @@ from .errors import (
     NoWindowError,
     TraceFormatError,
     check_integer,
+    check_real,
 )
 from .gass import GassSolution, best_single_pair
 from .pipeline import (
@@ -206,10 +207,8 @@ def _cmd_sweep_blindspot(config: dict, seed: int, out: Path) -> int:
     else:
         positions = sweep.get("positions", 32)
         check_integer("sweep.positions", positions, 1)
-        try:
-            span = float(sweep.get("span_wavelengths", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"sweep.span_wavelengths must be a number: {exc}") from exc
+        span = sweep.get("span_wavelengths", 1.0)
+        check_real("sweep.span_wavelengths", span)
         wavelength = float(np.mean(grid.wavelength_m))
         offsets = np.arange(positions) * (span * wavelength / positions)
     report = blind_spot_sweep(scenario, impairments, grid, offsets, pipeline_from_config(config))

@@ -193,6 +193,4 @@ def pipeline_from_config(config: dict) -> PipelineConfig:
             "ignoring retired search keys: %s (the search is closed-form and deterministic)",
             ", ".join(retired),
         )
-    if isinstance(section.get("reference_pair"), list):
-        section["reference_pair"] = tuple(section["reference_pair"])
     return _build(PipelineConfig, section, "pipeline")

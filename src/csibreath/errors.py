@@ -25,10 +25,6 @@ class NoWindowError(CsiBreathError):
     """Segmentation produced no complete analysis window (CLI exit code 4)."""
 
 
-class UndefinedPhaseError(CsiBreathError):
-    """A phase quantity is undefined, e.g. the dynamic component is zero."""
-
-
 class SingularRatioError(CsiBreathError):
     """A ratio or decomposition hit a pole / zero denominator."""
 

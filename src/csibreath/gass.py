@@ -122,22 +122,19 @@ def fitness(genome: Genome, matrix: np.ndarray, sample_rate_hz: float) -> float:
     return float(ssnr_values(values[None, :], sample_rate_hz)[0])
 
 
-def best_single_pair(
-    matrix: np.ndarray, sample_rate_hz: float, guards: GuardTable | None = None
-) -> tuple[int, int, float]:
+def best_single_pair(matrix: np.ndarray, sample_rate_hz: float) -> tuple[int, int, float]:
     """The best of all n(n-1) ordered (numerator, denominator) pairs and its
     band ratio, ties to the lowest denominator, then numerator.
 
     An exact reference for the search, with no random draw: each
     denominator's n - 1 pairs are scored in one batch, so memory stays at
     one matrix-sized batch, and each score equals the pair's ``fitness``
-    bit for bit. ``guards`` is ``guard_table(matrix)`` when the caller
-    already has it.
+    bit for bit.
     """
     n_sub = matrix.shape[0]
     if n_sub < 2:
         raise ConfigurationError("need at least two subcarriers")
-    guards = guards if guards is not None else guard_table(matrix)
+    guards = guard_table(matrix)
     rows = np.arange(n_sub)
     best = (-1, -1, -np.inf)
     for d in range(n_sub):
@@ -258,7 +255,7 @@ def build_streams(
     matrix: np.ndarray,
     sample_rate_hz: float,
     *,
-    guards: GuardTable | None = None,
+    guards: GuardTable,
 ) -> StreamStack:
     """Fan the solved numerator out over every row the guard keeps.
 
@@ -267,12 +264,9 @@ def build_streams(
     numerator rows would leave at most one stream. A numerator with weight
     on a single row leaves that row out, since over itself it is constant
     up to the rounding of x / x. The numerator is divided by all kept rows
-    at once (``GuardTable.divide``). ``guards`` is ``guard_table(matrix)``
-    when the caller already has it.
+    at once (``GuardTable.divide``). ``guards`` is ``guard_table(matrix)``.
     """
     genome = solution.genome
-    if guards is None:
-        guards = guard_table(matrix)
     kept = ~guards.rejected
     # a set, not np.unique, which imports numpy.ma for its masked-array check
     own = set(genome.numerator_indices[genome.weights != 0].tolist())

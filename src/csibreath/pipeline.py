@@ -13,8 +13,8 @@ ratio pair (ratios are offset-free, so a gross-motion artifact shows up as a
 large in-frame phase excursion). Ten-second analysis windows are assembled
 only from consecutive accepted frames, sliding by one frame, and every
 window is a slice of the averaged trace (``WindowPlan.window``), for the
-live run, its replay, the single-component baselines and the search audit
-alike. Both evaluation sweeps run each condition through one runner
+live run, the single-component baselines and the search audit alike. Both
+evaluation sweeps run each condition through one runner
 (``_condition_rates``): it synthesizes and impairs the condition's trace,
 segments it once, hands the plan to both the pipeline and the baselines,
 and returns each method's per-window rates; a sweep keeps only its own
@@ -92,59 +92,28 @@ _STAGE_ERRORS = (ConfigurationError, StreamGuardError, ZeroVarianceError)
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the full pipeline. The stage settings the method fixes are
-    constants of the modules that use them: ``FRAME_S`` here, the gain and
-    smoothing windows in ``combine``, the cleanup filters in ``waveform``
-    and the readout's peak prominence in ``rate.estimate_rate``."""
+    constants of the modules that use them, or follow from the trace:
+    ``FRAME_S``, the block length and the reference pair here (``segment``),
+    the gain and smoothing windows in ``combine``, the cleanup filters in
+    ``waveform`` and the readout's peak prominence in ``rate``."""
 
-    phase_block: int = 0              # K1 packets averaged; 0 = F_s / 10
     mu: float = 0.5                   # stream survival threshold fraction
     window_s: float = 10.0            # rounded to whole frames of FRAME_S
     motion_threshold_rad: float = 2.0
-    reference_pair: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.window_s < math.inf) or (
-            round(self.window_s / FRAME_S) * FRAME_S < MIN_WINDOW_S
-        ):
+        check_real("window_s", self.window_s)
+        if round(self.window_s / FRAME_S) * FRAME_S < MIN_WINDOW_S:
             raise ConfigurationError(
-                f"window_s must be finite and round to whole {FRAME_S:g} s frames "
-                f"spanning at least {MIN_WINDOW_S:g} s, the minimum for rate "
-                f"estimation (window_s={self.window_s!r})"
+                f"window_s must round to whole {FRAME_S:g} s frames spanning at least "
+                f"{MIN_WINDOW_S:g} s, the minimum for rate estimation "
+                f"(window_s={self.window_s!r})"
             )
-        check_integer("phase_block", self.phase_block, 0)
+        check_real("mu", self.mu)
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigurationError(f"mu must lie in [0, 1], got {self.mu!r}")
         # a negative threshold is allowed: it rejects every frame
         check_real("motion_threshold_rad", self.motion_threshold_rad, finite=False)
-        pair = self.reference_pair
-        if pair is not None:
-            if not isinstance(pair, tuple) or len(pair) != 2 or pair[0] == pair[1]:
-                raise ConfigurationError(
-                    f"reference_pair must be two distinct subcarrier indices, got {pair!r}"
-                )
-            for index in pair:
-                check_integer("reference_pair index", index, 0)
-
-    def block_size(self, sample_rate_hz: float) -> int:
-        return self.phase_block if self.phase_block > 0 else max(
-            1, int(sample_rate_hz // 10)
-        )
-
-    def resolve_reference_pair(self, n_subcarriers: int) -> tuple[int, int]:
-        """The motion gate's and the baselines' ratio pair on a grid of
-        ``n_subcarriers``; by default its first and last subcarrier."""
-        if n_subcarriers < 2:
-            raise ConfigurationError(
-                f"a ratio needs at least two subcarriers; the grid has {n_subcarriers}"
-            )
-        if self.reference_pair is None:
-            return (0, n_subcarriers - 1)
-        if max(self.reference_pair) >= n_subcarriers:
-            raise ConfigurationError(
-                f"reference_pair {list(self.reference_pair)} needs indices below "
-                f"{n_subcarriers}, the grid's subcarrier count"
-            )
-        return self.reference_pair
 
 
 @dataclass(frozen=True)
@@ -155,8 +124,6 @@ class WindowPlan:
     frame_samples: int
     window_frames: int
     block_size: int            # packets per averaged block (K1)
-    motion_threshold_rad: float
-    reference_pair: tuple[int, int]
     accepted: np.ndarray       # bool, one per complete frame
     motion_metric: np.ndarray  # peak-to-peak ratio phase per frame, rad
     window_starts: np.ndarray  # frame index of each complete window
@@ -198,14 +165,16 @@ class WindowPlan:
 def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan:
     """Screen one-second frames via the reference ratio pair's phase.
 
-    The metric is the in-frame peak-to-peak of the unwrapped, block-averaged
-    ratio phase (block averaging keeps packet-boundary jitter from tripping
-    the gate). Frames above the threshold are rejected; windows require
-    ``window_s`` consecutive accepted frames and slide by one frame. Raises
-    ConfigurationError when a window's whole blocks hold less than the rate
-    readout's 10 s minimum or fewer than two blocks, or when the grid has
-    fewer than two subcarriers or lacks the reference pair; after these
-    checks no window's search can fail.
+    The trace is averaged in blocks of K1 = F_s / 10 packets (at least one),
+    ten blocks a second, and the reference pair is the grid's first and
+    last subcarrier. The metric is the in-frame peak-to-peak of the
+    unwrapped, block-averaged ratio phase (block averaging keeps
+    packet-boundary jitter from tripping the gate). Frames above the
+    threshold are rejected; windows require ``window_s`` consecutive
+    accepted frames and slide by one frame. Raises ConfigurationError when
+    a window's whole blocks hold less than the rate readout's 10 s minimum,
+    or when the grid has fewer than two subcarriers; after these checks no
+    window's search can fail.
     """
     config = config or PipelineConfig()
     frame_samples = int(round(FRAME_S * trace.sample_rate_hz))
@@ -213,26 +182,23 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
         raise ConfigurationError(f"a {FRAME_S:g} s frame is shorter than one packet")
     window_frames = int(round(config.window_s / FRAME_S))
     n_frames = len(trace) // frame_samples
-    pair = config.resolve_reference_pair(trace.values.shape[0])
+    n_rows = trace.values.shape[0]
+    if n_rows < 2:
+        raise ConfigurationError(f"a ratio needs at least two subcarriers; the grid has {n_rows}")
 
-    k1 = config.block_size(trace.sample_rate_hz)
+    k1 = max(1, int(trace.sample_rate_hz // 10))
     # frames are whole packets and windows whole blocks, so a geometry that
     # passed PipelineConfig in seconds can still come up short here
     window_blocks = window_frames * frame_samples // k1
-    if window_blocks < 2:
-        raise ConfigurationError(
-            f"a window holds {window_blocks} block of {k1} packets; its spectrum "
-            f"needs at least 2 (lower phase_block)"
-        )
     block_rate = trace.sample_rate_hz / k1
     if window_blocks < MIN_WINDOW_S * block_rate:
         raise ConfigurationError(
             f"windows of {window_blocks} blocks at {block_rate:g} Hz hold "
             f"{window_blocks / block_rate:g} s, under the {MIN_WINDOW_S:g} s minimum "
-            f"for rate estimation (a frame is {frame_samples} packets, phase_block {k1})"
+            f"for rate estimation (a frame is {frame_samples} packets, a block {k1})"
         )
     averaged = average_phase_blocks(trace, k1)
-    ratio_values, _ = guarded_ratio(averaged.values[pair[0]], averaged.values[pair[1]])
+    ratio_values, _ = guarded_ratio(averaged.values[0], averaged.values[-1])
     phase = unwrap_finite(np.angle(ratio_values))
     phase[~np.isfinite(averaged.values).all(axis=0)] = np.nan  # fails the block's frame
     # the blocks of frame f are those from first[f] up to the next frame's
@@ -256,8 +222,6 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
         frame_samples=frame_samples,
         window_frames=window_frames,
         block_size=k1,
-        motion_threshold_rad=config.motion_threshold_rad,
-        reference_pair=pair,
         accepted=accepted,
         motion_metric=metric,
         window_starts=np.array(starts, dtype=int),
@@ -285,12 +249,11 @@ def _run_stages(
     eff_rate: float,
     config: PipelineConfig,
     window_id: int,
-    guards: GuardTable | None = None,
+    guards: GuardTable,
 ) -> tuple[RespirationEstimate, dict[str, float]]:
     """Stream fan-out through rate estimation for one window, given its
-    block-averaged CSI matrix (at ``eff_rate``), a solved numerator and, if
-    the caller has it, the matrix's ``guard_table``. Shared by the live
-    pipeline and provenance replay."""
+    block-averaged CSI matrix (at ``eff_rate``), a solved numerator and the
+    matrix's ``guard_table``."""
     streams = gass_mod.build_streams(solution, averaged, eff_rate, guards=guards)
     aligned = align_streams(streams, gain_window=max(1, int(GAIN_WINDOW_S * eff_rate)))
     combined = combine(
@@ -383,8 +346,9 @@ def _run_windows(
     ``method`` "full" runs the window's guard table, its
     ``gass.solve_delay_basis`` solution, then ``_run_stages``. "amplitude"
     and "phase" are the single-component baselines: |ratio| or the
-    unwrapped angle of the reference pair's ratio, cleaned and read out,
-    with no solution and no stage band ratios.
+    unwrapped angle of the reference pair's ratio (the grid's first and
+    last subcarrier), cleaned and read out, with no solution and no stage
+    band ratios.
     """
     outcomes: list = []
     for window_id, start_frame in enumerate(chunk.window_starts, first):
@@ -399,35 +363,13 @@ def _run_windows(
                 )
                 outcome = _run_stages(window.values, solution, rate, config, window_id, guards)
             else:
-                m1, m2 = chunk.reference_pair
-                values, _ = guarded_ratio(window.values[m1], window.values[m2])
+                values, _ = guarded_ratio(window.values[0], window.values[-1])
                 series = np.abs(values) if method == "amplitude" else np.unwrap(np.angle(values))
                 outcome = estimate_rate(clean(series, rate)[0], rate, window_id=window_id), {}
         except _STAGE_ERRORS as exc:
             outcome = exc
         outcomes.append((solution, outcome))
     return outcomes
-
-
-def replay_window(
-    trace: CsiTrace,
-    result: WindowResult,
-    config: PipelineConfig | None = None,
-) -> RespirationEstimate:
-    """Recompute a window's estimate from its stored provenance.
-
-    Uses the recorded start frame and genome; the window is cut from the
-    averaged trace exactly as in ``run_pipeline``, and every downstream stage
-    is deterministic, so the replay reproduces the original estimate exactly.
-    """
-    if result.solution is None:
-        raise ConfigurationError("result carries no solution to replay")
-    config = config or PipelineConfig()
-    window = segment(trace, config).window(result.start_frame)
-    estimate, _ = _run_stages(
-        window.values, result.solution, window.sample_rate_hz, config, result.window_id
-    )
-    return estimate
 
 
 # ----------------------------------------------------------------------------

@@ -22,6 +22,10 @@ BAND_HIGH_BPM = 60.0 * BAND_HIGH_HZ  # 30.0
 
 MIN_WINDOW_S = 10.0
 
+# A qualifying peak's prominence is at least this fraction of the
+# autocorrelation maximum after lag zero.
+MIN_PROMINENCE_FRAC = 0.2
+
 
 @dataclass(frozen=True)
 class RespirationEstimate:
@@ -37,7 +41,6 @@ class RespirationEstimate:
     k_p2: int | None
     lag_samples: float | None
     confidence: float
-    acf: np.ndarray
     window_id: int = -1
     flags: tuple[str, ...] = ()
     rejected_bpm: float | None = None
@@ -125,12 +128,11 @@ def _parabolic_refine(r: np.ndarray, peak: int) -> float:
 def estimate_rate(
     series: np.ndarray,
     sample_rate_hz: float,
-    min_prominence_frac: float = 0.2,
     window_id: int = -1,
 ) -> RespirationEstimate:
     """Rate from the first qualifying autocorrelation peak after lag zero.
 
-    Qualifying peaks have prominence of at least ``min_prominence_frac``
+    Qualifying peaks have prominence of at least ``MIN_PROMINENCE_FRAC``
     times the autocorrelation maximum after lag zero and are spaced at least
     F_s / 0.5 samples apart (one minimum respiration period). The estimate
     is withheld when the rate falls outside [10.02, 30] breaths per minute.
@@ -143,20 +145,16 @@ def estimate_rate(
         )
     r = acf(x)
     tail_max = float(r[1:].max())
-    if tail_max <= 0:
-        return RespirationEstimate(
-            f_bpm=None, k_p1=1, k_p2=None, lag_samples=None, confidence=0.0,
-            acf=r, window_id=window_id, flags=("no-peak",),
-        )
-    min_distance = max(1, int(round(sample_rate_hz / BAND_HIGH_HZ)))
-    peaks, prominences = _find_peaks(
-        r, min_distance, min_prominence_frac * tail_max
+    no_peak = RespirationEstimate(
+        f_bpm=None, k_p1=1, k_p2=None, lag_samples=None, confidence=0.0,
+        window_id=window_id, flags=("no-peak",),
     )
+    if tail_max <= 0:
+        return no_peak
+    min_distance = max(1, int(round(sample_rate_hz / BAND_HIGH_HZ)))
+    peaks, prominences = _find_peaks(r, min_distance, MIN_PROMINENCE_FRAC * tail_max)
     if peaks.size == 0:
-        return RespirationEstimate(
-            f_bpm=None, k_p1=1, k_p2=None, lag_samples=None, confidence=0.0,
-            acf=r, window_id=window_id, flags=("no-peak",),
-        )
+        return no_peak
     lag = int(peaks[0])
     confidence = float(min(1.0, prominences[0]))
     refined = _parabolic_refine(r, lag)
@@ -164,10 +162,10 @@ def estimate_rate(
     if not BAND_LOW_BPM <= f_bpm <= BAND_HIGH_BPM:
         return RespirationEstimate(
             f_bpm=None, k_p1=1, k_p2=lag + 1, lag_samples=refined,
-            confidence=confidence, acf=r, window_id=window_id,
+            confidence=confidence, window_id=window_id,
             flags=("out-of-band",), rejected_bpm=f_bpm,
         )
     return RespirationEstimate(
         f_bpm=f_bpm, k_p1=1, k_p2=lag + 1, lag_samples=refined,
-        confidence=confidence, acf=r, window_id=window_id,
+        confidence=confidence, window_id=window_id,
     )

@@ -29,8 +29,8 @@ generalized eigenvector of the rows' ``band_grams``; ``max_snr`` finds it for
 both the subcarrier search (``gass``) and the projection angle (``waveform``).
 
 ``median`` is the package's one median: ``np.median`` bit for bit, for the
-guard table, the Hampel filter and the sweeps, without importing
-``numpy.ma``.
+guard table, the Hampel filter and the blind-spot sweep's per-position
+rate, without importing ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class GuardTable:
     throughout or when more than ``MAX_GUARDED_FRACTION`` of it is flagged.
     Built once per matrix with ``guard_table``, so many ratios over the same
     rows share one median per row. ``divide`` is the one guarded division of
-    the package; ``ratio`` and ``guarded_ratio`` are its one-row case.
+    the package; ``guarded_ratio`` is its one-row case.
     """
 
     flagged: np.ndarray    # bool, (rows, samples)
@@ -150,13 +150,6 @@ class GuardTable:
                 idx[bad], idx[good], quotient[good].real
             ) + 1j * np.interp(idx[bad], idx[good], quotient[good].imag)
         return values
-
-    def ratio(
-        self, numerator: np.ndarray, denominator: np.ndarray, row: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``divide`` of one numerator by the table's row ``row``, and the
-        mask of its interpolated samples."""
-        return self.divide(numerator, denominator, row), self.flagged[row].copy()
 
 
 def median(values: np.ndarray, axis: int = -1) -> np.ndarray | np.floating:
@@ -202,9 +195,11 @@ def guarded_ratio(
     denominator magnitude are flagged and replaced by linear interpolation of
     the surrounding valid ratio samples (edges clamp to the nearest valid
     sample). Raises StreamGuardError when more than ``MAX_GUARDED_FRACTION``
-    of the stream is flagged.
+    of the stream is flagged. Returns the ratio and the mask of its
+    interpolated samples.
     """
-    return guard_table(denominator).ratio(numerator, denominator, 0)
+    guards = guard_table(denominator)
+    return guards.divide(numerator, denominator, 0), guards.flagged[0].copy()
 
 
 def cscr(trace: CsiTrace, numerator_index: int, denominator_index: int) -> CscrStream:
@@ -337,13 +332,6 @@ def mobius_decompose(
         a=a, b=b, c=c, d=d, z=z, regime=regime,
         static_term=static, dynamic_term=dynamic,
     )
-
-
-def ratio_phase_split(decomposition: MobiusDecomposition) -> np.ndarray:
-    """angle(static) - angle(dynamic) per sample for a decomposed ratio."""
-    if np.any(decomposition.dynamic_term == 0):
-        raise SingularRatioError("dynamic term vanishes; phase split undefined")
-    return np.angle(decomposition.static_term) - np.angle(decomposition.dynamic_term)
 
 
 def dynamic_amplitude_low_noise(
@@ -485,19 +473,12 @@ def max_snr(band: np.ndarray, out_of_band: np.ndarray) -> np.ndarray | None:
     return inverse.conj().T @ vectors[:, -1]
 
 
-def ssnr_values(
-    series: np.ndarray,
-    sample_rate_hz: float,
-    leakage_floor: float = LEAKAGE_FLOOR_FRACTION,
-) -> np.ndarray:
+def ssnr_values(series: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     """Vectorized band ratios for each row; inf at the leakage floor, 0 for
     all-zero rows."""
-    return _band_ratios(*band_energies(series, sample_rate_hz), leakage_floor)
-
-
-def _band_ratios(band: np.ndarray, out: np.ndarray, leakage_floor: float) -> np.ndarray:
+    band, out = band_energies(series, sample_rate_hz)
     total = band + out
     values = np.divide(band, out, out=np.full_like(band, np.inf), where=out > 0)
-    values[out < leakage_floor * total] = np.inf
+    values[out < LEAKAGE_FLOOR_FRACTION * total] = np.inf
     values[total == 0.0] = 0.0
     return values

@@ -37,7 +37,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DegenerateScenarioError,
-    UndefinedPhaseError,
     check_integer,
     check_real,
 )
@@ -312,22 +311,6 @@ def generate_ideal_csi(scenario: ChannelScenario, grid: SubcarrierGrid) -> CsiTr
     return CsiTrace.uniform(matrix, scenario.sample_rate_hz, grid)
 
 
-def fresnel_phase(
-    trace: CsiTrace, scenario: ChannelScenario, grid: SubcarrierGrid
-) -> np.ndarray:
-    """Phase split between static and dynamic components, shape (M, K).
-
-    Simulator-side diagnostic: decomposes an ideal trace using the known
-    scenario and returns angle(static) - angle(dynamic) per sample.
-    """
-    h = trace.values
-    h_static = scenario.static_field(grid)
-    h_dynamic = h - h_static
-    if np.any(h_dynamic == 0):
-        raise UndefinedPhaseError("dynamic component is zero; phase undefined")
-    return np.angle(h_static) - np.angle(h_dynamic)
-
-
 # ----------------------------------------------------------------------------
 # Impairments
 # ----------------------------------------------------------------------------
@@ -384,15 +367,17 @@ def impulse_level_series(
     n_samples: int,
     sample_rate_hz: float,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Piecewise-constant multiplicative amplitude A_n, shape (M, K).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise-constant multiplicative amplitude A_n: the (M, segments)
+    levels and the segment of each of the K packets, so that A_n(m, k) is
+    ``levels[m, segment[k]]``. Without impulses it is one segment of ones.
 
     Jump times are shared across subcarriers; at each jump the log-level is
     rho-correlated between subcarriers (rho = 1 reproduces the common-impulse
     assumption exactly, so ratios cancel the levels sample-by-sample).
     """
     if config.impulse_log_std == 0.0:
-        return np.ones((n_subcarriers, n_samples))
+        return np.ones((n_subcarriers, 1)), np.zeros(n_samples, dtype=int)
     p_jump = min(config.impulse_rate_hz / sample_rate_hz, 1.0)
     jumps = rng.random(n_samples) < p_jump
     jumps[0] = True
@@ -404,7 +389,7 @@ def impulse_level_series(
     log_level = config.impulse_log_std * (
         math.sqrt(rho) * common[None, :] + math.sqrt(1.0 - rho) * individual
     )
-    return np.exp(log_level)[:, segment]
+    return np.exp(log_level), segment
 
 
 def apply_impairments(trace: CsiTrace, config: ImpairmentConfig) -> CsiTrace:
@@ -426,7 +411,9 @@ def apply_impairments(trace: CsiTrace, config: ImpairmentConfig) -> CsiTrace:
         else np.zeros(n_samples)
     )
     phi = cfo_phase_series(config, n_samples, rng)
-    levels = impulse_level_series(config, n_sub, n_samples, trace.sample_rate_hz, rng)
+    levels, segment = impulse_level_series(
+        config, n_sub, n_samples, trace.sample_rate_hz, rng
+    )
 
     # rows are corrupted independently, so a few at a time give the same
     # bits with temporaries of a few rows instead of the whole matrix
@@ -437,7 +424,7 @@ def apply_impairments(trace: CsiTrace, config: ImpairmentConfig) -> CsiTrace:
         theta = grid.physical_index[rows, None] * slope + phi[None, :]
         block = np.multiply(-1j, theta, out=corrupted[rows])
         np.exp(block, out=block)
-        np.multiply(levels[rows], block, out=block)
+        np.multiply(levels[rows][:, segment], block, out=block)
         np.multiply(block, h[rows], out=block)
     if config.gaussian_noise_std > 0:
         sigma = config.gaussian_noise_std / math.sqrt(2.0)

@@ -81,12 +81,10 @@ def test_empty_sections_mean_the_defaults(tmp_path):
     del settings["impairments"]
     settings["pipeline"] = {"mu": 0.5}
     text = yaml.safe_dump(settings)
-    empty = text.replace("  mu: 0.5\n", "  mu: 0.5\n  reference_pair: null\n")
-    assert empty != text
     outputs = []
     for name, config_text in (
         ("omitted", text),
-        ("empty", empty + "impairments:\nsweep:\n"),
+        ("empty", text + "impairments:\nsweep:\n"),
         ("bare", text.replace("pipeline:\n  mu: 0.5\n", "pipeline:\n")),
     ):
         config = tmp_path / f"{name}.yaml"
@@ -169,6 +167,8 @@ def test_sweep_snr_requires_noise_levels(base_config, tmp_path):
         ("sweep-snr", "{noise_stds: [0.02], runs_per_level: 1.5}"),
         ("sweep-snr", "{noise_stds: [0.02], runs_per_levl: 3}"),
         ("sweep-blindspot", "{positons: 4}"),
+        ("sweep-blindspot", "{span_wavelengths: true}"),
+        ("sweep-blindspot", "{span_wavelengths: '1.0'}"),
     ],
 )
 def test_empty_or_invalid_sweep_sizes_exit_2(tmp_path, capsys, command, sweep):
@@ -389,9 +389,9 @@ def test_short_window_geometry_exits_2(tmp_path, capsys):
 
 
 def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
-    # 7-packet blocks at 20 Hz: a 10 s window holds 28 blocks = 9.8 s
+    # 7-packet blocks at 75 Hz: a 10 s window holds 107 blocks = 9.99 s
     config = tmp_path / "blocks.yaml"
-    config.write_text(_BASE.replace(_MU, f"{_MU}\n  phase_block: 7"))
+    config.write_text(_BASE.replace("sample_rate_hz: 20.0", "sample_rate_hz: 75.0"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "under the 10 s minimum" in capsys.readouterr().err
@@ -403,8 +403,6 @@ def test_windows_short_of_whole_blocks_exit_2(tmp_path, capsys):
         # one tone: no window can form a ratio
         ("  center_frequencies_hz: [2.452e9, 2.4545e9, 2.457e9, 2.4595e9, 2.462e9, 2.4645e9]",
          "  center_frequencies_hz: [2.452e9]", "at least two subcarriers"),
-        # 200-packet blocks at 20 Hz: one block per 10 s window, no spectrum
-        (_MU, f"{_MU}\n  phase_block: 200", "at least 2"),
     ],
 )
 def test_a_config_no_window_can_search_exits_2(tmp_path, capsys, old, new, message):
@@ -420,7 +418,8 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
     for line in ("smoothing_mode: block", "gain_normalization: multiply", "refine_peak: false",
                  "include_numerators: true", "gain_window_s: 0.5", "smoothing_s: 0.33",
                  "hampel_half_width_s: 0.5", "hampel_threshold: 3.0", "sg_window_s: 1.0",
-                 "sg_polyorder: 3", "min_prominence: 0.2", "frame_s: 1.0"):
+                 "sg_polyorder: 3", "min_prominence: 0.2", "frame_s: 1.0",
+                 "phase_block: 5", "reference_pair: [0, 5]"):
         config = tmp_path / "removed.yaml"
         config.write_text(_BASE.replace(_MU, f"{_MU}\n  {line}"))
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
@@ -431,13 +430,13 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, seed, section, key, value",
     [
-        ("run", 0, "pipeline", "reference_pair", [0, 99]),   # index off the 6-tone grid
+        ("run", 0, "pipeline", "reference_pair", [0, 99]),   # a removed key
         ("run", 0, "pipeline", "reference_pair", [2, 2]),
         ("run", 0, "pipeline", "ga", {"populaton": 64}),     # a misspelt retired key
         ("run", 0, "pipeline", "ga", {"seed_pol": 200}),
         ("run", 0, "pipeline", "mu", 1.5),
         ("run", 0, "pipeline", "window_s", -10),
-        ("run", 0, "pipeline", "phase_block", -3),
+        ("run", 0, "pipeline", "phase_block", -3),           # a removed key
         ("run", 0, "impairments", "seed", -5),
         ("run", 0, "pipeline", "ga", {"mu": 0.5}),           # not a key of the section
         ("run", 0, "pipeline", "ga", {"reuse_tolerance": 0.1}),
@@ -495,6 +494,9 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         ("run", 0, "scenario", "dynamic_amplitude", [0.1] * 5),       # 6 tones
         ("sweep-blindspot", 0, "scenario", "dynamic_amplitude", [0.1] * 7),
         ("simulate", 0, "scenario", "static_paths", [{"amplitude": [1.0] * 5, "length_m": 6.0}]),
+        ("run", 0, "pipeline", "mu", True),                  # a bool is not a number
+        ("run", 0, "pipeline", "mu", "0.5"),                 # quoted in YAML
+        ("run", 0, "pipeline", "window_s", "10"),
     ],
 )
 def test_bad_values_and_seeds_exit_2(tmp_path, capsys, command, seed, section, key, value):

@@ -350,7 +350,7 @@ def test_stream_stack_equals_per_stream_loop(
         matrix[row, local.random(n_samples) < share] = 0.0
     genome = Genome(weights, numerators, denominator)
     solution = GassSolution(genome, 1.0)
-    streams = build_streams(solution, matrix, 10.0)
+    streams = build_streams(solution, matrix, 10.0, guards=guard_table(matrix))
     expected = _loop_build(genome, matrix)
     assert streams.denominators.tolist() == [m for m, _, _ in expected]
     for values, bad, (_, loop_values, loop_bad) in zip(

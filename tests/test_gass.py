@@ -225,7 +225,6 @@ def test_toy_grid_search_matches_exhaustive():
     assert all(scores[(m1, 2)] == 0.0 for m1 in range(6) if m1 != 2)
     best = max(scores, key=scores.get)  # the first maximum: lowest denominator, then numerator
     assert best_single_pair(matrix, 10.0) == (*best, scores[best])
-    assert best_single_pair(matrix, 10.0, guards) == (*best, scores[best])
     # the search's fallback is the best of them over its denominator
     solution = solve_delay_basis(matrix, _toy_frequencies(6), 10.0)
     d = solution.genome.denominator_index
@@ -248,7 +247,7 @@ def test_build_streams_covers_every_kept_row():
     solution = solve_delay_basis(matrix, _toy_frequencies(12, 2.5e6), 10.0, guards)
     genome = solution.genome
     assert genome.weights.size == 11
-    streams = build_streams(solution, matrix, 10.0)
+    streams = build_streams(solution, matrix, 10.0, guards=guards)
     assert streams.denominators.tolist() == [m for m in range(12) if m != 4]
     assert streams.values.shape == (11, matrix.shape[1]) and len(streams) == 11
     assert streams.sample_rate_hz == 10.0
@@ -256,14 +255,14 @@ def test_build_streams_covers_every_kept_row():
     # rounding of x / x, so that row is left out
     m1, d = 11, genome.denominator_index
     pair = GassSolution(Genome(np.array([1.0 + 0j]), np.array([m1]), d), 1.0)
-    fallback = build_streams(pair, matrix, 10.0)
+    fallback = build_streams(pair, matrix, 10.0, guards=guards)
     assert fallback.denominators.tolist() == [m for m in range(12) if m not in (4, m1)]
 
 
 def test_build_streams_values_match_direct_ratio():
     matrix = _toy_matrix(n_tones=4, spacing_hz=2.5e6)
     solution = solve_delay_basis(matrix, _toy_frequencies(4, 2.5e6), 10.0)
-    streams = build_streams(solution, matrix, 10.0)
+    streams = build_streams(solution, matrix, 10.0, guards=guard_table(matrix))
     assert len(streams) == 4
     for values, denominator in zip(streams.values, streams.denominators):
         expected, _ = combined_ratio(
@@ -287,15 +286,14 @@ def test_shared_guard_table_gives_the_same_outputs(impaired_trace):
     assert a.fitness == b.fitness and a.pair_fitness == b.pair_fitness
     for part in ("weights", "numerator_indices"):
         assert getattr(a.genome, part).tobytes() == getattr(b.genome, part).tobytes()
-    assert best_single_pair(matrix, 10.0, guards) == best_single_pair(matrix, 10.0)
     genome = Genome(np.array([1.0 + 0j, 0.5j, 0.0]), np.array([3, 1, 2]), 0)
     solution = GassSolution(genome, 1.0)
     with_table = build_streams(solution, matrix, 10.0, guards=guards)
-    without = build_streams(solution, matrix, 10.0)
-    assert with_table.denominators.tolist() == without.denominators.tolist()
+    fresh = build_streams(solution, matrix, 10.0, guards=guard_table(matrix))
+    assert with_table.denominators.tolist() == fresh.denominators.tolist()
     assert 7 not in with_table.denominators
-    assert with_table.values.tobytes() == without.values.tobytes()
-    assert with_table.interpolated.tobytes() == without.interpolated.tobytes()
+    assert with_table.values.tobytes() == fresh.values.tobytes()
+    assert with_table.interpolated.tobytes() == fresh.interpolated.tobytes()
 
 
 # ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""No module imports a name it never uses, and no private module-level name
-of the package goes unread. No linter runs offline, so this walks the
-package's and the tests' sources with ``ast``."""
+"""No module imports a name it never uses, no private module-level name of
+the package goes unread, and no public function or class of the package is
+read only by tests other than the acceptance checks. No linter runs offline,
+so this walks the package's and the tests' sources with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -37,13 +38,10 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """``"<file>: <name>"`` for each private module-level function, class or
-    constant (a ``_name``, not a dunder) of ``sources`` that no source reads
-    by name, attribute or import, in file and definition order."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def _read_names(trees) -> set[str]:
+    """Every name the ``ast`` trees read by name, attribute or import."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
@@ -51,21 +49,48 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    unread = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            unread += [
-                f"{name}: {d}" for d in defined
-                if d.startswith("_") and not d.startswith("__") and d not in read
-            ]
-    return unread
+    return read
+
+
+def _defined_names(tree: ast.Module, constants: bool) -> list[str]:
+    """The module-level functions and classes of ``tree``, and its constants
+    if ``constants``, in definition order."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif constants and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return defined
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``"<file>: <name>"`` for each private module-level function, class or
+    constant (a ``_name``, not a dunder) of ``sources`` that no source reads
+    by name, attribute or import, in file and definition order."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = _read_names(trees.values())
+    return [
+        f"{name}: {d}"
+        for name, tree in trees.items()
+        for d in _defined_names(tree, constants=True)
+        if d.startswith("_") and not d.startswith("__") and d not in read
+    ]
+
+
+def unread_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``"<file>: <name>"`` for each public module-level function or class of
+    ``sources`` that neither ``sources`` nor ``readers`` read by name,
+    attribute or import, in file and definition order."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = _read_names([*trees.values(), *map(ast.parse, readers.values())])
+    return [
+        f"{name}: {d}"
+        for name, tree in trees.items()
+        for d in _defined_names(tree, constants=False)
+        if not d.startswith("_") and d not in read
+    ]
 
 
 def test_the_check_finds_an_unread_private_name():
@@ -80,3 +105,23 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_package_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE}
     assert unread_private_names(sources) == []
+
+
+def test_the_check_finds_a_public_name_only_tests_read():
+    sources = {
+        "a.py": "LIMIT = 1\ndef used():\n    return Box()\nclass Box:\n    pass\n"
+                "def helper():\n    return LIMIT\nclass Spare:\n    pass\n",
+        "b.py": "from a import used\n",
+    }
+    assert unread_public_names(sources, {}) == ["a.py: helper", "a.py: Spare"]
+    assert unread_public_names(sources, {"check.py": "import a\na.helper()\n"}) == [
+        "a.py: Spare"
+    ]
+
+
+def test_every_public_package_name_is_read():
+    # the acceptance checks are the specification: a name they read is in use
+    sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE}
+    acceptance = _ROOT / "tests" / "test_acceptance.py"
+    readers = {acceptance.name: acceptance.read_text(encoding="utf-8")}
+    assert unread_public_names(sources, readers) == []

@@ -15,7 +15,6 @@ from csibreath.pipeline import (
     DETECTION_TOLERANCE_BPM,
     PipelineConfig,
     blind_spot_sweep,
-    replay_window,
     run_pipeline,
     segment,
     single_component_estimates,
@@ -58,16 +57,9 @@ def test_segment_accepts_quiet_breathing(breathing_trace):
     assert plan.accepted.all()
     assert plan.accepted.size == 15          # 15 s of 1 s frames
     np.testing.assert_array_equal(plan.window_starts, np.arange(6))
-    assert plan.reference_pair == (0, 217)
     assert plan.frame_samples == 50
+    assert plan.block_size == 5              # K1 = F_s / 10
     assert np.all(plan.motion_metric < 2.0)
-
-
-def test_reference_pair_must_be_on_the_grid(breathing_trace):
-    plan = segment(breathing_trace, dataclasses.replace(_CONFIG, reference_pair=(3, 217)))
-    assert plan.reference_pair == (3, 217)
-    with pytest.raises(ConfigurationError, match="below 218"):
-        segment(breathing_trace, dataclasses.replace(_CONFIG, reference_pair=(0, 218)))
 
 
 def test_segment_rejects_event_frame(grid):
@@ -87,26 +79,33 @@ def test_segment_rejects_event_frame(grid):
 
 
 @pytest.mark.parametrize("k1", [5, 7])
-def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
-    # 11 s windows: 10 s of packets hold only 9.94 s of whole 7-packet blocks
-    config = dataclasses.replace(_CONFIG, phase_block=k1, window_s=11.0)
-    plan = segment(impaired_trace, config)
+def test_plan_windows_are_slices_of_the_averaged_trace(breathing_scenario, grid, k1):
+    # K1 = F_s / 10: 5 packets divide a 50-packet frame, 7 straddle a
+    # 75-packet one. 11 s windows: at 75 Hz, 10 s of packets hold only
+    # 9.99 s of whole blocks
+    fs = {5: 50.0, 7: 75.0}[k1]
+    trace = apply_impairments(
+        generate_ideal_csi(dataclasses.replace(breathing_scenario, sample_rate_hz=fs), grid),
+        ImpairmentConfig(pbd_noise_std=0.002, sfo_slope=1e-4, cfo_walk_std=0.05,
+                         gaussian_noise_std=0.02, seed=7),
+    )
+    plan = segment(trace, dataclasses.replace(_CONFIG, window_s=11.0))
     assert plan.block_size == k1
     window_samples = plan.window_frames * plan.frame_samples
     shifts = []
     for start_frame in plan.window_starts:
         window = plan.window(int(start_frame))
         assert len(window) == window_samples // k1
-        assert window.sample_rate_hz == 50.0 / k1
+        assert window.sample_rate_hz == fs / k1
         # the first block holds the window's first packet a, and starts up
         # to k1 - 1 packets before it when k1 does not divide the frame
         a = start_frame * plan.frame_samples
         shifts.append(a % k1)
         first = a - shifts[-1]
-        alone = average_phase_blocks(impaired_trace[first : first + window_samples], k1)
+        alone = average_phase_blocks(trace[first : first + window_samples], k1)
         np.testing.assert_allclose(window.values, alone.values, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(window.times_s, alone.times_s)
-    assert any(shifts) == (50 % k1 != 0)
+    assert any(shifts) == (plan.frame_samples % k1 != 0)
 
 
 @pytest.mark.parametrize(
@@ -121,19 +120,19 @@ def test_plan_windows_are_slices_of_the_averaged_trace(impaired_trace, k1):
         {"window_s": 9.4},                  # 9 frames of 1 s
         {"window_s": 5.0},
         {"window_s": 1e-320},               # positive, but no whole frame
-        {"phase_block": 2.5},
-        {"phase_block": True},
+        {"mu": True},                       # a bool is not a number
+        {"mu": "0.5"},                      # quoted in YAML
         {"mu": 1.5},
         {"mu": float("nan")},
         {"mu": -0.1},
-        {"phase_block": -3},
-        {"reference_pair": (2, 2)},
-        {"reference_pair": (0, -1)},
-        {"reference_pair": (0, 1, 2)},
-        {"reference_pair": [0, 1]},
-        {"reference_pair": (0, 1.5)},
-        {"reference_pair": (True, 2)},
-        {"phase_block": "3"},               # quoted in YAML
+        {"mu": False},
+        {"mu": None},
+        {"mu": [0.5]},
+        {"window_s": True},
+        {"window_s": False},
+        {"window_s": "10"},
+        {"window_s": None},
+        {"window_s": [10.0]},
         {"mu": float("inf")},
         {"motion_threshold_rad": "abc"},
         {"motion_threshold_rad": float("nan")},
@@ -157,11 +156,11 @@ def test_pipeline_config_window_is_whole_frames(breathing_trace):
 
 def _loop_metric(trace, config):
     """The motion metric as a frame-by-frame loop: the peak-to-peak of the
-    unwrapped reference-pair phase over each frame's blocks."""
+    unwrapped phase of the reference pair, the grid's first and last
+    subcarrier, over each frame's blocks."""
     plan = segment(trace, config)
-    m1, m2 = plan.reference_pair
     averaged = average_phase_blocks(trace, plan.block_size).values
-    phase = np.unwrap(np.angle(averaged[m1] / averaged[m2]))
+    phase = np.unwrap(np.angle(averaged[0] / averaged[-1]))
     block_frame = np.arange(phase.size) * plan.block_size // plan.frame_samples
     metric = np.zeros(plan.accepted.size)
     for f in range(metric.size):
@@ -174,9 +173,10 @@ def _loop_metric(trace, config):
 @pytest.mark.parametrize(
     "fs, fields",
     [
-        (20.0, {}),                                      # the event trips the gate
-        (50.0, {"phase_block": 7, "window_s": 11.0}),    # blocks straddle frames
-        (10.0, {"phase_block": 20, "window_s": 40.0}),   # 1 block / 2 frames
+        (20.0, {}),                     # the event trips the gate
+        (50.0, {}),                     # the README's rate: blocks of 5
+        (10.0, {}),                     # blocks of one packet: no averaging
+        (75.0, {"window_s": 11.0}),     # blocks of 7 straddle 75-packet frames
     ],
 )
 def test_segment_metric_equals_the_frame_loop(grid, fs, fields):
@@ -236,9 +236,9 @@ def test_segment_rejects_frames_shorter_than_a_packet(grid):
 @pytest.mark.parametrize(
     "fs, fields",
     [
-        (50.0, {"phase_block": 7}),                     # 71 blocks of 7 = 9.94 s
-        (10.0, {"phase_block": 3}),                     # 33 blocks of 3 = 9.9 s
-        (10.4, {}),                                     # 10 frames of 10 = 9.6 s
+        (75.0, {}),                     # 107 blocks of 7 = 9.99 s
+        (35.0, {}),                     # 116 blocks of 3 = 9.94 s
+        (10.4, {}),                     # 10 frames of 10 = 9.6 s
     ],
 )
 def test_segment_rejects_windows_short_of_whole_blocks(grid, fs, fields):
@@ -308,28 +308,43 @@ def test_run_pipeline_deterministic(impaired_trace):
         assert ra.stage_band_ratios == rb.stage_band_ratios
 
 
-def test_replay_window_reproduces_estimates(impaired_trace):
-    results = run_pipeline(impaired_trace, _CONFIG)
-    for r in results:
-        replayed = replay_window(impaired_trace, r, _CONFIG)
-        assert replayed.f_bpm == r.estimate.f_bpm
-        assert replayed.flags == r.estimate.flags
-        np.testing.assert_array_equal(replayed.acf, r.estimate.acf)
+def _rates(trace):
+    return [r.estimate and r.estimate.f_bpm for r in run_pipeline(trace, _CONFIG)]
 
 
-def test_replay_requires_solution(impaired_trace):
-    results = run_pipeline(impaired_trace, _CONFIG)
-    broken = dataclasses.replace(results[0], solution=None)
-    with pytest.raises(ConfigurationError):
-        replay_window(impaired_trace, broken, _CONFIG)
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("tones", [218, 6])
+def test_rates_ignore_a_global_complex_gain_and_conjugation(
+    breathing_scenario, grid, tones, seed
+):
+    # every ratio cancels a gain common to all cells, and conjugating the
+    # CSI conjugates every ratio, whose band ratios and rate do not change
+    if tones == 6:
+        grid = custom_grid(2.452e9 + 2.5e6 * np.arange(6))
+    scenario = dataclasses.replace(breathing_scenario, duration_s=20.0)
+    impairments = ImpairmentConfig(  # the README's
+        pbd_noise_std=0.002, sfo_slope=1e-4, cfo_walk_std=0.05, impulse_rate_hz=0.2,
+        impulse_log_std=0.4, impulse_correlation=1.0, gaussian_noise_std=0.03, seed=seed,
+    )
+    trace = apply_impairments(generate_ideal_csi(scenario, grid), impairments)
+    base = _rates(trace)
+    assert len(base) == 11 and any(f is not None for f in base)
+    h = trace.values
+    for values in (
+        h * 1e3, h * 1e-6, h.conj(), h * np.exp(0.7j), h * np.exp(2.0j), h * np.exp(-3.0j)
+    ):
+        moved = _rates(dataclasses.replace(trace, values=values))
+        assert [f is None for f in moved] == [f is None for f in base]
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(moved, base) if a is not None)
 
 
 @settings(max_examples=20, deadline=None)
-@given(count=st.integers(1, 7), config=st.sampled_from([
-    _CONFIG, PipelineConfig(window_s=12.0, phase_block=3),  # 3 does not divide a frame
+@given(count=st.integers(1, 7), case=st.sampled_from([
+    (20.0, _CONFIG), (25.0, PipelineConfig(window_s=12.0)),  # K1 = 2 straddles 25 packets
 ]))
-def test_window_chunks_carry_only_their_own_windows(count, config):
-    plan = segment(_CHUNKED_TRACE, config)
+def test_window_chunks_carry_only_their_own_windows(count, case):
+    fs, config = case
+    plan = segment(_CHUNKED_TRACES[fs], config)
     n = plan.window_starts.size
     assert n > 7 and np.diff(plan.window_starts).max() > 1  # the event leaves a gap
     blocks = plan.window_frames * plan.frame_samples // plan.block_size
@@ -348,13 +363,18 @@ def test_window_chunks_carry_only_their_own_windows(count, config):
         assert abs(len(chunk.averaged) - span) <= 1
 
 
-_CHUNKED_TRACE = apply_impairments(
-    generate_ideal_csi(
-        _quick_scenario(40.0, events=(MotionEvent(time_s=15.5, static_shift_m=3.3),)),
-        custom_grid(2.452e9 + 12e6 * np.arange(4)),  # the default grid's span
-    ),
-    ImpairmentConfig(gaussian_noise_std=0.02, seed=5),
-)
+_CHUNKED_TRACES = {
+    fs: apply_impairments(
+        generate_ideal_csi(
+            _quick_scenario(
+                40.0, events=(MotionEvent(time_s=15.5, static_shift_m=3.3),), fs=fs
+            ),
+            custom_grid(2.452e9 + 12e6 * np.arange(4)),  # the default grid's span
+        ),
+        ImpairmentConfig(gaussian_noise_std=0.02, seed=5),
+    )
+    for fs in (20.0, 25.0)
+}
 
 
 # ----------------------------------------------------------------------------
@@ -532,10 +552,7 @@ def test_baselines_do_not_depend_on_the_cpu_count(impaired_trace, monkeypatch, s
     import csibreath.pipeline as pipeline
 
     def fields(estimate):
-        return None if estimate is None else (
-            *dataclasses.astuple(dataclasses.replace(estimate, acf=None)),
-            estimate.acf.tobytes(),
-        )
+        return None if estimate is None else dataclasses.astuple(estimate)
 
     outputs = []
     for cpus, chunks in ((1, 1), (2, 2), (2, 3)):

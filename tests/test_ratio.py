@@ -23,7 +23,6 @@ from csibreath.ratio import (
     max_snr,
     median,
     mobius_decompose,
-    ratio_phase_split,
     ssnr_values,
     unwrap_finite,
 )
@@ -83,11 +82,11 @@ def test_guard_table_matches_guarded_ratio_per_row(rng):
             expected = guarded_ratio(num, matrix[row])
         except StreamGuardError as exc:
             with pytest.raises(StreamGuardError, match=re.escape(str(exc))):
-                guards.ratio(num, matrix[row], row)
+                guards.divide(num, matrix[row], row)
             continue
-        values, bad = guards.ratio(num, matrix[row], row)
+        values = guards.divide(num, matrix[row], row)
         assert values.tobytes() == expected[0].tobytes()
-        np.testing.assert_array_equal(bad, expected[1])
+        np.testing.assert_array_equal(guards.flagged[row], expected[1])
     with pytest.raises(StreamGuardError, match="zero throughout"):
         guards.divide(num, matrix, np.arange(4))
 
@@ -125,14 +124,14 @@ def test_divide_equals_per_row_ratio(n_rows, n_samples, flags, seed):
     # one numerator over many rows
     batch = guards.divide(numerators[0], matrix, rows)
     for row in rows:
-        values, bad = guards.ratio(numerators[0], matrix[row], row)
+        values, bad = guarded_ratio(numerators[0], matrix[row])
         assert batch[row].tobytes() == values.tobytes()
         assert values.tobytes() == _loop_ratio(numerators[0], matrix[row], bad).tobytes()
     # many numerators over one row
     for row in rows:
         batch = guards.divide(numerators, matrix[row], row)
         for numerator, quotient in zip(numerators, batch):
-            assert quotient.tobytes() == guards.ratio(numerator, matrix[row], row)[0].tobytes()
+            assert quotient.tobytes() == guarded_ratio(numerator, matrix[row])[0].tobytes()
 
 
 # repeated values, signed zeros, infinities and NaN, among plain numbers
@@ -350,14 +349,6 @@ def test_split_rejects_off_circle_samples():
         mobius_decompose(1.0, 1.0, 1.0, 3.0, np.array([1.0 + 0j]), regime="bogus")
 
 
-def test_phase_split_of_decomposition():
-    z = np.exp(1j * np.linspace(0.1, 1.0, 5))
-    dec = mobius_decompose(1.0 + 0j, 0.5 + 0j, 1.0 + 0j, 4.0 + 0j, z)
-    split = ratio_phase_split(dec)
-    expected = np.angle(dec.static_term) - np.angle(dec.dynamic_term)
-    np.testing.assert_allclose(split, expected, rtol=1e-15)
-
-
 # ----------------------------------------------------------------------------
 # Closed-form dynamic amplitude (low noise)
 # ----------------------------------------------------------------------------
@@ -484,13 +475,6 @@ def test_pure_in_band_tone_reports_infinite():
     # windowing leakage exists but sits far below the flagging floor
     band, out = band_energies(tone, fs)
     assert 0 < out[0] < 1e-6 * band[0]
-
-
-def test_leakage_floor_is_adjustable():
-    fs = 10.0
-    t = np.arange(300) / fs
-    value = ssnr_values(np.sin(2 * np.pi * 0.3 * t)[None, :], fs, leakage_floor=0.0)[0]
-    assert np.isfinite(value) and value > 1e6
 
 
 def test_out_of_band_tone_scores_low():

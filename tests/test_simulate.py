@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csibreath.errors import (
-    ConfigurationError,
-    DegenerateScenarioError,
-    UndefinedPhaseError,
-)
+from csibreath.errors import ConfigurationError, DegenerateScenarioError
 from csibreath.grid import custom_grid, default_grid
 from csibreath.simulate import (
     MAX_PATH_CHANGE_M,
@@ -23,7 +19,6 @@ from csibreath.simulate import (
     StaticPath,
     apply_impairments,
     cfo_phase_series,
-    fresnel_phase,
     generate_ideal_csi,
     impulse_level_series,
 )
@@ -183,22 +178,13 @@ def test_phase_split_excursion_matches_path_sweep():
     # peak-to-peak equals 2 pi * (path travel) / lambda per tone
     grid = default_grid()
     scenario = _scenario(duration_s=8.0)
-    trace = generate_ideal_csi(scenario, grid)
-    split = fresnel_phase(trace, scenario, grid)
+    split = np.angle(scenario.static_field(grid)) - np.angle(scenario.dynamic_field(grid))
     chest = scenario.chest_displacement()
     travel = 2.0 * (chest.max() - chest.min())
     for m in (0, 109, 217):
         unwrapped = np.unwrap(split[m])
         expected = 2 * np.pi * travel / grid.wavelength_m[m]
         assert np.isclose(unwrapped.max() - unwrapped.min(), expected, rtol=1e-9)
-
-
-def test_phase_split_undefined_without_dynamic_path():
-    grid = custom_grid(np.array([2.45e9]))
-    scenario = _scenario(dynamic_amplitude=0.0, duration_s=1.0)
-    trace = generate_ideal_csi(scenario, grid)
-    with pytest.raises(UndefinedPhaseError):
-        fresnel_phase(trace, scenario, grid)
 
 
 def test_amplitude_and_phase_responses_are_complementary():
@@ -284,7 +270,8 @@ def test_cfo_walk_inactive_when_disabled():
 
 def test_impulse_levels_fully_correlated_by_default():
     config = ImpairmentConfig(impulse_rate_hz=2.0, impulse_log_std=0.5, seed=9)
-    levels = impulse_level_series(config, 8, 300, 20.0, np.random.default_rng(9))
+    levels, segment = impulse_level_series(config, 8, 300, 20.0, np.random.default_rng(9))
+    levels = levels[:, segment]
     assert np.all(levels == levels[0:1, :])
     assert np.unique(levels[0]).size > 1  # the level actually jumps
 
@@ -293,7 +280,7 @@ def test_impulse_levels_decorrelate_at_rho_zero():
     config = ImpairmentConfig(
         impulse_rate_hz=2.0, impulse_log_std=0.5, impulse_correlation=0.0, seed=9
     )
-    levels = impulse_level_series(config, 8, 300, 20.0, np.random.default_rng(9))
+    levels, _ = impulse_level_series(config, 8, 300, 20.0, np.random.default_rng(9))
     assert np.std(levels[:, 0]) > 0
 
 
@@ -442,8 +429,10 @@ def test_row_blocked_impairments_equal_whole_matrix(tones, log_std, correlation,
         impulse_log_std=log_std, impulse_correlation=correlation,
         gaussian_noise_std=noise_std, seed=tones,
     )
-    levels = impulse_level_series(config, tones, len(trace), 20.0, np.random.default_rng(4))
+    levels, segment = impulse_level_series(
+        config, tones, len(trace), 20.0, np.random.default_rng(4)
+    )
     expected = _whole_matrix_levels(config, tones, len(trace), 20.0, np.random.default_rng(4))
-    assert levels.tobytes() == expected.tobytes()
+    assert levels[:, segment].tobytes() == expected.tobytes()
     corrupted = apply_impairments(trace, config).values
     assert corrupted.tobytes() == _whole_matrix_impairments(trace, config).tobytes()
