@@ -205,8 +205,11 @@ def solve_delay_basis(
     ``pair_fitness``. When B is not positive definite, or the solved genome
     scores below the pair, the pair's genome is the result, so the search is
     never worse than any single pair over d. B is singular on noise-free
-    CSI, and on grids whose tone spacing aliases two delays (10 MHz spacing
-    repeats every 100 ns).
+    CSI. On a grid whose tones sit delta f apart, two delays 1/delta f apart
+    give the same basis column (10 MHz spacing repeats every 100 ns); when
+    the default delays alias so, they are spaced 1/(spread + smallest gap)
+    of the numerator rows' frequencies apart instead, which keeps the basis
+    of full column rank.
     """
     n_sub = matrix.shape[0]
     if n_sub < 2:
@@ -236,8 +239,20 @@ def _solve(
     """The delay-basis genome over denominator ``d`` (a row the guard keeps),
     or None when its Gram matrices admit no solution."""
     rows = np.flatnonzero(np.arange(matrix.shape[0]) != d)
-    delays = np.linspace(-DELAY_SPAN_S, DELAY_SPAN_S, min(DELAY_COUNT, rows.size))
-    basis = np.exp(2j * np.pi * np.outer(frequencies[rows] - frequencies.mean(), delays))
+    offsets = frequencies[rows] - frequencies.mean()
+    count = min(DELAY_COUNT, rows.size)
+    delays = np.linspace(-DELAY_SPAN_S, DELAY_SPAN_S, count)
+    basis = np.exp(2j * np.pi * np.outer(offsets, delays))
+    tones = np.sort(offsets)
+    gaps = np.diff(tones)
+    gaps = gaps[gaps > 0]  # the default grid repeats each tone in two fields
+    if gaps.size and np.linalg.matrix_rank(basis) < count:
+        # two delays alias on this grid: space them 1/(spread + smallest
+        # gap) apart instead, so that distinct tones give distinct nodes of
+        # a Vandermonde basis
+        step = 1.0 / (tones[-1] - tones[0] + gaps.min())
+        delays = step * (np.arange(count) - (count - 1) / 2)
+        basis = np.exp(2j * np.pi * np.outer(offsets, delays))
     # sum_m F[m, t] (H_m / H_d) = (sum_m F[m, t] H_m) / H_d, guard interpolation included
     projected = guards.divide(np.einsum("mt,mk->tk", basis, matrix[rows]), matrix[d], d)
     coefficients = max_snr(*band_grams(projected, sample_rate_hz))

@@ -16,6 +16,14 @@ such as a pool worker, the map runs in-process too, so pools never nest.
 Workers start by the platform's default method, fork on Linux. The pool
 does not ask for spawn: a spawned worker imports numpy and the package
 again, in each of the up to two pools of a ``run``.
+
+A pool task imports nothing its parent has not loaded. A forked worker
+shares the parent's pages until it writes to them, and a module imported
+after the fork is imported again in each worker, into private pages: in a
+sweep the largest worker set the command's peak RSS. So the package imports
+every module its tasks use at module level, by name: numpy loads
+``numpy.random`` and ``numpy.fft`` only on first attribute access, and the
+parent would otherwise never touch them before forking.
 """
 
 from __future__ import annotations

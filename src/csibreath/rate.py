@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .errors import ConfigurationError, ZeroVarianceError
 from .ratio import BAND_HIGH_HZ, BAND_LOW_HZ
@@ -60,8 +61,8 @@ def acf(series: np.ndarray) -> np.ndarray:
     if energy == 0.0:
         raise ZeroVarianceError("constant series has no autocorrelation")
     nfft = 1 << int(np.ceil(np.log2(2 * x.size)))
-    spectrum = np.fft.rfft(x, nfft)
-    correlation = np.fft.irfft(np.abs(spectrum) ** 2, nfft)[: x.size]
+    spectrum = rfft(x, nfft)
+    correlation = irfft(np.abs(spectrum) ** 2, nfft)[: x.size]
     return correlation / energy
 
 

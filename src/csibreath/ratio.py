@@ -39,6 +39,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft, fftfreq
 
 from .errors import (
     ConfigurationError,
@@ -371,7 +372,7 @@ def _band_bins(n: int, sample_rate_hz: float) -> tuple[int, np.ndarray, np.ndarr
     """nfft, the Hann window, the bins with |f| <= ``BAND_HIGH_HZ`` in
     ascending order, and which of those bins lie in the respiration band."""
     nfft = 1 << int(np.ceil(np.log2(4 * n)))
-    freq = np.abs(np.fft.fftfreq(nfft, d=1.0 / sample_rate_hz))
+    freq = np.abs(fftfreq(nfft, d=1.0 / sample_rate_hz))
     low = np.flatnonzero(freq <= BAND_HIGH_HZ)
     in_band = freq[low] >= BAND_LOW_HZ
     window = np.hanning(n)
@@ -408,7 +409,7 @@ def band_spectrum(
     spectrum = np.empty((x.shape[0], low.size), dtype=complex)
     for first in range(0, x.shape[0], BLOCK_ROWS):
         rows = slice(first, first + BLOCK_ROWS)
-        spectrum[rows] = np.fft.fft(windowed[rows], n=nfft, axis=1)[:, low]
+        spectrum[rows] = fft(windowed[rows], n=nfft, axis=1)[:, low]
     return windowed, spectrum, in_band, nfft
 
 

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from .errors import (
     ConfigurationError,
@@ -350,7 +351,7 @@ class ImpairmentConfig:
 
 
 def cfo_phase_series(
-    config: ImpairmentConfig, n_samples: int, rng: np.random.Generator
+    config: ImpairmentConfig, n_samples: int, rng: Generator
 ) -> np.ndarray:
     """Bounded random-walk carrier phase offset phi(k)."""
     if config.cfo_walk_std == 0.0:
@@ -366,7 +367,7 @@ def impulse_level_series(
     n_subcarriers: int,
     n_samples: int,
     sample_rate_hz: float,
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-constant multiplicative amplitude A_n: the (M, segments)
     levels and the segment of each of the K packets, so that A_n(m, k) is
@@ -403,7 +404,7 @@ def apply_impairments(trace: CsiTrace, config: ImpairmentConfig) -> CsiTrace:
         raise ConfigurationError("a trace must carry a grid to be impaired")
     h = trace.values
     n_sub, n_samples = h.shape
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
 
     eta_b = (
         rng.normal(0.0, config.pbd_noise_std, n_samples)

@@ -583,6 +583,35 @@ print(sum(e is not None for e in estimates), "numpy.ma" in sys.modules)
     assert _fresh_python(probe) == "9 False"
 
 
+def test_commands_import_no_package_or_numpy_module_after_the_cli(tmp_path):
+    # a module first imported inside a pool task is imported again by every
+    # worker, into pages of its own; so the CLI loads all it needs up front
+    config = tmp_path / "run.yaml"
+    config.write_text(_BASE + "sweep: {offsets_m: [0.0], noise_stds: [0.02], runs_per_level: 1}\n")
+    replay = tmp_path / "replay.yaml"
+    replay.write_text(f"input: {{trace: {tmp_path / 'sim' / 'trace.csv'}}}\npipeline:\n{_MU}\n")
+    commands = [
+        ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")],
+        ["run", "--config", str(config), "--out", str(tmp_path / "run")],
+        ["run", "--config", str(replay), "--out", str(tmp_path / "replay")],
+        ["sweep-blindspot", "--config", str(config), "--out", str(tmp_path / "bs")],
+        ["sweep-snr", "--config", str(config), "--out", str(tmp_path / "snr")],
+        ["gass-audit", "--config", str(config), "--out", str(tmp_path / "audit")],
+    ]
+    probe = f"""
+import os
+import sys
+if hasattr(os, "sched_setaffinity"):  # one CPU: every task in this process
+    os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+import csibreath.cli
+loaded = set(sys.modules)
+codes = [csibreath.cli.main(args) for args in {commands!r}]
+print(codes, sorted(m for m in set(sys.modules) - loaded
+                    if m.split(".")[0] in ("numpy", "csibreath")))
+"""
+    assert _fresh_python(probe).splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+
+
 def test_malformed_trace_exits_3(tmp_path):
     trace = tmp_path / "trace.csv"
     trace.write_text("this is not a trace\n")

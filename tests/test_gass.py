@@ -376,10 +376,27 @@ def test_delay_basis_is_never_below_the_best_pair(breathing_trace):
             d = solution.genome.denominator_index
             assert solution.pair_fitness == _best_pair_over(matrix, d)[1]
             assert solution.fitness == fitness(solution.genome, matrix, 10.0)
+    # one tone on every row: no spacing of the delays gives the basis full rank
+    matrix = _toy_matrix(n_tones=3)
+    solution = solve_delay_basis(matrix, np.full(3, 2.452e9), 10.0)
+    assert solution.genome.weights.tolist() == [1.0]
+    assert solution.fitness == solution.pair_fitness
     for seed in range(5):
         matrix = _window(breathing_trace, seed=seed)
         solution = solve_delay_basis(matrix, frequencies, 10.0)
         assert solution.fitness >= solution.pair_fitness
+
+
+@pytest.mark.parametrize("n_tones", [12, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_delay_basis_solves_on_a_grid_that_aliases_its_delays(n_tones, seed):
+    # at 10 MHz spacing the +-100 ns delays give the same basis column; the
+    # search spaces its delays apart instead of falling back to the pair
+    matrix = _toy_matrix(n_tones=n_tones, seed=seed)
+    solution = solve_delay_basis(matrix, _toy_frequencies(n_tones), 10.0)
+    assert solution.genome.weights.size == n_tones - 1  # not the fallback
+    assert solution.fitness == fitness(solution.genome, matrix, 10.0)
+    assert solution.fitness > 2.0 * solution.pair_fitness > 0.0
 
 
 def test_delay_basis_falls_back_when_the_solve_scores_lower(breathing_trace, monkeypatch):

@@ -1,9 +1,12 @@
 """No module imports a name it never uses, no private module-level name of
-the package goes unread, and no public function or class of the package is
-read only by tests other than the acceptance checks. No linter runs offline,
-so this walks the package's and the tests' sources with ``ast``."""
+the package goes unread, no public function or class of the package is read
+only by tests other than the acceptance checks, and the package reaches no
+lazily loaded numpy submodule through ``np.``. No linter runs offline, so
+this walks the package's and the tests' sources with ``ast``."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +128,42 @@ def test_every_public_package_name_is_read():
     acceptance = _ROOT / "tests" / "test_acceptance.py"
     readers = {acceptance.name: acceptance.read_text(encoding="utf-8")}
     assert unread_public_names(sources, readers) == []
+
+
+def lazy_numpy_uses(source: str, lazy: set[str]) -> list[str]:
+    """``"<line>: np.<name>"`` for each ``np.<name>`` in ``source`` whose
+    ``name`` is in ``lazy``, in source order."""
+    uses = [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+        and node.attr in lazy
+    ]
+    return [f"{line}: np.{name}" for line, name in sorted(uses)]
+
+
+def test_the_check_finds_a_lazy_numpy_submodule():
+    source = (
+        "import numpy as np\nfrom numpy.fft import rfft\n"
+        "def f(rng: np.random.Generator):\n    return np.fft.fft(rfft(np.ones(2)))\n"
+    )
+    assert lazy_numpy_uses(source, {"fft", "random"}) == ["3: np.random", "4: np.fft"]
+
+
+def test_no_lazy_numpy_submodule_is_reached_through_np():
+    # numpy loads these on first attribute access. Reached that way inside a
+    # pool task, one is imported again in every worker, into pages of its
+    # own; imported by name at module level, it is loaded before any fork.
+    probe = (
+        "import pkgutil, sys, numpy\n"
+        "print(*(m.name for m in pkgutil.iter_modules(numpy.__path__)"
+        " if 'numpy.' + m.name not in sys.modules))"
+    )
+    lazy = set(subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout.split())
+    assert {"fft", "random"} <= lazy
+    uses = {p.name: lazy_numpy_uses(p.read_text(encoding="utf-8"), lazy) for p in _PACKAGE}
+    assert {name: found for name, found in uses.items() if found} == {}
