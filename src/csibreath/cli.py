@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -248,7 +249,8 @@ def _cmd_gass_audit(config: dict, seed: int, out: Path) -> int:
     plan = segment(trace, pipeline_config)
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window to audit")
-    solution = run_pipeline(trace, pipeline_config, plan=plan.chunk(0, 1))[0].solution
+    first_window = dataclasses.replace(plan, window_starts=plan.window_starts[:1])
+    solution = run_pipeline(trace, pipeline_config, plan=first_window)[0].solution
     window = plan.window(int(plan.window_starts[0]))
     m1, d, best_fitness = best_single_pair(window.values, window.sample_rate_hz)
     record = _solution_record(solution)

@@ -240,12 +240,13 @@ def _solve(
     or None when its Gram matrices admit no solution."""
     rows = np.flatnonzero(np.arange(matrix.shape[0]) != d)
     offsets = frequencies[rows] - frequencies.mean()
-    count = min(DELAY_COUNT, rows.size)
-    delays = np.linspace(-DELAY_SPAN_S, DELAY_SPAN_S, count)
-    basis = np.exp(2j * np.pi * np.outer(offsets, delays))
     tones = np.sort(offsets)
     gaps = np.diff(tones)
     gaps = gaps[gaps > 0]  # the default grid repeats each tone in two fields
+    # the basis has at most the rank of the distinct tones
+    count = min(DELAY_COUNT, gaps.size + 1)
+    delays = np.linspace(-DELAY_SPAN_S, DELAY_SPAN_S, count)
+    basis = np.exp(2j * np.pi * np.outer(offsets, delays))
     if gaps.size and np.linalg.matrix_rank(basis) < count:
         # two delays alias on this grid: space them 1/(spread + smallest
         # gap) apart instead, so that distinct tones give distinct nodes of

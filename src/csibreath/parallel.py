@@ -5,10 +5,17 @@
   pool of ``simulate``);
 - ``traceio.read_trace``: the byte ranges of a trace file being read;
 - ``pipeline.run_pipeline`` and ``pipeline.single_component_estimates``:
-  the window chunks of a run or a baseline, each from guard table through
+  the window ranges of a run or a baseline, each from guard table through
   the search to the readout, or from the reference pair's ratio to it;
 - ``pipeline.blind_spot_sweep`` and ``pipeline.snr_sweep``: a sweep's
   conditions.
+
+What a task binds, with ``functools.partial``, travels once per worker: the
+mapped function is the pool's initializer argument, which a forked worker
+inherits and a spawned one unpickles once. Only the per-item arguments and
+the results are pickled per task. So a caller binds what every item shares
+(a whole trace, a plan, a grid) and maps over small items, such as the
+bounds of each item's own range.
 
 A pool has one worker per CPU in the process's affinity mask, so ``taskset
 -c 0`` runs everything in-process. In a ``multiprocessing`` child process,
@@ -47,17 +54,31 @@ def workers() -> int:
         return os.cpu_count() or 1
 
 
+_task = None  # a pool worker's mapped function, set by ``_install``
+
+
+def _install(fn) -> None:
+    global _task
+    _task = fn
+
+
+def _call(*args):
+    return _task(*args)
+
+
 def pool_map(fn, *iterables) -> list:
     """``list(map(fn, *iterables))``, over a process pool of ``workers()``
     workers (at most one per item) when that is more than one.
 
     Results come back in item order, and the first failing item raises its
-    own exception, as in the serial loop. ``fn`` and its arguments are
-    pickled, so they must be importable by name.
+    own exception, as in the serial loop. The items and results, and ``fn``
+    unless workers fork, must be picklable.
     """
     count = min(len(iterables[0]), workers())
     if count <= 1:
         return list(map(fn, *iterables))
     # futures loads its process module (and multiprocessing) on first use
-    with futures.ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, *iterables))
+    with futures.ProcessPoolExecutor(
+        max_workers=count, initializer=_install, initargs=(fn,)
+    ) as pool:
+        return list(pool.map(_call, *iterables))

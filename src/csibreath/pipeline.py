@@ -27,14 +27,13 @@ worker per CPU in the process's affinity mask (``parallel.pool_map``), and
 its results are put back in order, so no output depends on the CPU count.
 The evaluation sweeps map the runner over their conditions (positions, or
 noise level and run). The pipeline and the baselines each map their
-windows once, in contiguous chunks, through one window runner
-(``_run_windows``): a chunk takes its windows in order, from guard table
+windows once, in contiguous ranges, through one window runner
+(``_run_windows``): a range takes its windows in order, from guard table
 through the search to the readout, or through a baseline's ratio to the
 readout. ``gass-audit`` takes window 0's search from the same runner. A
-window depends on no other, so a chunk is the plan cut down to its own
-windows and their blocks (``WindowPlan.chunk``), and its windows are cut by
-the same ``WindowPlan.window`` as the whole plan's. Inside a pool worker,
-such as a sweep condition, everything runs in-process, and so does
+window depends on no other; each range's task is its bounds, and its
+windows are cut from the whole plan by ``WindowPlan.window``. Inside a pool
+worker, such as a sweep condition, everything runs in-process, and so does
 everything with one usable CPU (``taskset -c 0``).
 """
 
@@ -127,13 +126,7 @@ class WindowPlan:
     accepted: np.ndarray       # bool, one per complete frame
     motion_metric: np.ndarray  # peak-to-peak ratio phase per frame, rad
     window_starts: np.ndarray  # frame index of each complete window
-    averaged: CsiTrace         # the trace's blocks from ``first_block`` on
-    first_block: int = 0       # the trace's block that ``averaged`` starts with
-
-    def _blocks(self, start_frame: int) -> tuple[int, int]:
-        """The trace's blocks [first, stop) of the window at ``start_frame``."""
-        first = start_frame * self.frame_samples // self.block_size
-        return first, first + self.window_frames * self.frame_samples // self.block_size
+    averaged: CsiTrace         # the whole trace, block-averaged
 
     def window(self, start_frame: int) -> CsiTrace:
         """Block-averaged CSI of the window that starts at ``start_frame``.
@@ -143,23 +136,9 @@ class WindowPlan:
         ``block_size`` divides ``frame_samples`` these are exactly the blocks
         of the window's own packets.
         """
-        first, stop = self._blocks(start_frame)
-        return self.averaged[first - self.first_block : stop - self.first_block]
-
-    def chunk(self, first: int, stop: int) -> WindowPlan:
-        """The plan cut down to windows ``first`` to ``stop - 1``: their
-        starts, and only the averaged blocks they span, so that a pool
-        worker receives each of those blocks once. Its ``window`` cuts them
-        as this plan's does."""
-        starts = self.window_starts[first:stop]
-        lo = self._blocks(int(starts[0]))[0]
-        hi = self._blocks(int(starts[-1]))[1]
-        return dataclasses.replace(
-            self,
-            window_starts=starts,
-            averaged=self.averaged[lo - self.first_block : hi - self.first_block],
-            first_block=lo,
-        )
+        first = start_frame * self.frame_samples // self.block_size
+        blocks = self.window_frames * self.frame_samples // self.block_size
+        return self.averaged[first : first + blocks]
 
 
 def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan:
@@ -298,20 +277,20 @@ def _window_results(
 ) -> list[WindowResult]:
     """One ``WindowResult`` per window of ``plan`` under ``method``.
 
-    The windows run in one ``parallel.pool_map`` over contiguous chunks of
-    them, each chunk in window order (``_run_windows``). A stage error is
-    carried as a value, so a failed window is logged and reported in window
-    order, keeping the solution its search found, and the results do not
-    depend on the CPU count.
+    The windows run in one ``parallel.pool_map`` over contiguous ranges of
+    them, one per worker, each in window order (``_run_windows``); the plan
+    is bound once for every range. A stage error is carried as a value, so
+    a failed window is logged and reported in window order, keeping the
+    solution its search found, and the results do not depend on the CPU
+    count.
     """
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
     count = plan.window_starts.size
-    splits = np.array_split(np.arange(count), min(workers(), count))
-    firsts = [int(ids[0]) for ids in splits]
-    chunks = [plan.chunk(int(ids[0]), int(ids[-1]) + 1) for ids in splits]
-    run = functools.partial(_run_windows, config=config, method=method)
-    outcomes = [item for items in pool_map(run, chunks, firsts) for item in items]
+    parts = min(workers(), count)
+    bounds = [count * i // parts for i in range(parts + 1)]
+    run = functools.partial(_run_windows, plan, config=config, method=method)
+    outcomes = [item for items in pool_map(run, bounds[:-1], bounds[1:]) for item in items]
     label = "window" if method == "full" else f"{method}-only window"
     results: list[WindowResult] = []
     for window_id, (start_frame, (solution, outcome)) in enumerate(
@@ -336,11 +315,10 @@ def _window_results(
 
 
 def _run_windows(
-    chunk: WindowPlan, first: int, config: PipelineConfig, method: str
+    plan: WindowPlan, first: int, stop: int, config: PipelineConfig, method: str
 ) -> list[tuple[GassSolution | None, tuple[RespirationEstimate, dict[str, float]] | Exception]]:
-    """(solution, stage outcome) of each window of ``chunk``, a plan cut
-    down by ``WindowPlan.chunk`` whose first window is window ``first`` of
-    the run, in window order. The outcome is the estimate and stage band
+    """(solution, stage outcome) of windows ``first`` to ``stop - 1`` of
+    ``plan``, in window order. The outcome is the estimate and stage band
     ratios, or the stage error that stopped them.
 
     ``method`` "full" runs the window's guard table, its
@@ -351,8 +329,8 @@ def _run_windows(
     band ratios.
     """
     outcomes: list = []
-    for window_id, start_frame in enumerate(chunk.window_starts, first):
-        window = chunk.window(int(start_frame))
+    for window_id in range(first, stop):
+        window = plan.window(int(plan.window_starts[window_id]))
         rate = window.sample_rate_hz
         solution = None
         try:

@@ -16,9 +16,11 @@ it is, and the pipeline's motion gate fails the frame that holds it.
 
 Both directions use every CPU of ``parallel.pool_map`` on a large trace:
 ``write_trace`` formats contiguous row ranges and ``read_trace`` parses
-line-aligned byte ranges, each in its own worker, and the parts are joined
-in file order, so the bytes written and the values read are those of one
-serial pass at any CPU count.
+line-aligned byte ranges, each in its own worker. A task is only its range's
+bounds: the trace being written, or the path being read, is bound once for
+every range, and each range takes its own rows or bytes from it. The parts
+are joined in file order, so the bytes written and the values read are
+those of one serial pass at any CPU count.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ FORMAT_NAME = "csi-trace"
 FORMAT_VERSION = 1
 _MIN_RANGE_BYTES = 4 << 20  # a body range parsed in a worker holds at least this
 _MIN_RANGE_CELLS = 1 << 18  # a row range formatted in a worker holds at least this
-_CONVERT_ROWS = 256  # parsed rows turned into complex values at a time
 
 
 def write_trace(path: str | Path, trace: CsiTrace) -> None:
@@ -48,12 +49,12 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
 
     The data rows are formatted in contiguous row ranges, one per worker of
     ``parallel.pool_map`` and none under ``_MIN_RANGE_CELLS`` floats (a
-    smaller trace is one range, formatted in-process). Each range numbers
-    its rows from its first global row and returns its lines, and the parts
-    are written in row order, so the bytes are those of one serial loop at
-    any CPU count. The file is written under a temporary name in the same
-    directory and renamed onto ``path``, so a failed write leaves ``path``
-    as it was.
+    smaller trace is one range, formatted in-process). Each range formats
+    rows [first, stop) of the whole table, numbered from ``first``, and the
+    parts are written in row order, so the bytes are those of one serial
+    loop at any CPU count. The file is written under a temporary name in
+    the same directory and renamed onto ``path``, so a failed write leaves
+    ``path`` as it was.
     """
     grid = trace.grid
     if grid is None:
@@ -79,10 +80,7 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
     count = max(1, min(workers(), cells.size // _MIN_RANGE_CELLS))
     bounds = [len(cells) * i // count for i in range(count + 1)]
     parts = pool_map(
-        _format_rows,
-        bounds[:-1],
-        [trace.times_s[a:b] for a, b in zip(bounds, bounds[1:])],
-        [cells[a:b] for a, b in zip(bounds, bounds[1:])],
+        functools.partial(_format_rows, trace.times_s, cells), bounds[:-1], bounds[1:]
     )
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
@@ -98,12 +96,13 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
         raise
 
 
-def _format_rows(first: int, times_s: np.ndarray, cells: np.ndarray) -> list[str]:
-    """The data lines of packets ``first``, ``first + 1``, ...: row number,
+def _format_rows(times_s: np.ndarray, cells: np.ndarray, first: int, stop: int) -> list[str]:
+    """The data lines of packets ``first`` to ``stop - 1``: row number,
     ``repr`` of the timestamp, then ``repr`` of every cell of the row."""
+    rows = zip(times_s[first:stop].tolist(), cells[first:stop])
     return [
         ",".join([str(k), repr(time_s), *map(repr, row.tolist())]) + "\n"
-        for k, (time_s, row) in enumerate(zip(times_s.tolist(), cells), first)
+        for k, (time_s, row) in enumerate(rows, first)
     ]
 
 
@@ -159,19 +158,15 @@ def read_trace(path: str | Path) -> CsiTrace:
     # motion-gate frame that holds it
     if not all(np.all(np.isfinite(part[:, :2])) for part in parts):
         raise TraceFormatError("trace contains a non-finite row number or timestamp")
-    # the packets go into their columns a few rows at a time, so the parts
-    # are never joined into one table and the temporaries stay small
+    # a row's (re, im) columns are the bytes of its complex values: one copy
+    # per part, every bit kept (re + 1j * im would turn -0.0 into 0.0 and
+    # inf into nan), and the parts are never joined into one table
     values = np.empty((grid.count, rows), dtype=complex)
-    times = np.empty(rows)
     first = 0
     for part in parts:
-        for lo in range(0, len(part), _CONVERT_ROWS):
-            block = part[lo : lo + _CONVERT_ROWS]
-            # set apart: re + 1j * im would turn -0.0 into 0.0 and inf into nan
-            values.real[:, first : first + len(block)] = block[:, 2::2].T
-            values.imag[:, first : first + len(block)] = block[:, 3::2].T
-            times[first : first + len(block)] = block[:, 1]
-            first += len(block)
+        values[:, first : first + len(part)] = part[:, 2:].view(complex).T
+        first += len(part)
+    times = np.concatenate([part[:, 1] for part in parts])
     try:
         return CsiTrace(values, times, sample_rate, grid)
     except ConfigurationError as exc:

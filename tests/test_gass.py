@@ -17,7 +17,7 @@ from csibreath.gass import (
     pick_denominator,
     solve_delay_basis,
 )
-from csibreath.grid import custom_grid
+from csibreath.grid import FIELD_HT_LTF, FIELD_L_LTF, SubcarrierGrid, custom_grid
 from csibreath.ratio import (
     average_phase_blocks,
     band_spectrum,
@@ -38,8 +38,8 @@ def _toy_frequencies(n_tones, spacing_hz=10e6):
     return 2.452e9 + spacing_hz * np.arange(n_tones)
 
 
-def _toy_matrix(n_tones=6, seed=2, noise=0.05, duration_s=20.0, spacing_hz=10e6):
-    grid = custom_grid(_toy_frequencies(n_tones, spacing_hz))
+def _toy_matrix(n_tones=6, seed=2, noise=0.05, duration_s=20.0, spacing_hz=10e6, grid=None):
+    grid = grid or custom_grid(_toy_frequencies(n_tones, spacing_hz))
     scenario = ChannelScenario(
         sample_rate_hz=10.0,
         duration_s=duration_s,
@@ -397,6 +397,23 @@ def test_delay_basis_solves_on_a_grid_that_aliases_its_delays(n_tones, seed):
     assert solution.genome.weights.size == n_tones - 1  # not the fallback
     assert solution.fitness == fitness(solution.genome, matrix, 10.0)
     assert solution.fitness > 2.0 * solution.pair_fitness > 0.0
+
+
+@pytest.mark.parametrize("spacing_hz", [10e6, 2.5e6])
+@pytest.mark.parametrize("seed", range(3))
+def test_delay_basis_solves_on_a_grid_that_repeats_its_tones(spacing_hz, seed):
+    # 8 rows over 4 tones, each tone in two fields as on the default grid:
+    # the basis can hold no more delays than there are distinct tones
+    grid = SubcarrierGrid(
+        field_tag=(FIELD_HT_LTF,) * 4 + (FIELD_L_LTF,) * 4,
+        physical_index=np.tile(np.arange(4), 2),
+        center_frequency_hz=np.tile(_toy_frequencies(4, spacing_hz), 2),
+    )
+    matrix = _toy_matrix(seed=seed, grid=grid)
+    solution = solve_delay_basis(matrix, grid.center_frequency_hz, 10.0)
+    assert solution.genome.weights.size == 7  # not the fallback
+    assert solution.fitness == fitness(solution.genome, matrix, 10.0)
+    assert solution.fitness > solution.pair_fitness > 0.0
 
 
 def test_delay_basis_falls_back_when_the_solve_scores_lower(breathing_trace, monkeypatch):

@@ -1,12 +1,12 @@
 import dataclasses
+import functools
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from csibreath import parallel
 from csibreath.errors import ConfigurationError, NoWindowError
@@ -338,45 +338,6 @@ def test_rates_ignore_a_global_complex_gain_and_conjugation(
         assert all(abs(a - b) <= 1e-9 for a, b in zip(moved, base) if a is not None)
 
 
-@settings(max_examples=20, deadline=None)
-@given(count=st.integers(1, 7), case=st.sampled_from([
-    (20.0, _CONFIG), (25.0, PipelineConfig(window_s=12.0)),  # K1 = 2 straddles 25 packets
-]))
-def test_window_chunks_carry_only_their_own_windows(count, case):
-    fs, config = case
-    plan = segment(_CHUNKED_TRACES[fs], config)
-    n = plan.window_starts.size
-    assert n > 7 and np.diff(plan.window_starts).max() > 1  # the event leaves a gap
-    blocks = plan.window_frames * plan.frame_samples // plan.block_size
-    # the contiguous chunks of a run on ``count`` CPUs
-    for ids in np.array_split(np.arange(n), min(count, n)):
-        chunk = plan.chunk(int(ids[0]), int(ids[-1]) + 1)
-        assert chunk.window_starts.tolist() == plan.window_starts[ids].tolist()
-        for start_frame in chunk.window_starts.tolist():
-            window = chunk.window(start_frame)
-            expected = plan.window(start_frame)
-            assert window.values.tobytes() == expected.values.tobytes()
-            assert window.times_s.tobytes() == expected.times_s.tobytes()
-        # no block before the chunk's first window or after its last
-        first, last = chunk.window_starts[[0, -1]]
-        span = (last - first) * plan.frame_samples // plan.block_size + blocks
-        assert abs(len(chunk.averaged) - span) <= 1
-
-
-_CHUNKED_TRACES = {
-    fs: apply_impairments(
-        generate_ideal_csi(
-            _quick_scenario(
-                40.0, events=(MotionEvent(time_s=15.5, static_shift_m=3.3),), fs=fs
-            ),
-            custom_grid(2.452e9 + 12e6 * np.arange(4)),  # the default grid's span
-        ),
-        ImpairmentConfig(gaussian_noise_std=0.02, seed=5),
-    )
-    for fs in (20.0, 25.0)
-}
-
-
 # ----------------------------------------------------------------------------
 # Single-quantity baselines
 # ----------------------------------------------------------------------------
@@ -626,6 +587,21 @@ def test_conditions_map_in_order_on_one_worker_per_cpu(set_cpus, cpus):
         assert pids == {os.getpid()}
     else:
         assert os.getpid() not in pids and 1 <= len(pids) <= cpus
+
+
+def _locked_square(lock, x):
+    with lock:
+        return x * x
+
+
+def test_what_a_task_binds_is_not_pickled_per_task(set_cpus):
+    if get_context().get_start_method() != "fork":
+        pytest.skip("a bound lock reaches a worker unpickled only under fork")
+    set_cpus(2)
+    # a lock cannot be pickled: the map works only if the bound function is
+    # handed to each worker when it starts, not sent with every item
+    run = functools.partial(_locked_square, threading.Lock())
+    assert parallel.pool_map(run, [1, 2, 3]) == [1, 4, 9]
 
 
 def _pids_inside(_):
