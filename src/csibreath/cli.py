@@ -7,8 +7,8 @@ draws nothing at random. Outputs are deterministic for a fixed config and
 seed: floats are serialized with repr, JSON keys are sorted, and no
 wall-clock values are written.
 
-Exit codes: 0 success, 2 configuration error, 3 input-format error,
-4 no usable analysis window.
+Exit codes: 0 success, 2 configuration error or unwritable output,
+3 input-format error, 4 no usable analysis window.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -36,9 +37,11 @@ from .errors import (
     CsiBreathError,
     DegenerateScenarioError,
     NoWindowError,
+    OutputError,
     TraceFormatError,
     check_integer,
     check_real,
+    writing,
 )
 from .gass import GassSolution, best_single_pair
 from .pipeline import (
@@ -87,12 +90,20 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, the one way an output file is written:
+    an OSError is raised as an ``OutputError`` that names ``path``."""
+    with writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(name)) for name in fieldnames])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([_format_cell(row.get(name)) for name in fieldnames])
+    _write_text(path, text.getvalue())
 
 
 def _solution_record(solution: GassSolution) -> dict:
@@ -157,25 +168,16 @@ def _cmd_simulate(config: dict, seed: int, out: Path) -> int:
 def _cmd_run(config: dict, seed: int, out: Path) -> int:
     trace = _load_trace(config, seed)
     results = run_pipeline(trace, pipeline_from_config(config))
-    with open(out / "estimates.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for result in results:
-            fh.write(json.dumps(_result_record(result), sort_keys=True) + "\n")
-    write_csv(
+    records = [_result_record(result) for result in results]
+    _write_text(
+        out / "estimates.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    )
+    write_csv(  # a few fields of each record, its flags joined by ";"
         out / "windows.csv",
         ["window_id", "start_time_s", "f_bpm", "confidence", "flags", "reason"],
-        [
-            {
-                "window_id": r.window_id,
-                "start_time_s": r.start_time_s,
-                "f_bpm": r.estimate.f_bpm if r.estimate else None,
-                "confidence": r.estimate.confidence if r.estimate else None,
-                "flags": ";".join(r.estimate.flags) if r.estimate else "",
-                "reason": r.reason,
-            }
-            for r in results
-        ],
+        [{**r, "flags": ";".join(r["flags"])} for r in records],
     )
-    estimated = sum(1 for r in results if r.estimate and r.estimate.f_bpm is not None)
+    estimated = sum(r["f_bpm"] is not None for r in records)
     print(f"{estimated}/{len(results)} windows produced an estimate")
     return 0
 
@@ -183,14 +185,8 @@ def _cmd_run(config: dict, seed: int, out: Path) -> int:
 def _write_report(report: EvaluationReport, out: Path, stem: str) -> None:
     fieldnames = list(report.rows[0].keys()) if report.rows else []
     write_csv(out / f"{stem}.csv", fieldnames, [dict(r) for r in report.rows])
-    with open(out / f"{stem}_summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {"summary": _jsonable(report.summary), "meta": _jsonable(report.meta)},
-            fh,
-            sort_keys=True,
-            indent=1,
-        )
-        fh.write("\n")
+    summary = {"summary": _jsonable(report.summary), "meta": _jsonable(report.meta)}
+    _write_text(out / f"{stem}_summary.json", json.dumps(summary, sort_keys=True, indent=1) + "\n")
 
 
 def _cmd_sweep_blindspot(config: dict, seed: int, out: Path) -> int:
@@ -256,9 +252,7 @@ def _cmd_gass_audit(config: dict, seed: int, out: Path) -> int:
     record = _solution_record(solution)
     record["best_pair"] = [m1, d]
     record["best_pair_fitness"] = _jsonable(best_fitness)
-    with open(out / "gass_solution.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(record, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_text(out / "gass_solution.json", json.dumps(record, sort_keys=True, indent=1) + "\n")
     print(
         f"window 0: fitness {solution.fitness:.4g} "
         f"(best single pair {best_fitness:.4g}, "
@@ -304,10 +298,14 @@ def main(argv: list[str] | None = None) -> int:
         check_integer("--seed", args.seed, 0)
         config = load_config(args.config)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        with writing(out):  # an existing file, or a path under one, fails here
+            out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, args.seed, out)
     except (ConfigurationError, DegenerateScenarioError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TraceFormatError as exc:
         print(f"input format error: {exc}", file=sys.stderr)

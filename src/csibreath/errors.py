@@ -1,10 +1,11 @@
-"""Exception taxonomy shared across the package, and the integer and real
-number checks that configuration values share.
+"""Exception taxonomy shared across the package, the integer and real
+number checks that configuration values share, and ``writing`` for outputs.
 
 The CLI maps these onto process exit codes, so new error conditions should
 subclass one of the existing categories rather than raising bare ValueError.
 """
 
+import contextlib
 import math
 from numbers import Integral, Real
 
@@ -23,6 +24,10 @@ class TraceFormatError(CsiBreathError):
 
 class NoWindowError(CsiBreathError):
     """Segmentation produced no complete analysis window (CLI exit code 4)."""
+
+
+class OutputError(CsiBreathError):
+    """An output directory or file cannot be written (CLI exit code 2)."""
 
 
 class SingularRatioError(CsiBreathError):
@@ -61,3 +66,12 @@ def check_real(name: str, value, minimum: float = -math.inf, finite: bool = True
         bound = f" >= {minimum:g}" if minimum > -math.inf else ""
         kind = "a finite number" if finite else "a number"
         raise ConfigurationError(f"{name} must be {kind}{bound}, got {value!r}")
+
+
+@contextlib.contextmanager
+def writing(path):
+    """Raise an OSError in the block as an OutputError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from exc

@@ -68,7 +68,6 @@ from .ratio import (
     guarded_ratio,
     median,
     ssnr_values,
-    unwrap_finite,
 )
 from .simulate import (
     ChannelScenario,
@@ -132,9 +131,10 @@ class WindowPlan:
         """Block-averaged CSI of the window that starts at ``start_frame``.
 
         It starts at averaged block ``start_frame * frame_samples //
-        block_size`` and holds ``window_samples // block_size`` blocks; when
-        ``block_size`` divides ``frame_samples`` these are exactly the blocks
-        of the window's own packets.
+        block_size`` and holds ``window_samples // block_size`` blocks, bit
+        for bit those of ``average_phase_blocks`` over the packets from that
+        block's first; when ``block_size`` divides ``frame_samples`` these
+        are exactly the window's own packets.
         """
         first = start_frame * self.frame_samples // self.block_size
         blocks = self.window_frames * self.frame_samples // self.block_size
@@ -147,8 +147,10 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
     The trace is averaged in blocks of K1 = F_s / 10 packets (at least one),
     ten blocks a second, and the reference pair is the grid's first and
     last subcarrier. The metric is the in-frame peak-to-peak of the
-    unwrapped, block-averaged ratio phase (block averaging keeps
-    packet-boundary jitter from tripping the gate). Frames above the
+    block-averaged ratio phase, unwrapped within the frame (block averaging
+    keeps packet-boundary jitter from tripping the gate). A frame's metric
+    depends only on the blocks that start in it, and is NaN, so the frame
+    fails, when any of them holds a non-finite value. Frames above the
     threshold are rejected; windows require ``window_s`` consecutive
     accepted frames and slide by one frame. Raises ConfigurationError when
     a window's whole blocks hold less than the rate readout's 10 s minimum,
@@ -178,18 +180,13 @@ def segment(trace: CsiTrace, config: PipelineConfig | None = None) -> WindowPlan
         )
     averaged = average_phase_blocks(trace, k1)
     ratio_values, _ = guarded_ratio(averaged.values[0], averaged.values[-1])
-    phase = unwrap_finite(np.angle(ratio_values))
+    phase = np.angle(ratio_values)
     phase[~np.isfinite(averaged.values).all(axis=0)] = np.nan  # fails the block's frame
-    # the blocks of frame f are those from first[f] up to the next frame's
-    block_frame = (np.arange(phase.size) * k1) // frame_samples
-    phase = phase[block_frame < n_frames]
-    first = np.searchsorted(block_frame, np.arange(n_frames))
-    filled = np.flatnonzero(np.diff(first, append=phase.size) > 0)
-    metric = np.zeros(n_frames)
-    if filled.size:
-        metric[filled] = np.maximum.reduceat(phase, first[filled]) - np.minimum.reduceat(
-            phase, first[filled]
-        )
+    # frame f holds the blocks that start in it, bounds[f] to bounds[f + 1] - 1:
+    # at least one, since K1 = max(1, F_s // 10) packets is at most a frame's.
+    # Each frame unwraps its own blocks, so its metric depends on them alone
+    bounds = np.searchsorted(np.arange(phase.size) * k1 // frame_samples, np.arange(n_frames + 1))
+    metric = np.array([np.ptp(np.unwrap(phase[a:b])) for a, b in zip(bounds[:-1], bounds[1:])])
     accepted = metric <= config.motion_threshold_rad  # NaN (a non-finite block) fails
 
     starts = [

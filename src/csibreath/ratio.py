@@ -8,7 +8,8 @@ cancel sample-by-sample. What survives is a ratio of two circles in the
 complex plane that still carries the respiration motion.
 
 Ratios are formed from the rows of a ``CsiTrace`` matrix, usually after
-``average_phase_blocks`` has averaged the packets of a trace in blocks.
+``average_phase_blocks`` has averaged the packets of a trace in blocks, each
+block a function of its own packets alone (its phase unwraps within it).
 Every ratio of the package guards its denominator the same way, through
 ``GuardTable.divide``: a near-zero denominator sample is flagged and its
 quotient interpolated from its neighbours, and a row with too many flagged
@@ -218,29 +219,18 @@ def cscr(trace: CsiTrace, numerator_index: int, denominator_index: int) -> CscrS
     )
 
 
-def unwrap_finite(phase: np.ndarray) -> np.ndarray:
-    """``np.unwrap`` along the last axis, stepping over non-finite samples:
-    they stay NaN, and the unwrap goes on from the previous finite sample,
-    so one bad packet does not spoil the phase after it. Where every sample
-    is finite this is ``np.unwrap``, bit for bit."""
-    finite = np.isfinite(phase)
-    if finite.all():
-        return np.unwrap(phase, axis=-1)
-    out = np.full(phase.shape, np.nan)
-    for index in np.ndindex(phase.shape[:-1]):
-        keep = finite[index]
-        out[index][keep] = np.unwrap(phase[index][keep])
-    return out
-
-
 def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
     """Average unwrapped phase (and magnitude) over blocks of ``block_size``.
 
     Packet-boundary jitter is zero-mean per packet, so block-averaging the
     phase suppresses it by ~1/sqrt(block_size) before ratios are formed.
-    The result has floor(K / block_size) packets at ``sample_rate_hz /
-    block_size``, each timed at the mean of its block; a trailing partial
-    block is dropped. ``block_size`` = 1 returns the input unchanged.
+    Each block unwraps its phase within itself, so it is bit for bit the
+    same averaged alone or in any longer trace, and a non-finite packet
+    spoils its own block only; a whole-trace unwrap would differ from it by
+    2 pi k per block, which ``exp(1j * mean)`` does not see. The result has
+    floor(K / block_size) packets at ``sample_rate_hz / block_size``, each
+    timed at the mean of its block; a trailing partial block is dropped.
+    ``block_size`` = 1 returns the input unchanged.
     """
     if block_size < 1:
         raise ConfigurationError("block_size must be >= 1")
@@ -254,11 +244,9 @@ def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
     # rows unwrap and average independently, so a few at a time give the
     # same bits with temporaries of a few rows instead of the whole matrix
     for first in range(0, h.shape[0], BLOCK_ROWS):
-        rows = h[first : first + BLOCK_ROWS]
-        shape = (rows.shape[0], n_blocks, block_size)
-        mean_phase = unwrap_finite(np.angle(rows)).reshape(shape).mean(axis=2)
-        mean_mag = np.abs(rows).reshape(shape).mean(axis=2)
-        averaged[first : first + BLOCK_ROWS] = mean_mag * np.exp(1j * mean_phase)
+        blocks = h[first : first + BLOCK_ROWS].reshape(-1, n_blocks, block_size)
+        phase = np.unwrap(np.angle(blocks), axis=2).mean(axis=2)
+        averaged[first : first + BLOCK_ROWS] = np.abs(blocks).mean(axis=2) * np.exp(1j * phase)
     block_times = trace.times_s[: n_blocks * block_size].reshape(n_blocks, block_size)
     return CsiTrace(
         averaged,

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, TraceFormatError
+from .errors import ConfigurationError, TraceFormatError, writing
 from .grid import SubcarrierGrid
 from .parallel import pool_map, workers
 from .simulate import CsiTrace
@@ -54,7 +54,7 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
     parts are written in row order, so the bytes are those of one serial
     loop at any CPU count. The file is written under a temporary name in
     the same directory and renamed onto ``path``, so a failed write leaves
-    ``path`` as it was.
+    ``path`` as it was, and an OSError is an ``OutputError`` naming ``path``.
     """
     grid = trace.grid
     if grid is None:
@@ -85,12 +85,13 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(temp, "x", encoding="utf-8", newline="\n") as fh:
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            fh.write(",".join(columns) + "\n")
-            for part in parts:
-                fh.writelines(part)
-        os.replace(temp, path)
+        with writing(path):
+            with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+                fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+                fh.write(",".join(columns) + "\n")
+                for part in parts:
+                    fh.writelines(part)
+            os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise

@@ -629,11 +629,46 @@ def test_null_trace_path_exits_2(tmp_path, capsys):
     assert "input.trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, output", [("run", "estimates.jsonl"), ("simulate", "trace.csv")]
+)
+@pytest.mark.parametrize("case", ["out is a file", "out is under a file", "output is a directory"])
+def test_an_unusable_output_path_exits_2(base_config, tmp_path, capsys, command, output, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    if case == "output is a directory":
+        out = tmp_path / "o"
+        named = out / output
+        named.mkdir(parents=True)
+    else:
+        out = named = blocker if case == "out is a file" else blocker / "sub"
+    code = cli.main([command, "--config", str(base_config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "Traceback" not in err
+    assert err.startswith(f"output error: {named}: ") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
+    if case == "output is a directory":  # nothing else written, no temporary left
+        assert [p.name for p in out.iterdir()] == [output]
+
+
 def test_impossible_gate_exits_4(base_config, tmp_path):
     config = tmp_path / "gate.yaml"
     config.write_text(_BASE.replace(_MU, f"{_MU}\n  motion_threshold_rad: -1.0"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NO_WINDOW
+
+
+def test_a_trace_shorter_than_one_frame_exits_4(tmp_path, capsys):
+    # 30 packets at 50 Hz: six whole blocks, but no whole 1 s frame
+    config = tmp_path / "short.yaml"
+    config.write_text(
+        _BASE.replace("sample_rate_hz: 20.0", "sample_rate_hz: 50.0")
+        .replace("duration_s: 12.0", "duration_s: 0.6")
+    )
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_NO_WINDOW
+    assert "no complete window" in capsys.readouterr().err
 
 
 def test_run_on_a_trace_file_does_not_depend_on_the_seed(base_config, tmp_path):

@@ -103,8 +103,8 @@ def test_plan_windows_are_slices_of_the_averaged_trace(breathing_scenario, grid,
         shifts.append(a % k1)
         first = a - shifts[-1]
         alone = average_phase_blocks(trace[first : first + window_samples], k1)
-        np.testing.assert_allclose(window.values, alone.values, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(window.times_s, alone.times_s)
+        assert window.values.tobytes() == alone.values.tobytes()
+        assert window.times_s.tobytes() == alone.times_s.tobytes()
     assert any(shifts) == (plan.frame_samples % k1 != 0)
 
 
@@ -156,15 +156,15 @@ def test_pipeline_config_window_is_whole_frames(breathing_trace):
 
 def _loop_metric(trace, config):
     """The motion metric as a frame-by-frame loop: the peak-to-peak of the
-    unwrapped phase of the reference pair, the grid's first and last
-    subcarrier, over each frame's blocks."""
+    phase of the reference pair, the grid's first and last subcarrier, over
+    each frame's blocks, unwrapped within the frame."""
     plan = segment(trace, config)
     averaged = average_phase_blocks(trace, plan.block_size).values
-    phase = np.unwrap(np.angle(averaged[0] / averaged[-1]))
+    phase = np.angle(averaged[0] / averaged[-1])
     block_frame = np.arange(phase.size) * plan.block_size // plan.frame_samples
     metric = np.zeros(plan.accepted.size)
     for f in range(metric.size):
-        in_frame = phase[block_frame == f]
+        in_frame = np.unwrap(phase[block_frame == f])
         if in_frame.size:
             metric[f] = in_frame.max() - in_frame.min()
     return plan, metric
@@ -190,6 +190,28 @@ def test_segment_metric_equals_the_frame_loop(grid, fs, fields):
     )
     plan, metric = _loop_metric(trace, dataclasses.replace(_CONFIG, **fields))
     assert plan.motion_metric.tobytes() == metric.tobytes()
+
+
+@pytest.mark.parametrize("fs, fields", [(50.0, {}), (75.0, {"window_s": 11.0})])
+def test_a_frame_metric_depends_on_its_own_blocks_alone(grid, fs, fields):
+    # the reference ratio turns 1.3 rad a second: under the 2 rad gate in
+    # every frame, and through several whole turns over the trace
+    trace = apply_impairments(
+        generate_ideal_csi(_quick_scenario(duration_s=30.0, fs=fs), grid),
+        ImpairmentConfig(gaussian_noise_std=0.02, seed=5),
+    )
+    values = trace.values.copy()
+    values[0] *= np.exp(1.3j * trace.times_s)
+    trace = dataclasses.replace(trace, values=values)
+    config = dataclasses.replace(_CONFIG, **fields)
+    plan = segment(trace, config)
+    assert plan.accepted.all()
+    # the trace cut at a frame that starts on a block boundary of the whole
+    starts = [f for f in range(1, 25) if f * plan.frame_samples % plan.block_size == 0]
+    assert starts
+    for first in starts:
+        tail = segment(trace[first * plan.frame_samples :], config)
+        assert tail.motion_metric.tobytes() == plan.motion_metric[first:].tobytes()
 
 
 def _check_nan_in_frame_14(grid, rows):
@@ -250,6 +272,16 @@ def test_segment_rejects_windows_short_of_whole_blocks(grid, fs, fields):
         run_pipeline(trace, config)
 
 
+def test_a_trace_shorter_than_one_frame_gives_an_empty_plan(grid):
+    # 30 packets at 50 Hz: six blocks of 5, but no whole 1 s frame
+    trace = generate_ideal_csi(_quick_scenario(duration_s=0.6, fs=50.0), grid)
+    plan = segment(trace, _CONFIG)
+    assert len(trace) == 30 and len(plan.averaged) == 6
+    assert plan.accepted.size == plan.motion_metric.size == plan.window_starts.size == 0
+    with pytest.raises(NoWindowError, match="no complete window"):
+        run_pipeline(trace, _CONFIG, plan=plan)
+
+
 def test_segment_threshold_can_reject_everything(breathing_trace):
     config = dataclasses.replace(_CONFIG, motion_threshold_rad=-1.0)
     plan = segment(breathing_trace, config)
@@ -308,8 +340,32 @@ def test_run_pipeline_deterministic(impaired_trace):
         assert ra.stage_band_ratios == rb.stage_band_ratios
 
 
-def _rates(trace):
-    return [r.estimate and r.estimate.f_bpm for r in run_pipeline(trace, _CONFIG)]
+def _outcomes(trace):
+    """Each window's start frame, rate (None when withheld), flags and
+    reason."""
+    return [
+        (r.start_frame, r.estimate and r.estimate.f_bpm, r.estimate and r.estimate.flags, r.reason)
+        for r in run_pipeline(trace, _CONFIG)
+    ]
+
+
+def _assert_same_outcomes(moved, base):
+    """The same windows, withheld estimates, flags and reasons, and every
+    rate within 1e-9 bpm."""
+    assert [(s, f is None, flags, reason) for s, f, flags, reason in moved] == [
+        (s, f is None, flags, reason) for s, f, flags, reason in base
+    ]
+    assert all(abs(a[1] - b[1]) <= 1e-9 for a, b in zip(moved, base) if a[1] is not None)
+
+
+def _readme_trace(scenario, grid, seed):
+    """``scenario`` for 20 s on ``grid``, under the README's impairments."""
+    scenario = dataclasses.replace(scenario, duration_s=20.0)
+    impairments = ImpairmentConfig(
+        pbd_noise_std=0.002, sfo_slope=1e-4, cfo_walk_std=0.05, impulse_rate_hz=0.2,
+        impulse_log_std=0.4, impulse_correlation=1.0, gaussian_noise_std=0.03, seed=seed,
+    )
+    return apply_impairments(generate_ideal_csi(scenario, grid), impairments)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -321,21 +377,30 @@ def test_rates_ignore_a_global_complex_gain_and_conjugation(
     # CSI conjugates every ratio, whose band ratios and rate do not change
     if tones == 6:
         grid = custom_grid(2.452e9 + 2.5e6 * np.arange(6))
-    scenario = dataclasses.replace(breathing_scenario, duration_s=20.0)
-    impairments = ImpairmentConfig(  # the README's
-        pbd_noise_std=0.002, sfo_slope=1e-4, cfo_walk_std=0.05, impulse_rate_hz=0.2,
-        impulse_log_std=0.4, impulse_correlation=1.0, gaussian_noise_std=0.03, seed=seed,
-    )
-    trace = apply_impairments(generate_ideal_csi(scenario, grid), impairments)
-    base = _rates(trace)
-    assert len(base) == 11 and any(f is not None for f in base)
+    trace = _readme_trace(breathing_scenario, grid, seed)
+    base = _outcomes(trace)
+    assert len(base) == 11 and any(f is not None for _, f, _, _ in base)
     h = trace.values
     for values in (
         h * 1e3, h * 1e-6, h.conj(), h * np.exp(0.7j), h * np.exp(2.0j), h * np.exp(-3.0j)
     ):
-        moved = _rates(dataclasses.replace(trace, values=values))
-        assert [f is None for f in moved] == [f is None for f in base]
-        assert all(abs(a - b) <= 1e-9 for a, b in zip(moved, base) if a is not None)
+        _assert_same_outcomes(_outcomes(dataclasses.replace(trace, values=values)), base)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(NoWindowError, AssertionError),
+    reason="ROADMAP item 11: the block average unwraps each row before any ratio "
+    "cancels the common phase",
+)
+def test_rates_ignore_a_common_phase_per_packet(breathing_scenario, grid):
+    # every ratio cancels a phase common to all cells of a packet, as a
+    # commodity receiver's carrier phase is
+    trace = _readme_trace(breathing_scenario, grid, 0)
+    base = _outcomes(trace)
+    common = np.exp(1j * np.random.default_rng(0).uniform(-np.pi, np.pi, len(trace)))
+    moved = _outcomes(dataclasses.replace(trace, values=trace.values * common))
+    _assert_same_outcomes(moved, base)
 
 
 # ----------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from csibreath.ratio import (
     median,
     mobius_decompose,
     ssnr_values,
-    unwrap_finite,
 )
 from csibreath.simulate import (
     ChannelScenario,
@@ -265,14 +264,13 @@ def test_block_averaging_identity_and_shapes(breathing_trace):
 
 def _whole_matrix_average(trace, block_size):
     """``average_phase_blocks`` as it was before it worked in row blocks:
-    the whole (M, K) matrix unwrapped and averaged at once."""
+    the whole (M, K) matrix, each block unwrapped within itself, averaged
+    at once."""
     n_blocks = len(trace) // block_size
     h = trace.values[:, : n_blocks * block_size]
-    phase = np.unwrap(np.angle(h), axis=1)
-    mag = np.abs(h)
     shape = (h.shape[0], n_blocks, block_size)
-    mean_phase = phase.reshape(shape).mean(axis=2)
-    mean_mag = mag.reshape(shape).mean(axis=2)
+    mean_phase = np.unwrap(np.angle(h).reshape(shape), axis=2).mean(axis=2)
+    mean_mag = np.abs(h).reshape(shape).mean(axis=2)
     block_times = trace.times_s[: n_blocks * block_size].reshape(n_blocks, block_size)
     return mean_mag * np.exp(1j * mean_phase), block_times.mean(axis=1)
 
@@ -297,6 +295,37 @@ def test_block_averaging_preserves_constant_streams():
     averaged = average_phase_blocks(CsiTrace.uniform(values, 10.0), 4)
     assert averaged.values.shape == (2, 3)
     np.testing.assert_allclose(averaged.values, values[:, :3], rtol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    block_size=st.integers(2, 7),
+    n_blocks=st.integers(1, 30),
+    holes=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4),
+    data=st.data(),
+)
+def test_a_block_average_depends_on_its_own_packets_alone(
+    seed, rows, block_size, n_blocks, holes, data
+):
+    rng = np.random.default_rng(seed)
+    packets = n_blocks * block_size + int(rng.integers(block_size))
+    # phase walks far enough to wrap many times, so unwrap has work to do
+    phase = np.cumsum(rng.normal(scale=2.0, size=(rows, packets)), axis=1)
+    values = rng.uniform(0.1, 2.0, size=(rows, packets)) * np.exp(1j * phase)
+    bad = [int(h * packets) for h in holes]
+    values[:, bad] = np.nan  # non-finite packets
+    trace = CsiTrace.uniform(values, 50.0)
+    a = data.draw(st.integers(0, n_blocks - 1), label="first block")
+    whole = average_phase_blocks(trace, block_size)
+    tail = average_phase_blocks(trace[a * block_size :], block_size)
+    assert tail.values.tobytes() == whole.values[:, a:].tobytes()
+    assert tail.times_s.tobytes() == whole.times_s[a:].tobytes()
+    # a non-finite packet spoils its own block and no other
+    spoiled = np.zeros(n_blocks, dtype=bool)
+    spoiled[[k // block_size for k in bad if k < n_blocks * block_size]] = True
+    assert np.array_equal(~np.isfinite(whole.values).all(axis=0), spoiled)
 
 
 # ----------------------------------------------------------------------------
@@ -594,22 +623,3 @@ def test_band_energies_match_full_spectrum_reference(case):
     # each row scores the same bits alone as in the batch
     alone = np.concatenate([ssnr_values(row[None, :], fs) for row in rows])
     assert values.tobytes() == alone.tobytes()
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    steps=st.lists(st.floats(-7.0, 7.0), min_size=2, max_size=40),
-    holes=st.sets(st.integers(0, 39), max_size=5),
-)
-def test_unwrap_finite_steps_over_non_finite_samples(steps, holes):
-    phase = np.cumsum(steps)
-    assert unwrap_finite(phase).tobytes() == np.unwrap(phase).tobytes()
-    stack = np.stack([phase, -phase])
-    assert unwrap_finite(stack).tobytes() == np.unwrap(stack, axis=1).tobytes()
-    holed = phase.copy()
-    holed[[h for h in holes if h < phase.size]] = np.nan
-    finite = np.isfinite(holed)
-    unwrapped = unwrap_finite(np.stack([phase, holed]))
-    assert unwrapped[0].tobytes() == np.unwrap(phase).tobytes()
-    assert np.isnan(unwrapped[1][~finite]).all()
-    assert unwrapped[1][finite].tobytes() == np.unwrap(holed[finite]).tobytes()
