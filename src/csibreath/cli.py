@@ -97,6 +97,16 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the ``OutputError`` that writing ``path`` would raise, before
+    any work is done, and leave no new file behind."""
+    with writing(path):
+        created = not path.exists()
+        open(path, "a").close()  # appending to an existing file changes nothing
+        if created:
+            path.unlink()
+
+
 def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
@@ -107,14 +117,18 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 
 def _solution_record(solution: GassSolution) -> dict:
-    genome = solution.genome
+    """The search's result in its own coordinates: the fallback pair, and
+    the solve's coefficients over the grid's delay basis unless the pair
+    was taken (``fallback``)."""
+    c = solution.coefficients
     return {
-        "weights_re": genome.weights.real.tolist(),
-        "weights_im": genome.weights.imag.tolist(),
-        "numerator_indices": genome.numerator_indices.tolist(),
-        "denominator_index": int(genome.denominator_index),
+        "denominator_index": solution.denominator_index,
         "fitness": _jsonable(solution.fitness),
+        "pair_numerator": solution.pair_numerator,
         "pair_fitness": _jsonable(solution.pair_fitness),
+        "fallback": solution.fallback,
+        "coefficients_re": None if c is None else _jsonable(c.real),
+        "coefficients_im": None if c is None else _jsonable(c.imag),
     }
 
 
@@ -170,7 +184,8 @@ def _cmd_run(config: dict, seed: int, out: Path) -> int:
     results = run_pipeline(trace, pipeline_from_config(config))
     records = [_result_record(result) for result in results]
     _write_text(
-        out / "estimates.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        out / "estimates.jsonl",
+        "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records),
     )
     write_csv(  # a few fields of each record, its flags joined by ";"
         out / "windows.csv",
@@ -261,12 +276,13 @@ def _cmd_gass_audit(config: dict, seed: int, out: Path) -> int:
     return 0
 
 
+# each command and the files it writes under --out
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "run": _cmd_run,
-    "sweep-blindspot": _cmd_sweep_blindspot,
-    "sweep-snr": _cmd_sweep_snr,
-    "gass-audit": _cmd_gass_audit,
+    "simulate": (_cmd_simulate, ("trace.csv",)),
+    "run": (_cmd_run, ("estimates.jsonl", "windows.csv")),
+    "sweep-blindspot": (_cmd_sweep_blindspot, ("blindspot.csv", "blindspot_summary.json")),
+    "sweep-snr": (_cmd_sweep_snr, ("snr.csv", "snr_summary.json")),
+    "gass-audit": (_cmd_gass_audit, ("gass_solution.json",)),
 }
 
 
@@ -300,7 +316,10 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         with writing(out):  # an existing file, or a path under one, fails here
             out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, args.seed, out)
+        command, outputs = _COMMANDS[args.command]
+        for name in outputs:  # an unwritable output fails before the work
+            _check_writable(out / name)
+        return command(config, args.seed, out)
     except (ConfigurationError, DegenerateScenarioError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

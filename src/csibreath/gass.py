@@ -14,7 +14,9 @@ a numerator, with weights drawn from a basis of a few propagation delays,
 its optimum is the top generalized eigenvector of an 8x8 pair of in-band
 and out-of-band Gram matrices: ``ratio.max_snr``, the solver the projection
 angle uses too. The best single pair over the denominator is an explicit
-fallback, so the result is never worse than any of them.
+fallback, so the result is never worse than any of them. A
+``GassSolution`` keeps the denominator and the 8 coefficients over the
+grid's delay basis, or the pair, and rebuilds the weights from them.
 
 ``best_single_pair`` scores all n(n-1) ordered single pairs, the exact
 reference that ``gass-audit`` compares the solve against. Every ratio here,
@@ -31,6 +33,7 @@ thread count, and outputs must not.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +61,9 @@ DELAY_SPAN_S = 100e-9
 
 @dataclass(frozen=True)
 class Genome:
-    """One candidate: complex weights, numerator indices, denominator index."""
+    """A weighted numerator over one denominator: complex weights, numerator
+    indices, denominator index. ``fitness`` scores one, and the stream
+    fan-out divides one by every kept row."""
 
     weights: np.ndarray
     numerator_indices: np.ndarray
@@ -67,9 +72,32 @@ class Genome:
 
 @dataclass(frozen=True)
 class GassSolution:
-    genome: Genome
-    fitness: float
-    pair_fitness: float = float("nan")  # the fallback pair's band ratio
+    """The search's result in its own coordinates: the denominator, the best
+    single pair over it (the fallback) and, when the solve was taken, its
+    coefficients over the delay basis of the grid. ``genome`` rebuilds the
+    weighted numerator from them and the grid's frequencies."""
+
+    denominator_index: int
+    fitness: float          # band ratio of the chosen numerator
+    pair_numerator: int     # the fallback pair's numerator
+    pair_fitness: float     # the fallback pair's band ratio
+    coefficients: np.ndarray | None = None  # one per delay of the basis; None: the pair
+
+    @property
+    def fallback(self) -> bool:
+        """Whether the result is the fallback pair rather than the solve."""
+        return self.coefficients is None
+
+    def genome(self, frequencies_hz: np.ndarray) -> Genome:
+        """The weighted numerator, given the center frequency of every row:
+        a unit weight on the pair's numerator, or the solve's weights w = F c
+        over every other row than the denominator (``_delay_basis``), in the
+        bits the solve scored."""
+        d = self.denominator_index
+        if self.fallback:
+            return Genome(np.ones(1, dtype=complex), np.array([self.pair_numerator]), d)
+        rows, basis = _delay_basis(np.asarray(frequencies_hz, dtype=float), d)
+        return Genome(_weights(basis, self.coefficients), rows, d)
 
 
 def _check_genome(genome: Genome, n_subcarriers: int) -> None:
@@ -195,21 +223,20 @@ def solve_delay_basis(
     sum_m F[m, t] H_m / H_d (guarded like any ratio by ``guards``), and the
     band ratio of sum_t c_t S_t is c^H A c / c^H B c, with A and B the
     in-band and out-of-band Gram matrices of the spectra of S. Its maximum is
-    at their top generalized eigenvector (``ratio.max_snr``). The weights
-    are scaled so that max |w| = 1, with that entry real and positive, and
-    the genome's ``fitness`` equals the eigenvalue up to rounding.
+    at their top generalized eigenvector (``ratio.max_snr``), and the
+    solution keeps c. Its weights (``GassSolution.genome``) are scaled so
+    that max |w| = 1, with that entry real and positive, and their
+    ``fitness`` equals the eigenvalue up to rounding.
 
     ``frequencies_hz`` holds the center frequency of every row. The fallback
     is the best of the n - 1 single pairs over d (ties to the lowest
     numerator), scored in one batch; its band ratio is the solution's
-    ``pair_fitness``. When B is not positive definite, or the solved genome
-    scores below the pair, the pair's genome is the result, so the search is
-    never worse than any single pair over d. B is singular on noise-free
-    CSI. On a grid whose tones sit delta f apart, two delays 1/delta f apart
-    give the same basis column (10 MHz spacing repeats every 100 ns); when
-    the default delays alias so, they are spaced 1/(spread + smallest gap)
-    of the numerator rows' frequencies apart instead, which keeps the basis
-    of full column rank.
+    ``pair_fitness``. When B is not positive definite, or the solved weights
+    score below the pair, the pair is the result (``fallback``), so the
+    search is never worse than any single pair over d. B is singular on
+    noise-free CSI. The basis is ``_delay_basis``, of full column rank also
+    on a grid whose tones sit delta f apart, where two delays 1/delta f
+    apart give the same column (10 MHz spacing repeats every 100 ns).
     """
     n_sub = matrix.shape[0]
     if n_sub < 2:
@@ -222,23 +249,28 @@ def solve_delay_basis(
     numerators = np.flatnonzero(np.arange(n_sub) != d)
     scores = _pair_scores(matrix, sample_rate_hz, guards, numerators, d)
     best = int(np.argmax(scores))
-    genome = Genome(np.ones(1, dtype=complex), numerators[best : best + 1], d)
-    score = pair_fitness = float(scores[best])
-    solved = None if guards.rejected[d] else _solve(matrix, frequencies, sample_rate_hz, d, guards)
-    if solved is not None:
-        solved_score = fitness(solved, matrix, sample_rate_hz)
-        if solved_score >= pair_fitness:
-            genome, score = solved, solved_score
-    return GassSolution(genome=genome, fitness=score, pair_fitness=pair_fitness)
+    pair = GassSolution(d, float(scores[best]), int(numerators[best]), float(scores[best]))
+    if guards.rejected[d]:
+        return pair
+    rows, basis = _delay_basis(frequencies, d)
+    # sum_m F[m, t] (H_m / H_d) = (sum_m F[m, t] H_m) / H_d, guard interpolation included
+    projected = guards.divide(np.einsum("mt,mk->tk", basis, matrix[rows]), matrix[d], d)
+    coefficients = max_snr(*band_grams(projected, sample_rate_hz))
+    if coefficients is None:
+        return pair
+    score = fitness(Genome(_weights(basis, coefficients), rows, d), matrix, sample_rate_hz)
+    if score < pair.fitness:
+        return pair
+    return dataclasses.replace(pair, fitness=score, coefficients=coefficients)
 
 
-def _solve(
-    matrix: np.ndarray, frequencies: np.ndarray, sample_rate_hz: float, d: int,
-    guards: GuardTable,
-) -> Genome | None:
-    """The delay-basis genome over denominator ``d`` (a row the guard keeps),
-    or None when its Gram matrices admit no solution."""
-    rows = np.flatnonzero(np.arange(matrix.shape[0]) != d)
+def _delay_basis(frequencies: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The numerator rows (all but ``d``) and the delay basis over them,
+    F[m, t] = exp(j 2 pi (f_m - mean f) tau_t): at most one delay per
+    distinct tone, over +-``DELAY_SPAN_S``, or, when two of these alias on
+    the grid, 1/(spread + smallest gap) of the tones apart, so that distinct
+    tones give distinct nodes of a Vandermonde basis."""
+    rows = np.flatnonzero(np.arange(frequencies.size) != d)
     offsets = frequencies[rows] - frequencies.mean()
     tones = np.sort(offsets)
     gaps = np.diff(tones)
@@ -248,26 +280,23 @@ def _solve(
     delays = np.linspace(-DELAY_SPAN_S, DELAY_SPAN_S, count)
     basis = np.exp(2j * np.pi * np.outer(offsets, delays))
     if gaps.size and np.linalg.matrix_rank(basis) < count:
-        # two delays alias on this grid: space them 1/(spread + smallest
-        # gap) apart instead, so that distinct tones give distinct nodes of
-        # a Vandermonde basis
         step = 1.0 / (tones[-1] - tones[0] + gaps.min())
         delays = step * (np.arange(count) - (count - 1) / 2)
         basis = np.exp(2j * np.pi * np.outer(offsets, delays))
-    # sum_m F[m, t] (H_m / H_d) = (sum_m F[m, t] H_m) / H_d, guard interpolation included
-    projected = guards.divide(np.einsum("mt,mk->tk", basis, matrix[rows]), matrix[d], d)
-    coefficients = max_snr(*band_grams(projected, sample_rate_hz))
-    if coefficients is None:
-        return None
+    return rows, basis
+
+
+def _weights(basis: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """w = F c, scaled so that max |w| = 1 with that entry real and positive."""
     weights = np.einsum("mt,t->m", basis, coefficients)
     top = int(np.argmax(np.abs(weights)))
     weights = weights / weights[top]
     weights[top] = 1.0
-    return Genome(weights, rows, d)
+    return weights
 
 
 def build_streams(
-    solution: GassSolution,
+    genome: Genome,
     matrix: np.ndarray,
     sample_rate_hz: float,
     *,
@@ -280,9 +309,9 @@ def build_streams(
     numerator rows would leave at most one stream. A numerator with weight
     on a single row leaves that row out, since over itself it is constant
     up to the rounding of x / x. The numerator is divided by all kept rows
-    at once (``GuardTable.divide``). ``guards`` is ``guard_table(matrix)``.
+    at once (``GuardTable.divide``). ``genome`` is the solution's
+    ``GassSolution.genome`` and ``guards`` is ``guard_table(matrix)``.
     """
-    genome = solution.genome
     kept = ~guards.rejected
     # a set, not np.unique, which imports numpy.ma for its masked-array check
     own = set(genome.numerator_indices[genome.weights != 0].tolist())

@@ -220,17 +220,18 @@ class WindowResult:
 
 
 def _run_stages(
-    averaged: np.ndarray,
+    window: CsiTrace,
     solution: GassSolution,
-    eff_rate: float,
     config: PipelineConfig,
     window_id: int,
     guards: GuardTable,
 ) -> tuple[RespirationEstimate, dict[str, float]]:
     """Stream fan-out through rate estimation for one window, given its
-    block-averaged CSI matrix (at ``eff_rate``), a solved numerator and the
-    matrix's ``guard_table``."""
-    streams = gass_mod.build_streams(solution, averaged, eff_rate, guards=guards)
+    block-averaged CSI, its solution and its matrix's ``guard_table``. The
+    solution's numerator is rebuilt on the window's grid frequencies."""
+    averaged, eff_rate = window.values, window.sample_rate_hz
+    genome = solution.genome(window.grid.center_frequency_hz)
+    streams = gass_mod.build_streams(genome, averaged, eff_rate, guards=guards)
     aligned = align_streams(streams, gain_window=max(1, int(GAIN_WINDOW_S * eff_rate)))
     combined = combine(
         aligned, smoothing_window=max(1, int(SMOOTHING_S * eff_rate)), mu=config.mu
@@ -336,7 +337,7 @@ def _run_windows(
                 solution = gass_mod.solve_delay_basis(
                     window.values, window.grid.center_frequency_hz, rate, guards
                 )
-                outcome = _run_stages(window.values, solution, rate, config, window_id, guards)
+                outcome = _run_stages(window, solution, config, window_id, guards)
             else:
                 values, _ = guarded_ratio(window.values[0], window.values[-1])
                 series = np.abs(values) if method == "amplitude" else np.unwrap(np.angle(values))

@@ -224,13 +224,19 @@ def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
 
     Packet-boundary jitter is zero-mean per packet, so block-averaging the
     phase suppresses it by ~1/sqrt(block_size) before ratios are formed.
-    Each block unwraps its phase within itself, so it is bit for bit the
-    same averaged alone or in any longer trace, and a non-finite packet
-    spoils its own block only; a whole-trace unwrap would differ from it by
-    2 pi k per block, which ``exp(1j * mean)`` does not see. The result has
-    floor(K / block_size) packets at ``sample_rate_hz / block_size``, each
-    timed at the mean of its block; a trailing partial block is dropped.
-    ``block_size`` = 1 returns the input unchanged.
+    Each packet k of a block is first rotated onto the block's first packet
+    k0, by the phase of sum_m H_m(k) conj(H_m(k0)) over its finite cells: a
+    phase common to every cell of a packet (a carrier phase, however large)
+    then cancels before the unwrap, as it does in every ratio, while the
+    channel's own rotation across the band cancels inside the sum. The
+    rotation is common to every row, so no ratio sees it. Each block unwraps
+    its phase within itself, so it is bit for bit the same averaged alone or
+    in any longer trace, and a non-finite packet spoils its own block only;
+    a whole-trace unwrap would differ from it by 2 pi k per block, which
+    ``exp(1j * mean)`` does not see. The result has floor(K / block_size)
+    packets at ``sample_rate_hz / block_size``, each timed at the mean of
+    its block; a trailing partial block is dropped. ``block_size`` = 1
+    returns the input unchanged.
     """
     if block_size < 1:
         raise ConfigurationError("block_size must be >= 1")
@@ -240,12 +246,22 @@ def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
     if n_blocks == 0:
         raise ConfigurationError("fewer packets than one block")
     h = trace.values[:, : n_blocks * block_size]
-    averaged = np.empty((h.shape[0], n_blocks), dtype=complex)
     # rows unwrap and average independently, so a few at a time give the
-    # same bits with temporaries of a few rows instead of the whole matrix
+    # same bits with temporaries of a few rows instead of the whole matrix;
+    # the rotation's sum over rows is taken first, row by row, so its bits
+    # do not depend on the row blocks either
+    common = np.zeros((n_blocks, block_size), dtype=complex)
     for first in range(0, h.shape[0], BLOCK_ROWS):
         blocks = h[first : first + BLOCK_ROWS].reshape(-1, n_blocks, block_size)
-        phase = np.unwrap(np.angle(blocks), axis=2).mean(axis=2)
+        products = blocks * blocks[:, :, :1].conj()
+        products[~np.isfinite(products)] = 0.0
+        for row in products:
+            common += row
+    turn = np.angle(common)
+    averaged = np.empty((h.shape[0], n_blocks), dtype=complex)
+    for first in range(0, h.shape[0], BLOCK_ROWS):
+        blocks = h[first : first + BLOCK_ROWS].reshape(-1, n_blocks, block_size)
+        phase = np.unwrap(np.angle(blocks) - turn, axis=2).mean(axis=2)
         averaged[first : first + BLOCK_ROWS] = np.abs(blocks).mean(axis=2) * np.exp(1j * phase)
     block_times = trace.times_s[: n_blocks * block_size].reshape(n_blocks, block_size)
     return CsiTrace(

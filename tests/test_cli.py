@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from csibreath import cli, config, traceio
+from csibreath import cli, config, gass, pipeline, traceio
 from csibreath.pipeline import PipelineConfig
 from csibreath.traceio import read_trace, write_trace
 
@@ -202,7 +203,6 @@ def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):
 
 
 def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog, monkeypatch):
-    from csibreath import pipeline
     from csibreath.simulate import CsiTrace, apply_impairments, generate_ideal_csi
 
     settings = yaml.safe_load(_BASE)
@@ -287,11 +287,13 @@ def test_gass_audit_solution_dump(base_config, tmp_path, capsys):
     out = tmp_path / "audit"
     assert cli.main(["gass-audit", "--config", str(base_config), "--out", str(out)]) == 0
     record = json.loads((out / "gass_solution.json").read_text())
-    assert set(record) == {"weights_re", "weights_im", "numerator_indices", "denominator_index",
-                           "fitness", "pair_fitness", "best_pair", "best_pair_fitness"}
-    # the closed form's numerator is every row but the denominator
-    assert len(record["weights_re"]) == 5
-    assert sorted(record["numerator_indices"] + [record["denominator_index"]]) == list(range(6))
+    assert set(record) == {"denominator_index", "fitness", "pair_numerator", "pair_fitness",
+                           "fallback", "coefficients_re", "coefficients_im",
+                           "best_pair", "best_pair_fitness"}
+    # the solve was taken: one coefficient per delay, at most one per distinct tone
+    assert record["fallback"] is False
+    assert len(record["coefficients_re"]) == len(record["coefficients_im"]) == 5
+    assert record["pair_numerator"] != record["denominator_index"]
     assert record["fitness"] >= record["pair_fitness"]
     # the fallback pair is one of the 30 ordered pairs the reference scores
     assert record["best_pair_fitness"] >= record["pair_fitness"]
@@ -306,6 +308,53 @@ def test_gass_audit_solution_dump(base_config, tmp_path, capsys):
     first = json.loads((run / "estimates.jsonl").read_text().splitlines()[0])
     del record["best_pair"], record["best_pair_fitness"]
     assert first["solution"] == record
+
+
+def _solution_from_record(record):
+    """The ``GassSolution`` a written solution record holds."""
+    coefficients = None
+    if not record["fallback"]:
+        coefficients = np.array(record["coefficients_re"]) + 1j * np.array(
+            record["coefficients_im"]
+        )
+    return gass.GassSolution(
+        record["denominator_index"], record["fitness"], record["pair_numerator"],
+        record["pair_fitness"], coefficients,
+    )
+
+
+@pytest.mark.parametrize("noise, fallback", [(True, False), (False, True)])
+def test_written_solutions_rebuild_the_fan_out_weights(tmp_path, monkeypatch, noise, fallback):
+    # noise-free CSI spans too few dimensions for the solve: the pair is taken
+    settings = yaml.safe_load(_BASE)
+    if not noise:
+        del settings["impairments"]
+    (tmp_path / "sim.yaml").write_text(yaml.safe_dump(settings))
+    assert cli.main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                     "--out", str(tmp_path / "sim")]) == 0
+    trace = tmp_path / "sim" / "trace.csv"
+    run = {"input": {"trace": str(trace)}, "pipeline": settings["pipeline"]}
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(run))
+    used, build_streams = [], gass.build_streams
+
+    def recording(genome, *args, **kwargs):
+        used.append(genome)
+        return build_streams(genome, *args, **kwargs)
+
+    monkeypatch.setattr(gass, "build_streams", recording)
+    monkeypatch.setattr(pipeline, "workers", lambda: 1)  # every window in this process
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tmp_path / "run.yaml"), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "estimates.jsonl").read_text().splitlines()]
+    frequencies = read_trace(trace).grid.center_frequency_hz
+    assert len(used) == len(records) == 3
+    for record, genome in zip(records, used):
+        assert record["solution"]["fallback"] is fallback
+        rebuilt = _solution_from_record(record["solution"]).genome(frequencies)
+        assert rebuilt.weights.tobytes() == genome.weights.tobytes()
+        assert rebuilt.numerator_indices.tolist() == genome.numerator_indices.tolist()
+        assert rebuilt.denominator_index == genome.denominator_index
+        assert rebuilt.weights.size == (1 if fallback else 5)
 
 
 # bench/run.py's capture-replay pipeline section, written for retired searches
@@ -619,6 +668,7 @@ def test_malformed_trace_exits_3(tmp_path):
     config.write_text(f"input: {{trace: {trace}}}\n")
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_TRACE
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_null_trace_path_exits_2(tmp_path, capsys):
@@ -629,11 +679,26 @@ def test_null_trace_path_exits_2(tmp_path, capsys):
     assert "input.trace" in capsys.readouterr().err
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before the output paths were checked")
+
+
 @pytest.mark.parametrize(
-    "command, output", [("run", "estimates.jsonl"), ("simulate", "trace.csv")]
+    "command, output",
+    [
+        ("run", "estimates.jsonl"),
+        ("simulate", "trace.csv"),
+        ("run", "windows.csv"),
+        ("gass-audit", "gass_solution.json"),
+    ],
 )
 @pytest.mark.parametrize("case", ["out is a file", "out is under a file", "output is a directory"])
-def test_an_unusable_output_path_exits_2(base_config, tmp_path, capsys, command, output, case):
+def test_an_unusable_output_path_exits_2(
+    base_config, tmp_path, capsys, monkeypatch, command, output, case
+):
+    # synthesis or analysis would raise: the check comes first
+    monkeypatch.setattr(cli, "generate_ideal_csi", _must_not_run)
+    monkeypatch.setattr(cli, "run_pipeline", _must_not_run)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
     if case == "output is a directory":
@@ -657,6 +722,7 @@ def test_impossible_gate_exits_4(base_config, tmp_path):
     config.write_text(_BASE.replace(_MU, f"{_MU}\n  motion_threshold_rad: -1.0"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NO_WINDOW
+    assert list((tmp_path / "o").iterdir()) == []  # the output check left no file
 
 
 def test_a_trace_shorter_than_one_frame_exits_4(tmp_path, capsys):
@@ -729,4 +795,5 @@ def test_default_grid_run_is_byte_identical_across_blas_threads(tmp_path):
     outputs = _outputs_across_blas_threads(config, tmp_path)
     assert outputs[0] == outputs[1] == outputs[2]
     record = json.loads(outputs[0][0].splitlines()[0])
-    assert len(record["solution"]["weights_re"]) == 217
+    assert not record["solution"]["fallback"]
+    assert len(record["solution"]["coefficients_re"]) == 8

@@ -14,7 +14,7 @@ from csibreath.combine import (
     stream_gain,
 )
 from csibreath.errors import ConfigurationError
-from csibreath.gass import Genome, GassSolution, build_streams, combined_ratio
+from csibreath.gass import Genome, build_streams, combined_ratio
 from csibreath.ratio import StreamStack, guard_table, ssnr_values
 
 
@@ -349,8 +349,7 @@ def test_stream_stack_equals_per_stream_loop(
         share = local.choice([0.05, 0.5])
         matrix[row, local.random(n_samples) < share] = 0.0
     genome = Genome(weights, numerators, denominator)
-    solution = GassSolution(genome, 1.0)
-    streams = build_streams(solution, matrix, 10.0, guards=guard_table(matrix))
+    streams = build_streams(genome, matrix, 10.0, guards=guard_table(matrix))
     expected = _loop_build(genome, matrix)
     assert streams.denominators.tolist() == [m for m, _, _ in expected]
     for values, bad, (_, loop_values, loop_bad) in zip(

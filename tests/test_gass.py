@@ -193,14 +193,15 @@ def test_fallback_pair_is_the_best_pair_over_the_denominator(impaired_trace):
     matrix = average_phase_blocks(impaired_trace, 5).values[:, :100]
     solution = solve_delay_basis(matrix, impaired_trace.grid.center_frequency_hz, 10.0)
     d = pick_denominator(matrix, guard_table(matrix))
-    assert solution.genome.denominator_index == d
+    assert solution.denominator_index == d
     pair, score = _best_pair_over(matrix, d)
+    assert solution.pair_numerator == pair.numerator_indices[0]
     assert solution.pair_fitness == score == fitness(pair, matrix, 10.0)
     assert solution.fitness >= solution.pair_fitness
     # every pair over d ties (a rejected denominator scores 0): the lowest numerator
     silent = np.zeros((3, 100), dtype=complex)
     solution = solve_delay_basis(silent, _toy_frequencies(3), 10.0)
-    assert solution.genome.numerator_indices.tolist() == [1]
+    assert solution.fallback and solution.pair_numerator == 1
     assert solution.fitness == solution.pair_fitness == 0.0
 
 
@@ -227,7 +228,7 @@ def test_toy_grid_search_matches_exhaustive():
     assert best_single_pair(matrix, 10.0) == (*best, scores[best])
     # the search's fallback is the best of them over its denominator
     solution = solve_delay_basis(matrix, _toy_frequencies(6), 10.0)
-    d = solution.genome.denominator_index
+    d = solution.denominator_index
     assert solution.pair_fitness == max(scores[(m1, d)] for m1 in range(6) if m1 != d)
     with pytest.raises(ConfigurationError, match="two subcarriers"):
         best_single_pair(matrix[:1], 10.0)
@@ -245,16 +246,16 @@ def test_build_streams_covers_every_kept_row():
     matrix[4] = 0.0  # rejected by the guard
     guards = guard_table(matrix)
     solution = solve_delay_basis(matrix, _toy_frequencies(12, 2.5e6), 10.0, guards)
-    genome = solution.genome
+    genome = solution.genome(_toy_frequencies(12, 2.5e6))
     assert genome.weights.size == 11
-    streams = build_streams(solution, matrix, 10.0, guards=guards)
+    streams = build_streams(genome, matrix, 10.0, guards=guards)
     assert streams.denominators.tolist() == [m for m in range(12) if m != 4]
     assert streams.values.shape == (11, matrix.shape[1]) and len(streams) == 11
     assert streams.sample_rate_hz == 10.0
     # a single-pair numerator over its own row would be constant up to the
     # rounding of x / x, so that row is left out
     m1, d = 11, genome.denominator_index
-    pair = GassSolution(Genome(np.array([1.0 + 0j]), np.array([m1]), d), 1.0)
+    pair = GassSolution(d, 1.0, m1, 1.0).genome(_toy_frequencies(12, 2.5e6))
     fallback = build_streams(pair, matrix, 10.0, guards=guards)
     assert fallback.denominators.tolist() == [m for m in range(12) if m not in (4, m1)]
 
@@ -262,14 +263,12 @@ def test_build_streams_covers_every_kept_row():
 def test_build_streams_values_match_direct_ratio():
     matrix = _toy_matrix(n_tones=4, spacing_hz=2.5e6)
     solution = solve_delay_basis(matrix, _toy_frequencies(4, 2.5e6), 10.0)
-    streams = build_streams(solution, matrix, 10.0, guards=guard_table(matrix))
+    genome = solution.genome(_toy_frequencies(4, 2.5e6))
+    streams = build_streams(genome, matrix, 10.0, guards=guard_table(matrix))
     assert len(streams) == 4
     for values, denominator in zip(streams.values, streams.denominators):
         expected, _ = combined_ratio(
-            matrix,
-            solution.genome.weights,
-            solution.genome.numerator_indices,
-            denominator,
+            matrix, genome.weights, genome.numerator_indices, denominator
         )
         np.testing.assert_allclose(values, expected, rtol=1e-14)
 
@@ -284,12 +283,10 @@ def test_shared_guard_table_gives_the_same_outputs(impaired_trace):
     a = solve_delay_basis(matrix, frequencies, 10.0, guards)
     b = solve_delay_basis(matrix, frequencies, 10.0)
     assert a.fitness == b.fitness and a.pair_fitness == b.pair_fitness
-    for part in ("weights", "numerator_indices"):
-        assert getattr(a.genome, part).tobytes() == getattr(b.genome, part).tobytes()
+    assert a.coefficients.tobytes() == b.coefficients.tobytes()
     genome = Genome(np.array([1.0 + 0j, 0.5j, 0.0]), np.array([3, 1, 2]), 0)
-    solution = GassSolution(genome, 1.0)
-    with_table = build_streams(solution, matrix, 10.0, guards=guards)
-    fresh = build_streams(solution, matrix, 10.0, guards=guard_table(matrix))
+    with_table = build_streams(genome, matrix, 10.0, guards=guards)
+    fresh = build_streams(genome, matrix, 10.0, guards=guard_table(matrix))
     assert with_table.denominators.tolist() == fresh.denominators.tolist()
     assert 7 not in with_table.denominators
     assert with_table.values.tobytes() == fresh.values.tobytes()
@@ -332,7 +329,7 @@ def test_delay_basis_fitness_equals_eigenvalue(breathing_trace, seed):
     frequencies = breathing_trace.grid.center_frequency_hz
     matrix = _window(breathing_trace, seed=seed)
     solution = solve_delay_basis(matrix, frequencies, 10.0)
-    genome = solution.genome
+    genome = solution.genome(frequencies)
     assert genome.weights.size == matrix.shape[0] - 1  # not the fallback
     assert solution.fitness == fitness(genome, matrix, 10.0)
     expected = _eigenvalue(matrix, frequencies, 10.0, genome.denominator_index)
@@ -346,14 +343,14 @@ def test_delay_basis_fitness_equals_eigenvalue(breathing_trace, seed):
 def test_delay_basis_weights_are_canonical(breathing_trace, seed):
     matrix = _window(breathing_trace, seed=seed)
     frequencies = breathing_trace.grid.center_frequency_hz
-    weights = solve_delay_basis(matrix, frequencies, 10.0).genome.weights
+    weights = solve_delay_basis(matrix, frequencies, 10.0).genome(frequencies).weights
     top = int(np.argmax(np.abs(weights)))
     assert weights[top] == 1.0 and np.abs(weights).max() == 1.0
     # the same window rotated and rescaled has the same ratios up to
     # rounding, and solves to the same weights: the eigenvector's arbitrary
     # phase does not leak out
     scaled = matrix * (0.5 * np.exp(0.7j))
-    again = solve_delay_basis(scaled, frequencies, 10.0).genome.weights
+    again = solve_delay_basis(scaled, frequencies, 10.0).genome(frequencies).weights
     np.testing.assert_allclose(again, weights, rtol=1e-7, atol=1e-9)
 
 
@@ -363,9 +360,11 @@ def test_delay_basis_is_never_below_the_best_pair(breathing_trace):
     # noise-free CSI spans too few dimensions: B is singular, Cholesky fails
     clean = _window(breathing_trace)
     solution = solve_delay_basis(clean, frequencies, 10.0)
-    fallback, score = _best_pair_over(clean, solution.genome.denominator_index)
-    assert solution.genome.weights.tolist() == [1.0]
-    assert solution.genome.numerator_indices.tolist() == fallback.numerator_indices.tolist()
+    fallback, score = _best_pair_over(clean, solution.denominator_index)
+    assert solution.fallback and solution.coefficients is None
+    genome = solution.genome(frequencies)
+    assert genome.weights.tolist() == [1.0]
+    assert genome.numerator_indices.tolist() == fallback.numerator_indices.tolist()
     assert solution.fitness == solution.pair_fitness == score
     # grids with fewer numerator rows than delays, and a noisy full grid
     for n_tones in (2, 3, 6):
@@ -373,13 +372,14 @@ def test_delay_basis_is_never_below_the_best_pair(breathing_trace):
             matrix = _toy_matrix(n_tones=n_tones, seed=seed)
             solution = solve_delay_basis(matrix, _toy_frequencies(n_tones), 10.0)
             assert solution.fitness >= solution.pair_fitness
-            d = solution.genome.denominator_index
+            d = solution.denominator_index
             assert solution.pair_fitness == _best_pair_over(matrix, d)[1]
-            assert solution.fitness == fitness(solution.genome, matrix, 10.0)
+            genome = solution.genome(_toy_frequencies(n_tones))
+            assert solution.fitness == fitness(genome, matrix, 10.0)
     # one tone on every row: no spacing of the delays gives the basis full rank
     matrix = _toy_matrix(n_tones=3)
     solution = solve_delay_basis(matrix, np.full(3, 2.452e9), 10.0)
-    assert solution.genome.weights.tolist() == [1.0]
+    assert solution.fallback
     assert solution.fitness == solution.pair_fitness
     for seed in range(5):
         matrix = _window(breathing_trace, seed=seed)
@@ -394,8 +394,9 @@ def test_delay_basis_solves_on_a_grid_that_aliases_its_delays(n_tones, seed):
     # search spaces its delays apart instead of falling back to the pair
     matrix = _toy_matrix(n_tones=n_tones, seed=seed)
     solution = solve_delay_basis(matrix, _toy_frequencies(n_tones), 10.0)
-    assert solution.genome.weights.size == n_tones - 1  # not the fallback
-    assert solution.fitness == fitness(solution.genome, matrix, 10.0)
+    genome = solution.genome(_toy_frequencies(n_tones))
+    assert genome.weights.size == n_tones - 1  # not the fallback
+    assert solution.fitness == fitness(genome, matrix, 10.0)
     assert solution.fitness > 2.0 * solution.pair_fitness > 0.0
 
 
@@ -411,8 +412,10 @@ def test_delay_basis_solves_on_a_grid_that_repeats_its_tones(spacing_hz, seed):
     )
     matrix = _toy_matrix(seed=seed, grid=grid)
     solution = solve_delay_basis(matrix, grid.center_frequency_hz, 10.0)
-    assert solution.genome.weights.size == 7  # not the fallback
-    assert solution.fitness == fitness(solution.genome, matrix, 10.0)
+    genome = solution.genome(grid.center_frequency_hz)
+    assert genome.weights.size == 7  # not the fallback
+    assert solution.coefficients.size == 4  # one delay per distinct tone
+    assert solution.fitness == fitness(genome, matrix, 10.0)
     assert solution.fitness > solution.pair_fitness > 0.0
 
 
@@ -421,11 +424,10 @@ def test_delay_basis_falls_back_when_the_solve_scores_lower(breathing_trace, mon
     frequencies = breathing_trace.grid.center_frequency_hz
     solved = solve_delay_basis(matrix, frequencies, 10.0)
     assert solved.fitness > solved.pair_fitness > 0.0
-    # a solve whose genome scores 0, below any pair with a breathing band
-    silent = Genome(np.zeros(1, dtype=complex), np.array([0]), solved.genome.denominator_index)
-    monkeypatch.setattr(gass, "_solve", lambda *args: silent)
+    # a solve whose weights score 0, below any pair with a breathing band
+    monkeypatch.setattr(gass, "fitness", lambda *args: 0.0)
     solution = solve_delay_basis(matrix, frequencies, 10.0)
-    assert solution.genome.weights.tolist() == [1.0]
+    assert solution.fallback and solution.pair_numerator == solved.pair_numerator
     assert solution.fitness == solution.pair_fitness == solved.pair_fitness
 
 
@@ -446,7 +448,7 @@ def test_delay_basis_interpolates_a_flagged_denominator(breathing_trace, monkeyp
     ]
     assert solution.pair_fitness == max(pairs)
     # and the projected rows are interpolated too, or the solve would fail
-    assert solution.genome.weights.size == matrix.shape[0] - 1
+    assert solution.genome(frequencies).weights.size == matrix.shape[0] - 1
     np.testing.assert_allclose(
         solution.fitness, _eigenvalue(matrix, frequencies, 10.0, d), rtol=1e-9
     )

@@ -315,7 +315,8 @@ def test_run_pipeline_estimates_breathing(impaired_trace):
 def test_run_pipeline_searches_in_closed_form(impaired_trace):
     results = run_pipeline(impaired_trace, _CONFIG)
     for r in results:
-        genome = r.solution.genome
+        assert not r.solution.fallback and r.solution.coefficients.size == 8
+        genome = r.solution.genome(impaired_trace.grid.center_frequency_hz)
         assert genome.weights.size == 217       # every row but the denominator
         assert r.solution.fitness >= r.solution.pair_fitness
         assert r.stage_band_ratios["gass"] == r.solution.fitness
@@ -323,11 +324,11 @@ def test_run_pipeline_searches_in_closed_form(impaired_trace):
         run_pipeline(dataclasses.replace(impaired_trace, grid=None), _CONFIG)
 
 
-def _same_genome(a, b):
+def _same_solution(a, b):
     return (
-        a.weights.tobytes() == b.weights.tobytes()
-        and a.numerator_indices.tolist() == b.numerator_indices.tolist()
-        and a.denominator_index == b.denominator_index
+        a.denominator_index == b.denominator_index
+        and a.pair_numerator == b.pair_numerator
+        and a.coefficients.tobytes() == b.coefficients.tobytes()
     )
 
 
@@ -336,7 +337,7 @@ def test_run_pipeline_deterministic(impaired_trace):
     b = run_pipeline(impaired_trace, _CONFIG)
     for ra, rb in zip(a, b):
         assert ra.estimate.f_bpm == rb.estimate.f_bpm
-        assert _same_genome(ra.solution.genome, rb.solution.genome)
+        assert _same_solution(ra.solution, rb.solution)
         assert ra.stage_band_ratios == rb.stage_band_ratios
 
 
@@ -387,12 +388,6 @@ def test_rates_ignore_a_global_complex_gain_and_conjugation(
         _assert_same_outcomes(_outcomes(dataclasses.replace(trace, values=values)), base)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(NoWindowError, AssertionError),
-    reason="ROADMAP item 11: the block average unwraps each row before any ratio "
-    "cancels the common phase",
-)
 def test_rates_ignore_a_common_phase_per_packet(breathing_scenario, grid):
     # every ratio cancels a phase common to all cells of a packet, as a
     # commodity receiver's carrier phase is

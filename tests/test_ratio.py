@@ -263,13 +263,20 @@ def test_block_averaging_identity_and_shapes(breathing_trace):
 
 
 def _whole_matrix_average(trace, block_size):
-    """``average_phase_blocks`` as it was before it worked in row blocks:
-    the whole (M, K) matrix, each block unwrapped within itself, averaged
-    at once."""
+    """``average_phase_blocks`` on the whole (M, K) matrix at once: each
+    packet rotated onto its block's first packet by the phase of the sum,
+    row by row, of H_m(k) conj(H_m(k0)) over its finite cells, then each
+    block unwrapped within itself and averaged."""
     n_blocks = len(trace) // block_size
     h = trace.values[:, : n_blocks * block_size]
     shape = (h.shape[0], n_blocks, block_size)
-    mean_phase = np.unwrap(np.angle(h).reshape(shape), axis=2).mean(axis=2)
+    blocks = h.reshape(shape)
+    products = blocks * blocks[:, :, :1].conj()
+    products[~np.isfinite(products)] = 0.0
+    common = np.zeros(shape[1:], dtype=complex)
+    for row in products:
+        common += row
+    mean_phase = np.unwrap(np.angle(blocks) - np.angle(common), axis=2).mean(axis=2)
     mean_mag = np.abs(h).reshape(shape).mean(axis=2)
     block_times = trace.times_s[: n_blocks * block_size].reshape(n_blocks, block_size)
     return mean_mag * np.exp(1j * mean_phase), block_times.mean(axis=1)
