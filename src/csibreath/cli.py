@@ -27,6 +27,7 @@ import numpy as np
 from .config import (
     grid_from_config,
     impairments_from_config,
+    input_from_config,
     load_config,
     pipeline_from_config,
     scenario_from_config,
@@ -153,14 +154,8 @@ def _result_record(result: WindowResult) -> dict:
 
 def _load_trace(config: dict, seed: int) -> CsiTrace:
     """Input resolution shared by run/gass-audit: trace file or scenario."""
-    input_section = config.get("input") or {}
-    if input_section:
-        unknown = set(input_section) - {"trace"}
-        if unknown:
-            raise ConfigurationError(f"unknown input keys: {sorted(unknown)}")
-        path = input_section.get("trace")
-        if not isinstance(path, str):
-            raise ConfigurationError(f"input.trace must be a file path, got {path!r}")
+    path = input_from_config(config)
+    if path is not None:
         return read_trace(path)
     return _simulate(config, seed)
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import re
 from pathlib import Path
 from typing import Any
 
-import numpy as np
 import yaml
 
 from .errors import ConfigurationError
@@ -48,10 +48,23 @@ RETIRED_KEYS = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 reads an exponent float written without a dot or without a
+    sign on the exponent (``2.452e9``, ``1e-3``) as a string; this loader
+    reads it as the number, as YAML 1.2 does."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -114,21 +127,22 @@ def grid_from_config(config: dict) -> SubcarrierGrid:
         _reject_unknown(spec, {"center_frequencies_hz", "physical_indices", "field"}, "grid")
         if "center_frequencies_hz" not in spec:
             raise ConfigurationError("custom grid needs center_frequencies_hz")
-        try:
-            frequencies = np.asarray(spec["center_frequencies_hz"], dtype=float)
-            physical = (
-                np.asarray(spec["physical_indices"], dtype=int)
-                if "physical_indices" in spec
-                else None
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"custom grid frequencies and indices must be numbers: {exc}"
-            ) from exc
         return custom_grid(
-            frequencies, physical_index=physical, field_tag=spec.get("field", "HT-LTF")
+            spec["center_frequencies_hz"],
+            physical_index=spec.get("physical_indices"),
+            field_tag=spec.get("field", "HT-LTF"),
         )
     raise ConfigurationError("grid must be a name or a mapping")
+
+
+def input_from_config(config: dict) -> str | None:
+    """The input trace's path, or None when the run synthesizes its scenario."""
+    section = _section(config, "input", "input")
+    _reject_unknown(section, {"trace"}, "input")
+    path = section.get("trace")
+    if section and not isinstance(path, str):
+        raise ConfigurationError(f"input.trace must be a file path, got {path!r}")
+    return path
 
 
 def _motion_from_config(spec: dict) -> Motion:

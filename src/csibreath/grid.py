@@ -9,7 +9,9 @@ frequencies via :func:`custom_grid`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sized
+from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,7 +32,8 @@ FIELD_L_LTF = "L-LTF"
 
 @dataclass(frozen=True)
 class SubcarrierGrid:
-    """Immutable description of the subcarriers present in a capture.
+    """Immutable description of the subcarriers present in a capture, checked
+    here alone, whether built in code, from a config or from a trace header.
 
     Attributes
     ----------
@@ -45,26 +48,26 @@ class SubcarrierGrid:
     field_tag: tuple[str, ...]
     physical_index: np.ndarray
     center_frequency_hz: np.ndarray
-    _wavelength: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = np.asarray(self.physical_index, dtype=int)
-        f = np.asarray(self.center_frequency_hz, dtype=float)
-        if not (len(self.field_tag) == n.size == f.size):
+        tags = _items("field tags", self.field_tag, str, "strings")
+        n = _items("physical indices", self.physical_index, Integral, "integers")
+        f = _items("center frequencies", self.center_frequency_hz, Real, "numbers")
+        if not (tags.size == n.size == f.size):
             raise ConfigurationError("grid arrays must have equal length")
         if n.size == 0:
             raise ConfigurationError("grid must contain at least one subcarrier")
+        n, f = n.astype(int), f.astype(float)
         if not np.all(np.isfinite(f)) or np.any(f <= 0):
             raise ConfigurationError("center frequencies must be finite and positive")
-        for tag in sorted(set(self.field_tag)):
-            sel = [i for i, t in enumerate(self.field_tag) if t == tag]
-            if np.any(np.diff(n[sel]) <= 0):
+        for tag in sorted(set(tags)):
+            if np.any(np.diff(n[tags == tag]) <= 0):
                 raise ConfigurationError(
                     f"physical indices must be strictly increasing within field {tag!r}"
                 )
+        object.__setattr__(self, "field_tag", tuple(tags))
         object.__setattr__(self, "physical_index", n)
         object.__setattr__(self, "center_frequency_hz", f)
-        object.__setattr__(self, "_wavelength", SPEED_OF_LIGHT_M_S / f)
 
     @property
     def count(self) -> int:
@@ -72,7 +75,18 @@ class SubcarrierGrid:
 
     @property
     def wavelength_m(self) -> np.ndarray:
-        return self._wavelength
+        return SPEED_OF_LIGHT_M_S / self.center_frequency_hz
+
+
+def _items(name: str, values, kind: type, kinds: str) -> np.ndarray:
+    """``values`` as a 1-D object array of ``kind`` items, none a boolean."""
+    items = np.asarray(values, dtype=object)
+    if items.ndim != 1:
+        raise ConfigurationError(f"grid {name} must be a 1-D list of {kinds}, got {values!r}")
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, kind):
+            raise ConfigurationError(f"grid {name} must be {kinds}, got {item!r}")
+    return items
 
 
 def _field_frequencies(physical: np.ndarray, center_hz: float) -> np.ndarray:
@@ -127,11 +141,10 @@ def custom_grid(
     ``physical_index`` defaults to 0, 1, 2, ... which is fine whenever the
     phase-offset model (which scales with n) is not exercised.
     """
-    f = np.asarray(center_frequency_hz, dtype=float)
-    if physical_index is None:
-        physical_index = np.arange(f.size)
+    # a value with no length is no list of frequencies, and the grid says so
+    count = len(center_frequency_hz) if isinstance(center_frequency_hz, Sized) else 0
     return SubcarrierGrid(
-        field_tag=(field_tag,) * f.size,
-        physical_index=np.asarray(physical_index, dtype=int),
-        center_frequency_hz=f,
+        field_tag=(field_tag,) * count,
+        physical_index=range(count) if physical_index is None else physical_index,
+        center_frequency_hz=center_frequency_hz,
     )

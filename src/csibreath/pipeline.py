@@ -264,8 +264,6 @@ def run_pipeline(
     search and stream fan-out. The windows run through ``_window_results``.
     """
     config = config or PipelineConfig()
-    if trace.grid is None:
-        raise ConfigurationError("the subcarrier search needs the trace's grid frequencies")
     plan = plan if plan is not None else segment(trace, config)
     return _window_results(trace, config, plan, "full")
 

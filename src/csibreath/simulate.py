@@ -64,7 +64,7 @@ class CsiTrace:
     values: np.ndarray
     times_s: np.ndarray
     sample_rate_hz: float
-    grid: SubcarrierGrid | None = None
+    grid: SubcarrierGrid
 
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(self.values, dtype=complex)
@@ -75,14 +75,14 @@ class CsiTrace:
             raise ConfigurationError("need one timestamp per packet")
         if not 0 < self.sample_rate_hz < math.inf:
             raise ConfigurationError(f"sample rate must be finite and > 0: {self.sample_rate_hz}")
-        if self.grid is not None and self.grid.count != values.shape[0]:
-            raise ConfigurationError("CSI rows do not match the grid")
+        if not isinstance(self.grid, SubcarrierGrid) or self.grid.count != values.shape[0]:
+            raise ConfigurationError("CSI rows need a grid of as many subcarriers")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "times_s", times)
 
     @classmethod
     def uniform(
-        cls, values: np.ndarray, sample_rate_hz: float, grid: SubcarrierGrid | None = None
+        cls, values: np.ndarray, sample_rate_hz: float, grid: SubcarrierGrid
     ) -> CsiTrace:
         """A trace whose packet k was taken at k / sample_rate_hz."""
         n_samples = np.shape(values)[-1]
@@ -399,9 +399,6 @@ def apply_impairments(trace: CsiTrace, config: ImpairmentConfig) -> CsiTrace:
     Draw order is fixed (jitter, carrier walk, impulse levels, additive noise)
     so a given (config, seed) always produces the same corruption.
     """
-    grid = trace.grid
-    if grid is None:
-        raise ConfigurationError("a trace must carry a grid to be impaired")
     h = trace.values
     n_sub, n_samples = h.shape
     rng = default_rng(config.seed)
@@ -422,7 +419,7 @@ def apply_impairments(trace: CsiTrace, config: ImpairmentConfig) -> CsiTrace:
     slope = (eta_b + config.sfo_slope)[None, :]
     corrupted = np.empty_like(h)
     for rows in blocks:
-        theta = grid.physical_index[rows, None] * slope + phi[None, :]
+        theta = trace.grid.physical_index[rows, None] * slope + phi[None, :]
         block = np.multiply(-1j, theta, out=corrupted[rows])
         np.exp(block, out=block)
         np.multiply(levels[rows][:, segment], block, out=block)
@@ -434,4 +431,4 @@ def apply_impairments(trace: CsiTrace, config: ImpairmentConfig) -> CsiTrace:
         for part in (corrupted.real, corrupted.imag):
             for rows in blocks:
                 part[rows] += rng.normal(0.0, sigma, part[rows].shape)
-    return CsiTrace(corrupted, trace.times_s, trace.sample_rate_hz, grid)
+    return CsiTrace(corrupted, trace.times_s, trace.sample_rate_hz, trace.grid)

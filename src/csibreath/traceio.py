@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, TraceFormatError, writing
+from .errors import ConfigurationError, TraceFormatError, check_real, writing
 from .grid import SubcarrierGrid
 from .parallel import pool_map, workers
 from .simulate import CsiTrace
@@ -57,8 +57,6 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
     ``path`` as it was, and an OSError is an ``OutputError`` naming ``path``.
     """
     grid = trace.grid
-    if grid is None:
-        raise ConfigurationError("a grid is required to write a trace")
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -226,20 +224,18 @@ def _parse_header(comment_lines: list[str]) -> tuple[SubcarrierGrid, float]:
         raise TraceFormatError("not a csi-trace file")
     if header.get("version") != FORMAT_VERSION:
         raise TraceFormatError(f"unsupported trace version {header.get('version')!r}")
-    subcarriers = header.get("subcarriers")
-    if not subcarriers:
-        raise TraceFormatError("header lists no subcarriers")
+    subcarriers = header.get("subcarriers") or []  # the grid rejects an empty one
     try:
         grid = SubcarrierGrid(
-            field_tag=tuple(s["field"] for s in subcarriers),
-            physical_index=np.array([s["physical_index"] for s in subcarriers]),
-            center_frequency_hz=np.array(
-                [s["center_frequency_hz"] for s in subcarriers]
-            ),
+            field_tag=[s["field"] for s in subcarriers],
+            physical_index=[s["physical_index"] for s in subcarriers],
+            center_frequency_hz=[s["center_frequency_hz"] for s in subcarriers],
         )
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise TraceFormatError(f"bad grid definition: {exc}") from exc
+    rate = header.get("sample_rate_hz")
     try:
-        return grid, float(header["sample_rate_hz"])
-    except (KeyError, TypeError, ValueError) as exc:
+        check_real("sample rate", rate)
+    except ConfigurationError as exc:
         raise TraceFormatError(f"bad sample rate in header: {exc}") from exc
+    return grid, float(rate)

@@ -202,10 +202,12 @@ def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):
         assert outputs[0] == outputs[1], command
 
 
-def test_run_is_byte_identical_on_one_cpu_and_on_two(tmp_path, set_cpus, caplog, monkeypatch):
+def test_run_is_byte_identical_on_one_cpu_and_on_two(
+    base_config, tmp_path, set_cpus, caplog, monkeypatch
+):
     from csibreath.simulate import CsiTrace, apply_impairments, generate_ideal_csi
 
-    settings = yaml.safe_load(_BASE)
+    settings = config.load_config(base_config)  # reads _BASE's 2.452e9 as a number
     settings["scenario"]["duration_s"] = 40.0
     settings["impairments"]["seed"] = 4
     trace = apply_impairments(
@@ -677,6 +679,83 @@ def test_null_trace_path_exits_2(tmp_path, capsys):
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "input.trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "gass-audit"], ids=["run", "gass-audit"])
+@pytest.mark.parametrize("value", ["5", "true", "foo.csv"], ids=["integer", "boolean", "path"])
+def test_an_input_section_that_is_not_a_mapping_exits_2(tmp_path, capsys, command, value):
+    config = tmp_path / "c.yaml"
+    config.write_text(f"input: {value}\n")
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: input must be a mapping, got ")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+_TONES = "[2.452e9, 2.4545e9, 2.457e9, 2.4595e9, 2.462e9, 2.4645e9]"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "  center_frequencies_hz: [[2.452e9, 2.4545e9, 2.457e9], [2.4595e9, 2.462e9, 2.4645e9]]",
+        f"  center_frequencies_hz: {_TONES}\n  field: [a, b]",
+        f"  center_frequencies_hz: {_TONES}\n  physical_indices: [[0, 1, 2], [3, 4, 5]]",
+        f"  center_frequencies_hz: {_TONES}\n  physical_indices: [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]",
+        f"  center_frequencies_hz: {_TONES}\n  physical_indices: [true, 1, 2, 3, 4, 5]",
+        "  center_frequencies_hz: [true, 2.4545e9, 2.457e9, 2.4595e9, 2.462e9, 2.4645e9]",
+    ],
+    ids=[
+        "2-D frequencies",
+        "list field",
+        "2-D indices",
+        "fractional indices",
+        "boolean index",
+        "boolean frequency",
+    ],
+)
+def test_a_custom_grid_of_bad_values_exits_2(tmp_path, capsys, grid):
+    config = tmp_path / "grid.yaml"
+    config.write_text(_BASE.replace(f"  center_frequencies_hz: {_TONES}", grid))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: grid ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("physical_index", lambda m: m + 0.5),
+        ("center_frequency_hz", lambda m: [2.44e9 + 1e6 * m]),
+        ("field", lambda m: ["HT-LTF"]),
+    ],
+    ids=["fractional physical_index", "list center_frequency_hz", "list field"],
+)
+def test_a_trace_header_grid_of_bad_values_exits_3(tmp_path, capsys, key, value):
+    subcarriers = [
+        {"field": "HT-LTF", "physical_index": m, "center_frequency_hz": 2.44e9 + 1e6 * m}
+        | {key: value(m)}
+        for m in range(2)
+    ]
+    header = {"format": "csi-trace", "version": 1, "sample_rate_hz": 20.0,
+              "subcarriers": subcarriers}
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        f"# {json.dumps(header)}\nk,t_s,re000,im000,re001,im001\n0,0.0,1.0,0.0,1.0,0.0\n"
+    )
+    config = tmp_path / "c.yaml"
+    config.write_text(f"input: {{trace: {trace}}}\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_TRACE
+    err = capsys.readouterr().err
+    assert err.startswith("input format error: bad grid definition: grid ")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def _must_not_run(*args, **kwargs):

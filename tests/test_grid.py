@@ -114,6 +114,17 @@ def test_grid_validation_rejects_bad_shapes():
         custom_grid(np.array([2.4e9, -2.5e9]))
     with pytest.raises(ConfigurationError):
         custom_grid(np.array([2.4e9, 2.5e9]), physical_index=np.array([3, 3]))
+    # no boolean, fraction, nested list or non-string tag, from code either
+    with pytest.raises(ConfigurationError, match="integers"):
+        custom_grid(np.array([2.4e9, 2.5e9]), physical_index=np.array([True, False]))
+    with pytest.raises(ConfigurationError, match="integers"):
+        custom_grid(np.array([2.4e9, 2.5e9]), physical_index=np.array([0.0, 1.0]))
+    with pytest.raises(ConfigurationError, match="numbers"):
+        custom_grid(np.array([True, True]))
+    with pytest.raises(ConfigurationError, match="1-D"):
+        custom_grid(np.full((2, 2), 2.4e9))
+    with pytest.raises(ConfigurationError, match="strings"):
+        custom_grid(np.array([2.4e9, 2.5e9]), field_tag=None)
 
 
 def test_grid_is_hashable_and_frozen():

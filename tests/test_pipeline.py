@@ -320,8 +320,14 @@ def test_run_pipeline_searches_in_closed_form(impaired_trace):
         assert genome.weights.size == 217       # every row but the denominator
         assert r.solution.fitness >= r.solution.pair_fitness
         assert r.stage_band_ratios["gass"] == r.solution.fitness
+
+
+def test_a_trace_without_a_grid_is_rejected(impaired_trace):
+    trace = impaired_trace
     with pytest.raises(ConfigurationError, match="grid"):
-        run_pipeline(dataclasses.replace(impaired_trace, grid=None), _CONFIG)
+        CsiTrace(trace.values, trace.times_s, trace.sample_rate_hz, None)
+    with pytest.raises(ConfigurationError, match="grid"):
+        dataclasses.replace(trace, grid=None)
 
 
 def _same_solution(a, b):

@@ -11,7 +11,7 @@ from csibreath.errors import (
     SingularRatioError,
     StreamGuardError,
 )
-from csibreath.grid import ht_ltf_grid
+from csibreath.grid import custom_grid, ht_ltf_grid
 from csibreath.ratio import (
     average_phase_blocks,
     band_energies,
@@ -282,6 +282,10 @@ def _whole_matrix_average(trace, block_size):
     return mean_mag * np.exp(1j * mean_phase), block_times.mean(axis=1)
 
 
+def _grid(rows):
+    return custom_grid(2.44e9 + 1e5 * np.arange(rows))
+
+
 @pytest.mark.parametrize("rows", [1, 6, 32, 33, 70, 218])
 @pytest.mark.parametrize("block_size", [2, 5, 7])
 def test_row_blocked_averaging_equals_whole_matrix(rows, block_size):
@@ -290,7 +294,7 @@ def test_row_blocked_averaging_equals_whole_matrix(rows, block_size):
     # phase walks far enough to wrap many times, so unwrap has work to do
     phase = np.cumsum(rng.normal(scale=1.5, size=(rows, packets)), axis=1)
     values = rng.uniform(0.1, 2.0, size=(rows, packets)) * np.exp(1j * phase)
-    trace = CsiTrace.uniform(values, 50.0)
+    trace = CsiTrace.uniform(values, 50.0, _grid(rows))
     expected_values, expected_times = _whole_matrix_average(trace, block_size)
     averaged = average_phase_blocks(trace, block_size)
     assert averaged.values.tobytes() == expected_values.tobytes()
@@ -299,7 +303,7 @@ def test_row_blocked_averaging_equals_whole_matrix(rows, block_size):
 
 def test_block_averaging_preserves_constant_streams():
     values = np.full((2, 12), 2.0 * np.exp(1j * 0.3), dtype=complex)
-    averaged = average_phase_blocks(CsiTrace.uniform(values, 10.0), 4)
+    averaged = average_phase_blocks(CsiTrace.uniform(values, 10.0, _grid(2)), 4)
     assert averaged.values.shape == (2, 3)
     np.testing.assert_allclose(averaged.values, values[:, :3], rtol=1e-12)
 
@@ -323,7 +327,7 @@ def test_a_block_average_depends_on_its_own_packets_alone(
     values = rng.uniform(0.1, 2.0, size=(rows, packets)) * np.exp(1j * phase)
     bad = [int(h * packets) for h in holes]
     values[:, bad] = np.nan  # non-finite packets
-    trace = CsiTrace.uniform(values, 50.0)
+    trace = CsiTrace.uniform(values, 50.0, _grid(rows))
     a = data.draw(st.integers(0, n_blocks - 1), label="first block")
     whole = average_phase_blocks(trace, block_size)
     tail = average_phase_blocks(trace[a * block_size :], block_size)

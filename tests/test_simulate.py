@@ -40,7 +40,8 @@ def _scenario(**overrides):
 def test_trace_construction_and_slicing():
     rng = np.random.default_rng(0)
     matrix = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
-    trace = CsiTrace.uniform(matrix, 10.0)
+    grid = custom_grid(2.44e9 + 1e6 * np.arange(4))
+    trace = CsiTrace.uniform(matrix, 10.0, grid)
     np.testing.assert_array_equal(trace.values, matrix)
     assert len(trace) == 9
     assert trace.times_s[3] == 0.3
@@ -49,10 +50,11 @@ def test_trace_construction_and_slicing():
     np.testing.assert_array_equal(window.times_s, trace.times_s[2:5])
     assert window.values.flags.c_contiguous
     assert window.sample_rate_hz == 10.0
+    assert window.grid is grid
     with pytest.raises(ConfigurationError):
-        CsiTrace.uniform(np.zeros((4, 0), dtype=complex), 10.0)
+        CsiTrace.uniform(np.zeros((4, 0), dtype=complex), 10.0, grid)
     with pytest.raises(ConfigurationError):
-        CsiTrace(matrix, np.arange(8) / 10.0, 10.0)
+        CsiTrace(matrix, np.arange(8) / 10.0, 10.0, grid)
     with pytest.raises(ConfigurationError):
         CsiTrace.uniform(matrix, 10.0, grid=default_grid())
 
@@ -302,12 +304,6 @@ def test_gaussian_noise_level(breathing_trace):
     assert np.isclose(np.std(residual), 0.05, rtol=0.05)
     # real and imaginary parts share the load
     assert np.isclose(np.std(residual.real), 0.05 / np.sqrt(2), rtol=0.1)
-
-
-def test_impairments_require_a_grid():
-    trace = CsiTrace.uniform(np.ones((2, 5), dtype=complex), 10.0)
-    with pytest.raises(ConfigurationError):
-        apply_impairments(trace, ImpairmentConfig(pbd_noise_std=0.1))
 
 
 def test_max_path_change_constant_matches_physiology():

@@ -185,7 +185,8 @@ def test_non_positive_sample_rate(tmp_path):
         read_trace(path)
 
 
-@pytest.mark.parametrize("rate", ["Infinity", "NaN", '"abc"', "null"])
+# write_trace never writes a boolean or a quoted rate; read_trace rejects both
+@pytest.mark.parametrize("rate", ["Infinity", "NaN", '"abc"', "null", "true", '"50"'])
 def test_non_finite_or_non_numeric_sample_rate(tmp_path, rate):
     path = tmp_path / "t.csv"
     header = _valid_header().replace('"sample_rate_hz": 10.0', f'"sample_rate_hz": {rate}')
