@@ -34,6 +34,7 @@ thread count, and outputs must not.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +97,7 @@ class GassSolution:
         d = self.denominator_index
         if self.fallback:
             return Genome(np.ones(1, dtype=complex), np.array([self.pair_numerator]), d)
-        rows, basis = _delay_basis(np.asarray(frequencies_hz, dtype=float), d)
+        rows, basis = _delay_basis(np.asarray(frequencies_hz, dtype=float).tobytes(), d)
         return Genome(_weights(basis, self.coefficients), rows, d)
 
 
@@ -252,7 +253,7 @@ def solve_delay_basis(
     pair = GassSolution(d, float(scores[best]), int(numerators[best]), float(scores[best]))
     if guards.rejected[d]:
         return pair
-    rows, basis = _delay_basis(frequencies, d)
+    rows, basis = _delay_basis(frequencies.tobytes(), d)
     # sum_m F[m, t] (H_m / H_d) = (sum_m F[m, t] H_m) / H_d, guard interpolation included
     projected = guards.divide(np.einsum("mt,mk->tk", basis, matrix[rows]), matrix[d], d)
     coefficients = max_snr(*band_grams(projected, sample_rate_hz))
@@ -264,12 +265,17 @@ def solve_delay_basis(
     return dataclasses.replace(pair, fitness=score, coefficients=coefficients)
 
 
-def _delay_basis(frequencies: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=32)
+def _delay_basis(frequency_bytes: bytes, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The numerator rows (all but ``d``) and the delay basis over them,
-    F[m, t] = exp(j 2 pi (f_m - mean f) tau_t): at most one delay per
-    distinct tone, over +-``DELAY_SPAN_S``, or, when two of these alias on
-    the grid, 1/(spread + smallest gap) of the tones apart, so that distinct
-    tones give distinct nodes of a Vandermonde basis."""
+    F[m, t] = exp(j 2 pi (f_m - mean f) tau_t), for the float64 center
+    frequencies in ``frequency_bytes``: at most one delay per distinct tone,
+    over +-``DELAY_SPAN_S``, or, when two of these alias on the grid,
+    1/(spread + smallest gap) of the tones apart, so that distinct tones
+    give distinct nodes of a Vandermonde basis. Both arrays are read-only
+    and built once per grid and denominator: the solve and
+    ``GassSolution.genome`` of every window over the same ``d`` share them."""
+    frequencies = np.frombuffer(frequency_bytes)
     rows = np.flatnonzero(np.arange(frequencies.size) != d)
     offsets = frequencies[rows] - frequencies.mean()
     tones = np.sort(offsets)
@@ -283,6 +289,8 @@ def _delay_basis(frequencies: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarra
         step = 1.0 / (tones[-1] - tones[0] + gaps.min())
         delays = step * (np.arange(count) - (count - 1) / 2)
         basis = np.exp(2j * np.pi * np.outer(offsets, delays))
+    rows.setflags(write=False)
+    basis.setflags(write=False)
     return rows, basis
 
 

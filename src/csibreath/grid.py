@@ -57,7 +57,10 @@ class SubcarrierGrid:
             raise ConfigurationError("grid arrays must have equal length")
         if n.size == 0:
             raise ConfigurationError("grid must contain at least one subcarrier")
-        n, f = n.astype(int), f.astype(float)
+        try:
+            n, f = n.astype(int), f.astype(float)
+        except OverflowError as exc:  # an int beyond int64, or beyond every float
+            raise ConfigurationError(f"grid values out of range: {exc}") from exc
         if not np.all(np.isfinite(f)) or np.any(f <= 0):
             raise ConfigurationError("center frequencies must be finite and positive")
         for tag in sorted(set(tags)):

@@ -3,7 +3,8 @@
 
 - ``traceio.write_trace``: the row ranges of a trace being written (the
   pool of ``simulate``);
-- ``traceio.read_trace``: the byte ranges of a trace file being read;
+- ``traceio.read_trace``: the byte ranges of a trace file being read, only
+  when no companion ``.npy`` table of it matches;
 - ``pipeline.run_pipeline`` and ``pipeline.single_component_estimates``:
   the window ranges of a run or a baseline, each from guard table through
   the search to the readout, or from the reference pair's ratio to it;

@@ -397,18 +397,13 @@ def _scenario_truth_bpm(scenario: ChannelScenario) -> float:
 
 def _conditions(values, name: str, minimum: float = -math.inf) -> np.ndarray:
     """A sweep's condition values as a non-empty 1-D float array of finite
-    numbers, none below ``minimum``."""
-    try:
-        array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name} must be a list of numbers: {exc}") from exc
-    if array.ndim != 1 or array.size == 0:
+    numbers, none a boolean and none below ``minimum`` (``check_real``)."""
+    items = np.asarray(values, dtype=object)
+    if items.ndim != 1 or items.size == 0:
         raise ConfigurationError(f"{name} must be a non-empty list of numbers, got {values!r}")
-    if not (np.isfinite(array) & (array >= minimum)).all():
-        raise ConfigurationError(
-            f"{name} must be finite and >= {minimum:g}, got {array.tolist()!r}"
-        )
-    return array
+    for item in items:
+        check_real(name, item, minimum)
+    return items.astype(float)
 
 
 def _condition_rates(

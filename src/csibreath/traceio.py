@@ -14,20 +14,35 @@ is read into one ``CsiTrace``; the ``k`` column is not kept. A non-finite
 row number or timestamp rejects the file; a non-finite CSI cell is read as
 it is, and the pipeline's motion gate fails the frame that holds it.
 
+Beside every file it writes, ``write_trace`` leaves a companion:
+``<name>.<sha256 of the file's bytes, 64 hex digits>.npy``, one 2-D float64
+``.npy`` table (NEP 1) holding the rows exactly as the text parse returns
+them, columns ``k``, ``t_s``, ``re000``, ``im000``, ..., every NaN as
+``np.nan`` (``repr`` writes any NaN as ``nan``). ``read_trace`` takes that
+table in place of the parse when a sibling of that name exists and loads as
+a float64 table of the header's column count, as a checked-hash ``.pyc``
+stands in for its source (PEP 552). The companion is a cache, not a second
+format: everything after the table is shared, and a file edited by one
+byte, copied without its companion or written by another tool is parsed
+as before, at the cost of one directory listing.
+
 Both directions use every CPU of ``parallel.pool_map`` on a large trace:
-``write_trace`` formats contiguous row ranges and ``read_trace`` parses
-line-aligned byte ranges, each in its own worker. A task is only its range's
-bounds: the trace being written, or the path being read, is bound once for
-every range, and each range takes its own rows or bytes from it. The parts
-are joined in file order, so the bytes written and the values read are
-those of one serial pass at any CPU count.
+``write_trace`` formats contiguous row ranges and ``read_trace``, when no
+companion matches, parses line-aligned byte ranges, each in its own worker.
+A task is only its range's bounds: the trace being written, or the path
+being read, is bound once for every range, and each range takes its own
+rows or bytes from it. The parts are joined in file order, so the bytes
+written and the values read are those of one serial pass at any CPU count.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import itertools
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -55,6 +70,12 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
     loop at any CPU count. The file is written under a temporary name in
     the same directory and renamed onto ``path``, so a failed write leaves
     ``path`` as it was, and an OSError is an ``OutputError`` naming ``path``.
+
+    The bytes are hashed as they are written, and the companion named by
+    their hash is written under a temporary name too. Once both are
+    complete, the older companions of ``path`` are deleted and both files
+    are renamed into place, the trace first: a failed write leaves no
+    temporary file and no new companion.
     """
     grid = trace.grid
     header = {
@@ -80,19 +101,55 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
     parts = pool_map(
         functools.partial(_format_rows, trace.times_s, cells), bounds[:-1], bounds[1:]
     )
+    lines = ["# " + json.dumps(header, sort_keys=True) + "\n", ",".join(columns) + "\n"]
     path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    temp, table_temp = _temporary(path), _temporary(path)
     try:
         with writing(path):
-            with open(temp, "x", encoding="utf-8", newline="\n") as fh:
-                fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-                fh.write(",".join(columns) + "\n")
-                for part in parts:
-                    fh.writelines(part)
+            sha = hashlib.sha256()
+            with open(temp, "xb") as fh:
+                for line in itertools.chain(lines, *parts):
+                    data = line.encode("utf-8")
+                    sha.update(data)
+                    fh.write(data)
+            with open(table_temp, "xb") as fh:
+                np.save(fh, _table(trace.times_s, cells), allow_pickle=False)
+            companion = path.with_name(f"{path.name}.{sha.hexdigest()}.npy")
+            for stale in _companions(path) - {companion.name}:
+                path.with_name(stale).unlink(missing_ok=True)
             os.replace(temp, path)
+            os.replace(table_temp, companion)
     except BaseException:
         temp.unlink(missing_ok=True)
+        table_temp.unlink(missing_ok=True)
         raise
+
+
+def _temporary(path: Path) -> Path:
+    """A new hidden name beside ``path`` that no companion pattern matches."""
+    return path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+
+
+def _table(times_s: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The rows ``np.loadtxt`` returns for the data lines of ``_format_rows``:
+    row number, timestamp and cells, with every NaN the ``np.nan`` that
+    parsing ``nan`` gives; ``repr`` keeps every other bit."""
+    table = np.empty((len(cells), 2 + cells.shape[1]))
+    table[:, 0] = np.arange(len(cells))
+    table[:, 1] = times_s
+    table[:, 2:] = cells
+    table[np.isnan(table)] = np.nan
+    return table
+
+
+def _companions(path: Path) -> set[str]:
+    """The names of the files beside ``path`` named as its companions; none
+    when its directory cannot be listed."""
+    pattern = re.compile(re.escape(path.name) + r"\.[0-9a-f]{64}\.npy")
+    try:
+        return {name for name in os.listdir(path.parent) if pattern.fullmatch(name)}
+    except OSError:
+        return set()
 
 
 def _format_rows(times_s: np.ndarray, cells: np.ndarray, first: int, stop: int) -> list[str]:
@@ -108,11 +165,14 @@ def _format_rows(times_s: np.ndarray, cells: np.ndarray, first: int, stop: int) 
 def read_trace(path: str | Path) -> CsiTrace:
     """Parse a trace file into a ``CsiTrace`` on the grid of its header.
 
-    The header and column lines are read one at a time. The data rows are
-    split into line-aligned byte ranges, one per worker of
-    ``parallel.pool_map`` and none under ``_MIN_RANGE_BYTES`` (a smaller body
-    is one range, parsed in-process), and each range runs ``np.loadtxt``
-    over its lines, streamed from the file. The parts fill the trace in file
+    The header and column lines are read one at a time. When a companion of
+    ``path`` exists, the file is hashed, and the table of the companion
+    named by that hash, if it loads, stands in for the data rows
+    (``_companion_table``). Otherwise the data rows are split into
+    line-aligned byte ranges, one per worker of ``parallel.pool_map`` and
+    none under ``_MIN_RANGE_BYTES`` (a smaller body is one range, parsed
+    in-process), and each range runs ``np.loadtxt`` over its lines,
+    streamed from the file. The parts fill the trace in file
     order, so its values are those of one ``np.loadtxt`` at any CPU count.
     When a range holds a malformed row, or rows whose column count is not
     the header's, the whole body is parsed again in one in-process pass, and
@@ -133,13 +193,17 @@ def read_trace(path: str | Path) -> CsiTrace:
             first_fields = line.strip().split(",")
             if first_fields[:2] != ["k", "t_s"] or len(first_fields) != expected_cols:
                 raise TraceFormatError("column header does not match the grid")
+            table = _companion_table(Path(path), fh, expected_cols)
             bounds = _body_ranges(fh)
-        parts = pool_map(functools.partial(_parse_range, path), bounds[:-1], bounds[1:])
-        if len(parts) > 1 and any(
-            isinstance(part, ValueError) or (len(part) and part.shape[1] != expected_cols)
-            for part in parts
-        ):
-            parts = [_parse_range(path, bounds[0], bounds[-1])]
+        if table is not None:
+            parts = [table]
+        else:
+            parts = pool_map(functools.partial(_parse_range, path), bounds[:-1], bounds[1:])
+            if len(parts) > 1 and any(
+                isinstance(part, ValueError) or (len(part) and part.shape[1] != expected_cols)
+                for part in parts
+            ):
+                parts = [_parse_range(path, bounds[0], bounds[-1])]
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace: {exc}") from exc
     for part in parts:
@@ -170,6 +234,39 @@ def read_trace(path: str | Path) -> CsiTrace:
         return CsiTrace(values, times, sample_rate, grid)
     except ConfigurationError as exc:
         raise TraceFormatError(f"bad trace: {exc}") from exc
+
+
+def _companion_table(path: Path, fh, columns: int) -> np.ndarray | None:
+    """The table of the companion named by the SHA-256 of the binary file
+    ``fh`` open on ``path``, or None when no such companion exists or it
+    does not load, without pickles, as a 2-D float64 table of ``columns``
+    columns. The file is hashed, in chunks and from its start, only when
+    some companion of its name exists; ``fh`` keeps its position."""
+    names = _companions(path)
+    if not names:
+        return None
+    position = fh.tell()
+    fh.seek(0)
+    sha = hashlib.sha256()
+    while chunk := fh.read(1 << 20):
+        sha.update(chunk)
+    fh.seek(position)
+    name = f"{path.name}.{sha.hexdigest()}.npy"
+    if name not in names:
+        return None
+    try:
+        with open(path.with_name(name), "rb") as companion:
+            table = np.load(companion, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (
+        isinstance(table, np.ndarray)
+        and table.dtype == np.float64
+        and table.ndim == 2
+        and table.shape[1] == columns
+    ):
+        return table
+    return None
 
 
 def _body_ranges(fh) -> list[int]:

@@ -181,6 +181,23 @@ def test_empty_or_invalid_sweep_sizes_exit_2(tmp_path, capsys, command, sweep):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, sweep, message",
+    [
+        ("sweep-blindspot", "{offsets_m: [true, 0.03]}", "offsets_m must be a finite number"),
+        ("sweep-snr", "{noise_stds: [true]}", "noise_stds must be a finite number >= 0"),
+    ],
+    ids=["boolean offset", "boolean noise level"],
+)
+def test_a_boolean_sweep_condition_exits_2(tmp_path, capsys, command, sweep, message):
+    config = tmp_path / "sweep.yaml"
+    config.write_text(_BASE + f"sweep: {sweep}\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}, got True\n"
+    assert list(out.iterdir()) == []
+
+
 def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):
     jobs = [
         ("sweep-blindspot", "sweep: {offsets_m: [0.0, 0.03, 0.06]}\n"),
@@ -219,6 +236,8 @@ def test_run_is_byte_identical_on_one_cpu_and_on_two(
     values[:, 100:125] = 0  # a dropout: windows 0-5 keep no stream
     trace = CsiTrace(values, trace.times_s, trace.sample_rate_hz, trace.grid)
     write_trace(tmp_path / "trace.csv", trace)
+    (companion,) = traceio._companions(tmp_path / "trace.csv")
+    (tmp_path / companion).unlink()  # the text is parsed
     run = {"input": {"trace": str(tmp_path / "trace.csv")}, "pipeline": settings["pipeline"]}
     (tmp_path / "run.yaml").write_text(yaml.safe_dump(run))
     outputs, logged = [], []
@@ -255,9 +274,11 @@ def test_simulate_is_byte_identical_on_one_worker_and_on_two(base_config, tmp_pa
         out = tmp_path / f"sim-{count}"
         assert cli.main(["simulate", "--config", str(base_config), "--seed", "3",
                          "--out", str(out)]) == 0
-        outputs.append((out / "trace.csv").read_bytes())
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outputs[0] == outputs[1]
-    rows = outputs[0].decode().splitlines()[2:]
+    (companion,) = traceio._companions(tmp_path / "sim-1" / "trace.csv")
+    assert sorted(outputs[0]) == ["trace.csv", companion]
+    rows = outputs[0]["trace.csv"].decode().splitlines()[2:]
     assert [row.split(",")[0] for row in rows] == [str(k) for k in range(240)]
 
 
@@ -673,6 +694,22 @@ def test_malformed_trace_exits_3(tmp_path):
     assert list((tmp_path / "o").iterdir()) == []
 
 
+def test_a_nan_timestamp_exits_3_with_its_companion(base_config, tmp_path, capsys):
+    assert cli.main(["simulate", "--config", str(base_config), "--out", str(tmp_path)]) == 0
+    trace = read_trace(tmp_path / "trace.csv")
+    times = trace.times_s.copy()
+    times[7] = np.nan
+    write_trace(tmp_path / "trace.csv", dataclasses.replace(trace, times_s=times))
+    assert len(traceio._companions(tmp_path / "trace.csv")) == 1
+    config = tmp_path / "c.yaml"
+    config.write_text(f"input: {{trace: {tmp_path / 'trace.csv'}}}\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_TRACE
+    err = capsys.readouterr().err
+    assert err == "input format error: trace contains a non-finite row number or timestamp\n"
+    assert list(out.iterdir()) == []
+
+
 def test_null_trace_path_exits_2(tmp_path, capsys):
     config = tmp_path / "c.yaml"
     config.write_text("input: {trace: null}\n")
@@ -706,6 +743,8 @@ _TONES = "[2.452e9, 2.4545e9, 2.457e9, 2.4595e9, 2.462e9, 2.4645e9]"
         f"  center_frequencies_hz: {_TONES}\n  physical_indices: [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]",
         f"  center_frequencies_hz: {_TONES}\n  physical_indices: [true, 1, 2, 3, 4, 5]",
         "  center_frequencies_hz: [true, 2.4545e9, 2.457e9, 2.4595e9, 2.462e9, 2.4645e9]",
+        f"  center_frequencies_hz: {_TONES}\n"
+        "  physical_indices: [99999999999999999999999, 1, 2, 3, 4, 5]",
     ],
     ids=[
         "2-D frequencies",
@@ -714,6 +753,7 @@ _TONES = "[2.452e9, 2.4545e9, 2.457e9, 2.4595e9, 2.462e9, 2.4645e9]"
         "fractional indices",
         "boolean index",
         "boolean frequency",
+        "index beyond int64",
     ],
 )
 def test_a_custom_grid_of_bad_values_exits_2(tmp_path, capsys, grid):
@@ -733,8 +773,14 @@ def test_a_custom_grid_of_bad_values_exits_2(tmp_path, capsys, grid):
         ("physical_index", lambda m: m + 0.5),
         ("center_frequency_hz", lambda m: [2.44e9 + 1e6 * m]),
         ("field", lambda m: ["HT-LTF"]),
+        ("physical_index", lambda m: 10**23 + m),
     ],
-    ids=["fractional physical_index", "list center_frequency_hz", "list field"],
+    ids=[
+        "fractional physical_index",
+        "list center_frequency_hz",
+        "list field",
+        "physical_index beyond int64",
+    ],
 )
 def test_a_trace_header_grid_of_bad_values_exits_3(tmp_path, capsys, key, value):
     subcarriers = [

@@ -354,6 +354,19 @@ def test_delay_basis_weights_are_canonical(breathing_trace, seed):
     np.testing.assert_allclose(again, weights, rtol=1e-7, atol=1e-9)
 
 
+def test_delay_basis_is_built_once_per_grid_and_denominator(breathing_trace):
+    frequencies = breathing_trace.grid.center_frequency_hz
+    gass._delay_basis.cache_clear()
+    solution = solve_delay_basis(_window(breathing_trace, seed=0), frequencies, 10.0)
+    genome = solution.genome(frequencies)
+    solution.genome(list(frequencies))  # any sequence of the same floats
+    info = gass._delay_basis.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    rows, basis = gass._delay_basis(frequencies.tobytes(), genome.denominator_index)
+    assert genome.numerator_indices is rows
+    assert not rows.flags.writeable and not basis.flags.writeable
+
+
 def test_delay_basis_is_never_below_the_best_pair(breathing_trace):
     # the best pair the search has: its fallback, the best single pair over d
     frequencies = breathing_trace.grid.center_frequency_hz

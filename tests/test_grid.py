@@ -125,6 +125,11 @@ def test_grid_validation_rejects_bad_shapes():
         custom_grid(np.full((2, 2), 2.4e9))
     with pytest.raises(ConfigurationError, match="strings"):
         custom_grid(np.array([2.4e9, 2.5e9]), field_tag=None)
+    # an index beyond int64, or a frequency beyond every float
+    with pytest.raises(ConfigurationError, match="out of range"):
+        custom_grid([2.4e9, 2.5e9], physical_index=[10**23, 10**23 + 1])
+    with pytest.raises(ConfigurationError, match="out of range"):
+        custom_grid([2.4e9, 10**400])
 
 
 def test_grid_is_hashable_and_frozen():

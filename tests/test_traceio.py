@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import shutil
 import warnings
 
 import numpy as np
@@ -85,19 +87,25 @@ def test_failed_write_leaves_the_old_file(tmp_path, small_trace, monkeypatch, fa
     assert path.stat().st_mode == mode
     path.write_bytes(b"old trace\n")
 
-    def fail(first, times_s, cells):
+    def fail(times_s, cells, first, stop):
         if failure == "while formatting":
             raise RuntimeError("formatter failed")
-        return [None]  # the header is written, then the rows fail
 
+        def rows():  # the header and one row are written, then the rows fail
+            yield "0,0.0,1.0,0.0,1.0,0.0,1.0,0.0\n"
+            raise RuntimeError("writer failed")
+
+        return rows()
+
+    listing = sorted(p.name for p in tmp_path.iterdir())  # the stale companion too
     monkeypatch.setattr(traceio, "_format_rows", fail)
-    with pytest.raises((RuntimeError, TypeError)):
+    with pytest.raises(RuntimeError, match="formatter failed|writer failed"):
         write_trace(path, small_trace)
     assert path.read_bytes() == b"old trace\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
-    with pytest.raises((RuntimeError, TypeError)):
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+    with pytest.raises(RuntimeError):
         write_trace(tmp_path / "new.csv", small_trace)
-    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
 
 def test_missing_file(tmp_path):
@@ -351,6 +359,7 @@ def test_fixture_sized_traces_start_no_pool(tmp_path, small_trace, monkeypatch):
     larger = CsiTrace.uniform(np.ones((6, 800), dtype=complex), 20.0, grid)
     for trace in (small_trace, larger):
         write_trace(tmp_path / "trace.csv", trace)
+        _companion(tmp_path / "trace.csv").unlink()  # the text is parsed
         assert len(read_trace(tmp_path / "trace.csv")) == len(trace)
 
 
@@ -362,6 +371,7 @@ def test_fixture_sized_traces_start_no_pool(tmp_path, small_trace, monkeypatch):
 def test_ranged_parse_equals_one_loadtxt(tmp_path_factory, rows, count):
     path = tmp_path_factory.mktemp("ranged") / "trace.csv"
     write_trace(path, _two_tone_trace(rows))  # repr cells: rows of unequal length
+    _companion(path).unlink()  # the text is parsed
     with _ranges(count, serial=True):
         trace = read_trace(path)
     values, times = _one_pass(path)
@@ -429,3 +439,158 @@ def test_row_faults_read_as_in_one_pass(tmp_path, rng, fault, where):
         assert not isinstance(one_pass, str)
         expected = "trace contains a non-finite row number or timestamp"
     assert str(info.value) == expected
+
+
+def _companion(path):
+    """The one companion beside ``path``."""
+    (name,) = traceio._companions(path)
+    return path.with_name(name)
+
+
+def _parsed(path):
+    """``_parse_range`` over the whole body of ``path``."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        fh.readline()
+        return traceio._parse_range(path, fh.tell(), path.stat().st_size)
+
+
+@contextlib.contextmanager
+def _counting_parses():
+    """Counts the ranges ``read_trace`` parses as text."""
+    calls = []
+
+    def parse(*args):
+        calls.append(args)
+        return parse_range(*args)
+
+    parse_range = traceio._parse_range
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traceio, "_parse_range", parse)
+        yield calls
+
+
+# a negative-signed NaN, +-inf, -0.0 and the smallest subnormal: repr writes
+# any NaN as nan, so parsing gives np.nan for both NaNs
+_SPECIAL_ROWS = [
+    [0.0, np.copysign(np.nan, -1.0), np.inf, -0.0, 5e-324],
+    [0.1, -np.inf, np.nan, -5e-324, -0.0],
+]
+
+
+def test_the_companion_is_the_parsed_table(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(path, _two_tone_trace(_SPECIAL_ROWS))
+    companion = _companion(path)
+    assert companion.name == f"trace.csv.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+    table = np.load(companion, allow_pickle=False)
+    parsed = _parsed(path)
+    assert table.dtype == parsed.dtype and table.shape == parsed.shape == (2, 6)
+    assert table.view(np.int64).tolist() == parsed.view(np.int64).tolist()
+    with _counting_parses() as calls:
+        trace = read_trace(path)
+    assert calls == []
+    values, times = _one_pass(path)
+    assert trace.values.tobytes() == values.tobytes()
+    assert trace.times_s.tobytes() == times.tobytes()
+
+
+def test_a_nan_timestamp_in_the_companion_is_rejected(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(path, _two_tone_trace([*_SPECIAL_ROWS, [np.nan, 1.0, 0.0, 1.0, 0.0]]))
+    assert np.isnan(np.load(_companion(path))[2, 1])
+    with _counting_parses() as calls:
+        with pytest.raises(TraceFormatError, match="non-finite row number or timestamp"):
+            read_trace(path)
+    assert calls == []
+
+
+def _edit(path, old, new):
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "change",
+    ["a changed digit", "a malformed cell", "a copy elsewhere", "a copy beside it"],
+)
+def test_a_trace_no_companion_matches_is_parsed(tmp_path, change):
+    path = tmp_path / "trace.csv"
+    write_trace(path, _two_tone_trace([[0.0, 1.0, 2.0, 3.0, 4.0], [0.1, 5.0, 6.0, 7.0, 8.0]]))
+    companion = _companion(path)
+    if change == "a changed digit":
+        _edit(path, b",6.0,", b",9.0,")
+    elif change == "a malformed cell":
+        _edit(path, b",6.0,", b",6.x,")
+    else:
+        copy = tmp_path / "elsewhere" / "trace.csv" if change == "a copy elsewhere" else (
+            tmp_path / "copy.csv"
+        )
+        copy.parent.mkdir(exist_ok=True)
+        shutil.copyfile(path, copy)
+        path = copy
+    with _counting_parses() as calls:
+        try:
+            result = read_trace(path)
+        except TraceFormatError as exc:
+            result = str(exc)
+    assert len(calls) == 1 and companion.exists()
+    expected = _one_pass(path)
+    if isinstance(expected, str):
+        assert result == expected
+    else:
+        assert result.values.tobytes() == expected[0].tobytes()
+        assert result.times_s.tobytes() == expected[1].tobytes()
+    if change == "a changed digit":
+        assert result.values[0, 1] == 5.0 + 9.0j
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda companion, table: companion.write_bytes(companion.read_bytes()[:-8]),
+        lambda companion, table: companion.write_bytes(companion.read_bytes()[:40]),
+        lambda companion, table: companion.write_bytes(b""),
+        lambda companion, table: companion.write_bytes(b"not an array"),
+        lambda companion, table: np.save(companion, table[:, :-1]),
+        lambda companion, table: np.save(companion, table.ravel()),
+        lambda companion, table: np.save(companion, table.astype(np.float32)),
+        lambda companion, table: np.save(companion, table.astype(object), allow_pickle=True),
+        lambda companion, table: companion.unlink() or companion.mkdir(),
+    ],
+    ids=[
+        "truncated data",
+        "truncated header",
+        "empty",
+        "not npy",
+        "too few columns",
+        "1-D",
+        "float32",
+        "pickled objects",
+        "a directory",
+    ],
+)
+def test_a_companion_that_does_not_load_is_ignored(tmp_path, small_trace, spoil):
+    path = tmp_path / "trace.csv"
+    write_trace(path, small_trace)
+    companion = _companion(path)
+    spoil(companion, np.load(companion))
+    with _counting_parses() as calls:
+        trace = read_trace(path)
+    assert len(calls) == 1
+    assert trace.values.tobytes() == small_trace.values.tobytes()
+    assert trace.times_s.tobytes() == small_trace.times_s.tobytes()
+
+
+def test_a_rewrite_leaves_the_trace_and_one_companion(tmp_path, small_trace):
+    path = tmp_path / "trace.csv"
+    write_trace(path, small_trace)
+    first = _companion(path).name
+    write_trace(path, small_trace)  # the same bytes: the same companion
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv", first]
+    write_trace(path, small_trace[1:])
+    (second,) = traceio._companions(path)
+    assert second != first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv", second]
+    with _counting_parses() as calls:
+        assert len(read_trace(path)) == len(small_trace) - 1
+    assert calls == []
