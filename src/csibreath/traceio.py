@@ -14,17 +14,20 @@ is read into one ``CsiTrace``; the ``k`` column is not kept. A non-finite
 row number or timestamp rejects the file; a non-finite CSI cell is read as
 it is, and the pipeline's motion gate fails the frame that holds it.
 
-Beside every file it writes, ``write_trace`` leaves a companion:
-``<name>.<sha256 of the file's bytes, 64 hex digits>.npy``, one 2-D float64
-``.npy`` table (NEP 1) holding the rows exactly as the text parse returns
-them, columns ``k``, ``t_s``, ``re000``, ``im000``, ..., every NaN as
-``np.nan`` (``repr`` writes any NaN as ``nan``). ``read_trace`` takes that
-table in place of the parse when a sibling of that name exists and loads as
-a float64 table of the header's column count, as a checked-hash ``.pyc``
-stands in for its source (PEP 552). The companion is a cache, not a second
-format: everything after the table is shared, and a file edited by one
-byte, copied without its companion or written by another tool is parsed
-as before, at the cost of one directory listing.
+Beside a trace it writes or parses, the module leaves a companion:
+``<name>.t1.<sha256 of the file's bytes, 64 hex digits>.npy``, one 2-D
+float64 ``.npy`` table (NEP 1) holding the rows exactly as the text parse
+returns them, columns ``k``, ``t_s``, ``re000``, ``im000``, ..., every NaN
+as ``np.nan`` (``repr`` writes any NaN as ``nan``); ``t1`` names that
+layout. ``read_trace`` takes that table in place of the parse when the
+companion named by the file's hash loads as a float64 table of the
+header's column count whose ``k`` column counts the rows from 0, as a
+checked-hash ``.pyc`` stands in for its source (PEP 552). So a trace
+``write_trace`` wrote is never parsed, and a capture written by another
+tool is parsed on its first read only. The companion is a cache, not a
+second format: everything after the table is shared, a file edited by one
+byte or copied without its companion is parsed as before, and a companion
+that cannot be written is skipped. Its values are trusted as they load.
 
 Both directions use every CPU of ``parallel.pool_map`` on a large trace:
 ``write_trace`` formats contiguous row ranges and ``read_trace``, when no
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -57,6 +59,7 @@ FORMAT_NAME = "csi-trace"
 FORMAT_VERSION = 1
 _MIN_RANGE_BYTES = 4 << 20  # a body range parsed in a worker holds at least this
 _MIN_RANGE_CELLS = 1 << 18  # a row range formatted in a worker holds at least this
+_TABLE_LAYOUT = 1  # a companion's layout: the float64 table of the text parse
 
 
 def write_trace(path: str | Path, trace: CsiTrace) -> None:
@@ -71,11 +74,10 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
     the same directory and renamed onto ``path``, so a failed write leaves
     ``path`` as it was, and an OSError is an ``OutputError`` naming ``path``.
 
-    The bytes are hashed as they are written, and the companion named by
-    their hash is written under a temporary name too. Once both are
-    complete, the older companions of ``path`` are deleted and both files
-    are renamed into place, the trace first: a failed write leaves no
-    temporary file and no new companion.
+    Once the file is in place, its companion is written (``_save_companion``)
+    from the trace's own values, so it is never parsed. A failed write leaves
+    no temporary file and no new companion; a companion that cannot be
+    written is skipped and the trace stays written.
     """
     grid = trace.grid
     header = {
@@ -101,28 +103,22 @@ def write_trace(path: str | Path, trace: CsiTrace) -> None:
     parts = pool_map(
         functools.partial(_format_rows, trace.times_s, cells), bounds[:-1], bounds[1:]
     )
-    lines = ["# " + json.dumps(header, sort_keys=True) + "\n", ",".join(columns) + "\n"]
     path = Path(path)
-    temp, table_temp = _temporary(path), _temporary(path)
+    temp = _temporary(path)
     try:
         with writing(path):
-            sha = hashlib.sha256()
-            with open(temp, "xb") as fh:
-                for line in itertools.chain(lines, *parts):
-                    data = line.encode("utf-8")
-                    sha.update(data)
-                    fh.write(data)
-            with open(table_temp, "xb") as fh:
-                np.save(fh, _table(trace.times_s, cells), allow_pickle=False)
-            companion = path.with_name(f"{path.name}.{sha.hexdigest()}.npy")
-            for stale in _companions(path) - {companion.name}:
-                path.with_name(stale).unlink(missing_ok=True)
+            with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+                fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+                fh.write(",".join(columns) + "\n")
+                for part in parts:
+                    fh.writelines(part)
+            with open(temp, "rb") as fh:
+                digest = _digest(fh)
             os.replace(temp, path)
-            os.replace(table_temp, companion)
     except BaseException:
         temp.unlink(missing_ok=True)
-        table_temp.unlink(missing_ok=True)
         raise
+    _save_companion(path, digest, [_table(trace.times_s, cells)])
 
 
 def _temporary(path: Path) -> Path:
@@ -142,14 +138,56 @@ def _table(times_s: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return table
 
 
+def _digest(fh) -> str:
+    """The SHA-256, in hex, of the whole binary file ``fh``, read in chunks
+    from its start; ``fh`` keeps its position."""
+    position = fh.tell()
+    fh.seek(0)
+    sha = hashlib.sha256()
+    while chunk := fh.read(1 << 20):
+        sha.update(chunk)
+    fh.seek(position)
+    return sha.hexdigest()
+
+
+def _companion_name(path: Path, digest: str) -> str:
+    return f"{path.name}.t{_TABLE_LAYOUT}.{digest}.npy"
+
+
 def _companions(path: Path) -> set[str]:
-    """The names of the files beside ``path`` named as its companions; none
-    when its directory cannot be listed."""
-    pattern = re.compile(re.escape(path.name) + r"\.[0-9a-f]{64}\.npy")
+    """The names of the files beside ``path`` named as its companions, of
+    any layout; none when its directory cannot be listed."""
+    pattern = re.compile(re.escape(path.name) + r"\.t[0-9]+\.[0-9a-f]{64}\.npy")
     try:
         return {name for name in os.listdir(path.parent) if pattern.fullmatch(name)}
     except OSError:
         return set()
+
+
+def _save_companion(path: Path, digest: str, parts: list[np.ndarray]) -> None:
+    """Write ``parts``, float64 tables joined by rows in order, as the
+    companion of ``path`` named by ``digest``, and delete its others. The
+    table is written under a temporary name and renamed into place. It is a
+    cache: an OSError skips it, and no temporary file is left."""
+    temp = _temporary(path)
+    header = {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "fortran_order": False,
+        "shape": (sum(len(part) for part in parts), parts[0].shape[1]),
+    }
+    try:
+        with open(temp, "xb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            for part in parts:
+                fh.write(np.ascontiguousarray(part, dtype=np.float64).data)
+        companion = _companion_name(path, digest)
+        for stale in _companions(path) - {companion}:
+            path.with_name(stale).unlink(missing_ok=True)
+        os.replace(temp, path.with_name(companion))
+    except OSError:
+        pass
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def _format_rows(times_s: np.ndarray, cells: np.ndarray, first: int, stop: int) -> list[str]:
@@ -165,20 +203,23 @@ def _format_rows(times_s: np.ndarray, cells: np.ndarray, first: int, stop: int) 
 def read_trace(path: str | Path) -> CsiTrace:
     """Parse a trace file into a ``CsiTrace`` on the grid of its header.
 
-    The header and column lines are read one at a time. When a companion of
-    ``path`` exists, the file is hashed, and the table of the companion
-    named by that hash, if it loads, stands in for the data rows
-    (``_companion_table``). Otherwise the data rows are split into
-    line-aligned byte ranges, one per worker of ``parallel.pool_map`` and
-    none under ``_MIN_RANGE_BYTES`` (a smaller body is one range, parsed
-    in-process), and each range runs ``np.loadtxt`` over its lines,
-    streamed from the file. The parts fill the trace in file
-    order, so its values are those of one ``np.loadtxt`` at any CPU count.
-    When a range holds a malformed row, or rows whose column count is not
-    the header's, the whole body is parsed again in one in-process pass, and
-    its fault is the one reported: the row number and column count of one
-    pass over the body, whatever the ranges.
+    The header and column lines are read one at a time, then the whole file
+    is hashed, and the table of the companion named by its hash, if it
+    loads (``_load_companion``), stands in for the data rows. Otherwise the
+    data rows are split into line-aligned byte ranges, one per worker of
+    ``parallel.pool_map`` and none under ``_MIN_RANGE_BYTES`` (a smaller
+    body is one range, parsed in-process), and each range runs
+    ``np.loadtxt`` over its lines, streamed from the file. The parts fill
+    the trace in file order, so its values are those of one ``np.loadtxt``
+    at any CPU count. When a range holds a malformed row, or rows whose
+    column count is not the header's, the whole body is parsed again in one
+    in-process pass, and its fault is the one reported: the row number and
+    column count of one pass over the body, whatever the ranges. Rows that
+    parse with the header's column count are saved as the file's companion
+    (``_save_companion``), unless the file changed while it was read.
     """
+    path = Path(path)
+    stamp = _stamp(path)
     try:
         with open(path, "rb") as fh:
             comment_lines: list[str] = []
@@ -193,7 +234,8 @@ def read_trace(path: str | Path) -> CsiTrace:
             first_fields = line.strip().split(",")
             if first_fields[:2] != ["k", "t_s"] or len(first_fields) != expected_cols:
                 raise TraceFormatError("column header does not match the grid")
-            table = _companion_table(Path(path), fh, expected_cols)
+            digest = _digest(fh)
+            table = _load_companion(path, digest, expected_cols)
             bounds = _body_ranges(fh)
         if table is not None:
             parts = [table]
@@ -217,6 +259,8 @@ def read_trace(path: str | Path) -> CsiTrace:
         raise TraceFormatError(
             f"rows have {parts[0].shape[1]} columns, expected {expected_cols}"
         )
+    if table is None and stamp is not None and _stamp(path) == stamp:
+        _save_companion(path, digest, parts)
     # a non-finite CSI cell is the pipeline's to handle: it fails only the
     # motion-gate frame that holds it
     if not all(np.all(np.isfinite(part[:, :2])) for part in parts):
@@ -236,26 +280,23 @@ def read_trace(path: str | Path) -> CsiTrace:
         raise TraceFormatError(f"bad trace: {exc}") from exc
 
 
-def _companion_table(path: Path, fh, columns: int) -> np.ndarray | None:
-    """The table of the companion named by the SHA-256 of the binary file
-    ``fh`` open on ``path``, or None when no such companion exists or it
-    does not load, without pickles, as a 2-D float64 table of ``columns``
-    columns. The file is hashed, in chunks and from its start, only when
-    some companion of its name exists; ``fh`` keeps its position."""
-    names = _companions(path)
-    if not names:
-        return None
-    position = fh.tell()
-    fh.seek(0)
-    sha = hashlib.sha256()
-    while chunk := fh.read(1 << 20):
-        sha.update(chunk)
-    fh.seek(position)
-    name = f"{path.name}.{sha.hexdigest()}.npy"
-    if name not in names:
-        return None
+def _stamp(path: Path) -> tuple[int, int, int, int] | None:
+    """What changes when the file at ``path`` is replaced or written to;
+    None when it cannot be found."""
     try:
-        with open(path.with_name(name), "rb") as companion:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _load_companion(path: Path, digest: str, columns: int) -> np.ndarray | None:
+    """The table of the companion of ``path`` named by ``digest``, or None
+    when no such companion exists or it does not load, without pickles, as
+    a 2-D float64 table of ``columns`` columns whose first column numbers
+    its rows from 0."""
+    try:
+        with open(path.with_name(_companion_name(path, digest)), "rb") as companion:
             table = np.load(companion, allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
@@ -264,6 +305,7 @@ def _companion_table(path: Path, fh, columns: int) -> np.ndarray | None:
         and table.dtype == np.float64
         and table.ndim == 2
         and table.shape[1] == columns
+        and np.array_equal(table[:, 0], np.arange(len(table)))
     ):
         return table
     return None

@@ -236,8 +236,6 @@ def test_run_is_byte_identical_on_one_cpu_and_on_two(
     values[:, 100:125] = 0  # a dropout: windows 0-5 keep no stream
     trace = CsiTrace(values, trace.times_s, trace.sample_rate_hz, trace.grid)
     write_trace(tmp_path / "trace.csv", trace)
-    (companion,) = traceio._companions(tmp_path / "trace.csv")
-    (tmp_path / companion).unlink()  # the text is parsed
     run = {"input": {"trace": str(tmp_path / "trace.csv")}, "pipeline": settings["pipeline"]}
     (tmp_path / "run.yaml").write_text(yaml.safe_dump(run))
     outputs, logged = [], []
@@ -246,6 +244,8 @@ def test_run_is_byte_identical_on_one_cpu_and_on_two(
         # the run's windows in this many chunks; three share a pool of two
         monkeypatch.setattr(pipeline, "workers", lambda: chunks)
         caplog.clear()
+        for companion in traceio._companions(tmp_path / "trace.csv"):
+            (tmp_path / companion).unlink()  # the text is parsed on every run
         out = tmp_path / f"run-{chunks}"
         assert cli.main(["run", "--config", str(tmp_path / "run.yaml"), "--out", str(out)]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import os
 import shutil
 import warnings
 
@@ -377,6 +378,9 @@ def test_ranged_parse_equals_one_loadtxt(tmp_path_factory, rows, count):
     values, times = _one_pass(path)
     assert trace.values.tobytes() == values.tobytes()
     assert trace.times_s.tobytes() == times.tobytes()
+    # the parts the read parsed are saved as one table
+    table = np.load(_companion(path), allow_pickle=False)
+    assert table.view(np.int64).tolist() == _parsed(path).view(np.int64).tolist()
 
 
 def test_body_ranges_are_whole_lines(tmp_path, rng):
@@ -482,7 +486,8 @@ def test_the_companion_is_the_parsed_table(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(path, _two_tone_trace(_SPECIAL_ROWS))
     companion = _companion(path)
-    assert companion.name == f"trace.csv.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert companion.name == f"trace.csv.t1.{digest}.npy"
     table = np.load(companion, allow_pickle=False)
     parsed = _parsed(path)
     assert table.dtype == parsed.dtype and table.shape == parsed.shape == (2, 6)
@@ -533,15 +538,26 @@ def test_a_trace_no_companion_matches_is_parsed(tmp_path, change):
             result = read_trace(path)
         except TraceFormatError as exc:
             result = str(exc)
-    assert len(calls) == 1 and companion.exists()
+    assert len(calls) == 1
     expected = _one_pass(path)
     if isinstance(expected, str):
         assert result == expected
-    else:
-        assert result.values.tobytes() == expected[0].tobytes()
-        assert result.times_s.tobytes() == expected[1].tobytes()
+        assert traceio._companions(path) == {companion.name}  # nothing is saved
+        return
+    assert result.values.tobytes() == expected[0].tobytes()
+    assert result.times_s.tobytes() == expected[1].tobytes()
     if change == "a changed digit":
         assert result.values[0, 1] == 5.0 + 9.0j
+        assert not companion.exists()  # replaced by the edited file's
+    else:
+        assert companion.exists()
+    # the read left the file its own companion, and the next read loads it
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert traceio._companions(path) == {f"{path.name}.t1.{digest}.npy"}
+    with _counting_parses() as calls:
+        again = read_trace(path)
+    assert calls == []
+    assert again.values.tobytes() == result.values.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -555,6 +571,7 @@ def test_a_trace_no_companion_matches_is_parsed(tmp_path, change):
         lambda companion, table: np.save(companion, table.ravel()),
         lambda companion, table: np.save(companion, table.astype(np.float32)),
         lambda companion, table: np.save(companion, table.astype(object), allow_pickle=True),
+        lambda companion, table: np.save(companion, table[::-1]),
         lambda companion, table: companion.unlink() or companion.mkdir(),
     ],
     ids=[
@@ -566,6 +583,7 @@ def test_a_trace_no_companion_matches_is_parsed(tmp_path, change):
         "1-D",
         "float32",
         "pickled objects",
+        "rows renumbered",
         "a directory",
     ],
 )
@@ -579,6 +597,11 @@ def test_a_companion_that_does_not_load_is_ignored(tmp_path, small_trace, spoil)
     assert len(calls) == 1
     assert trace.values.tobytes() == small_trace.values.tobytes()
     assert trace.times_s.tobytes() == small_trace.times_s.tobytes()
+    assert not list(tmp_path.glob(".*.tmp"))
+    if companion.is_file():  # the read replaced it; a directory stays
+        with _counting_parses() as calls:
+            read_trace(path)
+        assert calls == []
 
 
 def test_a_rewrite_leaves_the_trace_and_one_companion(tmp_path, small_trace):
@@ -594,3 +617,53 @@ def test_a_rewrite_leaves_the_trace_and_one_companion(tmp_path, small_trace):
     with _counting_parses() as calls:
         assert len(read_trace(path)) == len(small_trace) - 1
     assert calls == []
+
+
+def test_a_trace_written_elsewhere_is_parsed_on_its_first_read_only(tmp_path):
+    path = tmp_path / "capture.csv"
+    path.write_text(_FIXED_TEXT, encoding="ascii")  # no companion
+    with _counting_parses() as calls:
+        first = read_trace(path)
+    assert len(calls) == 1
+    companion = _companion(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["capture.csv", companion.name]
+    table = np.load(companion, allow_pickle=False)
+    assert table.view(np.int64).tolist() == _parsed(path).view(np.int64).tolist()
+    with _counting_parses() as calls:
+        second = read_trace(path)
+    assert calls == []
+    assert second.values.tobytes() == first.values.tobytes()
+    assert second.times_s.tobytes() == first.times_s.tobytes()
+
+
+def test_a_companion_that_cannot_be_written_is_skipped(tmp_path, small_trace, monkeypatch):
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", fail)
+    path = tmp_path / "trace.csv"
+    write_trace(path, small_trace)  # the trace is written all the same
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+    with _counting_parses() as calls:
+        trace = read_trace(path)
+    assert len(calls) == 1
+    assert trace.values.tobytes() == small_trace.values.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+
+def test_a_trace_that_changes_while_it_is_parsed_gets_no_companion(tmp_path, small_trace):
+    path = tmp_path / "trace.csv"
+    write_trace(path, small_trace)
+    _companion(path).unlink()
+    parse_range = traceio._parse_range
+
+    def parse_then_touch(*args):
+        part = parse_range(*args)
+        mtime = path.stat().st_mtime_ns
+        os.utime(path, ns=(mtime + 10**9, mtime + 10**9))
+        return part
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traceio, "_parse_range", parse_then_touch)
+        assert len(read_trace(path)) == len(small_trace)
+    assert traceio._companions(path) == set()
