@@ -55,14 +55,13 @@ def check_integer(name: str, value, minimum: int) -> None:
 
 def check_real(name: str, value, minimum: float = -math.inf, finite: bool = True) -> None:
     """Raise ConfigurationError unless ``value`` is a real number (not a bool,
-    not NaN) of at least ``minimum``, and finite unless ``finite`` is false."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, Real)
-        or math.isnan(value)
-        or (finite and math.isinf(value))
-        or value < minimum
-    ):
+    not NaN) of at least ``minimum``, and finite unless ``finite`` is false.
+    An integer beyond the float range has no float value, so it fails too."""
+    number = math.nan
+    if isinstance(value, Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            number = float(value)
+    if math.isnan(number) or (finite and not math.isfinite(number)) or number < minimum:
         bound = f" >= {minimum:g}" if minimum > -math.inf else ""
         kind = "a finite number" if finite else "a number"
         raise ConfigurationError(f"{name} must be {kind}{bound}, got {value!r}")

@@ -16,7 +16,9 @@ and out-of-band Gram matrices: ``ratio.max_snr``, the solver the projection
 angle uses too. The best single pair over the denominator is an explicit
 fallback, so the result is never worse than any of them. A
 ``GassSolution`` keeps the denominator and the 8 coefficients over the
-grid's delay basis, or the pair, and rebuilds the weights from them.
+grid's delay basis, or the pair, and rebuilds the weights from them. The
+denominator is the first row of ``steadiness_ranking``, and the stream
+fan-out divides the numerator by its first ``FANOUT_ROWS`` kept rows.
 
 ``best_single_pair`` scores all n(n-1) ordered single pairs, the exact
 reference that ``gass-audit`` compares the solve against. Every ratio here,
@@ -58,13 +60,15 @@ from .ratio import (
 # apart, about the delay resolution of the default grid's 36 MHz span.
 DELAY_COUNT = 8
 DELAY_SPAN_S = 100e-9
+# Streams of the fan-out: its 16 steadiest kept rows lost no accuracy to all (README)
+FANOUT_ROWS = 16
 
 
 @dataclass(frozen=True)
 class Genome:
     """A weighted numerator over one denominator: complex weights, numerator
     indices, denominator index. ``fitness`` scores one, and the stream
-    fan-out divides one by every kept row."""
+    fan-out divides one by its ``FANOUT_ROWS`` steadiest kept rows."""
 
     weights: np.ndarray
     numerator_indices: np.ndarray
@@ -190,11 +194,10 @@ def _pair_scores(
     return ssnr_values(guards.divide(rows, matrix[d], d), sample_rate_hz)
 
 
-def pick_denominator(matrix: np.ndarray, guards: GuardTable) -> int:
-    """The search's denominator: the row the guard keeps whose magnitude is
-    steadiest, the highest mean/std of |H| over its finite samples, ties to
-    the lowest index. A row of constant magnitude scores infinity; with no
-    kept row it is row 0."""
+def steadiness_ranking(matrix: np.ndarray, guards: GuardTable) -> np.ndarray:
+    """Every row, steadiest first: the rows the guard keeps by the mean/std of
+    |H| over their finite samples, ties to the lowest index, then the rest.
+    A row of constant magnitude is infinitely steady, unless it is zero."""
     magnitude = np.abs(matrix)
     finite = np.isfinite(magnitude)
     count = np.maximum(finite.sum(axis=1), 1)  # a row with no finite sample reads as zero
@@ -206,7 +209,12 @@ def pick_denominator(matrix: np.ndarray, guards: GuardTable) -> int:
         mean, spread, out=np.where(mean > 0, np.inf, np.nan), where=spread > 0
     )
     steadiness[guards.rejected | np.isnan(steadiness)] = -np.inf
-    return int(np.argmax(steadiness))
+    return np.argsort(-steadiness, kind="stable")
+
+
+def pick_denominator(matrix: np.ndarray, guards: GuardTable) -> int:
+    """The search's denominator: the first row of ``steadiness_ranking``."""
+    return int(steadiness_ranking(matrix, guards)[0])
 
 
 def solve_delay_basis(
@@ -214,12 +222,14 @@ def solve_delay_basis(
     frequencies_hz: np.ndarray,
     sample_rate_hz: float,
     guards: GuardTable | None = None,
+    ranking: np.ndarray | None = None,
 ) -> GassSolution:
     """Closed-form search on one analysis window.
 
-    The denominator d is ``pick_denominator(matrix, guards)``, and every other
-    row is a numerator. Its weights are w = F c over the delay basis F[m, t]
-    = exp(j 2 pi (f_m - mean f) tau_t), with at most as many delays as
+    The denominator d is the first row of ``ranking``, the window's
+    ``steadiness_ranking`` (``pick_denominator`` when not given), and every
+    other row is a numerator. Its weights are w = F c over the delay basis
+    F[m, t] = exp(j 2 pi (f_m - mean f) tau_t), with at most as many delays as
     numerator rows. The rows are projected onto the basis first, S_t =
     sum_m F[m, t] H_m / H_d (guarded like any ratio by ``guards``), and the
     band ratio of sum_t c_t S_t is c^H A c / c^H B c, with A and B the
@@ -246,7 +256,7 @@ def solve_delay_basis(
     if frequencies.shape != (n_sub,):
         raise ConfigurationError("need one center frequency per subcarrier row")
     guards = guards if guards is not None else guard_table(matrix)
-    d = pick_denominator(matrix, guards)
+    d = pick_denominator(matrix, guards) if ranking is None else int(ranking[0])
     numerators = np.flatnonzero(np.arange(n_sub) != d)
     scores = _pair_scores(matrix, sample_rate_hz, guards, numerators, d)
     best = int(np.argmax(scores))
@@ -309,23 +319,25 @@ def build_streams(
     sample_rate_hz: float,
     *,
     guards: GuardTable,
+    ranking: np.ndarray | None = None,
 ) -> StreamStack:
-    """Fan the solved numerator out over every row the guard keeps.
+    """Fan the solved numerator out over the first ``FANOUT_ROWS`` kept rows
+    of ``ranking``, the window's ``steadiness_ranking`` (computed when not
+    given), in grid order, so the solve's own stream, over d, is one of them.
 
-    One stream per kept grid position, the numerator rows included: the
-    closed-form numerator spans every row but its denominator, so excluding
-    numerator rows would leave at most one stream. A numerator with weight
-    on a single row leaves that row out, since over itself it is constant
-    up to the rounding of x / x. The numerator is divided by all kept rows
-    at once (``GuardTable.divide``). ``genome`` is the solution's
-    ``GassSolution.genome`` and ``guards`` is ``guard_table(matrix)``.
+    Numerator rows are candidates too, as the closed-form numerator spans
+    every row but d. A numerator on a single row leaves that row out (over
+    itself it is constant up to the rounding of x / x), and the next row
+    takes its place. One ``GuardTable.divide`` makes every stream. ``genome``
+    is ``GassSolution.genome`` and ``guards`` is ``guard_table(matrix)``.
     """
-    kept = ~guards.rejected
+    ranking = steadiness_ranking(matrix, guards) if ranking is None else ranking
+    dropped = guards.rejected.copy()
     # a set, not np.unique, which imports numpy.ma for its masked-array check
     own = set(genome.numerator_indices[genome.weights != 0].tolist())
     if len(own) == 1:
-        kept[own.pop()] = False
-    rows = np.flatnonzero(kept)
+        dropped[own.pop()] = True
+    rows = np.sort(ranking[~dropped[ranking]][:FANOUT_ROWS])
     numerator = _numerator(matrix, genome.weights, genome.numerator_indices)
     values = guards.divide(numerator, matrix[rows], rows)
     return StreamStack(values, sample_rate_hz, rows, guards.flagged[rows])

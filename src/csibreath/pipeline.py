@@ -3,9 +3,10 @@ combination, projection, filtering, and rate estimation.
 
 The per-window search is ``gass.solve_delay_basis``, the closed-form
 delay-basis solve over a denominator the window's own CSI picks (its
-steadiest kept row), and the stream fan-out divides its numerator by every
-row the guard keeps. The search draws nothing at random, so a window's
-solution depends only on its CSI, in ``run`` and ``gass-audit`` alike.
+steadiest kept row), and the stream fan-out divides its numerator by the
+16 steadiest kept rows (``gass.FANOUT_ROWS``). The search draws nothing at
+random, so a window's solution depends only on its CSI, in ``run`` and
+``gass-audit`` alike.
 
 A ``CsiTrace`` is block-averaged once, in ``segment``. The packets are
 screened in one-second frames by a motion gate on the phase of a reference
@@ -225,13 +226,14 @@ def _run_stages(
     config: PipelineConfig,
     window_id: int,
     guards: GuardTable,
+    ranking: np.ndarray,
 ) -> tuple[RespirationEstimate, dict[str, float]]:
     """Stream fan-out through rate estimation for one window, given its
-    block-averaged CSI, its solution and its matrix's ``guard_table``. The
-    solution's numerator is rebuilt on the window's grid frequencies."""
+    block-averaged CSI, its solution, and its matrix's ``guard_table`` and
+    ``gass.steadiness_ranking``. The numerator is rebuilt on its grid."""
     averaged, eff_rate = window.values, window.sample_rate_hz
     genome = solution.genome(window.grid.center_frequency_hz)
-    streams = gass_mod.build_streams(genome, averaged, eff_rate, guards=guards)
+    streams = gass_mod.build_streams(genome, averaged, eff_rate, guards=guards, ranking=ranking)
     aligned = align_streams(streams, gain_window=max(1, int(GAIN_WINDOW_S * eff_rate)))
     combined = combine(
         aligned, smoothing_window=max(1, int(SMOOTHING_S * eff_rate)), mu=config.mu
@@ -260,8 +262,9 @@ def run_pipeline(
     Deterministic for a fixed (trace, config), with no random draw. The
     search (``gass.solve_delay_basis``) needs the trace's grid for its
     subcarrier frequencies. ``plan`` is ``segment(trace, config)`` when the
-    caller already has it. Each window builds one ``guard_table`` for its
-    search and stream fan-out. The windows run through ``_window_results``.
+    caller already has it. Each window builds one ``guard_table`` and one
+    ``gass.steadiness_ranking`` for its search and stream fan-out. The
+    windows run through ``_window_results``.
     """
     config = config or PipelineConfig()
     plan = plan if plan is not None else segment(trace, config)
@@ -317,12 +320,12 @@ def _run_windows(
     ``plan``, in window order. The outcome is the estimate and stage band
     ratios, or the stage error that stopped them.
 
-    ``method`` "full" runs the window's guard table, its
-    ``gass.solve_delay_basis`` solution, then ``_run_stages``. "amplitude"
-    and "phase" are the single-component baselines: |ratio| or the
-    unwrapped angle of the reference pair's ratio (the grid's first and
-    last subcarrier), cleaned and read out, with no solution and no stage
-    band ratios.
+    ``method`` "full" runs the window's guard table and steadiness ranking,
+    then its ``gass.solve_delay_basis`` solution and ``_run_stages``, which
+    share them. "amplitude" and "phase" are the single-component
+    baselines: |ratio| or the unwrapped angle of the reference pair's ratio
+    (the grid's first and last subcarrier), cleaned and read out, with no
+    solution and no stage band ratios.
     """
     outcomes: list = []
     for window_id in range(first, stop):
@@ -332,10 +335,11 @@ def _run_windows(
         try:
             if method == "full":
                 guards = guard_table(window.values)
+                ranking = gass_mod.steadiness_ranking(window.values, guards)
                 solution = gass_mod.solve_delay_basis(
-                    window.values, window.grid.center_frequency_hz, rate, guards
+                    window.values, window.grid.center_frequency_hz, rate, guards, ranking
                 )
-                outcome = _run_stages(window, solution, config, window_id, guards)
+                outcome = _run_stages(window, solution, config, window_id, guards, ranking)
             else:
                 values, _ = guarded_ratio(window.values[0], window.values[-1])
                 series = np.abs(values) if method == "amplitude" else np.unwrap(np.angle(values))

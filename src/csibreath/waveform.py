@@ -132,18 +132,17 @@ def hampel(
     width = 2 * half_width + 1
     med = np.empty(n)
     mad = np.empty(n)
-    if n >= width:  # samples with a full window, all at once
-        windows = sliding_window_view(x, width)
-        full = slice(half_width, n - half_width)
-        med[full] = median(windows, axis=1)
-        mad[full] = median(np.abs(windows - med[full, None]), axis=1)
-        truncated = [*range(half_width), *range(n - half_width, n)]
+    if n >= width:  # the full windows at once, then the truncated ones as a left and
+        # a right row of each length: a row partitions as it would alone
+        groups = [(sliding_window_view(x, width), slice(half_width, n - half_width))] + [
+            (np.stack([x[:size], x[n - size :]]), [size - half_width - 1, n - size + half_width])
+            for size in range(half_width + 1, width)
+        ]
     else:
-        truncated = range(n)
-    for k in truncated:
-        window = x[max(0, k - half_width) : k + half_width + 1]
-        med[k] = median(window)
-        mad[k] = median(np.abs(window - med[k]))
+        groups = [(x[None, max(0, k - half_width) : k + half_width + 1], [k]) for k in range(n)]
+    for windows, k in groups:
+        med[k] = median(windows, axis=1)
+        mad[k] = median(np.abs(windows - med[k, None]), axis=1)
     outliers = np.abs(x - med) > threshold * 1.4826 * mad
     return np.where(outliers, med, x), int(outliers.sum())
 

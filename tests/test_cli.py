@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from csibreath import cli, config, gass, pipeline, traceio
+from csibreath.errors import ConfigurationError, check_real
 from csibreath.pipeline import PipelineConfig
 from csibreath.traceio import read_trace, write_trace
 
@@ -196,6 +197,39 @@ def test_a_boolean_sweep_condition_exits_2(tmp_path, capsys, command, sweep, mes
     assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}, got True\n"
     assert list(out.iterdir()) == []
+
+
+_BEYOND_FLOAT = 10**400  # an integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "value, finite",
+    [(_BEYOND_FLOAT, True), (-_BEYOND_FLOAT, True), (_BEYOND_FLOAT, False)],
+    ids=["positive", "negative", "positive where infinity is allowed"],
+)
+def test_check_real_rejects_an_integer_beyond_the_float_range(value, finite):
+    kind = "a finite number" if finite else "a number"
+    with pytest.raises(ConfigurationError, match=f"^x must be {kind}, got {value}$"):
+        check_real("x", value, finite=finite)
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("simulate", _BASE.replace("sample_rate_hz: 20.0", f"sample_rate_hz: {_BEYOND_FLOAT}"),
+         "sample_rate_hz must be a finite number"),
+        ("sweep-blindspot", _BASE + f"sweep: {{offsets_m: [{_BEYOND_FLOAT}]}}\n",
+         "offsets_m must be a finite number"),
+    ],
+    ids=["simulate sample rate", "sweep-blindspot offset"],
+)
+def test_an_integer_beyond_the_float_range_exits_2(tmp_path, capsys, command, text, message):
+    config = tmp_path / "big.yaml"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}, got {_BEYOND_FLOAT}\n"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):

@@ -16,9 +16,11 @@ from csibreath.gass import (
     fitness,
     pick_denominator,
     solve_delay_basis,
+    steadiness_ranking,
 )
 from csibreath.grid import FIELD_HT_LTF, FIELD_L_LTF, SubcarrierGrid, custom_grid
 from csibreath.ratio import (
+    GuardTable,
     average_phase_blocks,
     band_spectrum,
     guard_table,
@@ -239,9 +241,10 @@ def test_toy_grid_search_matches_exhaustive():
 # ----------------------------------------------------------------------------
 
 
-def test_build_streams_covers_every_kept_row():
-    # the closed-form numerator spans every row but its denominator, so the
-    # fan-out divides it by every row the guard keeps, numerator rows included
+def test_build_streams_on_a_small_grid_covers_every_kept_row():
+    # the closed-form numerator spans every row but its denominator, so with
+    # no more than FANOUT_ROWS kept rows the fan-out divides it by every one,
+    # numerator rows included
     matrix = _toy_matrix(n_tones=12, spacing_hz=2.5e6)
     matrix[4] = 0.0  # rejected by the guard
     guards = guard_table(matrix)
@@ -258,6 +261,52 @@ def test_build_streams_covers_every_kept_row():
     pair = GassSolution(d, 1.0, m1, 1.0).genome(_toy_frequencies(12, 2.5e6))
     fallback = build_streams(pair, matrix, 10.0, guards=guards)
     assert fallback.denominators.tolist() == [m for m in range(12) if m not in (4, m1)]
+
+
+def test_build_streams_fans_out_over_the_steadiest_kept_rows():
+    frequencies = _toy_frequencies(24, 2.5e6)
+    matrix = _toy_matrix(n_tones=24, spacing_hz=2.5e6).copy()
+    matrix[[3, 17]] = 0.0  # rejected by the guard
+    guards = guard_table(matrix)
+    assert np.flatnonzero(guards.rejected).tolist() == [3, 17]
+    ranking = steadiness_ranking(matrix, guards)
+    assert pick_denominator(matrix, guards) == ranking[0]
+    steadiness = {m: _steadiness(matrix[m]) for m in range(24) if m not in (3, 17)}
+    by_steadiness = sorted(steadiness, key=lambda m: (-steadiness[m], m))
+    assert ranking.tolist() == by_steadiness + [3, 17]
+    assert gass.FANOUT_ROWS == 16
+    solution = solve_delay_basis(matrix, frequencies, 10.0, guards, ranking)
+    genome = solution.genome(frequencies)
+    assert genome.weights.size == 23  # not the fallback
+    streams = build_streams(genome, matrix, 10.0, guards=guards, ranking=ranking)
+    assert len(streams) == 16 and streams.values.shape == (16, matrix.shape[1])
+    assert streams.denominators.tolist() == sorted(by_steadiness[:16])
+    assert solution.denominator_index == by_steadiness[0] in streams.denominators
+    assert not {3, 17} & set(streams.denominators.tolist())
+    # a rejected row ranks last however steady it is, and gets no stream
+    top = by_steadiness[0]
+    forced = GuardTable(guards.flagged, guards.rejected | (np.arange(24) == top))
+    assert steadiness_ranking(matrix, forced).tolist() == by_steadiness[1:] + sorted({3, 17, top})
+    without = build_streams(genome, matrix, 10.0, guards=forced)
+    assert without.denominators.tolist() == sorted(by_steadiness[1:17])
+    default = build_streams(genome, matrix, 10.0, guards=guards)  # ranks them itself
+    assert default.denominators.tolist() == streams.denominators.tolist()
+    assert default.values.tobytes() == streams.values.tobytes()
+    # a fallback pair leaves its numerator row out, and the 17th row takes its place
+    m1 = by_steadiness[5]
+    pair = GassSolution(solution.denominator_index, 1.0, m1, 1.0).genome(frequencies)
+    fallback = build_streams(pair, matrix, 10.0, guards=guards, ranking=ranking)
+    expected = sorted(m for m in by_steadiness[:17] if m != m1)
+    assert fallback.denominators.tolist() == expected and len(fallback) == 16
+    # rows of equal steadiness go to the lowest index
+    tied = np.tile(matrix[0], (24, 1))
+    tied[[3, 17]] = 0.0
+    tied_guards = guard_table(tied)
+    assert steadiness_ranking(tied, tied_guards).tolist() == [
+        m for m in range(24) if m not in (3, 17)
+    ] + [3, 17]
+    fanned = build_streams(genome, tied, 10.0, guards=tied_guards)
+    assert fanned.denominators.tolist() == [m for m in range(18) if m != 3][:16]
 
 
 def test_build_streams_values_match_direct_ratio():
