@@ -533,76 +533,78 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         assert "unknown pipeline keys" in capsys.readouterr().err
 
 
+# explicit ids, the ones each case always ran under, so that removing a
+# case renames no other
 @pytest.mark.parametrize(
     "command, seed, section, key, value",
     [
-        ("run", 0, "pipeline", "reference_pair", [0, 99]),   # a removed key
-        ("run", 0, "pipeline", "reference_pair", [2, 2]),
-        ("run", 0, "pipeline", "ga", {"populaton": 64}),     # a misspelt retired key
-        ("run", 0, "pipeline", "ga", {"seed_pol": 200}),
-        ("run", 0, "pipeline", "mu", 1.5),
-        ("run", 0, "pipeline", "window_s", -10),
-        ("run", 0, "pipeline", "phase_block", -3),           # a removed key
-        ("run", 0, "impairments", "seed", -5),
-        ("run", 0, "pipeline", "ga", {"mu": 0.5}),           # not a key of the section
-        ("run", 0, "pipeline", "ga", {"reuse_tolerance": 0.1}),
-        ("run", 0, "pipeline", "ga", [8, 3]),
-        ("run", 0, None, "impairments", 0.02),
-        ("run", 0, None, "pipeline", ["n_numerators"]),
-        ("run", 0, None, "scenario", "breathing"),
-        ("run", 0, "scenario", "static_paths", None),
-        ("run", 0, "scenario", "static_paths", [6.0]),
-        ("run", 0, "scenario", "motion_events", {"time_s": 5.0}),
-        ("run", 0, "grid", "center_frequencies_hz", ["abc", 2.4545e9, 2.457e9,
-                                                     2.4595e9, 2.462e9, 2.4645e9]),
-        ("run", 0, "grid", "physical_indices", ["a", "b", "c", "d", "e", "f"]),
-        ("sweep-blindspot", 0, None, "sweep", [0.0, 0.03]),
-        ("run", -1, None, None, None),
-        ("sweep-blindspot", -1, None, None, None),
-        ("sweep-snr", -1, None, None, None),
-        ("run", 0, "pipeline", "motion_threshold_rad", "abc"),
-        ("run", 0, "pipeline", "motion_threshold_rad", float("nan")),
-        ("run", 0, "pipeline", "motion_threshold_rad", True),
-        ("simulate", 0, "impairments", "cfo_walk_std", -0.05),
-        ("simulate", 0, "impairments", "impulse_rate_hz", "abc"),
-        ("simulate", 0, "impairments", "pbd_noise_std", "abc"),
-        ("simulate", 0, "impairments", "gaussian_noise_std", -0.1),
-        ("simulate", 0, "impairments", "impulse_log_std", float("inf")),
-        ("run", 0, "impairments", "cfo_bound_rad", float("nan")),
-        ("simulate", 0, "scenario", "sample_rate_hz", float("inf")),
-        ("run", 0, "scenario", "sample_rate_hz", float("nan")),
-        ("run", 0, "scenario", "duration_s", float("inf")),
-        ("simulate", 0, "scenario", "duration_s", float("nan")),
-        ("run", 0, "scenario", "base_dynamic_length_m", float("nan")),
-        ("run", 0, "scenario", "dynamic_amplitude", float("nan")),
-        ("run", 0, "scenario", "dynamic_amplitude", [0.1] * 5 + [float("nan")]),
-        ("run", 0, "scenario", "geometric_factor", float("nan")),
-        ("run", 0, "scenario", "static_paths", [{"amplitude": float("nan"), "length_m": 6.0}]),
-        ("run", 0, "scenario", "static_paths", [{"amplitude": 1.0, "length_m": float("inf")}]),
-        ("run", 0, "scenario", "static_paths", [{"amplitude": "abc", "length_m": 6.0}]),
-        ("run", 0, "scenario", "motion", _SINUSOID | {"rate_hz": float("nan")}),
-        ("run", 0, "scenario", "motion", _SINUSOID | {"rate_hz": "abc"}),
-        ("run", 0, "scenario", "motion", _SINUSOID | {"amplitude_m": float("nan")}),
-        ("simulate", 0, "scenario", "motion", _SINUSOID | {"phase_rad": float("inf")}),
-        ("run", 0, "scenario", "motion", {"kind": "chirp", "start_rate_hz": "abc",
-                                          "end_rate_hz": 0.3, "amplitude_m": 0.003}),
-        ("run", 0, "scenario", "motion", {"kind": "chirp", "start_rate_hz": 0.2,
-                                          "end_rate_hz": float("nan"), "amplitude_m": 0.003}),
-        ("run", 0, "scenario", "motion", _STEPS | {"segments": [[10, 0.25, 3]]}),
-        ("run", 0, "scenario", "motion", _STEPS | {"segments": 5}),
-        ("run", 0, "scenario", "motion", _STEPS | {"segments": []}),
-        ("run", 0, "scenario", "motion", _STEPS | {"segments": [[-1.0, 0.25], [20, 0.3]]}),
-        ("run", 0, "scenario", "motion", _STEPS | {"segments": [[10, "abc"]]}),
-        ("run", 0, "scenario", "motion", _STEPS | {"amplitude_m": float("nan")}),
-        ("run", 0, "scenario", "motion_events", [{"time_s": float("nan")}]),
-        ("run", 0, "scenario", "motion_events", [{"time_s": 5.0, "static_shift_m": float("inf")}]),
-        ("run", 0, "scenario", "motion_events", [{"time_s": 5.0, "dynamic_shift_m": "abc"}]),
-        ("run", 0, "scenario", "dynamic_amplitude", [0.1] * 5),       # 6 tones
-        ("sweep-blindspot", 0, "scenario", "dynamic_amplitude", [0.1] * 7),
-        ("simulate", 0, "scenario", "static_paths", [{"amplitude": [1.0] * 5, "length_m": 6.0}]),
-        ("run", 0, "pipeline", "mu", True),                  # a bool is not a number
-        ("run", 0, "pipeline", "mu", "0.5"),                 # quoted in YAML
-        ("run", 0, "pipeline", "window_s", "10"),
+        pytest.param("run", 0, "pipeline", "reference_pair", [0, 99], id="run-0-pipeline-reference_pair-value0"),  # a removed key
+        pytest.param("run", 0, "pipeline", "reference_pair", [2, 2], id="run-0-pipeline-reference_pair-value1"),
+        pytest.param("run", 0, "pipeline", "ga", {"populaton": 64}, id="run-0-pipeline-ga-value2"),  # a misspelt retired key
+        pytest.param("run", 0, "pipeline", "ga", {"seed_pol": 200}, id="run-0-pipeline-ga-value3"),
+        pytest.param("run", 0, "pipeline", "mu", 1.5, id="run-0-pipeline-mu-1.5"),
+        pytest.param("run", 0, "pipeline", "window_s", -10, id="run-0-pipeline-window_s--10"),
+        pytest.param("run", 0, "pipeline", "phase_block", -3, id="run-0-pipeline-phase_block--3"),  # a removed key
+        pytest.param("run", 0, "impairments", "seed", -5, id="run-0-impairments-seed--5"),
+        pytest.param("run", 0, "pipeline", "ga", {"mu": 0.5}, id="run-0-pipeline-ga-value8"),  # not a key of the section
+        pytest.param("run", 0, "pipeline", "ga", {"reuse_tolerance": 0.1}, id="run-0-pipeline-ga-value9"),
+        pytest.param("run", 0, "pipeline", "ga", [8, 3], id="run-0-pipeline-ga-value10"),
+        pytest.param("run", 0, None, "impairments", 0.02, id="run-0-None-impairments-0.02"),
+        pytest.param("run", 0, None, "pipeline", ["n_numerators"], id="run-0-None-pipeline-value12"),
+        pytest.param("run", 0, None, "scenario", "breathing", id="run-0-None-scenario-breathing"),
+        pytest.param("run", 0, "scenario", "static_paths", None, id="run-0-scenario-static_paths-None"),
+        pytest.param("run", 0, "scenario", "static_paths", [6.0], id="run-0-scenario-static_paths-value15"),
+        pytest.param("run", 0, "scenario", "motion_events", {"time_s": 5.0}, id="run-0-scenario-motion_events-value16"),
+        pytest.param("run", 0, "grid", "center_frequencies_hz", ["abc", 2.4545e9, 2.457e9,
+                                                                  2.4595e9, 2.462e9, 2.4645e9], id="run-0-grid-center_frequencies_hz-value17"),
+        pytest.param("run", 0, "grid", "physical_indices", ["a", "b", "c", "d", "e", "f"], id="run-0-grid-physical_indices-value18"),
+        pytest.param("sweep-blindspot", 0, None, "sweep", [0.0, 0.03], id="sweep-blindspot-0-None-sweep-value19"),
+        pytest.param("run", -1, None, None, None, id="run--1-None-None-None"),
+        pytest.param("sweep-blindspot", -1, None, None, None, id="sweep-blindspot--1-None-None-None"),
+        pytest.param("sweep-snr", -1, None, None, None, id="sweep-snr--1-None-None-None"),
+        pytest.param("run", 0, "pipeline", "motion_threshold_rad", "abc", id="run-0-pipeline-motion_threshold_rad-abc"),
+        pytest.param("run", 0, "pipeline", "motion_threshold_rad", float("nan"), id="run-0-pipeline-motion_threshold_rad-nan"),
+        pytest.param("run", 0, "pipeline", "motion_threshold_rad", True, id="run-0-pipeline-motion_threshold_rad-True"),
+        pytest.param("simulate", 0, "impairments", "cfo_walk_std", -0.05, id="simulate-0-impairments-cfo_walk_std--0.05"),
+        pytest.param("simulate", 0, "impairments", "impulse_rate_hz", "abc", id="simulate-0-impairments-impulse_rate_hz-abc"),
+        pytest.param("simulate", 0, "impairments", "pbd_noise_std", "abc", id="simulate-0-impairments-pbd_noise_std-abc"),
+        pytest.param("simulate", 0, "impairments", "gaussian_noise_std", -0.1, id="simulate-0-impairments-gaussian_noise_std--0.1"),
+        pytest.param("simulate", 0, "impairments", "impulse_log_std", float("inf"), id="simulate-0-impairments-impulse_log_std-inf"),
+        pytest.param("run", 0, "impairments", "cfo_bound_rad", float("nan"), id="run-0-impairments-cfo_bound_rad-nan"),
+        pytest.param("simulate", 0, "scenario", "sample_rate_hz", float("inf"), id="simulate-0-scenario-sample_rate_hz-inf"),
+        pytest.param("run", 0, "scenario", "sample_rate_hz", float("nan"), id="run-0-scenario-sample_rate_hz-nan"),
+        pytest.param("run", 0, "scenario", "duration_s", float("inf"), id="run-0-scenario-duration_s-inf"),
+        pytest.param("simulate", 0, "scenario", "duration_s", float("nan"), id="simulate-0-scenario-duration_s-nan"),
+        pytest.param("run", 0, "scenario", "base_dynamic_length_m", float("nan"), id="run-0-scenario-base_dynamic_length_m-nan"),
+        pytest.param("run", 0, "scenario", "dynamic_amplitude", float("nan"), id="run-0-scenario-dynamic_amplitude-nan"),
+        pytest.param("run", 0, "scenario", "dynamic_amplitude", [0.1] * 5 + [float("nan")], id="run-0-scenario-dynamic_amplitude-value38"),
+        pytest.param("run", 0, "scenario", "geometric_factor", float("nan"), id="run-0-scenario-geometric_factor-nan"),
+        pytest.param("run", 0, "scenario", "static_paths", [{"amplitude": float("nan"), "length_m": 6.0}], id="run-0-scenario-static_paths-value40"),
+        pytest.param("run", 0, "scenario", "static_paths", [{"amplitude": 1.0, "length_m": float("inf")}], id="run-0-scenario-static_paths-value41"),
+        pytest.param("run", 0, "scenario", "static_paths", [{"amplitude": "abc", "length_m": 6.0}], id="run-0-scenario-static_paths-value42"),
+        pytest.param("run", 0, "scenario", "motion", _SINUSOID | {"rate_hz": float("nan")}, id="run-0-scenario-motion-value43"),
+        pytest.param("run", 0, "scenario", "motion", _SINUSOID | {"rate_hz": "abc"}, id="run-0-scenario-motion-value44"),
+        pytest.param("run", 0, "scenario", "motion", _SINUSOID | {"amplitude_m": float("nan")}, id="run-0-scenario-motion-value45"),
+        pytest.param("simulate", 0, "scenario", "motion", _SINUSOID | {"phase_rad": float("inf")}, id="simulate-0-scenario-motion-value46"),
+        pytest.param("run", 0, "scenario", "motion", {"kind": "chirp", "start_rate_hz": "abc",
+                                                       "end_rate_hz": 0.3, "amplitude_m": 0.003}, id="run-0-scenario-motion-value47"),
+        pytest.param("run", 0, "scenario", "motion", {"kind": "chirp", "start_rate_hz": 0.2,
+                                                       "end_rate_hz": float("nan"), "amplitude_m": 0.003}, id="run-0-scenario-motion-value48"),
+        pytest.param("run", 0, "scenario", "motion", _STEPS | {"segments": [[10, 0.25, 3]]}, id="run-0-scenario-motion-value49"),
+        pytest.param("run", 0, "scenario", "motion", _STEPS | {"segments": 5}, id="run-0-scenario-motion-value50"),
+        pytest.param("run", 0, "scenario", "motion", _STEPS | {"segments": []}, id="run-0-scenario-motion-value51"),
+        pytest.param("run", 0, "scenario", "motion", _STEPS | {"segments": [[-1.0, 0.25], [20, 0.3]]}, id="run-0-scenario-motion-value52"),
+        pytest.param("run", 0, "scenario", "motion", _STEPS | {"segments": [[10, "abc"]]}, id="run-0-scenario-motion-value53"),
+        pytest.param("run", 0, "scenario", "motion", _STEPS | {"amplitude_m": float("nan")}, id="run-0-scenario-motion-value54"),
+        pytest.param("run", 0, "scenario", "motion_events", [{"time_s": float("nan")}], id="run-0-scenario-motion_events-value55"),
+        pytest.param("run", 0, "scenario", "motion_events", [{"time_s": 5.0, "static_shift_m": float("inf")}], id="run-0-scenario-motion_events-value56"),
+        pytest.param("run", 0, "scenario", "motion_events", [{"time_s": 5.0, "dynamic_shift_m": "abc"}], id="run-0-scenario-motion_events-value57"),
+        pytest.param("run", 0, "scenario", "dynamic_amplitude", [0.1] * 5, id="run-0-scenario-dynamic_amplitude-value58"),  # 6 tones
+        pytest.param("sweep-blindspot", 0, "scenario", "dynamic_amplitude", [0.1] * 7, id="sweep-blindspot-0-scenario-dynamic_amplitude-value59"),
+        pytest.param("simulate", 0, "scenario", "static_paths", [{"amplitude": [1.0] * 5, "length_m": 6.0}], id="simulate-0-scenario-static_paths-value60"),
+        pytest.param("run", 0, "pipeline", "mu", True, id="run-0-pipeline-mu-True"),  # a bool is not a number
+        pytest.param("run", 0, "pipeline", "mu", "0.5", id="run-0-pipeline-mu-0.5"),  # quoted in YAML
+        pytest.param("run", 0, "pipeline", "window_s", "10", id="run-0-pipeline-window_s-10"),
     ],
 )
 def test_bad_values_and_seeds_exit_2(tmp_path, capsys, command, seed, section, key, value):

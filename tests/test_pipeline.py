@@ -108,36 +108,38 @@ def test_plan_windows_are_slices_of_the_averaged_trace(breathing_scenario, grid,
     assert any(shifts) == (plan.frame_samples % k1 != 0)
 
 
+# explicit ids, the ones each case always ran under, so that removing a
+# case renames no other
 @pytest.mark.parametrize(
     "fields",
     [
-        {"window_s": -1.0},
-        {"window_s": float("-inf")},
-        {"window_s": float("nan")},
-        {"window_s": 0.0},
-        {"window_s": float("inf")},
-        {"window_s": 9.49},                 # round(9.49) = 9 frames of 1 s
-        {"window_s": 9.4},                  # 9 frames of 1 s
-        {"window_s": 5.0},
-        {"window_s": 1e-320},               # positive, but no whole frame
-        {"mu": True},                       # a bool is not a number
-        {"mu": "0.5"},                      # quoted in YAML
-        {"mu": 1.5},
-        {"mu": float("nan")},
-        {"mu": -0.1},
-        {"mu": False},
-        {"mu": None},
-        {"mu": [0.5]},
-        {"window_s": True},
-        {"window_s": False},
-        {"window_s": "10"},
-        {"window_s": None},
-        {"window_s": [10.0]},
-        {"mu": float("inf")},
-        {"motion_threshold_rad": "abc"},
-        {"motion_threshold_rad": float("nan")},
-        {"motion_threshold_rad": True},
-        {"motion_threshold_rad": None},
+        pytest.param({"window_s": -1.0}, id="fields0"),
+        pytest.param({"window_s": float("-inf")}, id="fields1"),
+        pytest.param({"window_s": float("nan")}, id="fields2"),
+        pytest.param({"window_s": 0.0}, id="fields3"),
+        pytest.param({"window_s": float("inf")}, id="fields4"),
+        pytest.param({"window_s": 9.49}, id="fields5"),  # round(9.49) = 9 frames of 1 s
+        pytest.param({"window_s": 9.4}, id="fields6"),  # 9 frames of 1 s
+        pytest.param({"window_s": 5.0}, id="fields7"),
+        pytest.param({"window_s": 1e-320}, id="fields8"),  # positive, but no whole frame
+        pytest.param({"mu": True}, id="fields9"),  # a bool is not a number
+        pytest.param({"mu": "0.5"}, id="fields10"),  # quoted in YAML
+        pytest.param({"mu": 1.5}, id="fields11"),
+        pytest.param({"mu": float("nan")}, id="fields12"),
+        pytest.param({"mu": -0.1}, id="fields13"),
+        pytest.param({"mu": False}, id="fields14"),
+        pytest.param({"mu": None}, id="fields15"),
+        pytest.param({"mu": [0.5]}, id="fields16"),
+        pytest.param({"window_s": True}, id="fields17"),
+        pytest.param({"window_s": False}, id="fields18"),
+        pytest.param({"window_s": "10"}, id="fields19"),
+        pytest.param({"window_s": None}, id="fields20"),
+        pytest.param({"window_s": [10.0]}, id="fields21"),
+        pytest.param({"mu": float("inf")}, id="fields22"),
+        pytest.param({"motion_threshold_rad": "abc"}, id="fields23"),
+        pytest.param({"motion_threshold_rad": float("nan")}, id="fields24"),
+        pytest.param({"motion_threshold_rad": True}, id="fields25"),
+        pytest.param({"motion_threshold_rad": None}, id="fields26"),
     ],
 )
 def test_pipeline_config_rejects_bad_geometry(fields):
