@@ -53,7 +53,8 @@ from .pipeline import (
     segment,
     snr_sweep,
 )
-from .simulate import CsiTrace, apply_impairments, generate_ideal_csi
+from .simulate import apply_impairments, generate_ideal_csi
+from .trace import CsiTrace
 from .traceio import read_trace, write_trace
 
 EXIT_CONFIG = 2
@@ -213,7 +214,7 @@ def _cmd_sweep_blindspot(config: dict, seed: int, out: Path) -> int:
         offsets = sweep["offsets_m"]
     else:
         positions = sweep.get("positions", 32)
-        check_integer("sweep.positions", positions, 1)
+        check_integer("sweep.positions", positions, 1, np.iinfo(np.int64).max)
         span = sweep.get("span_wavelengths", 1.0)
         check_real("sweep.span_wavelengths", span)
         wavelength = float(np.mean(grid.wavelength_m))
@@ -251,12 +252,11 @@ def _cmd_gass_audit(config: dict, seed: int, out: Path) -> int:
     the plan cut down to that window, and the best of every ordered single
     pair on the same window, an exact reference."""
     trace = _load_trace(config, seed)
-    pipeline_config = pipeline_from_config(config)
-    plan = segment(trace, pipeline_config)
+    plan = segment(trace, pipeline_from_config(config))
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window to audit")
     first_window = dataclasses.replace(plan, window_starts=plan.window_starts[:1])
-    solution = run_pipeline(trace, pipeline_config, plan=first_window)[0].solution
+    solution = run_pipeline(trace, plan=first_window)[0].solution
     window = plan.window(int(plan.window_starts[0]))
     m1, d, best_fitness = best_single_pair(window.values, window.sample_rate_hz)
     record = _solution_record(solution)

@@ -5,9 +5,9 @@ amplitude scale, and rotation in the complex plane. Alignment removes the
 offset (Q), divides by a sliding-window gain estimate (V = Q / G), and
 rotates each stream onto the best one before a quality-weighted sum, which
 a centered moving average then smooths at the streams' own rate. Streams
-whose band ratio falls below a fraction mu of the best stream's are
-dropped; the best stream itself always survives (the threshold is
-inclusive).
+whose band ratio falls below a fraction mu (a constant 0.5 in the pipeline)
+of the best stream's are dropped; the best stream itself always survives
+(the threshold is inclusive).
 
 A window's streams travel as arrays, one row per stream: ``StreamStack``
 from the fan-out, ``AlignedStack`` from alignment. Alignment and summation
@@ -157,7 +157,8 @@ def combine(
 
     A stream survives when its band ratio is at least ``mu`` times the best
     stream's (inclusive, so the best stream always contributes). Surviving
-    streams are weighted by their band ratio.
+    streams are weighted by their band ratio. The pipeline keeps the default
+    0.5: no cut (0) moved no row of a paired check at p < 0.05 (README).
     """
     if not len(aligned):
         raise ConfigurationError("no aligned streams to combine")

@@ -3,7 +3,7 @@
 One file describes a whole run: the grid, a scenario (or an input trace),
 impairments, pipeline knobs, and sweep settings. Unknown keys are rejected
 so typos fail loudly instead of silently running defaults; only the retired
-search keys are dropped, with a warning. The full schema is
+pipeline keys are dropped, with a warning. The full schema is
 documented in the README.
 """
 
@@ -36,11 +36,12 @@ logger = logging.getLogger(__name__)
 TOP_LEVEL_KEYS = {"grid", "scenario", "impairments", "input", "pipeline", "sweep"}
 SWEEP_KEYS = {"offsets_m", "positions", "span_wavelengths", "noise_stds", "runs_per_level"}
 
-# Settings of searches the closed-form, deterministic one replaced: the
-# genetic algorithm, its solution reuse and its random pair ranking. Configs
-# written for them still load: these keys are dropped with one warning.
+# Settings the method now fixes: the stream cut ``mu`` and those of the
+# searches the closed-form, deterministic one replaced (the genetic algorithm,
+# its solution reuse and its random pair ranking). Configs that set them
+# still load: these keys are dropped with one warning.
 RETIRED_KEYS = {
-    "pipeline": ("n_numerators", "reuse_tolerance"),
+    "pipeline": ("n_numerators", "mu", "reuse_tolerance"),
     "pipeline.ga": (
         "population", "generations", "tournament", "crossover_prob", "mutation_prob",
         "weight_sigma", "elites", "stagnation_limit", "seed_pool", "seed_top",
@@ -204,7 +205,7 @@ def pipeline_from_config(config: dict) -> PipelineConfig:
         section.pop(key, None)
     if retired:
         logger.warning(
-            "ignoring retired search keys: %s (the search is closed-form and deterministic)",
+            "ignoring retired pipeline keys: %s (the search is closed-form, the stream cut 0.5)",
             ", ".join(retired),
         )
     return _build(PipelineConfig, section, "pipeline")

@@ -46,11 +46,13 @@ class ZeroVarianceError(CsiBreathError):
     """Autocorrelation of a constant (zero-variance) series is undefined."""
 
 
-def check_integer(name: str, value, minimum: int) -> None:
+def check_integer(name: str, value, minimum: int, maximum: float = math.inf) -> None:
     """Raise ConfigurationError unless ``value`` is an integer (not a bool)
-    of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    from ``minimum`` to ``maximum``."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or not minimum <= value <= maximum):
+        bound = f"from {minimum} to {maximum}" if maximum < math.inf else f">= {minimum}"
+        raise ConfigurationError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def check_real(name: str, value, minimum: float = -math.inf, finite: bool = True) -> None:

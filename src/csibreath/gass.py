@@ -212,11 +212,6 @@ def steadiness_ranking(matrix: np.ndarray, guards: GuardTable) -> np.ndarray:
     return np.argsort(-steadiness, kind="stable")
 
 
-def pick_denominator(matrix: np.ndarray, guards: GuardTable) -> int:
-    """The search's denominator: the first row of ``steadiness_ranking``."""
-    return int(steadiness_ranking(matrix, guards)[0])
-
-
 def solve_delay_basis(
     matrix: np.ndarray,
     frequencies_hz: np.ndarray,
@@ -227,7 +222,7 @@ def solve_delay_basis(
     """Closed-form search on one analysis window.
 
     The denominator d is the first row of ``ranking``, the window's
-    ``steadiness_ranking`` (``pick_denominator`` when not given), and every
+    ``steadiness_ranking`` (computed when not given), and every
     other row is a numerator. Its weights are w = F c over the delay basis
     F[m, t] = exp(j 2 pi (f_m - mean f) tau_t), with at most as many delays as
     numerator rows. The rows are projected onto the basis first, S_t =
@@ -256,7 +251,7 @@ def solve_delay_basis(
     if frequencies.shape != (n_sub,):
         raise ConfigurationError("need one center frequency per subcarrier row")
     guards = guards if guards is not None else guard_table(matrix)
-    d = pick_denominator(matrix, guards) if ranking is None else int(ranking[0])
+    d = int((steadiness_ranking(matrix, guards) if ranking is None else ranking)[0])
     numerators = np.flatnonzero(np.arange(n_sub) != d)
     scores = _pair_scores(matrix, sample_rate_hz, guards, numerators, d)
     best = int(np.argmax(scores))

@@ -2,7 +2,7 @@
 ``pool_map``, with a pool of its own:
 
 - ``traceio.write_trace``: the row ranges of a trace being written (the
-  pool of ``simulate``);
+  pool of the ``simulate`` command);
 - ``traceio.read_trace``: the byte ranges of a trace file being read, only
   when no companion ``.npy`` table of it matches;
 - ``pipeline.run_pipeline`` and ``pipeline.single_component_estimates``:
@@ -31,7 +31,8 @@ after the fork is imported again in each worker, into private pages: in a
 sweep the largest worker set the command's peak RSS. So the package imports
 every module its tasks use at module level, by name: numpy loads
 ``numpy.random`` and ``numpy.fft`` only on first attribute access, and the
-parent would otherwise never touch them before forking.
+parent would otherwise never touch them before forking. ``numpy.random`` is
+the simulator's alone, loaded with it by ``pipeline`` for the sweeps.
 """
 
 from __future__ import annotations

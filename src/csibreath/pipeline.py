@@ -8,20 +8,22 @@ steadiest kept row), and the stream fan-out divides its numerator by the
 random, so a window's solution depends only on its CSI, in ``run`` and
 ``gass-audit`` alike.
 
-A ``CsiTrace`` is block-averaged once, in ``segment``. The packets are
-screened in one-second frames by a motion gate on the phase of a reference
-ratio pair (ratios are offset-free, so a gross-motion artifact shows up as a
-large in-frame phase excursion). Ten-second analysis windows are assembled
-only from consecutive accepted frames, sliding by one frame, and every
-window is a slice of the averaged trace (``WindowPlan.window``), for the
-live run, the single-component baselines and the search audit alike. Both
-evaluation sweeps run each condition through one runner
-(``_condition_rates``): it synthesizes and impairs the condition's trace,
-segments it once, hands the plan to both the pipeline and the baselines,
-and returns each method's per-window rates; a sweep keeps only its own
-aggregation. Each window runs the full stack, or a baseline's, and yields
-an estimate with provenance; a stage failure yields a reason-coded empty
-result instead of aborting.
+A ``CsiTrace`` is block-averaged once, in ``segment``, the one stage that
+reads a ``PipelineConfig``: after it, a window reads only the plan and the
+modules' constants. The packets are screened in one-second frames by a
+motion gate on the phase of a reference ratio pair (ratios are offset-free,
+so a gross-motion artifact shows up as a large in-frame phase excursion).
+Ten-second analysis windows are assembled only from consecutive accepted
+frames, sliding by one frame, and every window is a slice of the averaged
+trace (``WindowPlan.window``), for the live run, the single-component
+baselines and the search audit alike. Both evaluation sweeps run each
+condition through one runner (``_condition_rates``): it synthesizes and
+impairs the condition's trace (``simulate``, which this module imports for
+the sweeps alone), segments it once, hands the plan to both the pipeline and
+the baselines, and returns each method's per-window rates; a sweep keeps
+only its own aggregation. Each window runs the full stack, or a baseline's,
+and yields an estimate with provenance; a stage failure yields a
+reason-coded empty result instead of aborting.
 
 Work that splits into independent pieces runs in a process pool of one
 worker per CPU in the process's affinity mask (``parallel.pool_map``), and
@@ -72,12 +74,12 @@ from .ratio import (
 )
 from .simulate import (
     ChannelScenario,
-    CsiTrace,
     ImpairmentConfig,
     SinusoidMotion,
     apply_impairments,
     generate_ideal_csi,
 )
+from .trace import CsiTrace
 from .waveform import clean, project
 
 logger = logging.getLogger(__name__)
@@ -90,13 +92,12 @@ _STAGE_ERRORS = (ConfigurationError, StreamGuardError, ZeroVarianceError)
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for the full pipeline. The stage settings the method fixes are
-    constants of the modules that use them, or follow from the trace:
-    ``FRAME_S``, the block length and the reference pair here (``segment``),
-    the gain and smoothing windows in ``combine``, the cleanup filters in
+    """Knobs of ``segment``, the one stage that reads them. The settings the
+    method fixes are module constants, or follow from the trace: ``FRAME_S``,
+    the block length and the reference pair here, the gain and smoothing
+    windows and the stream cut in ``combine``, the cleanup filters in
     ``waveform`` and the readout's peak prominence in ``rate``."""
 
-    mu: float = 0.5                   # stream survival threshold fraction
     window_s: float = 10.0            # rounded to whole frames of FRAME_S
     motion_threshold_rad: float = 2.0
 
@@ -108,9 +109,6 @@ class PipelineConfig:
                 f"{MIN_WINDOW_S:g} s, the minimum for rate estimation "
                 f"(window_s={self.window_s!r})"
             )
-        check_real("mu", self.mu)
-        if not 0.0 <= self.mu <= 1.0:
-            raise ConfigurationError(f"mu must lie in [0, 1], got {self.mu!r}")
         # a negative threshold is allowed: it rejects every frame
         check_real("motion_threshold_rad", self.motion_threshold_rad, finite=False)
 
@@ -223,7 +221,6 @@ class WindowResult:
 def _run_stages(
     window: CsiTrace,
     solution: GassSolution,
-    config: PipelineConfig,
     window_id: int,
     guards: GuardTable,
     ranking: np.ndarray,
@@ -235,9 +232,7 @@ def _run_stages(
     genome = solution.genome(window.grid.center_frequency_hz)
     streams = gass_mod.build_streams(genome, averaged, eff_rate, guards=guards, ranking=ranking)
     aligned = align_streams(streams, gain_window=max(1, int(GAIN_WINDOW_S * eff_rate)))
-    combined = combine(
-        aligned, smoothing_window=max(1, int(SMOOTHING_S * eff_rate)), mu=config.mu
-    )
+    combined = combine(aligned, smoothing_window=max(1, int(SMOOTHING_S * eff_rate)))
     projected = project(combined.smoothed, eff_rate)
     filtered, _ = clean(projected.series, eff_rate)
     estimate = estimate_rate(filtered, eff_rate, window_id=window_id)
@@ -266,14 +261,11 @@ def run_pipeline(
     ``gass.steadiness_ranking`` for its search and stream fan-out. The
     windows run through ``_window_results``.
     """
-    config = config or PipelineConfig()
     plan = plan if plan is not None else segment(trace, config)
-    return _window_results(trace, config, plan, "full")
+    return _window_results(trace, plan, "full")
 
 
-def _window_results(
-    trace: CsiTrace, config: PipelineConfig, plan: WindowPlan, method: str
-) -> list[WindowResult]:
+def _window_results(trace: CsiTrace, plan: WindowPlan, method: str) -> list[WindowResult]:
     """One ``WindowResult`` per window of ``plan`` under ``method``.
 
     The windows run in one ``parallel.pool_map`` over contiguous ranges of
@@ -288,7 +280,7 @@ def _window_results(
     count = plan.window_starts.size
     parts = min(workers(), count)
     bounds = [count * i // parts for i in range(parts + 1)]
-    run = functools.partial(_run_windows, plan, config=config, method=method)
+    run = functools.partial(_run_windows, plan, method=method)
     outcomes = [item for items in pool_map(run, bounds[:-1], bounds[1:]) for item in items]
     label = "window" if method == "full" else f"{method}-only window"
     results: list[WindowResult] = []
@@ -314,7 +306,7 @@ def _window_results(
 
 
 def _run_windows(
-    plan: WindowPlan, first: int, stop: int, config: PipelineConfig, method: str
+    plan: WindowPlan, first: int, stop: int, method: str
 ) -> list[tuple[GassSolution | None, tuple[RespirationEstimate, dict[str, float]] | Exception]]:
     """(solution, stage outcome) of windows ``first`` to ``stop - 1`` of
     ``plan``, in window order. The outcome is the estimate and stage band
@@ -339,7 +331,7 @@ def _run_windows(
                 solution = gass_mod.solve_delay_basis(
                     window.values, window.grid.center_frequency_hz, rate, guards, ranking
                 )
-                outcome = _run_stages(window, solution, config, window_id, guards, ranking)
+                outcome = _run_stages(window, solution, window_id, guards, ranking)
             else:
                 values, _ = guarded_ratio(window.values[0], window.values[-1])
                 series = np.abs(values) if method == "amplitude" else np.unwrap(np.angle(values))
@@ -374,9 +366,8 @@ def single_component_estimates(
     """
     if component not in ("amplitude", "phase"):
         raise ConfigurationError("component must be 'amplitude' or 'phase'")
-    config = config or PipelineConfig()
     plan = plan if plan is not None else segment(trace, config)
-    return [r.estimate for r in _window_results(trace, config, plan, component)]
+    return [r.estimate for r in _window_results(trace, plan, component)]
 
 
 @dataclass(frozen=True)
@@ -430,9 +421,9 @@ def _condition_rates(
     for method in methods:
         try:
             if method == "full":
-                estimates = [r.estimate for r in run_pipeline(trace, config, plan=plan)]
+                estimates = [r.estimate for r in run_pipeline(trace, plan=plan)]
             else:
-                estimates = single_component_estimates(trace, method, config, plan=plan)
+                estimates = single_component_estimates(trace, method, plan=plan)
         except NoWindowError:
             estimates = []
         rates[method] = [None if e is None else e.f_bpm for e in estimates]
@@ -458,7 +449,6 @@ def blind_spot_sweep(
     report does not depend on the CPU count. ``offsets_m`` must be a
     non-empty list of finite numbers.
     """
-    config = config or PipelineConfig()
     truth = _scenario_truth_bpm(scenario)
     offsets = _conditions(offsets_m, "offsets_m")
     methods = ("full", "amplitude", "phase")
@@ -517,12 +507,11 @@ def snr_sweep(
     the runner ``blind_spot_sweep`` shares, with that noise level and
     impairment seed + 1009 * level + run; a level's counts are summed in run
     order. ``noise_stds`` must be a non-empty list of finite numbers >= 0,
-    and ``runs_per_level`` an integer >= 1.
+    and ``runs_per_level`` an int64 >= 1.
     """
-    config = config or PipelineConfig()
     truth = _scenario_truth_bpm(scenario)
     levels = _conditions(noise_stds, "noise_stds", 0.0)
-    check_integer("runs_per_level", runs_per_level, 1)
+    check_integer("runs_per_level", runs_per_level, 1, np.iinfo(np.int64).max)
     methods = ("full", "amplitude")
     draws = [
         dataclasses.replace(

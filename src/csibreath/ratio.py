@@ -7,23 +7,23 @@ physical index difference), and perfectly correlated impulse amplitudes
 cancel sample-by-sample. What survives is a ratio of two circles in the
 complex plane that still carries the respiration motion.
 
-Ratios are formed from the rows of a ``CsiTrace`` matrix, usually after
-``average_phase_blocks`` has averaged the packets of a trace in blocks, each
-block a function of its own packets alone (its phase unwraps within it).
-Every ratio of the package guards its denominator the same way, through
-``GuardTable.divide``: a near-zero denominator sample is flagged and its
-quotient interpolated from its neighbours, and a row with too many flagged
-samples is rejected. It divides whole batches at once, one numerator over
-many rows or many numerators over one row.
+Ratios are formed from the rows of a ``trace.CsiTrace`` matrix, usually
+after ``average_phase_blocks`` has averaged the packets of a trace in
+blocks, each block a function of its own packets alone (its phase unwraps
+within it). Every ratio of the package guards its denominator the same way,
+through ``GuardTable.divide``: a near-zero denominator sample is flagged and
+its quotient interpolated from its neighbours, and a row with too many
+flagged samples is rejected. It divides whole batches at once, one numerator
+over many rows or many numerators over one row.
 
 The quality metric is the band ratio: spectral energy in the respiration
 band over the energy above it. One zero-padded FFT per row gives the bins up
 to the band's top edge (51 of 512 for 100 samples at 10 Hz), and Parseval's
 theorem gives the energy above them from the time-domain energy of the
 windowed row, so the bins above the band are never summed. The FFT runs
-over blocks of ``BLOCK_ROWS`` rows, as the phase block averaging does, so
-neither holds more than a few rows' temporaries; rows are independent, so
-the bits are those of the whole matrix at once.
+over blocks of ``trace.BLOCK_ROWS`` rows, as the phase block averaging
+does, so neither holds more than a few rows' temporaries; rows are
+independent, so the bits are those of the whole matrix at once.
 
 The weights of the sum of rows with the best band ratio are the top
 generalized eigenvector of the rows' ``band_grams``; ``max_snr`` finds it for
@@ -47,7 +47,7 @@ from .errors import (
     SingularRatioError,
     StreamGuardError,
 )
-from .simulate import BLOCK_ROWS, CsiTrace
+from .trace import BLOCK_ROWS, CsiTrace
 
 # Respiration band: 10.02 to 30 breaths per minute.
 BAND_LOW_HZ = 0.167

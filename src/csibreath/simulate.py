@@ -18,11 +18,9 @@ complex Gaussian noise:
 eta_b is packet-boundary jitter (fresh Gaussian per packet), eta_o a constant
 sampling-clock slope, phi(k) a bounded random-walk carrier offset.
 
-Every CSI sequence in the package is one ``CsiTrace``: the (M, K) matrix
-H(m, k) with its packet times, sample rate and grid.
-
-Synthesis holds few temporaries the size of that matrix. The static field
-is computed once per distinct event shift, the dynamic field in place, and
+Synthesis returns a ``CsiTrace`` (``trace``), the type the analysis reads,
+and holds few temporaries the size of its matrix. The static field is
+computed once per distinct event shift, the dynamic field in place, and
 the impairments in blocks of ``BLOCK_ROWS`` rows, each written straight into
 the output; a row's bits do not depend on the block it is computed in.
 """
@@ -42,59 +40,10 @@ from .errors import (
     check_real,
 )
 from .grid import SubcarrierGrid
+from .trace import BLOCK_ROWS, CsiTrace
 
 # Physiological bound on respiration-induced path-length change (meters).
 MAX_PATH_CHANGE_M = 0.012
-
-# CSI rows a per-row stage works on at a time: the stages that treat each
-# row of an (M, K) matrix alone run over blocks of this many rows, so their
-# temporaries span a few rows instead of the whole matrix.
-BLOCK_ROWS = 32
-
-
-@dataclass(frozen=True, eq=False)
-class CsiTrace:
-    """A CSI sequence: one complex channel estimate per grid position (row)
-    and packet (column), with the packet times and the nominal sample rate.
-
-    ``values`` is stored as a C-contiguous (M, K) complex matrix. Slicing
-    with ``trace[a:b]`` selects packets ``a`` to ``b - 1``.
-    """
-
-    values: np.ndarray
-    times_s: np.ndarray
-    sample_rate_hz: float
-    grid: SubcarrierGrid
-
-    def __post_init__(self) -> None:
-        values = np.ascontiguousarray(self.values, dtype=complex)
-        times = np.ascontiguousarray(self.times_s, dtype=float)
-        if values.ndim != 2 or values.shape[1] == 0:
-            raise ConfigurationError("CSI values must be a non-empty (M, K) matrix")
-        if times.shape != values.shape[1:]:
-            raise ConfigurationError("need one timestamp per packet")
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ConfigurationError(f"sample rate must be finite and > 0: {self.sample_rate_hz}")
-        if not isinstance(self.grid, SubcarrierGrid) or self.grid.count != values.shape[0]:
-            raise ConfigurationError("CSI rows need a grid of as many subcarriers")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "times_s", times)
-
-    @classmethod
-    def uniform(
-        cls, values: np.ndarray, sample_rate_hz: float, grid: SubcarrierGrid
-    ) -> CsiTrace:
-        """A trace whose packet k was taken at k / sample_rate_hz."""
-        n_samples = np.shape(values)[-1]
-        return cls(values, np.arange(n_samples) / sample_rate_hz, sample_rate_hz, grid)
-
-    def __len__(self) -> int:
-        return self.values.shape[1]
-
-    def __getitem__(self, packets: slice) -> CsiTrace:
-        return CsiTrace(
-            self.values[:, packets], self.times_s[packets], self.sample_rate_hz, self.grid
-        )
 
 
 # ----------------------------------------------------------------------------

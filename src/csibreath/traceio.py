@@ -10,7 +10,7 @@ One record per packet: its row number, its timestamp in seconds, then one
 the grid definition (preamble field tag, physical subcarrier index, center
 frequency for every column pair). Floats are written with repr so traces
 round-trip bit-exactly and identical runs produce identical bytes. A file
-is read into one ``CsiTrace``; the ``k`` column is not kept. A non-finite
+is read into one ``trace.CsiTrace``; the ``k`` column is not kept. A non-finite
 row number or timestamp rejects the file; a non-finite CSI cell is read as
 it is, and the pipeline's motion gate fails the frame that holds it.
 
@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ConfigurationError, TraceFormatError, check_real, writing
 from .grid import SubcarrierGrid
 from .parallel import pool_map, workers
-from .simulate import CsiTrace
+from .trace import CsiTrace
 
 FORMAT_NAME = "csi-trace"
 FORMAT_VERSION = 1

@@ -30,9 +30,9 @@ impairments:
   gaussian_noise_std: 0.02
   seed: 3
 pipeline:
-  mu: 0.5
+  motion_threshold_rad: 2.0
 """
-_MU = "  mu: 0.5"  # the last line of _BASE, inside pipeline
+_GATE = "  motion_threshold_rad: 2.0"  # the last line of _BASE, inside pipeline
 _SINUSOID = {"kind": "sinusoid", "rate_hz": 0.25, "amplitude_m": 0.003}
 _STEPS = {"kind": "steps", "segments": [[6, 0.25], [6, 0.3]], "amplitude_m": 0.003}
 
@@ -71,7 +71,7 @@ def test_run_from_trace_round_trip(base_config, tmp_path):
     config = tmp_path / "fromtrace.yaml"
     config.write_text(
         f"input: {{trace: {sim_out / 'trace.csv'}}}\n"
-        f"pipeline:\n{_MU}\n"
+        f"pipeline:\n{_GATE}\n"
     )
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
@@ -81,13 +81,13 @@ def test_run_from_trace_round_trip(base_config, tmp_path):
 def test_empty_sections_mean_the_defaults(tmp_path):
     settings = yaml.safe_load(_BASE)
     del settings["impairments"]
-    settings["pipeline"] = {"mu": 0.5}
+    settings["pipeline"] = {"motion_threshold_rad": 2.0}
     text = yaml.safe_dump(settings)
     outputs = []
     for name, config_text in (
         ("omitted", text),
         ("empty", text + "impairments:\nsweep:\n"),
-        ("bare", text.replace("pipeline:\n  mu: 0.5\n", "pipeline:\n")),
+        ("bare", text.replace("pipeline:\n  motion_threshold_rad: 2.0\n", "pipeline:\n")),
     ):
         config = tmp_path / f"{name}.yaml"
         config.write_text(config_text)
@@ -232,6 +232,28 @@ def test_an_integer_beyond_the_float_range_exits_2(tmp_path, capsys, command, te
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, sweep, name",
+    [
+        ("sweep-blindspot", f"positions: {_BEYOND_FLOAT}", "sweep.positions"),
+        ("sweep-blindspot", f"positions: {2**63}", "sweep.positions"),
+        ("sweep-snr", f"noise_stds: [0.02], runs_per_level: {2**63}", "runs_per_level"),
+    ],
+    ids=["positions 10**400", "positions 2**63", "runs_per_level 2**63"],
+)
+def test_a_count_beyond_int64_exits_2(tmp_path, capsys, command, sweep, name):
+    # a count is an index of numpy arrays, so it must be an int64
+    config = tmp_path / "count.yaml"
+    config.write_text(_BASE + f"sweep: {{{sweep}}}\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    value = sweep.rsplit(" ", 1)[1]
+    assert capsys.readouterr().err == (
+        f"configuration error: {name} must be an integer from 1 to {2**63 - 1}, got {value}\n"
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):
     jobs = [
         ("sweep-blindspot", "sweep: {offsets_m: [0.0, 0.03, 0.06]}\n"),
@@ -256,7 +278,8 @@ def test_sweeps_are_byte_identical_on_one_cpu_and_on_all(tmp_path, set_cpus):
 def test_run_is_byte_identical_on_one_cpu_and_on_two(
     base_config, tmp_path, set_cpus, caplog, monkeypatch
 ):
-    from csibreath.simulate import CsiTrace, apply_impairments, generate_ideal_csi
+    from csibreath.simulate import apply_impairments, generate_ideal_csi
+    from csibreath.trace import CsiTrace
 
     settings = config.load_config(base_config)  # reads _BASE's 2.452e9 as a number
     settings["scenario"]["duration_s"] = 40.0
@@ -432,9 +455,12 @@ def test_retired_ga_keys_are_dropped_with_one_warning(base_config, tmp_path):
     retired = tmp_path / "retired.yaml"
     retired.write_text(source + _RETIRED_PIPELINE)
     plain = tmp_path / "plain.yaml"
-    plain.write_text(source + "pipeline:\n  mu: 0.5\n  motion_threshold_rad: 2.0\n"
-                     "  window_s: 10.0\n")
+    plain.write_text(source + "pipeline:\n  motion_threshold_rad: 2.0\n  window_s: 10.0\n")
     assert cli.main(["run", "--config", str(plain), "--out", str(tmp_path / "plain")]) == 0
+    # the stream cut is a constant: another mu changes no byte
+    cut = tmp_path / "cut.yaml"
+    cut.write_text(source + "pipeline:\n  mu: 0.3\n  motion_threshold_rad: 2.0\n  window_s: 10.0\n")
+    assert cli.main(["run", "--config", str(cut), "--out", str(tmp_path / "cut")]) == 0
     # a fresh process, so the warning reaches stderr as a user sees it
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -446,13 +472,15 @@ def test_retired_ga_keys_are_dropped_with_one_warning(base_config, tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stderr.splitlines() == [
-        "ignoring retired search keys: pipeline.n_numerators, pipeline.reuse_tolerance, "
-        "pipeline.ga.population, pipeline.ga.generations, pipeline.ga.seed_pool, "
-        "pipeline.ga.seed_top (the search is closed-form and deterministic)"
+        "ignoring retired pipeline keys: pipeline.n_numerators, pipeline.mu, "
+        "pipeline.reuse_tolerance, pipeline.ga.population, pipeline.ga.generations, "
+        "pipeline.ga.seed_pool, pipeline.ga.seed_top (the search is closed-form, the "
+        "stream cut 0.5)"
     ]
     for name in ("estimates.jsonl", "windows.csv"):
-        assert (tmp_path / "retired" / name).read_bytes() == (
-            tmp_path / "plain" / name).read_bytes()
+        expected = (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "retired" / name).read_bytes() == expected
+        assert (tmp_path / "cut" / name).read_bytes() == expected
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -488,7 +516,7 @@ def test_bad_ga_params_exit_2(tmp_path, capsys):
 def test_short_window_geometry_exits_2(tmp_path, capsys):
     # 9.4 s rounds to 9 frames of 1 s, under the 10 s rate minimum
     config = tmp_path / "geometry.yaml"
-    config.write_text(_BASE.replace(_MU, f"{_MU}\n  window_s: 9.4"))
+    config.write_text(_BASE.replace(_GATE, f"{_GATE}\n  window_s: 9.4"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "window_s" in capsys.readouterr().err
@@ -527,7 +555,7 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
                  "sg_polyorder: 3", "min_prominence: 0.2", "frame_s: 1.0",
                  "phase_block: 5", "reference_pair: [0, 5]"):
         config = tmp_path / "removed.yaml"
-        config.write_text(_BASE.replace(_MU, f"{_MU}\n  {line}"))
+        config.write_text(_BASE.replace(_GATE, f"{_GATE}\n  {line}"))
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG, line
         assert "unknown pipeline keys" in capsys.readouterr().err
@@ -542,7 +570,6 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         pytest.param("run", 0, "pipeline", "reference_pair", [2, 2], id="run-0-pipeline-reference_pair-value1"),
         pytest.param("run", 0, "pipeline", "ga", {"populaton": 64}, id="run-0-pipeline-ga-value2"),  # a misspelt retired key
         pytest.param("run", 0, "pipeline", "ga", {"seed_pol": 200}, id="run-0-pipeline-ga-value3"),
-        pytest.param("run", 0, "pipeline", "mu", 1.5, id="run-0-pipeline-mu-1.5"),
         pytest.param("run", 0, "pipeline", "window_s", -10, id="run-0-pipeline-window_s--10"),
         pytest.param("run", 0, "pipeline", "phase_block", -3, id="run-0-pipeline-phase_block--3"),  # a removed key
         pytest.param("run", 0, "impairments", "seed", -5, id="run-0-impairments-seed--5"),
@@ -602,8 +629,6 @@ def test_removed_pipeline_keys_exit_2(tmp_path, capsys):
         pytest.param("run", 0, "scenario", "dynamic_amplitude", [0.1] * 5, id="run-0-scenario-dynamic_amplitude-value58"),  # 6 tones
         pytest.param("sweep-blindspot", 0, "scenario", "dynamic_amplitude", [0.1] * 7, id="sweep-blindspot-0-scenario-dynamic_amplitude-value59"),
         pytest.param("simulate", 0, "scenario", "static_paths", [{"amplitude": [1.0] * 5, "length_m": 6.0}], id="simulate-0-scenario-static_paths-value60"),
-        pytest.param("run", 0, "pipeline", "mu", True, id="run-0-pipeline-mu-True"),  # a bool is not a number
-        pytest.param("run", 0, "pipeline", "mu", "0.5", id="run-0-pipeline-mu-0.5"),  # quoted in YAML
         pytest.param("run", 0, "pipeline", "window_s", "10", id="run-0-pipeline-window_s-10"),
     ],
 )
@@ -697,7 +722,7 @@ def test_commands_import_no_package_or_numpy_module_after_the_cli(tmp_path):
     config = tmp_path / "run.yaml"
     config.write_text(_BASE + "sweep: {offsets_m: [0.0], noise_stds: [0.02], runs_per_level: 1}\n")
     replay = tmp_path / "replay.yaml"
-    replay.write_text(f"input: {{trace: {tmp_path / 'sim' / 'trace.csv'}}}\npipeline:\n{_MU}\n")
+    replay.write_text(f"input: {{trace: {tmp_path / 'sim' / 'trace.csv'}}}\npipeline:\n{_GATE}\n")
     commands = [
         ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")],
         ["run", "--config", str(config), "--out", str(tmp_path / "run")],
@@ -880,7 +905,7 @@ def test_an_unusable_output_path_exits_2(
 
 def test_impossible_gate_exits_4(base_config, tmp_path):
     config = tmp_path / "gate.yaml"
-    config.write_text(_BASE.replace(_MU, f"{_MU}\n  motion_threshold_rad: -1.0"))
+    config.write_text(_BASE.replace(_GATE, "  motion_threshold_rad: -1.0"))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_NO_WINDOW
     assert list((tmp_path / "o").iterdir()) == []  # the output check left no file
@@ -902,7 +927,7 @@ def test_run_on_a_trace_file_does_not_depend_on_the_seed(base_config, tmp_path):
     # --seed only offsets the simulator's impairments; the search draws nothing
     assert cli.main(["simulate", "--config", str(base_config), "--out", str(tmp_path)]) == 0
     config = tmp_path / "replay.yaml"
-    config.write_text(f"input: {{trace: {tmp_path / 'trace.csv'}}}\npipeline:\n{_MU}\n")
+    config.write_text(f"input: {{trace: {tmp_path / 'trace.csv'}}}\npipeline:\n{_GATE}\n")
     outputs = []
     for seed in ("0", "5"):
         out = tmp_path / f"seed{seed}"

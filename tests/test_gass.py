@@ -14,7 +14,6 @@ from csibreath.gass import (
     build_streams,
     combined_ratio,
     fitness,
-    pick_denominator,
     solve_delay_basis,
     steadiness_ranking,
 )
@@ -181,20 +180,20 @@ def test_denominator_is_the_steadiest_kept_row(rng):
     steadiness = [_steadiness(row) for row in matrix]
     assert steadiness[1] > max(steadiness[m] for m in (0, 2, 4))
     assert int(np.argmax(steadiness)) == 3
-    assert pick_denominator(matrix, guards) == 3
+    assert steadiness_ranking(matrix, guards)[0] == 3
     matrix[2] = matrix[3]  # a tie goes to the lowest index
-    assert pick_denominator(matrix, guard_table(matrix)) == 2
+    assert steadiness_ranking(matrix, guard_table(matrix))[0] == 2
     flat = np.ones((3, 10), dtype=complex)  # constant magnitude: infinitely steady
     flat[1] *= 2.0
-    assert pick_denominator(flat, guard_table(flat)) == 0
+    assert steadiness_ranking(flat, guard_table(flat))[0] == 0
     silent = np.zeros((3, 10), dtype=complex)  # no kept row
-    assert pick_denominator(silent, guard_table(silent)) == 0
+    assert steadiness_ranking(silent, guard_table(silent))[0] == 0
 
 
 def test_fallback_pair_is_the_best_pair_over_the_denominator(impaired_trace):
     matrix = average_phase_blocks(impaired_trace, 5).values[:, :100]
     solution = solve_delay_basis(matrix, impaired_trace.grid.center_frequency_hz, 10.0)
-    d = pick_denominator(matrix, guard_table(matrix))
+    d = steadiness_ranking(matrix, guard_table(matrix))[0]
     assert solution.denominator_index == d
     pair, score = _best_pair_over(matrix, d)
     assert solution.pair_numerator == pair.numerator_indices[0]
@@ -270,7 +269,6 @@ def test_build_streams_fans_out_over_the_steadiest_kept_rows():
     guards = guard_table(matrix)
     assert np.flatnonzero(guards.rejected).tolist() == [3, 17]
     ranking = steadiness_ranking(matrix, guards)
-    assert pick_denominator(matrix, guards) == ranking[0]
     steadiness = {m: _steadiness(matrix[m]) for m in range(24) if m not in (3, 17)}
     by_steadiness = sorted(steadiness, key=lambda m: (-steadiness[m], m))
     assert ranking.tolist() == by_steadiness + [3, 17]
@@ -383,7 +381,7 @@ def test_delay_basis_fitness_equals_eigenvalue(breathing_trace, seed):
     assert solution.fitness == fitness(genome, matrix, 10.0)
     expected = _eigenvalue(matrix, frequencies, 10.0, genome.denominator_index)
     np.testing.assert_allclose(solution.fitness, expected, rtol=1e-9)
-    assert genome.denominator_index == pick_denominator(matrix, guard_table(matrix))
+    assert genome.denominator_index == steadiness_ranking(matrix, guard_table(matrix))[0]
     assert solution.fitness > solution.pair_fitness
     assert solution.pair_fitness == _best_pair_over(matrix, genome.denominator_index)[1]
 
@@ -499,7 +497,7 @@ def test_delay_basis_interpolates_a_flagged_denominator(breathing_trace, monkeyp
     d = 7
     matrix[d, [0, 40, 41, 99]] = 0.0  # flagged, not rejected
     # the flagged samples make row d unsteady; make it the denominator anyway
-    monkeypatch.setattr(gass, "pick_denominator", lambda matrix, guards: d)
+    monkeypatch.setattr(gass, "steadiness_ranking", lambda matrix, guards: np.array([d]))
     guards = guard_table(matrix)
     assert guards.flagged[d].any() and not guards.rejected[d]
     solution = solve_delay_basis(matrix, frequencies, 10.0, guards)

@@ -2,9 +2,11 @@
 the package goes unread, no public function or class of the package is read
 only by tests other than the acceptance checks, and the package reaches no
 lazily loaded numpy submodule through ``np.``. No linter runs offline, so
-this walks the package's and the tests' sources with ``ast``."""
+this walks the package's and the tests' sources with ``ast``. The analysis
+modules load neither the simulator nor ``numpy.random``."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -167,3 +169,18 @@ def test_no_lazy_numpy_submodule_is_reached_through_np():
     assert {"fft", "random"} <= lazy
     uses = {p.name: lazy_numpy_uses(p.read_text(encoding="utf-8"), lazy) for p in _PACKAGE}
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_the_analysis_modules_load_no_simulator():
+    # a capture read from a file is analysed without the simulator or its RNG
+    modules = ("trace", "grid", "ratio", "gass", "combine", "waveform", "rate", "traceio")
+    probe = (
+        f"import sys, {', '.join(f'csibreath.{m}' for m in modules)}\n"
+        "print([m for m in ('csibreath.simulate', 'numpy.random') if m in sys.modules])"
+    )
+    path = (str(_ROOT / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert loaded == "[]\n"

@@ -27,13 +27,13 @@ from csibreath.ratio import (
 )
 from csibreath.simulate import (
     ChannelScenario,
-    CsiTrace,
     ImpairmentConfig,
     SinusoidMotion,
     StaticPath,
     apply_impairments,
     generate_ideal_csi,
 )
+from csibreath.trace import CsiTrace
 
 # ----------------------------------------------------------------------------
 # Guarded division

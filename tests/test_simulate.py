@@ -11,7 +11,6 @@ from csibreath.simulate import (
     MAX_PATH_CHANGE_M,
     ChannelScenario,
     ChirpMotion,
-    CsiTrace,
     ImpairmentConfig,
     MotionEvent,
     RateStepMotion,
@@ -22,6 +21,7 @@ from csibreath.simulate import (
     generate_ideal_csi,
     impulse_level_series,
 )
+from csibreath.trace import CsiTrace
 
 
 def _scenario(**overrides):

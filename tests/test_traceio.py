@@ -13,7 +13,7 @@ import csibreath.parallel as parallel
 import csibreath.traceio as traceio
 from csibreath.errors import TraceFormatError
 from csibreath.grid import custom_grid
-from csibreath.simulate import CsiTrace
+from csibreath.trace import CsiTrace
 from csibreath.traceio import read_trace, write_trace
 
 
