@@ -49,6 +49,7 @@ from .pipeline import (
     EvaluationReport,
     WindowResult,
     blind_spot_sweep,
+    check_condition_count,
     run_pipeline,
     segment,
     snr_sweep,
@@ -215,6 +216,7 @@ def _cmd_sweep_blindspot(config: dict, seed: int, out: Path) -> int:
     else:
         positions = sweep.get("positions", 32)
         check_integer("sweep.positions", positions, 1, np.iinfo(np.int64).max)
+        check_condition_count(positions, "sweep.positions")
         span = sweep.get("span_wavelengths", 1.0)
         check_real("sweep.span_wavelengths", span)
         wavelength = float(np.mean(grid.wavelength_m))

@@ -28,9 +28,11 @@ guards a genome. The paper's own search is a genetic algorithm; the closed
 form replaced it after beating it on every held-out evaluation row
 (README).
 
-Products over the full band are ``np.einsum`` sums rather than ``@``: a BLAS
-matrix-vector product over ~200 rows changes its last bits with the BLAS
-thread count, and outputs must not.
+Outputs must not change with the BLAS thread count. A matrix product goes
+through ``ratio.blas_product``, in fixed blocks that BLAS runs on one
+thread; a fresh-process test in ``tests/test_ratio.py`` pins the delay-basis
+projection, a sum over every numerator row. The one-row sums,
+``_numerator`` and ``_weights``, stay ``np.einsum`` sums.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .ratio import (
     GuardTable,
     StreamStack,
     band_grams,
+    blas_product,
     guard_table,
     guarded_ratio,
     max_snr,
@@ -186,12 +189,7 @@ def _pair_scores(
     """``fitness`` of each single pair (numerators[j], d), as one batch."""
     if guards.rejected[d]:
         return np.zeros(numerators.size)
-    # the unit-weight numerators in the bits ``_numerator`` gives each pair
-    # alone, signed zeros included
-    rows = np.einsum(
-        "pn,pnk->pk", np.ones((numerators.size, 1), dtype=complex), matrix[numerators, None]
-    )
-    return ssnr_values(guards.divide(rows, matrix[d], d), sample_rate_hz)
+    return ssnr_values(guards.divide(matrix[numerators], matrix[d], d), sample_rate_hz)
 
 
 def steadiness_ranking(matrix: np.ndarray, guards: GuardTable) -> np.ndarray:
@@ -260,7 +258,7 @@ def solve_delay_basis(
         return pair
     rows, basis = _delay_basis(frequencies.tobytes(), d)
     # sum_m F[m, t] (H_m / H_d) = (sum_m F[m, t] H_m) / H_d, guard interpolation included
-    projected = guards.divide(np.einsum("mt,mk->tk", basis, matrix[rows]), matrix[d], d)
+    projected = guards.divide(blas_product(basis.T, matrix[rows]), matrix[d], d)
     coefficients = max_snr(*band_grams(projected, sample_rate_hz))
     if coefficients is None:
         return pair

@@ -7,7 +7,9 @@
   when no companion ``.npy`` table of it matches;
 - ``pipeline.run_pipeline`` and ``pipeline.single_component_estimates``:
   the window ranges of a run or a baseline, each from guard table through
-  the search to the readout, or from the reference pair's ratio to it;
+  the search to the readout, or from the reference pair's ratio to it.
+  There are ``pipeline.RANGES_PER_WORKER`` ranges per worker, and a worker
+  takes the next range when it finishes one, so a faster CPU takes more;
 - ``pipeline.blind_spot_sweep`` and ``pipeline.snr_sweep``: a sweep's
   conditions.
 

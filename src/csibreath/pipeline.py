@@ -29,9 +29,11 @@ Work that splits into independent pieces runs in a process pool of one
 worker per CPU in the process's affinity mask (``parallel.pool_map``), and
 its results are put back in order, so no output depends on the CPU count.
 The evaluation sweeps map the runner over their conditions (positions, or
-noise level and run). The pipeline and the baselines each map their
-windows once, in contiguous ranges, through one window runner
-(``_run_windows``): a range takes its windows in order, from guard table
+noise level and run), at most ``MAX_CONDITIONS`` of them. The pipeline
+and the baselines each map their windows once, in contiguous ranges
+(``RANGES_PER_WORKER`` per pool worker, so a faster CPU takes more of
+them), through one window runner (``_run_windows``): a range takes its
+windows in order, from guard table
 through the search to the readout, or through a baseline's ratio to the
 readout. ``gass-audit`` takes window 0's search from the same runner. A
 window depends on no other; each range's task is its bounds, and its
@@ -86,6 +88,13 @@ logger = logging.getLogger(__name__)
 
 DETECTION_TOLERANCE_BPM = 1.0
 FRAME_S = 1.0  # motion-gate frame; windows are whole frames and slide by one
+# Window ranges a run maps per pool worker: a worker that finishes its
+# ranges early takes the next, so a faster CPU takes more windows
+RANGES_PER_WORKER = 8
+
+# Conditions one sweep may run: each is a synthesis and a full run, so a
+# larger count is a typo, and its condition list would not fit in memory
+MAX_CONDITIONS = 100_000
 
 _STAGE_ERRORS = (ConfigurationError, StreamGuardError, ZeroVarianceError)
 
@@ -215,7 +224,7 @@ class WindowResult:
     solution: GassSolution | None
     stage_band_ratios: dict[str, float]
     reason: str | None = None
-    gass_reused = False  # not a field: bench/tracer.py reads it; delete with ROADMAP item 2
+    gass_reused = False  # not a field: bench/tracer.py reads it; delete with ROADMAP item 19
 
 
 def _run_stages(
@@ -269,16 +278,18 @@ def _window_results(trace: CsiTrace, plan: WindowPlan, method: str) -> list[Wind
     """One ``WindowResult`` per window of ``plan`` under ``method``.
 
     The windows run in one ``parallel.pool_map`` over contiguous ranges of
-    them, one per worker, each in window order (``_run_windows``); the plan
-    is bound once for every range. A stage error is carried as a value, so
-    a failed window is logged and reported in window order, keeping the
-    solution its search found, and the results do not depend on the CPU
-    count.
+    them, each in window order (``_run_windows``): one range in-process, or
+    ``RANGES_PER_WORKER`` per worker of a pool. The plan is bound once for
+    every range. A stage error is carried as a value, so a failed window is
+    logged and reported in window order, keeping the solution its search
+    found, and the results depend neither on the CPU count nor on the
+    ranges.
     """
     if plan.window_starts.size == 0:
         raise NoWindowError("no complete window of accepted frames")
     count = plan.window_starts.size
-    parts = min(workers(), count)
+    pool = workers()
+    parts = min(1 if pool == 1 else RANGES_PER_WORKER * pool, count)
     bounds = [count * i // parts for i in range(parts + 1)]
     run = functools.partial(_run_windows, plan, method=method)
     outcomes = [item for items in pool_map(run, bounds[:-1], bounds[1:]) for item in items]
@@ -390,6 +401,16 @@ def _scenario_truth_bpm(scenario: ChannelScenario) -> float:
     return 60.0 * scenario.motion.rate_hz
 
 
+def check_condition_count(count: int, source: str) -> None:
+    """Raise ConfigurationError when ``source`` gives a sweep more than
+    ``MAX_CONDITIONS`` conditions, before any list of them is built."""
+    if count > MAX_CONDITIONS:
+        raise ConfigurationError(
+            f"{source} gives {count} sweep conditions, more than the "
+            f"{MAX_CONDITIONS} a sweep may run"
+        )
+
+
 def _conditions(values, name: str, minimum: float = -math.inf) -> np.ndarray:
     """A sweep's condition values as a non-empty 1-D float array of finite
     numbers, none a boolean and none below ``minimum`` (``check_real``)."""
@@ -447,10 +468,11 @@ def blind_spot_sweep(
     ``snr_sweep`` shares, mapped on every CPU in the process's affinity mask
     (``parallel.pool_map``); the rows come back in offset order, so the
     report does not depend on the CPU count. ``offsets_m`` must be a
-    non-empty list of finite numbers.
+    non-empty list of at most ``MAX_CONDITIONS`` finite numbers.
     """
     truth = _scenario_truth_bpm(scenario)
     offsets = _conditions(offsets_m, "offsets_m")
+    check_condition_count(offsets.size, "offsets_m")
     methods = ("full", "amplitude", "phase")
     scenarios = [
         dataclasses.replace(
@@ -507,11 +529,13 @@ def snr_sweep(
     the runner ``blind_spot_sweep`` shares, with that noise level and
     impairment seed + 1009 * level + run; a level's counts are summed in run
     order. ``noise_stds`` must be a non-empty list of finite numbers >= 0,
-    and ``runs_per_level`` an int64 >= 1.
+    and ``runs_per_level`` an int64 >= 1, with at most ``MAX_CONDITIONS``
+    runs in all.
     """
     truth = _scenario_truth_bpm(scenario)
     levels = _conditions(noise_stds, "noise_stds", 0.0)
     check_integer("runs_per_level", runs_per_level, 1, np.iinfo(np.int64).max)
+    check_condition_count(levels.size * int(runs_per_level), "noise_stds x runs_per_level")
     methods = ("full", "amplitude")
     draws = [
         dataclasses.replace(

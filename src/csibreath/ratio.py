@@ -17,13 +17,16 @@ flagged samples is rejected. It divides whole batches at once, one numerator
 over many rows or many numerators over one row.
 
 The quality metric is the band ratio: spectral energy in the respiration
-band over the energy above it. One zero-padded FFT per row gives the bins up
-to the band's top edge (51 of 512 for 100 samples at 10 Hz), and Parseval's
-theorem gives the energy above them from the time-domain energy of the
-windowed row, so the bins above the band are never summed. The FFT runs
-over blocks of ``trace.BLOCK_ROWS`` rows, as the phase block averaging
-does, so neither holds more than a few rows' temporaries; rows are
-independent, so the bits are those of the whole matrix at once.
+band over the energy above it. A product with a cached DFT matrix gives each
+row's zero-padded spectrum at the bins up to the band's top edge alone (51
+of 512 for 100 samples at 10 Hz), and Parseval's theorem gives the energy
+above them from the time-domain energy of the windowed row, so the bins
+above the band are never computed. Every matrix product here, of the DFT
+matrix and of the Gram matrices, is a ``blas_product``: BLAS calls small
+enough to run on one thread, whose bits depend neither on the BLAS thread
+count nor on the rows beside a row. So a row's spectrum has the same bits in
+any batch. The phase block averaging runs over blocks of
+``trace.BLOCK_ROWS`` rows, so it holds only a few rows' temporaries.
 
 The weights of the sum of rows with the best band ratio are the top
 generalized eigenvector of the rows' ``band_grams``; ``max_snr`` finds it for
@@ -40,7 +43,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fft, fftfreq
+from numpy.fft import fftfreq
 
 from .errors import (
     ConfigurationError,
@@ -62,6 +65,15 @@ MAX_GUARDED_FRACTION = 0.10
 # Out-of-band energy below this fraction of total is indistinguishable from
 # windowing leakage; the band ratio is then reported as infinite.
 LEAKAGE_FLOOR_FRACTION = 1e-6
+
+# The block of one BLAS call in ``blas_product``: rows x terms x columns,
+# 57344 multiply-adds. OpenBLAS 0.3.31 ran complex products of up to 61200
+# on one thread. It split those of 65536 over its threads, which changed
+# their bits and, beside a second busy pool worker, made them up to 10x
+# slower. Blocks of 2 to 8 rows gave a row the same bits.
+_PRODUCT_ROWS = 8
+_PRODUCT_TERMS = 128
+_PRODUCT_COLUMNS = 56
 
 
 # ----------------------------------------------------------------------------
@@ -168,7 +180,9 @@ def median(values: np.ndarray, axis: int = -1) -> np.ndarray | np.floating:
     size = values.shape[axis]
     half = size // 2
     kth = [half - 1, half] if size % 2 == 0 else [half]
-    part = np.moveaxis(np.partition(values, [*kth, -1], axis=axis), axis, -1)
+    part = np.partition(values, [*kth, -1], axis=axis)
+    if axis % values.ndim != values.ndim - 1:
+        part = np.moveaxis(part, axis, -1)
     result = np.mean(part[..., kth[0] : half + 1], axis=-1)
     last = part[..., -1]
     nan = np.isnan(last)
@@ -181,9 +195,20 @@ def median(values: np.ndarray, axis: int = -1) -> np.ndarray | np.floating:
 
 
 def guard_table(matrix: np.ndarray) -> GuardTable:
-    """Guard status of each row of ``matrix`` as a ratio denominator."""
+    """Guard status of each row of ``matrix`` as a ratio denominator.
+
+    A row whose smallest magnitude is above ``GUARD_REL`` times its largest
+    flags nothing, as its median is at most its largest, so only the other
+    rows take a median; so do rows with a NaN, or whose largest magnitude
+    doubled overflows (the mean of the two middle ones may then exceed it).
+    """
     mag = np.abs(np.atleast_2d(matrix))
-    flagged = mag <= GUARD_REL * median(mag, axis=1)[:, None]
+    high = mag.max(axis=1)
+    suspect = np.flatnonzero(~(mag.min(axis=1) > GUARD_REL * high) | ~np.isfinite(high + high))
+    flagged = np.zeros(mag.shape, dtype=bool)
+    if suspect.size:
+        rows = mag[suspect]
+        flagged[suspect] = rows <= GUARD_REL * median(rows, axis=1)[:, None]
     rejected = flagged.all(axis=1) | (flagged.mean(axis=1) > MAX_GUARDED_FRACTION)
     return GuardTable(flagged, rejected)
 
@@ -261,7 +286,7 @@ def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
     averaged = np.empty((h.shape[0], n_blocks), dtype=complex)
     for first in range(0, h.shape[0], BLOCK_ROWS):
         blocks = h[first : first + BLOCK_ROWS].reshape(-1, n_blocks, block_size)
-        phase = np.unwrap(np.angle(blocks) - turn, axis=2).mean(axis=2)
+        phase = _unwrap(np.angle(blocks) - turn).mean(axis=2)
         averaged[first : first + BLOCK_ROWS] = np.abs(blocks).mean(axis=2) * np.exp(1j * phase)
     block_times = trace.times_s[: n_blocks * block_size].reshape(n_blocks, block_size)
     return CsiTrace(
@@ -270,6 +295,23 @@ def average_phase_blocks(trace: CsiTrace, block_size: int) -> CsiTrace:
         trace.sample_rate_hz / block_size,
         trace.grid,
     )
+
+
+def _unwrap(phase: np.ndarray) -> np.ndarray:
+    """``np.unwrap(phase)`` along the last axis, bit for bit. It takes the
+    modulo only of the steps that are not inside (-pi, pi), the only ones
+    whose correction ``np.unwrap`` keeps."""
+    steps = np.diff(phase)
+    wrapped = ~(np.abs(steps) < np.pi)
+    correction = np.zeros_like(steps)
+    if wrapped.any():
+        step = steps[wrapped]
+        turned = np.mod(step + np.pi, 2 * np.pi) - np.pi
+        turned[(turned == -np.pi) & (step > 0)] = np.pi
+        correction[wrapped] = turned - step
+    unwrapped = phase.copy()
+    unwrapped[..., 1:] = phase[..., 1:] + correction.cumsum(axis=-1)
+    return unwrapped
 
 
 # ----------------------------------------------------------------------------
@@ -373,16 +415,19 @@ def dynamic_amplitude_low_noise(
 
 @functools.lru_cache(maxsize=32)
 def _band_bins(n: int, sample_rate_hz: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """nfft, the Hann window, the bins with |f| <= ``BAND_HIGH_HZ`` in
-    ascending order, and which of those bins lie in the respiration band."""
+    """nfft, the Hann window, the (n, low bins) DFT matrix of the bins with
+    |f| <= ``BAND_HIGH_HZ`` in ascending order, and which of those bins lie
+    in the respiration band. Entry (m, j) of the DFT matrix is exp(-2 pi i
+    t / nfft), with t = (m * bin j) mod nfft reduced exactly in integers."""
     nfft = 1 << int(np.ceil(np.log2(4 * n)))
     freq = np.abs(fftfreq(nfft, d=1.0 / sample_rate_hz))
     low = np.flatnonzero(freq <= BAND_HIGH_HZ)
     in_band = freq[low] >= BAND_LOW_HZ
     window = np.hanning(n)
-    for array in (window, low, in_band):
+    kernel = np.exp(-2j * np.pi / nfft * (np.outer(np.arange(n), low) % nfft))
+    for array in (window, kernel, in_band):
         array.setflags(write=False)
-    return nfft, window, low, in_band
+    return nfft, window, kernel, in_band
 
 
 def band_spectrum(
@@ -394,27 +439,23 @@ def band_spectrum(
     next power of two at least 4x the row length. Band membership is decided
     by |f|: the respiration band is [0.167, 0.5] Hz, out-of-band is
     everything above 0.5 Hz up to Nyquist, and the DC bin is excluded from
-    both. Only the low bins (|f| <= 0.5 Hz) of the FFT are kept; by Parseval
-    the energy above them is ``nfft`` times the windowed rows' energy minus
-    the low bins' energy. Returns the (rows, n) windowed rows, their
-    (rows, low bins) spectrum, the in-band mask over the low bins, and nfft.
+    both. Only the low bins (|f| <= 0.5 Hz) of the nfft-point DFT are
+    computed, as one product with their cached DFT matrix; by Parseval the
+    energy above them is ``nfft`` times the windowed rows' energy minus the
+    low bins' energy. Returns the (rows, n) windowed rows, their (rows, low
+    bins) spectrum, the in-band mask over the low bins, and nfft.
+
+    The product is a ``blas_product``, so a row's spectrum has the same bits
+    in any batch and at any BLAS thread count (a fresh-process test pins
+    both).
     """
     x = np.ascontiguousarray(np.atleast_2d(series))
     n = x.shape[1]
     if n < 2:
         raise ConfigurationError("series too short for a spectrum")
-    nfft, window, low, in_band = _band_bins(n, float(sample_rate_hz))
+    nfft, window, kernel, in_band = _band_bins(n, float(sample_rate_hz))
     windowed = (x - x.mean(axis=1, keepdims=True)) * window
-    # rows transform independently, so a few at a time give the same bits
-    # with a few rows of the nfft-bin spectrum instead of all of them. A
-    # column gather comes back column-major, and summing that along rows
-    # adds in a different order than the pairwise sum of one row; gathered
-    # into a row-major array, each row sums as it would alone.
-    spectrum = np.empty((x.shape[0], low.size), dtype=complex)
-    for first in range(0, x.shape[0], BLOCK_ROWS):
-        rows = slice(first, first + BLOCK_ROWS)
-        spectrum[rows] = fft(windowed[rows], n=nfft, axis=1)[:, low]
-    return windowed, spectrum, in_band, nfft
+    return windowed, blas_product(windowed, kernel), in_band, nfft
 
 
 def band_energies(
@@ -434,8 +475,11 @@ def band_energies(
     windowed, low, in_band, nfft = band_spectrum(series, sample_rate_hz)
     power = np.abs(low) ** 2
     total = nfft * (np.abs(windowed) ** 2).sum(axis=1)
+    # a column gather comes back column-major, and summing that along rows
+    # adds in a different order than the pairwise sum of one row; gathered
+    # into a row-major array, each row sums as it would alone
     return (
-        np.ascontiguousarray(power[:, in_band]).sum(axis=1),  # as in band_spectrum
+        np.ascontiguousarray(power[:, in_band]).sum(axis=1),
         np.maximum(total - power.sum(axis=1), 0.0),
     )
 
@@ -458,7 +502,31 @@ def band_grams(
 
 def _gram(rows: np.ndarray) -> np.ndarray:
     """G[t, s] = sum_k conj(rows[t, k]) rows[s, k]."""
-    return np.einsum("tk,sk->ts", rows.conj(), rows)
+    return blas_product(rows.conj(), rows.T)
+
+
+def blas_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D arrays, in BLAS calls small enough to run on one
+    thread: at most ``_PRODUCT_ROWS`` rows of ``a`` by at most
+    ``_PRODUCT_COLUMNS`` columns of ``b``, over at most ``_PRODUCT_TERMS``
+    terms, the partial sums over the terms added in order. A row of the
+    product has the same bits at any BLAS thread count and beside any other
+    rows, and a pool worker starts no BLAS thread. A lone row is zero-padded
+    to two: numpy multiplies a one-row matrix as a vector, in other bits."""
+    rows, terms = a.shape
+    product = np.empty((rows, b.shape[1]), dtype=np.result_type(a, b))
+    for first in range(0, rows, _PRODUCT_ROWS):
+        block = a[first : first + _PRODUCT_ROWS]
+        if len(block) == 1:
+            block = np.concatenate([block, np.zeros_like(block)])
+        for column in range(0, b.shape[1], _PRODUCT_COLUMNS):
+            part = b[:, column : column + _PRODUCT_COLUMNS]
+            total = block[:, :_PRODUCT_TERMS] @ part[:_PRODUCT_TERMS]
+            for term in range(_PRODUCT_TERMS, terms, _PRODUCT_TERMS):
+                total += block[:, term : term + _PRODUCT_TERMS] @ part[term : term + _PRODUCT_TERMS]
+            out = product[first : first + _PRODUCT_ROWS, column : column + _PRODUCT_COLUMNS]
+            out[...] = total[: len(out)]
+    return product
 
 
 def max_snr(band: np.ndarray, out_of_band: np.ndarray) -> np.ndarray | None:

@@ -8,19 +8,21 @@ energies of that projection are quadratic forms in (cos theta, sin theta)
 over the 2x2 in-band and out-of-band Gram matrices of the spectra of Re and
 Im, so the axis with the best respiration-band ratio is their top
 generalized eigenvector: ``ratio.max_snr``, the solver the subcarrier search
-uses too. ``ratio.band_grams`` gives both Gram matrices from one 2-row FFT,
-with the band split ``ratio.band_energies`` makes.
+uses too. ``ratio.band_grams`` gives both Gram matrices from one 2-row
+low-bin spectrum, with the band split ``ratio.band_energies`` makes.
 
 The Hampel filter takes the medians of all its full windows in two
 vectorised ``ratio.median`` calls (``np.median`` bit for bit, without
-``numpy.ma``). The Savitzky-Golay smoother is plain numpy
-and equals ``scipy.signal.savgol_filter(mode="interp")`` bit for bit, except
-for near-degenerate fits (polyorder close to the window length), where the
-two agree to rounding.
+``numpy.ma``). The Savitzky-Golay smoother is plain numpy, its taps cached
+per window length and order, and equals
+``scipy.signal.savgol_filter(mode="interp")`` bit for bit, except for
+near-degenerate fits (polyorder close to the window length), where the two
+agree to rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,15 +169,7 @@ def savitzky_golay(series: np.ndarray, window_length: int, polyorder: int) -> np
     if n < window_length:
         raise ConfigurationError("series shorter than the smoothing window")
     half = window_length // 2
-    # filter taps: row 0 of the pseudo-inverse of the Vandermonde matrix on
-    # the offsets half, ..., -half (convolution order)
-    offsets = np.arange(half, -half - 1, -1, dtype=float)
-    vander = offsets ** np.arange(polyorder + 1, dtype=float)[:, None]
-    unit = np.zeros(polyorder + 1)
-    unit[0] = 1.0
-    taps = np.linalg.lstsq(
-        vander, unit, rcond=np.finfo(float).eps * window_length
-    )[0]
+    taps = _savitzky_golay_taps(window_length, polyorder)
     # the interior sums run in the order of scipy.ndimage.convolve1d, which
     # pairs mirrored samples when the taps are symmetric to within eps
     shifted = [x[half + j : n - half + j] for j in range(-half, half + 1)]
@@ -195,6 +189,21 @@ def savitzky_golay(series: np.ndarray, window_length: int, polyorder: int) -> np
         positions, x[n - window_length :], polyorder, positions[window_length - half :]
     )
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _savitzky_golay_taps(window_length: int, polyorder: int) -> np.ndarray:
+    """The smoother's filter taps, read-only: row 0 of the pseudo-inverse of
+    the Vandermonde matrix on the offsets half, ..., -half (convolution
+    order)."""
+    half = window_length // 2
+    offsets = np.arange(half, -half - 1, -1, dtype=float)
+    vander = offsets ** np.arange(polyorder + 1, dtype=float)[:, None]
+    unit = np.zeros(polyorder + 1)
+    unit[0] = 1.0
+    taps = np.linalg.lstsq(vander, unit, rcond=np.finfo(float).eps * window_length)[0]
+    taps.setflags(write=False)
+    return taps
 
 
 def _polyfit_eval(

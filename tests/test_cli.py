@@ -12,7 +12,7 @@ import yaml
 
 from csibreath import cli, config, gass, pipeline, traceio
 from csibreath.errors import ConfigurationError, check_real
-from csibreath.pipeline import PipelineConfig
+from csibreath.pipeline import MAX_CONDITIONS, PipelineConfig
 from csibreath.traceio import read_trace, write_trace
 
 _BASE = """\
@@ -250,6 +250,34 @@ def test_a_count_beyond_int64_exits_2(tmp_path, capsys, command, sweep, name):
     value = sweep.rsplit(" ", 1)[1]
     assert capsys.readouterr().err == (
         f"configuration error: {name} must be an integer from 1 to {2**63 - 1}, got {value}\n"
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, sweep, count, source",
+    [
+        ("sweep-blindspot", f"positions: {MAX_CONDITIONS + 1}", MAX_CONDITIONS + 1,
+         "sweep.positions"),
+        ("sweep-blindspot", f"positions: {2**62}", 2**62, "sweep.positions"),
+        ("sweep-blindspot", f"positions: {2**63 - 1}", 2**63 - 1, "sweep.positions"),
+        ("sweep-snr", f"noise_stds: [0.02, 0.2], runs_per_level: {MAX_CONDITIONS // 2 + 1}",
+         MAX_CONDITIONS + 2, "noise_stds x runs_per_level"),
+        ("sweep-snr", f"noise_stds: [0.02], runs_per_level: {2**63 - 1}", 2**63 - 1,
+         "noise_stds x runs_per_level"),
+    ],
+    ids=["positions over the limit", "positions 2**62", "positions 2**63 - 1",
+         "two levels x runs over the limit", "runs_per_level 2**63 - 1"],
+)
+def test_a_sweep_of_too_many_conditions_exits_2(tmp_path, capsys, command, sweep, count, source):
+    # checked before any condition list is built, so none of these allocates
+    config = tmp_path / "count.yaml"
+    config.write_text(_BASE + f"sweep: {{{sweep}}}\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: {source} gives {count} sweep conditions, "
+        f"more than the {MAX_CONDITIONS} a sweep may run\n"
     )
     assert not out.exists() or not any(out.iterdir())
 

@@ -575,6 +575,7 @@ def test_baselines_do_not_depend_on_the_cpu_count(impaired_trace, monkeypatch, s
         return None if estimate is None else dataclasses.astuple(estimate)
 
     outputs = []
+    monkeypatch.setattr(pipeline, "RANGES_PER_WORKER", 1)
     for cpus, chunks in ((1, 1), (2, 2), (2, 3)):
         set_cpus(cpus)
         # the windows in this many chunks; three share a pool of two
@@ -584,6 +585,30 @@ def test_baselines_do_not_depend_on_the_cpu_count(impaired_trace, monkeypatch, s
             for component in ("amplitude", "phase")
         ])
     assert len(outputs[0][0]) == 6
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_results_do_not_depend_on_the_window_ranges(breathing_scenario, grid, monkeypatch):
+    import csibreath.pipeline as pipeline
+
+    scenario = dataclasses.replace(breathing_scenario, duration_s=30.0)
+    trace = apply_impairments(
+        generate_ideal_csi(scenario, grid), ImpairmentConfig(gaussian_noise_std=0.03, seed=3)
+    )
+    plan = segment(trace, _CONFIG)
+    outputs = []
+    # the windows in 1 range, in-process, and in 2 and 16 over the pool
+    for pool, ranges in ((1, 8), (2, 1), (2, 8)):
+        monkeypatch.setattr(pipeline, "workers", lambda: pool)
+        monkeypatch.setattr(pipeline, "RANGES_PER_WORKER", ranges)
+        results = run_pipeline(trace, plan=plan)
+        outputs.append([
+            (r.window_id, r.start_frame, dataclasses.astuple(r.estimate), r.stage_band_ratios,
+             r.solution.denominator_index, r.solution.pair_numerator,
+             r.solution.coefficients.tobytes())
+            for r in results
+        ])
+    assert len(outputs[0]) >= 16
     assert outputs[0] == outputs[1] == outputs[2]
 
 

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +17,13 @@ from csibreath.errors import (
 )
 from csibreath.grid import custom_grid, ht_ltf_grid
 from csibreath.ratio import (
+    GUARD_REL,
+    MAX_GUARDED_FRACTION,
+    _unwrap,
     average_phase_blocks,
     band_energies,
     band_grams,
+    band_spectrum,
     cscr,
     dynamic_amplitude_low_noise,
     guard_table,
@@ -150,6 +158,72 @@ def test_median_equals_numpy_median(rows):
         for row in rows:
             assert median(row).tobytes() == np.median(row).tobytes()
             assert type(median(row)) is type(np.median(row))
+
+
+def _full_median_guard_table(matrix):
+    """The guard rule over every row: flagged at most GUARD_REL times the
+    row's median magnitude; rejected when flagged throughout or in more
+    than MAX_GUARDED_FRACTION of the row."""
+    mag = np.abs(matrix)
+    flagged = mag <= GUARD_REL * np.median(mag, axis=1)[:, None]
+    return flagged, flagged.all(axis=1) | (flagged.mean(axis=1) > MAX_GUARDED_FRACTION)
+
+
+@st.composite
+def _guard_rows(draw):
+    """Rows of noise, each made all zero, scaled by 1e-12 in part or whole,
+    or given zeros, NaNs, infinities or values near the float maximum."""
+    n_rows, n_samples = draw(st.integers(1, 40)), draw(st.integers(1, 50))
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = local.normal(size=(n_rows, n_samples)) + 1j * local.normal(size=(n_rows, n_samples))
+    for row in matrix:
+        kind = draw(st.sampled_from(["plain", "zero", "tiny", "dips", "nan", "inf", "huge"]))
+        cells = local.random(n_samples) < draw(st.sampled_from([0.05, 0.3, 1.0]))
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind in ("tiny", "dips"):
+            row[cells] *= 1e-12 if kind == "tiny" else 0.0
+        elif kind in ("nan", "inf"):
+            row[cells] = np.nan if kind == "nan" else np.inf
+        elif kind == "huge":
+            row /= np.abs(row).max()
+            row *= 1.5e308
+    return matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=_guard_rows())
+def test_guard_table_equals_the_full_median_rule(matrix):
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = _full_median_guard_table(matrix)
+        guards = guard_table(matrix)
+    assert guards.flagged.tobytes() == expected[0].tobytes()
+    assert guards.rejected.tobytes() == expected[1].tobytes()
+
+
+def test_guard_table_flags_every_sample_where_the_median_overflows():
+    # the two middle magnitudes sum past the float maximum, so the median
+    # (their mean) is inf, above the row's largest magnitude
+    row = np.array([[1.0e308, 1.2e308, 1.3e308, 1.5e308]])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.median(np.abs(row)))
+        assert guard_table(row).flagged.all()
+
+
+# steps of exactly +-pi (and +-pi away from them), signed zeros, NaN and
+# infinities, among plain phases
+_phase_values = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, np.nan, np.inf, -np.inf]),
+    st.floats(-20.0, 20.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase=arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 9)),
+                    elements=_phase_values))
+def test_block_unwrap_equals_numpy_unwrap(phase):
+    with np.errstate(invalid="ignore"):
+        assert _unwrap(phase).tobytes() == np.unwrap(phase).tobytes()
 
 
 def test_cscr_rejects_equal_indices(breathing_trace):
@@ -614,8 +688,12 @@ def test_band_energies_match_full_spectrum_reference(case):
     band, out = band_energies(rows, fs)
     ref_band, ref_out, energy = _full_spectrum_band_energies(rows, fs)
     assert np.all(band >= 0) and np.all(out >= 0)
-    # the band energy is a sum of the same non-negative terms: relative to itself
-    assert np.all(np.abs(band - ref_band) <= 1e-12 * ref_band)
+    # the band energy sums bins that are each exact to about eps times the
+    # energy over all bins, in the reference too: within that on every row,
+    # and relative to itself wherever it holds a fair share of that energy
+    assert np.all(np.abs(band - ref_band) <= 1e-12 * energy)
+    fair = ref_band > 1e-3 * energy
+    assert np.all(np.abs(band - ref_band)[fair] <= 1e-12 * ref_band[fair])
     # the out-of-band energy is a difference of sums over all bins, DC and
     # below the band too, so its rounding scales with the energy over all
     # bins; relative to itself wherever it holds a fair share of that energy
@@ -634,3 +712,53 @@ def test_band_energies_match_full_spectrum_reference(case):
     # each row scores the same bits alone as in the batch
     alone = np.concatenate([ssnr_values(row[None, :], fs) for row in rows])
     assert values.tobytes() == alone.tobytes()
+
+
+# Every row's spectrum alone and in batches of each size, at three offsets,
+# for rows of one sum of up to 128 terms and of three; then the products of
+# the search's delay-basis projection (a sum over 217 rows) and its Grams;
+# last, whether threads other than the main one took CPU time for them.
+_PRODUCT_BITS = """
+import hashlib
+import time
+import numpy as np
+from csibreath.gass import _delay_basis
+from csibreath.grid import default_grid
+from csibreath.ratio import band_grams, band_spectrum, blas_product
+rng = np.random.default_rng(5)
+digest = hashlib.sha256()
+for n, complex_rows in ((100, True), (100, False), (300, True)):
+    rows = rng.normal(size=(217, n)) + (1j * rng.normal(size=(217, n)) if complex_rows else 0)
+    alone = [band_spectrum(row, 10.0)[1].tobytes() for row in rows]
+    for size in (1, 2, 7, 8, 31, 32, 33, 217):
+        for first in sorted({0, (217 - size) // 2, 217 - size}):
+            batch = band_spectrum(rows[first : first + size], 10.0)[1]
+            assert [row.tobytes() for row in batch] == alone[first : first + size], (n, size, first)
+    digest.update(b"".join(alone))
+rows, basis = _delay_basis(default_grid().center_frequency_hz.tobytes(), 0)
+process, main = time.process_time(), time.thread_time()
+for samples in (100, 300):
+    matrix = rng.normal(size=(218, samples)) + 1j * rng.normal(size=(218, samples))
+    for _ in range(20):
+        projected = blas_product(basis.T, matrix[rows])
+        grams = band_grams(projected, 10.0)
+    digest.update(projected.tobytes() + grams[0].tobytes() + grams[1].tobytes())
+main = time.thread_time() - main
+print(digest.hexdigest(), time.process_time() - process - main < 0.1 * main)
+"""
+
+
+def test_products_keep_their_bits_in_any_batch_and_run_on_one_blas_thread():
+    src = str(Path(band_spectrum.__code__.co_filename).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", _PRODUCT_BITS], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]
+    assert digests[0].split()[1] == "True"  # no BLAS thread of its own, at 2 threads too
